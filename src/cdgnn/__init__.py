@@ -12,7 +12,7 @@ from .graphs import (Graph, GraphError, ego_subgraph, feature_heterophily,
 from .synth import (GenConfig, MotifSpec, PlantedShortcutConfig, PRESET_NAMES,
                     generate, planted_shortcut, preset, relabel_to_heterophily)
 from .autodiff import Tape, Tensor, adam_step, gradients
-from .models import batch_from_graphs, build_ego_cache, gcn_forward, readout
+from .models import build_ego_cache, gcn_forward, readout
 from .disentangle import (disentanglement_score, gce_loss, hsic, hsic_value,
                           total_loss)
 from .gains import (AuditReport, GainParams, ImprovementReport,
@@ -31,7 +31,7 @@ __all__ = [
     "GenConfig", "MotifSpec", "PlantedShortcutConfig", "PRESET_NAMES",
     "generate", "planted_shortcut", "preset", "relabel_to_heterophily",
     "Tape", "Tensor", "adam_step", "gradients",
-    "batch_from_graphs", "build_ego_cache", "gcn_forward", "readout",
+    "build_ego_cache", "gcn_forward", "readout",
     "disentanglement_score", "gce_loss", "hsic", "hsic_value", "total_loss",
     "AuditReport", "GainParams", "ImprovementReport",
     "assumption_audit", "deep_layer_gain", "default_grid_cells",

@@ -17,9 +17,9 @@ __all__ = [
     "Tape",
     "Tensor",
     "PropagationPlan",
-    "matmul", "add", "subtract", "multiply", "scalar_power", "exp", "log",
+    "matmul", "add", "subtract", "multiply", "exp", "log",
     "sigmoid", "relu", "row_softmax", "mean", "sum_all", "concat_cols",
-    "dropout", "rbf_gram", "center_gram", "trace", "take_rows",
+    "dropout", "rbf_gram", "center_gram", "take_rows",
     "segment_mean_rows", "pick_class", "permute_rows", "masked_propagate",
     "AdamState", "adam_step", "gradients",
 ]
@@ -79,9 +79,6 @@ class Tensor:
     @property
     def shape(self) -> tuple[int, int]:
         return self.data.shape
-
-    def value(self) -> np.ndarray:
-        return self.data
 
     def item(self) -> float:
         if self.data.size != 1:
@@ -185,25 +182,6 @@ def multiply(a, b) -> Tensor:
         b._accumulate(_unbroadcast(g * a.data, b.data.shape))
 
     return _make(data, (a, b), backward)
-
-
-def scalar_power(a, exponent: float) -> Tensor:
-    """Elementwise a ** exponent for a scalar exponent."""
-    a = _coerce(a, _shared_tape(a))
-    p = float(exponent)
-    if p != round(p):
-        if (a.data <= 0).any():
-            raise FloatingPointError(
-                f"fractional power {p} of a non-positive entry is undefined"
-            )
-    elif p < 0 and (a.data == 0).any():
-        raise FloatingPointError(f"negative power {p} of a zero entry is undefined")
-    data = np.power(a.data, p)
-
-    def backward(g: np.ndarray) -> None:
-        a._accumulate(g * p * np.power(a.data, p - 1.0))
-
-    return _make(data, (a,), backward)
 
 
 def exp(a) -> Tensor:
@@ -352,18 +330,6 @@ def center_gram(k) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         k._accumulate(centered(g))
-
-    return _make(data, (k,), backward)
-
-
-def trace(k) -> Tensor:
-    k = _coerce(k, _shared_tape(k))
-    if k.data.shape[0] != k.data.shape[1]:
-        raise ValueError(f"trace needs a square matrix, got {k.data.shape}")
-    data = np.array([[np.trace(k.data)]])
-
-    def backward(g: np.ndarray) -> None:
-        k._accumulate(g[0, 0] * np.eye(k.data.shape[0]))
 
     return _make(data, (k,), backward)
 

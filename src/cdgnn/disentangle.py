@@ -21,15 +21,20 @@ from scipy.stats import rankdata
 
 from . import autodiff as ad
 from .graphs import Graph
-from .models import EgoBatch, classify, gcn_forward, glorot, readout
+from .models import (EgoBatch, classify, gcn_forward, glorot,
+                     init_gcn_weights, init_head_params, init_readout_params,
+                     readout)
 
 __all__ = [
     "init_mask_params",
+    "init_cdgnn_params",
     "MaskSet",
     "edge_score_logits",
     "materialize_masks",
     "BranchBundle",
     "split_and_embed",
+    "TwoBranchPass",
+    "two_branch_forward",
     "gce_loss",
     "cross_entropy",
     "gce_grad_identity_check",
@@ -65,10 +70,29 @@ def init_mask_params(rng: np.random.Generator, feat_dim: int,
     }
 
 
-def edge_score_logits(batch: EgoBatch, x: np.ndarray,
+def init_cdgnn_params(rng: np.random.Generator, feat_dim: int, hidden: int,
+                      layers: int, scorer_hidden: int,
+                      num_classes: int) -> dict[str, np.ndarray]:
+    """Every parameter of the two-branch model, drawn in a fixed order.
+
+    Keys: `mask.*` (scorer and feature mask), `gnn_c.w<l>` / `gnn_s.w<l>`
+    (branch encoders), `readout_c.proj` / `readout_s.proj`, and the heads
+    `head_c.*` / `head_s.*`, which read the joint embedding.
+    """
+    params = init_mask_params(rng, feat_dim, scorer_hidden)
+    params.update(init_gcn_weights(rng, feat_dim, hidden, layers, "gnn_c"))
+    params.update(init_gcn_weights(rng, feat_dim, hidden, layers, "gnn_s"))
+    params.update(init_readout_params(rng, hidden, "readout_c"))
+    params.update(init_readout_params(rng, hidden, "readout_s"))
+    params.update(init_head_params(rng, 2 * hidden, num_classes, "head_c"))
+    params.update(init_head_params(rng, 2 * hidden, num_classes, "head_s"))
+    return params
+
+
+def edge_score_logits(e: np.ndarray, x: np.ndarray,
                       params: dict[str, ad.Tensor]) -> ad.Tensor:
-    """Symmetric per-edge logits: mean of scorer(x_u||x_v) and scorer(x_v||x_u)."""
-    e = batch.endpoints
+    """Symmetric logits of edges `e` (rows u, v into `x`): the mean of
+    scorer(x_u||x_v) and scorer(x_v||x_u)."""
     num = e.shape[0]
     tape = params["mask.w1"].tape
     if num == 0:
@@ -95,7 +119,7 @@ class MaskSet:
 
 
 def materialize_masks(batch: EgoBatch, params: dict[str, ad.Tensor]) -> MaskSet:
-    edge = ad.sigmoid(edge_score_logits(batch, batch.features, params))
+    edge = ad.sigmoid(edge_score_logits(batch.endpoints, batch.features, params))
     feat = ad.sigmoid(params["mask.feat"])
     return MaskSet(
         edge=edge,
@@ -136,6 +160,42 @@ def split_and_embed(batch: EgoBatch, x: ad.Tensor, masks: MaskSet,
         nodes_causal=nodes_c,
         nodes_shortcut=nodes_s,
     )
+
+
+@dataclass
+class TwoBranchPass:
+    """One forward of the two-branch model: `leaves` are the parameters on
+    `tape`; each head is a (weight, bias) pair reading the joint embedding."""
+
+    tape: ad.Tape
+    leaves: dict[str, ad.Tensor]
+    masks: MaskSet
+    causal_layers: list[ad.Tensor]
+    bundle: BranchBundle
+    head_causal: tuple[ad.Tensor, ad.Tensor]
+    head_shortcut: tuple[ad.Tensor, ad.Tensor]
+
+
+def two_branch_forward(batch: EgoBatch, params: dict[str, np.ndarray],
+                       dropout_rate: float = 0.0,
+                       rng: np.random.Generator | None = None,
+                       training: bool = False) -> TwoBranchPass:
+    """Put `params` on a fresh tape (tracked only when training), mask the
+    batch and embed it through both branches."""
+    tape = ad.Tape()
+    t = {k: tape.leaf(v, requires_grad=training) for k, v in params.items()}
+    keys = sorted(k for k in t if k.startswith("gnn_c.w"))
+    causal_layers = [t[k] for k in keys]
+    shortcut_layers = [t[k.replace("gnn_c.", "gnn_s.")] for k in keys]
+    masks = materialize_masks(batch, t)
+    x = tape.leaf(batch.features, requires_grad=False)
+    bundle = split_and_embed(batch, x, masks, causal_layers, shortcut_layers,
+                             t["readout_c.proj"], t["readout_s.proj"],
+                             dropout_rate, rng, training)
+    return TwoBranchPass(tape=tape, leaves=t, masks=masks,
+                         causal_layers=causal_layers, bundle=bundle,
+                         head_causal=(t["head_c.w"], t["head_c.b"]),
+                         head_shortcut=(t["head_s.w"], t["head_s.b"]))
 
 
 def gce_loss(probs: ad.Tensor, labels, q: float) -> ad.Tensor:
@@ -289,6 +349,15 @@ class LossSettings:
     no_counterfactual_term: bool = False
     no_independence_term: bool = False
 
+    @property
+    def coefficients(self) -> tuple[float, float, float, float]:
+        """Weights of the shortcut, causal, counterfactual and independence
+        terms in the objective; an ablated term weighs 0."""
+        return (0.0 if self.no_shortcut_term else 1.0,
+                0.0 if self.no_causal_term else 1.0,
+                0.0 if self.no_counterfactual_term else self.lambda_counterfactual,
+                0.0 if self.no_independence_term else self.lambda_independence)
+
 
 def total_loss(shortcut_term: ad.Tensor, causal_term: ad.Tensor,
                counterfactual_term: ad.Tensor, independence_term: ad.Tensor,
@@ -304,15 +373,10 @@ def total_loss(shortcut_term: ad.Tensor, causal_term: ad.Tensor,
         "loss_cf": counterfactual_term.item(),
         "loss_hsic": independence_term.item(),
     }
-    pieces: list[ad.Tensor] = []
-    if not settings.no_shortcut_term:
-        pieces.append(shortcut_term)
-    if not settings.no_causal_term:
-        pieces.append(causal_term)
-    if not settings.no_counterfactual_term and settings.lambda_counterfactual != 0.0:
-        pieces.append(ad.multiply(counterfactual_term, settings.lambda_counterfactual))
-    if not settings.no_independence_term and settings.lambda_independence != 0.0:
-        pieces.append(ad.multiply(independence_term, settings.lambda_independence))
+    terms = (shortcut_term, causal_term, counterfactual_term, independence_term)
+    pieces = [term if coeff == 1.0 else ad.multiply(term, coeff)
+              for term, coeff in zip(terms, settings.coefficients)
+              if coeff != 0.0]
     if not pieces:
         raise ValueError("all loss terms ablated")
     total = pieces[0]
@@ -324,17 +388,11 @@ def total_loss(shortcut_term: ad.Tensor, causal_term: ad.Tensor,
 
 def score_edges(mask_params: dict[str, np.ndarray], features: np.ndarray,
                 edges: np.ndarray) -> np.ndarray:
-    """Symmetric scorer logits for explicit edges, no tape involved."""
-    e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    x = np.asarray(features, dtype=np.float64)
-    pairs = np.vstack([
-        np.hstack([x[e[:, 0]], x[e[:, 1]]]),
-        np.hstack([x[e[:, 1]], x[e[:, 0]]]),
-    ])
-    hidden = np.maximum(pairs @ mask_params["mask.w1"] + mask_params["mask.b1"], 0.0)
-    scores = hidden @ mask_params["mask.w2"] + mask_params["mask.b2"]
-    n = e.shape[0]
-    return 0.5 * (scores[:n, 0] + scores[n:, 0])
+    """edge_score_logits on plain arrays, as a flat vector."""
+    tape = ad.Tape()
+    t = {k: tape.leaf(v, requires_grad=False) for k, v in mask_params.items()}
+    return edge_score_logits(np.asarray(edges, dtype=np.int64).reshape(-1, 2),
+                             np.asarray(features, dtype=np.float64), t).data[:, 0]
 
 
 def disentanglement_score(mask_params: dict[str, np.ndarray], g: Graph,

@@ -21,9 +21,9 @@ from typing import Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .disentangle import hsic_value, materialize_masks, score_edges, split_and_embed
+from .disentangle import hsic_value, two_branch_forward
 from .graphs import Graph
-from .models import batch_from_graphs
+from .models import batch_from_cache, build_ego_cache, classify, gcn_forward
 
 __all__ = [
     "GainParams",
@@ -435,12 +435,6 @@ class AuditReport:
         return self.independence_ok and self.sensitivity_ok and self.dominance_ok
 
 
-def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def _layer_cross_class_ratio(embedding: np.ndarray, endpoints: np.ndarray,
                              labels: np.ndarray) -> float:
     """|mean neighbor signal across classes| / |mean within class|.
@@ -484,56 +478,41 @@ def assumption_audit(g: Graph, params: dict[str, np.ndarray], hops: int,
         nodes = np.sort(rng.choice(nodes, size=max_nodes, replace=False))
     if nodes.shape[0] < 2:
         raise ValueError("audit needs at least 2 ego nodes")
-    batch = batch_from_graphs(g, nodes, hops)
+    batch = batch_from_cache(g, build_ego_cache(g, hops, nodes), nodes)
+    fwd = two_branch_forward(batch, params)
+    h_c = fwd.bundle.graph_causal
+    h_s = fwd.bundle.graph_shortcut
 
-    tape = ad.Tape()
-    t = {k: tape.leaf(v, requires_grad=False) for k, v in params.items()}
-    layer_keys = sorted(k for k in params if k.startswith("gnn_c.w"))
-    causal_layers = [t[k] for k in layer_keys]
-    shortcut_layers = [t[k.replace("gnn_c.", "gnn_s.")] for k in layer_keys]
-    masks = materialize_masks(batch, t)
-    x = tape.leaf(batch.features, requires_grad=False)
-    bundle = split_and_embed(batch, x, masks, causal_layers, shortcut_layers,
-                             t["readout_c.proj"], t["readout_s.proj"])
-    h_c = bundle.graph_causal.data
-    h_s = bundle.graph_shortcut.data
+    independence = hsic_value(h_c.data, h_s.data)
 
-    independence = hsic_value(h_c, h_s)
-
-    w_c, b_c = params["head_c.w"], params["head_c.b"]
-    base = _softmax_rows(np.hstack([h_c, h_s]) @ w_c + b_c)
-    rows = np.arange(h_c.shape[0])
+    base = classify(fwd.bundle.joint, *fwd.head_causal).data
+    rows = np.arange(batch.num_graphs)
     labels = batch.ego_labels
     sensitivity = 0.0
     for _ in range(num_perms):
-        perm = rng.permutation(h_c.shape[0])
-        swapped = _softmax_rows(np.hstack([h_c, h_s[perm]]) @ w_c + b_c)
+        perm = rng.permutation(batch.num_graphs)
+        swapped = classify(ad.concat_cols(h_c, ad.permute_rows(h_s, perm)),
+                           *fwd.head_causal).data
         delta = np.abs(base[rows, labels] - swapped[rows, labels])
         sensitivity = max(sensitivity, float(delta.max()))
 
-    mask_vals = 1.0 / (1.0 + np.exp(-score_edges(params, batch.features,
-                                                 batch.endpoints)))
+    mask_vals = fwd.masks.edge.data.reshape(-1)
     # Dominance is the share of the causal branch's aggregate incoming edge
     # weight that flows through edges the mask pushes to the shortcut side.
     edge_mass = mask_vals.sum()
     leak = mask_vals[mask_vals < 0.5].sum()
     dominance = float(leak / edge_mass) if edge_mass > 1e-12 else 0.0
-    dominance_shares = [dominance for _ in layer_keys]
+    dominance_shares = [dominance for _ in fwd.causal_layers]
 
     node_labels = batch.ego_labels[batch.segments]
-    feat_mask = 1.0 / (1.0 + np.exp(-params["mask.feat"]))
-    h = batch.features * feat_mask
     ratios = []
-    plan_weights = mask_vals.reshape(-1, 1)
-    layer_tape = ad.Tape()
-    w_t = layer_tape.leaf(plan_weights, requires_grad=False)
-    h_t = layer_tape.leaf(h, requires_grad=False)
-    for index, key in enumerate(layer_keys):
-        h_t = ad.masked_propagate(h_t, w_t, batch.plan)
-        h_t = ad.matmul(h_t, layer_tape.leaf(params[key], requires_grad=False))
-        if index < len(layer_keys) - 1:
-            h_t = ad.relu(h_t)
-        ratios.append(_layer_cross_class_ratio(h_t.data, batch.endpoints,
+    h = batch.features
+    for l, w in enumerate(fwd.causal_layers):
+        h = gcn_forward(batch, h, fwd.masks.edge,
+                        fwd.masks.feature if l == 0 else None, [w])
+        if l < len(fwd.causal_layers) - 1:
+            h = ad.relu(h)
+        ratios.append(_layer_cross_class_ratio(h.data, batch.endpoints,
                                                node_labels))
 
     return AuditReport(

@@ -16,11 +16,9 @@ import numpy as np
 __all__ = [
     "Graph",
     "GraphError",
-    "NodePartition",
     "label_heterophily",
     "feature_heterophily",
     "renormalized_propagate",
-    "partition_neighbors",
     "ego_subgraph",
     "graph_to_dict",
     "graph_from_dict",
@@ -79,6 +77,10 @@ class Graph:
             raise GraphError(
                 f"features must be shaped ({self.num_nodes}, d), got {self.features.shape}"
             )
+        finite = np.isfinite(self.features).all(axis=1)
+        if not finite.all():
+            bad = int(np.argmin(finite))
+            raise GraphError(f"feature row {bad} holds a NaN or infinite value")
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.labels.shape != (self.num_nodes,):
             raise GraphError(
@@ -172,38 +174,6 @@ def renormalized_propagate(g: Graph, signal: np.ndarray,
         np.add.at(out, v, w[:, None] * sig[u])
     out /= (g.degrees + 1.0)[:, None]
     return out[:, 0] if squeeze else out
-
-
-@dataclass(frozen=True)
-class NodePartition:
-    """A node's neighbors split against a reference node set."""
-
-    node: int
-    inside: np.ndarray
-    outside: np.ndarray
-
-    @property
-    def degree_inside(self) -> int:
-        return int(self.inside.shape[0])
-
-    @property
-    def degree_outside(self) -> int:
-        return int(self.outside.shape[0])
-
-
-def partition_neighbors(g: Graph, node: int, node_set) -> NodePartition:
-    """Split node's neighbors into those inside `node_set` and the rest."""
-    if not 0 <= node < g.num_nodes:
-        raise GraphError(f"node {node} outside [0, {g.num_nodes})")
-    members = np.zeros(g.num_nodes, dtype=bool)
-    idx = np.asarray(list(node_set), dtype=np.int64)
-    if idx.size and ((idx < 0).any() or (idx >= g.num_nodes).any()):
-        raise GraphError("node_set references nodes outside the graph")
-    members[idx] = True
-    nbrs = g.neighbors(node)
-    inside = nbrs[members[nbrs]]
-    outside = nbrs[~members[nbrs]]
-    return NodePartition(node=node, inside=inside, outside=outside)
 
 
 def ego_subgraph(g: Graph, node: int, hops: int) -> tuple[Graph, np.ndarray]:

@@ -19,7 +19,7 @@ import csv
 import hashlib
 import json
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -28,12 +28,10 @@ import numpy as np
 from . import autodiff as ad
 from .disentangle import (LossSettings, causal_loss, counterfactual_loss,
                           cross_entropy, difficulty_weights, gce_loss, hsic,
-                          init_mask_params, materialize_masks, split_and_embed,
-                          total_loss)
+                          init_cdgnn_params, total_loss, two_branch_forward)
 from .graphs import Graph, feature_heterophily, label_heterophily, load_graph
-from .models import (EgoBatch, batch_from_cache, batch_from_graphs,
-                     build_ego_cache, classify, gcn_forward, init_gcn_weights,
-                     init_head_params, init_readout_params)
+from .models import (EgoBatch, batch_from_cache, build_ego_cache, classify,
+                     gcn_forward, init_gcn_weights, init_head_params)
 
 __all__ = [
     "RunConfig",
@@ -63,7 +61,6 @@ __all__ = [
 ]
 
 _EVAL_CHUNK = 256
-_LOSS_KEYS = ("loss_s", "loss_c", "loss_cf", "loss_hsic", "total")
 
 
 @dataclass(frozen=True)
@@ -126,15 +123,8 @@ class RunConfig:
             raise ValueError("all loss terms ablated; nothing to optimize")
 
     def loss_settings(self) -> LossSettings:
-        return LossSettings(
-            q=self.q,
-            lambda_counterfactual=self.lambda_counterfactual,
-            lambda_independence=self.lambda_independence,
-            no_shortcut_term=self.no_shortcut_term,
-            no_causal_term=self.no_causal_term,
-            no_counterfactual_term=self.no_counterfactual_term,
-            no_independence_term=self.no_independence_term,
-        )
+        return LossSettings(**{f.name: getattr(self, f.name)
+                               for f in fields(LossSettings)})
 
 
 @dataclass(frozen=True)
@@ -177,76 +167,15 @@ class TrainResult:
     stopped_early: bool
 
 
-def _init_cdgnn_params(rng: np.random.Generator, feat_dim: int, hidden: int,
-                       layers: int, scorer_hidden: int,
-                       num_classes: int) -> dict[str, np.ndarray]:
-    params = init_mask_params(rng, feat_dim, scorer_hidden)
-    params.update(init_gcn_weights(rng, feat_dim, hidden, layers, "gnn_c"))
-    params.update(init_gcn_weights(rng, feat_dim, hidden, layers, "gnn_s"))
-    params.update(init_readout_params(rng, hidden, "readout_c"))
-    params.update(init_readout_params(rng, hidden, "readout_s"))
-    params.update(init_head_params(rng, 2 * hidden, num_classes, "head_c"))
-    params.update(init_head_params(rng, 2 * hidden, num_classes, "head_s"))
-    return params
-
-
-def _branch_layers(tensors: dict[str, ad.Tensor]) -> tuple[list, list]:
-    keys = sorted(k for k in tensors if k.startswith("gnn_c.w"))
-    return ([tensors[k] for k in keys],
-            [tensors[k.replace("gnn_c.", "gnn_s.")] for k in keys])
-
-
-def _cdgnn_batch_objective(batch: EgoBatch, params: dict[str, np.ndarray],
-                           config: RunConfig, rng_dropout, rng_perm, rng_hsic):
-    """Forward one batch; returns (tape, tensors, total, breakdown)."""
-    tape = ad.Tape()
-    t = {k: tape.leaf(v) for k, v in params.items()}
-    causal_layers, shortcut_layers = _branch_layers(t)
-    masks = materialize_masks(batch, t)
-    x = tape.leaf(batch.features, requires_grad=False)
-    bundle = split_and_embed(batch, x, masks, causal_layers, shortcut_layers,
-                             t["readout_c.proj"], t["readout_s.proj"],
-                             config.dropout, rng_dropout, training=True)
-    y = batch.ego_labels
-    probs_s = classify(bundle.joint, t["head_s.w"], t["head_s.b"])
-    probs_c = classify(bundle.joint, t["head_c.w"], t["head_c.b"])
-    loss_s = ad.mean(gce_loss(probs_s, y, config.q))
-    ce_s = cross_entropy(probs_s, y).data.reshape(-1)
-    ce_c = cross_entropy(probs_c, y).data.reshape(-1)
-    weights = difficulty_weights(ce_s, ce_c)
-    loss_c = causal_loss(probs_c, y, weights)
-    perm = rng_perm.permutation(batch.num_graphs)
-    loss_cf = counterfactual_loss(bundle, (t["head_s.w"], t["head_s.b"]),
-                                  (t["head_c.w"], t["head_c.b"]), y,
-                                  config.q, perm, weights)
-    num_rows = bundle.nodes_causal.data.shape[0]
-    rows = rng_hsic.permutation(num_rows)[:config.hsic_max_rows]
-    loss_hsic = hsic(ad.take_rows(bundle.nodes_causal, rows),
-                     ad.take_rows(bundle.nodes_shortcut, rows))
-    total, breakdown = total_loss(loss_s, loss_c, loss_cf, loss_hsic,
-                                  config.loss_settings())
-    breakdown["ce_s"] = float(ce_s.mean())
-    breakdown["ce_c"] = float(ce_c.mean())
-    return tape, t, total, breakdown
-
-
-def _eval_probs_cdgnn(batch: EgoBatch, params: dict[str, np.ndarray]) -> np.ndarray:
-    tape = ad.Tape()
-    t = {k: tape.leaf(v, requires_grad=False) for k, v in params.items()}
-    causal_layers, shortcut_layers = _branch_layers(t)
-    masks = materialize_masks(batch, t)
-    x = tape.leaf(batch.features, requires_grad=False)
-    bundle = split_and_embed(batch, x, masks, causal_layers, shortcut_layers,
-                             t["readout_c.proj"], t["readout_s.proj"])
-    return classify(bundle.joint, t["head_c.w"], t["head_c.b"]).data
-
-
 def _predict_cdgnn(g: Graph, cache, nodes: np.ndarray,
                    params: dict[str, np.ndarray]) -> np.ndarray:
+    """Causal-head predictions for `nodes`, in chunks of _EVAL_CHUNK egos."""
     preds = []
     for start in range(0, nodes.shape[0], _EVAL_CHUNK):
         batch = batch_from_cache(g, cache, nodes[start:start + _EVAL_CHUNK])
-        preds.append(np.argmax(_eval_probs_cdgnn(batch, params), axis=1))
+        fwd = two_branch_forward(batch, params)
+        probs = classify(fwd.bundle.joint, *fwd.head_causal)
+        preds.append(np.argmax(probs.data, axis=1))
     return np.concatenate(preds)
 
 
@@ -262,32 +191,22 @@ def _train_batches(train_nodes: np.ndarray, batch_size: int,
     return chunks
 
 
-def train_cdgnn(g: Graph, config: RunConfig, seed: int,
-                train_nodes: np.ndarray, val_nodes: np.ndarray) -> TrainResult:
-    """Train the disentangled model with early stopping on val accuracy."""
+def _fit(g: Graph, config: RunConfig, seed: int, train_nodes, val_nodes,
+         model) -> TrainResult:
+    """The loop both models share: early stopping on val accuracy.
+
+    `model(train_nodes, val_nodes, rngs)` returns (params, step, predict);
+    `rngs` are the init, batch order, dropout, counterfactual permutation
+    and HSIC row streams. `step(params, guard)` trains one epoch and returns
+    (params, history row), passing each loss breakdown to `guard` before
+    differentiating it. `predict(params)` labels the val nodes.
+    """
     config.validate()
     train_nodes = np.asarray(train_nodes, dtype=np.int64).reshape(-1)
     val_nodes = np.asarray(val_nodes, dtype=np.int64).reshape(-1)
-    if train_nodes.shape[0] < 2:
-        raise ValueError("need at least 2 training nodes")
-    streams = np.random.SeedSequence(seed).spawn(5)
-    rng_init = np.random.default_rng(streams[0])
-    rng_batch = np.random.default_rng(streams[1])
-    rng_dropout = np.random.default_rng(streams[2])
-    rng_perm = np.random.default_rng(streams[3])
-    rng_hsic = np.random.default_rng(streams[4])
-
-    params = _init_cdgnn_params(rng_init, g.feature_dim, config.hidden,
-                                config.layers, config.scorer_hidden,
-                                g.num_classes)
-    adam = ad.AdamState()
-    # The edge scorer can take its own (usually smaller) step size: a mask
-    # that commits before the branch heads have settled locks in whatever
-    # split the first noisy gradients suggest. Adam is element-wise, so
-    # updating the scorer keys separately is exact, not an approximation.
-    adam_scorer = ad.AdamState()
-    scorer_lr = config.scorer_learning_rate
-    cache = build_ego_cache(g, config.resolved_hops)
+    rngs = [np.random.default_rng(s)
+            for s in np.random.SeedSequence(seed).spawn(5)]
+    params, step, predict = model(train_nodes, val_nodes, rngs)
     val_labels = g.labels[val_nodes]
 
     history: list[dict[str, float]] = []
@@ -297,50 +216,15 @@ def train_cdgnn(g: Graph, config: RunConfig, seed: int,
     stale = 0
     stopped_early = False
     for epoch in range(config.epochs):
-        sums: dict[str, float] = {}
-        graphs_seen = 0
-        for nodes in _train_batches(train_nodes, config.batch_size, rng_batch):
-            batch = batch_from_cache(g, cache, nodes)
-            tape, t, total, breakdown = _cdgnn_batch_objective(
-                batch, params, config, rng_dropout, rng_perm, rng_hsic)
-            for key in _LOSS_KEYS:
-                if not np.isfinite(breakdown[key]):
+        def guard(values: dict[str, float]) -> None:
+            for key, value in values.items():
+                if not np.isfinite(value):
                     raise RuntimeError(
-                        f"non-finite {key} ({breakdown[key]}) at epoch {epoch}")
-            grads = ad.gradients(tape, total, t)
-            if scorer_lr is None:
-                params, adam = ad.adam_step(params, grads, adam,
-                                            config.learning_rate,
-                                            config.weight_decay)
-            else:
-                main = {k: v for k, v in params.items()
-                        if not k.startswith("mask.")}
-                mask = {k: v for k, v in params.items()
-                        if k.startswith("mask.")}
-                main, adam = ad.adam_step(main, grads, adam,
-                                          config.learning_rate,
-                                          config.weight_decay)
-                mask, adam_scorer = ad.adam_step(mask, grads, adam_scorer,
-                                                 scorer_lr,
-                                                 config.weight_decay)
-                params = {**main, **mask}
-            for key, value in breakdown.items():
-                if key != "total":
-                    sums[key] = sums.get(key, 0.0) + value * batch.num_graphs
-            graphs_seen += batch.num_graphs
-        row = {key: value / graphs_seen for key, value in sums.items()}
-        # Epoch total is recomposed from the epoch term means so the
-        # recorded identity total = s + c + l1*cf + l2*hsic holds exactly
-        # (averaging per-batch totals would break it to rounding).
-        coeff_s = 0.0 if config.no_shortcut_term else 1.0
-        coeff_c = 0.0 if config.no_causal_term else 1.0
-        eff_cf = 0.0 if config.no_counterfactual_term else config.lambda_counterfactual
-        eff_ind = 0.0 if config.no_independence_term else config.lambda_independence
-        row["total"] = (coeff_s * row["loss_s"] + coeff_c * row["loss_c"]
-                        + eff_cf * row["loss_cf"] + eff_ind * row["loss_hsic"])
+                        f"non-finite {key} ({value}) at epoch {epoch}")
+
+        params, row = step(params, guard)
         row["epoch"] = float(epoch)
-        preds = _predict_cdgnn(g, cache, val_nodes, params)
-        val_acc = float((preds == val_labels).mean())
+        val_acc = float((predict(params) == val_labels).mean())
         row["val_acc"] = val_acc
         history.append(row)
         if val_acc > best_val:
@@ -363,6 +247,89 @@ def train_cdgnn(g: Graph, config: RunConfig, seed: int,
     )
 
 
+def train_cdgnn(g: Graph, config: RunConfig, seed: int,
+                train_nodes: np.ndarray, val_nodes: np.ndarray) -> TrainResult:
+    """Train the disentangled model with early stopping on val accuracy."""
+    settings = config.loss_settings()
+
+    def model(train_nodes, val_nodes, rngs):
+        if train_nodes.shape[0] < 2:
+            raise ValueError("need at least 2 training nodes")
+        rng_init, rng_batch, rng_dropout, rng_perm, rng_hsic = rngs
+        params = init_cdgnn_params(rng_init, g.feature_dim, config.hidden,
+                                   config.layers, config.scorer_hidden,
+                                   g.num_classes)
+        adam = ad.AdamState()
+        # The edge scorer can take its own (usually smaller) step size: a
+        # mask that commits before the branch heads have settled locks in
+        # whatever split the first noisy gradients suggest. Adam is
+        # element-wise, so updating the scorer keys separately is exact,
+        # not an approximation.
+        adam_scorer = ad.AdamState()
+        scorer_lr = (config.learning_rate if config.scorer_learning_rate is None
+                     else config.scorer_learning_rate)
+        cache = build_ego_cache(g, config.resolved_hops,
+                                np.concatenate([train_nodes, val_nodes]))
+
+        def step(params, guard):
+            nonlocal adam, adam_scorer
+            sums: dict[str, float] = {}
+            graphs_seen = 0
+            for nodes in _train_batches(train_nodes, config.batch_size,
+                                        rng_batch):
+                batch = batch_from_cache(g, cache, nodes)
+                fwd = two_branch_forward(batch, params, config.dropout,
+                                         rng_dropout, training=True)
+                bundle = fwd.bundle
+                y = batch.ego_labels
+                probs_s = classify(bundle.joint, *fwd.head_shortcut)
+                probs_c = classify(bundle.joint, *fwd.head_causal)
+                loss_s = ad.mean(gce_loss(probs_s, y, config.q))
+                ce_s = cross_entropy(probs_s, y).data.reshape(-1)
+                ce_c = cross_entropy(probs_c, y).data.reshape(-1)
+                weights = difficulty_weights(ce_s, ce_c)
+                loss_c = causal_loss(probs_c, y, weights)
+                perm = rng_perm.permutation(batch.num_graphs)
+                loss_cf = counterfactual_loss(bundle, fwd.head_shortcut,
+                                              fwd.head_causal, y, config.q,
+                                              perm, weights)
+                num_rows = bundle.nodes_causal.data.shape[0]
+                rows = rng_hsic.permutation(num_rows)[:config.hsic_max_rows]
+                loss_hsic = hsic(ad.take_rows(bundle.nodes_causal, rows),
+                                 ad.take_rows(bundle.nodes_shortcut, rows))
+                total, breakdown = total_loss(loss_s, loss_c, loss_cf,
+                                              loss_hsic, settings)
+                breakdown["ce_s"] = float(ce_s.mean())
+                breakdown["ce_c"] = float(ce_c.mean())
+                guard(breakdown)
+                grads = ad.gradients(fwd.tape, total, fwd.leaves)
+                main, adam = ad.adam_step(
+                    {k: v for k, v in params.items() if not k.startswith("mask.")},
+                    grads, adam, config.learning_rate, config.weight_decay)
+                mask, adam_scorer = ad.adam_step(
+                    {k: v for k, v in params.items() if k.startswith("mask.")},
+                    grads, adam_scorer, scorer_lr, config.weight_decay)
+                params = {**main, **mask}
+                for key, value in breakdown.items():
+                    if key != "total":
+                        sums[key] = sums.get(key, 0.0) + value * batch.num_graphs
+                graphs_seen += batch.num_graphs
+            row = {key: value / graphs_seen for key, value in sums.items()}
+            # Epoch total is recomposed from the epoch term means so the
+            # recorded identity total = s + c + l1*cf + l2*hsic holds
+            # exactly (averaging per-batch totals would break it to
+            # rounding).
+            c_s, c_c, c_cf, c_hsic = settings.coefficients
+            row["total"] = (c_s * row["loss_s"] + c_c * row["loss_c"]
+                            + c_cf * row["loss_cf"] + c_hsic * row["loss_hsic"])
+            return params, row
+
+        return (params, step,
+                lambda params: _predict_cdgnn(g, cache, val_nodes, params))
+
+    return _fit(g, config, seed, train_nodes, val_nodes, model)
+
+
 def full_graph_batch(g: Graph) -> EgoBatch:
     """The whole graph as a single-segment batch (baseline model input)."""
     return EgoBatch(
@@ -378,8 +345,8 @@ def full_graph_batch(g: Graph) -> EgoBatch:
 
 def _gcn_probs(batch: EgoBatch, params: dict[str, np.ndarray],
                rows: np.ndarray, dropout: float = 0.0, rng=None,
-               training: bool = False, tape: ad.Tape | None = None):
-    tape = tape or ad.Tape()
+               training: bool = False):
+    tape = ad.Tape()
     t = {k: tape.leaf(v, requires_grad=training) for k, v in params.items()}
     layers = [t[k] for k in sorted(k for k in t if k.startswith("gcn.w"))]
     x = tape.leaf(batch.features, requires_grad=False)
@@ -392,59 +359,36 @@ def train_gcn_baseline(g: Graph, config: RunConfig, seed: int,
                        train_nodes: np.ndarray,
                        val_nodes: np.ndarray) -> TrainResult:
     """Full-batch GCN trained with cross-entropy; same stopping rule."""
-    config.validate()
-    train_nodes = np.asarray(train_nodes, dtype=np.int64).reshape(-1)
-    val_nodes = np.asarray(val_nodes, dtype=np.int64).reshape(-1)
-    streams = np.random.SeedSequence(seed).spawn(5)
-    rng_init = np.random.default_rng(streams[0])
-    rng_dropout = np.random.default_rng(streams[2])
 
-    params = init_gcn_weights(rng_init, g.feature_dim, config.hidden,
-                              config.layers, "gcn")
-    params.update(init_head_params(rng_init, config.hidden, g.num_classes,
-                                   "head"))
-    adam = ad.AdamState()
-    batch = full_graph_batch(g)
-    y_train = g.labels[train_nodes]
-    val_labels = g.labels[val_nodes]
+    def model(train_nodes, val_nodes, rngs):
+        rng_init, rng_dropout = rngs[0], rngs[2]
+        params = init_gcn_weights(rng_init, g.feature_dim, config.hidden,
+                                  config.layers, "gcn")
+        params.update(init_head_params(rng_init, config.hidden, g.num_classes,
+                                       "head"))
+        adam = ad.AdamState()
+        batch = full_graph_batch(g)
+        y_train = g.labels[train_nodes]
 
-    history: list[dict[str, float]] = []
-    best_val = -1.0
-    best_epoch = -1
-    best_params = {k: v.copy() for k, v in params.items()}
-    stale = 0
-    stopped_early = False
-    for epoch in range(config.epochs):
-        tape, t, probs = _gcn_probs(batch, params, train_nodes, config.dropout,
-                                    rng_dropout, training=True)
-        loss = ad.mean(cross_entropy(probs, y_train))
-        if not np.isfinite(loss.item()):
-            raise RuntimeError(f"non-finite loss ({loss.item()}) at epoch {epoch}")
-        grads = ad.gradients(tape, loss, t)
-        params, adam = ad.adam_step(params, grads, adam, config.learning_rate,
-                                    config.weight_decay)
-        _, _, val_probs = _gcn_probs(batch, params, val_nodes)
-        val_acc = float((np.argmax(val_probs.data, axis=1) == val_labels).mean())
-        history.append({"epoch": float(epoch), "loss": loss.item(),
-                        "val_acc": val_acc})
-        if val_acc > best_val:
-            best_val = val_acc
-            best_epoch = epoch
-            best_params = {k: v.copy() for k, v in params.items()}
-            stale = 0
-        else:
-            stale += 1
-            if config.patience > 0 and stale >= config.patience:
-                stopped_early = True
-                break
-    return TrainResult(
-        params=best_params,
-        history=history,
-        best_epoch=best_epoch,
-        best_val_accuracy=best_val,
-        epochs_run=len(history),
-        stopped_early=stopped_early,
-    )
+        def step(params, guard):
+            nonlocal adam
+            tape, t, probs = _gcn_probs(batch, params, train_nodes,
+                                        config.dropout, rng_dropout,
+                                        training=True)
+            loss = ad.mean(cross_entropy(probs, y_train))
+            row = {"loss": loss.item()}
+            guard(row)
+            grads = ad.gradients(tape, loss, t)
+            params, adam = ad.adam_step(params, grads, adam,
+                                        config.learning_rate,
+                                        config.weight_decay)
+            return params, row
+
+        return (params, step,
+                lambda params: np.argmax(
+                    _gcn_probs(batch, params, val_nodes)[2].data, axis=1))
+
+    return _fit(g, config, seed, train_nodes, val_nodes, model)
 
 
 @dataclass
@@ -466,12 +410,8 @@ def evaluate(g: Graph, params: dict[str, np.ndarray], nodes,
     if nodes.shape[0] == 0:
         raise ValueError("evaluate needs at least one node")
     if any(k.startswith("gnn_c.") for k in params):
-        preds = []
-        for start in range(0, nodes.shape[0], _EVAL_CHUNK):
-            chunk = nodes[start:start + _EVAL_CHUNK]
-            batch = batch_from_graphs(g, chunk, hops)
-            preds.append(np.argmax(_eval_probs_cdgnn(batch, params), axis=1))
-        predictions = np.concatenate(preds)
+        predictions = _predict_cdgnn(g, build_ego_cache(g, hops, nodes),
+                                     nodes, params)
     else:
         _, _, probs = _gcn_probs(full_graph_batch(g), params, nodes)
         predictions = np.argmax(probs.data, axis=1)

@@ -15,13 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .graphs import Graph
+from .graphs import Graph, ego_subgraph
 
 __all__ = [
     "EgoBatch",
     "build_ego_cache",
     "batch_from_cache",
-    "batch_from_graphs",
     "glorot",
     "init_gcn_weights",
     "init_readout_params",
@@ -45,28 +44,28 @@ class EgoBatch:
     num_graphs: int
 
 
-def build_ego_cache(g: Graph, hops: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per-node (member ids, local edges) for every ego subgraph.
+def build_ego_cache(g: Graph, hops: int,
+                    nodes) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """(member ids, local edges) of the ego subgraph of each of `nodes`.
 
     Local ids follow BFS order with the ego at 0, matching ego_subgraph.
     """
-    from .graphs import ego_subgraph
-
-    cache = []
-    for node in range(g.num_nodes):
-        sub, mapping = ego_subgraph(g, node, hops)
-        cache.append((mapping, sub.edges))
+    cache = {}
+    for node in np.asarray(nodes, dtype=np.int64).reshape(-1):
+        sub, mapping = ego_subgraph(g, int(node), hops)
+        cache[int(node)] = (mapping, sub.edges)
     return cache
 
 
-def _assemble(g: Graph, entries, nodes) -> EgoBatch:
+def batch_from_cache(g: Graph, cache, nodes) -> EgoBatch:
+    """Disjoint union of the cached ego subgraphs of `nodes`, in order."""
     nodes = np.asarray(nodes, dtype=np.int64).reshape(-1)
-    sizes = np.array([entries[i][0].shape[0] for i in nodes], dtype=np.int64)
+    sizes = np.array([cache[i][0].shape[0] for i in nodes], dtype=np.int64)
     offsets = np.concatenate([[0], np.cumsum(sizes)[:-1]])
     total = int(sizes.sum())
-    member_ids = np.concatenate([entries[i][0] for i in nodes])
-    edge_chunks = [entries[i][1] + off for i, off in zip(nodes, offsets)
-                   if entries[i][1].size]
+    member_ids = np.concatenate([cache[i][0] for i in nodes])
+    edge_chunks = [cache[i][1] + off for i, off in zip(nodes, offsets)
+                   if cache[i][1].size]
     edges = (np.vstack(edge_chunks) if edge_chunks
              else np.zeros((0, 2), dtype=np.int64))
     segments = np.repeat(np.arange(nodes.shape[0]), sizes)
@@ -79,21 +78,6 @@ def _assemble(g: Graph, entries, nodes) -> EgoBatch:
         ego_labels=g.labels[nodes],
         num_graphs=int(nodes.shape[0]),
     )
-
-
-def batch_from_cache(g: Graph, cache, nodes) -> EgoBatch:
-    return _assemble(g, cache, nodes)
-
-
-def batch_from_graphs(g: Graph, nodes, hops: int) -> EgoBatch:
-    """Assemble a batch directly (no cache); convenience for small calls."""
-    cache = {}
-    for node in np.asarray(nodes, dtype=np.int64).reshape(-1):
-        from .graphs import ego_subgraph
-
-        sub, mapping = ego_subgraph(g, int(node), hops)
-        cache[int(node)] = (mapping, sub.edges)
-    return _assemble(g, cache, nodes)
 
 
 def glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:

@@ -82,13 +82,6 @@ def _case_multiply(rng):
     return lambda tape, lv: f(ad.multiply(lv["a"], lv["b"])), values
 
 
-def _case_scalar_power(rng):
-    p = float(rng.choice([0.5, 0.7, 2.0, 3.0]))
-    values = {"a": rng.uniform(0.3, 2.0, size=(3, 3))}
-    f = _functional(rng, (3, 3))
-    return lambda tape, lv: f(ad.scalar_power(lv["a"], p)), values
-
-
 def _case_exp(rng):
     values = {"a": rng.uniform(-2.0, 2.0, size=(3, 3))}
     f = _functional(rng, (3, 3))
@@ -156,10 +149,6 @@ def _case_center_gram(rng):
     values = {"k": rng.normal(size=(4, 4))}
     f = _functional(rng, (4, 4))
     return lambda tape, lv: f(ad.center_gram(lv["k"])), values
-
-
-def _case_trace(rng):
-    return lambda tape, lv: ad.trace(lv["k"]), {"k": rng.normal(size=(4, 4))}
 
 
 def _case_take_rows(rng):
@@ -233,7 +222,6 @@ PRIMITIVE_CASES = {
     "add": _case_add,
     "subtract": _case_subtract,
     "multiply": _case_multiply,
-    "scalar_power": _case_scalar_power,
     "exp": _case_exp,
     "log": _case_log,
     "sigmoid": _case_sigmoid,
@@ -245,7 +233,6 @@ PRIMITIVE_CASES = {
     "dropout": _case_dropout,
     "rbf_gram": _case_rbf_gram,
     "center_gram": _case_center_gram,
-    "trace": _case_trace,
     "take_rows": _case_take_rows,
     "segment_mean_rows": _case_segment_mean,
     "pick_class": _case_pick_class,

@@ -43,7 +43,8 @@ from cdgnn.gains import (
 from cdgnn.graphs import Graph, label_heterophily, feature_heterophily
 from cdgnn.harness import RunConfig, run_experiment, train_cdgnn, split_nodes
 from cdgnn.models import (
-    batch_from_graphs,
+    batch_from_cache,
+    build_ego_cache,
     classify,
     init_gcn_weights,
     init_head_params,
@@ -94,7 +95,8 @@ def _composed_objective_case(rng):
     edges = np.array([(i, i + 1) for i in range(n - 1)] + [(0, 2)])
     g = Graph(n, edges, rng.normal(size=(n, dim)),
               rng.integers(0, 2, size=n), 2)
-    batch = batch_from_graphs(g, np.arange(3), hops=1)
+    nodes = np.arange(3)
+    batch = batch_from_cache(g, build_ego_cache(g, 1, nodes), nodes)
 
     values = init_mask_params(rng, dim, scorer_hidden=2)
     values.update(init_gcn_weights(rng, dim, hidden, 2, "gnn_c"))

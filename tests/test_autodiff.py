@@ -25,13 +25,13 @@ class TestForwardValues:
 
     def test_softmax_of_zeros_is_uniform(self):
         t = ad.row_softmax(np.zeros((1, 3)))
-        np.testing.assert_allclose(t.value(), [[1 / 3, 1 / 3, 1 / 3]])
+        np.testing.assert_allclose(t.data, [[1 / 3, 1 / 3, 1 / 3]])
 
     def test_matmul_hand_product(self):
         a = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
         b = np.array([[7.0, 8.0], [9.0, 10.0], [11.0, 12.0]])
         t = ad.matmul(a, b)
-        np.testing.assert_array_equal(t.value(), [[58.0, 64.0], [139.0, 154.0]])
+        np.testing.assert_array_equal(t.data, [[58.0, 64.0], [139.0, 154.0]])
 
     def test_log_clamps_tiny_values(self):
         t = ad.log(np.array([[0.0]]))
@@ -41,7 +41,7 @@ class TestForwardValues:
         plan = ad.PropagationPlan.from_edges(np.array([[0, 1]]), 2)
         out = ad.masked_propagate(np.array([[4.0], [10.0]]),
                                   np.array([[0.5]]), plan)
-        np.testing.assert_allclose(out.value(), [[(4 + 5) / 2], [(10 + 2) / 2]])
+        np.testing.assert_allclose(out.data, [[(4 + 5) / 2], [(10 + 2) / 2]])
 
 
 class TestBackwardSemantics:
@@ -112,13 +112,13 @@ class TestDropout:
 
     def test_same_seed_same_mask(self):
         x = np.ones((8, 8))
-        a = ad.dropout(x, 0.4, np.random.default_rng(123)).value()
-        b = ad.dropout(x, 0.4, np.random.default_rng(123)).value()
+        a = ad.dropout(x, 0.4, np.random.default_rng(123)).data
+        b = ad.dropout(x, 0.4, np.random.default_rng(123)).data
         np.testing.assert_array_equal(a, b)
 
     def test_kept_entries_are_rescaled(self):
         x = np.ones((200, 50))
-        out = ad.dropout(x, 0.25, np.random.default_rng(7)).value()
+        out = ad.dropout(x, 0.25, np.random.default_rng(7)).data
         kept = out[out != 0]
         np.testing.assert_allclose(kept, 1.0 / 0.75)
         assert abs(kept.size / x.size - 0.75) < 0.03
@@ -133,14 +133,14 @@ class TestRbfGram:
         rng = np.random.default_rng(29)
         for _ in range(10):
             x = rng.normal(size=(20, 5))
-            k = ad.rbf_gram(x, float(rng.uniform(0.5, 3.0))).value()
+            k = ad.rbf_gram(x, float(rng.uniform(0.5, 3.0))).data
             np.testing.assert_allclose(k, k.T, atol=1e-12)
             eigs = np.linalg.eigvalsh(k)
             assert eigs.min() >= -1e-8
 
     def test_unit_diagonal(self):
         k = ad.rbf_gram(np.random.default_rng(0).normal(size=(6, 3)), 1.0)
-        np.testing.assert_allclose(np.diag(k.value()), 1.0)
+        np.testing.assert_allclose(np.diag(k.data), 1.0)
 
     def test_nonpositive_bandwidth_rejected(self):
         with pytest.raises(ValueError, match="bandwidth"):
@@ -148,7 +148,7 @@ class TestRbfGram:
 
     def test_center_gram_zeroes_row_means(self):
         k = np.random.default_rng(1).normal(size=(5, 5))
-        c = ad.center_gram(k).value()
+        c = ad.center_gram(k).data
         np.testing.assert_allclose(c.mean(axis=0), 0.0, atol=1e-12)
         np.testing.assert_allclose(c.mean(axis=1), 0.0, atol=1e-12)
 

@@ -1,11 +1,13 @@
 """End-to-end runs of every CLI subcommand, in process."""
 
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cdgnn.cli import main
+from cdgnn.cli import build_parser, main
 from cdgnn.graphs import Graph, label_heterophily, load_graph, save_graph
 from cdgnn.harness import RunConfig, run_experiment, save_model
 
@@ -241,3 +243,37 @@ class TestParser:
         with pytest.raises(SystemExit):
             main(["train", "--graph", str(tiny_graph_file),
                   "--preset", "tree_cycles"])
+
+
+class TestInputErrors:
+    def test_negative_seed_is_one_line_error(self, tmp_path, capsys):
+        code = main(["train", "--preset", "tree_cycles", "--seed", "-1",
+                     "--out-dir", str(tmp_path)] + _FAST)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("cdgnn train: error: ")
+        assert err.count("\n") == 1
+
+    def test_ingest_out_of_range_edge_is_one_line_error(self, tmp_path,
+                                                         capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({
+            "num_nodes": 2, "num_classes": 2, "edges": [[0, 5]],
+            "features": [[0.0], [1.0]], "labels": [0, 1]}))
+        code = main(["ingest", "--graph", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("cdgnn ingest: error: ")
+        assert "outside [0, 2)" in err
+        assert err.count("\n") == 1
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_every_readme_command_parses():
+    lines = [line.strip() for line in README.read_text().splitlines()
+             if line.strip().startswith("cdgnn ")]
+    assert lines
+    for line in lines:
+        build_parser().parse_args(shlex.split(line)[1:])

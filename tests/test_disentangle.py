@@ -19,15 +19,22 @@ from cdgnn.disentangle import (
     gce_loss,
     hsic,
     hsic_value,
+    init_cdgnn_params,
     init_mask_params,
     materialize_masks,
     median_bandwidth,
     score_edges,
     split_and_embed,
     total_loss,
+    two_branch_forward,
 )
 from cdgnn.graphs import Graph
-from cdgnn.models import batch_from_graphs, init_gcn_weights, init_readout_params
+from cdgnn.models import (batch_from_cache, build_ego_cache, init_gcn_weights,
+                          init_readout_params)
+
+
+def _ego_batch(g, nodes, hops):
+    return batch_from_cache(g, build_ego_cache(g, hops, nodes), nodes)
 
 
 def _probs_row(tape, values):
@@ -39,12 +46,12 @@ class TestGce:
     def test_half_probability_hand_value(self):
         tape = ad.Tape()
         out = gce_loss(_probs_row(tape, [0.5, 0.5]), [0], 0.5)
-        np.testing.assert_allclose(out.value(), 0.5857864376269049, rtol=1e-12)
+        np.testing.assert_allclose(out.data, 0.5857864376269049, rtol=1e-12)
 
     def test_q_one_is_one_minus_p(self):
         tape = ad.Tape()
         out = gce_loss(_probs_row(tape, [0.3, 0.7]), [1], 1.0)
-        np.testing.assert_allclose(out.value(), 0.3, rtol=1e-12)
+        np.testing.assert_allclose(out.data, 0.3, rtol=1e-12)
 
     def test_small_q_approaches_cross_entropy(self):
         tape = ad.Tape()
@@ -117,7 +124,7 @@ class TestCausalLoss:
         tape = ad.Tape()
         probs = tape.leaf(np.full((3, 4), 0.25), requires_grad=False)
         out = causal_loss(probs, [0, 1, 2], [1.0, 1.0, 0.0])
-        np.testing.assert_allclose(out.value(), 0.9241962407465937, rtol=1e-12)
+        np.testing.assert_allclose(out.data, 0.9241962407465937, rtol=1e-12)
 
     def test_zero_weights_zero_loss(self):
         tape = ad.Tape()
@@ -305,6 +312,14 @@ class TestTotalLoss:
             LossSettings(no_independence_term=True))
         assert breakdown["loss_hsic"] == 4.0
 
+    def test_coefficients_weigh_ablated_terms_zero(self):
+        settings = LossSettings(lambda_counterfactual=3.0,
+                                lambda_independence=0.2,
+                                no_causal_term=True, no_independence_term=True)
+        assert settings.coefficients == (1.0, 0.0, 3.0, 0.0)
+        total, _ = total_loss(*self._terms(ad.Tape()), settings)
+        assert total.item() == 1.0 + 3.0 * 3.0
+
     def test_all_ablated_rejected(self):
         tape = ad.Tape()
         with pytest.raises(ValueError, match="ablated"):
@@ -321,48 +336,63 @@ def _toy_graph(n=6, dim=4, seed=11):
                  rng.integers(0, 2, size=n), 2)
 
 
+def _score_edges_numpy(params, x, e):
+    """Straight-line replica of the symmetric edge scorer for oracle checks."""
+    pairs = np.vstack([np.hstack([x[e[:, 0]], x[e[:, 1]]]),
+                       np.hstack([x[e[:, 1]], x[e[:, 0]]])])
+    hidden = np.maximum(pairs @ params["mask.w1"] + params["mask.b1"], 0.0)
+    scores = hidden @ params["mask.w2"] + params["mask.b2"]
+    n = e.shape[0]
+    return 0.5 * (scores[:n, 0] + scores[n:, 0])
+
+
 class TestMasks:
     def test_mask_pair_tiles_to_ones(self):
         g = _toy_graph()
-        batch = batch_from_graphs(g, np.arange(g.num_nodes), hops=1)
+        batch = _ego_batch(g, np.arange(g.num_nodes), hops=1)
         rng = np.random.default_rng(12)
         tape = ad.Tape()
         params = {k: tape.leaf(v)
                   for k, v in init_mask_params(rng, 4).items()}
         masks = materialize_masks(batch, params)
         np.testing.assert_allclose(
-            masks.edge.value() + masks.edge_complement.value(), 1.0,
+            masks.edge.data + masks.edge_complement.data, 1.0,
             atol=1e-15)
         np.testing.assert_allclose(
-            masks.feature.value() + masks.feature_complement.value(), 1.0,
+            masks.feature.data + masks.feature_complement.data, 1.0,
             atol=1e-15)
-        assert masks.edge.value().shape == (batch.endpoints.shape[0], 1)
+        assert masks.edge.data.shape == (batch.endpoints.shape[0], 1)
 
     def test_fresh_params_score_half_everywhere(self):
         """Zero-initialized logits start both branches at even weighting."""
         g = _toy_graph(seed=13)
-        batch = batch_from_graphs(g, np.arange(g.num_nodes), hops=1)
+        batch = _ego_batch(g, np.arange(g.num_nodes), hops=1)
         rng = np.random.default_rng(13)
         params = init_mask_params(rng, 4)
         params["mask.w2"][:] = 0.0
         tape = ad.Tape()
         tensors = {k: tape.leaf(v) for k, v in params.items()}
         masks = materialize_masks(batch, tensors)
-        np.testing.assert_allclose(masks.edge.value(), 0.5, atol=1e-15)
-        np.testing.assert_allclose(masks.feature.value(), 0.5, atol=1e-15)
+        np.testing.assert_allclose(masks.edge.data, 0.5, atol=1e-15)
+        np.testing.assert_allclose(masks.feature.data, 0.5, atol=1e-15)
 
     def test_score_edges_matches_tape_scorer(self):
         g = _toy_graph(seed=14)
-        batch = batch_from_graphs(g, np.arange(g.num_nodes), hops=1)
+        batch = _ego_batch(g, np.arange(g.num_nodes), hops=1)
         rng = np.random.default_rng(14)
         params = init_mask_params(rng, 4)
         params["mask.b1"][:] = rng.normal(size=params["mask.b1"].shape)
+        params["mask.w2"][:] = rng.normal(size=params["mask.w2"].shape)
         params["mask.b2"][:] = 0.3
+        oracle = _score_edges_numpy(params, batch.features, batch.endpoints)
+        assert np.ptp(oracle) > 0.0
         tape = ad.Tape()
         tensors = {k: tape.leaf(v) for k, v in params.items()}
-        logits = edge_score_logits(batch, batch.features, tensors)
-        plain = score_edges(params, batch.features, batch.endpoints)
-        np.testing.assert_allclose(logits.value()[:, 0], plain, rtol=1e-12)
+        logits = edge_score_logits(batch.endpoints, batch.features, tensors)
+        np.testing.assert_allclose(logits.data[:, 0], oracle, rtol=1e-12)
+        np.testing.assert_allclose(
+            score_edges(params, batch.features, batch.endpoints), oracle,
+            rtol=1e-12)
 
     def test_scorer_symmetric_in_endpoint_order(self):
         g = _toy_graph(seed=15)
@@ -379,7 +409,7 @@ class TestMasks:
 class TestSplitAndEmbed:
     def test_branch_shapes_and_joint_concat(self):
         g = _toy_graph(seed=16)
-        batch = batch_from_graphs(g, np.arange(g.num_nodes), hops=1)
+        batch = _ego_batch(g, np.arange(g.num_nodes), hops=1)
         rng = np.random.default_rng(16)
         tape = ad.Tape()
         mask_t = {k: tape.leaf(v) for k, v in init_mask_params(rng, 4).items()}
@@ -397,8 +427,30 @@ class TestSplitAndEmbed:
         assert bundle.graph_causal.data.shape == (g.num_nodes, hidden)
         assert bundle.graph_shortcut.data.shape == (g.num_nodes, hidden)
         np.testing.assert_allclose(
-            bundle.joint.value(),
+            bundle.joint.data,
             np.hstack([bundle.graph_causal.data, bundle.graph_shortcut.data]))
+
+
+    @pytest.mark.parametrize("training", [False, True])
+    def test_two_branch_forward_matches_manual_assembly(self, training):
+        g = _toy_graph(seed=18)
+        batch = _ego_batch(g, np.arange(g.num_nodes), hops=1)
+        params = init_cdgnn_params(np.random.default_rng(18), 4, 5, 2, 3, 2)
+        fwd = two_branch_forward(batch, params, training=training)
+        assert all(t.requires_grad == training for t in fwd.leaves.values())
+        assert fwd.causal_layers == [fwd.leaves["gnn_c.w0"],
+                                     fwd.leaves["gnn_c.w1"]]
+        assert fwd.head_causal == (fwd.leaves["head_c.w"],
+                                   fwd.leaves["head_c.b"])
+        assert fwd.head_shortcut == (fwd.leaves["head_s.w"],
+                                     fwd.leaves["head_s.b"])
+        t = fwd.leaves
+        manual = split_and_embed(
+            batch, fwd.tape.leaf(batch.features, requires_grad=False),
+            materialize_masks(batch, t), [t["gnn_c.w0"], t["gnn_c.w1"]],
+            [t["gnn_s.w0"], t["gnn_s.w1"]], t["readout_c.proj"],
+            t["readout_s.proj"])
+        np.testing.assert_array_equal(fwd.bundle.joint.data, manual.joint.data)
 
 
 class TestDisentanglementScore:

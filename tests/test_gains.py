@@ -17,8 +17,7 @@ from cdgnn.gains import (
     theory_check_grid,
 )
 from cdgnn.graphs import Graph
-from cdgnn.models import init_gcn_weights, init_head_params, init_readout_params
-from cdgnn.disentangle import init_mask_params
+from cdgnn.disentangle import init_cdgnn_params
 
 
 class TestEffectiveHomophily:
@@ -353,14 +352,7 @@ def _ring_graph(n=12, dim=6, seed=21):
 
 
 def _audit_params(rng, dim, hidden=4, layers=2, classes=2):
-    params = init_mask_params(rng, dim)
-    params.update(init_gcn_weights(rng, dim, hidden, layers, "gnn_c"))
-    params.update(init_gcn_weights(rng, dim, hidden, layers, "gnn_s"))
-    params.update(init_readout_params(rng, hidden, "readout_c"))
-    params.update(init_readout_params(rng, hidden, "readout_s"))
-    params.update(init_head_params(rng, 2 * hidden, classes, "head_c"))
-    params.update(init_head_params(rng, 2 * hidden, classes, "head_s"))
-    return params
+    return init_cdgnn_params(rng, dim, hidden, layers, 16, classes)
 
 
 class TestAssumptionAudit:

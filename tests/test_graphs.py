@@ -15,7 +15,6 @@ from cdgnn.graphs import (
     graph_from_dict,
     graph_to_dict,
     label_heterophily,
-    partition_neighbors,
     renormalized_propagate,
 )
 
@@ -69,6 +68,11 @@ class TestGraphValidation:
     def test_feature_row_count_must_match(self):
         with pytest.raises(GraphError, match="features"):
             Graph(3, np.array([[0, 1]]), np.ones((2, 1)), np.zeros(3, int), 1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_feature_rejected_by_row(self, bad):
+        with pytest.raises(GraphError, match="feature row 1 "):
+            Graph(3, [[0, 1]], [[1.0], [bad], [bad]], [0, 1, 0], 2)
 
     def test_degrees_and_neighbors(self):
         g = _path([0, 1, 0])
@@ -213,42 +217,6 @@ class TestRenormalizedPropagate:
         g = _path([0, 0])
         with pytest.raises(GraphError, match="rows"):
             renormalized_propagate(g, np.ones(5))
-
-
-class TestPartitionNeighbors:
-    def test_empty_set_puts_all_outside(self):
-        g = _path([0, 0, 0])
-        p = partition_neighbors(g, 1, set())
-        assert p.inside.size == 0
-        assert sorted(p.outside.tolist()) == [0, 2]
-
-    def test_superset_puts_all_inside(self):
-        g = _path([0, 0, 0])
-        p = partition_neighbors(g, 1, {0, 1, 2})
-        assert sorted(p.inside.tolist()) == [0, 2]
-        assert p.outside.size == 0
-
-    def test_path_split(self):
-        g = _path([0, 0, 0])
-        p = partition_neighbors(g, 1, {0})
-        assert p.inside.tolist() == [0]
-        assert p.outside.tolist() == [2]
-        assert p.degree_inside == 1 and p.degree_outside == 1
-
-    def test_disjoint_union_is_neighbor_set(self):
-        rng = np.random.default_rng(13)
-        for _ in range(1000):
-            g = _random_graph(rng)
-            node = int(rng.integers(g.num_nodes))
-            subset = set(
-                int(v) for v in rng.choice(
-                    g.num_nodes, size=int(rng.integers(0, g.num_nodes)),
-                    replace=False)
-            )
-            p = partition_neighbors(g, node, subset)
-            merged = sorted(p.inside.tolist() + p.outside.tolist())
-            assert merged == g.neighbors(node).tolist()
-            assert not set(p.inside.tolist()) & set(p.outside.tolist())
 
 
 class TestEgoSubgraph:

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from cdgnn import harness
+from cdgnn import harness, models
 from cdgnn.graphs import Graph, feature_heterophily, label_heterophily, save_graph
 from cdgnn.harness import (
     RunConfig,
@@ -190,6 +190,21 @@ class TestTrainCdgnn:
         for key in flagged.params:
             np.testing.assert_array_equal(flagged.params[key],
                                           zeroed.params[key])
+
+    def test_caches_only_train_and_val_egos(self, monkeypatch):
+        g = _tiny_graph()
+        sp = split_nodes(g.num_nodes, seed=0)
+        egos = []
+        real = models.ego_subgraph
+
+        def counting(graph, node, hops):
+            egos.append(node)
+            return real(graph, node, hops)
+
+        monkeypatch.setattr(models, "ego_subgraph", counting)
+        train_cdgnn(g, _tiny_config(epochs=1), seed=0, train_nodes=sp.train,
+                    val_nodes=sp.val)
+        assert sorted(egos) == sorted(sp.train.tolist() + sp.val.tolist())
 
     def test_needs_two_train_nodes(self):
         g = _tiny_graph()

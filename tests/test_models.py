@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from cdgnn import autodiff as ad
-from cdgnn.graphs import Graph, renormalized_propagate
+from cdgnn.graphs import Graph, ego_subgraph, renormalized_propagate
 from cdgnn.models import (
     batch_from_cache,
-    batch_from_graphs,
     build_ego_cache,
     classify,
     gcn_forward,
@@ -22,6 +21,10 @@ def _path_graph(n=4, dim=3, seed=0):
     rng = np.random.default_rng(seed)
     return Graph(n, np.array([(i, i + 1) for i in range(n - 1)]),
                  rng.normal(size=(n, dim)), rng.integers(0, 2, size=n), 2)
+
+
+def _ego_batch(g, nodes, hops):
+    return batch_from_cache(g, build_ego_cache(g, hops, nodes), nodes)
 
 
 def _forward_numpy(batch, feats, weights, edge_w=None, feat_mask=None):
@@ -47,7 +50,7 @@ def _forward_numpy(batch, feats, weights, edge_w=None, feat_mask=None):
 class TestEgoBatch:
     def test_disjoint_union_shapes(self):
         g = _path_graph(5)
-        batch = batch_from_graphs(g, np.array([0, 4]), hops=1)
+        batch = _ego_batch(g, np.array([0, 4]), hops=1)
         assert batch.num_graphs == 2
         assert batch.features.shape[0] == 4  # {0,1} and {4,3}
         assert batch.endpoints.shape[0] == 2
@@ -57,17 +60,22 @@ class TestEgoBatch:
 
     def test_cache_matches_direct_assembly(self):
         g = _path_graph(6, seed=3)
-        cache = build_ego_cache(g, hops=2)
         nodes = np.array([1, 3, 5])
-        a = batch_from_cache(g, cache, nodes)
-        b = batch_from_graphs(g, nodes, hops=2)
+        cache = build_ego_cache(g, 2, nodes)
+        assert sorted(cache) == [1, 3, 5]
+        for node in nodes:
+            sub, mapping = ego_subgraph(g, int(node), 2)
+            np.testing.assert_array_equal(cache[node][0], mapping)
+            np.testing.assert_array_equal(cache[node][1], sub.edges)
+        a = batch_from_cache(g, cache, nodes[::-1])
+        b = batch_from_cache(g, build_ego_cache(g, 2, np.arange(6)), nodes[::-1])
         np.testing.assert_array_equal(a.endpoints, b.endpoints)
-        np.testing.assert_allclose(a.features, b.features)
+        np.testing.assert_array_equal(a.features, b.features)
         np.testing.assert_array_equal(a.segments, b.segments)
 
     def test_ego_rows_point_at_ego_features(self):
         g = _path_graph(5, seed=4)
-        batch = batch_from_graphs(g, np.array([2, 3]), hops=1)
+        batch = _ego_batch(g, np.array([2, 3]), hops=1)
         np.testing.assert_allclose(batch.features[batch.ego_rows[0]],
                                    g.features[2])
         np.testing.assert_allclose(batch.features[batch.ego_rows[1]],
@@ -77,7 +85,7 @@ class TestEgoBatch:
 class TestGcnForward:
     def test_ones_masks_match_unmasked(self):
         g = _path_graph(5, seed=5)
-        batch = batch_from_graphs(g, np.arange(5), hops=2)
+        batch = _ego_batch(g, np.arange(5), hops=2)
         rng = np.random.default_rng(0)
         weights_np = init_gcn_weights(rng, 3, 4, 2, "gnn")
         tape = ad.Tape()
@@ -88,11 +96,11 @@ class TestGcnForward:
         ones_f = tape.leaf(np.ones((1, 3)), requires_grad=False)
         masked = gcn_forward(batch, x, ones_e, ones_f, ws)
         plain = gcn_forward(batch, x, None, None, ws)
-        np.testing.assert_allclose(masked.value(), plain.value(), atol=1e-12)
+        np.testing.assert_allclose(masked.data, plain.data, atol=1e-12)
 
     def test_zero_edge_mask_isolates_nodes(self):
         g = _path_graph(4, seed=6)
-        batch = batch_from_graphs(g, np.arange(4), hops=1)
+        batch = _ego_batch(g, np.arange(4), hops=1)
         rng = np.random.default_rng(1)
         weights_np = init_gcn_weights(rng, 3, 3, 2, "gnn")
         tape = ad.Tape()
@@ -104,23 +112,23 @@ class TestGcnForward:
         oracle = _forward_numpy(batch, batch.features,
                                 [weights_np["gnn.w0"], weights_np["gnn.w1"]],
                                 edge_w=np.zeros(batch.endpoints.shape[0]))
-        np.testing.assert_allclose(out.value(), oracle, atol=1e-12)
+        np.testing.assert_allclose(out.data, oracle, atol=1e-12)
 
     def test_single_layer_identity_weights_is_propagation(self):
         g = Graph(2, np.array([[0, 1]]), np.array([[1.0, 2.0], [3.0, 5.0]]),
                   np.zeros(2, int), 1)
-        batch = batch_from_graphs(g, np.arange(2), hops=1)
+        batch = _ego_batch(g, np.arange(2), hops=1)
         tape = ad.Tape()
         w = tape.leaf(np.eye(2), requires_grad=False)
         x = tape.leaf(batch.features, requires_grad=False)
         out = gcn_forward(batch, x, None, None, [w])
         # batch holds both ego copies; each copy is the 2-node graph itself
         oracle = renormalized_propagate(g, g.features)
-        np.testing.assert_allclose(out.value()[:2], oracle[[0, 1]])
+        np.testing.assert_allclose(out.data[:2], oracle[[0, 1]])
 
     def test_random_masks_match_numpy_oracle(self):
         g = _path_graph(6, seed=7)
-        batch = batch_from_graphs(g, np.array([1, 4]), hops=2)
+        batch = _ego_batch(g, np.array([1, 4]), hops=2)
         rng = np.random.default_rng(2)
         weights_np = init_gcn_weights(rng, 3, 4, 2, "gnn")
         edge_w = rng.uniform(0.1, 0.9, size=(batch.endpoints.shape[0], 1))
@@ -133,17 +141,17 @@ class TestGcnForward:
         oracle = _forward_numpy(batch, batch.features,
                                 [weights_np["gnn.w0"], weights_np["gnn.w1"]],
                                 edge_w=edge_w[:, 0], feat_mask=feat_m)
-        np.testing.assert_allclose(out.value(), oracle, atol=1e-12)
+        np.testing.assert_allclose(out.data, oracle, atol=1e-12)
 
     def test_propagation_affine_in_edge_weights(self):
         """Mask and complement tile the operator: P_m + P_(1-m) = P_1 + P_0."""
         g = _path_graph(5, seed=8)
-        batch = batch_from_graphs(g, np.arange(5), hops=2)
+        batch = _ego_batch(g, np.arange(5), hops=2)
         rng = np.random.default_rng(3)
         f = rng.normal(size=(batch.features.shape[0], 2))
         m = rng.uniform(0.0, 1.0, size=(batch.endpoints.shape[0], 1))
         def prop(w):
-            return ad.masked_propagate(f, w, batch.plan).value()
+            return ad.masked_propagate(f, w, batch.plan).data
         lhs = prop(m) + prop(1.0 - m)
         rhs = prop(np.ones_like(m)) + prop(np.zeros_like(m))
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
@@ -151,7 +159,7 @@ class TestGcnForward:
     def test_permutation_equivariance(self):
         """Relabeling batch rows permutes the embedding rows."""
         g = _path_graph(5, seed=9)
-        batch = batch_from_graphs(g, np.array([0, 3]), hops=1)
+        batch = _ego_batch(g, np.array([0, 3]), hops=1)
         n = batch.features.shape[0]
         rng = np.random.default_rng(4)
         weights_np = init_gcn_weights(rng, 3, 3, 2, "gnn")
@@ -175,7 +183,7 @@ class TestGcnForward:
                   for l in range(2)]
             return gcn_forward(b, tape.leaf(b.features, requires_grad=False),
                                tape.leaf(edge_w, requires_grad=False),
-                               None, ws).value()
+                               None, ws).data
 
         base = run(batch)
         moved = run(permuted)
@@ -183,7 +191,7 @@ class TestGcnForward:
 
     def test_training_dropout_needs_rng(self):
         g = _path_graph(3, seed=10)
-        batch = batch_from_graphs(g, np.arange(3), hops=1)
+        batch = _ego_batch(g, np.arange(3), hops=1)
         tape = ad.Tape()
         ws = [tape.leaf(np.eye(3), requires_grad=False) for _ in range(2)]
         with pytest.raises(ValueError, match="rng"):
@@ -195,40 +203,40 @@ class TestReadout:
     def test_single_node_graph_duplicates_ego(self):
         g = Graph(1, np.zeros((0, 2), int), np.array([[2.0, 1.0]]),
                   np.zeros(1, int), 1)
-        batch = batch_from_graphs(g, np.array([0]), hops=1)
+        batch = _ego_batch(g, np.array([0]), hops=1)
         emb = np.array([[3.0, -1.0]])
         proj = np.random.default_rng(5).normal(size=(4, 2))
         tape = ad.Tape()
         out = readout(batch, tape.leaf(emb, requires_grad=False),
                       tape.leaf(proj, requires_grad=False))
         expected = np.concatenate([emb[0], emb[0]])[None, :] @ proj
-        np.testing.assert_allclose(out.value(), expected)
+        np.testing.assert_allclose(out.data, expected)
 
     def test_invariant_to_non_ego_order(self):
         g = _path_graph(3, seed=11)
-        batch = batch_from_graphs(g, np.array([0]), hops=2)
+        batch = _ego_batch(g, np.array([0]), hops=2)
         rng = np.random.default_rng(6)
         emb = rng.normal(size=(3, 2))
         proj = rng.normal(size=(4, 2))
         tape = ad.Tape()
         a = readout(batch, tape.leaf(emb, requires_grad=False),
-                    tape.leaf(proj, requires_grad=False)).value()
+                    tape.leaf(proj, requires_grad=False)).data
         swapped = emb.copy()
         swapped[[1, 2]] = swapped[[2, 1]]  # ego row 0 untouched
         b = readout(batch, tape.leaf(swapped, requires_grad=False),
-                    tape.leaf(proj, requires_grad=False)).value()
+                    tape.leaf(proj, requires_grad=False)).data
         np.testing.assert_allclose(a, b)
 
     def test_two_node_hand_case(self):
         g = Graph(2, np.array([[0, 1]]), np.ones((2, 2)), np.zeros(2, int), 1)
-        batch = batch_from_graphs(g, np.array([0]), hops=1)
+        batch = _ego_batch(g, np.array([0]), hops=1)
         emb = np.array([[1.0, 2.0], [3.0, 4.0]])
         proj = np.arange(8.0).reshape(4, 2)
         tape = ad.Tape()
         out = readout(batch, tape.leaf(emb, requires_grad=False),
                       tape.leaf(proj, requires_grad=False))
         concat = np.array([[1.0, 2.0, 2.0, 3.0]])  # ego then mean
-        np.testing.assert_allclose(out.value(), concat @ proj)
+        np.testing.assert_allclose(out.data, concat @ proj)
 
 
 class TestClassify:
@@ -237,7 +245,7 @@ class TestClassify:
         out = classify(tape.leaf(np.ones((2, 3)), requires_grad=False),
                        tape.leaf(np.zeros((3, 4)), requires_grad=False),
                        tape.leaf(np.zeros((1, 4)), requires_grad=False))
-        np.testing.assert_allclose(out.value(), 0.25)
+        np.testing.assert_allclose(out.data, 0.25)
 
     def test_saturated_logit_wins(self):
         tape = ad.Tape()
@@ -246,7 +254,7 @@ class TestClassify:
         out = classify(tape.leaf(np.ones((1, 1)), requires_grad=False),
                        tape.leaf(w, requires_grad=False),
                        tape.leaf(b, requires_grad=False))
-        assert out.value()[0, 1] >= 1.0 - 1e-6
+        assert out.data[0, 1] >= 1.0 - 1e-6
 
     def test_matches_direct_softmax(self):
         rng = np.random.default_rng(12)
@@ -256,7 +264,7 @@ class TestClassify:
         tape = ad.Tape()
         out = classify(tape.leaf(emb, requires_grad=False),
                        tape.leaf(w, requires_grad=False),
-                       tape.leaf(b, requires_grad=False)).value()
+                       tape.leaf(b, requires_grad=False)).data
         logits = emb @ w + b
         ex = np.exp(logits - logits.max(axis=1, keepdims=True))
         np.testing.assert_allclose(out, ex / ex.sum(axis=1, keepdims=True),
@@ -269,7 +277,7 @@ class TestClassify:
                                  requires_grad=False),
                        tape.leaf(rng.normal(size=(3, 5)), requires_grad=False),
                        tape.leaf(rng.normal(size=(1, 5)), requires_grad=False))
-        vals = out.value()
+        vals = out.data
         assert (vals > 0).all()
         np.testing.assert_allclose(vals.sum(axis=1), 1.0, atol=1e-9)
 
