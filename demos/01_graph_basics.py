@@ -32,7 +32,7 @@ def main() -> None:
               num_classes=2)
 
     print(f"nodes: {g.num_nodes}, edges: {g.num_edges}")
-    print(f"degree sequence: {[g.degree(v) for v in range(g.num_nodes)]}")
+    print(f"degree sequence: {g.degrees.tolist()}")
 
     # Only the bridge (2, 3) joins different classes: 1 of 6 edges.
     print(f"label heterophily h_L = {label_heterophily(g):.4f}")

@@ -7,8 +7,7 @@ analysis, and a training or experiment harness with a CLI.
 """
 
 from .graphs import (Graph, GraphError, ego_subgraph, feature_heterophily,
-                     label_heterophily, load_graph, renormalized_propagate,
-                     save_graph)
+                     label_heterophily, load_graph, save_graph)
 from .synth import (GenConfig, MotifSpec, PlantedShortcutConfig, PRESET_NAMES,
                     generate, planted_shortcut, preset, relabel_to_heterophily)
 from .autodiff import Tape, Tensor, adam_step, gradients
@@ -27,7 +26,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Graph", "GraphError", "ego_subgraph", "feature_heterophily",
-    "label_heterophily", "load_graph", "renormalized_propagate", "save_graph",
+    "label_heterophily", "load_graph", "save_graph",
     "GenConfig", "MotifSpec", "PlantedShortcutConfig", "PRESET_NAMES",
     "generate", "planted_shortcut", "preset", "relabel_to_heterophily",
     "Tape", "Tensor", "adam_step", "gradients",

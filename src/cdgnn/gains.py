@@ -504,7 +504,7 @@ def assumption_audit(g: Graph, params: dict[str, np.ndarray], hops: int,
     dominance = float(leak / edge_mass) if edge_mass > 1e-12 else 0.0
     dominance_shares = [dominance for _ in fwd.causal_layers]
 
-    node_labels = batch.ego_labels[batch.segments]
+    node_labels = g.labels[batch.member_ids]
     ratios = []
     h = batch.features
     for l, w in enumerate(fwd.causal_layers):

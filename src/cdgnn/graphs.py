@@ -3,7 +3,9 @@
 Graphs are undirected and attributed: every node carries a real feature row
 and an integer class label. Edges are stored once as sorted pairs (u < v)
 with no self-loops; operations that need a self term (the renormalized
-propagation below) add it explicitly instead of storing loop edges.
+propagation) add it explicitly instead of storing loop edges. Each graph
+also holds a CSR adjacency over both edge directions, so a node's
+neighbours, and an ego subgraph, are read without scanning the edge list.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ __all__ = [
     "GraphError",
     "label_heterophily",
     "feature_heterophily",
-    "renormalized_propagate",
     "ego_subgraph",
     "graph_to_dict",
     "graph_from_dict",
@@ -64,7 +65,8 @@ class Graph:
     features: np.ndarray
     labels: np.ndarray
     num_classes: int
-    _neighbors: list = field(default_factory=list, repr=False, compare=False)
+    indptr: np.ndarray = field(init=False, repr=False, compare=False)
+    indices: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.num_nodes < 1:
@@ -91,11 +93,14 @@ class Graph:
             raise GraphError(
                 f"label {int(self.labels[bad])} of node {bad} outside [0, {self.num_classes})"
             )
-        nbrs: list[list[int]] = [[] for _ in range(self.num_nodes)]
-        for u, v in self.edges:
-            nbrs[u].append(int(v))
-            nbrs[v].append(int(u))
-        self._neighbors = [np.array(sorted(a), dtype=np.int64) for a in nbrs]
+        # CSR over both directions: row u lists u's neighbours ascending.
+        src = np.concatenate([self.edges[:, 0], self.edges[:, 1]])
+        dst = np.concatenate([self.edges[:, 1], self.edges[:, 0]])
+        self.indices = dst[np.lexsort((dst, src))]
+        self.indptr = np.zeros(self.num_nodes + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=self.num_nodes), out=self.indptr[1:])
+        self.indptr.flags.writeable = False
+        self.indices.flags.writeable = False
 
     @property
     def num_edges(self) -> int:
@@ -107,10 +112,11 @@ class Graph:
 
     @property
     def degrees(self) -> np.ndarray:
-        return np.array([len(a) for a in self._neighbors], dtype=np.int64)
+        return np.diff(self.indptr)
 
     def neighbors(self, node: int) -> np.ndarray:
-        return self._neighbors[node]
+        """Read-only view of the neighbours of `node`, ascending."""
+        return self.indices[self.indptr[node]:self.indptr[node + 1]]
 
     def with_labels(self, labels: np.ndarray) -> "Graph":
         """Copy of this graph with a replacement label vector."""
@@ -143,37 +149,12 @@ def feature_heterophily(g: Graph) -> float:
     return float(dis.mean())
 
 
-def renormalized_propagate(g: Graph, signal: np.ndarray,
-                           edge_weights: np.ndarray | None = None) -> np.ndarray:
-    """One step of self-augmented neighbor averaging.
-
-    out_i = (signal_i + sum_j w_ij * signal_j) / (deg_i + 1), where the sum
-    runs over stored neighbors and w defaults to 1 on every edge. The
-    denominator uses the structural degree, so with unit weights the operator
-    is row-stochastic (preserves constant columns). `edge_weights` is aligned
-    with g.edges and applies symmetrically to both directions.
-    """
-    sig = np.asarray(signal, dtype=np.float64)
-    squeeze = sig.ndim == 1
-    if squeeze:
-        sig = sig[:, None]
-    if sig.shape[0] != g.num_nodes:
-        raise GraphError(f"signal has {sig.shape[0]} rows, expected {g.num_nodes}")
-    if edge_weights is None:
-        w = np.ones(g.num_edges, dtype=np.float64)
-    else:
-        w = np.asarray(edge_weights, dtype=np.float64).reshape(-1)
-        if w.shape[0] != g.num_edges:
-            raise GraphError(
-                f"edge_weights has {w.shape[0]} entries, expected {g.num_edges}"
-            )
-    out = sig.copy()
-    if g.num_edges:
-        u, v = g.edges[:, 0], g.edges[:, 1]
-        np.add.at(out, u, w[:, None] * sig[v])
-        np.add.at(out, v, w[:, None] * sig[u])
-    out /= (g.degrees + 1.0)[:, None]
-    return out[:, 0] if squeeze else out
+def _csr_rows(g: Graph, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(source, neighbour) pairs of the CSR rows `rows`, row by row."""
+    starts = g.indptr[rows]
+    counts = g.indptr[rows + 1] - starts
+    shift = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    return np.repeat(rows, counts), g.indices[np.arange(shift.shape[0]) + shift]
 
 
 def ego_subgraph(g: Graph, node: int, hops: int) -> tuple[Graph, np.ndarray]:
@@ -187,33 +168,28 @@ def ego_subgraph(g: Graph, node: int, hops: int) -> tuple[Graph, np.ndarray]:
         raise GraphError(f"hops must be >= 1, got {hops}")
     if not 0 <= node < g.num_nodes:
         raise GraphError(f"node {node} outside [0, {g.num_nodes})")
-    seen = {node}
-    order = [node]
-    frontier = [node]
+    # local[v] is v's sub-id, or -1 while v is unreached.
+    local = np.full(g.num_nodes, -1, dtype=np.int64)
+    local[node] = 0
+    levels = [np.array([node], dtype=np.int64)]
+    size = 1
     for _ in range(hops):
-        nxt: set[int] = set()
-        for u in frontier:
-            for w in g.neighbors(u):
-                w = int(w)
-                if w not in seen:
-                    seen.add(w)
-                    nxt.add(w)
-        frontier = sorted(nxt)
-        order.extend(frontier)
-        if not frontier:
+        reached = np.unique(_csr_rows(g, levels[-1])[1])
+        fresh = reached[local[reached] < 0]
+        if not fresh.size:
             break
-    mapping = np.array(order, dtype=np.int64)
-    sub_id = {orig: k for k, orig in enumerate(order)}
-    sub_edges = [
-        (sub_id[int(u)], sub_id[int(v)])
-        for u, v in g.edges
-        if int(u) in sub_id and int(v) in sub_id
-    ]
+        local[fresh] = np.arange(size, size + fresh.size)
+        size += fresh.size
+        levels.append(fresh)
+    mapping = np.concatenate(levels)
+    u, v = _csr_rows(g, mapping)
+    keep = (u < v) & (local[v] >= 0)
+    sub_edges = np.stack([local[u[keep]], local[v[keep]]], axis=1)
     sub = Graph(
-        num_nodes=len(order),
-        edges=np.array(sub_edges, dtype=np.int64).reshape(-1, 2),
-        features=g.features[mapping].copy(),
-        labels=g.labels[mapping].copy(),
+        num_nodes=size,
+        edges=sub_edges,
+        features=g.features[mapping],
+        labels=g.labels[mapping],
         num_classes=g.num_classes,
     )
     return sub, mapping

@@ -73,19 +73,19 @@ class RunConfig:
     hidden: int = 150
     dropout: float = 0.1
     layers: int = 2
-    q: float = 0.7
-    lambda_counterfactual: float = 10.0
-    lambda_independence: float = 0.1
+    q: float = LossSettings.q
+    lambda_counterfactual: float = LossSettings.lambda_counterfactual
+    lambda_independence: float = LossSettings.lambda_independence
     epochs: int = 200
     patience: int = 30
     batch_size: int = 32
     ego_hops: int | None = None
     scorer_hidden: int = 16
     hsic_max_rows: int = 256
-    no_shortcut_term: bool = False
-    no_causal_term: bool = False
-    no_counterfactual_term: bool = False
-    no_independence_term: bool = False
+    no_shortcut_term: bool = LossSettings.no_shortcut_term
+    no_causal_term: bool = LossSettings.no_causal_term
+    no_counterfactual_term: bool = LossSettings.no_counterfactual_term
+    no_independence_term: bool = LossSettings.no_independence_term
 
     @property
     def resolved_hops(self) -> int:
@@ -337,6 +337,7 @@ def full_graph_batch(g: Graph) -> EgoBatch:
         features=g.features,
         endpoints=g.edges,
         segments=np.zeros(g.num_nodes, dtype=np.int64),
+        member_ids=np.arange(g.num_nodes),
         ego_rows=np.zeros(1, dtype=np.int64),
         ego_labels=g.labels[:1],
         num_graphs=1,

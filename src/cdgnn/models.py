@@ -39,6 +39,7 @@ class EgoBatch:
     features: np.ndarray
     endpoints: np.ndarray
     segments: np.ndarray
+    member_ids: np.ndarray  # original graph id of each union row
     ego_rows: np.ndarray
     ego_labels: np.ndarray
     num_graphs: int
@@ -74,6 +75,7 @@ def batch_from_cache(g: Graph, cache, nodes) -> EgoBatch:
         features=g.features[member_ids],
         endpoints=edges,
         segments=segments,
+        member_ids=member_ids,
         ego_rows=offsets,
         ego_labels=g.labels[nodes],
         num_graphs=int(nodes.shape[0]),

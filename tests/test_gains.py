@@ -397,6 +397,16 @@ class TestAssumptionAudit:
         assert not report.independence_ok
         assert report.independence > report.independence_threshold
 
+    def test_cross_class_edges_give_a_positive_ratio(self):
+        """Labels 0,0,1,1,... round a ring: every 2-hop ego holds same-class
+        and cross-class edges, so each layer's ratio is above 0."""
+        g = _ring_graph()
+        g = g.with_labels((np.arange(g.num_nodes) // 2) % 2)
+        params = _audit_params(np.random.default_rng(26), 6)
+        report = assumption_audit(g, params, hops=2, seed=0)
+        assert len(report.cross_class_ratios) == 2
+        assert min(report.cross_class_ratios) > 0.0
+
     def test_too_few_nodes_rejected(self):
         g = _ring_graph(seed=25)
         params = _audit_params(np.random.default_rng(25), 6)

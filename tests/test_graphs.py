@@ -1,4 +1,6 @@
-"""Graph container, heterophily measures, propagation, and JSON round trips."""
+"""Graph container and its CSR adjacency, heterophily measures, the
+renormalized propagation on a whole graph, ego extraction, and JSON round
+trips."""
 
 import math
 
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cdgnn import autodiff as ad
 from cdgnn.graphs import (
     Graph,
     GraphError,
@@ -15,8 +18,9 @@ from cdgnn.graphs import (
     graph_from_dict,
     graph_to_dict,
     label_heterophily,
-    renormalized_propagate,
 )
+from cdgnn.models import build_ego_cache
+from cdgnn.synth import GenConfig, MotifSpec, generate
 
 
 def _random_graph(rng, num_nodes=None, num_classes=3, dim=4):
@@ -32,6 +36,61 @@ def _random_graph(rng, num_nodes=None, num_classes=3, dim=4):
         labels=rng.integers(0, num_classes, size=n),
         num_classes=num_classes,
     )
+
+
+def _sparse_graph(rng, max_nodes=30):
+    """Random graph with edge density drawn per graph, so that isolated
+    nodes and several components are common."""
+    n = int(rng.integers(1, max_nodes + 1))
+    pairs = np.array([(u, v) for u in range(n) for v in range(u + 1, n)],
+                     dtype=np.int64).reshape(-1, 2)
+    keep = rng.random(pairs.shape[0]) < rng.uniform(0.02, 0.3)
+    return Graph(n, pairs[keep], rng.normal(size=(n, 2)),
+                 rng.integers(0, 2, size=n), 2)
+
+
+def _ego_subgraph_scan(g, node, hops):
+    """Reference extractor: set-based BFS, then a scan of every edge for
+    the induced subgraph. Same contract as ego_subgraph."""
+    seen = {node}
+    order = [node]
+    frontier = [node]
+    for _ in range(hops):
+        nxt = set()
+        for u in frontier:
+            for w in g.neighbors(u):
+                w = int(w)
+                if w not in seen:
+                    seen.add(w)
+                    nxt.add(w)
+        frontier = sorted(nxt)
+        order.extend(frontier)
+        if not frontier:
+            break
+    mapping = np.array(order, dtype=np.int64)
+    sub_id = {orig: k for k, orig in enumerate(order)}
+    sub_edges = [
+        (sub_id[int(u)], sub_id[int(v)])
+        for u, v in g.edges
+        if int(u) in sub_id and int(v) in sub_id
+    ]
+    sub = Graph(
+        num_nodes=len(order),
+        edges=np.array(sub_edges, dtype=np.int64).reshape(-1, 2),
+        features=g.features[mapping].copy(),
+        labels=g.labels[mapping].copy(),
+        num_classes=g.num_classes,
+    )
+    return sub, mapping
+
+
+def _propagate(g, signal, edge_weights=None):
+    """masked_propagate over the whole graph; 1-D signals stay 1-D."""
+    sig = np.asarray(signal, dtype=np.float64)
+    w = None if edge_weights is None else np.reshape(edge_weights, (-1, 1))
+    out = ad.masked_propagate(sig.reshape(sig.shape[0], -1), w,
+                              ad.PropagationPlan.from_edges(g.edges, g.num_nodes))
+    return out.data[:, 0] if sig.ndim == 1 else out.data
 
 
 def _path(labels, features=None, num_classes=2):
@@ -78,6 +137,28 @@ class TestGraphValidation:
         g = _path([0, 1, 0])
         assert g.degrees.tolist() == [1, 2, 1]
         assert g.neighbors(1).tolist() == [0, 2]
+
+    def test_csr_matches_sorted_neighbour_lists(self):
+        rng = np.random.default_rng(29)
+        for _ in range(50):
+            g = _sparse_graph(rng)
+            lists = [[] for _ in range(g.num_nodes)]
+            for u, v in g.edges:
+                lists[u].append(int(v))
+                lists[v].append(int(u))
+            assert g.indptr.tolist() == np.cumsum(
+                [0] + [len(a) for a in lists]).tolist()
+            assert g.indices.tolist() == [w for a in lists for w in sorted(a)]
+            for node in range(g.num_nodes):
+                assert g.neighbors(node).tolist() == sorted(lists[node])
+            assert g.degrees.tolist() == [len(a) for a in lists]
+
+    def test_neighbors_are_read_only(self):
+        g = _path([0, 1, 0])
+        with pytest.raises(ValueError, match="read-only"):
+            g.neighbors(0)[0] = 2
+        with pytest.raises(ValueError, match="read-only"):
+            g.indptr[1] = 0
 
 
 class TestLabelHeterophily:
@@ -171,29 +252,31 @@ class TestFeatureHeterophily:
 
 
 class TestRenormalizedPropagate:
+    """ad.masked_propagate on the plan of a whole graph."""
+
     def test_isolated_node_keeps_its_signal(self):
         g = Graph(3, np.array([[0, 1]]), np.ones((3, 1)),
                   np.zeros(3, int), 1)
-        out = renormalized_propagate(g, np.array([1.0, 3.0, 7.0]))
+        out = _propagate(g, np.array([1.0, 3.0, 7.0]))
         assert out[2] == 7.0
 
     def test_two_node_edge_averages(self):
         g = _path([0, 0])
-        out = renormalized_propagate(g, np.array([4.0, 10.0]))
+        out = _propagate(g, np.array([4.0, 10.0]))
         np.testing.assert_allclose(out, [7.0, 7.0])
 
     def test_star_hand_case(self):
         """Degree-3 center with signal (1,0,0,0): center 1/4, leaves 1/2."""
         g = Graph(4, np.array([[0, 1], [0, 2], [0, 3]]), np.ones((4, 1)),
                   np.zeros(4, int), 1)
-        out = renormalized_propagate(g, np.array([1.0, 0.0, 0.0, 0.0]))
+        out = _propagate(g, np.array([1.0, 0.0, 0.0, 0.0]))
         np.testing.assert_allclose(out, [0.25, 0.5, 0.5, 0.5])
 
     def test_preserves_constant_vector(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             g = _random_graph(rng)
-            out = renormalized_propagate(g, np.ones(g.num_nodes))
+            out = _propagate(g, np.ones(g.num_nodes))
             np.testing.assert_allclose(out, 1.0)
 
     def test_linear_in_signal(self):
@@ -203,20 +286,20 @@ class TestRenormalizedPropagate:
             f = rng.normal(size=(g.num_nodes, 3))
             h = rng.normal(size=(g.num_nodes, 3))
             alpha = float(rng.normal())
-            lhs = renormalized_propagate(g, alpha * f + h)
-            rhs = alpha * renormalized_propagate(g, f) + renormalized_propagate(g, h)
+            lhs = _propagate(g, alpha * f + h)
+            rhs = alpha * _propagate(g, f) + _propagate(g, h)
             np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
     def test_edge_weights_scale_neighbor_terms(self):
         g = _path([0, 0])
-        out = renormalized_propagate(g, np.array([4.0, 10.0]),
-                                     edge_weights=np.array([0.5]))
+        out = _propagate(g, np.array([4.0, 10.0]),
+                         edge_weights=np.array([0.5]))
         np.testing.assert_allclose(out, [(4 + 5) / 2, (10 + 2) / 2])
 
     def test_signal_row_mismatch_rejected(self):
         g = _path([0, 0])
-        with pytest.raises(GraphError, match="rows"):
-            renormalized_propagate(g, np.ones(5))
+        with pytest.raises(ValueError, match="rows"):
+            _propagate(g, np.ones(5))
 
 
 class TestEgoSubgraph:
@@ -270,6 +353,40 @@ class TestEgoSubgraph:
             for u, v in sub.edges:
                 a, b = int(mapping[u]), int(mapping[v])
                 assert (min(a, b), max(a, b)) in original
+
+    def test_matches_scan_oracle(self):
+        """Bitwise the set-BFS plus edge-scan extractor, over isolated egos,
+        several components, hops 1-3 and hops beyond the diameter."""
+        rng = np.random.default_rng(31)
+        isolated = split = 0
+        for _ in range(50):
+            g = _sparse_graph(rng)
+            node = int(rng.integers(g.num_nodes))
+            for hops in (1, 2, 3, g.num_nodes + 1):
+                sub, mapping = ego_subgraph(g, node, hops)
+                want, want_map = _ego_subgraph_scan(g, node, hops)
+                np.testing.assert_array_equal(mapping, want_map)
+                np.testing.assert_array_equal(sub.edges, want.edges)
+                np.testing.assert_array_equal(sub.features, want.features)
+                np.testing.assert_array_equal(sub.labels, want.labels)
+            # after the loop, sub is the ego's whole component
+            isolated += g.degrees[node] == 0
+            split += 1 < sub.num_nodes < g.num_nodes
+        assert isolated and split
+
+    def test_full_cache_on_ten_thousand_nodes(self):
+        """The 2-hop cache of every node of a 10k-node graph; 20 egos are
+        checked against the scan oracle."""
+        g, _ = generate(GenConfig("tree", 8191, MotifSpec("cycle", cycle_length=6,
+                                                           labeling=1), 320, seed=1))
+        assert g.num_nodes >= 10_000
+        cache = build_ego_cache(g, 2, np.arange(g.num_nodes))
+        assert len(cache) == g.num_nodes
+        rng = np.random.default_rng(37)
+        for node in rng.choice(g.num_nodes, size=20, replace=False):
+            sub, mapping = _ego_subgraph_scan(g, int(node), 2)
+            np.testing.assert_array_equal(cache[node][0], mapping)
+            np.testing.assert_array_equal(cache[node][1], sub.edges)
 
 
 class TestJsonRoundTrip:

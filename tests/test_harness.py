@@ -1,11 +1,13 @@
 """Splits, training loops, run records, and experiment drivers."""
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from cdgnn import harness, models
+from cdgnn.disentangle import LossSettings
 from cdgnn.graphs import Graph, feature_heterophily, label_heterophily, save_graph
 from cdgnn.harness import (
     RunConfig,
@@ -124,6 +126,12 @@ class TestRunConfig:
         assert settings.q == 0.5
         assert settings.lambda_counterfactual == 2.0
         assert settings.no_independence_term
+
+    def test_loss_defaults_match_loss_settings(self):
+        config = {f.name: f.default for f in fields(RunConfig)}
+        for f in fields(LossSettings):
+            assert config[f.name] == f.default, f.name
+        assert RunConfig().loss_settings() == LossSettings()
 
 
 class TestDatasetHash:

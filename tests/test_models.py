@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cdgnn import autodiff as ad
-from cdgnn.graphs import Graph, ego_subgraph, renormalized_propagate
+from cdgnn.graphs import Graph, ego_subgraph
 from cdgnn.models import (
     batch_from_cache,
     build_ego_cache,
@@ -25,6 +25,18 @@ def _path_graph(n=4, dim=3, seed=0):
 
 def _ego_batch(g, nodes, hops):
     return batch_from_cache(g, build_ego_cache(g, hops, nodes), nodes)
+
+
+def _renormalized_propagate(g, signal, edge_weights=None):
+    """Edge-list oracle for one propagation step over a whole graph:
+    out_i = (signal_i + sum_j w_ij signal_j) / (deg_i + 1), with w aligned
+    with g.edges, applied to both directions and 1 by default."""
+    out = np.array(signal, dtype=np.float64)
+    w = np.ones(g.num_edges) if edge_weights is None else edge_weights
+    u, v = g.edges[:, 0], g.edges[:, 1]
+    np.add.at(out, u, w[:, None] * signal[v])
+    np.add.at(out, v, w[:, None] * signal[u])
+    return out / (g.degrees + 1.0)[:, None]
 
 
 def _forward_numpy(batch, feats, weights, edge_w=None, feat_mask=None):
@@ -57,6 +69,7 @@ class TestEgoBatch:
         assert batch.ego_rows.tolist() == [0, 2]
         np.testing.assert_array_equal(batch.ego_labels, g.labels[[0, 4]])
         np.testing.assert_array_equal(batch.segments, [0, 0, 1, 1])
+        np.testing.assert_array_equal(batch.member_ids, [0, 1, 4, 3])
 
     def test_cache_matches_direct_assembly(self):
         g = _path_graph(6, seed=3)
@@ -123,8 +136,22 @@ class TestGcnForward:
         x = tape.leaf(batch.features, requires_grad=False)
         out = gcn_forward(batch, x, None, None, [w])
         # batch holds both ego copies; each copy is the 2-node graph itself
-        oracle = renormalized_propagate(g, g.features)
+        oracle = _renormalized_propagate(g, g.features)
         np.testing.assert_allclose(out.data[:2], oracle[[0, 1]])
+
+    def test_masked_propagate_matches_edge_list_oracle(self):
+        rng = np.random.default_rng(9)
+        for _ in range(20):
+            n = int(rng.integers(2, 10))
+            pairs = np.array([(u, v) for u in range(n) for v in range(u + 1, n)])
+            g = Graph(n, pairs[rng.random(pairs.shape[0]) < 0.4],
+                      rng.normal(size=(n, 3)), np.zeros(n, int), 1)
+            w = rng.uniform(0.0, 1.0, size=g.num_edges)
+            plan = ad.PropagationPlan.from_edges(g.edges, g.num_nodes)
+            out = ad.masked_propagate(g.features, w[:, None], plan)
+            np.testing.assert_allclose(out.data,
+                                       _renormalized_propagate(g, g.features, w),
+                                       atol=1e-12)
 
     def test_random_masks_match_numpy_oracle(self):
         g = _path_graph(6, seed=7)
@@ -172,6 +199,7 @@ class TestGcnForward:
             features=batch.features[inv],
             endpoints=perm[batch.endpoints],
             segments=batch.segments[inv],
+            member_ids=batch.member_ids[inv],
             ego_rows=perm[batch.ego_rows],
             ego_labels=batch.ego_labels,
             num_graphs=batch.num_graphs,
