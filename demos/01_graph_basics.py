@@ -40,7 +40,9 @@ def main() -> None:
     print(f"feature heterophily h_F = {feature_heterophily(g):.4f}")
 
     # The 1-hop ego view of the bridge node mixes both classes.
-    sub, mapping = ego_subgraph(g, 2, hops=1)
+    mapping, sub_edges = ego_subgraph(g, 2, hops=1)
+    sub = Graph(mapping.shape[0], sub_edges, g.features[mapping],
+                g.labels[mapping], g.num_classes)
     print(f"\n1-hop ego of node 2: {sub.num_nodes} nodes "
           f"(originals {mapping.tolist()}), h_L = {label_heterophily(sub):.4f}")
 

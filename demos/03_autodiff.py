@@ -1,8 +1,9 @@
 """The reverse-mode tape: build a loss, read gradients, check them.
 
-Everything the models need is a composition of a small primitive set.
-This script differentiates a tiny softmax regression by hand-rolled
-finite differences and by the tape, then trains it for a few steps.
+Everything the models need is built from a small primitive set; the hot
+chains (a softmax head, a cross-entropy) are single fused nodes. This
+script differentiates a tiny softmax regression by hand-rolled finite
+differences and by the tape, then trains it for a few steps.
 """
 
 import numpy as np
@@ -14,9 +15,8 @@ def nll_loss(x: np.ndarray, y: np.ndarray, w: np.ndarray, b: np.ndarray):
     """Mean negative log-likelihood of a linear softmax model."""
     tape = ad.Tape()
     tw, tb = tape.leaf(w), tape.leaf(b)
-    probs = ad.row_softmax(ad.add(ad.matmul(x, tw), tb))
-    nll = ad.multiply(ad.log(ad.pick_class(probs, y)), -1.0)
-    return tape, {"w": tw, "b": tb}, ad.mean(nll)
+    probs = ad.softmax_head(x, tw, tb)
+    return tape, {"w": tw, "b": tb}, ad.mean(ad.nll_rows(probs, y))
 
 
 def main() -> None:

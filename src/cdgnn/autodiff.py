@@ -5,6 +5,12 @@ tape of their inputs; Tape.backward walks the recorded nodes once in reverse
 creation order and accumulates gradients into every tensor that requires
 them. Graph propagation is expressed as gather-scatter over an edge list, so
 no dense adjacency matrix is ever materialized.
+
+The model's hot paths are fused primitives (gcn_layer, softmax_head,
+mean_of_halves, ego_readout, gce_rows, nll_rows, hsic_rbf): each records one
+node whose backward repeats, in the same order, the float operations the
+chain of elementary primitives it replaces would perform, so results are
+bitwise those of the composed chain.
 """
 
 from __future__ import annotations
@@ -18,9 +24,11 @@ __all__ = [
     "Tensor",
     "PropagationPlan",
     "matmul", "add", "subtract", "multiply", "exp", "log",
-    "sigmoid", "relu", "row_softmax", "mean", "sum_all", "concat_cols",
-    "dropout", "rbf_gram", "center_gram", "take_rows",
-    "segment_mean_rows", "pick_class", "permute_rows", "masked_propagate",
+    "sigmoid", "relu", "mean", "sum_all", "concat_cols",
+    "dropout", "take_rows", "segment_mean_rows", "permute_rows",
+    "masked_propagate",
+    "gcn_layer", "softmax_head", "mean_of_halves", "ego_readout",
+    "gce_rows", "nll_rows", "hsic_rbf",
     "AdamState", "adam_step", "gradients",
 ]
 
@@ -89,8 +97,9 @@ class Tensor:
         if not self.requires_grad:
             return
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = np.array(g, dtype=np.float64)
+        else:
+            self.grad += g
 
 
 def _as_matrix(x) -> np.ndarray:
@@ -230,20 +239,6 @@ def relu(a) -> Tensor:
     return _make(data, (a,), backward)
 
 
-def row_softmax(a) -> Tensor:
-    """Softmax along each row, stabilized by max subtraction."""
-    a = _coerce(a, _shared_tape(a))
-    shifted = a.data - a.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    data = e / e.sum(axis=1, keepdims=True)
-
-    def backward(g: np.ndarray) -> None:
-        dot = (g * data).sum(axis=1, keepdims=True)
-        a._accumulate(data * (g - dot))
-
-    return _make(data, (a,), backward)
-
-
 def mean(a) -> Tensor:
     a = _coerce(a, _shared_tape(a))
     data = np.array([[a.data.mean()]])
@@ -297,70 +292,44 @@ def dropout(a, rate: float, rng: np.random.Generator) -> Tensor:
     return _make(data, (a,), backward)
 
 
-def rbf_gram(a, bandwidth: float) -> Tensor:
-    """Gaussian kernel gram matrix K_ij = exp(-|x_i - x_j|^2 / (2 bw^2))."""
-    a = _coerce(a, _shared_tape(a))
-    bw = float(bandwidth)
-    if bw <= 0:
-        raise ValueError(f"bandwidth must be positive, got {bw}")
-    sq = (a.data * a.data).sum(axis=1, keepdims=True)
-    d2 = np.maximum(sq + sq.T - 2.0 * (a.data @ a.data.T), 0.0)
-    data = np.exp(-d2 / (2.0 * bw * bw))
-
-    def backward(g: np.ndarray) -> None:
-        m = -(g * data) / (2.0 * bw * bw)
-        s = m + m.T
-        a._accumulate(2.0 * (s.sum(axis=1, keepdims=True) * a.data - s @ a.data))
-
-    return _make(data, (a,), backward)
-
-
-def center_gram(k) -> Tensor:
-    """Double centering H K H with H = I - 11^T/n (self-adjoint, linear)."""
-    k = _coerce(k, _shared_tape(k))
-    if k.data.shape[0] != k.data.shape[1]:
-        raise ValueError(f"center_gram needs a square matrix, got {k.data.shape}")
-
-    def centered(x: np.ndarray) -> np.ndarray:
-        rm = x.mean(axis=1, keepdims=True)
-        cm = x.mean(axis=0, keepdims=True)
-        return x - rm - cm + x.mean()
-
-    data = centered(k.data)
-
-    def backward(g: np.ndarray) -> None:
-        k._accumulate(centered(g))
-
-    return _make(data, (k,), backward)
-
-
 def take_rows(a, indices) -> Tensor:
     a = _coerce(a, _shared_tape(a))
     idx = np.asarray(indices, dtype=np.int64).reshape(-1)
     data = a.data[idx].copy()
 
     def backward(g: np.ndarray) -> None:
-        da = np.zeros_like(a.data)
-        np.add.at(da, idx, g)
-        a._accumulate(da)
+        a._accumulate(_row_scatter(a.data.shape, idx, g))
 
     return _make(data, (a,), backward)
+
+
+def _row_scatter(da_shape, idx: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Adjoint of gathering rows `idx`: g summed into a zero array."""
+    da = np.zeros(da_shape)
+    np.add.at(da, idx, g)
+    return da
+
+
+def _segment_means(x: np.ndarray, seg: np.ndarray,
+                   num_segments: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row means of x per segment id, and the per-segment row counts."""
+    if seg.shape[0] != x.shape[0]:
+        raise ValueError("segments must assign an id to every row")
+    counts = np.bincount(seg, minlength=num_segments).astype(np.float64)
+    if (counts == 0).any():
+        raise ValueError("every segment must contain at least one row")
+    k = x.shape[1]
+    flat = seg[:, None] * k + np.arange(k)[None, :]
+    sums = np.bincount(flat.ravel(), weights=x.ravel(),
+                       minlength=num_segments * k).reshape(num_segments, k)
+    return sums / counts[:, None], counts
 
 
 def segment_mean_rows(a, segments, num_segments: int) -> Tensor:
     """Row means per segment id; every segment must be non-empty."""
     a = _coerce(a, _shared_tape(a))
     seg = np.asarray(segments, dtype=np.int64).reshape(-1)
-    if seg.shape[0] != a.data.shape[0]:
-        raise ValueError("segments must assign an id to every row")
-    counts = np.bincount(seg, minlength=num_segments).astype(np.float64)
-    if (counts == 0).any():
-        raise ValueError("every segment must contain at least one row")
-    k = a.data.shape[1]
-    flat = seg[:, None] * k + np.arange(k)[None, :]
-    sums = np.bincount(flat.ravel(), weights=a.data.ravel(),
-                       minlength=num_segments * k).reshape(num_segments, k)
-    data = sums / counts[:, None]
+    data, counts = _segment_means(a.data, seg, num_segments)
 
     def backward(g: np.ndarray) -> None:
         a._accumulate(g[seg] / counts[seg][:, None])
@@ -368,29 +337,10 @@ def segment_mean_rows(a, segments, num_segments: int) -> Tensor:
     return _make(data, (a,), backward)
 
 
-def pick_class(probs, labels) -> Tensor:
-    """Column vector of probs[i, labels[i]]."""
-    probs = _coerce(probs, _shared_tape(probs))
-    y = np.asarray(labels, dtype=np.int64).reshape(-1)
-    if y.shape[0] != probs.data.shape[0]:
-        raise ValueError("labels must match the number of rows")
-    if y.size and ((y < 0).any() or (y >= probs.data.shape[1]).any()):
-        raise ValueError("label outside the class range")
-    rows = np.arange(y.shape[0])
-    data = probs.data[rows, y][:, None].copy()
-
-    def backward(g: np.ndarray) -> None:
-        dp = np.zeros_like(probs.data)
-        dp[rows, y] = g[:, 0]
-        probs._accumulate(dp)
-
-    return _make(data, (probs,), backward)
-
-
 def permute_rows(a, perm) -> Tensor:
     a = _coerce(a, _shared_tape(a))
     p = np.asarray(perm, dtype=np.int64).reshape(-1)
-    if sorted(p.tolist()) != list(range(a.data.shape[0])):
+    if not np.array_equal(np.sort(p), np.arange(a.data.shape[0])):
         raise ValueError("perm must be a permutation of the row indices")
     data = a.data[p].copy()
     inv = np.empty_like(p)
@@ -438,6 +388,50 @@ def _scatter_rows(values: np.ndarray, dst: np.ndarray, num_rows: int) -> np.ndar
                        minlength=num_rows * k).reshape(num_rows, k)
 
 
+def _edge_weights(w: Tensor | None, plan: PropagationPlan) -> np.ndarray | None:
+    """Per-directed-edge weights of a (num_und_edges, 1) tensor, or None."""
+    if w is None:
+        return None
+    if w.data.shape != (plan.num_und_edges, 1):
+        raise ValueError(
+            f"weights must be shaped ({plan.num_und_edges}, 1), got {w.data.shape}"
+        )
+    return w.data[plan.dir_to_und, 0]
+
+
+def _propagate(f: np.ndarray, w_dir: np.ndarray | None,
+               plan: PropagationPlan) -> tuple[np.ndarray, np.ndarray | None]:
+    """Forward of one propagation step, and the gathered source rows."""
+    if f.shape[0] != plan.num_nodes:
+        raise ValueError(
+            f"signal has {f.shape[0]} rows, plan expects {plan.num_nodes}"
+        )
+    if plan.src.size == 0:
+        return f * plan.inv_deg, None
+    gathered = f[plan.src]
+    vals = gathered if w_dir is None else w_dir[:, None] * gathered
+    return (f + _scatter_rows(vals, plan.dst, plan.num_nodes)) * plan.inv_deg, gathered
+
+
+def _propagate_backward(g: np.ndarray, f: Tensor, w: Tensor | None,
+                        w_dir: np.ndarray | None, gathered: np.ndarray | None,
+                        plan: PropagationPlan) -> None:
+    """Accumulate the adjoint of _propagate into f, then into w."""
+    go = g * plan.inv_deg
+    if gathered is None:
+        f._accumulate(go)
+        return
+    go_dst = go[plan.dst]
+    if f.requires_grad:
+        back = go_dst if w_dir is None else w_dir[:, None] * go_dst
+        f._accumulate(go + _scatter_rows(back, plan.src, plan.num_nodes))
+    if w is not None and w.requires_grad:
+        per_dir = np.einsum("ek,ek->e", gathered, go_dst)
+        dw = np.bincount(plan.dir_to_und, weights=per_dir,
+                         minlength=plan.num_und_edges)
+        w._accumulate(dw[:, None])
+
+
 def masked_propagate(f, weights, plan: PropagationPlan) -> Tensor:
     """One renormalized propagation step with per-edge weights.
 
@@ -446,42 +440,202 @@ def masked_propagate(f, weights, plan: PropagationPlan) -> Tensor:
     None for the unweighted operator.
     """
     f = _coerce(f, _shared_tape(f, weights))
-    if f.data.shape[0] != plan.num_nodes:
-        raise ValueError(
-            f"signal has {f.data.shape[0]} rows, plan expects {plan.num_nodes}"
-        )
     w = None if weights is None else _coerce(weights, f.tape)
-    if w is not None and w.data.shape != (plan.num_und_edges, 1):
-        raise ValueError(
-            f"weights must be shaped ({plan.num_und_edges}, 1), got {w.data.shape}"
-        )
-    if plan.src.size == 0:
-        data = f.data * plan.inv_deg
-
-        def backward_empty(g: np.ndarray) -> None:
-            f._accumulate(g * plan.inv_deg)
-
-        parents = (f,) if w is None else (f, w)
-        return _make(data, parents, backward_empty)
-
-    w_dir = None if w is None else w.data[plan.dir_to_und, 0]
-    gathered = f.data[plan.src]
-    vals = gathered if w_dir is None else w_dir[:, None] * gathered
-    data = (f.data + _scatter_rows(vals, plan.dst, plan.num_nodes)) * plan.inv_deg
+    w_dir = _edge_weights(w, plan)
+    data, gathered = _propagate(f.data, w_dir, plan)
 
     def backward(g: np.ndarray) -> None:
-        go = g * plan.inv_deg
-        go_dst = go[plan.dst]
-        back = go_dst if w_dir is None else w_dir[:, None] * go_dst
-        f._accumulate(go + _scatter_rows(back, plan.src, plan.num_nodes))
-        if w is not None and w.requires_grad:
-            per_dir = np.einsum("ek,ek->e", gathered, go_dst)
-            dw = np.bincount(plan.dir_to_und, weights=per_dir,
-                             minlength=plan.num_und_edges)
-            w._accumulate(dw[:, None])
+        _propagate_backward(g, f, w, w_dir, gathered, plan)
 
     parents = (f,) if w is None else (f, w)
     return _make(data, parents, backward)
+
+
+def gcn_layer(f, weights, layer_weight, plan: PropagationPlan,
+              relu: bool) -> Tensor:
+    """One GCN layer as one node: masked_propagate, matmul, then relu if
+    `relu` (the last layer of an encoder has none)."""
+    f = _coerce(f, _shared_tape(f, weights, layer_weight))
+    w = None if weights is None else _coerce(weights, f.tape)
+    lw = _coerce(layer_weight, f.tape)
+    w_dir = _edge_weights(w, plan)
+    prop, gathered = _propagate(f.data, w_dir, plan)
+    z = prop @ lw.data
+    data = np.maximum(z, 0.0) if relu else z
+
+    def backward(g: np.ndarray) -> None:
+        gz = g * (z > 0) if relu else g
+        if lw.requires_grad:
+            lw._accumulate(prop.T @ gz)
+        if f.requires_grad or (w is not None and w.requires_grad):
+            _propagate_backward(gz @ lw.data.T, f, w, w_dir, gathered, plan)
+
+    parents = tuple(t for t in (f, w, lw) if t is not None)
+    return _make(data, parents, backward)
+
+
+def softmax_head(x, weight, bias) -> Tensor:
+    """Class distribution rows softmax(x @ weight + bias) as one node; the
+    softmax subtracts each row's max first."""
+    x = _coerce(x, _shared_tape(x, weight, bias))
+    weight = _coerce(weight, x.tape)
+    bias = _coerce(bias, x.tape)
+    logits = x.data @ weight.data + bias.data
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    data = e / e.sum(axis=1, keepdims=True)
+
+    def backward(g: np.ndarray) -> None:
+        dot = (g * data).sum(axis=1, keepdims=True)
+        gl = data * (g - dot)
+        bias._accumulate(_unbroadcast(gl, bias.data.shape))
+        x._accumulate(gl @ weight.data.T)
+        weight._accumulate(x.data.T @ gl)
+
+    return _make(data, (x, weight, bias), backward)
+
+
+def mean_of_halves(a) -> Tensor:
+    """(top half + bottom half) * 0.5 of a matrix with 2n rows: the
+    symmetric edge score from the scores of both endpoint orders."""
+    a = _coerce(a, _shared_tape(a))
+    rows = a.data.shape[0]
+    if rows % 2:
+        raise ValueError(f"mean_of_halves needs an even row count, got {rows}")
+    half = rows // 2
+    data = (a.data[:half] + a.data[half:]) * 0.5
+
+    def backward(g: np.ndarray) -> None:
+        gh = g * 0.5
+        a._accumulate(np.vstack([gh, gh]))
+
+    return _make(data, (a,), backward)
+
+
+def ego_readout(h, ego_rows, segments, num_segments: int,
+                projection) -> Tensor:
+    """Per-graph embedding as one node: [h[ego_rows] ; segment means of h]
+    @ projection."""
+    h = _coerce(h, _shared_tape(h, projection))
+    projection = _coerce(projection, h.tape)
+    idx = np.asarray(ego_rows, dtype=np.int64).reshape(-1)
+    seg = np.asarray(segments, dtype=np.int64).reshape(-1)
+    means, counts = _segment_means(h.data, seg, num_segments)
+    joined = np.hstack([h.data[idx], means])
+    data = joined @ projection.data
+    k = h.data.shape[1]
+
+    def backward(g: np.ndarray) -> None:
+        projection._accumulate(joined.T @ g)
+        if h.requires_grad:
+            gj = g @ projection.data.T
+            h._accumulate(gj[:, k:][seg] / counts[seg][:, None])
+            h._accumulate(_row_scatter(h.data.shape, idx, gj[:, :k]))
+
+    return _make(data, (h, projection), backward)
+
+
+def _picked(probs: Tensor, labels) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row ids and validated labels of the entries probs[i, labels[i]], and
+    those entries as a column clamped below at 1e-12."""
+    y = np.asarray(labels, dtype=np.int64).reshape(-1)
+    if y.shape[0] != probs.data.shape[0]:
+        raise ValueError("labels must match the number of rows")
+    if y.size and ((y < 0).any() or (y >= probs.data.shape[1]).any()):
+        raise ValueError("label outside the class range")
+    rows = np.arange(y.shape[0])
+    return rows, y, np.maximum(probs.data[rows, y][:, None], LOG_CLAMP)
+
+
+def _scatter_picked(probs: Tensor, rows: np.ndarray, y: np.ndarray,
+                    gp: np.ndarray) -> None:
+    """Accumulate the column gp into probs at the picked entries."""
+    dp = np.zeros_like(probs.data)
+    dp[rows, y] = gp[:, 0]
+    probs._accumulate(dp)
+
+
+def gce_rows(probs, labels, q: float) -> Tensor:
+    """Per-row generalized cross-entropy (1 - exp(q log p_y)) / q, shape
+    (B, 1), with the log clamped below at 1e-12."""
+    probs = _coerce(probs, _shared_tape(probs))
+    rows, y, clamped = _picked(probs, labels)
+    qa = _as_matrix(q)
+    inv_q = _as_matrix(1.0 / q)
+    powered = np.exp(qa * np.log(clamped))
+    data = (1.0 - powered) * inv_q
+
+    def backward(g: np.ndarray) -> None:
+        gm = -(g * inv_q) * powered
+        _scatter_picked(probs, rows, y, gm * qa / clamped)
+
+    return _make(data, (probs,), backward)
+
+
+def nll_rows(probs, labels, weights=None) -> Tensor:
+    """Per-row cross-entropy 0 - log p_y, times a (B, 1) array of constant
+    `weights` when given; the log is clamped below at 1e-12."""
+    probs = _coerce(probs, _shared_tape(probs))
+    rows, y, clamped = _picked(probs, labels)
+    w = None if weights is None else np.asarray(weights, dtype=np.float64).reshape(-1, 1)
+    if w is not None and w.shape[0] != rows.shape[0]:
+        raise ValueError("one weight per sample required")
+    data = 0.0 - np.log(clamped)
+    if w is not None:
+        data = data * w
+
+    def backward(g: np.ndarray) -> None:
+        gce = g if w is None else g * w
+        _scatter_picked(probs, rows, y, -gce / clamped)
+
+    return _make(data, (probs,), backward)
+
+
+def _centered(k: np.ndarray) -> np.ndarray:
+    """Double centering H K H with H = I - 11^T/n (self-adjoint, linear)."""
+    return k - k.mean(axis=1, keepdims=True) - k.mean(axis=0, keepdims=True) + k.mean()
+
+
+def _rbf(x: np.ndarray, bw: float) -> np.ndarray:
+    sq = (x * x).sum(axis=1, keepdims=True)
+    d2 = np.maximum(sq + sq.T - 2.0 * (x @ x.T), 0.0)
+    return np.exp(-d2 / (2.0 * bw * bw))
+
+
+def _rbf_backward(g: np.ndarray, x: np.ndarray, k: np.ndarray,
+                  bw: float) -> np.ndarray:
+    m = -(g * k) / (2.0 * bw * bw)
+    s = m + m.T
+    return 2.0 * (s.sum(axis=1, keepdims=True) * x - s @ x)
+
+
+def hsic_rbf(x, y, bandwidth_x: float, bandwidth_y: float) -> Tensor:
+    """Biased HSIC sum(HKxH * HKyH) / (n-1)^2 of aligned rows as one node,
+    with Gaussian kernels K_ij = exp(-|r_i - r_j|^2 / (2 bw^2))."""
+    x = _coerce(x, _shared_tape(x, y))
+    y = _coerce(y, x.tape)
+    bx, by = float(bandwidth_x), float(bandwidth_y)
+    if bx <= 0 or by <= 0:
+        raise ValueError(f"bandwidth must be positive, got {bx} and {by}")
+    n = x.data.shape[0]
+    if n < 2 or y.data.shape[0] != n:
+        raise ValueError(
+            f"hsic_rbf needs two inputs with the same >= 2 rows, got {n} and "
+            f"{y.data.shape[0]}")
+    kx = _rbf(x.data, bx)
+    ky = _rbf(y.data, by)
+    kxc = _centered(kx)
+    kyc = _centered(ky)
+    scale = _as_matrix(1.0 / (n - 1.0) ** 2)
+    data = np.array([[(kxc * kyc).sum()]]) * scale
+
+    def backward(g: np.ndarray) -> None:
+        gp = (g * scale)[0, 0]
+        if y.requires_grad:
+            y._accumulate(_rbf_backward(_centered(gp * kxc), y.data, ky, by))
+        if x.requires_grad:
+            x._accumulate(_rbf_backward(_centered(gp * kyc), x.data, kx, bx))
+
+    return _make(data, (x, y), backward)
 
 
 @dataclass
@@ -494,18 +648,26 @@ class AdamState:
 
 
 def adam_step(params: dict, grads: dict, state: AdamState | None,
-              lr: float, weight_decay: float = 0.0, beta1: float = 0.9,
+              lr: float | dict, weight_decay: float = 0.0, beta1: float = 0.9,
               beta2: float = 0.999, eps: float = 1e-8) -> tuple[dict, AdamState]:
     """One Adam update with decoupled weight decay (lr * wd * param).
 
-    Missing gradient entries are treated as zero. Returns fresh dicts; the
-    inputs are not mutated.
+    `lr` is one rate for every parameter or a dict of rates keyed like
+    `params` (parameter groups stepping together). Missing gradient entries
+    are treated as zero. Returns fresh dicts; the inputs are not mutated.
     """
-    if lr <= 0:
-        raise ValueError(f"learning rate must be positive, got {lr}")
+    for rate in lr.values() if isinstance(lr, dict) else (lr,):
+        if rate <= 0:
+            raise ValueError(f"learning rate must be positive, got {rate}")
+    rates = lr if isinstance(lr, dict) else dict.fromkeys(params, lr)
+    missing = params.keys() - rates.keys()
+    if missing:
+        raise ValueError(f"no learning rate for {sorted(missing)}")
     if state is None:
         state = AdamState()
     t = state.step + 1
+    correction1 = 1.0 - beta1**t
+    correction2 = 1.0 - beta2**t
     new_params: dict = {}
     new_m: dict = {}
     new_v: dict = {}
@@ -513,13 +675,25 @@ def adam_step(params: dict, grads: dict, state: AdamState | None,
         g = grads.get(name)
         if g is None:
             g = np.zeros_like(p)
-        m = state.m.get(name)
-        v = state.v.get(name)
-        m = (1 - beta1) * g if m is None else beta1 * m + (1 - beta1) * g
-        v = (1 - beta2) * g * g if v is None else beta2 * v + (1 - beta2) * g * g
-        m_hat = m / (1.0 - beta1**t)
-        v_hat = v / (1.0 - beta2**t)
-        new_params[name] = p - lr * weight_decay * p - lr * m_hat / (np.sqrt(v_hat) + eps)
+        m = (1 - beta1) * g
+        prev = state.m.get(name)
+        if prev is not None:
+            m += beta1 * prev
+        v = (1 - beta2) * g
+        v *= g
+        prev = state.v.get(name)
+        if prev is not None:
+            v += beta2 * prev
+        denom = v / correction2
+        np.sqrt(denom, out=denom)
+        denom += eps
+        step = m / correction1
+        step *= rates[name]
+        step /= denom
+        new = (rates[name] * weight_decay) * p
+        np.subtract(p, new, out=new)
+        new -= step
+        new_params[name] = new
         new_m[name] = m
         new_v[name] = v
     return new_params, AdamState(step=t, m=new_m, v=new_v)

@@ -14,6 +14,7 @@ batch, and an HSIC penalty driving the branch embeddings independent.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,9 +104,7 @@ def edge_score_logits(e: np.ndarray, x: np.ndarray,
     ])
     hidden = ad.relu(ad.add(ad.matmul(pairs, params["mask.w1"]), params["mask.b1"]))
     scores = ad.add(ad.matmul(hidden, params["mask.w2"]), params["mask.b2"])
-    fwd = ad.take_rows(scores, np.arange(num))
-    rev = ad.take_rows(scores, np.arange(num, 2 * num))
-    return ad.multiply(ad.add(fwd, rev), 0.5)
+    return ad.mean_of_halves(scores)
 
 
 @dataclass
@@ -206,14 +205,12 @@ def gce_loss(probs: ad.Tensor, labels, q: float) -> ad.Tensor:
     """
     if not 0.0 < q <= 1.0:
         raise ValueError(f"q must be in (0, 1], got {q}")
-    p = ad.pick_class(probs, labels)
-    amplified = ad.exp(ad.multiply(q, ad.log(p)))
-    return ad.multiply(ad.subtract(1.0, amplified), 1.0 / q)
+    return ad.gce_rows(probs, labels, q)
 
 
 def cross_entropy(probs: ad.Tensor, labels) -> ad.Tensor:
     """Per-sample cross-entropy -log p_y, shape (B, 1)."""
-    return ad.subtract(0.0, ad.log(ad.pick_class(probs, labels)))
+    return ad.nll_rows(probs, labels)
 
 
 def gce_grad_identity_check(params: dict[str, np.ndarray], forward, label: int,
@@ -263,11 +260,7 @@ def difficulty_weights(ce_shortcut: np.ndarray, ce_causal: np.ndarray) -> np.nda
 
 def causal_loss(probs_causal: ad.Tensor, labels, weights) -> ad.Tensor:
     """Difficulty-weighted mean cross-entropy of the causal head."""
-    w = np.asarray(weights, dtype=np.float64).reshape(-1, 1)
-    ce = cross_entropy(probs_causal, labels)
-    if w.shape[0] != ce.data.shape[0]:
-        raise ValueError("one weight per sample required")
-    return ad.mean(ad.multiply(ce, w))
+    return ad.mean(ad.nll_rows(probs_causal, labels, weights))
 
 
 def counterfactual_loss(bundle: BranchBundle, head_s: tuple[ad.Tensor, ad.Tensor],
@@ -291,9 +284,35 @@ def counterfactual_loss(bundle: BranchBundle, head_s: tuple[ad.Tensor, ad.Tensor
     probs_s = classify(h_ct, head_s[0], head_s[1])
     probs_c = classify(h_ct, head_c[0], head_c[1])
     gce = gce_loss(probs_s, y[perm], q)
-    w = np.asarray(weights, dtype=np.float64).reshape(-1, 1)
-    ce = ad.multiply(cross_entropy(probs_c, y), w)
+    ce = ad.nll_rows(probs_c, y, weights)
     return ad.mean(ad.add(gce, ce))
+
+
+# Inputs of up to this many rows share one cached upper-triangle mask;
+# larger ones get a larger power-of-two mask.
+_MASK_ROWS = 256
+
+
+@functools.lru_cache(maxsize=1)
+def _upper_mask(size: int) -> np.ndarray:
+    """Read-only mask of the entries above the diagonal of a size x size
+    matrix; its top-left n x n block is the mask of an n x n matrix."""
+    mask = np.triu(np.ones((size, size), dtype=bool), k=1)
+    mask.flags.writeable = False
+    return mask
+
+
+def _median(values: np.ndarray) -> float:
+    """np.median of a 1-D array, bit for bit, from one selection: the lower
+    middle value of an even count is the max of the part left of the upper
+    one, and the two are averaged as np.mean averages them."""
+    if np.isnan(values).any():
+        return float("nan")
+    half = values.size // 2
+    part = np.partition(values, half)
+    if values.size % 2:
+        return float(part[half])
+    return float((part[:half].max() + part[half]) / 2)
 
 
 def median_bandwidth(x: np.ndarray) -> float:
@@ -303,7 +322,9 @@ def median_bandwidth(x: np.ndarray) -> float:
         return 1.0
     sq = (arr * arr).sum(axis=1, keepdims=True)
     d2 = np.maximum(sq + sq.T - 2.0 * arr @ arr.T, 0.0)
-    med = float(np.median(d2[np.triu_indices(arr.shape[0], k=1)]))
+    n = arr.shape[0]
+    upper = _upper_mask(max(_MASK_ROWS, 1 << (n - 1).bit_length()))[:n, :n]
+    med = _median(d2[upper])
     if med <= 0.0:
         return 1.0
     return float(np.sqrt(med / 2.0))
@@ -325,9 +346,7 @@ def hsic(x: ad.Tensor, y: ad.Tensor, bandwidth_x: float | None = None,
         raise ValueError("hsic inputs must have the same number of rows")
     bx = median_bandwidth(x.data) if bandwidth_x is None else float(bandwidth_x)
     by = median_bandwidth(y.data) if bandwidth_y is None else float(bandwidth_y)
-    kx = ad.center_gram(ad.rbf_gram(x, bx))
-    ky = ad.center_gram(ad.rbf_gram(y, by))
-    return ad.multiply(ad.sum_all(ad.multiply(kx, ky)), 1.0 / (n - 1.0) ** 2)
+    return ad.hsic_rbf(x, y, bx, by)
 
 
 def hsic_value(x: np.ndarray, y: np.ndarray, bandwidth_x: float | None = None,

@@ -23,7 +23,7 @@ import numpy as np
 from . import autodiff as ad
 from .disentangle import hsic_value, two_branch_forward
 from .graphs import Graph
-from .models import batch_from_cache, build_ego_cache, classify, gcn_forward
+from .models import batch_from_cache, build_ego_cache, classify
 
 __all__ = [
     "GainParams",
@@ -506,12 +506,10 @@ def assumption_audit(g: Graph, params: dict[str, np.ndarray], hops: int,
 
     node_labels = g.labels[batch.member_ids]
     ratios = []
-    h = batch.features
+    h = ad.multiply(batch.features, fwd.masks.feature)
+    last = len(fwd.causal_layers) - 1
     for l, w in enumerate(fwd.causal_layers):
-        h = gcn_forward(batch, h, fwd.masks.edge,
-                        fwd.masks.feature if l == 0 else None, [w])
-        if l < len(fwd.causal_layers) - 1:
-            h = ad.relu(h)
+        h = ad.gcn_layer(h, fwd.masks.edge, w, batch.plan, relu=l < last)
         ratios.append(_layer_cross_class_ratio(h.data, batch.endpoints,
                                                node_labels))
 

@@ -157,12 +157,14 @@ def _csr_rows(g: Graph, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.repeat(rows, counts), g.indices[np.arange(shift.shape[0]) + shift]
 
 
-def ego_subgraph(g: Graph, node: int, hops: int) -> tuple[Graph, np.ndarray]:
+def ego_subgraph(g: Graph, node: int, hops: int) -> tuple[np.ndarray, np.ndarray]:
     """Induced subgraph on nodes within `hops` of `node`.
 
-    Returns (subgraph, mapping) where mapping[k] is the original id of
-    sub-node k and the ego sits at sub-id 0. Nodes are ordered by BFS level,
-    ties by original id, so the construction is deterministic.
+    Returns (mapping, edges): mapping[k] is the original id of sub-node k,
+    with the ego at sub-id 0, and edges are the induced edges (u, v), u < v,
+    in sub-ids, sorted as a Graph sorts its edge list. Nodes are ordered by BFS level, ties by original id, so the
+    construction is deterministic. The features and labels of the subgraph
+    are g.features[mapping] and g.labels[mapping].
     """
     if hops < 1:
         raise GraphError(f"hops must be >= 1, got {hops}")
@@ -184,15 +186,10 @@ def ego_subgraph(g: Graph, node: int, hops: int) -> tuple[Graph, np.ndarray]:
     mapping = np.concatenate(levels)
     u, v = _csr_rows(g, mapping)
     keep = (u < v) & (local[v] >= 0)
-    sub_edges = np.stack([local[u[keep]], local[v[keep]]], axis=1)
-    sub = Graph(
-        num_nodes=size,
-        edges=sub_edges,
-        features=g.features[mapping],
-        labels=g.labels[mapping],
-        num_classes=g.num_classes,
-    )
-    return sub, mapping
+    # Each edge once, as (smaller, larger) sub-id, sorted: the order Graph
+    # gives its edge list.
+    edges = np.sort(np.stack([local[u[keep]], local[v[keep]]], axis=1), axis=1)
+    return mapping, edges[np.lexsort((edges[:, 1], edges[:, 0]))]
 
 
 def graph_to_dict(g: Graph) -> dict:

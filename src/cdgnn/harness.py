@@ -248,8 +248,13 @@ def _fit(g: Graph, config: RunConfig, seed: int, train_nodes, val_nodes,
 
 
 def train_cdgnn(g: Graph, config: RunConfig, seed: int,
-                train_nodes: np.ndarray, val_nodes: np.ndarray) -> TrainResult:
-    """Train the disentangled model with early stopping on val accuracy."""
+                train_nodes: np.ndarray, val_nodes: np.ndarray,
+                cache: dict | None = None) -> TrainResult:
+    """Train the disentangled model with early stopping on val accuracy.
+
+    `cache` is a build_ego_cache of at least the train and val nodes at
+    config.resolved_hops; by default one is built for exactly those.
+    """
     settings = config.loss_settings()
 
     def model(train_nodes, val_nodes, rngs):
@@ -262,22 +267,21 @@ def train_cdgnn(g: Graph, config: RunConfig, seed: int,
         adam = ad.AdamState()
         # The edge scorer can take its own (usually smaller) step size: a
         # mask that commits before the branch heads have settled locks in
-        # whatever split the first noisy gradients suggest. Adam is
-        # element-wise, so updating the scorer keys separately is exact,
-        # not an approximation.
-        adam_scorer = ad.AdamState()
+        # whatever split the first noisy gradients suggest.
         scorer_lr = (config.learning_rate if config.scorer_learning_rate is None
                      else config.scorer_learning_rate)
-        cache = build_ego_cache(g, config.resolved_hops,
-                                np.concatenate([train_nodes, val_nodes]))
+        rates = {k: scorer_lr if k.startswith("mask.") else config.learning_rate
+                 for k in params}
+        egos = cache if cache is not None else build_ego_cache(
+            g, config.resolved_hops, np.concatenate([train_nodes, val_nodes]))
 
         def step(params, guard):
-            nonlocal adam, adam_scorer
+            nonlocal adam
             sums: dict[str, float] = {}
             graphs_seen = 0
             for nodes in _train_batches(train_nodes, config.batch_size,
                                         rng_batch):
-                batch = batch_from_cache(g, cache, nodes)
+                batch = batch_from_cache(g, egos, nodes)
                 fwd = two_branch_forward(batch, params, config.dropout,
                                          rng_dropout, training=True)
                 bundle = fwd.bundle
@@ -285,8 +289,9 @@ def train_cdgnn(g: Graph, config: RunConfig, seed: int,
                 probs_s = classify(bundle.joint, *fwd.head_shortcut)
                 probs_c = classify(bundle.joint, *fwd.head_causal)
                 loss_s = ad.mean(gce_loss(probs_s, y, config.q))
-                ce_s = cross_entropy(probs_s, y).data.reshape(-1)
-                ce_c = cross_entropy(probs_c, y).data.reshape(-1)
+                # Detached values: on plain arrays nothing is recorded.
+                ce_s = cross_entropy(probs_s.data, y).data.reshape(-1)
+                ce_c = cross_entropy(probs_c.data, y).data.reshape(-1)
                 weights = difficulty_weights(ce_s, ce_c)
                 loss_c = causal_loss(probs_c, y, weights)
                 perm = rng_perm.permutation(batch.num_graphs)
@@ -303,13 +308,8 @@ def train_cdgnn(g: Graph, config: RunConfig, seed: int,
                 breakdown["ce_c"] = float(ce_c.mean())
                 guard(breakdown)
                 grads = ad.gradients(fwd.tape, total, fwd.leaves)
-                main, adam = ad.adam_step(
-                    {k: v for k, v in params.items() if not k.startswith("mask.")},
-                    grads, adam, config.learning_rate, config.weight_decay)
-                mask, adam_scorer = ad.adam_step(
-                    {k: v for k, v in params.items() if k.startswith("mask.")},
-                    grads, adam_scorer, scorer_lr, config.weight_decay)
-                params = {**main, **mask}
+                params, adam = ad.adam_step(params, grads, adam, rates,
+                                            config.weight_decay)
                 for key, value in breakdown.items():
                     if key != "total":
                         sums[key] = sums.get(key, 0.0) + value * batch.num_graphs
@@ -325,7 +325,7 @@ def train_cdgnn(g: Graph, config: RunConfig, seed: int,
             return params, row
 
         return (params, step,
-                lambda params: _predict_cdgnn(g, cache, val_nodes, params))
+                lambda params: _predict_cdgnn(g, egos, val_nodes, params))
 
     return _fit(g, config, seed, train_nodes, val_nodes, model)
 
@@ -400,19 +400,22 @@ class EvalResult:
 
 
 def evaluate(g: Graph, params: dict[str, np.ndarray], nodes,
-             hops: int = 2) -> EvalResult:
+             hops: int = 2, cache: dict | None = None) -> EvalResult:
     """Accuracy and confusion (rows true, cols predicted) on given nodes.
 
     Dispatches on the parameter keys: branch encoders mean the disentangled
-    model (prediction via the causal head), otherwise the GCN baseline.
-    Ties resolve to the lowest class id via argmax.
+    model (prediction via the causal head, on the ego subgraphs of `cache`,
+    a build_ego_cache at `hops` covering `nodes`, built when None),
+    otherwise the GCN baseline. Ties resolve to the lowest class id via
+    argmax.
     """
     nodes = np.asarray(nodes, dtype=np.int64).reshape(-1)
     if nodes.shape[0] == 0:
         raise ValueError("evaluate needs at least one node")
     if any(k.startswith("gnn_c.") for k in params):
-        predictions = _predict_cdgnn(g, build_ego_cache(g, hops, nodes),
-                                     nodes, params)
+        if cache is None:
+            cache = build_ego_cache(g, hops, nodes)
+        predictions = _predict_cdgnn(g, cache, nodes, params)
     else:
         _, _, probs = _gcn_probs(full_graph_batch(g), params, nodes)
         predictions = np.argmax(probs.data, axis=1)
@@ -488,12 +491,16 @@ def run_experiment(g: Graph, config: RunConfig, seed: int,
         raise ValueError(f"unknown model {model!r}")
     sp = split_nodes(g.num_nodes, seed)
     start = time.perf_counter()
+    hops = config.resolved_hops
+    cache = None
     if model == "cdgnn":
-        result = train_cdgnn(g, config, seed, sp.train, sp.val)
+        # One ego subgraph per node, shared by training and both evaluations.
+        cache = build_ego_cache(g, hops, np.arange(g.num_nodes))
+        result = train_cdgnn(g, config, seed, sp.train, sp.val, cache)
     else:
         result = train_gcn_baseline(g, config, seed, sp.train, sp.val)
-    train_eval = evaluate(g, result.params, sp.train, hops=config.resolved_hops)
-    test = evaluate(g, result.params, sp.test, hops=config.resolved_hops)
+    train_eval = evaluate(g, result.params, sp.train, hops, cache)
+    test = evaluate(g, result.params, sp.test, hops, cache)
     wall = time.perf_counter() - start
     record = RunRecord(
         dataset=dataset,

@@ -51,11 +51,8 @@ def build_ego_cache(g: Graph, hops: int,
 
     Local ids follow BFS order with the ego at 0, matching ego_subgraph.
     """
-    cache = {}
-    for node in np.asarray(nodes, dtype=np.int64).reshape(-1):
-        sub, mapping = ego_subgraph(g, int(node), hops)
-        cache[int(node)] = (mapping, sub.edges)
-    return cache
+    return {int(node): ego_subgraph(g, int(node), hops)
+            for node in np.asarray(nodes, dtype=np.int64).reshape(-1)}
 
 
 def batch_from_cache(g: Graph, cache, nodes) -> EgoBatch:
@@ -123,26 +120,21 @@ def gcn_forward(batch: EgoBatch, x: ad.Tensor, edge_weights, feature_mask,
     h = x if feature_mask is None else ad.multiply(x, feature_mask)
     last = len(layer_weights) - 1
     for l, w in enumerate(layer_weights):
-        h = ad.masked_propagate(h, edge_weights, batch.plan)
-        h = ad.matmul(h, w)
-        if l < last:
-            h = ad.relu(h)
-            if training and dropout_rate > 0.0:
-                if rng is None:
-                    raise ValueError("training dropout needs an rng")
-                h = ad.dropout(h, dropout_rate, rng)
+        h = ad.gcn_layer(h, edge_weights, w, batch.plan, relu=l < last)
+        if l < last and training and dropout_rate > 0.0:
+            if rng is None:
+                raise ValueError("training dropout needs an rng")
+            h = ad.dropout(h, dropout_rate, rng)
     return h
 
 
 def readout(batch: EgoBatch, node_embeddings: ad.Tensor,
             projection: ad.Tensor) -> ad.Tensor:
     """Per-graph embedding: concat(ego row, subgraph mean) @ projection."""
-    ego = ad.take_rows(node_embeddings, batch.ego_rows)
-    mean_emb = ad.segment_mean_rows(node_embeddings, batch.segments,
-                                    batch.num_graphs)
-    return ad.matmul(ad.concat_cols(ego, mean_emb), projection)
+    return ad.ego_readout(node_embeddings, batch.ego_rows, batch.segments,
+                          batch.num_graphs, projection)
 
 
 def classify(embedding: ad.Tensor, head_w: ad.Tensor, head_b: ad.Tensor) -> ad.Tensor:
     """Class distribution rows: softmax(embedding @ W + b)."""
-    return ad.row_softmax(ad.add(ad.matmul(embedding, head_w), head_b))
+    return ad.softmax_head(embedding, head_w, head_b)

@@ -1,0 +1,123 @@
+"""Composed oracles of the fused tape primitives.
+
+Every fused primitive of cdgnn.autodiff records one node for a chain of
+smaller primitives. The chains are written out here, node by node, so that
+tests can require each fused op to reproduce its chain bit for bit, values
+and gradients alike. The composite primitives that only these chains use
+(rbf_gram, center_gram, row_softmax, pick_class) live here too, as tape ops
+with their own adjoints.
+"""
+
+import numpy as np
+
+from cdgnn import autodiff as ad
+
+
+def row_softmax(a):
+    """Softmax along each row, stabilized by max subtraction."""
+    a = ad._coerce(a, ad._shared_tape(a))
+    shifted = a.data - a.data.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    data = e / e.sum(axis=1, keepdims=True)
+
+    def backward(g):
+        dot = (g * data).sum(axis=1, keepdims=True)
+        a._accumulate(data * (g - dot))
+
+    return ad._make(data, (a,), backward)
+
+
+def pick_class(probs, labels):
+    """Column vector of probs[i, labels[i]]."""
+    probs = ad._coerce(probs, ad._shared_tape(probs))
+    y = np.asarray(labels, dtype=np.int64).reshape(-1)
+    if y.shape[0] != probs.data.shape[0]:
+        raise ValueError("labels must match the number of rows")
+    rows = np.arange(y.shape[0])
+    data = probs.data[rows, y][:, None].copy()
+
+    def backward(g):
+        dp = np.zeros_like(probs.data)
+        dp[rows, y] = g[:, 0]
+        probs._accumulate(dp)
+
+    return ad._make(data, (probs,), backward)
+
+
+def rbf_gram(a, bandwidth):
+    """Gaussian kernel gram matrix K_ij = exp(-|x_i - x_j|^2 / (2 bw^2))."""
+    a = ad._coerce(a, ad._shared_tape(a))
+    bw = float(bandwidth)
+    if bw <= 0:
+        raise ValueError(f"bandwidth must be positive, got {bw}")
+    sq = (a.data * a.data).sum(axis=1, keepdims=True)
+    d2 = np.maximum(sq + sq.T - 2.0 * (a.data @ a.data.T), 0.0)
+    data = np.exp(-d2 / (2.0 * bw * bw))
+
+    def backward(g):
+        m = -(g * data) / (2.0 * bw * bw)
+        s = m + m.T
+        a._accumulate(2.0 * (s.sum(axis=1, keepdims=True) * a.data - s @ a.data))
+
+    return ad._make(data, (a,), backward)
+
+
+def center_gram(k):
+    """Double centering H K H with H = I - 11^T/n (self-adjoint, linear)."""
+    k = ad._coerce(k, ad._shared_tape(k))
+    if k.data.shape[0] != k.data.shape[1]:
+        raise ValueError(f"center_gram needs a square matrix, got {k.data.shape}")
+
+    def centered(x):
+        rm = x.mean(axis=1, keepdims=True)
+        cm = x.mean(axis=0, keepdims=True)
+        return x - rm - cm + x.mean()
+
+    data = centered(k.data)
+
+    def backward(g):
+        k._accumulate(centered(g))
+
+    return ad._make(data, (k,), backward)
+
+
+def gcn_layer(f, weights, layer_weight, plan, relu):
+    h = ad.matmul(ad.masked_propagate(f, weights, plan), layer_weight)
+    return ad.relu(h) if relu else h
+
+
+def softmax_head(x, weight, bias):
+    return row_softmax(ad.add(ad.matmul(x, weight), bias))
+
+
+def mean_of_halves(a):
+    half = a.data.shape[0] // 2
+    top = ad.take_rows(a, np.arange(half))
+    bottom = ad.take_rows(a, np.arange(half, 2 * half))
+    return ad.multiply(ad.add(top, bottom), 0.5)
+
+
+def ego_readout(h, ego_rows, segments, num_segments, projection):
+    ego = ad.take_rows(h, ego_rows)
+    means = ad.segment_mean_rows(h, segments, num_segments)
+    return ad.matmul(ad.concat_cols(ego, means), projection)
+
+
+def gce_rows(probs, labels, q):
+    p = pick_class(probs, labels)
+    amplified = ad.exp(ad.multiply(q, ad.log(p)))
+    return ad.multiply(ad.subtract(1.0, amplified), 1.0 / q)
+
+
+def nll_rows(probs, labels, weights=None):
+    ce = ad.subtract(0.0, ad.log(pick_class(probs, labels)))
+    if weights is None:
+        return ce
+    return ad.multiply(ce, np.asarray(weights, dtype=np.float64).reshape(-1, 1))
+
+
+def hsic_rbf(x, y, bandwidth_x, bandwidth_y):
+    n = x.data.shape[0]
+    kx = center_gram(rbf_gram(x, bandwidth_x))
+    ky = center_gram(rbf_gram(y, bandwidth_y))
+    return ad.multiply(ad.sum_all(ad.multiply(kx, ky)), 1.0 / (n - 1.0) ** 2)

@@ -4,11 +4,14 @@
 draws one random instance: a loss builder plus the leaf values it closes
 over. The builder is re-invoked from scratch for every perturbed
 evaluation, so anything stochastic inside it (dropout masks) must be
-seeded per instance.
+seeded per instance. The kernel and centering oracles of tests/composed.py
+keep their own cases: their adjoints are what the fused hsic_rbf is
+compared against bit for bit.
 """
 
 import numpy as np
 
+import composed
 from cdgnn import autodiff as ad
 
 
@@ -106,12 +109,6 @@ def _case_relu(rng):
     return lambda tape, lv: f(ad.relu(lv["a"])), {"a": a}
 
 
-def _case_row_softmax(rng):
-    values = {"a": rng.normal(size=(3, 4))}
-    f = _functional(rng, (3, 4))
-    return lambda tape, lv: f(ad.row_softmax(lv["a"])), values
-
-
 def _case_mean(rng):
     return lambda tape, lv: ad.mean(lv["a"]), {"a": rng.normal(size=(4, 3))}
 
@@ -138,19 +135,6 @@ def _case_dropout(rng):
     return build, values
 
 
-def _case_rbf_gram(rng):
-    bw = float(rng.uniform(0.5, 2.0))
-    values = {"a": rng.normal(size=(4, 3))}
-    f = _functional(rng, (4, 4))
-    return lambda tape, lv: f(ad.rbf_gram(lv["a"], bw)), values
-
-
-def _case_center_gram(rng):
-    values = {"k": rng.normal(size=(4, 4))}
-    f = _functional(rng, (4, 4))
-    return lambda tape, lv: f(ad.center_gram(lv["k"])), values
-
-
 def _case_take_rows(rng):
     idx = rng.integers(0, 5, size=4)  # duplicates exercise accumulation
     values = {"a": rng.normal(size=(5, 3))}
@@ -163,13 +147,6 @@ def _case_segment_mean(rng):
     values = {"a": rng.normal(size=(6, 3))}
     f = _functional(rng, (3, 3))
     return lambda tape, lv: f(ad.segment_mean_rows(lv["a"], seg, 3)), values
-
-
-def _case_pick_class(rng):
-    y = rng.integers(0, 3, size=4)
-    values = {"a": rng.normal(size=(4, 3))}
-    f = _functional(rng, (4, 1))
-    return lambda tape, lv: f(ad.pick_class(ad.row_softmax(lv["a"]), y)), values
 
 
 def _case_permute_rows(rng):
@@ -199,6 +176,96 @@ def _case_masked_propagate_unweighted(rng):
     return lambda tape, lv: f(ad.masked_propagate(lv["f"], None, plan)), values
 
 
+def _case_gcn_layer(rng):
+    plan = ad.PropagationPlan.from_edges(_PLAN_EDGES, 5)
+    values = {
+        "f": rng.normal(size=(5, 2)),
+        "w": rng.uniform(0.1, 0.9, size=(5, 1)),
+        "lw": rng.normal(size=(2, 3)),
+    }
+    f = _functional(rng, (5, 3))
+
+    def build(tape, lv):
+        return f(ad.gcn_layer(lv["f"], lv["w"], lv["lw"], plan, relu=True))
+
+    return build, values
+
+
+def _case_gcn_layer_last(rng):
+    """Unweighted propagation and no relu, as in an encoder's last layer."""
+    plan = ad.PropagationPlan.from_edges(_PLAN_EDGES, 5)
+    values = {"f": rng.normal(size=(5, 2)), "lw": rng.normal(size=(2, 3))}
+    f = _functional(rng, (5, 3))
+
+    def build(tape, lv):
+        return f(ad.gcn_layer(lv["f"], None, lv["lw"], plan, relu=False))
+
+    return build, values
+
+
+def _case_softmax_head(rng):
+    values = {
+        "x": rng.normal(size=(3, 4)),
+        "w": rng.normal(size=(4, 3)),
+        "b": rng.normal(size=(1, 3)),
+    }
+    f = _functional(rng, (3, 3))
+    return lambda tape, lv: f(ad.softmax_head(lv["x"], lv["w"], lv["b"])), values
+
+
+def _case_mean_of_halves(rng):
+    values = {"a": rng.normal(size=(6, 2))}
+    f = _functional(rng, (3, 2))
+    return lambda tape, lv: f(ad.mean_of_halves(lv["a"])), values
+
+
+def _case_ego_readout(rng):
+    seg = np.array([0, 0, 0, 1, 1, 2])
+    ego = np.array([0, 3, 5])
+    values = {"h": rng.normal(size=(6, 2)), "p": rng.normal(size=(4, 2))}
+    f = _functional(rng, (3, 2))
+
+    def build(tape, lv):
+        return f(ad.ego_readout(lv["h"], ego, seg, 3, lv["p"]))
+
+    return build, values
+
+
+def _case_gce_rows(rng):
+    q = float(rng.choice([0.3, 0.7, 1.0]))
+    y = rng.integers(0, 3, size=4)
+    values = {"p": rng.uniform(0.1, 1.0, size=(4, 3))}
+    f = _functional(rng, (4, 1))
+    return lambda tape, lv: f(ad.gce_rows(lv["p"], y, q)), values
+
+
+def _case_nll_rows(rng):
+    y = rng.integers(0, 3, size=4)
+    w = rng.uniform(0.0, 1.0, size=4)
+    values = {"p": rng.uniform(0.1, 1.0, size=(4, 3))}
+    f = _functional(rng, (4, 1))
+    return lambda tape, lv: f(ad.nll_rows(lv["p"], y, w)), values
+
+
+def _case_rbf_gram(rng):
+    bw = float(rng.uniform(0.5, 2.0))
+    values = {"a": rng.normal(size=(4, 3))}
+    f = _functional(rng, (4, 4))
+    return lambda tape, lv: f(composed.rbf_gram(lv["a"], bw)), values
+
+
+def _case_center_gram(rng):
+    values = {"k": rng.normal(size=(4, 4))}
+    f = _functional(rng, (4, 4))
+    return lambda tape, lv: f(composed.center_gram(lv["k"])), values
+
+
+def _case_hsic_rbf(rng):
+    bx, by = rng.uniform(0.5, 2.0, size=2)
+    values = {"x": rng.normal(size=(5, 2)), "y": rng.normal(size=(5, 3))}
+    return lambda tape, lv: ad.hsic_rbf(lv["x"], lv["y"], bx, by), values
+
+
 def _case_composite(rng):
     """A deeper chain mixing several primitives into one scalar."""
     y = rng.integers(0, 2, size=3)
@@ -210,9 +277,8 @@ def _case_composite(rng):
 
     def build(tape, lv):
         h = ad.sigmoid(ad.matmul(lv["a"], lv["w1"]))
-        logits = ad.matmul(h, lv["w2"])
-        p = ad.pick_class(ad.row_softmax(logits), y)
-        return ad.multiply(ad.mean(ad.log(p)), -1.0)
+        probs = ad.softmax_head(h, lv["w2"], np.zeros((1, 2)))
+        return ad.mean(ad.nll_rows(probs, y))
 
     return build, values
 
@@ -226,18 +292,24 @@ PRIMITIVE_CASES = {
     "log": _case_log,
     "sigmoid": _case_sigmoid,
     "relu": _case_relu,
-    "row_softmax": _case_row_softmax,
     "mean": _case_mean,
     "sum": _case_sum,
     "concat_cols": _case_concat_cols,
     "dropout": _case_dropout,
-    "rbf_gram": _case_rbf_gram,
-    "center_gram": _case_center_gram,
     "take_rows": _case_take_rows,
     "segment_mean_rows": _case_segment_mean,
-    "pick_class": _case_pick_class,
     "permute_rows": _case_permute_rows,
     "masked_propagate": _case_masked_propagate,
     "masked_propagate_unweighted": _case_masked_propagate_unweighted,
+    "gcn_layer": _case_gcn_layer,
+    "gcn_layer_last": _case_gcn_layer_last,
+    "softmax_head": _case_softmax_head,
+    "mean_of_halves": _case_mean_of_halves,
+    "ego_readout": _case_ego_readout,
+    "gce_rows": _case_gce_rows,
+    "nll_rows": _case_nll_rows,
+    "rbf_gram": _case_rbf_gram,
+    "center_gram": _case_center_gram,
+    "hsic_rbf": _case_hsic_rbf,
     "composite": _case_composite,
 }

@@ -197,7 +197,7 @@ def test_c02_gce_gradient_identity():
                       "b": rng.normal(size=(1, classes))}
 
             def forward(t):
-                return ad.row_softmax(ad.add(ad.matmul(x, t["w"]), t["b"]))
+                return ad.softmax_head(x, t["w"], t["b"])
         else:
             params = {"w1": rng.normal(size=(dim, 5)),
                       "b1": rng.normal(size=(1, 5)),
@@ -205,7 +205,7 @@ def test_c02_gce_gradient_identity():
 
             def forward(t):
                 hidden = ad.relu(ad.add(ad.matmul(x, t["w1"]), t["b1"]))
-                return ad.row_softmax(ad.matmul(hidden, t["w2"]))
+                return ad.softmax_head(hidden, t["w2"], np.zeros((1, classes)))
 
         label = int(rng.integers(classes))
         for q in (0.3, 0.7, 1.0):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import composed
 from cdgnn import autodiff as ad
 from fdcheck import PRIMITIVE_CASES, max_relative_error
 
@@ -24,7 +25,7 @@ class TestForwardValues:
         assert t.item() == 0.5
 
     def test_softmax_of_zeros_is_uniform(self):
-        t = ad.row_softmax(np.zeros((1, 3)))
+        t = ad.softmax_head(np.zeros((1, 2)), np.zeros((2, 3)), np.zeros((1, 3)))
         np.testing.assert_allclose(t.data, [[1 / 3, 1 / 3, 1 / 3]])
 
     def test_matmul_hand_product(self):
@@ -129,32 +130,35 @@ class TestDropout:
 
 
 class TestRbfGram:
+    """The kernel and centering oracles behind the bitwise checks of
+    hsic_rbf (tests/composed.py), and the fused op's bandwidth guard."""
+
     def test_positive_semidefinite(self):
         rng = np.random.default_rng(29)
         for _ in range(10):
             x = rng.normal(size=(20, 5))
-            k = ad.rbf_gram(x, float(rng.uniform(0.5, 3.0))).data
+            k = composed.rbf_gram(x, float(rng.uniform(0.5, 3.0))).data
             np.testing.assert_allclose(k, k.T, atol=1e-12)
             eigs = np.linalg.eigvalsh(k)
             assert eigs.min() >= -1e-8
 
     def test_unit_diagonal(self):
-        k = ad.rbf_gram(np.random.default_rng(0).normal(size=(6, 3)), 1.0)
+        k = composed.rbf_gram(np.random.default_rng(0).normal(size=(6, 3)), 1.0)
         np.testing.assert_allclose(np.diag(k.data), 1.0)
 
     def test_nonpositive_bandwidth_rejected(self):
         with pytest.raises(ValueError, match="bandwidth"):
-            ad.rbf_gram(np.ones((3, 2)), 0.0)
+            ad.hsic_rbf(np.ones((3, 2)), np.ones((3, 2)), 0.0, 1.0)
 
     def test_center_gram_zeroes_row_means(self):
         k = np.random.default_rng(1).normal(size=(5, 5))
-        c = ad.center_gram(k).data
+        c = composed.center_gram(k).data
         np.testing.assert_allclose(c.mean(axis=0), 0.0, atol=1e-12)
         np.testing.assert_allclose(c.mean(axis=1), 0.0, atol=1e-12)
 
     def test_center_gram_needs_square(self):
         with pytest.raises(ValueError, match="square"):
-            ad.center_gram(np.ones((2, 3)))
+            composed.center_gram(np.ones((2, 3)))
 
 
 class TestShapeGuards:
@@ -164,11 +168,14 @@ class TestShapeGuards:
 
     def test_pick_class_rejects_bad_label(self):
         with pytest.raises(ValueError, match="label"):
-            ad.pick_class(np.ones((2, 3)) / 3, np.array([0, 5]))
+            ad.nll_rows(np.ones((2, 3)) / 3, np.array([0, 5]))
+        with pytest.raises(ValueError, match="label"):
+            ad.gce_rows(np.ones((2, 3)) / 3, np.array([-1, 0]), 0.5)
 
     def test_permute_rows_rejects_non_permutation(self):
-        with pytest.raises(ValueError, match="perm"):
-            ad.permute_rows(np.ones((3, 2)), np.array([0, 0, 2]))
+        for perm in ([0, 0, 2], [0, 1], [0, 1, 2, 3], [0, 1, 3], [-1, 1, 2]):
+            with pytest.raises(ValueError, match="perm"):
+                ad.permute_rows(np.ones((3, 2)), np.array(perm))
 
     def test_propagate_rejects_wrong_weight_shape(self):
         plan = ad.PropagationPlan.from_edges(np.array([[0, 1]]), 2)

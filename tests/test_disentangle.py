@@ -93,7 +93,7 @@ class TestGceGradIdentity:
         params = {"w": rng.normal(size=(3, 4)), "b": rng.normal(size=(1, 4))}
 
         def forward(t):
-            return ad.row_softmax(ad.add(ad.matmul(x, t["w"]), t["b"]))
+            return ad.softmax_head(x, t["w"], t["b"])
 
         for q in (0.3, 0.7, 1.0):
             assert gce_grad_identity_check(params, forward, 2, q) < 1e-8
@@ -229,6 +229,23 @@ class TestMedianBandwidth:
     def test_degenerate_inputs_fall_back_to_one(self):
         assert median_bandwidth(np.ones((5, 3))) == 1.0
         assert median_bandwidth(np.zeros((1, 3))) == 1.0
+
+    def test_matches_np_median_over_triu_indices(self):
+        """Bitwise the np.median over np.triu_indices formula, for odd and
+        even pair counts, tied distances, row counts below, at and above
+        the cached mask size (in an order that regrows it), and NaN."""
+        rng = np.random.default_rng(41)
+        for n in (2, 3, 4, 50, 256, 257, 300, 17, 600, 255):
+            for x in (rng.normal(size=(n, 4)),
+                      rng.integers(0, 3, size=(n, 2)).astype(float)):
+                sq = (x * x).sum(axis=1, keepdims=True)
+                d2 = np.maximum(sq + sq.T - 2.0 * x @ x.T, 0.0)
+                med = float(np.median(d2[np.triu_indices(n, k=1)]))
+                want = 1.0 if med <= 0.0 else float(np.sqrt(med / 2.0))
+                assert median_bandwidth(x) == want, n
+        x = rng.normal(size=(6, 2))
+        x[3, 1] = np.nan
+        assert np.isnan(median_bandwidth(x))
 
 
 class TestHsic:

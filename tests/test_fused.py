@@ -1,0 +1,200 @@
+"""Fused tape primitives against their composed chains (tests/composed.py).
+
+Each fused op must give the same bits as the chain it replaces: the value,
+and the gradient of every input, including when an input already holds a
+gradient from a consumer recorded after the op (so the order in which the
+op adds its parts matters).
+"""
+
+import numpy as np
+import pytest
+
+import composed
+from cdgnn import autodiff as ad
+from cdgnn import harness, synth
+
+OPS = ("gcn_layer", "softmax_head", "mean_of_halves", "ego_readout",
+       "gce_rows", "nll_rows", "hsic_rbf")
+
+
+def _run(op, values, tracked, rng_seed):
+    """Value and gradients of op(leaves) under a random linear functional,
+    plus a later consumer of every tracked leaf."""
+    rng = np.random.default_rng(rng_seed)
+    tape = ad.Tape()
+    leaves = {k: tape.leaf(v, requires_grad=k in tracked)
+              for k, v in values.items()}
+    out = op(leaves)
+    loss = ad.sum_all(ad.multiply(out, rng.normal(size=out.shape)))
+    for k in sorted(tracked):
+        later = ad.sum_all(ad.multiply(leaves[k], rng.normal(size=values[k].shape)))
+        loss = ad.add(loss, later)
+    grads = ad.gradients(tape, loss, {k: leaves[k] for k in tracked})
+    return out.data, grads
+
+
+def _assert_bitwise(fused, chain, values, tracked):
+    seed = 1234
+    got_value, got = _run(fused, values, tracked, seed)
+    want_value, want = _run(chain, values, tracked, seed)
+    np.testing.assert_array_equal(got_value, want_value)
+    assert got.keys() == want.keys()
+    for k in want:
+        np.testing.assert_array_equal(got[k], want[k], err_msg=k)
+
+
+def _random_plan(rng, n, edgeless=False):
+    pairs = np.array([(u, v) for u in range(n) for v in range(u + 1, n)],
+                     dtype=np.int64).reshape(-1, 2)
+    keep = np.zeros(pairs.shape[0], bool) if edgeless else rng.random(pairs.shape[0]) < 0.4
+    return ad.PropagationPlan.from_edges(pairs[keep], n)
+
+
+class TestBitwiseAgainstComposedChain:
+    @pytest.mark.parametrize("edgeless", [False, True])
+    @pytest.mark.parametrize("weighted", [True, False])
+    @pytest.mark.parametrize("relu", [True, False])
+    def test_gcn_layer(self, edgeless, weighted, relu):
+        rng = np.random.default_rng(7)
+        for trial in range(5):
+            plan = _random_plan(rng, 9, edgeless)
+            values = {"f": rng.normal(size=(9, 4)),
+                      "lw": rng.normal(size=(4, 3)),
+                      "w": rng.uniform(0.0, 1.0, size=(plan.num_und_edges, 1))}
+            # every grad pattern: the input features of a first layer carry
+            # none, and frozen masks or weights carry none either
+            for tracked in ({"f", "lw", "w"}, {"lw", "w"}, {"lw"}, {"f"}):
+                if not weighted:
+                    tracked = tracked - {"w"}
+
+                def op(impl):
+                    return lambda lv: impl(lv["f"], lv["w"] if weighted else None,
+                                           lv["lw"], plan, relu)
+
+                _assert_bitwise(op(ad.gcn_layer), op(composed.gcn_layer),
+                                values, tracked)
+
+    @pytest.mark.parametrize("batch", [2, 7])
+    def test_softmax_head(self, batch):
+        rng = np.random.default_rng(8)
+        for _ in range(10):
+            values = {"x": rng.normal(size=(batch, 6)) * 3,
+                      "w": rng.normal(size=(6, 4)),
+                      "b": rng.normal(size=(1, 4))}
+            for tracked in ({"x", "w", "b"}, {"w", "b"}):
+                _assert_bitwise(
+                    lambda lv: ad.softmax_head(lv["x"], lv["w"], lv["b"]),
+                    lambda lv: composed.softmax_head(lv["x"], lv["w"], lv["b"]),
+                    values, tracked)
+
+    @pytest.mark.parametrize("half", [1, 2, 13])
+    def test_mean_of_halves(self, half):
+        rng = np.random.default_rng(9)
+        for _ in range(10):
+            _assert_bitwise(lambda lv: ad.mean_of_halves(lv["a"]),
+                            lambda lv: composed.mean_of_halves(lv["a"]),
+                            {"a": rng.normal(size=(2 * half, 1))}, {"a"})
+
+    @pytest.mark.parametrize("sizes", [[1, 1], [3, 1, 4, 2], [5, 2]])
+    def test_ego_readout(self, sizes):
+        rng = np.random.default_rng(10)
+        seg = np.repeat(np.arange(len(sizes)), sizes)
+        ego = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+        for _ in range(10):
+            values = {"h": rng.normal(size=(seg.shape[0], 3)),
+                      "p": rng.normal(size=(6, 3))}
+            for tracked in ({"h", "p"}, {"p"}):
+                _assert_bitwise(
+                    lambda lv: ad.ego_readout(lv["h"], ego, seg, len(sizes), lv["p"]),
+                    lambda lv: composed.ego_readout(lv["h"], ego, seg, len(sizes),
+                                                    lv["p"]),
+                    values, tracked)
+
+    @pytest.mark.parametrize("batch", [2, 9])
+    def test_gce_and_nll_rows(self, batch):
+        rng = np.random.default_rng(11)
+        for _ in range(10):
+            logits = rng.normal(size=(batch, 4)) * 4
+            probs = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
+            probs[0, 0] = 0.0  # below the log clamp
+            y = rng.integers(0, 4, size=batch)
+            y[0] = 0
+            weights = rng.uniform(0.0, 1.0, size=batch)
+            for q in (0.3, 0.7, 1.0):
+                _assert_bitwise(lambda lv: ad.gce_rows(lv["p"], y, q),
+                                lambda lv: composed.gce_rows(lv["p"], y, q),
+                                {"p": probs}, {"p"})
+            for w in (weights, None):
+                _assert_bitwise(lambda lv: ad.nll_rows(lv["p"], y, w),
+                                lambda lv: composed.nll_rows(lv["p"], y, w),
+                                {"p": probs}, {"p"})
+
+    @pytest.mark.parametrize("rows", ["all", "distinct", "repeated"])
+    def test_hsic_rbf_on_a_row_sample(self, rows):
+        """As in training: HSIC of a row sample of two node embeddings."""
+        rng = np.random.default_rng(12)
+        for _ in range(10):
+            n = int(rng.integers(2, 40))
+            sample = {"all": np.arange(n),
+                      "distinct": rng.permutation(n)[:max(2, n // 2)],
+                      "repeated": rng.integers(0, n, size=n + 3)}[rows]
+            values = {"x": rng.normal(size=(n, 5)), "y": rng.normal(size=(n, 4))}
+            bx, by = rng.uniform(0.5, 3.0, size=2)
+
+            def op(impl):
+                return lambda lv: impl(ad.take_rows(lv["x"], sample),
+                                       ad.take_rows(lv["y"], sample), bx, by)
+
+            for tracked in ({"x", "y"}, {"x"}):
+                _assert_bitwise(op(ad.hsic_rbf), op(composed.hsic_rbf), values,
+                                tracked)
+
+    def test_hsic_rbf_of_one_input_with_itself(self):
+        """Both kernel adjoints land in the same tensor, y's part first."""
+        rng = np.random.default_rng(13)
+        values = {"x": rng.normal(size=(12, 3))}
+        _assert_bitwise(lambda lv: ad.hsic_rbf(lv["x"], lv["x"], 1.3, 0.7),
+                        lambda lv: composed.hsic_rbf(lv["x"], lv["x"], 1.3, 0.7),
+                        values, {"x"})
+
+
+class TestFusedOpGuards:
+    def test_every_fused_op_is_public(self):
+        assert set(OPS) <= set(ad.__all__)
+
+    def test_untracked_inputs_record_nothing(self):
+        tape = ad.Tape()
+        x = tape.leaf(np.ones((2, 2)), requires_grad=False)
+        out = ad.softmax_head(x, np.ones((2, 3)), np.zeros((1, 3)))
+        assert not out.requires_grad and tape._nodes == []
+
+    def test_odd_row_count_rejected(self):
+        with pytest.raises(ValueError, match="even"):
+            ad.mean_of_halves(np.ones((3, 1)))
+
+    def test_hsic_rows_must_match(self):
+        with pytest.raises(ValueError, match="rows"):
+            ad.hsic_rbf(np.ones((3, 2)), np.ones((4, 2)), 1.0, 1.0)
+
+
+def test_one_training_batch_records_at_most_46_nodes(monkeypatch):
+    """The tape of one batch of the benchmark's CD-GNN run (relabeled
+    tree_cycles, 2 layers, batch 16) holds at most 46 non-leaf nodes."""
+    g, _ = synth.preset("tree_cycles", seed=0)
+    g = synth.relabel_to_heterophily(g, target=0.5, seed=0).graph
+    config = harness.RunConfig(
+        learning_rate=0.02, hidden=32, dropout=0.0, layers=2, q=0.7,
+        lambda_counterfactual=10.0, lambda_independence=0.1, epochs=1,
+        patience=1, batch_size=16, scorer_hidden=16)
+    sp = harness.split_nodes(g.num_nodes, seed=0)
+    sizes = []
+    real = ad.gradients
+
+    def counting(tape, loss, leaves):
+        sizes.append(sum(node._backward is not None for node in tape._nodes))
+        return real(tape, loss, leaves)
+
+    monkeypatch.setattr(ad, "gradients", counting)
+    harness.train_cdgnn(g, config, 0, sp.train[:16], sp.val[:8])
+    assert len(sizes) == 1
+    assert 0 < sizes[0] <= 46, sizes

@@ -305,26 +305,26 @@ class TestRenormalizedPropagate:
 class TestEgoSubgraph:
     def test_isolated_node(self):
         g = Graph(3, np.array([[1, 2]]), np.ones((3, 1)), np.zeros(3, int), 1)
-        sub, mapping = ego_subgraph(g, 0, hops=2)
-        assert sub.num_nodes == 1 and sub.num_edges == 0
+        mapping, edges = ego_subgraph(g, 0, hops=2)
         assert mapping.tolist() == [0]
+        assert edges.shape == (0, 2)
 
     def test_path_one_hop(self):
         g = _path([0, 0, 0, 0])
-        sub, mapping = ego_subgraph(g, 0, hops=1)
+        mapping, edges = ego_subgraph(g, 0, hops=1)
         assert mapping.tolist() == [0, 1]
-        assert sub.num_edges == 1
+        assert edges.tolist() == [[0, 1]]
 
     def test_ego_is_index_zero(self):
         g = _path([0, 0, 0, 0])
-        sub, mapping = ego_subgraph(g, 2, hops=1)
+        mapping, _ = ego_subgraph(g, 2, hops=1)
         assert mapping[0] == 2
-        np.testing.assert_array_equal(sub.features[0], g.features[2])
+        np.testing.assert_array_equal(g.features[mapping][0], g.features[2])
 
     def test_full_reach_recovers_component(self):
         g = _path([0, 0, 0, 0])
-        sub, mapping = ego_subgraph(g, 0, hops=10)
-        assert sub.num_nodes == 4 and sub.num_edges == 3
+        mapping, edges = ego_subgraph(g, 0, hops=10)
+        assert mapping.shape[0] == 4 and edges.shape[0] == 3
 
     def test_edges_subset_and_nodes_within_hops(self):
         """BFS oracle: every kept node is reachable within the hop budget
@@ -334,7 +334,7 @@ class TestEgoSubgraph:
             g = _random_graph(rng)
             node = int(rng.integers(g.num_nodes))
             hops = int(rng.integers(1, 4))
-            sub, mapping = ego_subgraph(g, node, hops)
+            mapping, edges = ego_subgraph(g, node, hops)
 
             dist = {node: 0}
             frontier = [node]
@@ -350,7 +350,7 @@ class TestEgoSubgraph:
             assert set(mapping.tolist()) == set(dist)
 
             original = {(int(u), int(v)) for u, v in g.edges}
-            for u, v in sub.edges:
+            for u, v in edges:
                 a, b = int(mapping[u]), int(mapping[v])
                 assert (min(a, b), max(a, b)) in original
 
@@ -363,15 +363,15 @@ class TestEgoSubgraph:
             g = _sparse_graph(rng)
             node = int(rng.integers(g.num_nodes))
             for hops in (1, 2, 3, g.num_nodes + 1):
-                sub, mapping = ego_subgraph(g, node, hops)
+                mapping, edges = ego_subgraph(g, node, hops)
                 want, want_map = _ego_subgraph_scan(g, node, hops)
                 np.testing.assert_array_equal(mapping, want_map)
-                np.testing.assert_array_equal(sub.edges, want.edges)
-                np.testing.assert_array_equal(sub.features, want.features)
-                np.testing.assert_array_equal(sub.labels, want.labels)
-            # after the loop, sub is the ego's whole component
+                np.testing.assert_array_equal(edges, want.edges)
+                np.testing.assert_array_equal(g.features[mapping], want.features)
+                np.testing.assert_array_equal(g.labels[mapping], want.labels)
+            # after the loop, mapping is the ego's whole component
             isolated += g.degrees[node] == 0
-            split += 1 < sub.num_nodes < g.num_nodes
+            split += 1 < mapping.shape[0] < g.num_nodes
         assert isolated and split
 
     def test_full_cache_on_ten_thousand_nodes(self):

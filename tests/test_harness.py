@@ -367,6 +367,32 @@ class TestRunExperiment:
         assert a.canonical_json() == b.canonical_json()
         assert a.record_hash() == b.record_hash()
 
+    def test_extracts_each_ego_once(self, monkeypatch):
+        """Training and both evaluations share one ego cache."""
+        g = _tiny_graph(seed=10)
+        egos = []
+        real = models.ego_subgraph
+
+        def counting(graph, node, hops):
+            egos.append(node)
+            return real(graph, node, hops)
+
+        monkeypatch.setattr(models, "ego_subgraph", counting)
+        run_experiment(g, _tiny_config(epochs=1), seed=0)
+        assert sorted(egos) == list(range(g.num_nodes))
+
+    def test_shared_cache_matches_separate_caches(self):
+        g = _tiny_graph(seed=11)
+        cfg = _tiny_config()
+        record = run_experiment(g, cfg, seed=2)
+        sp = split_nodes(g.num_nodes, seed=2)
+        result = train_cdgnn(g, cfg, 2, sp.train, sp.val)
+        assert record.history == result.history
+        assert record.train_accuracy == evaluate(
+            g, result.params, sp.train, cfg.resolved_hops).accuracy
+        assert record.test_accuracy == evaluate(
+            g, result.params, sp.test, cfg.resolved_hops).accuracy
+
     def test_unknown_model_rejected(self):
         with pytest.raises(ValueError, match="unknown model"):
             run_experiment(_tiny_graph(), _tiny_config(), seed=0,

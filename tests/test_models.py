@@ -77,9 +77,9 @@ class TestEgoBatch:
         cache = build_ego_cache(g, 2, nodes)
         assert sorted(cache) == [1, 3, 5]
         for node in nodes:
-            sub, mapping = ego_subgraph(g, int(node), 2)
+            mapping, edges = ego_subgraph(g, int(node), 2)
             np.testing.assert_array_equal(cache[node][0], mapping)
-            np.testing.assert_array_equal(cache[node][1], sub.edges)
+            np.testing.assert_array_equal(cache[node][1], edges)
         a = batch_from_cache(g, cache, nodes[::-1])
         b = batch_from_cache(g, build_ego_cache(g, 2, np.arange(6)), nodes[::-1])
         np.testing.assert_array_equal(a.endpoints, b.endpoints)
