@@ -3,8 +3,8 @@
 Every value is a 2-D array (scalars are (1, 1)). Operations record onto the
 tape of their inputs; Tape.backward walks the recorded nodes once in reverse
 creation order and accumulates gradients into every tensor that requires
-them. Graph propagation is expressed as gather-scatter over an edge list, so
-no dense adjacency matrix is ever materialized.
+them. Graph propagation and its adjoints run as CSR row sums over a
+PropagationPlan, so no dense adjacency matrix is ever materialized.
 
 The model's hot paths are fused primitives (gcn_layer, softmax_head,
 mean_of_halves, ego_readout, gce_rows, nll_rows, hsic_rbf): each records one
@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import _sparsetools
 
 __all__ = [
     "Tape",
@@ -295,6 +296,9 @@ def dropout(a, rate: float, rng: np.random.Generator) -> Tensor:
 def take_rows(a, indices) -> Tensor:
     a = _coerce(a, _shared_tape(a))
     idx = np.asarray(indices, dtype=np.int64).reshape(-1)
+    rows = a.data.shape[0]
+    if idx.size and (idx.min() < 0 or idx.max() >= rows):
+        raise ValueError(f"row index outside [0, {rows})")
     data = a.data[idx].copy()
 
     def backward(g: np.ndarray) -> None:
@@ -304,10 +308,10 @@ def take_rows(a, indices) -> Tensor:
 
 
 def _row_scatter(da_shape, idx: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Adjoint of gathering rows `idx`: g summed into a zero array."""
-    da = np.zeros(da_shape)
-    np.add.at(da, idx, g)
-    return da
+    """Adjoint of gathering rows `idx`: row r sums, from 0 and in index
+    order, the rows of g gathered from r."""
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(idx, minlength=da_shape[0]))])
+    return _csr_rowsum(indptr, np.argsort(idx, kind="stable"), np.ones(idx.shape[0]), g)
 
 
 def _segment_means(x: np.ndarray, seg: np.ndarray,
@@ -354,80 +358,104 @@ def permute_rows(a, perm) -> Tensor:
 
 @dataclass
 class PropagationPlan:
-    """Static gather-scatter layout for one (possibly disjoint) graph.
+    """CSR layout of the renormalized propagation of one (possibly disjoint)
+    graph, built once per node batch.
 
-    Built once per node batch; holds both edge directions, the map from
-    directed edges back to undirected edge ids (mask weights are shared by
-    both directions), and 1/(deg+1) per node.
+    Every undirected edge contributes both directions. The forward order
+    lists the entries stable-sorted by destination row, the backward order
+    stable-sorted by source row; both share `indptr`, since each node has
+    as many in- as out-edges. Each entry keeps its undirected edge id (mask
+    weights are shared by both directions), and each forward entry its
+    destination row, for the edge-weight adjoint. inv_deg is 1/(deg+1)
+    per node.
     """
 
     num_nodes: int
-    src: np.ndarray
-    dst: np.ndarray
-    dir_to_und: np.ndarray
+    indptr: np.ndarray
+    fwd_cols: np.ndarray
+    fwd_rows: np.ndarray
+    fwd_und: np.ndarray
+    bwd_cols: np.ndarray
+    bwd_und: np.ndarray
     inv_deg: np.ndarray
     num_und_edges: int
 
     @classmethod
     def from_edges(cls, edges: np.ndarray, num_nodes: int) -> "PropagationPlan":
-        e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        e = np.asarray(edges, dtype=np.int64)
+        if e.ndim != 2 or e.shape[1] != 2:
+            raise ValueError(f"edges must be shaped (m, 2), got {e.shape}")
+        if num_nodes < 1:
+            raise ValueError(f"num_nodes must be >= 1, got {num_nodes}")
+        if e.size and (e.min() < 0 or e.max() >= num_nodes):
+            raise ValueError(f"edge endpoint outside [0, {num_nodes})")
         und = e.shape[0]
         src = np.concatenate([e[:, 0], e[:, 1]])
         dst = np.concatenate([e[:, 1], e[:, 0]])
         ids = np.concatenate([np.arange(und), np.arange(und)])
-        deg = np.bincount(np.concatenate([e[:, 0], e[:, 1]]),
-                          minlength=num_nodes).astype(np.float64)
-        return cls(num_nodes=num_nodes, src=src, dst=dst, dir_to_und=ids,
+        deg = np.bincount(dst, minlength=num_nodes)
+        indptr = np.concatenate([[0], np.cumsum(deg)])
+        fwd = np.argsort(dst, kind="stable")
+        bwd = np.argsort(src, kind="stable")
+        return cls(num_nodes=num_nodes, indptr=indptr,
+                   fwd_cols=src[fwd], fwd_rows=dst[fwd], fwd_und=ids[fwd],
+                   bwd_cols=dst[bwd], bwd_und=ids[bwd],
                    inv_deg=(1.0 / (deg + 1.0))[:, None], num_und_edges=und)
 
 
-def _scatter_rows(values: np.ndarray, dst: np.ndarray, num_rows: int) -> np.ndarray:
-    k = values.shape[1]
-    flat = dst[:, None] * k + np.arange(k)[None, :]
-    return np.bincount(flat.ravel(), weights=values.ravel(),
-                       minlength=num_rows * k).reshape(num_rows, k)
+def _csr_rowsum(indptr: np.ndarray, cols: np.ndarray, data: np.ndarray,
+                x: np.ndarray) -> np.ndarray:
+    """out[i] = sum over entries p of row i of data[p] * x[cols[p]], each row
+    started at 0 and summed in stored order (the order of a bincount
+    scatter). The kernel behind `csr_matrix @ dense`, without building one;
+    it checks no bounds, so PropagationPlan.from_edges and take_rows check
+    their indices first."""
+    rows = indptr.shape[0] - 1
+    k = x.shape[1]
+    out = np.zeros((rows, k))
+    _sparsetools.csr_matvecs(rows, x.shape[0], k, indptr, cols, data,
+                             np.ascontiguousarray(x).ravel(), out.ravel())
+    return out
 
 
-def _edge_weights(w: Tensor | None, plan: PropagationPlan) -> np.ndarray | None:
-    """Per-directed-edge weights of a (num_und_edges, 1) tensor, or None."""
-    if w is None:
-        return None
-    if w.data.shape != (plan.num_und_edges, 1):
+def _edge_data(w: Tensor | None, und: np.ndarray) -> np.ndarray:
+    """Data of CSR entries given their undirected edge ids: w's rows, or
+    ones for the unweighted operator."""
+    return np.ones(und.shape[0]) if w is None else w.data[und, 0]
+
+
+def _propagate(f: np.ndarray, w: Tensor | None,
+               plan: PropagationPlan) -> np.ndarray:
+    """Forward of one propagation step: (f + A_w f) / (deg + 1)."""
+    if w is not None and w.data.shape != (plan.num_und_edges, 1):
         raise ValueError(
             f"weights must be shaped ({plan.num_und_edges}, 1), got {w.data.shape}"
         )
-    return w.data[plan.dir_to_und, 0]
-
-
-def _propagate(f: np.ndarray, w_dir: np.ndarray | None,
-               plan: PropagationPlan) -> tuple[np.ndarray, np.ndarray | None]:
-    """Forward of one propagation step, and the gathered source rows."""
     if f.shape[0] != plan.num_nodes:
         raise ValueError(
             f"signal has {f.shape[0]} rows, plan expects {plan.num_nodes}"
         )
-    if plan.src.size == 0:
-        return f * plan.inv_deg, None
-    gathered = f[plan.src]
-    vals = gathered if w_dir is None else w_dir[:, None] * gathered
-    return (f + _scatter_rows(vals, plan.dst, plan.num_nodes)) * plan.inv_deg, gathered
+    if plan.num_und_edges == 0:
+        return f * plan.inv_deg
+    summed = _csr_rowsum(plan.indptr, plan.fwd_cols,
+                         _edge_data(w, plan.fwd_und), f)
+    return (f + summed) * plan.inv_deg
 
 
 def _propagate_backward(g: np.ndarray, f: Tensor, w: Tensor | None,
-                        w_dir: np.ndarray | None, gathered: np.ndarray | None,
                         plan: PropagationPlan) -> None:
     """Accumulate the adjoint of _propagate into f, then into w."""
     go = g * plan.inv_deg
-    if gathered is None:
+    if plan.num_und_edges == 0:
         f._accumulate(go)
         return
-    go_dst = go[plan.dst]
     if f.requires_grad:
-        back = go_dst if w_dir is None else w_dir[:, None] * go_dst
-        f._accumulate(go + _scatter_rows(back, plan.src, plan.num_nodes))
+        back = _csr_rowsum(plan.indptr, plan.bwd_cols,
+                           _edge_data(w, plan.bwd_und), go)
+        f._accumulate(go + back)
     if w is not None and w.requires_grad:
-        per_dir = np.einsum("ek,ek->e", gathered, go_dst)
-        dw = np.bincount(plan.dir_to_und, weights=per_dir,
+        per_dir = np.einsum("ek,ek->e", f.data[plan.fwd_cols], go[plan.fwd_rows])
+        dw = np.bincount(plan.fwd_und, weights=per_dir,
                          minlength=plan.num_und_edges)
         w._accumulate(dw[:, None])
 
@@ -441,11 +469,10 @@ def masked_propagate(f, weights, plan: PropagationPlan) -> Tensor:
     """
     f = _coerce(f, _shared_tape(f, weights))
     w = None if weights is None else _coerce(weights, f.tape)
-    w_dir = _edge_weights(w, plan)
-    data, gathered = _propagate(f.data, w_dir, plan)
+    data = _propagate(f.data, w, plan)
 
     def backward(g: np.ndarray) -> None:
-        _propagate_backward(g, f, w, w_dir, gathered, plan)
+        _propagate_backward(g, f, w, plan)
 
     parents = (f,) if w is None else (f, w)
     return _make(data, parents, backward)
@@ -458,8 +485,7 @@ def gcn_layer(f, weights, layer_weight, plan: PropagationPlan,
     f = _coerce(f, _shared_tape(f, weights, layer_weight))
     w = None if weights is None else _coerce(weights, f.tape)
     lw = _coerce(layer_weight, f.tape)
-    w_dir = _edge_weights(w, plan)
-    prop, gathered = _propagate(f.data, w_dir, plan)
+    prop = _propagate(f.data, w, plan)
     z = prop @ lw.data
     data = np.maximum(z, 0.0) if relu else z
 
@@ -468,7 +494,7 @@ def gcn_layer(f, weights, layer_weight, plan: PropagationPlan,
         if lw.requires_grad:
             lw._accumulate(prop.T @ gz)
         if f.requires_grad or (w is not None and w.requires_grad):
-            _propagate_backward(gz @ lw.data.T, f, w, w_dir, gathered, plan)
+            _propagate_backward(gz @ lw.data.T, f, w, plan)
 
     parents = tuple(t for t in (f, w, lw) if t is not None)
     return _make(data, parents, backward)

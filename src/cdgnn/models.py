@@ -1,7 +1,8 @@
 """Masked GCN encoder, graph readout, and classifier head.
 
 The encoder runs on an EgoBatch: the disjoint union of one ego subgraph per
-classified node, processed as a single gather-scatter graph. Layer l computes
+classified node, propagated as one graph through a single CSR
+PropagationPlan that batch_from_cache builds. Layer l computes
 H_l = relu(P_masked @ H_{l-1} @ W_l) with dropout between layers (training
 only) and no nonlinearity after the final layer; P_masked is the renormalized
 propagation with per-edge weights. The readout concatenates the ego row with

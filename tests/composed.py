@@ -6,6 +6,10 @@ tests can require each fused op to reproduce its chain bit for bit, values
 and gradients alike. The composite primitives that only these chains use
 (rbf_gram, center_gram, row_softmax, pick_class) live here too, as tape ops
 with their own adjoints.
+
+gather_scatter_propagate is the oracle of the CSR propagation: the edge-list
+gather and bincount scatter that PropagationPlan replaced. add_at_take_rows
+is likewise the oracle of take_rows, whose adjoint runs as a CSR row sum.
 """
 
 import numpy as np
@@ -79,6 +83,68 @@ def center_gram(k):
         k._accumulate(centered(g))
 
     return ad._make(data, (k,), backward)
+
+
+def add_at_take_rows(a, indices):
+    """take_rows with its adjoint as np.add.at into zeros."""
+    a = ad._coerce(a, ad._shared_tape(a))
+    idx = np.asarray(indices, dtype=np.int64).reshape(-1)
+    data = a.data[idx].copy()
+
+    def backward(g):
+        da = np.zeros(a.data.shape)
+        np.add.at(da, idx, g)
+        a._accumulate(da)
+
+    return ad._make(data, (a,), backward)
+
+
+def _scatter_rows(values, dst, num_rows):
+    k = values.shape[1]
+    flat = dst[:, None] * k + np.arange(k)[None, :]
+    return np.bincount(flat.ravel(), weights=values.ravel(),
+                       minlength=num_rows * k).reshape(num_rows, k)
+
+
+def gather_scatter_propagate(f, weights, edges, num_nodes):
+    """masked_propagate over an edge list: gather the source rows of both
+    directions of every edge (the edges in input order, then reversed) and
+    scatter them into the destination rows with one bincount; the adjoints
+    gather and scatter the other way, and the weight adjoint sums the two
+    directions of each edge with one more bincount."""
+    f = ad._coerce(f, ad._shared_tape(f, weights))
+    w = None if weights is None else ad._coerce(weights, f.tape)
+    e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    und = e.shape[0]
+    src = np.concatenate([e[:, 0], e[:, 1]])
+    dst = np.concatenate([e[:, 1], e[:, 0]])
+    dir_to_und = np.concatenate([np.arange(und), np.arange(und)])
+    deg = np.bincount(src, minlength=num_nodes).astype(np.float64)
+    inv_deg = (1.0 / (deg + 1.0))[:, None]
+    w_dir = None if w is None else w.data[dir_to_und, 0]
+    if und == 0:
+        data = f.data * inv_deg
+    else:
+        gathered = f.data[src]
+        vals = gathered if w_dir is None else w_dir[:, None] * gathered
+        data = (f.data + _scatter_rows(vals, dst, num_nodes)) * inv_deg
+
+    def backward(g):
+        go = g * inv_deg
+        if und == 0:
+            f._accumulate(go)
+            return
+        go_dst = go[dst]
+        if f.requires_grad:
+            back = go_dst if w_dir is None else w_dir[:, None] * go_dst
+            f._accumulate(go + _scatter_rows(back, src, num_nodes))
+        if w is not None and w.requires_grad:
+            per_dir = np.einsum("ek,ek->e", gathered, go_dst)
+            dw = np.bincount(dir_to_und, weights=per_dir, minlength=und)
+            w._accumulate(dw[:, None])
+
+    parents = (f,) if w is None else (f, w)
+    return ad._make(data, parents, backward)
 
 
 def gcn_layer(f, weights, layer_weight, plan, relu):

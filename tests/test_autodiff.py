@@ -177,10 +177,29 @@ class TestShapeGuards:
             with pytest.raises(ValueError, match="perm"):
                 ad.permute_rows(np.ones((3, 2)), np.array(perm))
 
+    @pytest.mark.parametrize("idx", [[-1], [0, 3]])
+    def test_take_rows_rejects_index_outside_rows(self, idx):
+        """Its adjoint sums through a CSR kernel that checks no bounds."""
+        with pytest.raises(ValueError, match="outside"):
+            ad.take_rows(np.ones((3, 2)), np.array(idx))
+
     def test_propagate_rejects_wrong_weight_shape(self):
         plan = ad.PropagationPlan.from_edges(np.array([[0, 1]]), 2)
         with pytest.raises(ValueError, match="weights"):
             ad.masked_propagate(np.ones((2, 1)), np.ones((3, 1)), plan)
+
+    @pytest.mark.parametrize("edges, num_nodes, match", [
+        ([0, 1], 2, "shaped"),
+        ([[0, 1, 2]], 3, "shaped"),
+        ([[0, -1]], 2, "outside"),
+        ([[0, 2]], 2, "outside"),
+        (np.zeros((0, 2)), 0, "num_nodes"),
+    ])
+    def test_plan_rejects_bad_layout(self, edges, num_nodes, match):
+        """The CSR kernel checks no bounds, so the plan checks them once."""
+        with pytest.raises(ValueError, match=match) as err:
+            ad.PropagationPlan.from_edges(np.array(edges), num_nodes)
+        assert "\n" not in str(err.value)
 
 
 class TestAdam:

@@ -3,15 +3,18 @@
 Each fused op must give the same bits as the chain it replaces: the value,
 and the gradient of every input, including when an input already holds a
 gradient from a consumer recorded after the op (so the order in which the
-op adds its parts matters).
+op adds its parts matters). The CSR propagation must likewise give the bits
+of the edge-list gather and bincount scatter it replaced.
 """
 
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.sparse import _base
 
 import composed
 from cdgnn import autodiff as ad
-from cdgnn import harness, synth
+from cdgnn import harness, models, synth
 
 OPS = ("gcn_layer", "softmax_head", "mean_of_halves", "ego_readout",
        "gce_rows", "nll_rows", "hsic_rbf")
@@ -158,6 +161,91 @@ class TestBitwiseAgainstComposedChain:
                         values, {"x"})
 
 
+def _assert_propagation_bitwise(edges, n, width, rng):
+    """masked_propagate and gcn_layer against the gather-scatter oracle,
+    weighted and not, under every grad pattern."""
+    plan = ad.PropagationPlan.from_edges(edges, n)
+    values = {"f": rng.normal(size=(n, width)),
+              "w": rng.uniform(0.0, 1.0, size=(edges.shape[0], 1)),
+              "lw": rng.normal(size=(width, 3))}
+    for weighted in (True, False):
+        def weights(lv):
+            return lv["w"] if weighted else None
+
+        def oracle(lv):
+            return composed.gather_scatter_propagate(lv["f"], weights(lv), edges, n)
+
+        for tracked in ({"f", "w"}, {"f"}, {"w"}):
+            if not weighted:
+                tracked = tracked - {"w"}
+            if tracked:
+                _assert_bitwise(
+                    lambda lv: ad.masked_propagate(lv["f"], weights(lv), plan),
+                    oracle, values, tracked)
+            _assert_bitwise(
+                lambda lv: ad.gcn_layer(lv["f"], weights(lv), lv["lw"], plan, True),
+                lambda lv: ad.relu(ad.matmul(oracle(lv), lv["lw"])),
+                values, tracked | {"lw"})
+
+
+def _unnormalised(rng, edges, n):
+    """The same graph with its nodes relabeled and its edge list shuffled,
+    so that endpoints come in no particular order."""
+    perm = rng.permutation(n)
+    return perm[edges[rng.permutation(edges.shape[0])]]
+
+
+class TestPropagationAgainstGatherScatter:
+    @pytest.mark.parametrize("width", [1, 16, 32])
+    @pytest.mark.parametrize("normalised", [True, False])
+    def test_random_weighted_graphs(self, width, normalised):
+        rng = np.random.default_rng(14)
+        for _ in range(6):
+            n = int(rng.integers(2, 30))
+            pairs = np.array([(u, v) for u in range(n) for v in range(u + 1, n)],
+                             dtype=np.int64).reshape(-1, 2)
+            edges = pairs[rng.random(pairs.shape[0]) < 0.3]
+            if not normalised:
+                edges = _unnormalised(rng, edges, n)
+            _assert_propagation_bitwise(edges, n, width, rng)
+
+    @pytest.mark.parametrize("width", [1, 16])
+    def test_edgeless_plan_and_isolated_nodes(self, width):
+        rng = np.random.default_rng(15)
+        _assert_propagation_bitwise(np.zeros((0, 2), dtype=np.int64), 4, width, rng)
+        _assert_propagation_bitwise(np.zeros((0, 2), dtype=np.int64), 1, width, rng)
+        star = np.array([[2, 5], [2, 7], [5, 7], [7, 8]])  # 0, 1, 3, 4, 6, 9 alone
+        _assert_propagation_bitwise(star, 10, width, rng)
+        _assert_propagation_bitwise(_unnormalised(rng, star, 10), 10, width, rng)
+
+    @pytest.mark.parametrize("name", synth.PRESET_NAMES)
+    def test_preset_graphs_and_ego_batches(self, name):
+        g, _ = synth.preset(name, seed=0)
+        rng = np.random.default_rng(16)
+        nodes = rng.permutation(g.num_nodes)[:48]
+        cache = models.build_ego_cache(g, 2, nodes)
+        layouts = [(g.edges, g.num_nodes)]
+        for size in (16, 48):
+            batch = models.batch_from_cache(g, cache, nodes[:size])
+            layouts.append((batch.endpoints, batch.features.shape[0]))
+        for edges, n in layouts:
+            for width in (1, 16, 32):
+                _assert_propagation_bitwise(edges, n, width, rng)
+
+
+@pytest.mark.parametrize("width", [1, 4, 32])
+def test_take_rows_against_add_at(width):
+    """Duplicated indices, and rows that no index picks."""
+    rng = np.random.default_rng(17)
+    for rows in (1, 7, 600):
+        values = {"a": rng.normal(size=(rows, width))}
+        for idx in (rng.integers(0, rows, size=3 * rows),
+                    rng.permutation(rows)[:max(1, rows // 2)]):
+            _assert_bitwise(lambda lv: ad.take_rows(lv["a"], idx),
+                            lambda lv: composed.add_at_take_rows(lv["a"], idx),
+                            values, {"a"})
+
+
 class TestFusedOpGuards:
     def test_every_fused_op_is_public(self):
         assert set(OPS) <= set(ad.__all__)
@@ -177,9 +265,19 @@ class TestFusedOpGuards:
             ad.hsic_rbf(np.ones((3, 2)), np.ones((4, 2)), 1.0, 1.0)
 
 
-def test_one_training_batch_records_at_most_46_nodes(monkeypatch):
-    """The tape of one batch of the benchmark's CD-GNN run (relabeled
-    tree_cycles, 2 layers, batch 16) holds at most 46 non-leaf nodes."""
+@pytest.mark.parametrize("name", synth.PRESET_NAMES)
+def test_forward_csr_of_a_full_graph_is_its_adjacency(name):
+    """The stable-by-destination order of a graph's directed edges is the
+    ascending row order of Graph's own CSR."""
+    g, _ = synth.preset(name, seed=0)
+    plan = ad.PropagationPlan.from_edges(g.edges, g.num_nodes)
+    np.testing.assert_array_equal(plan.indptr, g.indptr)
+    np.testing.assert_array_equal(plan.fwd_cols, g.indices)
+
+
+def _train_one_batch():
+    """One batch of the benchmark's CD-GNN run: relabeled tree_cycles,
+    2 layers, batch 16."""
     g, _ = synth.preset("tree_cycles", seed=0)
     g = synth.relabel_to_heterophily(g, target=0.5, seed=0).graph
     config = harness.RunConfig(
@@ -187,6 +285,29 @@ def test_one_training_batch_records_at_most_46_nodes(monkeypatch):
         lambda_counterfactual=10.0, lambda_independence=0.1, epochs=1,
         patience=1, batch_size=16, scorer_hidden=16)
     sp = harness.split_nodes(g.num_nodes, seed=0)
+    harness.train_cdgnn(g, config, 0, sp.train[:16], sp.val[:8])
+
+
+def test_one_training_batch_builds_no_sparse_matrix(monkeypatch):
+    """Propagation calls the CSR kernel directly; a scipy sparse matrix per
+    product would cost more than the kernel on batches this small."""
+    built = []
+    real = _base._spbase.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(type(self).__name__)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(_base._spbase, "__init__", counting)
+    sparse.csr_matrix(np.eye(2))
+    assert "csr_matrix" in built  # the counter sees a construction
+    built.clear()
+    _train_one_batch()
+    assert built == []
+
+
+def test_one_training_batch_records_at_most_46_nodes(monkeypatch):
+    """The tape of one training batch holds at most 46 non-leaf nodes."""
     sizes = []
     real = ad.gradients
 
@@ -195,6 +316,6 @@ def test_one_training_batch_records_at_most_46_nodes(monkeypatch):
         return real(tape, loss, leaves)
 
     monkeypatch.setattr(ad, "gradients", counting)
-    harness.train_cdgnn(g, config, 0, sp.train[:16], sp.val[:8])
+    _train_one_batch()
     assert len(sizes) == 1
     assert 0 < sizes[0] <= 46, sizes
