@@ -29,7 +29,8 @@ def main() -> None:
     print(f"mixed homophily: {h:.4f}")
     print(f"one-layer gain:  {g1:.4f}")
 
-    # The same quantity, simulated: per-edge agreement draws plus noise.
+    # The same quantity, simulated: each group draws its count of
+    # class-matching neighbors and its summed noise.
     params = GainParams(degree=3, total_edge_weight=3.0,
                         cross_class_ratio=0.5, subgraph_share=1 / 3,
                         subgraph_homophily=0.5, rest_homophily=0.2)

@@ -186,12 +186,25 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+def _require_keys(obj, keys: tuple[str, ...], where: str) -> None:
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be an object")
+    missing = [k for k in keys if k not in obj]
+    if missing:
+        raise ValueError(f"{where} missing key {', '.join(missing)}")
+
+
 def _load_grid_cells(path: Path) -> list[dict]:
     """Grid JSON: either {"degrees": [...], "homophilies": [...],
     "ratios": [...]} (cartesian) or an explicit list of cell dicts."""
     payload = json.loads(path.read_text())
     if isinstance(payload, list):
+        for index, cell in enumerate(payload):
+            _require_keys(cell, ("degree", "homophily", "cross_class_ratio"),
+                          f"{path}: grid cell {index}")
         return payload
+    _require_keys(payload, ("degrees", "homophilies", "ratios"),
+                  f"{path}: grid axes")
     return default_grid_cells(payload["degrees"], payload["homophilies"],
                               payload["ratios"])
 
@@ -359,6 +372,10 @@ def main(argv=None) -> int:
     """Run one command; bad input (ValueError) exits 2 with one stderr line."""
     args = build_parser().parse_args(argv)
     try:
+        # numpy rejects a negative seed deep inside a command; name it here.
+        if getattr(args, "seed", 0) < 0:
+            raise ValueError(f"--seed must be a non-negative integer, "
+                             f"got {args.seed}")
         return args.func(args)
     except ValueError as exc:
         print(f"cdgnn {args.command}: error: {exc}", file=sys.stderr)

@@ -192,6 +192,12 @@ def monte_carlo_one_layer(params: GainParams, subgraph_degree: int,
     the uniform weight total_edge_weight / degree. The analytic value is
     one_layer_gain at the group-mixture homophily, so this run doubles as
     an independent oracle for that formula.
+
+    Each group is drawn through its sufficient statistics rather than
+    neighbor by neighbor: the matching count is Binomial(count, homophily)
+    and the group's summed noise is one Normal(0, count * noise_ratio *
+    signal^2) draw. Every sample has the same law as per-neighbor draws,
+    at two draws per sample and group; the center's noise is drawn last.
     """
     params.validate()
     if signal == 0.0:
@@ -214,11 +220,12 @@ def monte_carlo_one_layer(params: GainParams, subgraph_degree: int,
     def group(count: int, homophily: float) -> np.ndarray:
         if count == 0:
             return np.zeros(num_samples)
-        same = rng.random((num_samples, count)) < homophily
-        emit = np.where(same, signal, -rho * signal)
+        same = rng.binomial(count, homophily, size=num_samples)
+        total = signal * (same - rho * (count - same))
         if noise_ratio > 0:
-            emit = emit + rng.normal(0.0, noise_std, size=emit.shape)
-        return emit.sum(axis=1)
+            total = total + rng.normal(0.0, noise_std * np.sqrt(count),
+                                       size=num_samples)
+        return total
 
     total = group(subgraph_degree, params.subgraph_homophily)
     total = total + group(rest_degree, params.rest_homophily)

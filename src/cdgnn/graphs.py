@@ -197,7 +197,7 @@ def graph_to_dict(g: Graph) -> dict:
     return {
         "num_nodes": g.num_nodes,
         "num_classes": g.num_classes,
-        "edges": [[int(u), int(v)] for u, v in g.edges],
+        "edges": g.edges.tolist(),
         "features": g.features.tolist(),
         "labels": g.labels.tolist(),
     }
@@ -233,8 +233,9 @@ def graph_from_dict(payload: dict) -> Graph:
 
 
 def save_graph(g: Graph, path) -> None:
+    # json.dumps runs the C encoder; json.dump always runs the Python one.
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(graph_to_dict(g), fh)
+        fh.write(json.dumps(graph_to_dict(g)))
 
 
 def load_graph(path) -> Graph:

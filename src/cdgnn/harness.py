@@ -482,10 +482,13 @@ class RunRecord:
 
 def run_experiment(g: Graph, config: RunConfig, seed: int,
                    dataset: str = "custom", model: str = "cdgnn",
-                   return_params: bool = False):
+                   return_params: bool = False, *,
+                   graph_hash: str | None = None):
     """Split, train, evaluate on test, and assemble the record.
 
     With return_params=True, returns (record, trained parameter dict).
+    graph_hash is dataset_hash(g), computed here when omitted; callers
+    that run one graph many times pass it once.
     """
     if model not in ("cdgnn", "gcn"):
         raise ValueError(f"unknown model {model!r}")
@@ -504,7 +507,7 @@ def run_experiment(g: Graph, config: RunConfig, seed: int,
     wall = time.perf_counter() - start
     record = RunRecord(
         dataset=dataset,
-        dataset_hash=dataset_hash(g),
+        dataset_hash=dataset_hash(g) if graph_hash is None else graph_hash,
         model=model,
         seed=seed,
         config=asdict(config),
@@ -547,7 +550,9 @@ def multirun(g: Graph, config: RunConfig, seeds: Sequence[int],
         raise ValueError("multirun needs at least 2 runs")
     if len(set(seeds)) != len(seeds):
         raise ValueError("multirun seeds must be distinct")
-    records = [run_experiment(g, config, s, dataset, model) for s in seeds]
+    graph_hash = dataset_hash(g)
+    records = [run_experiment(g, config, s, dataset, model,
+                              graph_hash=graph_hash) for s in seeds]
     accs = [r.test_accuracy for r in records]
     mean, std = aggregate_runs(accs)
     return MultirunResult(records=records, accuracies=accs,
@@ -561,10 +566,13 @@ _ABLATION_FLAGS = ("no_shortcut_term", "no_causal_term",
 def ablate(g: Graph, config: RunConfig, seed: int,
            dataset: str = "custom") -> dict[str, RunRecord]:
     """Full objective plus each single-term ablation, same seed."""
-    rows = {"full": run_experiment(g, config, seed, dataset)}
+    graph_hash = dataset_hash(g)
+    rows = {"full": run_experiment(g, config, seed, dataset,
+                                   graph_hash=graph_hash)}
     for flag in _ABLATION_FLAGS:
         variant = replace(config, **{flag: True})
-        rows[flag] = run_experiment(g, variant, seed, dataset)
+        rows[flag] = run_experiment(g, variant, seed, dataset,
+                                    graph_hash=graph_hash)
     return rows
 
 

@@ -1,5 +1,6 @@
 """End-to-end runs of every CLI subcommand, in process."""
 
+import argparse
 import json
 import shlex
 from pathlib import Path
@@ -182,6 +183,24 @@ class TestTheoryCheck:
         assert "2 cells" in capsys.readouterr().out.splitlines()[-1]
         assert code in (0, 1)
 
+    @pytest.mark.parametrize("payload, missing", [
+        ({"degrees": [3], "ratios": [0.0]},
+         "grid axes missing key homophilies"),
+        ([{"degree": 3, "homophily": 0.5, "cross_class_ratio": 0.0},
+          {"degree": 8, "homophily": 0.9}],
+         "grid cell 1 missing key cross_class_ratio"),
+    ])
+    def test_missing_grid_key_is_one_line_error(self, tmp_path, capsys,
+                                                 payload, missing):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps(payload))
+        code = main(["theory-check", "--grid", str(grid)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("cdgnn theory-check: error: ")
+        assert missing in err
+        assert err.count("\n") == 1
+
 
 class TestAudit:
     def test_clean_model_passes(self, tiny_graph_file, tmp_path, capsys):
@@ -253,6 +272,32 @@ class TestInputErrors:
         assert code == 2
         assert err.startswith("cdgnn train: error: ")
         assert err.count("\n") == 1
+
+    def test_every_negative_seed_is_named(self, capsys):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        seeded = {name for name, p in sub.choices.items()
+                  if any("--seed" in a.option_strings for a in p._actions)}
+        # Each command's required flags (the check runs before any file is
+        # opened), so that only the seed is wrong.
+        required = {
+            "generate": ["--preset", "tree_cycles", "--out", "g.json"],
+            "relabel": ["--graph", "g.json", "--out", "g.json"],
+            "train": ["--preset", "tree_cycles"],
+            "train-baseline": ["--preset", "tree_cycles"],
+            "evaluate": ["--graph", "g.json", "--model", "m.npz"],
+            "ablate": ["--preset", "tree_cycles"],
+            "sweep": ["--preset", "tree_cycles"],
+            "theory-check": [],
+            "audit": ["--graph", "g.json", "--model", "m.npz"],
+        }
+        assert seeded == set(required)
+        for command, flags in required.items():
+            code = main([command, *flags, "--seed", "-1"])
+            assert code == 2, command
+            assert capsys.readouterr().err == (
+                f"cdgnn {command}: error: --seed must be a non-negative "
+                f"integer, got -1\n")
 
     def test_ingest_out_of_range_edge_is_one_line_error(self, tmp_path,
                                                          capsys):

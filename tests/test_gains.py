@@ -273,6 +273,59 @@ def _mc_params(degree=3, weight=None, rho=0.5, h_sub=0.2, h_rest=0.2,
                       subgraph_homophily=h_sub, rest_homophily=h_rest)
 
 
+def _per_emission_monte_carlo(params, subgraph_degree, rest_degree,
+                              noise_ratio=0.1, num_samples=100_000, seed=0):
+    """Oracle: the sampler monte_carlo_one_layer ran before it drew each
+    group's sufficient statistics, one uniform and one normal per neighbor.
+    Returns (empirical gain, its standard error) at signal 1."""
+    rng = np.random.default_rng(seed)
+    noise_std = np.sqrt(noise_ratio)
+    rho = params.cross_class_ratio
+    degree = subgraph_degree + rest_degree
+    edge_weight = params.total_edge_weight / degree
+
+    def group(count, homophily):
+        if count == 0:
+            return np.zeros(num_samples)
+        same = rng.random((num_samples, count)) < homophily
+        emit = np.where(same, 1.0, -rho)
+        if noise_ratio > 0:
+            emit = emit + rng.normal(0.0, noise_std, size=emit.shape)
+        return emit.sum(axis=1)
+
+    total = group(subgraph_degree, params.subgraph_homophily)
+    total = total + group(rest_degree, params.rest_homophily)
+    center = 1.0
+    if noise_ratio > 0:
+        center = center + rng.normal(0.0, noise_std, size=num_samples)
+    gains = (center + edge_weight * total) / (degree + 1.0)
+    return gains.mean(), gains.std(ddof=1) / np.sqrt(num_samples)
+
+
+# (params, subgraph_degree, rest_degree, noise_ratio): split groups,
+# noiseless, homophily 0 and 1, and cross-class ratio 0.
+_ORACLE_CELLS = [
+    (_mc_params(degree=8, weight=5.0, rho=0.5, h_sub=0.2, h_rest=0.7),
+     3, 5, 0.1),
+    (_mc_params(degree=4, rho=1.0, h_sub=0.3, h_rest=0.3), 4, 0, 0.0),
+    (_mc_params(degree=5, rho=1.0, h_sub=0.0, h_rest=1.0), 2, 3, 0.1),
+    (_mc_params(degree=15, rho=0.0, h_sub=0.5, h_rest=0.5), 15, 0, 0.1),
+    (_mc_params(degree=6, rho=0.5, h_sub=0.9, h_rest=0.1), 2, 4, 0.0),
+]
+
+
+class TestMonteCarloAgainstPerEmissionOracle:
+    @pytest.mark.parametrize("cell", range(len(_ORACLE_CELLS)))
+    def test_same_law_as_per_emission_draws(self, cell):
+        params, sub, rest, noise = _ORACLE_CELLS[cell]
+        mc = monte_carlo_one_layer(params, sub, rest, noise_ratio=noise,
+                                   seed=30 + cell)
+        mean, stderr = _per_emission_monte_carlo(params, sub, rest, noise,
+                                                 seed=30 + cell)
+        assert abs(mc.empirical - mean) <= 4.0 * np.hypot(mc.stderr, stderr)
+        np.testing.assert_allclose(mc.stderr, stderr, rtol=0.05)
+
+
 class TestMonteCarlo:
     def test_noiseless_pure_homophily_is_exact(self):
         params = _mc_params(degree=4, h_sub=1.0, h_rest=1.0)

@@ -2,6 +2,8 @@
 renormalized propagation on a whole graph, ego extraction, and JSON round
 trips."""
 
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -18,9 +20,12 @@ from cdgnn.graphs import (
     graph_from_dict,
     graph_to_dict,
     label_heterophily,
+    load_graph,
+    save_graph,
 )
+from cdgnn.harness import dataset_hash
 from cdgnn.models import build_ego_cache
-from cdgnn.synth import GenConfig, MotifSpec, generate
+from cdgnn.synth import PRESET_NAMES, GenConfig, MotifSpec, generate, preset
 
 
 def _random_graph(rng, num_nodes=None, num_classes=3, dim=4):
@@ -399,6 +404,33 @@ class TestJsonRoundTrip:
         assert back.num_classes == g.num_classes
         np.testing.assert_array_equal(back.edges, g.edges)
         np.testing.assert_allclose(back.features, g.features)
+        np.testing.assert_array_equal(back.labels, g.labels)
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_preset_file_and_hash_match_python_encoder(self, name, tmp_path):
+        # Reference: the per-row edge loop and json.dump's pure-Python
+        # encoder, which save_graph and graph_to_dict used to run.
+        g, _ = preset(name, seed=0)
+        reference = {
+            "num_nodes": g.num_nodes,
+            "num_classes": g.num_classes,
+            "edges": [[int(u), int(v)] for u, v in g.edges],
+            "features": g.features.tolist(),
+            "labels": g.labels.tolist(),
+        }
+        ref_path = tmp_path / "reference.json"
+        with open(ref_path, "w", encoding="utf-8") as fh:
+            json.dump(reference, fh)
+        path = tmp_path / "graph.json"
+        save_graph(g, path)
+        assert path.read_bytes() == ref_path.read_bytes()
+        payload = json.dumps(reference, sort_keys=True).encode()
+        assert dataset_hash(g) == hashlib.sha256(payload).hexdigest()
+        back = load_graph(path)
+        assert (back.num_nodes, back.num_classes) == (g.num_nodes,
+                                                      g.num_classes)
+        np.testing.assert_array_equal(back.edges, g.edges)
+        np.testing.assert_array_equal(back.features, g.features)
         np.testing.assert_array_equal(back.labels, g.labels)
 
     def test_dict_has_spec_keys(self):

@@ -415,12 +415,26 @@ class TestMultirun:
         table = {0: 0.5, 1: 0.6, 2: 0.7}
         monkeypatch.setattr(
             harness, "run_experiment",
-            lambda g, cfg, seed, dataset="custom", model="cdgnn":
-            _stub_record(seed, table[seed]))
+            lambda g, cfg, seed, dataset="custom", model="cdgnn", *,
+            graph_hash=None: _stub_record(seed, table[seed]))
         result = multirun(_tiny_graph(), _tiny_config(), seeds=[0, 1, 2])
         assert result.accuracies == [0.5, 0.6, 0.7]
         np.testing.assert_allclose(result.mean_accuracy, 0.6)
         np.testing.assert_allclose(result.std_accuracy, 0.08164965809277258)
+
+    def test_hashes_the_graph_once(self, monkeypatch):
+        calls = []
+
+        def counting_hash(g):
+            calls.append(g)
+            return dataset_hash(g)
+
+        monkeypatch.setattr(harness, "dataset_hash", counting_hash)
+        g = _tiny_graph()
+        result = multirun(g, _tiny_config(epochs=1), seeds=[0, 1, 2],
+                          model="gcn")
+        assert len(calls) == 1
+        assert {r.dataset_hash for r in result.records} == {dataset_hash(g)}
 
     def test_seed_guards(self):
         g = _tiny_graph()
@@ -434,7 +448,8 @@ class TestAblate:
     def test_five_variants_with_flags(self, monkeypatch):
         captured = []
 
-        def fake_run(g, cfg, seed, dataset="custom", model="cdgnn"):
+        def fake_run(g, cfg, seed, dataset="custom", model="cdgnn", *,
+                     graph_hash=None):
             captured.append(cfg)
             return _stub_record(seed, 0.5)
 
@@ -448,6 +463,19 @@ class TestAblate:
                         captured[0].no_independence_term])
         assert captured[1].no_shortcut_term
         assert captured[4].no_independence_term
+
+    def test_passes_one_graph_hash_to_every_variant(self, monkeypatch):
+        hashes = []
+
+        def fake_run(g, cfg, seed, dataset="custom", model="cdgnn", *,
+                     graph_hash=None):
+            hashes.append(graph_hash)
+            return _stub_record(seed, 0.5)
+
+        monkeypatch.setattr(harness, "run_experiment", fake_run)
+        g = _tiny_graph()
+        harness.ablate(g, _tiny_config(), seed=0)
+        assert hashes == [dataset_hash(g)] * 5
 
 
 class TestSweep:
