@@ -16,7 +16,7 @@ from .disentangle import (disentanglement_score, gce_loss, hsic, hsic_value,
                           total_loss)
 from .gains import (AuditReport, GainParams, ImprovementReport,
                     assumption_audit, deep_layer_gain, default_grid_cells,
-                    depth_decay, effective_homophily, gain_improvement_check,
+                    effective_homophily, gain_improvement_check,
                     monte_carlo_one_layer, one_layer_gain, theory_check_grid)
 from .harness import (RunConfig, RunRecord, ablate, evaluate, multirun,
                       run_experiment, split_nodes, sweep, train_cdgnn,
@@ -34,7 +34,7 @@ __all__ = [
     "disentanglement_score", "gce_loss", "hsic", "hsic_value", "total_loss",
     "AuditReport", "GainParams", "ImprovementReport",
     "assumption_audit", "deep_layer_gain", "default_grid_cells",
-    "depth_decay", "effective_homophily", "gain_improvement_check",
+    "effective_homophily", "gain_improvement_check",
     "monte_carlo_one_layer", "one_layer_gain", "theory_check_grid",
     "RunConfig", "RunRecord", "ablate", "evaluate", "multirun",
     "run_experiment", "split_nodes", "sweep", "train_cdgnn",

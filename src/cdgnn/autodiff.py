@@ -24,10 +24,8 @@ __all__ = [
     "Tape",
     "Tensor",
     "PropagationPlan",
-    "matmul", "add", "subtract", "multiply", "exp", "log",
-    "sigmoid", "relu", "mean", "sum_all", "concat_cols",
-    "dropout", "take_rows", "segment_mean_rows", "permute_rows",
-    "masked_propagate",
+    "matmul", "add", "subtract", "multiply", "sigmoid", "relu", "mean",
+    "concat_cols", "dropout", "take_rows", "permute_rows",
     "gcn_layer", "softmax_head", "mean_of_halves", "ego_readout",
     "gce_rows", "nll_rows", "hsic_rbf",
     "AdamState", "adam_step", "gradients",
@@ -194,28 +192,6 @@ def multiply(a, b) -> Tensor:
     return _make(data, (a, b), backward)
 
 
-def exp(a) -> Tensor:
-    a = _coerce(a, _shared_tape(a))
-    data = np.exp(a.data)
-
-    def backward(g: np.ndarray) -> None:
-        a._accumulate(g * data)
-
-    return _make(data, (a,), backward)
-
-
-def log(a) -> Tensor:
-    """Natural log with the argument clamped below at 1e-12."""
-    a = _coerce(a, _shared_tape(a))
-    clamped = np.maximum(a.data, LOG_CLAMP)
-    data = np.log(clamped)
-
-    def backward(g: np.ndarray) -> None:
-        a._accumulate(g / clamped)
-
-    return _make(data, (a,), backward)
-
-
 def sigmoid(a) -> Tensor:
     a = _coerce(a, _shared_tape(a))
     data = np.empty_like(a.data)
@@ -246,16 +222,6 @@ def mean(a) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         a._accumulate(np.full_like(a.data, g[0, 0] / a.data.size))
-
-    return _make(data, (a,), backward)
-
-
-def sum_all(a) -> Tensor:
-    a = _coerce(a, _shared_tape(a))
-    data = np.array([[a.data.sum()]])
-
-    def backward(g: np.ndarray) -> None:
-        a._accumulate(np.full_like(a.data, g[0, 0]))
 
     return _make(data, (a,), backward)
 
@@ -327,18 +293,6 @@ def _segment_means(x: np.ndarray, seg: np.ndarray,
     sums = np.bincount(flat.ravel(), weights=x.ravel(),
                        minlength=num_segments * k).reshape(num_segments, k)
     return sums / counts[:, None], counts
-
-
-def segment_mean_rows(a, segments, num_segments: int) -> Tensor:
-    """Row means per segment id; every segment must be non-empty."""
-    a = _coerce(a, _shared_tape(a))
-    seg = np.asarray(segments, dtype=np.int64).reshape(-1)
-    data, counts = _segment_means(a.data, seg, num_segments)
-
-    def backward(g: np.ndarray) -> None:
-        a._accumulate(g[seg] / counts[seg][:, None])
-
-    return _make(data, (a,), backward)
 
 
 def permute_rows(a, perm) -> Tensor:
@@ -460,28 +414,12 @@ def _propagate_backward(g: np.ndarray, f: Tensor, w: Tensor | None,
         w._accumulate(dw[:, None])
 
 
-def masked_propagate(f, weights, plan: PropagationPlan) -> Tensor:
-    """One renormalized propagation step with per-edge weights.
-
-    out_i = (f_i + sum_j w_ij f_j) / (deg_i + 1). `weights` is a
-    (num_und_edges, 1) tensor applied to both directions of every edge, or
-    None for the unweighted operator.
-    """
-    f = _coerce(f, _shared_tape(f, weights))
-    w = None if weights is None else _coerce(weights, f.tape)
-    data = _propagate(f.data, w, plan)
-
-    def backward(g: np.ndarray) -> None:
-        _propagate_backward(g, f, w, plan)
-
-    parents = (f,) if w is None else (f, w)
-    return _make(data, parents, backward)
-
-
 def gcn_layer(f, weights, layer_weight, plan: PropagationPlan,
               relu: bool) -> Tensor:
-    """One GCN layer as one node: masked_propagate, matmul, then relu if
-    `relu` (the last layer of an encoder has none)."""
+    """One GCN layer as one node: the propagation (f + A_w f) / (deg + 1),
+    a matmul, then relu if `relu` (the last layer of an encoder has none).
+    `weights` is a (num_und_edges, 1) tensor applied to both directions of
+    every edge, or None for the unweighted operator."""
     f = _coerce(f, _shared_tape(f, weights, layer_weight))
     w = None if weights is None else _coerce(weights, f.tape)
     lw = _coerce(layer_weight, f.tape)

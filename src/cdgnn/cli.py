@@ -16,10 +16,11 @@ from pathlib import Path
 import numpy as np
 
 from .gains import assumption_audit, default_grid_cells, theory_check_grid
-from .graphs import label_heterophily, load_graph, save_graph
-from .harness import (RunConfig, RunRecord, ablate, evaluate, ingest,
-                      load_model, multirun, run_experiment, save_model,
-                      save_sweep, split_nodes, sweep, write_report_csv)
+from .graphs import (feature_heterophily, label_heterophily, load_graph,
+                     save_graph)
+from .harness import (RunConfig, RunRecord, ablate, evaluate, load_model,
+                      multirun, run_experiment, save_model, save_sweep,
+                      split_nodes, sweep, write_report_csv)
 from .synth import PRESET_NAMES, preset, relabel_to_heterophily
 
 __all__ = ["main", "build_parser"]
@@ -125,7 +126,8 @@ def _train(args, model: str) -> int:
     out_dir = Path(args.out_dir)
     record.save(out_dir)
     model_path = save_model(params,
-                            out_dir / f"model_{model}_{dataset}_s{args.seed}.npz")
+                            out_dir / f"model_{model}_{dataset}_s{args.seed}.npz",
+                            config.resolved_hops)
     print(f"{model} on {dataset}: test accuracy {record.test_accuracy:.4f} "
           f"(best epoch {record.best_epoch}); weights at {model_path}")
     return 0
@@ -139,15 +141,24 @@ def _cmd_train_baseline(args) -> int:
     return _train(args, "gcn")
 
 
+def _graph_and_model(args):
+    """The --graph and --model of evaluate and audit, checked to fit."""
+    g, model = load_graph(args.graph), load_model(args.model)
+    if (g.feature_dim, g.num_classes) != (model.feature_dim, model.num_classes):
+        raise ValueError(f"{args.model} takes {model.feature_dim} features and "
+                         f"{model.num_classes} classes, {args.graph} has "
+                         f"{g.feature_dim} and {g.num_classes}")
+    return g, model
+
+
 def _cmd_evaluate(args) -> int:
-    g = load_graph(args.graph)
-    params = load_model(args.model)
+    g, model = _graph_and_model(args)
     if args.split == "all":
         nodes = np.arange(g.num_nodes)
     else:
         sp = split_nodes(g.num_nodes, args.seed)
         nodes = getattr(sp, args.split)
-    result = evaluate(g, params, nodes, hops=args.hops)
+    result = evaluate(g, model.params, nodes, hops=model.hops)
     print(f"accuracy {result.accuracy:.4f} on {nodes.shape[0]} nodes "
           f"({args.split})")
     print("confusion (rows true, cols predicted):")
@@ -234,16 +245,16 @@ def _cmd_theory_check(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    g = load_graph(args.graph)
-    params = load_model(args.model)
-    report = assumption_audit(g, params, hops=args.hops, seed=args.seed)
+    g, model = _graph_and_model(args)
+    if model.kind != "cdgnn":
+        raise ValueError(f"audit needs a cdgnn model, {args.model} holds a gcn")
+    report = assumption_audit(g, model.params, model.hops, seed=args.seed)
     print(f"branch independence (HSIC) {report.independence:.6f} "
           f"{'ok' if report.independence_ok else 'VIOLATED'}")
     print(f"counterfactual sensitivity {report.sensitivity:.6f} "
           f"{'ok' if report.sensitivity_ok else 'VIOLATED'}")
-    shares = ", ".join(f"{s:.4f}" for s in report.dominance_shares)
     ratios = ", ".join(f"{r:.4f}" for r in report.cross_class_ratios)
-    print(f"shortcut dominance by layer [{shares}] "
+    print(f"shortcut dominance share {report.dominance_share:.4f} "
           f"{'ok' if report.dominance_ok else 'VIOLATED'}")
     print(f"cross-class ratio by layer  [{ratios}]")
     print("assumptions hold" if report.passed else "assumptions violated")
@@ -251,12 +262,11 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_ingest(args) -> int:
-    report = ingest(args.graph)
-    g = report.graph
+    g = load_graph(args.graph)
     print(f"{args.graph}: {g.num_nodes} nodes, {g.num_edges} edges, "
           f"{g.num_classes} classes, {g.feature_dim} feature dims")
-    print(f"label heterophily   {report.label_heterophily:.4f}")
-    print(f"feature heterophily {report.feature_heterophily:.4f}")
+    print(f"label heterophily   {label_heterophily(g):.4f}")
+    print(f"feature heterophily {feature_heterophily(g):.4f}")
     return 0
 
 
@@ -318,7 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", choices=["train", "val", "test", "all"],
                    default="test")
     p.add_argument("--seed", type=int, default=0, help="split seed")
-    p.add_argument("--hops", type=int, default=2)
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("ablate", help="single-term loss ablations")
@@ -351,7 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("audit", help="check analysis assumptions on weights")
     p.add_argument("--graph", type=Path, required=True)
     p.add_argument("--model", type=Path, required=True, help="weights .npz")
-    p.add_argument("--hops", type=int, default=2)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_audit)
 
@@ -369,7 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command; bad input (ValueError) exits 2 with one stderr line."""
+    """Run one command; bad input (ValueError) or an unreadable file
+    (OSError) exits 2 with one stderr line."""
     args = build_parser().parse_args(argv)
     try:
         # numpy rejects a negative seed deep inside a command; name it here.
@@ -377,7 +386,7 @@ def main(argv=None) -> int:
             raise ValueError(f"--seed must be a non-negative integer, "
                              f"got {args.seed}")
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"cdgnn {args.command}: error: {exc}", file=sys.stderr)
         return 2
 

@@ -38,7 +38,6 @@ __all__ = [
     "two_branch_forward",
     "gce_loss",
     "cross_entropy",
-    "gce_grad_identity_check",
     "difficulty_weights",
     "causal_loss",
     "counterfactual_loss",
@@ -211,34 +210,6 @@ def gce_loss(probs: ad.Tensor, labels, q: float) -> ad.Tensor:
 def cross_entropy(probs: ad.Tensor, labels) -> ad.Tensor:
     """Per-sample cross-entropy -log p_y, shape (B, 1)."""
     return ad.nll_rows(probs, labels)
-
-
-def gce_grad_identity_check(params: dict[str, np.ndarray], forward, label: int,
-                            q: float) -> float:
-    """Max parameterwise deviation of grad GCE from p_y^q * grad CE.
-
-    `forward(tensors)` must return a (1, C) probability row built from the
-    given parameter tensors. The two gradients are taken on independent
-    tapes from identical parameter values.
-    """
-    tape_a = ad.Tape()
-    tensors_a = {k: tape_a.leaf(v.copy()) for k, v in params.items()}
-    probs_a = forward(tensors_a)
-    loss_a = ad.mean(gce_loss(probs_a, [label], q))
-    p_y = float(probs_a.data[0, label])
-    grads_a = ad.gradients(tape_a, loss_a, tensors_a)
-
-    tape_b = ad.Tape()
-    tensors_b = {k: tape_b.leaf(v.copy()) for k, v in params.items()}
-    probs_b = forward(tensors_b)
-    loss_b = ad.mean(cross_entropy(probs_b, [label]))
-    grads_b = ad.gradients(tape_b, loss_b, tensors_b)
-
-    scale = p_y**q
-    dev = 0.0
-    for k in params:
-        dev = max(dev, float(np.max(np.abs(grads_a[k] - scale * grads_b[k]))))
-    return dev
 
 
 def difficulty_weights(ce_shortcut: np.ndarray, ce_causal: np.ndarray) -> np.ndarray:

@@ -30,8 +30,6 @@ __all__ = [
     "effective_homophily",
     "one_layer_gain",
     "deep_layer_gain",
-    "DepthDecay",
-    "depth_decay",
     "cumulative_gain_ratio",
     "MonteCarloGain",
     "monte_carlo_one_layer",
@@ -133,26 +131,6 @@ def deep_layer_gain(degree: float, cross_class_ratio: float, homophily: float,
     mix = (1.0 + cross_class_ratio) * homophily - cross_class_ratio
     gain = (mix * degree * mean_relative_degree + 1.0) / (degree + 1.0)
     return gain, gain * carry_scale
-
-
-@dataclass(frozen=True)
-class DepthDecay:
-    """Cumulative signal multipliers over stacked layers."""
-
-    cumulative: np.ndarray
-    shrinking: np.ndarray
-
-
-def depth_decay(multipliers: Sequence[float]) -> DepthDecay:
-    """Cumulative products of per-layer multipliers and which layers shrink.
-
-    A layer with |multiplier| < 1 loses signal; once every layer shrinks the
-    cumulative product decays geometrically with depth.
-    """
-    m = np.asarray(multipliers, dtype=np.float64).reshape(-1)
-    if m.size == 0:
-        raise ValueError("at least one layer multiplier required")
-    return DepthDecay(cumulative=np.cumprod(m), shrinking=np.abs(m) < 1.0)
 
 
 def cumulative_gain_ratio(gain_a: float, gain_b: float, depth: int) -> float:
@@ -416,26 +394,31 @@ def gain_improvement_check(baseline: GainParams, causal: GainParams,
     )
 
 
+# assumption_audit's ego sample size, shortcut swaps and pass thresholds.
+AUDIT_MAX_NODES = 256
+AUDIT_PERMUTATIONS = 8
+INDEPENDENCE_THRESHOLD = 0.01
+SENSITIVITY_THRESHOLD = 0.25
+DOMINANCE_THRESHOLD = 0.5
+
+
 @dataclass(frozen=True)
 class AuditReport:
     """Empirical check of the assumptions behind the gain analysis.
 
-    dominance_shares repeats per encoder layer: the mask is shared across
-    depth, so the structural estimate is depth-constant by construction.
-    cross_class_ratios are informational estimates of the cross-class
-    signal ratio at each layer's embedding; no threshold applies to them.
+    dominance_share is one number for every encoder layer: the mask is
+    shared across depth. cross_class_ratios are informational estimates of
+    the cross-class signal ratio at each layer's embedding; no threshold
+    applies to them.
     """
 
     independence: float
     independence_ok: bool
     sensitivity: float
     sensitivity_ok: bool
-    dominance_shares: list[float]
+    dominance_share: float
     dominance_ok: bool
     cross_class_ratios: list[float]
-    independence_threshold: float
-    sensitivity_threshold: float
-    dominance_threshold: float
 
     @property
     def passed(self) -> bool:
@@ -463,10 +446,7 @@ def _layer_cross_class_ratio(embedding: np.ndarray, endpoints: np.ndarray,
 
 
 def assumption_audit(g: Graph, params: dict[str, np.ndarray], hops: int,
-                     nodes: np.ndarray | None = None, max_nodes: int = 256,
-                     num_perms: int = 8, independence_threshold: float = 0.01,
-                     sensitivity_threshold: float = 0.25,
-                     dominance_threshold: float = 0.5,
+                     nodes: np.ndarray | None = None,
                      seed: int = 0) -> AuditReport:
     """Audit a trained model against the analysis assumptions.
 
@@ -481,8 +461,8 @@ def assumption_audit(g: Graph, params: dict[str, np.ndarray], hops: int,
     if nodes is None:
         nodes = np.arange(g.num_nodes)
     nodes = np.asarray(nodes, dtype=np.int64).reshape(-1)
-    if nodes.shape[0] > max_nodes:
-        nodes = np.sort(rng.choice(nodes, size=max_nodes, replace=False))
+    if nodes.shape[0] > AUDIT_MAX_NODES:
+        nodes = np.sort(rng.choice(nodes, size=AUDIT_MAX_NODES, replace=False))
     if nodes.shape[0] < 2:
         raise ValueError("audit needs at least 2 ego nodes")
     batch = batch_from_cache(g, build_ego_cache(g, hops, nodes), nodes)
@@ -496,7 +476,7 @@ def assumption_audit(g: Graph, params: dict[str, np.ndarray], hops: int,
     rows = np.arange(batch.num_graphs)
     labels = batch.ego_labels
     sensitivity = 0.0
-    for _ in range(num_perms):
+    for _ in range(AUDIT_PERMUTATIONS):
         perm = rng.permutation(batch.num_graphs)
         swapped = classify(ad.concat_cols(h_c, ad.permute_rows(h_s, perm)),
                            *fwd.head_causal).data
@@ -509,7 +489,6 @@ def assumption_audit(g: Graph, params: dict[str, np.ndarray], hops: int,
     edge_mass = mask_vals.sum()
     leak = mask_vals[mask_vals < 0.5].sum()
     dominance = float(leak / edge_mass) if edge_mass > 1e-12 else 0.0
-    dominance_shares = [dominance for _ in fwd.causal_layers]
 
     node_labels = g.labels[batch.member_ids]
     ratios = []
@@ -522,13 +501,10 @@ def assumption_audit(g: Graph, params: dict[str, np.ndarray], hops: int,
 
     return AuditReport(
         independence=independence,
-        independence_ok=independence <= independence_threshold,
+        independence_ok=independence <= INDEPENDENCE_THRESHOLD,
         sensitivity=sensitivity,
-        sensitivity_ok=sensitivity <= sensitivity_threshold,
-        dominance_shares=dominance_shares,
-        dominance_ok=max(dominance_shares) <= dominance_threshold,
+        sensitivity_ok=sensitivity <= SENSITIVITY_THRESHOLD,
+        dominance_share=dominance,
+        dominance_ok=dominance <= DOMINANCE_THRESHOLD,
         cross_class_ratios=ratios,
-        independence_threshold=independence_threshold,
-        sensitivity_threshold=sensitivity_threshold,
-        dominance_threshold=dominance_threshold,
     )

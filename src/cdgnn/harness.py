@@ -29,7 +29,7 @@ from . import autodiff as ad
 from .disentangle import (LossSettings, causal_loss, counterfactual_loss,
                           cross_entropy, difficulty_weights, gce_loss, hsic,
                           init_cdgnn_params, total_loss, two_branch_forward)
-from .graphs import Graph, feature_heterophily, label_heterophily, load_graph
+from .graphs import Graph, feature_heterophily, label_heterophily
 from .models import (EgoBatch, batch_from_cache, build_ego_cache, classify,
                      gcn_forward, init_gcn_weights, init_head_params)
 
@@ -52,12 +52,10 @@ __all__ = [
     "SweepResult",
     "sweep",
     "save_sweep",
-    "IngestReport",
-    "ingest",
     "write_report_csv",
+    "SavedModel",
     "save_model",
     "load_model",
-    "full_graph_batch",
 ]
 
 _EVAL_CHUNK = 256
@@ -330,7 +328,7 @@ def train_cdgnn(g: Graph, config: RunConfig, seed: int,
     return _fit(g, config, seed, train_nodes, val_nodes, model)
 
 
-def full_graph_batch(g: Graph) -> EgoBatch:
+def _full_graph_batch(g: Graph) -> EgoBatch:
     """The whole graph as a single-segment batch (baseline model input)."""
     return EgoBatch(
         plan=ad.PropagationPlan.from_edges(g.edges, g.num_nodes),
@@ -368,7 +366,7 @@ def train_gcn_baseline(g: Graph, config: RunConfig, seed: int,
         params.update(init_head_params(rng_init, config.hidden, g.num_classes,
                                        "head"))
         adam = ad.AdamState()
-        batch = full_graph_batch(g)
+        batch = _full_graph_batch(g)
         y_train = g.labels[train_nodes]
 
         def step(params, guard):
@@ -403,21 +401,21 @@ def evaluate(g: Graph, params: dict[str, np.ndarray], nodes,
              hops: int = 2, cache: dict | None = None) -> EvalResult:
     """Accuracy and confusion (rows true, cols predicted) on given nodes.
 
-    Dispatches on the parameter keys: branch encoders mean the disentangled
-    model (prediction via the causal head, on the ego subgraphs of `cache`,
-    a build_ego_cache at `hops` covering `nodes`, built when None),
-    otherwise the GCN baseline. Ties resolve to the lowest class id via
+    Dispatches on the model kind the parameters hold: the disentangled
+    model predicts via the causal head, on the ego subgraphs of `cache`, a
+    build_ego_cache at `hops` covering `nodes`, built when None; the GCN
+    baseline on the full graph. Ties resolve to the lowest class id via
     argmax.
     """
     nodes = np.asarray(nodes, dtype=np.int64).reshape(-1)
     if nodes.shape[0] == 0:
         raise ValueError("evaluate needs at least one node")
-    if any(k.startswith("gnn_c.") for k in params):
+    if _model_shape(params)[0] == "cdgnn":
         if cache is None:
             cache = build_ego_cache(g, hops, nodes)
         predictions = _predict_cdgnn(g, cache, nodes, params)
     else:
-        _, _, probs = _gcn_probs(full_graph_batch(g), params, nodes)
+        _, _, probs = _gcn_probs(_full_graph_batch(g), params, nodes)
         predictions = np.argmax(probs.data, axis=1)
     truth = g.labels[nodes]
     confusion = np.zeros((g.num_classes, g.num_classes), dtype=np.int64)
@@ -587,6 +585,9 @@ def sweep(g: Graph, config: RunConfig, counterfactual_weights: Sequence[float],
           dataset: str = "custom") -> SweepResult:
     """Grid over the two loss weights; one plot series per independence weight."""
     seeds = list(seeds)
+    if len(set(seeds)) != len(seeds):
+        raise ValueError("sweep seeds must be distinct")
+    graph_hash = dataset_hash(g)
     rows = []
     series = []
     for l2 in independence_weights:
@@ -594,12 +595,10 @@ def sweep(g: Graph, config: RunConfig, counterfactual_weights: Sequence[float],
         for l1 in counterfactual_weights:
             variant = replace(config, lambda_counterfactual=l1,
                               lambda_independence=l2)
-            if len(seeds) == 1:
-                record = run_experiment(g, variant, seeds[0], dataset)
-                mean, std = aggregate_runs([record.test_accuracy])
-            else:
-                result = multirun(g, variant, seeds, dataset)
-                mean, std = result.mean_accuracy, result.std_accuracy
+            mean, std = aggregate_runs([
+                run_experiment(g, variant, s, dataset,
+                               graph_hash=graph_hash).test_accuracy
+                for s in seeds])
             rows.append({
                 "lambda_counterfactual": l1,
                 "lambda_independence": l2,
@@ -631,23 +630,6 @@ def save_sweep(result: SweepResult, out_dir) -> tuple[Path, Path]:
     return csv_path, json_path
 
 
-@dataclass
-class IngestReport:
-    graph: Graph
-    label_heterophily: float
-    feature_heterophily: float
-
-
-def ingest(path) -> IngestReport:
-    """Load and validate an external graph file; report its heterophily."""
-    g = load_graph(path)
-    return IngestReport(
-        graph=g,
-        label_heterophily=label_heterophily(g),
-        feature_heterophily=feature_heterophily(g),
-    )
-
-
 def write_report_csv(records: Sequence[RunRecord], path) -> Path:
     """Flat per-run summary; loss columns come from the final epoch."""
     path = Path(path)
@@ -668,13 +650,47 @@ def write_report_csv(records: Sequence[RunRecord], path) -> Path:
     return path
 
 
-def save_model(params: dict[str, np.ndarray], path) -> Path:
+@dataclass(frozen=True)
+class SavedModel:
+    """A model archive: the parameters, the ego hops they were trained at
+    (the GCN ignores them), and the kind ("cdgnn" or "gcn"), layer count,
+    feature width and class count that the parameter names and shapes give."""
+
+    params: dict[str, np.ndarray]
+    hops: int
+    kind: str
+    layers: int
+    feature_dim: int
+    num_classes: int
+
+
+def _model_shape(params: dict[str, np.ndarray]) -> tuple[str, int, int, int]:
+    """Kind, layer count, feature width and class count of `params`."""
+    for kind, encoder, head in (("cdgnn", "gnn_c", "head_c"),
+                                ("gcn", "gcn", "head")):
+        if f"{encoder}.w0" in params and f"{head}.w" in params:
+            layers = sum(k.startswith(f"{encoder}.w") for k in params)
+            return (kind, layers, params[f"{encoder}.w0"].shape[0],
+                    params[f"{head}.w"].shape[1])
+    raise ValueError("parameters hold neither a CD-GNN nor a GCN")
+
+
+def save_model(params: dict[str, np.ndarray], path, hops: int) -> Path:
+    """Write `params` and the ego hops they were trained at as one .npz."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    np.savez(path, **params)
+    np.savez(path, ego_hops=hops, **params)
     return path if path.suffix == ".npz" else path.with_suffix(path.suffix + ".npz")
 
 
-def load_model(path) -> dict[str, np.ndarray]:
-    with np.load(path) as data:
-        return {k: data[k] for k in data.files}
+def load_model(path) -> SavedModel:
+    data = np.load(path)
+    if not isinstance(data, np.lib.npyio.NpzFile):
+        raise ValueError(f"{path} holds one array, not an .npz model archive")
+    with data:
+        params = {k: data[k] for k in data.files}
+    if "ego_hops" not in params:
+        raise ValueError(f"{path} stores no ego hops (it predates archives "
+                         f"that do); train the model again")
+    hops = int(params.pop("ego_hops"))
+    return SavedModel(params, hops, *_model_shape(params))

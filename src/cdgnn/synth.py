@@ -104,7 +104,6 @@ class GenConfig:
     base_size: int
     motif: MotifSpec
     motif_count: int
-    attachment: str = "uniform_base"
     feature_rule: str = "block_kind"
     feature_dim: int = 10
     feature_contrast: float = 1.0
@@ -119,8 +118,6 @@ class GenConfig:
             raise GraphError("base_size must be >= 1")
         if self.motif_count < 1:
             raise GraphError("motif_count must be >= 1")
-        if self.attachment != "uniform_base":
-            raise GraphError(f"unknown attachment rule {self.attachment!r}")
         if self.feature_rule not in ("block_kind", "uniform_ones"):
             raise GraphError(f"unknown feature rule {self.feature_rule!r}")
         if self.feature_dim < 1:
@@ -148,7 +145,8 @@ def _base_edges(config: GenConfig, rng: np.random.Generator) -> list[tuple[int, 
 
 
 def generate(config: GenConfig) -> tuple[Graph, dict[int, int]]:
-    """Build the motif-on-base graph described by `config`.
+    """Build the motif-on-base graph described by `config`, each motif
+    joined by one edge to a base node drawn uniformly.
 
     Returns (graph, blocks) where blocks maps each node to its block id:
     0 for the base, k >= 1 for the k-th motif instance.

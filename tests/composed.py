@@ -3,9 +3,10 @@
 Every fused primitive of cdgnn.autodiff records one node for a chain of
 smaller primitives. The chains are written out here, node by node, so that
 tests can require each fused op to reproduce its chain bit for bit, values
-and gradients alike. The composite primitives that only these chains use
-(rbf_gram, center_gram, row_softmax, pick_class) live here too, as tape ops
-with their own adjoints.
+and gradients alike. The primitives that only these chains and the tests
+use (exp, log, sum_all, segment_mean_rows, masked_propagate, rbf_gram,
+center_gram, row_softmax, pick_class) live here too, as tape ops with their
+own adjoints, beside gce_grad_identity_check, the GCE gradient identity.
 
 gather_scatter_propagate is the oracle of the CSR propagation: the edge-list
 gather and bincount scatter that PropagationPlan replaced. add_at_take_rows
@@ -15,6 +16,69 @@ is likewise the oracle of take_rows, whose adjoint runs as a CSR row sum.
 import numpy as np
 
 from cdgnn import autodiff as ad
+from cdgnn.disentangle import cross_entropy, gce_loss
+
+
+def exp(a):
+    a = ad._coerce(a, ad._shared_tape(a))
+    data = np.exp(a.data)
+
+    def backward(g):
+        a._accumulate(g * data)
+
+    return ad._make(data, (a,), backward)
+
+
+def log(a):
+    """Natural log with the argument clamped below at 1e-12."""
+    a = ad._coerce(a, ad._shared_tape(a))
+    clamped = np.maximum(a.data, ad.LOG_CLAMP)
+    data = np.log(clamped)
+
+    def backward(g):
+        a._accumulate(g / clamped)
+
+    return ad._make(data, (a,), backward)
+
+
+def sum_all(a):
+    a = ad._coerce(a, ad._shared_tape(a))
+    data = np.array([[a.data.sum()]])
+
+    def backward(g):
+        a._accumulate(np.full_like(a.data, g[0, 0]))
+
+    return ad._make(data, (a,), backward)
+
+
+def segment_mean_rows(a, segments, num_segments):
+    """Row means per segment id; every segment must be non-empty."""
+    a = ad._coerce(a, ad._shared_tape(a))
+    seg = np.asarray(segments, dtype=np.int64).reshape(-1)
+    data, counts = ad._segment_means(a.data, seg, num_segments)
+
+    def backward(g):
+        a._accumulate(g[seg] / counts[seg][:, None])
+
+    return ad._make(data, (a,), backward)
+
+
+def masked_propagate(f, weights, plan):
+    """One renormalized propagation step with per-edge weights.
+
+    out_i = (f_i + sum_j w_ij f_j) / (deg_i + 1). `weights` is a
+    (num_und_edges, 1) tensor applied to both directions of every edge, or
+    None for the unweighted operator.
+    """
+    f = ad._coerce(f, ad._shared_tape(f, weights))
+    w = None if weights is None else ad._coerce(weights, f.tape)
+    data = ad._propagate(f.data, w, plan)
+
+    def backward(g):
+        ad._propagate_backward(g, f, w, plan)
+
+    parents = (f,) if w is None else (f, w)
+    return ad._make(data, parents, backward)
 
 
 def row_softmax(a):
@@ -148,7 +212,7 @@ def gather_scatter_propagate(f, weights, edges, num_nodes):
 
 
 def gcn_layer(f, weights, layer_weight, plan, relu):
-    h = ad.matmul(ad.masked_propagate(f, weights, plan), layer_weight)
+    h = ad.matmul(masked_propagate(f, weights, plan), layer_weight)
     return ad.relu(h) if relu else h
 
 
@@ -165,18 +229,18 @@ def mean_of_halves(a):
 
 def ego_readout(h, ego_rows, segments, num_segments, projection):
     ego = ad.take_rows(h, ego_rows)
-    means = ad.segment_mean_rows(h, segments, num_segments)
+    means = segment_mean_rows(h, segments, num_segments)
     return ad.matmul(ad.concat_cols(ego, means), projection)
 
 
 def gce_rows(probs, labels, q):
     p = pick_class(probs, labels)
-    amplified = ad.exp(ad.multiply(q, ad.log(p)))
+    amplified = exp(ad.multiply(q, log(p)))
     return ad.multiply(ad.subtract(1.0, amplified), 1.0 / q)
 
 
 def nll_rows(probs, labels, weights=None):
-    ce = ad.subtract(0.0, ad.log(pick_class(probs, labels)))
+    ce = ad.subtract(0.0, log(pick_class(probs, labels)))
     if weights is None:
         return ce
     return ad.multiply(ce, np.asarray(weights, dtype=np.float64).reshape(-1, 1))
@@ -186,4 +250,31 @@ def hsic_rbf(x, y, bandwidth_x, bandwidth_y):
     n = x.data.shape[0]
     kx = center_gram(rbf_gram(x, bandwidth_x))
     ky = center_gram(rbf_gram(y, bandwidth_y))
-    return ad.multiply(ad.sum_all(ad.multiply(kx, ky)), 1.0 / (n - 1.0) ** 2)
+    return ad.multiply(sum_all(ad.multiply(kx, ky)), 1.0 / (n - 1.0) ** 2)
+
+
+def gce_grad_identity_check(params, forward, label, q):
+    """Max parameterwise deviation of grad GCE from p_y^q * grad CE.
+
+    `forward(tensors)` must return a (1, C) probability row built from the
+    given parameter tensors. The two gradients are taken on independent
+    tapes from identical parameter values.
+    """
+    tape_a = ad.Tape()
+    tensors_a = {k: tape_a.leaf(v.copy()) for k, v in params.items()}
+    probs_a = forward(tensors_a)
+    loss_a = ad.mean(gce_loss(probs_a, [label], q))
+    p_y = float(probs_a.data[0, label])
+    grads_a = ad.gradients(tape_a, loss_a, tensors_a)
+
+    tape_b = ad.Tape()
+    tensors_b = {k: tape_b.leaf(v.copy()) for k, v in params.items()}
+    probs_b = forward(tensors_b)
+    loss_b = ad.mean(cross_entropy(probs_b, [label]))
+    grads_b = ad.gradients(tape_b, loss_b, tensors_b)
+
+    scale = p_y**q
+    dev = 0.0
+    for k in params:
+        dev = max(dev, float(np.max(np.abs(grads_a[k] - scale * grads_b[k]))))
+    return dev

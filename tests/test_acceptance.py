@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from composed import gce_grad_identity_check
 from fdcheck import PRIMITIVE_CASES, max_relative_error
 
 from cdgnn import autodiff as ad
@@ -22,7 +23,6 @@ from cdgnn.disentangle import (
     cross_entropy,
     difficulty_weights,
     disentanglement_score,
-    gce_grad_identity_check,
     gce_loss,
     hsic,
     init_mask_params,

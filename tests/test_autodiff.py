@@ -35,13 +35,13 @@ class TestForwardValues:
         np.testing.assert_array_equal(t.data, [[58.0, 64.0], [139.0, 154.0]])
 
     def test_log_clamps_tiny_values(self):
-        t = ad.log(np.array([[0.0]]))
+        t = composed.log(np.array([[0.0]]))
         assert t.item() == pytest.approx(np.log(1e-12))
 
     def test_masked_propagate_matches_formula(self):
         plan = ad.PropagationPlan.from_edges(np.array([[0, 1]]), 2)
-        out = ad.masked_propagate(np.array([[4.0], [10.0]]),
-                                  np.array([[0.5]]), plan)
+        out = composed.masked_propagate(np.array([[4.0], [10.0]]),
+                                        np.array([[0.5]]), plan)
         np.testing.assert_allclose(out.data, [[(4 + 5) / 2], [(10 + 2) / 2]])
 
 
@@ -49,14 +49,14 @@ class TestBackwardSemantics:
     def test_sum_gradient_is_ones(self):
         tape = ad.Tape()
         x = tape.leaf(np.arange(6.0).reshape(2, 3))
-        tape.backward(ad.sum_all(x))
+        tape.backward(composed.sum_all(x))
         np.testing.assert_array_equal(x.grad, np.ones((2, 3)))
 
     def test_half_square_sum_gradient_is_x(self):
         tape = ad.Tape()
         base = np.array([[1.0, -2.0], [0.5, 3.0]])
         x = tape.leaf(base)
-        loss = ad.multiply(ad.sum_all(ad.multiply(x, x)), 0.5)
+        loss = ad.multiply(composed.sum_all(ad.multiply(x, x)), 0.5)
         tape.backward(loss)
         np.testing.assert_allclose(x.grad, base)
 
@@ -73,7 +73,7 @@ class TestBackwardSemantics:
         tape = ad.Tape()
         x = tape.leaf(np.ones((2, 2)))
         unused = tape.leaf(np.ones((3, 3)))
-        grads = ad.gradients(tape, ad.sum_all(x), {"x": x, "unused": unused})
+        grads = ad.gradients(tape, composed.sum_all(x), {"x": x, "unused": unused})
         np.testing.assert_array_equal(grads["unused"], np.zeros((3, 3)))
 
     def test_non_scalar_loss_rejected(self):
@@ -86,7 +86,7 @@ class TestBackwardSemantics:
         tape_a, tape_b = ad.Tape(), ad.Tape()
         x = tape_a.leaf(np.ones((1, 1)))
         with pytest.raises(ValueError, match="tape"):
-            tape_b.backward(ad.sum_all(x))
+            tape_b.backward(composed.sum_all(x))
 
     def test_non_finite_loss_rejected(self):
         tape = ad.Tape()
@@ -94,7 +94,7 @@ class TestBackwardSemantics:
         with np.errstate(over="ignore"):
             doubled = ad.add(x, x)  # overflows to inf
         with pytest.raises(FloatingPointError):
-            tape.backward(ad.sum_all(doubled))
+            tape.backward(composed.sum_all(doubled))
 
     def test_mixed_tapes_in_one_op_rejected(self):
         tape_a, tape_b = ad.Tape(), ad.Tape()
@@ -164,7 +164,7 @@ class TestRbfGram:
 class TestShapeGuards:
     def test_segment_mean_rejects_empty_segment(self):
         with pytest.raises(ValueError, match="segment"):
-            ad.segment_mean_rows(np.ones((2, 2)), np.array([0, 0]), 2)
+            composed.segment_mean_rows(np.ones((2, 2)), np.array([0, 0]), 2)
 
     def test_pick_class_rejects_bad_label(self):
         with pytest.raises(ValueError, match="label"):
@@ -186,7 +186,7 @@ class TestShapeGuards:
     def test_propagate_rejects_wrong_weight_shape(self):
         plan = ad.PropagationPlan.from_edges(np.array([[0, 1]]), 2)
         with pytest.raises(ValueError, match="weights"):
-            ad.masked_propagate(np.ones((2, 1)), np.ones((3, 1)), plan)
+            composed.masked_propagate(np.ones((2, 1)), np.ones((3, 1)), plan)
 
     @pytest.mark.parametrize("edges, num_nodes, match", [
         ([0, 1], 2, "shaped"),

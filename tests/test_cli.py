@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from cdgnn.cli import build_parser, main
-from cdgnn.graphs import Graph, label_heterophily, load_graph, save_graph
+from cdgnn.disentangle import init_cdgnn_params
+from cdgnn.graphs import (Graph, feature_heterophily, label_heterophily,
+                          load_graph, save_graph)
 from cdgnn.harness import RunConfig, run_experiment, save_model
 
 
@@ -114,7 +116,8 @@ class TestEvaluate:
                         patience=2, batch_size=16, scorer_hidden=4)
         _, params = run_experiment(g, cfg, seed=0, model="gcn",
                                    return_params=True)
-        model_path = save_model(params, tmp_path / "model.npz")
+        model_path = save_model(params, tmp_path / "model.npz",
+                                cfg.resolved_hops)
         code = main(["evaluate", "--graph", str(tiny_graph_file),
                      "--model", str(model_path), "--split", "test",
                      "--seed", "0"])
@@ -213,14 +216,15 @@ class TestAudit:
                 params[key] = np.zeros_like(params[key])
         params["mask.w2"] = np.zeros_like(params["mask.w2"])
         params["mask.b2"] = np.full_like(params["mask.b2"], 40.0)
-        model_path = save_model(params, tmp_path / "model.npz")
+        model_path = save_model(params, tmp_path / "model.npz",
+                                cfg.resolved_hops)
         code = main(["audit", "--graph", str(tiny_graph_file),
-                     "--model", str(model_path), "--hops", "2"])
+                     "--model", str(model_path)])
         stdout = capsys.readouterr().out
         assert code == 0
         assert "branch independence" in stdout
         assert "counterfactual sensitivity" in stdout
-        assert "shortcut dominance by layer" in stdout
+        assert "shortcut dominance share" in stdout
         assert "assumptions hold" in stdout
 
 
@@ -231,6 +235,23 @@ class TestIngestAndReport:
         stdout = capsys.readouterr().out
         assert "label heterophily" in stdout
         assert "feature heterophily" in stdout
+
+    def test_ingest_reports_heterophily(self, tmp_path, capsys):
+        g = _tiny_graph(seed=10)
+        path = tmp_path / "graph.json"
+        save_graph(g, path)
+        assert main(["ingest", "--graph", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith(f"{path}: {g.num_nodes} nodes, ")
+        assert lines[1] == f"label heterophily   {label_heterophily(g):.4f}"
+        assert lines[2] == f"feature heterophily {feature_heterophily(g):.4f}"
+
+    def test_ingest_invalid_file_names_problem(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"num_nodes": 2, "edges": [[0, 1]],
+                                    "features": [[1.0], [2.0]],
+                                    "labels": [0, 1]}))
+        _one_line_error(capsys, ["ingest", "--graph", path], "num_classes")
 
     def test_report_round_trips_records(self, tiny_graph_file, tmp_path,
                                         capsys):
@@ -311,6 +332,98 @@ class TestInputErrors:
         assert err.startswith("cdgnn ingest: error: ")
         assert "outside [0, 2)" in err
         assert err.count("\n") == 1
+
+    def test_missing_or_directory_input_is_one_line_error(
+            self, tiny_graph_file, tmp_path, capsys):
+        model = save_model(
+            init_cdgnn_params(np.random.default_rng(0), 5, 4, 1, 4, 2),
+            tmp_path / "model.npz", hops=1)
+        for bad in (tmp_path / "nope.json", tmp_path):
+            for argv in (
+                    ["relabel", "--graph", bad, "--out", tmp_path / "o.json"],
+                    ["evaluate", "--graph", bad, "--model", model],
+                    ["audit", "--graph", bad, "--model", model],
+                    ["ingest", "--graph", bad],
+                    ["evaluate", "--graph", tiny_graph_file, "--model", bad],
+                    ["audit", "--graph", tiny_graph_file, "--model", bad],
+                    ["theory-check", "--grid", bad]):
+                _one_line_error(capsys, argv)
+
+
+def _one_line_error(capsys, argv, *needles):
+    """Run `argv`; it must exit 2 with one error line holding `needles`."""
+    code = main([str(a) for a in argv])
+    err = capsys.readouterr().err
+    assert code == 2, argv
+    assert err.startswith(f"cdgnn {argv[0]}: error: "), argv
+    assert err.count("\n") == 1, argv
+    for needle in needles:
+        assert needle in err, argv
+
+
+_ARCHIVE_RUN = ["--epochs", "15", "--patience", "15", "--lr", "0.02",
+                "--hidden", "16", "--batch-size", "16"]
+
+
+def _train_archive(tmp_path, preset, flags):
+    """Generate `preset` at seed 0 and train a CD-GNN on it; the graph,
+    record and model archive paths."""
+    graph = tmp_path / f"{preset}.json"
+    out = tmp_path / f"runs_{preset}"
+    assert main(["generate", "--preset", preset, "--seed", "0",
+                 "--out", str(graph)]) == 0
+    assert main(["train", "--graph", str(graph), "--seed", "0",
+                 "--out-dir", str(out), *flags]) == 0
+    return graph, next(out.glob("run_*.json")), next(out.glob("model_*.npz"))
+
+
+class TestModelArchives:
+    @pytest.mark.parametrize("shape", [["--layers", "1"],
+                                       ["--ego-hops", "1", "--layers", "2"]])
+    def test_evaluate_reproduces_the_record(self, tmp_path, capsys, shape):
+        graph, record, model = _train_archive(tmp_path, "ba_shapes",
+                                              _ARCHIVE_RUN + shape)
+        capsys.readouterr()
+        assert main(["evaluate", "--graph", str(graph), "--model", str(model),
+                     "--split", "test"]) == 0
+        accuracy = json.loads(record.read_text())["test_accuracy"]
+        first = capsys.readouterr().out.splitlines()[0]
+        assert first.startswith(f"accuracy {accuracy:.4f} on ")
+
+    def test_audit_refuses_a_gcn_archive(self, tiny_graph_file, tmp_path,
+                                         capsys):
+        out = tmp_path / "runs"
+        assert main(["train-baseline", "--graph", str(tiny_graph_file),
+                     "--out-dir", str(out)] + _FAST) == 0
+        model = next(out.glob("model_*.npz"))
+        _one_line_error(capsys, ["audit", "--graph", tiny_graph_file,
+                                 "--model", model], "gcn")
+
+    def test_class_count_mismatch_is_refused(self, tmp_path, capsys):
+        _, _, model = _train_archive(tmp_path, "tree_cycles",
+                                     ["--epochs", "1", "--patience", "1",
+                                      "--hidden", "8", "--batch-size", "64"])
+        graph = tmp_path / "ba_shapes.json"
+        assert main(["generate", "--preset", "ba_shapes", "--seed", "0",
+                     "--out", str(graph)]) == 0
+        _one_line_error(capsys, ["evaluate", "--graph", graph,
+                                 "--model", model], "2 classes")
+
+    def test_archive_without_hops_is_refused(self, tiny_graph_file, tmp_path,
+                                             capsys):
+        path = tmp_path / "old.npz"
+        np.savez(path, **init_cdgnn_params(np.random.default_rng(0), 5, 4, 2,
+                                           4, 2))
+        for command in ("evaluate", "audit"):
+            _one_line_error(capsys, [command, "--graph", tiny_graph_file,
+                                     "--model", path], "ego hops")
+
+    def test_single_array_file_is_refused(self, tiny_graph_file, tmp_path,
+                                          capsys):
+        path = tmp_path / "weights.npy"
+        np.save(path, np.ones((2, 2)))
+        _one_line_error(capsys, ["evaluate", "--graph", tiny_graph_file,
+                                 "--model", path], ".npz")
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"

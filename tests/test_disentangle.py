@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from composed import gce_grad_identity_check
 from cdgnn import autodiff as ad
 from cdgnn.disentangle import (
     BranchBundle,
@@ -15,7 +16,6 @@ from cdgnn.disentangle import (
     difficulty_weights,
     disentanglement_score,
     edge_score_logits,
-    gce_grad_identity_check,
     gce_loss,
     hsic,
     hsic_value,

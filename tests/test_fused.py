@@ -28,9 +28,9 @@ def _run(op, values, tracked, rng_seed):
     leaves = {k: tape.leaf(v, requires_grad=k in tracked)
               for k, v in values.items()}
     out = op(leaves)
-    loss = ad.sum_all(ad.multiply(out, rng.normal(size=out.shape)))
+    loss = composed.sum_all(ad.multiply(out, rng.normal(size=out.shape)))
     for k in sorted(tracked):
-        later = ad.sum_all(ad.multiply(leaves[k], rng.normal(size=values[k].shape)))
+        later = composed.sum_all(ad.multiply(leaves[k], rng.normal(size=values[k].shape)))
         loss = ad.add(loss, later)
     grads = ad.gradients(tape, loss, {k: leaves[k] for k in tracked})
     return out.data, grads
@@ -180,7 +180,7 @@ def _assert_propagation_bitwise(edges, n, width, rng):
                 tracked = tracked - {"w"}
             if tracked:
                 _assert_bitwise(
-                    lambda lv: ad.masked_propagate(lv["f"], weights(lv), plan),
+                    lambda lv: composed.masked_propagate(lv["f"], weights(lv), plan),
                     oracle, values, tracked)
             _assert_bitwise(
                 lambda lv: ad.gcn_layer(lv["f"], weights(lv), lv["lw"], plan, True),

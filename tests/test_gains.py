@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from cdgnn.gains import (
+    INDEPENDENCE_THRESHOLD,
     GainParams,
     assumption_audit,
     cumulative_gain_ratio,
     deep_layer_gain,
     default_grid_cells,
-    depth_decay,
     effective_homophily,
     gain_improvement_check,
     monte_carlo_one_layer,
@@ -118,29 +118,6 @@ class TestDeepLayerGain:
         np.testing.assert_allclose([low, mid, high], [0.152, 0.208, 0.264],
                                    rtol=1e-12)
         assert low < mid < high
-
-
-class TestDepthDecay:
-    def test_halving_layers_hand_case(self):
-        out = depth_decay([0.5, 0.5, 0.5])
-        np.testing.assert_allclose(out.cumulative, [0.5, 0.25, 0.125])
-        assert out.shrinking.all()
-
-    def test_unit_layers_never_shrink(self):
-        out = depth_decay([1.0, 1.0])
-        np.testing.assert_allclose(out.cumulative, 1.0)
-        assert not out.shrinking.any()
-
-    def test_matches_cumprod_oracle(self):
-        rng = np.random.default_rng(2)
-        m = rng.uniform(-2.0, 2.0, size=10)
-        out = depth_decay(m)
-        np.testing.assert_allclose(out.cumulative, np.cumprod(m))
-        np.testing.assert_array_equal(out.shrinking, np.abs(m) < 1.0)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="at least one"):
-            depth_decay([])
 
 
 class TestCumulativeGainRatio:
@@ -413,8 +390,7 @@ class TestAssumptionAudit:
         g = _ring_graph()
         params = _audit_params(np.random.default_rng(22), 6)
         report = assumption_audit(g, params, hops=2, seed=0)
-        assert len(report.dominance_shares) == 2
-        assert len(set(report.dominance_shares)) == 1  # mask shared per depth
+        assert 0.0 <= report.dominance_share <= 1.0  # mask shared per depth
         assert len(report.cross_class_ratios) == 2
         assert report.independence >= -1e-10
         assert 0.0 <= report.sensitivity <= 1.0
@@ -434,7 +410,7 @@ class TestAssumptionAudit:
         report = assumption_audit(g, params, hops=2, seed=0)
         assert report.independence == 0.0
         assert report.sensitivity == 0.0
-        assert report.dominance_shares == [0.0, 0.0]
+        assert report.dominance_share == 0.0
         assert report.passed
 
     def test_identical_branches_flag_dependence(self):
@@ -448,7 +424,7 @@ class TestAssumptionAudit:
         params["mask.w2"] = np.zeros_like(params["mask.w2"])  # even masks
         report = assumption_audit(g, params, hops=2, seed=0)
         assert not report.independence_ok
-        assert report.independence > report.independence_threshold
+        assert report.independence > INDEPENDENCE_THRESHOLD
 
     def test_cross_class_edges_give_a_positive_ratio(self):
         """Labels 0,0,1,1,... round a ring: every 2-hop ego holds same-class

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import composed
 from cdgnn import autodiff as ad
 from cdgnn.graphs import (
     Graph,
@@ -93,8 +94,9 @@ def _propagate(g, signal, edge_weights=None):
     """masked_propagate over the whole graph; 1-D signals stay 1-D."""
     sig = np.asarray(signal, dtype=np.float64)
     w = None if edge_weights is None else np.reshape(edge_weights, (-1, 1))
-    out = ad.masked_propagate(sig.reshape(sig.shape[0], -1), w,
-                              ad.PropagationPlan.from_edges(g.edges, g.num_nodes))
+    out = composed.masked_propagate(
+        sig.reshape(sig.shape[0], -1), w,
+        ad.PropagationPlan.from_edges(g.edges, g.num_nodes))
     return out.data[:, 0] if sig.ndim == 1 else out.data
 
 
@@ -257,7 +259,7 @@ class TestFeatureHeterophily:
 
 
 class TestRenormalizedPropagate:
-    """ad.masked_propagate on the plan of a whole graph."""
+    """composed.masked_propagate on the plan of a whole graph."""
 
     def test_isolated_node_keeps_its_signal(self):
         g = Graph(3, np.array([[0, 1]]), np.ones((3, 1)),

@@ -7,15 +7,14 @@ import numpy as np
 import pytest
 
 from cdgnn import harness, models
-from cdgnn.disentangle import LossSettings
-from cdgnn.graphs import Graph, feature_heterophily, label_heterophily, save_graph
+from cdgnn.disentangle import LossSettings, init_cdgnn_params
+from cdgnn.graphs import Graph, feature_heterophily, label_heterophily
 from cdgnn.harness import (
     RunConfig,
     RunRecord,
     aggregate_runs,
     dataset_hash,
     evaluate,
-    ingest,
     load_model,
     multirun,
     run_experiment,
@@ -482,7 +481,8 @@ class TestSweep:
     def test_grid_rows_and_plot_series(self, monkeypatch):
         monkeypatch.setattr(
             harness, "run_experiment",
-            lambda g, cfg, seed, dataset="custom", model="cdgnn":
+            lambda g, cfg, seed, dataset="custom", model="cdgnn", *,
+            graph_hash=None:
             _stub_record(seed, cfg.lambda_counterfactual * 0.01
                          + cfg.lambda_independence * 0.1))
         result = sweep(_tiny_graph(), _tiny_config(), [0.0, 1.0],
@@ -495,10 +495,29 @@ class TestSweep:
         np.testing.assert_allclose(result.plot["series"][0]["y"],
                                    [0.01, 0.02])
 
+    @pytest.mark.parametrize("seeds", [[0], [0, 1]])
+    def test_hashes_the_graph_once(self, monkeypatch, seeds):
+        calls = []
+
+        def counting_hash(g):
+            calls.append(g)
+            return dataset_hash(g)
+
+        monkeypatch.setattr(harness, "dataset_hash", counting_hash)
+        result = sweep(_tiny_graph(), _tiny_config(epochs=1), [0.0, 1.0],
+                       [0.1, 0.2], seeds=seeds)
+        assert len(calls) == 1
+        assert [row["num_runs"] for row in result.rows] == [len(seeds)] * 4
+
+    def test_duplicate_seeds_rejected(self):
+        with pytest.raises(ValueError, match="distinct"):
+            sweep(_tiny_graph(), _tiny_config(), [1.0], [0.1], seeds=[1, 1])
+
     def test_save_sweep_layout(self, tmp_path, monkeypatch):
         monkeypatch.setattr(
             harness, "run_experiment",
-            lambda g, cfg, seed, dataset="custom", model="cdgnn":
+            lambda g, cfg, seed, dataset="custom", model="cdgnn", *,
+            graph_hash=None:
             _stub_record(seed, 0.5))
         result = sweep(_tiny_graph(), _tiny_config(), [1.0], [0.1], seeds=[0])
         csv_path, json_path = save_sweep(result, tmp_path)
@@ -530,37 +549,18 @@ class TestReportCsv:
 
 class TestModelIo:
     def test_round_trip(self, tmp_path):
-        params = {"gnn_c.w0": np.arange(6.0).reshape(2, 3),
-                  "head_c.b": np.zeros((1, 4))}
-        path = save_model(params, tmp_path / "model.npz")
+        params = init_cdgnn_params(np.random.default_rng(0), 5, 6, 3, 4, 7)
+        path = save_model(params, tmp_path / "model.npz", hops=2)
         loaded = load_model(path)
-        assert set(loaded) == set(params)
+        assert set(loaded.params) == set(params)
         for key in params:
-            np.testing.assert_array_equal(loaded[key], params[key])
+            np.testing.assert_array_equal(loaded.params[key], params[key])
+        assert (loaded.kind, loaded.hops, loaded.layers, loaded.feature_dim,
+                loaded.num_classes) == ("cdgnn", 2, 3, 5, 7)
 
     def test_suffix_added_when_missing(self, tmp_path):
-        path = save_model({"a": np.ones((1, 1))}, tmp_path / "model")
+        path = save_model({"a": np.ones((1, 1))}, tmp_path / "model", hops=1)
         assert path.suffix == ".npz"
         assert path.exists()
 
 
-class TestIngest:
-    def test_reports_heterophily(self, tmp_path):
-        g = _tiny_graph(seed=10)
-        path = tmp_path / "graph.json"
-        save_graph(g, path)
-        report = ingest(path)
-        np.testing.assert_allclose(report.label_heterophily,
-                                   label_heterophily(g))
-        np.testing.assert_allclose(report.feature_heterophily,
-                                   feature_heterophily(g))
-        assert report.graph.num_nodes == g.num_nodes
-
-    def test_invalid_file_names_problem(self, tmp_path):
-        from cdgnn.graphs import GraphError
-        path = tmp_path / "bad.json"
-        payload = {"num_nodes": 2, "edges": [[0, 1]],
-                   "features": [[1.0], [2.0]], "labels": [0, 1]}
-        path.write_text(json.dumps(payload))
-        with pytest.raises(GraphError, match="num_classes"):
-            ingest(path)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import composed
 from cdgnn import autodiff as ad
 from cdgnn.graphs import Graph, ego_subgraph
 from cdgnn.models import (
@@ -148,7 +149,7 @@ class TestGcnForward:
                       rng.normal(size=(n, 3)), np.zeros(n, int), 1)
             w = rng.uniform(0.0, 1.0, size=g.num_edges)
             plan = ad.PropagationPlan.from_edges(g.edges, g.num_nodes)
-            out = ad.masked_propagate(g.features, w[:, None], plan)
+            out = composed.masked_propagate(g.features, w[:, None], plan)
             np.testing.assert_allclose(out.data,
                                        _renormalized_propagate(g, g.features, w),
                                        atol=1e-12)
@@ -178,7 +179,7 @@ class TestGcnForward:
         f = rng.normal(size=(batch.features.shape[0], 2))
         m = rng.uniform(0.0, 1.0, size=(batch.endpoints.shape[0], 1))
         def prop(w):
-            return ad.masked_propagate(f, w, batch.plan).data
+            return composed.masked_propagate(f, w, batch.plan).data
         lhs = prop(m) + prop(1.0 - m)
         rhs = prop(np.ones_like(m)) + prop(np.zeros_like(m))
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)

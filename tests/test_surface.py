@@ -1,0 +1,121 @@
+"""Every public name of the package has a caller outside the tests.
+
+A name listed in a module's `__all__` must be loaded at least once in
+`src/cdgnn/` or `demos/`. Its own definition, its `__all__` entry and the
+re-exports of `__init__.py` do not count. Loads are resolved through the
+syntax tree: `ad.exp` counts for `autodiff.exp` only where `ad` is bound to
+cdgnn's autodiff, and a bare `exp` only where it is imported from there or
+defined in the same module, so neither `np.exp` nor a docstring counts.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "cdgnn"
+MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _exports(tree: ast.Module) -> list[str]:
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__" for t in node.targets)):
+            return list(ast.literal_eval(node.value))
+    return []
+
+
+def _reexports() -> dict[str, str]:
+    """Name -> defining module of each `from .mod import name` in the
+    package's `__init__.py`."""
+    out = {}
+    for node in _parse(PACKAGE / "__init__.py").body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+            for alias in node.names:
+                out[alias.asname or alias.name] = node.module
+    return out
+
+
+def _bindings(tree: ast.Module, reexports: dict[str, str]):
+    """Local names bound to a package name (local -> (module, name)) and
+    local aliases of package modules (alias -> module)."""
+    names, modules = {}, {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            mod = node.module or ""
+            if node.level == 1:
+                target = mod
+            elif mod == "cdgnn" or mod.startswith("cdgnn."):
+                target = mod[len("cdgnn."):]
+            else:
+                continue
+            for alias in node.names:
+                local = alias.asname or alias.name
+                if target:
+                    names[local] = (target, alias.name)
+                elif alias.name in MODULES:
+                    modules[local] = alias.name
+                elif alias.name in reexports:
+                    names[local] = (reexports[alias.name], alias.name)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("cdgnn.") and alias.asname:
+                    modules[alias.asname] = alias.name[len("cdgnn."):]
+    return names, modules
+
+
+def _loads(tree: ast.Module, module: str | None,
+           reexports: dict[str, str]) -> set[tuple[str, str]]:
+    """(module, name) of every package name the file loads, leaving out
+    loads inside that name's own top-level definition."""
+    names, modules = _bindings(tree, reexports)
+    if module is not None:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.setdefault(node.name, (module, node.name))
+    used = set()
+    for top in tree.body:
+        own = getattr(top, "name", None)
+        for node in ast.walk(top):
+            hit = None
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                hit = names.get(node.id)
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Load)
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id in modules):
+                hit = (modules[node.value.id], node.attr)
+            if hit is not None and not (hit[0] == module and hit[1] == own):
+                used.add(hit)
+    return used
+
+
+def unused_public_names() -> list[str]:
+    reexports = _reexports()
+    used = set()
+    for name in MODULES:
+        used |= _loads(_parse(PACKAGE / f"{name}.py"), name, reexports)
+    for path in sorted((ROOT / "demos").glob("*.py")):
+        used |= _loads(_parse(path), None, reexports)
+    return [f"{m}.{n}" for m in MODULES
+            for n in _exports(_parse(PACKAGE / f"{m}.py"))
+            if (m, n) not in used]
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    assert unused_public_names() == []
+
+
+def test_guard_sees_through_aliases_and_ignores_lookalikes(tmp_path):
+    tree = ast.parse(
+        "import numpy as np\n"
+        "from . import autodiff as ad\n"
+        "from .models import classify\n"
+        "def f(x):\n"
+        "    '''exp, sum_all'''\n"
+        "    return np.exp(ad.relu(classify(x)))\n")
+    assert _loads(tree, "harness", {}) == {
+        ("autodiff", "relu"), ("models", "classify")}
