@@ -10,11 +10,26 @@ The model's hot paths are fused primitives (gcn_layer, softmax_head,
 mean_of_halves, ego_readout, gce_rows, nll_rows, hsic_rbf): each records one
 node whose backward repeats, in the same order, the float operations the
 chain of elementary primitives it replaces would perform, so results are
-bitwise those of the composed chain.
+bitwise those of the composed chain. hsic_rbf also takes its own row sample,
+in place of two take_rows nodes.
+
+Every tensor points to its tape and the tape's node list points back, so a
+recorded tape is a reference cycle. `gradients` spends the tape: its
+backward walk drops each node from the list, with the node's gradient and
+adjoint, as soon as the adjoint has run, and then releases the tape. The
+step's activations are thus freed by reference count while the walk runs
+and as soon as the caller drops its own references, never by the cyclic
+collector. Tape.backward keeps every node, so it can run again.
+
+adam_step updates every parameter at once: it lays the parameters, their
+gradients and both moments out as one flat buffer each, and returns the new
+parameters and moments as named views into fresh flat buffers. Adam is
+element-wise, so this gives the bits of a per-parameter loop.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,21 +47,24 @@ __all__ = [
 ]
 
 LOG_CLAMP = 1e-12
+_RELEASED = "the tape was released by gradients(); record a new one"
 
 
 class Tape:
     """Ordered record of differentiable operations."""
 
     def __init__(self) -> None:
-        self._nodes: list[Tensor] = []
+        self._nodes: list[Tensor] | None = []
 
     def leaf(self, data, requires_grad: bool = True) -> "Tensor":
         t = Tensor(_as_matrix(data), tape=self, requires_grad=requires_grad)
         if requires_grad:
-            self._nodes.append(t)
+            self._record(t)
         return t
 
     def _record(self, t: "Tensor") -> None:
+        if self._nodes is None:
+            raise ValueError(_RELEASED)
         self._nodes.append(t)
 
     def backward(self, loss: "Tensor") -> None:
@@ -55,6 +73,30 @@ class Tape:
         Re-running from the same forward state reproduces identical grads:
         all gradients are cleared first.
         """
+        for node in reversed(self._seeded(loss)):
+            if node.grad is None or node._backward is None:
+                continue
+            node._backward(node.grad)
+
+    def _spend(self, loss: "Tensor") -> None:
+        """backward once, then never again: each recorded node is dropped
+        as soon as its adjoint has run, with its gradient and the forward
+        arrays its adjoint kept, so the walk frees memory as it goes. Only
+        the leaves keep their gradients."""
+        nodes = self._seeded(loss)
+        self._nodes = None
+        while nodes:
+            node = nodes.pop()
+            if node._backward is None:
+                continue
+            if node.grad is not None:
+                node._backward(node.grad)
+            node.grad = node._backward = None
+
+    def _seeded(self, loss: "Tensor") -> list["Tensor"]:
+        """The recorded nodes, every gradient cleared and loss's set to 1."""
+        if self._nodes is None:
+            raise ValueError(_RELEASED)
         if loss.tape is not self:
             raise ValueError("loss does not live on this tape")
         if loss.data.shape != (1, 1):
@@ -64,10 +106,7 @@ class Tape:
         for node in self._nodes:
             node.grad = None
         loss.grad = np.ones((1, 1), dtype=np.float64)
-        for node in reversed(self._nodes):
-            if node.grad is None or node._backward is None:
-                continue
-            node._backward(node.grad)
+        return self._nodes
 
 
 class Tensor:
@@ -391,9 +430,11 @@ def _propagate(f: np.ndarray, w: Tensor | None,
         )
     if plan.num_und_edges == 0:
         return f * plan.inv_deg
-    summed = _csr_rowsum(plan.indptr, plan.fwd_cols,
-                         _edge_data(w, plan.fwd_und), f)
-    return (f + summed) * plan.inv_deg
+    out = _csr_rowsum(plan.indptr, plan.fwd_cols,
+                      _edge_data(w, plan.fwd_und), f)
+    out += f
+    out *= plan.inv_deg
+    return out
 
 
 def _propagate_backward(g: np.ndarray, f: Tensor, w: Tensor | None,
@@ -406,7 +447,8 @@ def _propagate_backward(g: np.ndarray, f: Tensor, w: Tensor | None,
     if f.requires_grad:
         back = _csr_rowsum(plan.indptr, plan.bwd_cols,
                            _edge_data(w, plan.bwd_und), go)
-        f._accumulate(go + back)
+        back += go
+        f._accumulate(back)
     if w is not None and w.requires_grad:
         per_dir = np.einsum("ek,ek->e", f.data[plan.fwd_cols], go[plan.fwd_rows])
         dw = np.bincount(plan.fwd_und, weights=per_dir,
@@ -424,11 +466,13 @@ def gcn_layer(f, weights, layer_weight, plan: PropagationPlan,
     w = None if weights is None else _coerce(weights, f.tape)
     lw = _coerce(layer_weight, f.tape)
     prop = _propagate(f.data, w, plan)
-    z = prop @ lw.data
-    data = np.maximum(z, 0.0) if relu else z
+    data = prop @ lw.data
+    if relu:
+        np.maximum(data, 0.0, out=data)
 
     def backward(g: np.ndarray) -> None:
-        gz = g * (z > 0) if relu else g
+        # relu's output is positive exactly where its input is
+        gz = g * (data > 0) if relu else g
         if lw.requires_grad:
             lw._accumulate(prop.T @ gz)
         if f.requires_grad or (w is not None and w.requires_grad):
@@ -554,39 +598,74 @@ def nll_rows(probs, labels, weights=None) -> Tensor:
     return _make(data, (probs,), backward)
 
 
-def _centered(k: np.ndarray) -> np.ndarray:
-    """Double centering H K H with H = I - 11^T/n (self-adjoint, linear)."""
-    return k - k.mean(axis=1, keepdims=True) - k.mean(axis=0, keepdims=True) + k.mean()
+def _centered(k: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Double centering H K H with H = I - 11^T/n (self-adjoint, linear),
+    written to `out` (which may be k itself) or to a new array."""
+    row = k.mean(axis=1, keepdims=True)
+    col = k.mean(axis=0, keepdims=True)
+    mean = k.mean()
+    out = np.subtract(k, row, out=out)
+    out -= col
+    out += mean
+    return out
 
 
 def _rbf(x: np.ndarray, bw: float) -> np.ndarray:
+    """Gaussian gram exp(-max(|x_i|^2 + |x_j|^2 - 2 x_i.x_j, 0) / (2 bw^2))."""
     sq = (x * x).sum(axis=1, keepdims=True)
-    d2 = np.maximum(sq + sq.T - 2.0 * (x @ x.T), 0.0)
-    return np.exp(-d2 / (2.0 * bw * bw))
+    k = sq + sq.T
+    dots = x @ x.T
+    dots *= 2.0
+    k -= dots
+    np.maximum(k, 0.0, out=k)
+    np.negative(k, out=k)
+    k /= 2.0 * bw * bw
+    return np.exp(k, out=k)
 
 
 def _rbf_backward(g: np.ndarray, x: np.ndarray, k: np.ndarray,
                   bw: float) -> np.ndarray:
-    m = -(g * k) / (2.0 * bw * bw)
+    """Adjoint of _rbf at x for the gram adjoint g, which it overwrites."""
+    m = np.multiply(g, k, out=g)
+    np.negative(m, out=m)
+    m /= 2.0 * bw * bw
     s = m + m.T
-    return 2.0 * (s.sum(axis=1, keepdims=True) * x - s @ x)
+    out = s.sum(axis=1, keepdims=True) * x
+    out -= s @ x
+    out *= 2.0
+    return out
 
 
-def hsic_rbf(x, y, bandwidth_x: float, bandwidth_y: float) -> Tensor:
+def hsic_rbf(x, y, bandwidth_x: float, bandwidth_y: float,
+             rows=None) -> Tensor:
     """Biased HSIC sum(HKxH * HKyH) / (n-1)^2 of aligned rows as one node,
-    with Gaussian kernels K_ij = exp(-|r_i - r_j|^2 / (2 bw^2))."""
+    with Gaussian kernels K_ij = exp(-|r_i - r_j|^2 / (2 bw^2)).
+
+    `rows`, when given, holds row indices: the estimate then reads those
+    rows of both inputs, in that order, as take_rows of each would, and
+    scatters the gradients back as its adjoint does.
+    """
     x = _coerce(x, _shared_tape(x, y))
     y = _coerce(y, x.tape)
     bx, by = float(bandwidth_x), float(bandwidth_y)
     if bx <= 0 or by <= 0:
         raise ValueError(f"bandwidth must be positive, got {bx} and {by}")
-    n = x.data.shape[0]
-    if n < 2 or y.data.shape[0] != n:
+    total = x.data.shape[0]
+    if y.data.shape[0] != total:
         raise ValueError(
-            f"hsic_rbf needs two inputs with the same >= 2 rows, got {n} and "
+            f"hsic_rbf needs two inputs with the same rows, got {total} and "
             f"{y.data.shape[0]}")
-    kx = _rbf(x.data, bx)
-    ky = _rbf(y.data, by)
+    xs, ys = x.data, y.data
+    if rows is not None:
+        rows = np.asarray(rows, dtype=np.int64).reshape(-1)
+        if rows.size and (rows.min() < 0 or rows.max() >= total):
+            raise ValueError(f"row index outside [0, {total})")
+        xs, ys = xs[rows], ys[rows]
+    n = xs.shape[0]
+    if n < 2:
+        raise ValueError(f"hsic_rbf needs at least 2 rows, got {n}")
+    kx = _rbf(xs, bx)
+    ky = _rbf(ys, by)
     kxc = _centered(kx)
     kyc = _centered(ky)
     scale = _as_matrix(1.0 / (n - 1.0) ** 2)
@@ -594,21 +673,86 @@ def hsic_rbf(x, y, bandwidth_x: float, bandwidth_y: float) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         gp = (g * scale)[0, 0]
-        if y.requires_grad:
-            y._accumulate(_rbf_backward(_centered(gp * kxc), y.data, ky, by))
-        if x.requires_grad:
-            x._accumulate(_rbf_backward(_centered(gp * kyc), x.data, kx, bx))
+        # y's part first: with x is y, the adds into it keep this order
+        for t, kc, k, sample, bw in ((y, kxc, ky, ys, by), (x, kyc, kx, xs, bx)):
+            if t.requires_grad:
+                gk = np.multiply(gp, kc)
+                gs = _rbf_backward(_centered(gk, out=gk), sample, k, bw)
+                t._accumulate(gs if rows is None
+                              else _row_scatter(t.data.shape, rows, gs))
 
     return _make(data, (x, y), backward)
 
 
+@dataclass(frozen=True)
+class _Layout:
+    """Where each parameter sits in adam_step's flat buffers, and the
+    learning rate per entry (a float, or one rate per entry for the
+    per-parameter rates `rates`)."""
+
+    names: tuple
+    shapes: tuple
+    slices: tuple
+    rates: object
+    lr: object
+
+    @classmethod
+    def of(cls, params: dict, lr) -> "_Layout":
+        sizes = [p.size for p in params.values()]
+        stops = np.cumsum(sizes).tolist()
+        vector = lr
+        if isinstance(lr, dict):
+            missing = params.keys() - lr.keys()
+            if missing:
+                raise ValueError(f"no learning rate for {sorted(missing)}")
+            # element-wise, the products are those of the per-parameter rates
+            vector = np.repeat([lr[k] for k in params], sizes)
+            lr = dict(lr)
+        return cls(tuple(params), tuple(p.shape for p in params.values()),
+                   tuple(map(slice, [0] + stops[:-1], stops)), lr, vector)
+
+    def fits(self, params: dict, lr) -> bool:
+        return (self.names == tuple(params) and self.rates == lr
+                and self.shapes == tuple(p.shape for p in params.values()))
+
+    def flatten(self, table: dict, cached=None) -> np.ndarray:
+        """table's arrays in layout order as one buffer, zeros for a missing
+        name. `cached` is a (views, buffer) pair that an earlier step handed
+        out: when table holds exactly those views, in order, their buffer
+        already is the answer."""
+        if cached is not None and len(table) == len(cached[0]) and all(
+                map(operator.is_, table.values(), cached[0])):
+            return cached[1]
+        parts = []
+        for name, shape in zip(self.names, self.shapes):
+            a = table.get(name)
+            if a is None:
+                a = np.zeros(shape)
+            elif a.shape != shape:
+                raise ValueError(f"{name} is shaped {a.shape}, its parameter "
+                                 f"{shape}")
+            parts.append(a.reshape(-1))
+        return np.concatenate(parts or [np.zeros(0)], dtype=np.float64)
+
+    def views(self, flat: np.ndarray) -> dict:
+        """Named pieces of `flat`, shaped like the parameters."""
+        return {name: flat[where].reshape(shape) for name, where, shape
+                in zip(self.names, self.slices, self.shapes)}
+
+
 @dataclass
 class AdamState:
-    """First/second moment accumulators, keyed like the parameter dict."""
+    """First/second moment accumulators, keyed like the parameter dict.
+
+    After a step, m and v are named views into one flat buffer each. The
+    state also keeps those buffers and the new parameters' (`_flat`), so
+    the next step reads them directly instead of copying every array.
+    """
 
     step: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
+    _flat: tuple | None = field(default=None, repr=False, compare=False)
 
 
 def adam_step(params: dict, grads: dict, state: AdamState | None,
@@ -618,58 +762,61 @@ def adam_step(params: dict, grads: dict, state: AdamState | None,
 
     `lr` is one rate for every parameter or a dict of rates keyed like
     `params` (parameter groups stepping together). Missing gradient entries
-    are treated as zero. Returns fresh dicts; the inputs are not mutated.
+    are treated as zero. Every parameter steps at once, on flat buffers;
+    Adam is element-wise, so the result is bitwise that of stepping them
+    one by one. Returns fresh dicts of views into fresh buffers; the inputs
+    are not mutated.
     """
     for rate in lr.values() if isinstance(lr, dict) else (lr,):
         if rate <= 0:
             raise ValueError(f"learning rate must be positive, got {rate}")
-    rates = lr if isinstance(lr, dict) else dict.fromkeys(params, lr)
-    missing = params.keys() - rates.keys()
-    if missing:
-        raise ValueError(f"no learning rate for {sorted(missing)}")
     if state is None:
         state = AdamState()
+    layout, cached = state._flat or (None, {})
+    if layout is None or not layout.fits(params, lr):
+        layout, cached = _Layout.of(params, lr), {}
     t = state.step + 1
     correction1 = 1.0 - beta1**t
     correction2 = 1.0 - beta2**t
-    new_params: dict = {}
-    new_m: dict = {}
-    new_v: dict = {}
-    for name, p in params.items():
-        g = grads.get(name)
-        if g is None:
-            g = np.zeros_like(p)
-        m = (1 - beta1) * g
-        prev = state.m.get(name)
-        if prev is not None:
-            m += beta1 * prev
-        v = (1 - beta2) * g
-        v *= g
-        prev = state.v.get(name)
-        if prev is not None:
-            v += beta2 * prev
-        denom = v / correction2
-        np.sqrt(denom, out=denom)
-        denom += eps
-        step = m / correction1
-        step *= rates[name]
-        step /= denom
-        new = (rates[name] * weight_decay) * p
-        np.subtract(p, new, out=new)
-        new -= step
-        new_params[name] = new
-        new_m[name] = m
-        new_v[name] = v
-    return new_params, AdamState(step=t, m=new_m, v=new_v)
+    p = layout.flatten(params, cached.get("params"))
+    g = layout.flatten(grads)
+    m = (1 - beta1) * g
+    if state.m:
+        m += beta1 * layout.flatten(state.m, cached.get("m"))
+    v = (1 - beta2) * g
+    v *= g
+    if state.v:
+        v += beta2 * layout.flatten(state.v, cached.get("v"))
+    denom = v / correction2
+    np.sqrt(denom, out=denom)
+    denom += eps
+    step = m / correction1
+    step *= layout.lr
+    step /= denom
+    new = (layout.lr * weight_decay) * p
+    np.subtract(p, new, out=new)
+    new -= step
+    out = {"params": new, "m": m, "v": v}
+    tables = {role: layout.views(flat) for role, flat in out.items()}
+    handed = {role: (tuple(tables[role].values()), flat)
+              for role, flat in out.items()}
+    return tables["params"], AdamState(step=t, m=tables["m"], v=tables["v"],
+                                       _flat=(layout, handed))
 
 
 def gradients(tape: Tape, loss: Tensor, leaves: dict) -> dict:
-    """Run backward and return a gradient table keyed like `leaves`.
+    """Run backward, return a gradient table keyed like `leaves`, and
+    release the tape.
 
-    Leaves that do not influence the loss get zero gradients.
+    `leaves` are tensors made by tape.leaf; those that do not influence the
+    loss get zero gradients. The walk drops each node once its adjoint has
+    run, and the release empties the tape's node list, the only link from
+    the tape back to its tensors: nothing recorded on it outlives the
+    caller's own references, and the tape records nothing more.
     """
-    tape.backward(loss)
-    out = {}
     for name, t in leaves.items():
-        out[name] = np.zeros_like(t.data) if t.grad is None else t.grad.copy()
-    return out
+        if t._backward is not None:
+            raise ValueError(f"{name} is an operation's output, not a leaf")
+    tape._spend(loss)
+    return {name: np.zeros_like(t.data) if t.grad is None else t.grad
+            for name, t in leaves.items()}

@@ -302,22 +302,25 @@ def median_bandwidth(x: np.ndarray) -> float:
 
 
 def hsic(x: ad.Tensor, y: ad.Tensor, bandwidth_x: float | None = None,
-         bandwidth_y: float | None = None) -> ad.Tensor:
-    """Biased HSIC estimate between aligned rows of x and y.
+         bandwidth_y: float | None = None, rows=None) -> ad.Tensor:
+    """Biased HSIC estimate between aligned rows of x and y, or between
+    their rows `rows` when given (as take_rows of both would give them).
 
     (1/(n-1))^2 * trace(Kx H Ky H) with RBF kernels; bandwidths default to
-    the median heuristic on the detached values. The trace is evaluated as
-    an elementwise product of the centered grams (identical by symmetry and
-    idempotence of H).
+    the median heuristic on the detached values of those rows. The trace is
+    evaluated as an elementwise product of the centered grams (identical by
+    symmetry and idempotence of H).
     """
-    n = x.data.shape[0]
+    n = x.data.shape[0] if rows is None else np.shape(rows)[0]
     if n < 2:
         raise ValueError(f"hsic needs at least 2 rows, got {n}")
-    if y.data.shape[0] != n:
+    if y.data.shape[0] != x.data.shape[0]:
         raise ValueError("hsic inputs must have the same number of rows")
-    bx = median_bandwidth(x.data) if bandwidth_x is None else float(bandwidth_x)
-    by = median_bandwidth(y.data) if bandwidth_y is None else float(bandwidth_y)
-    return ad.hsic_rbf(x, y, bx, by)
+    xs = x.data if rows is None else x.data[rows]
+    ys = y.data if rows is None else y.data[rows]
+    bx = median_bandwidth(xs) if bandwidth_x is None else float(bandwidth_x)
+    by = median_bandwidth(ys) if bandwidth_y is None else float(bandwidth_y)
+    return ad.hsic_rbf(x, y, bx, by, rows)
 
 
 def hsic_value(x: np.ndarray, y: np.ndarray, bandwidth_x: float | None = None,

@@ -195,23 +195,34 @@ def monte_carlo_one_layer(params: GainParams, subgraph_degree: int,
     rho = params.cross_class_ratio
     edge_weight = params.total_edge_weight / degree
 
+    # The arithmetic runs in place, in the order of the plain expressions
+    # (signal * (same - rho * (count - same)), then + noise, and so on):
+    # fresh 100k-sample temporaries make the allocator trim and refault
+    # the heap once per cell.
     def group(count: int, homophily: float) -> np.ndarray:
         if count == 0:
             return np.zeros(num_samples)
         same = rng.binomial(count, homophily, size=num_samples)
-        total = signal * (same - rho * (count - same))
+        total = np.subtract(count, same, dtype=np.float64)
+        total *= rho
+        np.subtract(same, total, out=total)
+        total *= signal
         if noise_ratio > 0:
-            total = total + rng.normal(0.0, noise_std * np.sqrt(count),
-                                       size=num_samples)
+            total += rng.normal(0.0, noise_std * np.sqrt(count),
+                                size=num_samples)
         return total
 
     total = group(subgraph_degree, params.subgraph_homophily)
-    total = total + group(rest_degree, params.rest_homophily)
-    center = signal
+    total += group(rest_degree, params.rest_homophily)
+    total *= edge_weight
     if noise_ratio > 0:
-        center = center + rng.normal(0.0, noise_std, size=num_samples)
-    propagated = (center + edge_weight * total) / (degree + 1.0)
-    gains = propagated / signal
+        center = rng.normal(0.0, noise_std, size=num_samples)
+        center += signal
+        total += center
+    else:
+        total += signal
+    total /= degree + 1.0
+    gains = np.divide(total, signal, out=total)
     mix = effective_homophily(subgraph_degree / degree,
                               params.subgraph_homophily, params.rest_homophily)
     analytic = one_layer_gain(degree, params.total_edge_weight, rho, mix)

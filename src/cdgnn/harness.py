@@ -19,6 +19,7 @@ import csv
 import hashlib
 import json
 import time
+import zipfile
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Sequence
@@ -165,12 +166,17 @@ class TrainResult:
     stopped_early: bool
 
 
-def _predict_cdgnn(g: Graph, cache, nodes: np.ndarray,
+def _eval_batches(g: Graph, cache, nodes: np.ndarray) -> list[EgoBatch]:
+    """The ego batches of `nodes`, in chunks of _EVAL_CHUNK egos."""
+    return [batch_from_cache(g, cache, nodes[start:start + _EVAL_CHUNK])
+            for start in range(0, nodes.shape[0], _EVAL_CHUNK)]
+
+
+def _predict_cdgnn(batches: list[EgoBatch],
                    params: dict[str, np.ndarray]) -> np.ndarray:
-    """Causal-head predictions for `nodes`, in chunks of _EVAL_CHUNK egos."""
+    """Causal-head predictions for the egos of `batches`, in order."""
     preds = []
-    for start in range(0, nodes.shape[0], _EVAL_CHUNK):
-        batch = batch_from_cache(g, cache, nodes[start:start + _EVAL_CHUNK])
+    for batch in batches:
         fwd = two_branch_forward(batch, params)
         probs = classify(fwd.bundle.joint, *fwd.head_causal)
         preds.append(np.argmax(probs.data, axis=1))
@@ -272,6 +278,7 @@ def train_cdgnn(g: Graph, config: RunConfig, seed: int,
                  for k in params}
         egos = cache if cache is not None else build_ego_cache(
             g, config.resolved_hops, np.concatenate([train_nodes, val_nodes]))
+        val_batches = _eval_batches(g, egos, val_nodes)
 
         def step(params, guard):
             nonlocal adam
@@ -298,8 +305,8 @@ def train_cdgnn(g: Graph, config: RunConfig, seed: int,
                                               perm, weights)
                 num_rows = bundle.nodes_causal.data.shape[0]
                 rows = rng_hsic.permutation(num_rows)[:config.hsic_max_rows]
-                loss_hsic = hsic(ad.take_rows(bundle.nodes_causal, rows),
-                                 ad.take_rows(bundle.nodes_shortcut, rows))
+                loss_hsic = hsic(bundle.nodes_causal, bundle.nodes_shortcut,
+                                 rows=rows)
                 total, breakdown = total_loss(loss_s, loss_c, loss_cf,
                                               loss_hsic, settings)
                 breakdown["ce_s"] = float(ce_s.mean())
@@ -322,8 +329,7 @@ def train_cdgnn(g: Graph, config: RunConfig, seed: int,
                             + c_cf * row["loss_cf"] + c_hsic * row["loss_hsic"])
             return params, row
 
-        return (params, step,
-                lambda params: _predict_cdgnn(g, egos, val_nodes, params))
+        return params, step, lambda params: _predict_cdgnn(val_batches, params)
 
     return _fit(g, config, seed, train_nodes, val_nodes, model)
 
@@ -398,22 +404,26 @@ class EvalResult:
 
 
 def evaluate(g: Graph, params: dict[str, np.ndarray], nodes,
-             hops: int = 2, cache: dict | None = None) -> EvalResult:
+             hops: int | None = None, cache: dict | None = None) -> EvalResult:
     """Accuracy and confusion (rows true, cols predicted) on given nodes.
 
     Dispatches on the model kind the parameters hold: the disentangled
     model predicts via the causal head, on the ego subgraphs of `cache`, a
-    build_ego_cache at `hops` covering `nodes`, built when None; the GCN
-    baseline on the full graph. Ties resolve to the lowest class id via
-    argmax.
+    build_ego_cache at `hops` covering `nodes`, built when None; its `hops`
+    are those it was trained at (SavedModel.hops) and have no default. The
+    GCN baseline predicts on the full graph and ignores `hops`. Ties
+    resolve to the lowest class id via argmax.
     """
     nodes = np.asarray(nodes, dtype=np.int64).reshape(-1)
     if nodes.shape[0] == 0:
         raise ValueError("evaluate needs at least one node")
     if _model_shape(params)[0] == "cdgnn":
+        if hops is None:
+            raise ValueError("evaluate needs the ego hops a CD-GNN model was "
+                             "trained at (SavedModel.hops)")
         if cache is None:
             cache = build_ego_cache(g, hops, nodes)
-        predictions = _predict_cdgnn(g, cache, nodes, params)
+        predictions = _predict_cdgnn(_eval_batches(g, cache, nodes), params)
     else:
         _, _, probs = _gcn_probs(_full_graph_batch(g), params, nodes)
         predictions = np.argmax(probs.data, axis=1)
@@ -684,7 +694,11 @@ def save_model(params: dict[str, np.ndarray], path, hops: int) -> Path:
 
 
 def load_model(path) -> SavedModel:
-    data = np.load(path)
+    try:
+        data = np.load(path)
+    except (ValueError, EOFError, zipfile.BadZipFile):
+        # neither .npy nor zip: numpy takes the file for a pickle
+        raise ValueError(f"{path} is not an .npz model archive") from None
     if not isinstance(data, np.lib.npyio.NpzFile):
         raise ValueError(f"{path} holds one array, not an .npz model archive")
     with data:

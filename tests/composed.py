@@ -11,6 +11,7 @@ own adjoints, beside gce_grad_identity_check, the GCE gradient identity.
 gather_scatter_propagate is the oracle of the CSR propagation: the edge-list
 gather and bincount scatter that PropagationPlan replaced. add_at_take_rows
 is likewise the oracle of take_rows, whose adjoint runs as a CSR row sum.
+adam_step is the per-parameter loop that the flat-buffer Adam replaced.
 """
 
 import numpy as np
@@ -278,3 +279,42 @@ def gce_grad_identity_check(params, forward, label, q):
     for k in params:
         dev = max(dev, float(np.max(np.abs(grads_a[k] - scale * grads_b[k]))))
     return dev
+
+
+def adam_step(params, grads, state, lr, weight_decay=0.0, beta1=0.9,
+              beta2=0.999, eps=1e-8):
+    """ad.adam_step one parameter at a time; `state` is an ad.AdamState
+    or None, and the returned moments are plain dicts of arrays."""
+    rates = lr if isinstance(lr, dict) else dict.fromkeys(params, lr)
+    if state is None:
+        state = ad.AdamState()
+    t = state.step + 1
+    correction1 = 1.0 - beta1**t
+    correction2 = 1.0 - beta2**t
+    new_params, new_m, new_v = {}, {}, {}
+    for name, p in params.items():
+        g = grads.get(name)
+        if g is None:
+            g = np.zeros_like(p)
+        m = (1 - beta1) * g
+        prev = state.m.get(name)
+        if prev is not None:
+            m += beta1 * prev
+        v = (1 - beta2) * g
+        v *= g
+        prev = state.v.get(name)
+        if prev is not None:
+            v += beta2 * prev
+        denom = v / correction2
+        np.sqrt(denom, out=denom)
+        denom += eps
+        step = m / correction1
+        step *= rates[name]
+        step /= denom
+        new = (rates[name] * weight_decay) * p
+        np.subtract(p, new, out=new)
+        new -= step
+        new_params[name] = new
+        new_m[name] = m
+        new_v[name] = v
+    return new_params, ad.AdamState(step=t, m=new_m, v=new_v)

@@ -1,5 +1,8 @@
 """Reverse-mode tape: primitive adjoints, backward semantics, Adam."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -68,6 +71,43 @@ class TestBackwardSemantics:
         first = x.grad.copy()
         tape.backward(loss)
         np.testing.assert_array_equal(x.grad, first)
+
+    def test_gradients_match_backward_then_release_the_tape(self):
+        def forward():
+            tape = ad.Tape()
+            x = tape.leaf(np.array([[1.0, -2.0], [0.5, 3.0]]))
+            w = tape.leaf(np.array([[0.3], [-0.7]]))
+            return tape, x, w, ad.mean(ad.sigmoid(ad.matmul(x, w)))
+
+        tape, x, w, loss = forward()
+        tape.backward(loss)
+        want = {"x": x.grad.copy(), "w": w.grad.copy()}
+        tape, x, w, loss = forward()
+        got = ad.gradients(tape, loss, {"x": x, "w": w})
+        for k in want:
+            np.testing.assert_array_equal(got[k], want[k])
+        for spent in (lambda: tape.backward(loss), lambda: ad.add(x, x),
+                      lambda: tape.leaf(np.ones((1, 1)))):
+            with pytest.raises(ValueError, match="released"):
+                spent()
+
+    def test_spent_tape_dies_by_reference_count(self):
+        """After gradients, a step's tensors and its tape go as soon as the
+        caller drops them, with the cyclic collector off."""
+        gc.disable()
+        try:
+            tape = ad.Tape()
+            x = tape.leaf(np.ones((3, 2)))
+            h = ad.sigmoid(x)
+            loss = ad.mean(ad.multiply(h, h))
+            refs = [weakref.ref(tape), weakref.ref(h.data),
+                    weakref.ref(loss.data)]
+            ad.gradients(tape, loss, {"x": x})
+            assert all(ref() is not None for ref in refs)
+            del tape, x, h, loss
+            assert [ref() for ref in refs] == [None, None, None]
+        finally:
+            gc.enable()
 
     def test_unused_leaf_gets_zero_gradient(self):
         tape = ad.Tape()

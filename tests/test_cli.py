@@ -425,6 +425,19 @@ class TestModelArchives:
         _one_line_error(capsys, ["evaluate", "--graph", tiny_graph_file,
                                  "--model", path], ".npz")
 
+    def test_non_archive_file_is_refused(self, tiny_graph_file, tmp_path,
+                                         capsys):
+        """numpy takes any other file for a pickle; the error names the
+        file as no model archive instead."""
+        path = tmp_path / "x.json"
+        path.write_text('{"a": 1}')
+        empty = tmp_path / "empty.npz"
+        empty.write_bytes(b"")
+        for bad in (path, empty):
+            _one_line_error(capsys, ["evaluate", "--graph", tiny_graph_file,
+                                     "--model", bad],
+                            f"{bad} is not an .npz model archive")
+
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 

@@ -15,6 +15,7 @@ from scipy.sparse import _base
 import composed
 from cdgnn import autodiff as ad
 from cdgnn import harness, models, synth
+from cdgnn.disentangle import hsic
 
 OPS = ("gcn_layer", "softmax_head", "mean_of_halves", "ego_readout",
        "gce_rows", "nll_rows", "hsic_rbf")
@@ -152,6 +153,31 @@ class TestBitwiseAgainstComposedChain:
                 _assert_bitwise(op(ad.hsic_rbf), op(composed.hsic_rbf), values,
                                 tracked)
 
+    @pytest.mark.parametrize("num_rows, repeated", [(7, False), (40, False),
+                                                    (20, True)])
+    def test_hsic_takes_its_own_row_sample(self, num_rows, repeated):
+        """hsic with a row sample, as training draws it (a permutation cut
+        to at most max_rows: all rows at 7, a strict subset at 40), or with
+        repeated rows, gives the bits of hsic on take_rows of both inputs."""
+        rng = np.random.default_rng(num_rows)
+        max_rows = 16
+        for _ in range(5):
+            sample = (rng.integers(0, num_rows, size=max_rows) if repeated
+                      else rng.permutation(num_rows)[:max_rows])
+            values = {"x": rng.normal(size=(num_rows, 5)),
+                      "y": rng.normal(size=(num_rows, 3))}
+            for tracked in ({"x", "y"}, {"x"}, {"y"}):
+                _assert_bitwise(
+                    lambda lv: hsic(lv["x"], lv["y"], rows=sample),
+                    lambda lv: hsic(ad.take_rows(lv["x"], sample),
+                                    ad.take_rows(lv["y"], sample)),
+                    values, tracked)
+            _assert_bitwise(
+                lambda lv: ad.hsic_rbf(lv["x"], lv["x"], 1.3, 0.7, sample),
+                lambda lv: ad.hsic_rbf(ad.take_rows(lv["x"], sample),
+                                       ad.take_rows(lv["x"], sample), 1.3, 0.7),
+                values, {"x"})
+
     def test_hsic_rbf_of_one_input_with_itself(self):
         """Both kernel adjoints land in the same tensor, y's part first."""
         rng = np.random.default_rng(13)
@@ -263,6 +289,56 @@ class TestFusedOpGuards:
     def test_hsic_rows_must_match(self):
         with pytest.raises(ValueError, match="rows"):
             ad.hsic_rbf(np.ones((3, 2)), np.ones((4, 2)), 1.0, 1.0)
+
+    @pytest.mark.parametrize("rows, match", [
+        ([0, 3], "outside"), ([-1, 0], "outside"), ([1], "at least 2")])
+    def test_hsic_row_sample_checked(self, rows, match):
+        """The row scatter of the adjoint checks no bounds."""
+        with pytest.raises(ValueError, match=match):
+            ad.hsic_rbf(np.ones((3, 2)), np.ones((3, 2)), 1.0, 1.0, rows)
+
+
+class TestFlatAdam:
+    def test_matches_per_parameter_loop(self):
+        """Many steps of two rate groups with weight decay, a gradient
+        missing on some steps and gradients over ten orders of magnitude
+        (zeros included): the bits of the per-parameter loop."""
+        rng = np.random.default_rng(16)
+        shapes = {"mask.w1": (6, 4), "mask.b1": (1, 4), "gnn.w0": (4, 8),
+                  "gnn.w1": (8, 8), "head.w": (8, 3), "head.b": (1, 3)}
+        rates = {k: 1e-3 if k.startswith("mask.") else 0.02 for k in shapes}
+        start = {k: rng.normal(size=s) for k, s in shapes.items()}
+        for lr, decay in ((rates, 5e-4), (0.05, 0.3)):
+            flat, flat_state = start, None
+            loop, loop_state = start, None
+            for step in range(150):
+                grads = {k: rng.normal(size=s) * 10.0 ** rng.integers(-8, 3)
+                         for k, s in shapes.items()}
+                grads["head.b"][0, 0] = 0.0
+                if step % 3 == 0:
+                    del grads["gnn.w1"]
+                flat, flat_state = ad.adam_step(flat, grads, flat_state, lr,
+                                                decay)
+                loop, loop_state = composed.adam_step(loop, grads, loop_state,
+                                                      lr, decay)
+                assert flat_state.step == loop_state.step == step + 1
+                for got, want in ((flat, loop), (flat_state.m, loop_state.m),
+                                  (flat_state.v, loop_state.v)):
+                    assert list(got) == list(shapes)
+                    for k in shapes:
+                        np.testing.assert_array_equal(got[k], want[k], err_msg=k)
+
+    def test_returns_views_of_one_buffer(self):
+        params = {"a": np.ones((2, 3)), "b": np.ones((1, 1))}
+        new, state = ad.adam_step(params, {"a": np.ones((2, 3))}, None, 0.1)
+        for table in (new, state.m, state.v):
+            assert table["a"].base is table["b"].base is not None
+            assert table["a"].shape == (2, 3) and table["b"].shape == (1, 1)
+
+    def test_gradient_shape_must_match(self):
+        with pytest.raises(ValueError, match="shaped"):
+            ad.adam_step({"w": np.ones((2, 3))}, {"w": np.ones((3, 2))},
+                         None, 0.1)
 
 
 @pytest.mark.parametrize("name", synth.PRESET_NAMES)

@@ -303,6 +303,49 @@ class TestMonteCarloAgainstPerEmissionOracle:
         np.testing.assert_allclose(mc.stderr, stderr, rtol=0.05)
 
 
+def _plain_monte_carlo(params, subgraph_degree, rest_degree, signal,
+                       noise_ratio, num_samples, seed):
+    """Oracle: monte_carlo_one_layer's sampler as plain expressions, each
+    allocating its result. Returns (empirical gain, its standard error)."""
+    rng = np.random.default_rng(seed)
+    noise_std = np.sqrt(noise_ratio) * abs(signal)
+    rho = params.cross_class_ratio
+    degree = subgraph_degree + rest_degree
+    edge_weight = params.total_edge_weight / degree
+
+    def group(count, homophily):
+        if count == 0:
+            return np.zeros(num_samples)
+        same = rng.binomial(count, homophily, size=num_samples)
+        total = signal * (same - rho * (count - same))
+        if noise_ratio > 0:
+            total = total + rng.normal(0.0, noise_std * np.sqrt(count),
+                                       size=num_samples)
+        return total
+
+    total = group(subgraph_degree, params.subgraph_homophily)
+    total = total + group(rest_degree, params.rest_homophily)
+    center = signal
+    if noise_ratio > 0:
+        center = center + rng.normal(0.0, noise_std, size=num_samples)
+    gains = (center + edge_weight * total) / (degree + 1.0) / signal
+    return float(gains.mean()), float(gains.std(ddof=1) / np.sqrt(num_samples))
+
+
+@pytest.mark.parametrize("cell", range(len(_ORACLE_CELLS)))
+@pytest.mark.parametrize("signal", [1.0, -1.7])
+def test_in_place_sampler_gives_the_bits_of_plain_expressions(cell, signal):
+    params, sub, rest, noise = _ORACLE_CELLS[cell]
+    for first, second in ((sub, rest), (rest, sub)):
+        if first + second == 0 or params.degree != first + second:
+            continue
+        mc = monte_carlo_one_layer(params, first, second, signal=signal,
+                                   noise_ratio=noise, num_samples=5000,
+                                   seed=40 + cell)
+        assert (mc.empirical, mc.stderr) == _plain_monte_carlo(
+            params, first, second, signal, noise, 5000, 40 + cell)
+
+
 class TestMonteCarlo:
     def test_noiseless_pure_homophily_is_exact(self):
         params = _mc_params(degree=4, h_sub=1.0, h_rest=1.0)

@@ -1,11 +1,13 @@
 """Splits, training loops, run records, and experiment drivers."""
 
+import gc
 import json
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from cdgnn import autodiff as ad
 from cdgnn import harness, models
 from cdgnn.disentangle import LossSettings, init_cdgnn_params
 from cdgnn.graphs import Graph, feature_heterophily, label_heterophily
@@ -296,6 +298,18 @@ class TestEvaluate:
             ev = evaluate(g, params, sp.test, hops=2)
             assert ev.predictions.shape == sp.test.shape
 
+    def test_cdgnn_needs_its_ego_hops(self):
+        """A CD-GNN reads egos of the hops it was trained at, so evaluate
+        takes no default for them."""
+        g = _tiny_graph(seed=6)
+        sp = split_nodes(g.num_nodes, seed=6)
+        params = init_cdgnn_params(np.random.default_rng(0), 5, 4, 1, 4, 2)
+        with pytest.raises(ValueError, match="ego hops") as err:
+            evaluate(g, params, sp.test)
+        assert "\n" not in str(err.value)
+        ev = evaluate(g, params, sp.test, hops=1)
+        assert ev.predictions.shape == sp.test.shape
+
     def test_empty_nodes_rejected(self):
         g = _tiny_graph(seed=7)
         result = train_gcn_baseline(g, _tiny_config(epochs=1), seed=0,
@@ -303,6 +317,27 @@ class TestEvaluate:
                                     val_nodes=np.arange(10, 14))
         with pytest.raises(ValueError, match="at least one"):
             evaluate(g, result.params, np.array([], dtype=int))
+
+
+def test_training_leaves_no_cyclic_garbage():
+    """Each step's tape is freed by reference count: with the cyclic
+    collector off, training leaves it no Tape or Tensor to find."""
+    g = _tiny_graph(seed=8)
+    sp = split_nodes(g.num_nodes, seed=8)
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        train_cdgnn(g, _tiny_config(epochs=3), 0, sp.train, sp.val)
+        train_gcn_baseline(g, _tiny_config(epochs=3), 0, sp.train, sp.val)
+        gc.collect()
+        found = sorted({type(o).__name__ for o in gc.garbage
+                        if isinstance(o, (ad.Tape, ad.Tensor))})
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert found == []
 
 
 class TestTrainBatches:
