@@ -40,13 +40,14 @@ def main() -> None:
     print(f"dL/dw[0,0]: tape {grads['w'][0, 0]:+.6f}  "
           f"finite difference {float(fd[0, 0]):+.6f}")
 
-    # A few steps of Adam drive the loss down.
-    params = {"w": w0, "b": b0}
-    state = ad.AdamState()
+    # A few steps of Adam drive the loss down. The state holds the
+    # parameters in one buffer and steps them in place.
+    state = ad.AdamState({"w": w0, "b": b0}, 0.1)
     for step in range(30):
-        tape, leaves, loss = nll_loss(x, y, params["w"], params["b"])
+        tape, leaves, loss = nll_loss(x, y, state.params["w"],
+                                      state.params["b"])
         grads = ad.gradients(tape, loss, leaves)
-        params, state = ad.adam_step(params, grads, state, 0.1, 0.0)
+        ad.adam_step(state, grads)
         if step % 10 == 9:
             print(f"step {step + 1:>2}: loss {loss.data[0, 0]:.4f}")
 

@@ -1,7 +1,7 @@
 """Tape-based reverse-mode differentiation on dense float64 matrices.
 
 Every value is a 2-D array (scalars are (1, 1)). Operations record onto the
-tape of their inputs; Tape.backward walks the recorded nodes once in reverse
+tape of their inputs; `gradients` walks the recorded nodes once in reverse
 creation order and accumulates gradients into every tensor that requires
 them. Graph propagation and its adjoints run as CSR row sums over a
 PropagationPlan, so no dense adjacency matrix is ever materialized.
@@ -19,18 +19,18 @@ backward walk drops each node from the list, with the node's gradient and
 adjoint, as soon as the adjoint has run, and then releases the tape. The
 step's activations are thus freed by reference count while the walk runs
 and as soon as the caller drops its own references, never by the cyclic
-collector. Tape.backward keeps every node, so it can run again.
+collector. The walk runs once per tape.
 
-adam_step updates every parameter at once: it lays the parameters, their
-gradients and both moments out as one flat buffer each, and returns the new
-parameters and moments as named views into fresh flat buffers. Adam is
+An AdamState holds one run's parameters in one flat buffer, as named views
+(the table the model reads), with both moments and the per-entry learning
+rates flat beside it. adam_step concatenates the gradient table and updates
+the buffer and the moments in place with a few vector operations. Adam is
 element-wise, so this gives the bits of a per-parameter loop.
 """
 
 from __future__ import annotations
 
-import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import _sparsetools
@@ -67,34 +67,11 @@ class Tape:
             raise ValueError(_RELEASED)
         self._nodes.append(t)
 
-    def backward(self, loss: "Tensor") -> None:
-        """Accumulate d loss / d node into .grad for every recorded tensor.
-
-        Re-running from the same forward state reproduces identical grads:
-        all gradients are cleared first.
-        """
-        for node in reversed(self._seeded(loss)):
-            if node.grad is None or node._backward is None:
-                continue
-            node._backward(node.grad)
-
     def _spend(self, loss: "Tensor") -> None:
-        """backward once, then never again: each recorded node is dropped
-        as soon as its adjoint has run, with its gradient and the forward
-        arrays its adjoint kept, so the walk frees memory as it goes. Only
-        the leaves keep their gradients."""
-        nodes = self._seeded(loss)
-        self._nodes = None
-        while nodes:
-            node = nodes.pop()
-            if node._backward is None:
-                continue
-            if node.grad is not None:
-                node._backward(node.grad)
-            node.grad = node._backward = None
-
-    def _seeded(self, loss: "Tensor") -> list["Tensor"]:
-        """The recorded nodes, every gradient cleared and loss's set to 1."""
+        """Accumulate d loss / d node into the leaves' .grad, once: each
+        recorded node is dropped as soon as its adjoint has run, with its
+        gradient and the forward arrays its adjoint kept, so the walk frees
+        memory as it goes, and the tape is released."""
         if self._nodes is None:
             raise ValueError(_RELEASED)
         if loss.tape is not self:
@@ -103,10 +80,16 @@ class Tape:
             raise ValueError(f"loss must be scalar shaped (1, 1), got {loss.data.shape}")
         if not np.isfinite(loss.data[0, 0]):
             raise FloatingPointError(f"loss is not finite: {loss.data[0, 0]}")
-        for node in self._nodes:
-            node.grad = None
+        # one walk per tape, so every gradient is still None here
+        nodes, self._nodes = self._nodes, None
         loss.grad = np.ones((1, 1), dtype=np.float64)
-        return self._nodes
+        while nodes:
+            node = nodes.pop()
+            if node._backward is None:
+                continue
+            if node.grad is not None:
+                node._backward(node.grad)
+            node.grad = node._backward = None
 
 
 class Tensor:
@@ -684,129 +667,83 @@ def hsic_rbf(x, y, bandwidth_x: float, bandwidth_y: float,
     return _make(data, (x, y), backward)
 
 
-@dataclass(frozen=True)
-class _Layout:
-    """Where each parameter sits in adam_step's flat buffers, and the
-    learning rate per entry (a float, or one rate per entry for the
-    per-parameter rates `rates`)."""
-
-    names: tuple
-    shapes: tuple
-    slices: tuple
-    rates: object
-    lr: object
-
-    @classmethod
-    def of(cls, params: dict, lr) -> "_Layout":
-        sizes = [p.size for p in params.values()]
-        stops = np.cumsum(sizes).tolist()
-        vector = lr
-        if isinstance(lr, dict):
-            missing = params.keys() - lr.keys()
-            if missing:
-                raise ValueError(f"no learning rate for {sorted(missing)}")
-            # element-wise, the products are those of the per-parameter rates
-            vector = np.repeat([lr[k] for k in params], sizes)
-            lr = dict(lr)
-        return cls(tuple(params), tuple(p.shape for p in params.values()),
-                   tuple(map(slice, [0] + stops[:-1], stops)), lr, vector)
-
-    def fits(self, params: dict, lr) -> bool:
-        return (self.names == tuple(params) and self.rates == lr
-                and self.shapes == tuple(p.shape for p in params.values()))
-
-    def flatten(self, table: dict, cached=None) -> np.ndarray:
-        """table's arrays in layout order as one buffer, zeros for a missing
-        name. `cached` is a (views, buffer) pair that an earlier step handed
-        out: when table holds exactly those views, in order, their buffer
-        already is the answer."""
-        if cached is not None and len(table) == len(cached[0]) and all(
-                map(operator.is_, table.values(), cached[0])):
-            return cached[1]
-        parts = []
-        for name, shape in zip(self.names, self.shapes):
-            a = table.get(name)
-            if a is None:
-                a = np.zeros(shape)
-            elif a.shape != shape:
-                raise ValueError(f"{name} is shaped {a.shape}, its parameter "
-                                 f"{shape}")
-            parts.append(a.reshape(-1))
-        return np.concatenate(parts or [np.zeros(0)], dtype=np.float64)
-
-    def views(self, flat: np.ndarray) -> dict:
-        """Named pieces of `flat`, shaped like the parameters."""
-        return {name: flat[where].reshape(shape) for name, where, shape
-                in zip(self.names, self.slices, self.shapes)}
-
-
-@dataclass
 class AdamState:
-    """First/second moment accumulators, keyed like the parameter dict.
-
-    After a step, m and v are named views into one flat buffer each. The
-    state also keeps those buffers and the new parameters' (`_flat`), so
-    the next step reads them directly instead of copying every array.
-    """
-
-    step: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
-    _flat: tuple | None = field(default=None, repr=False, compare=False)
-
-
-def adam_step(params: dict, grads: dict, state: AdamState | None,
-              lr: float | dict, weight_decay: float = 0.0, beta1: float = 0.9,
-              beta2: float = 0.999, eps: float = 1e-8) -> tuple[dict, AdamState]:
-    """One Adam update with decoupled weight decay (lr * wd * param).
+    """One run's Adam: the parameters as named views into one float64
+    buffer (`params`, over `flat`), flat first and second moments beside
+    it, the learning rate per entry and the step count.
 
     `lr` is one rate for every parameter or a dict of rates keyed like
-    `params` (parameter groups stepping together). Missing gradient entries
-    are treated as zero. Every parameter steps at once, on flat buffers;
-    Adam is element-wise, so the result is bitwise that of stepping them
-    one by one. Returns fresh dicts of views into fresh buffers; the inputs
-    are not mutated.
+    `params` (parameter groups stepping together). The state copies the
+    table it starts from; adam_step updates `flat`, and so every view in
+    `params`, in place.
     """
-    for rate in lr.values() if isinstance(lr, dict) else (lr,):
-        if rate <= 0:
-            raise ValueError(f"learning rate must be positive, got {rate}")
-    if state is None:
-        state = AdamState()
-    layout, cached = state._flat or (None, {})
-    if layout is None or not layout.fits(params, lr):
-        layout, cached = _Layout.of(params, lr), {}
-    t = state.step + 1
-    correction1 = 1.0 - beta1**t
-    correction2 = 1.0 - beta2**t
-    p = layout.flatten(params, cached.get("params"))
-    g = layout.flatten(grads)
-    m = (1 - beta1) * g
-    if state.m:
-        m += beta1 * layout.flatten(state.m, cached.get("m"))
-    v = (1 - beta2) * g
-    v *= g
-    if state.v:
-        v += beta2 * layout.flatten(state.v, cached.get("v"))
+
+    def __init__(self, params: dict, lr: float | dict) -> None:
+        rates = lr if isinstance(lr, dict) else dict.fromkeys(params, lr)
+        missing = params.keys() - rates.keys()
+        if missing:
+            raise ValueError(f"no learning rate for {sorted(missing)}")
+        for rate in rates.values():
+            if rate <= 0:
+                raise ValueError(f"learning rate must be positive, got {rate}")
+        sizes = [p.size for p in params.values()]
+        self.flat = np.concatenate([p.reshape(-1) for p in params.values()],
+                                   dtype=np.float64)
+        stops = np.cumsum(sizes).tolist()
+        self.params = {name: self.flat[stop - size:stop].reshape(p.shape)
+                       for (name, p), size, stop
+                       in zip(params.items(), sizes, stops)}
+        # element-wise, the products are those of the per-parameter rates
+        self.lr = np.repeat([rates[k] for k in params], sizes)
+        # -0.0 is the identity of +, so the first step's moments are
+        # exactly (1 - beta) * g, sign bits included
+        self.m = np.full_like(self.flat, -0.0)
+        self.v = np.full_like(self.flat, -0.0)
+        self.step = 0
+
+
+def adam_step(state: AdamState, grads: dict, weight_decay: float = 0.0,
+              beta1: float = 0.9, beta2: float = 0.999,
+              eps: float = 1e-8) -> None:
+    """One Adam update with decoupled weight decay (lr * wd * param), in
+    place on `state`.
+
+    Every parameter steps at once, on the flat buffers; Adam is
+    element-wise, so the result is bitwise that of stepping them one by
+    one. `grads` holds a gradient for every parameter.
+    """
+    parts = []
+    for name, p in state.params.items():
+        g = grads[name]
+        if g.shape != p.shape:
+            raise ValueError(f"{name} is shaped {g.shape}, its parameter "
+                             f"{p.shape}")
+        parts.append(g.reshape(-1))
+    g = np.concatenate(parts, dtype=np.float64)
+    state.step += 1
+    correction1 = 1.0 - beta1**state.step
+    correction2 = 1.0 - beta2**state.step
+    m, v, flat = state.m, state.v, state.flat
+    m *= beta1
+    m += (1 - beta1) * g
+    fresh = (1 - beta2) * g
+    fresh *= g
+    v *= beta2
+    v += fresh
     denom = v / correction2
     np.sqrt(denom, out=denom)
     denom += eps
     step = m / correction1
-    step *= layout.lr
+    step *= state.lr
     step /= denom
-    new = (layout.lr * weight_decay) * p
-    np.subtract(p, new, out=new)
-    new -= step
-    out = {"params": new, "m": m, "v": v}
-    tables = {role: layout.views(flat) for role, flat in out.items()}
-    handed = {role: (tuple(tables[role].values()), flat)
-              for role, flat in out.items()}
-    return tables["params"], AdamState(step=t, m=tables["m"], v=tables["v"],
-                                       _flat=(layout, handed))
+    decay = (state.lr * weight_decay) * flat
+    np.subtract(flat, decay, out=flat)
+    flat -= step
 
 
 def gradients(tape: Tape, loss: Tensor, leaves: dict) -> dict:
-    """Run backward, return a gradient table keyed like `leaves`, and
-    release the tape.
+    """Walk the tape back from `loss` once, return a gradient table keyed
+    like `leaves`, and release the tape.
 
     `leaves` are tensors made by tape.leaf; those that do not influence the
     loss get zero gradients. The walk drops each node once its adjoint has

@@ -9,6 +9,7 @@ assumptions, and summarize saved run records as CSV.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -287,7 +288,10 @@ def _cmd_report(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process: the tree is a reference
+    cycle, so a tree per call would be left to the cyclic collector."""
     parser = argparse.ArgumentParser(
         prog="cdgnn",
         description="Disentangled GNN laboratory: data, training, theory checks.")

@@ -325,10 +325,9 @@ def hsic(x: ad.Tensor, y: ad.Tensor, bandwidth_x: float | None = None,
 
 def hsic_value(x: np.ndarray, y: np.ndarray, bandwidth_x: float | None = None,
                bandwidth_y: float | None = None) -> float:
-    """Plain-array HSIC (same estimator as hsic(), no tape)."""
-    tape = ad.Tape()
-    return hsic(tape.leaf(np.asarray(x, dtype=np.float64), requires_grad=False),
-                tape.leaf(np.asarray(y, dtype=np.float64), requires_grad=False),
+    """Plain-array HSIC (same estimator as hsic(), on untracked tensors)."""
+    return hsic(ad.Tensor(np.asarray(x, dtype=np.float64)),
+                ad.Tensor(np.asarray(y, dtype=np.float64)),
                 bandwidth_x, bandwidth_y).item()
 
 

@@ -239,10 +239,6 @@ class GridCheck:
     within_count: int
     total: int
 
-    @property
-    def coverage(self) -> float:
-        return self.within_count / self.total
-
 
 def theory_check_grid(cells: Sequence[dict], num_samples: int = 100_000,
                       seed: int = 0, stderr_multiple: float = 3.0) -> GridCheck:

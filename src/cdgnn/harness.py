@@ -199,24 +199,28 @@ def _fit(g: Graph, config: RunConfig, seed: int, train_nodes, val_nodes,
          model) -> TrainResult:
     """The loop both models share: early stopping on val accuracy.
 
-    `model(train_nodes, val_nodes, rngs)` returns (params, step, predict);
-    `rngs` are the init, batch order, dropout, counterfactual permutation
-    and HSIC row streams. `step(params, guard)` trains one epoch and returns
-    (params, history row), passing each loss breakdown to `guard` before
-    differentiating it. `predict(params)` labels the val nodes.
+    `model(train_nodes, val_nodes, rngs)` returns (params, rates, step,
+    predict); `rngs` are the init, batch order, dropout, counterfactual
+    permutation and HSIC row streams. One ad.AdamState starts from params
+    and rates (a rate or a rate dict) and holds the run's parameters.
+    `step(state, guard)` trains one epoch, stepping the state in place, and
+    returns its history row, passing each loss breakdown to `guard` before
+    differentiating it. `predict(params)` labels the val nodes. The result's
+    params are views into the state's buffer, holding the best epoch's.
     """
     config.validate()
     train_nodes = np.asarray(train_nodes, dtype=np.int64).reshape(-1)
     val_nodes = np.asarray(val_nodes, dtype=np.int64).reshape(-1)
     rngs = [np.random.default_rng(s)
             for s in np.random.SeedSequence(seed).spawn(5)]
-    params, step, predict = model(train_nodes, val_nodes, rngs)
+    params, rates, step, predict = model(train_nodes, val_nodes, rngs)
+    state = ad.AdamState(params, rates)
     val_labels = g.labels[val_nodes]
 
     history: list[dict[str, float]] = []
     best_val = -1.0
     best_epoch = -1
-    best_params = {k: v.copy() for k, v in params.items()}
+    best = state.flat.copy()
     stale = 0
     stopped_early = False
     for epoch in range(config.epochs):
@@ -226,23 +230,24 @@ def _fit(g: Graph, config: RunConfig, seed: int, train_nodes, val_nodes,
                     raise RuntimeError(
                         f"non-finite {key} ({value}) at epoch {epoch}")
 
-        params, row = step(params, guard)
+        row = step(state, guard)
         row["epoch"] = float(epoch)
-        val_acc = float((predict(params) == val_labels).mean())
+        val_acc = float((predict(state.params) == val_labels).mean())
         row["val_acc"] = val_acc
         history.append(row)
         if val_acc > best_val:
             best_val = val_acc
             best_epoch = epoch
-            best_params = {k: v.copy() for k, v in params.items()}
+            best = state.flat.copy()
             stale = 0
         else:
             stale += 1
             if config.patience > 0 and stale >= config.patience:
                 stopped_early = True
                 break
+    state.flat[:] = best
     return TrainResult(
-        params=best_params,
+        params=state.params,
         history=history,
         best_epoch=best_epoch,
         best_val_accuracy=best_val,
@@ -268,7 +273,6 @@ def train_cdgnn(g: Graph, config: RunConfig, seed: int,
         params = init_cdgnn_params(rng_init, g.feature_dim, config.hidden,
                                    config.layers, config.scorer_hidden,
                                    g.num_classes)
-        adam = ad.AdamState()
         # The edge scorer can take its own (usually smaller) step size: a
         # mask that commits before the branch heads have settled locks in
         # whatever split the first noisy gradients suggest.
@@ -280,14 +284,13 @@ def train_cdgnn(g: Graph, config: RunConfig, seed: int,
             g, config.resolved_hops, np.concatenate([train_nodes, val_nodes]))
         val_batches = _eval_batches(g, egos, val_nodes)
 
-        def step(params, guard):
-            nonlocal adam
+        def step(state, guard):
             sums: dict[str, float] = {}
             graphs_seen = 0
             for nodes in _train_batches(train_nodes, config.batch_size,
                                         rng_batch):
                 batch = batch_from_cache(g, egos, nodes)
-                fwd = two_branch_forward(batch, params, config.dropout,
+                fwd = two_branch_forward(batch, state.params, config.dropout,
                                          rng_dropout, training=True)
                 bundle = fwd.bundle
                 y = batch.ego_labels
@@ -313,8 +316,7 @@ def train_cdgnn(g: Graph, config: RunConfig, seed: int,
                 breakdown["ce_c"] = float(ce_c.mean())
                 guard(breakdown)
                 grads = ad.gradients(fwd.tape, total, fwd.leaves)
-                params, adam = ad.adam_step(params, grads, adam, rates,
-                                            config.weight_decay)
+                ad.adam_step(state, grads, config.weight_decay)
                 for key, value in breakdown.items():
                     if key != "total":
                         sums[key] = sums.get(key, 0.0) + value * batch.num_graphs
@@ -327,9 +329,10 @@ def train_cdgnn(g: Graph, config: RunConfig, seed: int,
             c_s, c_c, c_cf, c_hsic = settings.coefficients
             row["total"] = (c_s * row["loss_s"] + c_c * row["loss_c"]
                             + c_cf * row["loss_cf"] + c_hsic * row["loss_hsic"])
-            return params, row
+            return row
 
-        return params, step, lambda params: _predict_cdgnn(val_batches, params)
+        return (params, rates, step,
+                lambda params: _predict_cdgnn(val_batches, params))
 
     return _fit(g, config, seed, train_nodes, val_nodes, model)
 
@@ -371,25 +374,21 @@ def train_gcn_baseline(g: Graph, config: RunConfig, seed: int,
                                   config.layers, "gcn")
         params.update(init_head_params(rng_init, config.hidden, g.num_classes,
                                        "head"))
-        adam = ad.AdamState()
         batch = _full_graph_batch(g)
         y_train = g.labels[train_nodes]
 
-        def step(params, guard):
-            nonlocal adam
-            tape, t, probs = _gcn_probs(batch, params, train_nodes,
+        def step(state, guard):
+            tape, t, probs = _gcn_probs(batch, state.params, train_nodes,
                                         config.dropout, rng_dropout,
                                         training=True)
             loss = ad.mean(cross_entropy(probs, y_train))
             row = {"loss": loss.item()}
             guard(row)
             grads = ad.gradients(tape, loss, t)
-            params, adam = ad.adam_step(params, grads, adam,
-                                        config.learning_rate,
-                                        config.weight_decay)
-            return params, row
+            ad.adam_step(state, grads, config.weight_decay)
+            return row
 
-        return (params, step,
+        return (params, config.learning_rate, step,
                 lambda params: np.argmax(
                     _gcn_probs(batch, params, val_nodes)[2].data, axis=1))
 

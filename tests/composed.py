@@ -283,28 +283,24 @@ def gce_grad_identity_check(params, forward, label, q):
 
 def adam_step(params, grads, state, lr, weight_decay=0.0, beta1=0.9,
               beta2=0.999, eps=1e-8):
-    """ad.adam_step one parameter at a time; `state` is an ad.AdamState
-    or None, and the returned moments are plain dicts of arrays."""
+    """ad.adam_step one parameter at a time on fresh arrays; `state` is
+    None or the (step, m, v) returned by the previous call, whose moments
+    are dicts keyed like `params`."""
     rates = lr if isinstance(lr, dict) else dict.fromkeys(params, lr)
-    if state is None:
-        state = ad.AdamState()
-    t = state.step + 1
+    step_count, prev_m, prev_v = state or (0, {}, {})
+    t = step_count + 1
     correction1 = 1.0 - beta1**t
     correction2 = 1.0 - beta2**t
     new_params, new_m, new_v = {}, {}, {}
     for name, p in params.items():
-        g = grads.get(name)
-        if g is None:
-            g = np.zeros_like(p)
+        g = grads[name]
         m = (1 - beta1) * g
-        prev = state.m.get(name)
-        if prev is not None:
-            m += beta1 * prev
+        if name in prev_m:
+            m += beta1 * prev_m[name]
         v = (1 - beta2) * g
         v *= g
-        prev = state.v.get(name)
-        if prev is not None:
-            v += beta2 * prev
+        if name in prev_v:
+            v += beta2 * prev_v[name]
         denom = v / correction2
         np.sqrt(denom, out=denom)
         denom += eps
@@ -317,4 +313,4 @@ def adam_step(params, grads, state, lr, weight_decay=0.0, beta1=0.9,
         new_params[name] = new
         new_m[name] = m
         new_v[name] = v
-    return new_params, ad.AdamState(step=t, m=new_m, v=new_v)
+    return new_params, (t, new_m, new_v)

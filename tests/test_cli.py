@@ -1,6 +1,7 @@
 """End-to-end runs of every CLI subcommand, in process."""
 
 import argparse
+import gc
 import json
 import shlex
 from pathlib import Path
@@ -283,6 +284,26 @@ class TestParser:
         with pytest.raises(SystemExit):
             main(["train", "--graph", str(tiny_graph_file),
                   "--preset", "tree_cycles"])
+
+    def test_second_call_builds_no_parser(self, tmp_path):
+        """The argparse tree is a reference cycle: a call that built its
+        own would leave one for the cyclic collector every time."""
+        argv = ["report", "--records", str(tmp_path)]
+        main(argv)
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            main(argv)
+            gc.collect()
+            found = sorted({type(o).__name__ for o in gc.garbage
+                            if isinstance(o, (argparse.ArgumentParser,
+                                              argparse.HelpFormatter))})
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert found == []
 
 
 class TestInputErrors:

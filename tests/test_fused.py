@@ -300,45 +300,48 @@ class TestFusedOpGuards:
 
 class TestFlatAdam:
     def test_matches_per_parameter_loop(self):
-        """Many steps of two rate groups with weight decay, a gradient
-        missing on some steps and gradients over ten orders of magnitude
-        (zeros included): the bits of the per-parameter loop."""
+        """Many steps of two rate groups with weight decay and gradients
+        over ten orders of magnitude (zeros of both signs included): the
+        bits of the per-parameter loop, sign bits too."""
         rng = np.random.default_rng(16)
         shapes = {"mask.w1": (6, 4), "mask.b1": (1, 4), "gnn.w0": (4, 8),
                   "gnn.w1": (8, 8), "head.w": (8, 3), "head.b": (1, 3)}
         rates = {k: 1e-3 if k.startswith("mask.") else 0.02 for k in shapes}
         start = {k: rng.normal(size=s) for k, s in shapes.items()}
         for lr, decay in ((rates, 5e-4), (0.05, 0.3)):
-            flat, flat_state = start, None
+            state = ad.AdamState(start, lr)
             loop, loop_state = start, None
             for step in range(150):
                 grads = {k: rng.normal(size=s) * 10.0 ** rng.integers(-8, 3)
                          for k, s in shapes.items()}
                 grads["head.b"][0, 0] = 0.0
-                if step % 3 == 0:
-                    del grads["gnn.w1"]
-                flat, flat_state = ad.adam_step(flat, grads, flat_state, lr,
-                                                decay)
+                grads["head.b"][0, 1] = -0.0
+                ad.adam_step(state, grads, decay)
                 loop, loop_state = composed.adam_step(loop, grads, loop_state,
                                                       lr, decay)
-                assert flat_state.step == loop_state.step == step + 1
-                for got, want in ((flat, loop), (flat_state.m, loop_state.m),
-                                  (flat_state.v, loop_state.v)):
-                    assert list(got) == list(shapes)
-                    for k in shapes:
-                        np.testing.assert_array_equal(got[k], want[k], err_msg=k)
+                step_count, loop_m, loop_v = loop_state
+                assert state.step == step_count == step + 1
+                assert list(state.params) == list(shapes)
+                for got, want in ((state.flat, loop), (state.m, loop_m),
+                                  (state.v, loop_v)):
+                    want = np.concatenate([want[k].reshape(-1) for k in shapes])
+                    np.testing.assert_array_equal(got.view(np.int64),
+                                                  want.view(np.int64))
 
     def test_returns_views_of_one_buffer(self):
         params = {"a": np.ones((2, 3)), "b": np.ones((1, 1))}
-        new, state = ad.adam_step(params, {"a": np.ones((2, 3))}, None, 0.1)
-        for table in (new, state.m, state.v):
-            assert table["a"].base is table["b"].base is not None
-            assert table["a"].shape == (2, 3) and table["b"].shape == (1, 1)
+        state = ad.AdamState(params, 0.1)
+        ad.adam_step(state, {"a": np.ones((2, 3)), "b": np.zeros((1, 1))})
+        assert state.params["a"].base is state.params["b"].base is state.flat
+        assert state.params["a"].shape == (2, 3)
+        assert state.params["b"].shape == (1, 1)
+        assert state.flat[0] < 1.0 and state.flat[-1] == 1.0
+        assert state.m.shape == state.v.shape == state.flat.shape == (7,)
 
     def test_gradient_shape_must_match(self):
+        state = ad.AdamState({"w": np.ones((2, 3))}, 0.1)
         with pytest.raises(ValueError, match="shaped"):
-            ad.adam_step({"w": np.ones((2, 3))}, {"w": np.ones((3, 2))},
-                         None, 0.1)
+            ad.adam_step(state, {"w": np.ones((3, 2))})
 
 
 @pytest.mark.parametrize("name", synth.PRESET_NAMES)

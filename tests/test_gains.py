@@ -403,7 +403,7 @@ class TestTheoryGrid:
                                    ratios=(0.0, 1.0))
         check = theory_check_grid(cells, num_samples=20_000, seed=0)
         assert check.total == 8
-        assert check.coverage >= 0.75
+        assert check.within_count / check.total >= 0.75
         row = check.rows[0]
         assert set(row) == {"degree", "homophily", "cross_class_ratio",
                             "analytic", "empirical", "stderr", "deviation",

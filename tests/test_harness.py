@@ -319,6 +319,25 @@ class TestEvaluate:
             evaluate(g, result.params, np.array([], dtype=int))
 
 
+@pytest.mark.parametrize("train", [train_cdgnn, train_gcn_baseline])
+def test_result_params_are_the_best_epoch_in_one_buffer(train):
+    """The run's parameters live in one buffer, which ends holding the best
+    epoch's values: those of a run cut short after that epoch."""
+    g = _tiny_graph(seed=0)
+    sp = split_nodes(g.num_nodes, seed=0)
+    full = train(g, _tiny_config(epochs=5, patience=5), 0, sp.train, sp.val)
+    assert full.best_epoch < full.epochs_run - 1
+    views = list(full.params.values())
+    buffer = views[0].base
+    assert buffer is not None and all(v.base is buffer for v in views)
+    assert buffer.size == sum(v.size for v in views)
+    cut = train(g, _tiny_config(epochs=full.best_epoch + 1), 0, sp.train,
+                sp.val)
+    assert cut.history == full.history[:full.best_epoch + 1]
+    for key in full.params:
+        np.testing.assert_array_equal(full.params[key], cut.params[key])
+
+
 def test_training_leaves_no_cyclic_garbage():
     """Each step's tape is freed by reference count: with the cyclic
     collector off, training leaves it no Tape or Tensor to find."""

@@ -6,9 +6,15 @@ re-exports of `__init__.py` do not count. Loads are resolved through the
 syntax tree: `ad.exp` counts for `autodiff.exp` only where `ad` is bound to
 cdgnn's autodiff, and a bare `exp` only where it is imported from there or
 defined in the same module, so neither `np.exp` nor a docstring counts.
+
+The public methods and properties of every `__all__` class need an
+attribute load of their name in the same files, outside their own
+definition. That match is by name alone, so it can miss an unused method
+(any `.shape` counts for `Tensor.shape`) but never flags a used one.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -105,8 +111,41 @@ def unused_public_names() -> list[str]:
             if (m, n) not in used]
 
 
+def _attribute_loads(tree: ast.AST) -> Counter:
+    return Counter(node.attr for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute)
+                   and isinstance(node.ctx, ast.Load))
+
+
+def unused_public_members(modules: dict[str, ast.Module],
+                          others: list[ast.Module]) -> list[str]:
+    """`module.Class.name` of each public method or property of an
+    `__all__` class of `modules` whose name no attribute load in `modules`
+    or `others` reads, outside its own definition."""
+    loads = sum(map(_attribute_loads, [*modules.values(), *others]), Counter())
+    out = []
+    for module, tree in modules.items():
+        exports = _exports(tree)
+        for cls in tree.body:
+            if not (isinstance(cls, ast.ClassDef) and cls.name in exports):
+                continue
+            for fn in cls.body:
+                if (isinstance(fn, ast.FunctionDef)
+                        and not fn.name.startswith("_")
+                        and loads[fn.name] <= _attribute_loads(fn)[fn.name]):
+                    out.append(f"{module}.{cls.name}.{fn.name}")
+    return out
+
+
 def test_every_public_name_has_a_caller_outside_the_tests():
     assert unused_public_names() == []
+
+
+def test_every_public_method_has_a_caller_outside_the_tests():
+    modules = {name: _parse(PACKAGE / f"{name}.py") for name in MODULES}
+    others = [_parse(p) for p in [PACKAGE / "__init__.py",
+                                  *sorted((ROOT / "demos").glob("*.py"))]]
+    assert unused_public_members(modules, others) == []
 
 
 def test_guard_sees_through_aliases_and_ignores_lookalikes(tmp_path):
@@ -119,3 +158,24 @@ def test_guard_sees_through_aliases_and_ignores_lookalikes(tmp_path):
         "    return np.exp(ad.relu(classify(x)))\n")
     assert _loads(tree, "harness", {}) == {
         ("autodiff", "relu"), ("models", "classify")}
+
+
+def test_member_guard_ignores_a_method_that_only_calls_itself():
+    tree = ast.parse(
+        "__all__ = ['A', 'f']\n"
+        "class A:\n"
+        "    def used(self):\n"
+        "        return 1\n"
+        "    def alone(self):\n"
+        "        return self.alone()\n"
+        "    @property\n"
+        "    def size(self):\n"
+        "        return 1\n"
+        "    def _private(self):\n"
+        "        pass\n"
+        "class B:\n"
+        "    def hidden(self):\n"
+        "        pass\n"
+        "def f(a):\n"
+        "    return a.used, a.size\n")
+    assert unused_public_members({"m": tree}, []) == ["m.A.alone"]
