@@ -11,9 +11,8 @@ from .graphs import (Graph, GraphError, ego_subgraph, feature_heterophily,
 from .synth import (GenConfig, MotifSpec, PlantedShortcutConfig, PRESET_NAMES,
                     generate, planted_shortcut, preset, relabel_to_heterophily)
 from .autodiff import Tape, Tensor, adam_step, gradients
-from .models import build_ego_cache, gcn_forward, readout
-from .disentangle import (disentanglement_score, gce_loss, hsic, hsic_value,
-                          total_loss)
+from .models import build_ego_cache, gcn_forward
+from .disentangle import disentanglement_score, gce_loss, hsic, total_loss
 from .gains import (AuditReport, GainParams, ImprovementReport,
                     assumption_audit, deep_layer_gain, default_grid_cells,
                     effective_homophily, gain_improvement_check,
@@ -30,8 +29,8 @@ __all__ = [
     "GenConfig", "MotifSpec", "PlantedShortcutConfig", "PRESET_NAMES",
     "generate", "planted_shortcut", "preset", "relabel_to_heterophily",
     "Tape", "Tensor", "adam_step", "gradients",
-    "build_ego_cache", "gcn_forward", "readout",
-    "disentanglement_score", "gce_loss", "hsic", "hsic_value", "total_loss",
+    "build_ego_cache", "gcn_forward",
+    "disentanglement_score", "gce_loss", "hsic", "total_loss",
     "AuditReport", "GainParams", "ImprovementReport",
     "assumption_audit", "deep_layer_gain", "default_grid_cells",
     "effective_homophily", "gain_improvement_check",

@@ -62,6 +62,10 @@ class Tape:
             self._record(t)
         return t
 
+    def leaves(self, values: dict, requires_grad: bool = True) -> dict:
+        """One leaf per entry of `values`, keyed alike."""
+        return {k: self.leaf(v, requires_grad) for k, v in values.items()}
+
     def _record(self, t: "Tensor") -> None:
         if self._nodes is None:
             raise ValueError(_RELEASED)
@@ -745,11 +749,11 @@ def gradients(tape: Tape, loss: Tensor, leaves: dict) -> dict:
     """Walk the tape back from `loss` once, return a gradient table keyed
     like `leaves`, and release the tape.
 
-    `leaves` are tensors made by tape.leaf; those that do not influence the
-    loss get zero gradients. The walk drops each node once its adjoint has
-    run, and the release empties the tape's node list, the only link from
-    the tape back to its tensors: nothing recorded on it outlives the
-    caller's own references, and the tape records nothing more.
+    `leaves` are tensors made by Tape.leaf or Tape.leaves; those that do
+    not influence the loss get zero gradients. The walk drops each node once
+    its adjoint has run, and the release empties the tape's node list, the
+    only link from the tape back to its tensors: nothing recorded on it
+    outlives the caller's own references, and the tape records nothing more.
     """
     for name, t in leaves.items():
         if t._backward is not None:

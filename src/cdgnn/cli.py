@@ -272,9 +272,13 @@ def _cmd_ingest(args) -> int:
 
 
 def _load_record(path: Path) -> RunRecord:
-    payload = json.loads(path.read_text())
-    payload["split_sizes"] = tuple(payload["split_sizes"])
-    return RunRecord(**payload)
+    try:
+        payload = json.loads(path.read_text())
+        payload["split_sizes"] = tuple(payload["split_sizes"])
+        return RunRecord(**payload)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ValueError(f"{path} is not a run record "
+                         f"({type(exc).__name__}: {exc})") from None
 
 
 def _cmd_report(args) -> int:
@@ -389,6 +393,8 @@ def main(argv=None) -> int:
         if getattr(args, "seed", 0) < 0:
             raise ValueError(f"--seed must be a non-negative integer, "
                              f"got {args.seed}")
+        if getattr(args, "num_runs", 1) < 1:
+            raise ValueError(f"--num-runs must be >= 1, got {args.num_runs}")
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"cdgnn {args.command}: error: {exc}", file=sys.stderr)

@@ -22,28 +22,21 @@ from scipy.stats import rankdata
 
 from . import autodiff as ad
 from .graphs import Graph
-from .models import (EgoBatch, classify, gcn_forward, glorot,
-                     init_gcn_weights, init_head_params, init_readout_params,
-                     readout)
+from .models import (EgoBatch, gcn_forward, glorot, init_gcn_weights,
+                     init_head_params, init_readout_params)
 
 __all__ = [
     "init_mask_params",
     "init_cdgnn_params",
-    "MaskSet",
     "edge_score_logits",
-    "materialize_masks",
-    "BranchBundle",
-    "split_and_embed",
     "TwoBranchPass",
     "two_branch_forward",
     "gce_loss",
-    "cross_entropy",
     "difficulty_weights",
     "causal_loss",
     "counterfactual_loss",
     "median_bandwidth",
     "hsic",
-    "hsic_value",
     "total_loss",
     "score_edges",
     "disentanglement_score",
@@ -107,93 +100,57 @@ def edge_score_logits(e: np.ndarray, x: np.ndarray,
 
 
 @dataclass
-class MaskSet:
-    """Materialized masks for one batch: causal side and its complement."""
+class TwoBranchPass:
+    """One forward of the two-branch model on one batch.
 
-    edge: ad.Tensor
-    edge_complement: ad.Tensor
-    feature: ad.Tensor
-    feature_complement: ad.Tensor
+    The edge and feature masks weight the causal branch and their
+    complements the shortcut branch. `layers_causal` and `layers_shortcut`
+    hold each branch's node embeddings after every encoder layer, the
+    `graph_*` rows its per-ego readout, and `joint` both readouts side by
+    side. Each head is a (weight, bias) pair reading the joint embedding.
+    """
 
-
-def materialize_masks(batch: EgoBatch, params: dict[str, ad.Tensor]) -> MaskSet:
-    edge = ad.sigmoid(edge_score_logits(batch.endpoints, batch.features, params))
-    feat = ad.sigmoid(params["mask.feat"])
-    return MaskSet(
-        edge=edge,
-        edge_complement=ad.subtract(1.0, edge),
-        feature=feat,
-        feature_complement=ad.subtract(1.0, feat),
-    )
-
-
-@dataclass
-class BranchBundle:
-    """Embeddings produced by the two masked branches for one batch."""
-
+    edge_mask: ad.Tensor
+    feature_mask: ad.Tensor
+    layers_causal: list[ad.Tensor]
+    layers_shortcut: list[ad.Tensor]
     graph_causal: ad.Tensor
     graph_shortcut: ad.Tensor
     joint: ad.Tensor
-    nodes_causal: ad.Tensor
-    nodes_shortcut: ad.Tensor
-
-
-def split_and_embed(batch: EgoBatch, x: ad.Tensor, masks: MaskSet,
-                    causal_layers: list[ad.Tensor], shortcut_layers: list[ad.Tensor],
-                    causal_projection: ad.Tensor, shortcut_projection: ad.Tensor,
-                    dropout_rate: float = 0.0,
-                    rng: np.random.Generator | None = None,
-                    training: bool = False) -> BranchBundle:
-    """Run both masked branches and bundle graph/node embeddings."""
-    nodes_c = gcn_forward(batch, x, masks.edge, masks.feature, causal_layers,
-                          dropout_rate, rng, training)
-    nodes_s = gcn_forward(batch, x, masks.edge_complement, masks.feature_complement,
-                          shortcut_layers, dropout_rate, rng, training)
-    h_c = readout(batch, nodes_c, causal_projection)
-    h_s = readout(batch, nodes_s, shortcut_projection)
-    return BranchBundle(
-        graph_causal=h_c,
-        graph_shortcut=h_s,
-        joint=ad.concat_cols(h_c, h_s),
-        nodes_causal=nodes_c,
-        nodes_shortcut=nodes_s,
-    )
-
-
-@dataclass
-class TwoBranchPass:
-    """One forward of the two-branch model: `leaves` are the parameters on
-    `tape`; each head is a (weight, bias) pair reading the joint embedding."""
-
-    tape: ad.Tape
-    leaves: dict[str, ad.Tensor]
-    masks: MaskSet
-    causal_layers: list[ad.Tensor]
-    bundle: BranchBundle
     head_causal: tuple[ad.Tensor, ad.Tensor]
     head_shortcut: tuple[ad.Tensor, ad.Tensor]
 
 
-def two_branch_forward(batch: EgoBatch, params: dict[str, np.ndarray],
+def two_branch_forward(batch: EgoBatch, leaves: dict[str, ad.Tensor],
                        dropout_rate: float = 0.0,
                        rng: np.random.Generator | None = None,
                        training: bool = False) -> TwoBranchPass:
-    """Put `params` on a fresh tape (tracked only when training), mask the
-    batch and embed it through both branches."""
-    tape = ad.Tape()
-    t = {k: tape.leaf(v, requires_grad=training) for k, v in params.items()}
-    keys = sorted(k for k in t if k.startswith("gnn_c.w"))
-    causal_layers = [t[k] for k in keys]
-    shortcut_layers = [t[k.replace("gnn_c.", "gnn_s.")] for k in keys]
-    masks = materialize_masks(batch, t)
-    x = tape.leaf(batch.features, requires_grad=False)
-    bundle = split_and_embed(batch, x, masks, causal_layers, shortcut_layers,
-                             t["readout_c.proj"], t["readout_s.proj"],
-                             dropout_rate, rng, training)
-    return TwoBranchPass(tape=tape, leaves=t, masks=masks,
-                         causal_layers=causal_layers, bundle=bundle,
-                         head_causal=(t["head_c.w"], t["head_c.b"]),
-                         head_shortcut=(t["head_s.w"], t["head_s.b"]))
+    """Mask `batch` and embed it through both branches; `leaves` holds every
+    init_cdgnn_params entry on one tape (Tape.leaves). Backward sums each
+    gradient in reverse recording order, so the op order below is fixed."""
+    edge = ad.sigmoid(edge_score_logits(batch.endpoints, batch.features,
+                                        leaves))
+    feat = ad.sigmoid(leaves["mask.feat"])
+    edge_shortcut = ad.subtract(1.0, edge)
+    feat_shortcut = ad.subtract(1.0, feat)
+    keys = sorted(k for k in leaves if k.startswith("gnn_c.w"))
+    layers_c = gcn_forward(batch.plan, batch.features, edge, feat,
+                           [leaves[k] for k in keys], dropout_rate, rng,
+                           training)
+    layers_s = gcn_forward(batch.plan, batch.features, edge_shortcut,
+                           feat_shortcut,
+                           [leaves[k.replace("gnn_c.", "gnn_s.")] for k in keys],
+                           dropout_rate, rng, training)
+    h_c = ad.ego_readout(layers_c[-1], batch.ego_rows, batch.segments,
+                         batch.num_graphs, leaves["readout_c.proj"])
+    h_s = ad.ego_readout(layers_s[-1], batch.ego_rows, batch.segments,
+                         batch.num_graphs, leaves["readout_s.proj"])
+    return TwoBranchPass(
+        edge_mask=edge, feature_mask=feat,
+        layers_causal=layers_c, layers_shortcut=layers_s,
+        graph_causal=h_c, graph_shortcut=h_s, joint=ad.concat_cols(h_c, h_s),
+        head_causal=(leaves["head_c.w"], leaves["head_c.b"]),
+        head_shortcut=(leaves["head_s.w"], leaves["head_s.b"]))
 
 
 def gce_loss(probs: ad.Tensor, labels, q: float) -> ad.Tensor:
@@ -205,11 +162,6 @@ def gce_loss(probs: ad.Tensor, labels, q: float) -> ad.Tensor:
     if not 0.0 < q <= 1.0:
         raise ValueError(f"q must be in (0, 1], got {q}")
     return ad.gce_rows(probs, labels, q)
-
-
-def cross_entropy(probs: ad.Tensor, labels) -> ad.Tensor:
-    """Per-sample cross-entropy -log p_y, shape (B, 1)."""
-    return ad.nll_rows(probs, labels)
 
 
 def difficulty_weights(ce_shortcut: np.ndarray, ce_causal: np.ndarray) -> np.ndarray:
@@ -234,26 +186,25 @@ def causal_loss(probs_causal: ad.Tensor, labels, weights) -> ad.Tensor:
     return ad.mean(ad.nll_rows(probs_causal, labels, weights))
 
 
-def counterfactual_loss(bundle: BranchBundle, head_s: tuple[ad.Tensor, ad.Tensor],
-                        head_c: tuple[ad.Tensor, ad.Tensor], labels,
-                        q: float, perm: np.ndarray, weights) -> ad.Tensor:
+def counterfactual_loss(fwd: TwoBranchPass, labels, q: float,
+                        perm: np.ndarray, weights) -> ad.Tensor:
     """Counterfactual pairing loss over one batch permutation.
 
     Builds h_ct = [h_causal_i ; h_shortcut_perm(i)] and averages
     GCE(shortcut head, permuted labels) + W_i * CE(causal head, original
-    labels); W comes from the unpermuted bundle. Needs batch size >= 2.
+    labels); W comes from the unpermuted pass. Needs batch size >= 2.
     """
     y = np.asarray(labels, dtype=np.int64).reshape(-1)
-    n = bundle.graph_causal.data.shape[0]
+    n = fwd.graph_causal.data.shape[0]
     if n < 2:
         raise ValueError("counterfactual loss needs a batch of at least 2")
     perm = np.asarray(perm, dtype=np.int64).reshape(-1)
     if perm.shape[0] != n:
         raise ValueError("perm must cover the batch")
-    h_ct = ad.concat_cols(bundle.graph_causal,
-                          ad.permute_rows(bundle.graph_shortcut, perm))
-    probs_s = classify(h_ct, head_s[0], head_s[1])
-    probs_c = classify(h_ct, head_c[0], head_c[1])
+    h_ct = ad.concat_cols(fwd.graph_causal,
+                          ad.permute_rows(fwd.graph_shortcut, perm))
+    probs_s = ad.softmax_head(h_ct, *fwd.head_shortcut)
+    probs_c = ad.softmax_head(h_ct, *fwd.head_causal)
     gce = gce_loss(probs_s, y[perm], q)
     ce = ad.nll_rows(probs_c, y, weights)
     return ad.mean(ad.add(gce, ce))
@@ -323,41 +274,15 @@ def hsic(x: ad.Tensor, y: ad.Tensor, bandwidth_x: float | None = None,
     return ad.hsic_rbf(x, y, bx, by, rows)
 
 
-def hsic_value(x: np.ndarray, y: np.ndarray, bandwidth_x: float | None = None,
-               bandwidth_y: float | None = None) -> float:
-    """Plain-array HSIC (same estimator as hsic(), on untracked tensors)."""
-    return hsic(ad.Tensor(np.asarray(x, dtype=np.float64)),
-                ad.Tensor(np.asarray(y, dtype=np.float64)),
-                bandwidth_x, bandwidth_y).item()
-
-
-@dataclass(frozen=True)
-class LossSettings:
-    q: float = 0.7
-    lambda_counterfactual: float = 10.0
-    lambda_independence: float = 0.1
-    no_shortcut_term: bool = False
-    no_causal_term: bool = False
-    no_counterfactual_term: bool = False
-    no_independence_term: bool = False
-
-    @property
-    def coefficients(self) -> tuple[float, float, float, float]:
-        """Weights of the shortcut, causal, counterfactual and independence
-        terms in the objective; an ablated term weighs 0."""
-        return (0.0 if self.no_shortcut_term else 1.0,
-                0.0 if self.no_causal_term else 1.0,
-                0.0 if self.no_counterfactual_term else self.lambda_counterfactual,
-                0.0 if self.no_independence_term else self.lambda_independence)
-
-
 def total_loss(shortcut_term: ad.Tensor, causal_term: ad.Tensor,
                counterfactual_term: ad.Tensor, independence_term: ad.Tensor,
-               settings: LossSettings) -> tuple[ad.Tensor, dict[str, float]]:
+               coefficients: tuple[float, float, float, float]
+               ) -> tuple[ad.Tensor, dict[str, float]]:
     """Weighted objective plus a raw-value breakdown.
 
-    Ablation flags and zero lambdas drop a term from the objective; every
-    term's raw value is still reported so ablated runs stay comparable.
+    `coefficients` weigh the four terms in this order (RunConfig.coefficients);
+    a term weighed 0 (ablated, or a zero lambda) leaves the objective, but
+    every term's raw value is still reported so ablated runs stay comparable.
     """
     breakdown = {
         "loss_s": shortcut_term.item(),
@@ -367,7 +292,7 @@ def total_loss(shortcut_term: ad.Tensor, causal_term: ad.Tensor,
     }
     terms = (shortcut_term, causal_term, counterfactual_term, independence_term)
     pieces = [term if coeff == 1.0 else ad.multiply(term, coeff)
-              for term, coeff in zip(terms, settings.coefficients)
+              for term, coeff in zip(terms, coefficients)
               if coeff != 0.0]
     if not pieces:
         raise ValueError("all loss terms ablated")
@@ -381,8 +306,7 @@ def total_loss(shortcut_term: ad.Tensor, causal_term: ad.Tensor,
 def score_edges(mask_params: dict[str, np.ndarray], features: np.ndarray,
                 edges: np.ndarray) -> np.ndarray:
     """edge_score_logits on plain arrays, as a flat vector."""
-    tape = ad.Tape()
-    t = {k: tape.leaf(v, requires_grad=False) for k, v in mask_params.items()}
+    t = ad.Tape().leaves(mask_params, requires_grad=False)
     return edge_score_logits(np.asarray(edges, dtype=np.int64).reshape(-1, 2),
                              np.asarray(features, dtype=np.float64), t).data[:, 0]
 

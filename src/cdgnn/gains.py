@@ -21,9 +21,9 @@ from typing import Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .disentangle import hsic_value, two_branch_forward
+from .disentangle import hsic, two_branch_forward
 from .graphs import Graph
-from .models import batch_from_cache, build_ego_cache, classify
+from .models import batch_from_cache, build_ego_cache
 
 __all__ = [
     "GainParams",
@@ -473,24 +473,25 @@ def assumption_audit(g: Graph, params: dict[str, np.ndarray], hops: int,
     if nodes.shape[0] < 2:
         raise ValueError("audit needs at least 2 ego nodes")
     batch = batch_from_cache(g, build_ego_cache(g, hops, nodes), nodes)
-    fwd = two_branch_forward(batch, params)
-    h_c = fwd.bundle.graph_causal
-    h_s = fwd.bundle.graph_shortcut
+    fwd = two_branch_forward(batch,
+                             ad.Tape().leaves(params, requires_grad=False))
+    h_c, h_s = fwd.graph_causal, fwd.graph_shortcut
 
-    independence = hsic_value(h_c.data, h_s.data)
+    independence = hsic(h_c, h_s).item()
 
-    base = classify(fwd.bundle.joint, *fwd.head_causal).data
+    base = ad.softmax_head(fwd.joint, *fwd.head_causal).data
     rows = np.arange(batch.num_graphs)
     labels = batch.ego_labels
     sensitivity = 0.0
     for _ in range(AUDIT_PERMUTATIONS):
         perm = rng.permutation(batch.num_graphs)
-        swapped = classify(ad.concat_cols(h_c, ad.permute_rows(h_s, perm)),
-                           *fwd.head_causal).data
+        swapped = ad.softmax_head(
+            ad.concat_cols(h_c, ad.permute_rows(h_s, perm)),
+            *fwd.head_causal).data
         delta = np.abs(base[rows, labels] - swapped[rows, labels])
         sensitivity = max(sensitivity, float(delta.max()))
 
-    mask_vals = fwd.masks.edge.data.reshape(-1)
+    mask_vals = fwd.edge_mask.data.reshape(-1)
     # Dominance is the share of the causal branch's aggregate incoming edge
     # weight that flows through edges the mask pushes to the shortcut side.
     edge_mass = mask_vals.sum()
@@ -498,13 +499,8 @@ def assumption_audit(g: Graph, params: dict[str, np.ndarray], hops: int,
     dominance = float(leak / edge_mass) if edge_mass > 1e-12 else 0.0
 
     node_labels = g.labels[batch.member_ids]
-    ratios = []
-    h = ad.multiply(batch.features, fwd.masks.feature)
-    last = len(fwd.causal_layers) - 1
-    for l, w in enumerate(fwd.causal_layers):
-        h = ad.gcn_layer(h, fwd.masks.edge, w, batch.plan, relu=l < last)
-        ratios.append(_layer_cross_class_ratio(h.data, batch.endpoints,
-                                               node_labels))
+    ratios = [_layer_cross_class_ratio(h.data, batch.endpoints, node_labels)
+              for h in fwd.layers_causal]
 
     return AuditReport(
         independence=independence,

@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import time
 import zipfile
 from dataclasses import asdict, dataclass, fields, replace
@@ -27,12 +28,12 @@ from typing import Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .disentangle import (LossSettings, causal_loss, counterfactual_loss,
-                          cross_entropy, difficulty_weights, gce_loss, hsic,
+from .disentangle import (causal_loss, counterfactual_loss,
+                          difficulty_weights, gce_loss, hsic,
                           init_cdgnn_params, total_loss, two_branch_forward)
 from .graphs import Graph, feature_heterophily, label_heterophily
-from .models import (EgoBatch, batch_from_cache, build_ego_cache, classify,
-                     gcn_forward, init_gcn_weights, init_head_params)
+from .models import (EgoBatch, batch_from_cache, build_ego_cache, gcn_forward,
+                     init_gcn_weights, init_head_params)
 
 __all__ = [
     "RunConfig",
@@ -72,25 +73,38 @@ class RunConfig:
     hidden: int = 150
     dropout: float = 0.1
     layers: int = 2
-    q: float = LossSettings.q
-    lambda_counterfactual: float = LossSettings.lambda_counterfactual
-    lambda_independence: float = LossSettings.lambda_independence
+    q: float = 0.7
+    lambda_counterfactual: float = 10.0
+    lambda_independence: float = 0.1
     epochs: int = 200
     patience: int = 30
     batch_size: int = 32
     ego_hops: int | None = None
     scorer_hidden: int = 16
     hsic_max_rows: int = 256
-    no_shortcut_term: bool = LossSettings.no_shortcut_term
-    no_causal_term: bool = LossSettings.no_causal_term
-    no_counterfactual_term: bool = LossSettings.no_counterfactual_term
-    no_independence_term: bool = LossSettings.no_independence_term
+    no_shortcut_term: bool = False
+    no_causal_term: bool = False
+    no_counterfactual_term: bool = False
+    no_independence_term: bool = False
 
     @property
     def resolved_hops(self) -> int:
         return self.layers if self.ego_hops is None else self.ego_hops
 
+    @property
+    def coefficients(self) -> tuple[float, float, float, float]:
+        """Weights of the shortcut, causal, counterfactual and independence
+        terms in the objective; an ablated term weighs 0."""
+        return (0.0 if self.no_shortcut_term else 1.0,
+                0.0 if self.no_causal_term else 1.0,
+                0.0 if self.no_counterfactual_term else self.lambda_counterfactual,
+                0.0 if self.no_independence_term else self.lambda_independence)
+
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.learning_rate <= 0:
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.scorer_learning_rate is not None and self.scorer_learning_rate <= 0:
@@ -120,10 +134,6 @@ class RunConfig:
         if (self.no_shortcut_term and self.no_causal_term
                 and self.no_counterfactual_term and self.no_independence_term):
             raise ValueError("all loss terms ablated; nothing to optimize")
-
-    def loss_settings(self) -> LossSettings:
-        return LossSettings(**{f.name: getattr(self, f.name)
-                               for f in fields(LossSettings)})
 
 
 @dataclass(frozen=True)
@@ -177,8 +187,9 @@ def _predict_cdgnn(batches: list[EgoBatch],
     """Causal-head predictions for the egos of `batches`, in order."""
     preds = []
     for batch in batches:
-        fwd = two_branch_forward(batch, params)
-        probs = classify(fwd.bundle.joint, *fwd.head_causal)
+        fwd = two_branch_forward(
+            batch, ad.Tape().leaves(params, requires_grad=False))
+        probs = ad.softmax_head(fwd.joint, *fwd.head_causal)
         preds.append(np.argmax(probs.data, axis=1))
     return np.concatenate(preds)
 
@@ -264,8 +275,6 @@ def train_cdgnn(g: Graph, config: RunConfig, seed: int,
     `cache` is a build_ego_cache of at least the train and val nodes at
     config.resolved_hops; by default one is built for exactly those.
     """
-    settings = config.loss_settings()
-
     def model(train_nodes, val_nodes, rngs):
         if train_nodes.shape[0] < 2:
             raise ValueError("need at least 2 training nodes")
@@ -290,32 +299,31 @@ def train_cdgnn(g: Graph, config: RunConfig, seed: int,
             for nodes in _train_batches(train_nodes, config.batch_size,
                                         rng_batch):
                 batch = batch_from_cache(g, egos, nodes)
-                fwd = two_branch_forward(batch, state.params, config.dropout,
+                tape = ad.Tape()
+                leaves = tape.leaves(state.params)
+                fwd = two_branch_forward(batch, leaves, config.dropout,
                                          rng_dropout, training=True)
-                bundle = fwd.bundle
                 y = batch.ego_labels
-                probs_s = classify(bundle.joint, *fwd.head_shortcut)
-                probs_c = classify(bundle.joint, *fwd.head_causal)
+                probs_s = ad.softmax_head(fwd.joint, *fwd.head_shortcut)
+                probs_c = ad.softmax_head(fwd.joint, *fwd.head_causal)
                 loss_s = ad.mean(gce_loss(probs_s, y, config.q))
                 # Detached values: on plain arrays nothing is recorded.
-                ce_s = cross_entropy(probs_s.data, y).data.reshape(-1)
-                ce_c = cross_entropy(probs_c.data, y).data.reshape(-1)
+                ce_s = ad.nll_rows(probs_s.data, y).data.reshape(-1)
+                ce_c = ad.nll_rows(probs_c.data, y).data.reshape(-1)
                 weights = difficulty_weights(ce_s, ce_c)
                 loss_c = causal_loss(probs_c, y, weights)
                 perm = rng_perm.permutation(batch.num_graphs)
-                loss_cf = counterfactual_loss(bundle, fwd.head_shortcut,
-                                              fwd.head_causal, y, config.q,
-                                              perm, weights)
-                num_rows = bundle.nodes_causal.data.shape[0]
-                rows = rng_hsic.permutation(num_rows)[:config.hsic_max_rows]
-                loss_hsic = hsic(bundle.nodes_causal, bundle.nodes_shortcut,
-                                 rows=rows)
+                loss_cf = counterfactual_loss(fwd, y, config.q, perm, weights)
+                nodes_c, nodes_s = fwd.layers_causal[-1], fwd.layers_shortcut[-1]
+                rows = rng_hsic.permutation(
+                    nodes_c.data.shape[0])[:config.hsic_max_rows]
+                loss_hsic = hsic(nodes_c, nodes_s, rows=rows)
                 total, breakdown = total_loss(loss_s, loss_c, loss_cf,
-                                              loss_hsic, settings)
+                                              loss_hsic, config.coefficients)
                 breakdown["ce_s"] = float(ce_s.mean())
                 breakdown["ce_c"] = float(ce_c.mean())
                 guard(breakdown)
-                grads = ad.gradients(fwd.tape, total, fwd.leaves)
+                grads = ad.gradients(tape, total, leaves)
                 ad.adam_step(state, grads, config.weight_decay)
                 for key, value in breakdown.items():
                     if key != "total":
@@ -326,7 +334,7 @@ def train_cdgnn(g: Graph, config: RunConfig, seed: int,
             # recorded identity total = s + c + l1*cf + l2*hsic holds
             # exactly (averaging per-batch totals would break it to
             # rounding).
-            c_s, c_c, c_cf, c_hsic = settings.coefficients
+            c_s, c_c, c_cf, c_hsic = config.coefficients
             row["total"] = (c_s * row["loss_s"] + c_c * row["loss_c"]
                             + c_cf * row["loss_cf"] + c_hsic * row["loss_hsic"])
             return row
@@ -337,29 +345,17 @@ def train_cdgnn(g: Graph, config: RunConfig, seed: int,
     return _fit(g, config, seed, train_nodes, val_nodes, model)
 
 
-def _full_graph_batch(g: Graph) -> EgoBatch:
-    """The whole graph as a single-segment batch (baseline model input)."""
-    return EgoBatch(
-        plan=ad.PropagationPlan.from_edges(g.edges, g.num_nodes),
-        features=g.features,
-        endpoints=g.edges,
-        segments=np.zeros(g.num_nodes, dtype=np.int64),
-        member_ids=np.arange(g.num_nodes),
-        ego_rows=np.zeros(1, dtype=np.int64),
-        ego_labels=g.labels[:1],
-        num_graphs=1,
-    )
-
-
-def _gcn_probs(batch: EgoBatch, params: dict[str, np.ndarray],
-               rows: np.ndarray, dropout: float = 0.0, rng=None,
-               training: bool = False):
+def _gcn_probs(g: Graph, plan: ad.PropagationPlan,
+               params: dict[str, np.ndarray], rows: np.ndarray,
+               dropout: float = 0.0, rng=None, training: bool = False):
+    """The GCN baseline's class rows for nodes `rows` of `g`, on a new tape
+    (tracked only when training), with `plan` the full graph's."""
     tape = ad.Tape()
-    t = {k: tape.leaf(v, requires_grad=training) for k, v in params.items()}
+    t = tape.leaves(params, requires_grad=training)
     layers = [t[k] for k in sorted(k for k in t if k.startswith("gcn.w"))]
-    x = tape.leaf(batch.features, requires_grad=False)
-    h = gcn_forward(batch, x, None, None, layers, dropout, rng, training)
-    probs = classify(ad.take_rows(h, rows), t["head.w"], t["head.b"])
+    h = gcn_forward(plan, g.features, None, None, layers, dropout, rng,
+                    training)[-1]
+    probs = ad.softmax_head(ad.take_rows(h, rows), t["head.w"], t["head.b"])
     return tape, t, probs
 
 
@@ -374,14 +370,14 @@ def train_gcn_baseline(g: Graph, config: RunConfig, seed: int,
                                   config.layers, "gcn")
         params.update(init_head_params(rng_init, config.hidden, g.num_classes,
                                        "head"))
-        batch = _full_graph_batch(g)
+        plan = ad.PropagationPlan.from_edges(g.edges, g.num_nodes)
         y_train = g.labels[train_nodes]
 
         def step(state, guard):
-            tape, t, probs = _gcn_probs(batch, state.params, train_nodes,
+            tape, t, probs = _gcn_probs(g, plan, state.params, train_nodes,
                                         config.dropout, rng_dropout,
                                         training=True)
-            loss = ad.mean(cross_entropy(probs, y_train))
+            loss = ad.mean(ad.nll_rows(probs, y_train))
             row = {"loss": loss.item()}
             guard(row)
             grads = ad.gradients(tape, loss, t)
@@ -390,7 +386,7 @@ def train_gcn_baseline(g: Graph, config: RunConfig, seed: int,
 
         return (params, config.learning_rate, step,
                 lambda params: np.argmax(
-                    _gcn_probs(batch, params, val_nodes)[2].data, axis=1))
+                    _gcn_probs(g, plan, params, val_nodes)[2].data, axis=1))
 
     return _fit(g, config, seed, train_nodes, val_nodes, model)
 
@@ -424,7 +420,8 @@ def evaluate(g: Graph, params: dict[str, np.ndarray], nodes,
             cache = build_ego_cache(g, hops, nodes)
         predictions = _predict_cdgnn(_eval_batches(g, cache, nodes), params)
     else:
-        _, _, probs = _gcn_probs(_full_graph_batch(g), params, nodes)
+        plan = ad.PropagationPlan.from_edges(g.edges, g.num_nodes)
+        _, _, probs = _gcn_probs(g, plan, params, nodes)
         predictions = np.argmax(probs.data, axis=1)
     truth = g.labels[nodes]
     confusion = np.zeros((g.num_classes, g.num_classes), dtype=np.int64)
@@ -499,6 +496,7 @@ def run_experiment(g: Graph, config: RunConfig, seed: int,
     """
     if model not in ("cdgnn", "gcn"):
         raise ValueError(f"unknown model {model!r}")
+    config.validate()  # before the ego cache, which can take a while
     sp = split_nodes(g.num_nodes, seed)
     start = time.perf_counter()
     hops = config.resolved_hops

@@ -1,12 +1,13 @@
-"""Masked GCN encoder, graph readout, and classifier head.
+"""Ego batching and the masked GCN encoder.
 
 The encoder runs on an EgoBatch: the disjoint union of one ego subgraph per
 classified node, propagated as one graph through a single CSR
 PropagationPlan that batch_from_cache builds. Layer l computes
 H_l = relu(P_masked @ H_{l-1} @ W_l) with dropout between layers (training
 only) and no nonlinearity after the final layer; P_masked is the renormalized
-propagation with per-edge weights. The readout concatenates the ego row with
-the subgraph mean and projects back to the embedding width.
+propagation with per-edge weights. The readout (ego row joined with the
+subgraph mean, projected back to the embedding width) and the softmax head
+are the tape primitives ad.ego_readout and ad.softmax_head.
 """
 
 from __future__ import annotations
@@ -27,8 +28,6 @@ __all__ = [
     "init_readout_params",
     "init_head_params",
     "gcn_forward",
-    "readout",
-    "classify",
 ]
 
 
@@ -109,33 +108,25 @@ def init_head_params(rng: np.random.Generator, in_dim: int, num_classes: int,
     }
 
 
-def gcn_forward(batch: EgoBatch, x: ad.Tensor, edge_weights, feature_mask,
+def gcn_forward(plan: ad.PropagationPlan, x, edge_weights, feature_mask,
                 layer_weights: list[ad.Tensor], dropout_rate: float = 0.0,
                 rng: np.random.Generator | None = None,
-                training: bool = False) -> ad.Tensor:
-    """Node embeddings for every node in the batch union graph.
+                training: bool = False) -> list[ad.Tensor]:
+    """Node embeddings of the graph `plan` propagates, after every layer.
 
+    x: node features (array or tensor), one row per node of `plan`.
     edge_weights: (num_und_edges, 1) tensor or None for the unit operator.
     feature_mask: (1, d) tensor or None; multiplies the input features.
+    Training dropout acts between layers, after the output it records.
     """
     h = x if feature_mask is None else ad.multiply(x, feature_mask)
+    outputs = []
     last = len(layer_weights) - 1
     for l, w in enumerate(layer_weights):
-        h = ad.gcn_layer(h, edge_weights, w, batch.plan, relu=l < last)
+        h = ad.gcn_layer(h, edge_weights, w, plan, relu=l < last)
+        outputs.append(h)
         if l < last and training and dropout_rate > 0.0:
             if rng is None:
                 raise ValueError("training dropout needs an rng")
             h = ad.dropout(h, dropout_rate, rng)
-    return h
-
-
-def readout(batch: EgoBatch, node_embeddings: ad.Tensor,
-            projection: ad.Tensor) -> ad.Tensor:
-    """Per-graph embedding: concat(ego row, subgraph mean) @ projection."""
-    return ad.ego_readout(node_embeddings, batch.ego_rows, batch.segments,
-                          batch.num_graphs, projection)
-
-
-def classify(embedding: ad.Tensor, head_w: ad.Tensor, head_b: ad.Tensor) -> ad.Tensor:
-    """Class distribution rows: softmax(embedding @ W + b)."""
-    return ad.softmax_head(embedding, head_w, head_b)
+    return outputs

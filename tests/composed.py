@@ -12,12 +12,17 @@ gather_scatter_propagate is the oracle of the CSR propagation: the edge-list
 gather and bincount scatter that PropagationPlan replaced. add_at_take_rows
 is likewise the oracle of take_rows, whose adjoint runs as a CSR row sum.
 adam_step is the per-parameter loop that the flat-buffer Adam replaced.
+hsic_value is hsic on plain arrays, and audit_cross_class_ratios is
+assumption_audit's old per-layer loop, which propagated the causal branch
+again from its masks instead of reading the forward's layers.
 """
 
 import numpy as np
 
 from cdgnn import autodiff as ad
-from cdgnn.disentangle import cross_entropy, gce_loss
+from cdgnn.disentangle import edge_score_logits, gce_loss, hsic
+from cdgnn.gains import _layer_cross_class_ratio
+from cdgnn.models import batch_from_cache, build_ego_cache
 
 
 def exp(a):
@@ -271,7 +276,7 @@ def gce_grad_identity_check(params, forward, label, q):
     tape_b = ad.Tape()
     tensors_b = {k: tape_b.leaf(v.copy()) for k, v in params.items()}
     probs_b = forward(tensors_b)
-    loss_b = ad.mean(cross_entropy(probs_b, [label]))
+    loss_b = ad.mean(ad.nll_rows(probs_b, [label]))
     grads_b = ad.gradients(tape_b, loss_b, tensors_b)
 
     scale = p_y**q
@@ -314,3 +319,27 @@ def adam_step(params, grads, state, lr, weight_decay=0.0, beta1=0.9,
         new_m[name] = m
         new_v[name] = v
     return new_params, (t, new_m, new_v)
+
+
+def hsic_value(x, y, bandwidth_x=None, bandwidth_y=None):
+    """hsic() of two plain arrays, on untracked tensors, as a float."""
+    return hsic(ad.Tensor(np.asarray(x, dtype=np.float64)),
+                ad.Tensor(np.asarray(y, dtype=np.float64)),
+                bandwidth_x, bandwidth_y).item()
+
+
+def audit_cross_class_ratios(g, params, hops, nodes):
+    """assumption_audit's cross-class ratio of each causal layer on the egos
+    of `nodes` (at most AUDIT_MAX_NODES, so the audit samples none): the
+    masks rebuilt from the scorer and the layers propagated again."""
+    batch = batch_from_cache(g, build_ego_cache(g, hops, nodes), nodes)
+    t = ad.Tape().leaves(params, requires_grad=False)
+    edge = ad.sigmoid(edge_score_logits(batch.endpoints, batch.features, t))
+    layers = [t[k] for k in sorted(k for k in t if k.startswith("gnn_c.w"))]
+    h = ad.multiply(batch.features, ad.sigmoid(t["mask.feat"]))
+    ratios = []
+    for l, w in enumerate(layers):
+        h = ad.gcn_layer(h, edge, w, batch.plan, relu=l < len(layers) - 1)
+        ratios.append(_layer_cross_class_ratio(
+            h.data, batch.endpoints, g.labels[batch.member_ids]))
+    return ratios

@@ -17,7 +17,7 @@ from cdgnn import autodiff as ad
 
 def loss_value(build, values):
     tape = ad.Tape()
-    leaves = {k: tape.leaf(v) for k, v in values.items()}
+    leaves = tape.leaves(values)
     return build(tape, leaves).item()
 
 
@@ -29,7 +29,7 @@ def max_relative_error(build, values, step=1e-5):
     dominating entries whose true gradient is essentially zero.
     """
     tape = ad.Tape()
-    leaves = {k: tape.leaf(v) for k, v in values.items()}
+    leaves = tape.leaves(values)
     loss = build(tape, leaves)
     grads = ad.gradients(tape, loss, leaves)
 

@@ -12,24 +12,21 @@ import time
 import numpy as np
 import pytest
 
-from composed import gce_grad_identity_check
+from composed import gce_grad_identity_check, hsic_value
 from fdcheck import PRIMITIVE_CASES, max_relative_error
 
 from cdgnn import autodiff as ad
 from cdgnn.disentangle import (
-    LossSettings,
     causal_loss,
     counterfactual_loss,
-    cross_entropy,
     difficulty_weights,
     disentanglement_score,
     gce_loss,
     hsic,
     init_mask_params,
-    materialize_masks,
     median_bandwidth,
-    split_and_embed,
     total_loss,
+    two_branch_forward,
 )
 from cdgnn.gains import (
     GainParams,
@@ -45,7 +42,6 @@ from cdgnn.harness import RunConfig, run_experiment, train_cdgnn, split_nodes
 from cdgnn.models import (
     batch_from_cache,
     build_ego_cache,
-    classify,
     init_gcn_weights,
     init_head_params,
     init_readout_params,
@@ -106,39 +102,28 @@ def _composed_objective_case(rng):
     values.update(init_head_params(rng, 2 * hidden, 2, "head_c"))
     values.update(init_head_params(rng, 2 * hidden, 2, "head_s"))
     perm = rng.permutation(batch.num_graphs)
-    settings = LossSettings(q=0.7, lambda_counterfactual=10.0,
-                            lambda_independence=0.1)
+    config = RunConfig(q=0.7, lambda_counterfactual=10.0,
+                       lambda_independence=0.1)
     y = batch.ego_labels
 
-    def forward(tape, t):
-        masks = materialize_masks(batch, t)
-        x = tape.leaf(batch.features, requires_grad=False)
-        return split_and_embed(batch, x, masks,
-                               [t["gnn_c.w0"], t["gnn_c.w1"]],
-                               [t["gnn_s.w0"], t["gnn_s.w1"]],
-                               t["readout_c.proj"], t["readout_s.proj"])
-
-    tape0 = ad.Tape()
-    t0 = {k: tape0.leaf(v) for k, v in values.items()}
-    bundle0 = forward(tape0, t0)
-    probs_s0 = classify(bundle0.joint, t0["head_s.w"], t0["head_s.b"])
-    probs_c0 = classify(bundle0.joint, t0["head_c.w"], t0["head_c.b"])
-    weights = difficulty_weights(cross_entropy(probs_s0, y).data,
-                                 cross_entropy(probs_c0, y).data)
-    bx = median_bandwidth(bundle0.nodes_causal.data)
-    by = median_bandwidth(bundle0.nodes_shortcut.data)
+    fwd0 = two_branch_forward(batch, ad.Tape().leaves(values))
+    probs_s0 = ad.softmax_head(fwd0.joint, *fwd0.head_shortcut)
+    probs_c0 = ad.softmax_head(fwd0.joint, *fwd0.head_causal)
+    weights = difficulty_weights(ad.nll_rows(probs_s0, y).data,
+                                 ad.nll_rows(probs_c0, y).data)
+    bx = median_bandwidth(fwd0.layers_causal[-1].data)
+    by = median_bandwidth(fwd0.layers_shortcut[-1].data)
 
     def build(tape, t):
-        bundle = forward(tape, t)
-        probs_s = classify(bundle.joint, t["head_s.w"], t["head_s.b"])
-        probs_c = classify(bundle.joint, t["head_c.w"], t["head_c.b"])
-        loss_s = ad.mean(gce_loss(probs_s, y, settings.q))
+        fwd = two_branch_forward(batch, t)
+        probs_s = ad.softmax_head(fwd.joint, *fwd.head_shortcut)
+        probs_c = ad.softmax_head(fwd.joint, *fwd.head_causal)
+        loss_s = ad.mean(gce_loss(probs_s, y, config.q))
         loss_c = causal_loss(probs_c, y, weights)
-        loss_cf = counterfactual_loss(
-            bundle, (t["head_s.w"], t["head_s.b"]),
-            (t["head_c.w"], t["head_c.b"]), y, settings.q, perm, weights)
-        loss_h = hsic(bundle.nodes_causal, bundle.nodes_shortcut, bx, by)
-        total, _ = total_loss(loss_s, loss_c, loss_cf, loss_h, settings)
+        loss_cf = counterfactual_loss(fwd, y, config.q, perm, weights)
+        loss_h = hsic(fwd.layers_causal[-1], fwd.layers_shortcut[-1], bx, by)
+        total, _ = total_loss(loss_s, loss_c, loss_cf, loss_h,
+                              config.coefficients)
         return total
 
     return build, values
@@ -287,8 +272,6 @@ def test_c05_improvement_margins():
 
 @criterion(6, 60, "independence penalty is null-calibrated at 500 samples")
 def test_c06_hsic_calibration():
-    from cdgnn.disentangle import hsic_value
-
     rng = np.random.default_rng(6)
     constant = hsic_value(np.ones((50, 3)), rng.normal(size=(50, 3)))
     assert abs(constant) < 1e-10

@@ -354,6 +354,39 @@ class TestInputErrors:
         assert "outside [0, 2)" in err
         assert err.count("\n") == 1
 
+    def test_non_finite_hyperparameter_is_one_line_error(
+            self, tiny_graph_file, tmp_path, capsys):
+        for command, flag, value, name in (
+                ("train-baseline", "--lr", "nan", "learning_rate"),
+                ("train-baseline", "--weight-decay", "nan", "weight_decay"),
+                ("train", "--lambda1", "inf", "lambda_counterfactual"),
+                ("train", "--lambda2", "-inf", "lambda_independence"),
+                ("sweep", "--q", "nan", "q")):
+            _one_line_error(capsys, [command, "--graph", tiny_graph_file,
+                                     "--out-dir", tmp_path, *_FAST,
+                                     f"{flag}={value}"],
+                            f"{name} must be finite")
+        assert list(tmp_path.glob("run_*.json")) == []
+
+    @pytest.mark.parametrize("command", ["train", "train-baseline", "sweep"])
+    def test_num_runs_below_one_is_one_line_error(self, command, capsys):
+        for runs in ("0", "-3"):
+            _one_line_error(capsys, [command, "--preset", "tree_cycles",
+                                     "--num-runs", runs],
+                            f"--num-runs must be >= 1, got {runs}")
+
+    def test_malformed_record_is_one_line_error(self, tmp_path, capsys):
+        records = tmp_path / "runs"
+        records.mkdir()
+        path = records / "run_bad.json"
+        for payload in ("[1, 2]", '{"dataset": "x"}',
+                        '{"dataset": "x", "split_sizes": [1, 1, 1]}', "{"):
+            path.write_text(payload)
+            _one_line_error(capsys, ["report", "--records", records,
+                                     "--out", tmp_path / "report.csv"],
+                            f"{path} is not a run record")
+        assert not (tmp_path / "report.csv").exists()
+
     def test_missing_or_directory_input_is_one_line_error(
             self, tiny_graph_file, tmp_path, capsys):
         model = save_model(

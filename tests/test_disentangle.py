@@ -5,32 +5,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from composed import gce_grad_identity_check
+from composed import gce_grad_identity_check, hsic_value
 from cdgnn import autodiff as ad
 from cdgnn.disentangle import (
-    BranchBundle,
-    LossSettings,
+    TwoBranchPass,
     causal_loss,
     counterfactual_loss,
-    cross_entropy,
     difficulty_weights,
     disentanglement_score,
     edge_score_logits,
     gce_loss,
     hsic,
-    hsic_value,
     init_cdgnn_params,
     init_mask_params,
-    materialize_masks,
     median_bandwidth,
     score_edges,
-    split_and_embed,
     total_loss,
     two_branch_forward,
 )
 from cdgnn.graphs import Graph
-from cdgnn.models import (batch_from_cache, build_ego_cache, init_gcn_weights,
-                          init_readout_params)
+from cdgnn.harness import RunConfig
+from cdgnn.models import batch_from_cache, build_ego_cache, gcn_forward
 
 
 def _ego_batch(g, nodes, hops):
@@ -59,7 +54,7 @@ class TestGce:
         for p in (0.1, 0.3, 0.8):
             probs = _probs_row(tape, [p, 1.0 - p])
             g = gce_loss(probs, [0], q).item()
-            ce = cross_entropy(probs, [0]).item()
+            ce = ad.nll_rows(probs, [0]).item()
             assert abs(g - ce) <= q * np.log(p) ** 2
 
     def test_bounded_by_inverse_q(self):
@@ -145,34 +140,31 @@ class TestCausalLoss:
             causal_loss(probs, [0, 1, 0], [1.0, 1.0])
 
 
-def _toy_bundle(tape, rng, n=3, dim=2):
+def _toy_pass(tape, rng, n=3, dim=2, classes=2):
+    """A TwoBranchPass of random graph embeddings and heads (no masks)."""
     h_c = tape.leaf(rng.normal(size=(n, dim)))
     h_s = tape.leaf(rng.normal(size=(n, dim)))
-    return BranchBundle(graph_causal=h_c, graph_shortcut=h_s,
-                        joint=ad.concat_cols(h_c, h_s),
-                        nodes_causal=h_c, nodes_shortcut=h_s)
-
-
-def _toy_heads(tape, rng, dim=2, classes=2):
-    return ((tape.leaf(rng.normal(size=(2 * dim, classes))),
-             tape.leaf(np.zeros((1, classes)))),
-            (tape.leaf(rng.normal(size=(2 * dim, classes))),
-             tape.leaf(np.zeros((1, classes)))))
+    head_s, head_c = [(tape.leaf(rng.normal(size=(2 * dim, classes))),
+                       tape.leaf(np.zeros((1, classes)))) for _ in range(2)]
+    return TwoBranchPass(edge_mask=None, feature_mask=None,
+                         layers_causal=[h_c], layers_shortcut=[h_s],
+                         graph_causal=h_c, graph_shortcut=h_s,
+                         joint=ad.concat_cols(h_c, h_s),
+                         head_causal=head_c, head_shortcut=head_s)
 
 
 class TestCounterfactualLoss:
     def test_identity_permutation_recovers_plain_terms(self):
         rng = np.random.default_rng(2)
         tape = ad.Tape()
-        bundle = _toy_bundle(tape, rng)
-        head_s, head_c = _toy_heads(tape, rng)
+        fwd = _toy_pass(tape, rng)
         y = np.array([0, 1, 0])
         w = np.array([0.3, 0.9, 0.5])
-        from cdgnn.models import classify
-        plain_s = ad.mean(gce_loss(classify(bundle.joint, *head_s), y, 0.7))
-        plain_c = causal_loss(classify(bundle.joint, *head_c), y, w)
-        cf = counterfactual_loss(bundle, head_s, head_c, y, 0.7,
-                                 np.arange(3), w)
+        plain_s = ad.mean(gce_loss(
+            ad.softmax_head(fwd.joint, *fwd.head_shortcut), y, 0.7))
+        plain_c = causal_loss(
+            ad.softmax_head(fwd.joint, *fwd.head_causal), y, w)
+        cf = counterfactual_loss(fwd, y, 0.7, np.arange(3), w)
         np.testing.assert_allclose(cf.item(),
                                    plain_s.item() + plain_c.item(),
                                    rtol=1e-12)
@@ -180,20 +172,20 @@ class TestCounterfactualLoss:
     def test_matches_numpy_oracle_under_shuffle(self):
         rng = np.random.default_rng(3)
         tape = ad.Tape()
-        bundle = _toy_bundle(tape, rng)
-        head_s, head_c = _toy_heads(tape, rng)
+        fwd = _toy_pass(tape, rng)
+        head_s, head_c = fwd.head_shortcut, fwd.head_causal
         y = np.array([0, 1, 1])
         w = np.array([0.2, 0.7, 0.4])
         perm = np.array([2, 0, 1])
         q = 0.7
-        out = counterfactual_loss(bundle, head_s, head_c, y, q, perm, w)
+        out = counterfactual_loss(fwd, y, q, perm, w)
 
         def softmax(z):
             e = np.exp(z - z.max(axis=1, keepdims=True))
             return e / e.sum(axis=1, keepdims=True)
 
-        h_ct = np.hstack([bundle.graph_causal.data,
-                          bundle.graph_shortcut.data[perm]])
+        h_ct = np.hstack([fwd.graph_causal.data,
+                          fwd.graph_shortcut.data[perm]])
         p_s = softmax(h_ct @ head_s[0].data + head_s[1].data)
         p_c = softmax(h_ct @ head_c[0].data + head_c[1].data)
         rows = np.arange(3)
@@ -205,20 +197,17 @@ class TestCounterfactualLoss:
     def test_batch_of_one_rejected(self):
         rng = np.random.default_rng(4)
         tape = ad.Tape()
-        bundle = _toy_bundle(tape, rng, n=1)
-        head_s, head_c = _toy_heads(tape, rng)
+        fwd = _toy_pass(tape, rng, n=1)
         with pytest.raises(ValueError, match="at least 2"):
-            counterfactual_loss(bundle, head_s, head_c, [0], 0.7,
-                                np.array([0]), [1.0])
+            counterfactual_loss(fwd, [0], 0.7, np.array([0]), [1.0])
 
     def test_short_permutation_rejected(self):
         rng = np.random.default_rng(5)
         tape = ad.Tape()
-        bundle = _toy_bundle(tape, rng)
-        head_s, head_c = _toy_heads(tape, rng)
+        fwd = _toy_pass(tape, rng)
         with pytest.raises(ValueError, match="cover"):
-            counterfactual_loss(bundle, head_s, head_c, [0, 1, 0], 0.7,
-                                np.array([1, 0]), [1.0, 1.0, 1.0])
+            counterfactual_loss(fwd, [0, 1, 0], 0.7, np.array([1, 0]),
+                                [1.0, 1.0, 1.0])
 
 
 class TestMedianBandwidth:
@@ -304,7 +293,8 @@ class TestTotalLoss:
         tape = ad.Tape()
         total, breakdown = total_loss(
             *self._terms(tape),
-            LossSettings(lambda_counterfactual=10.0, lambda_independence=0.1))
+            RunConfig(lambda_counterfactual=10.0,
+                      lambda_independence=0.1).coefficients)
         np.testing.assert_allclose(total.item(), 33.4, rtol=1e-12)
         assert breakdown["loss_s"] == 1.0
         assert breakdown["loss_c"] == 2.0
@@ -316,34 +306,35 @@ class TestTotalLoss:
         tape = ad.Tape()
         by_flag, _ = total_loss(
             *self._terms(tape),
-            LossSettings(no_counterfactual_term=True, lambda_independence=0.1))
+            RunConfig(no_counterfactual_term=True,
+                      lambda_independence=0.1).coefficients)
         by_zero, _ = total_loss(
             *self._terms(tape),
-            LossSettings(lambda_counterfactual=0.0, lambda_independence=0.1))
+            RunConfig(lambda_counterfactual=0.0,
+                      lambda_independence=0.1).coefficients)
         assert by_flag.item() == by_zero.item() == 1.0 + 2.0 + 0.4
 
     def test_breakdown_reports_ablated_terms(self):
         tape = ad.Tape()
         _, breakdown = total_loss(
             *self._terms(tape),
-            LossSettings(no_independence_term=True))
+            RunConfig(no_independence_term=True).coefficients)
         assert breakdown["loss_hsic"] == 4.0
 
     def test_coefficients_weigh_ablated_terms_zero(self):
-        settings = LossSettings(lambda_counterfactual=3.0,
-                                lambda_independence=0.2,
-                                no_causal_term=True, no_independence_term=True)
-        assert settings.coefficients == (1.0, 0.0, 3.0, 0.0)
-        total, _ = total_loss(*self._terms(ad.Tape()), settings)
+        config = RunConfig(lambda_counterfactual=3.0, lambda_independence=0.2,
+                           no_causal_term=True, no_independence_term=True)
+        assert config.coefficients == (1.0, 0.0, 3.0, 0.0)
+        total, _ = total_loss(*self._terms(ad.Tape()), config.coefficients)
         assert total.item() == 1.0 + 3.0 * 3.0
 
     def test_all_ablated_rejected(self):
         tape = ad.Tape()
         with pytest.raises(ValueError, match="ablated"):
             total_loss(*self._terms(tape),
-                       LossSettings(no_shortcut_term=True, no_causal_term=True,
-                                    no_counterfactual_term=True,
-                                    no_independence_term=True))
+                       RunConfig(no_shortcut_term=True, no_causal_term=True,
+                                 no_counterfactual_term=True,
+                                 no_independence_term=True).coefficients)
 
 
 def _toy_graph(n=6, dim=4, seed=11):
@@ -363,35 +354,42 @@ def _score_edges_numpy(params, x, e):
     return 0.5 * (scores[:n, 0] + scores[n:, 0])
 
 
+def _pass_of(batch, params, training=False):
+    return two_branch_forward(
+        batch, ad.Tape().leaves(params, requires_grad=training),
+        training=training)
+
+
 class TestMasks:
     def test_mask_pair_tiles_to_ones(self):
+        """The causal branch reads the masks, the shortcut branch their
+        complements 1 - mask."""
         g = _toy_graph()
         batch = _ego_batch(g, np.arange(g.num_nodes), hops=1)
         rng = np.random.default_rng(12)
-        tape = ad.Tape()
-        params = {k: tape.leaf(v)
-                  for k, v in init_mask_params(rng, 4).items()}
-        masks = materialize_masks(batch, params)
-        np.testing.assert_allclose(
-            masks.edge.data + masks.edge_complement.data, 1.0,
-            atol=1e-15)
-        np.testing.assert_allclose(
-            masks.feature.data + masks.feature_complement.data, 1.0,
-            atol=1e-15)
-        assert masks.edge.data.shape == (batch.endpoints.shape[0], 1)
+        params = init_cdgnn_params(rng, 4, 5, 2, 3, 2)
+        params["mask.w2"][:] = rng.normal(size=params["mask.w2"].shape)
+        params["mask.feat"][:] = rng.normal(size=params["mask.feat"].shape)
+        fwd = _pass_of(batch, params)
+        edge, feat = fwd.edge_mask.data, fwd.feature_mask.data
+        assert edge.shape == (batch.endpoints.shape[0], 1)
+        assert np.ptp(edge) > 0.0 and np.ptp(feat) > 0.0
+        for mask_e, mask_f, prefix, layers in (
+                (edge, feat, "gnn_c", fwd.layers_causal),
+                (1.0 - edge, 1.0 - feat, "gnn_s", fwd.layers_shortcut)):
+            ws = [params[f"{prefix}.w{l}"] for l in range(2)]
+            want = gcn_forward(batch.plan, batch.features, mask_e, mask_f, ws)
+            for got, layer in zip(layers, want, strict=True):
+                np.testing.assert_array_equal(got.data, layer.data)
 
     def test_fresh_params_score_half_everywhere(self):
         """Zero-initialized logits start both branches at even weighting."""
         g = _toy_graph(seed=13)
         batch = _ego_batch(g, np.arange(g.num_nodes), hops=1)
-        rng = np.random.default_rng(13)
-        params = init_mask_params(rng, 4)
-        params["mask.w2"][:] = 0.0
-        tape = ad.Tape()
-        tensors = {k: tape.leaf(v) for k, v in params.items()}
-        masks = materialize_masks(batch, tensors)
-        np.testing.assert_allclose(masks.edge.data, 0.5, atol=1e-15)
-        np.testing.assert_allclose(masks.feature.data, 0.5, atol=1e-15)
+        params = init_cdgnn_params(np.random.default_rng(13), 4, 5, 2, 3, 2)
+        fwd = _pass_of(batch, params)
+        np.testing.assert_allclose(fwd.edge_mask.data, 0.5, atol=1e-15)
+        np.testing.assert_allclose(fwd.feature_mask.data, 0.5, atol=1e-15)
 
     def test_score_edges_matches_tape_scorer(self):
         g = _toy_graph(seed=14)
@@ -424,50 +422,51 @@ class TestMasks:
 
 
 class TestSplitAndEmbed:
+    """two_branch_forward splits each ego by the mask pair and embeds both
+    sides."""
+
     def test_branch_shapes_and_joint_concat(self):
         g = _toy_graph(seed=16)
         batch = _ego_batch(g, np.arange(g.num_nodes), hops=1)
-        rng = np.random.default_rng(16)
-        tape = ad.Tape()
-        mask_t = {k: tape.leaf(v) for k, v in init_mask_params(rng, 4).items()}
-        masks = materialize_masks(batch, mask_t)
         hidden = 5
-        layers_c = [tape.leaf(v) for v in
-                    init_gcn_weights(rng, 4, hidden, 2, "c").values()]
-        layers_s = [tape.leaf(v) for v in
-                    init_gcn_weights(rng, 4, hidden, 2, "s").values()]
-        proj_c = tape.leaf(init_readout_params(rng, hidden, "pc")["pc.proj"])
-        proj_s = tape.leaf(init_readout_params(rng, hidden, "ps")["ps.proj"])
-        x = tape.leaf(batch.features, requires_grad=False)
-        bundle = split_and_embed(batch, x, masks, layers_c, layers_s,
-                                 proj_c, proj_s)
-        assert bundle.graph_causal.data.shape == (g.num_nodes, hidden)
-        assert bundle.graph_shortcut.data.shape == (g.num_nodes, hidden)
+        params = init_cdgnn_params(np.random.default_rng(16), 4, hidden, 2,
+                                   3, 2)
+        fwd = _pass_of(batch, params)
+        for layers in (fwd.layers_causal, fwd.layers_shortcut):
+            assert [h.data.shape for h in layers] == [(batch.features.shape[0],
+                                                       hidden)] * 2
+        assert fwd.graph_causal.data.shape == (g.num_nodes, hidden)
+        assert fwd.graph_shortcut.data.shape == (g.num_nodes, hidden)
         np.testing.assert_allclose(
-            bundle.joint.data,
-            np.hstack([bundle.graph_causal.data, bundle.graph_shortcut.data]))
-
+            fwd.joint.data,
+            np.hstack([fwd.graph_causal.data, fwd.graph_shortcut.data]))
 
     @pytest.mark.parametrize("training", [False, True])
     def test_two_branch_forward_matches_manual_assembly(self, training):
         g = _toy_graph(seed=18)
         batch = _ego_batch(g, np.arange(g.num_nodes), hops=1)
         params = init_cdgnn_params(np.random.default_rng(18), 4, 5, 2, 3, 2)
-        fwd = two_branch_forward(batch, params, training=training)
-        assert all(t.requires_grad == training for t in fwd.leaves.values())
-        assert fwd.causal_layers == [fwd.leaves["gnn_c.w0"],
-                                     fwd.leaves["gnn_c.w1"]]
-        assert fwd.head_causal == (fwd.leaves["head_c.w"],
-                                   fwd.leaves["head_c.b"])
-        assert fwd.head_shortcut == (fwd.leaves["head_s.w"],
-                                     fwd.leaves["head_s.b"])
-        t = fwd.leaves
-        manual = split_and_embed(
-            batch, fwd.tape.leaf(batch.features, requires_grad=False),
-            materialize_masks(batch, t), [t["gnn_c.w0"], t["gnn_c.w1"]],
-            [t["gnn_s.w0"], t["gnn_s.w1"]], t["readout_c.proj"],
-            t["readout_s.proj"])
-        np.testing.assert_array_equal(fwd.bundle.joint.data, manual.joint.data)
+        t = ad.Tape().leaves(params, requires_grad=training)
+        assert all(leaf.requires_grad == training for leaf in t.values())
+        fwd = two_branch_forward(batch, t, training=training)
+        assert fwd.head_causal == (t["head_c.w"], t["head_c.b"])
+        assert fwd.head_shortcut == (t["head_s.w"], t["head_s.b"])
+        edge = ad.sigmoid(edge_score_logits(batch.endpoints, batch.features, t))
+        feat = ad.sigmoid(t["mask.feat"])
+        causal = gcn_forward(batch.plan, batch.features, edge, feat,
+                             [t["gnn_c.w0"], t["gnn_c.w1"]])
+        shortcut = gcn_forward(batch.plan, batch.features,
+                               ad.subtract(1.0, edge), ad.subtract(1.0, feat),
+                               [t["gnn_s.w0"], t["gnn_s.w1"]])
+        h_c, h_s = (ad.ego_readout(layers[-1], batch.ego_rows, batch.segments,
+                                   batch.num_graphs, t[proj]).data
+                    for layers, proj in ((causal, "readout_c.proj"),
+                                         (shortcut, "readout_s.proj")))
+        for got, want in zip(fwd.layers_causal + fwd.layers_shortcut,
+                             causal + shortcut, strict=True):
+            np.testing.assert_array_equal(got.data, want.data)
+        np.testing.assert_array_equal(fwd.graph_causal.data, h_c)
+        np.testing.assert_array_equal(fwd.joint.data, np.hstack([h_c, h_s]))
 
 
 class TestDisentanglementScore:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import composed
 from cdgnn.gains import (
     INDEPENDENCE_THRESHOLD,
     GainParams,
@@ -478,6 +479,22 @@ class TestAssumptionAudit:
         report = assumption_audit(g, params, hops=2, seed=0)
         assert len(report.cross_class_ratios) == 2
         assert min(report.cross_class_ratios) > 0.0
+
+    @pytest.mark.parametrize("layers", [1, 3])
+    def test_ratios_are_the_propagated_layers_bit_for_bit(self, layers):
+        """The audit reads the forward's causal layers; propagating them
+        again by hand gives the same floats."""
+        g = _ring_graph(n=30, seed=27)
+        g = g.with_labels((np.arange(g.num_nodes) // 3) % 2)
+        rng = np.random.default_rng(27)
+        params = _audit_params(rng, 6, layers=layers)
+        for key in params:
+            params[key] = params[key] + 0.5 * rng.normal(size=params[key].shape)
+        nodes = np.arange(0, 30, 2)
+        report = assumption_audit(g, params, hops=2, nodes=nodes, seed=0)
+        oracle = composed.audit_cross_class_ratios(g, params, 2, nodes)
+        assert len(oracle) == layers and min(oracle) > 0.0
+        assert report.cross_class_ratios == oracle
 
     def test_too_few_nodes_rejected(self):
         g = _ring_graph(seed=25)

@@ -2,14 +2,14 @@
 
 import gc
 import json
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
 
 from cdgnn import autodiff as ad
 from cdgnn import harness, models
-from cdgnn.disentangle import LossSettings, init_cdgnn_params
+from cdgnn.disentangle import init_cdgnn_params
 from cdgnn.graphs import Graph, feature_heterophily, label_heterophily
 from cdgnn.harness import (
     RunConfig,
@@ -120,19 +120,34 @@ class TestRunConfig:
         assert _tiny_config(layers=3).resolved_hops == 3
         assert _tiny_config(layers=3, ego_hops=1).resolved_hops == 1
 
-    def test_loss_settings_mirror_config(self):
+    def test_coefficients_mirror_config(self):
         cfg = _tiny_config(q=0.5, lambda_counterfactual=2.0,
                            no_independence_term=True)
-        settings = cfg.loss_settings()
-        assert settings.q == 0.5
-        assert settings.lambda_counterfactual == 2.0
-        assert settings.no_independence_term
+        assert cfg.coefficients == (1.0, 1.0, 2.0, 0.0)
+        assert _tiny_config(no_shortcut_term=True, no_causal_term=True,
+                            lambda_independence=0.3).coefficients == (
+            0.0, 0.0, 10.0, 0.3)
 
-    def test_loss_defaults_match_loss_settings(self):
-        config = {f.name: f.default for f in fields(RunConfig)}
-        for f in fields(LossSettings):
-            assert config[f.name] == f.default, f.name
-        assert RunConfig().loss_settings() == LossSettings()
+    def test_defaults_are_pinned(self):
+        """Every record hashes the config dict: its keys and defaults."""
+        assert asdict(RunConfig()) == {
+            "learning_rate": 1e-4, "scorer_learning_rate": None,
+            "weight_decay": 5e-4, "hidden": 150, "dropout": 0.1, "layers": 2,
+            "q": 0.7, "lambda_counterfactual": 10.0,
+            "lambda_independence": 0.1, "epochs": 200, "patience": 30,
+            "batch_size": 32, "ego_hops": None, "scorer_hidden": 16,
+            "hsic_max_rows": 256, "no_shortcut_term": False,
+            "no_causal_term": False, "no_counterfactual_term": False,
+            "no_independence_term": False}
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")])
+    def test_non_finite_float_rejected(self, value):
+        floats = [f.name for f in fields(RunConfig) if "float" in str(f.type)]
+        assert len(floats) == 7
+        for name in floats:
+            with pytest.raises(ValueError, match=f"^{name} must be finite"):
+                RunConfig(**{name: value}).validate()
 
 
 class TestDatasetHash:

@@ -1,4 +1,4 @@
-"""Ego batching, masked GCN forward, readout, and the softmax head."""
+"""Ego batching, the masked GCN forward, the readout and the softmax head."""
 
 import numpy as np
 import pytest
@@ -9,12 +9,10 @@ from cdgnn.graphs import Graph, ego_subgraph
 from cdgnn.models import (
     batch_from_cache,
     build_ego_cache,
-    classify,
     gcn_forward,
     init_gcn_weights,
     init_head_params,
     init_readout_params,
-    readout,
 )
 
 
@@ -26,6 +24,11 @@ def _path_graph(n=4, dim=3, seed=0):
 
 def _ego_batch(g, nodes, hops):
     return batch_from_cache(g, build_ego_cache(g, hops, nodes), nodes)
+
+
+def _readout(batch, h, projection):
+    return ad.ego_readout(h, batch.ego_rows, batch.segments, batch.num_graphs,
+                          projection)
 
 
 def _renormalized_propagate(g, signal, edge_weights=None):
@@ -108,9 +111,10 @@ class TestGcnForward:
         ones_e = tape.leaf(np.ones((batch.endpoints.shape[0], 1)),
                            requires_grad=False)
         ones_f = tape.leaf(np.ones((1, 3)), requires_grad=False)
-        masked = gcn_forward(batch, x, ones_e, ones_f, ws)
-        plain = gcn_forward(batch, x, None, None, ws)
-        np.testing.assert_allclose(masked.data, plain.data, atol=1e-12)
+        masked = gcn_forward(batch.plan, x, ones_e, ones_f, ws)
+        plain = gcn_forward(batch.plan, x, None, None, ws)
+        for a, b in zip(masked, plain, strict=True):
+            np.testing.assert_allclose(a.data, b.data, atol=1e-12)
 
     def test_zero_edge_mask_isolates_nodes(self):
         g = _path_graph(4, seed=6)
@@ -122,7 +126,7 @@ class TestGcnForward:
         x = tape.leaf(batch.features, requires_grad=False)
         zeros = tape.leaf(np.zeros((batch.endpoints.shape[0], 1)),
                           requires_grad=False)
-        out = gcn_forward(batch, x, zeros, None, ws)
+        out = gcn_forward(batch.plan, x, zeros, None, ws)[-1]
         oracle = _forward_numpy(batch, batch.features,
                                 [weights_np["gnn.w0"], weights_np["gnn.w1"]],
                                 edge_w=np.zeros(batch.endpoints.shape[0]))
@@ -135,7 +139,7 @@ class TestGcnForward:
         tape = ad.Tape()
         w = tape.leaf(np.eye(2), requires_grad=False)
         x = tape.leaf(batch.features, requires_grad=False)
-        out = gcn_forward(batch, x, None, None, [w])
+        (out,) = gcn_forward(batch.plan, x, None, None, [w])
         # batch holds both ego copies; each copy is the 2-node graph itself
         oracle = _renormalized_propagate(g, g.features)
         np.testing.assert_allclose(out.data[:2], oracle[[0, 1]])
@@ -163,13 +167,19 @@ class TestGcnForward:
         feat_m = rng.uniform(0.0, 1.0, size=(1, 3))
         tape = ad.Tape()
         ws = [tape.leaf(weights_np[f"gnn.w{l}"]) for l in range(2)]
-        out = gcn_forward(batch, tape.leaf(batch.features, requires_grad=False),
-                          tape.leaf(edge_w, requires_grad=False),
-                          tape.leaf(feat_m, requires_grad=False), ws)
+        first, out = gcn_forward(
+            batch.plan, tape.leaf(batch.features, requires_grad=False),
+            tape.leaf(edge_w, requires_grad=False),
+            tape.leaf(feat_m, requires_grad=False), ws)
         oracle = _forward_numpy(batch, batch.features,
                                 [weights_np["gnn.w0"], weights_np["gnn.w1"]],
                                 edge_w=edge_w[:, 0], feat_mask=feat_m)
         np.testing.assert_allclose(out.data, oracle, atol=1e-12)
+        # every layer's output is returned, the hidden one after its relu
+        oracle = _forward_numpy(batch, batch.features, [weights_np["gnn.w0"]],
+                                edge_w=edge_w[:, 0], feat_mask=feat_m)
+        np.testing.assert_allclose(first.data, np.maximum(oracle, 0.0),
+                                   atol=1e-12)
 
     def test_propagation_affine_in_edge_weights(self):
         """Mask and complement tile the operator: P_m + P_(1-m) = P_1 + P_0."""
@@ -210,9 +220,10 @@ class TestGcnForward:
             tape = ad.Tape()
             ws = [tape.leaf(weights_np[f"gnn.w{l}"], requires_grad=False)
                   for l in range(2)]
-            return gcn_forward(b, tape.leaf(b.features, requires_grad=False),
+            return gcn_forward(b.plan,
+                               tape.leaf(b.features, requires_grad=False),
                                tape.leaf(edge_w, requires_grad=False),
-                               None, ws).data
+                               None, ws)[-1].data
 
         base = run(batch)
         moved = run(permuted)
@@ -224,7 +235,8 @@ class TestGcnForward:
         tape = ad.Tape()
         ws = [tape.leaf(np.eye(3), requires_grad=False) for _ in range(2)]
         with pytest.raises(ValueError, match="rng"):
-            gcn_forward(batch, tape.leaf(batch.features, requires_grad=False),
+            gcn_forward(batch.plan,
+                        tape.leaf(batch.features, requires_grad=False),
                         None, None, ws, dropout_rate=0.5, training=True)
 
 
@@ -236,8 +248,8 @@ class TestReadout:
         emb = np.array([[3.0, -1.0]])
         proj = np.random.default_rng(5).normal(size=(4, 2))
         tape = ad.Tape()
-        out = readout(batch, tape.leaf(emb, requires_grad=False),
-                      tape.leaf(proj, requires_grad=False))
+        out = _readout(batch, tape.leaf(emb, requires_grad=False),
+                       tape.leaf(proj, requires_grad=False))
         expected = np.concatenate([emb[0], emb[0]])[None, :] @ proj
         np.testing.assert_allclose(out.data, expected)
 
@@ -248,12 +260,12 @@ class TestReadout:
         emb = rng.normal(size=(3, 2))
         proj = rng.normal(size=(4, 2))
         tape = ad.Tape()
-        a = readout(batch, tape.leaf(emb, requires_grad=False),
-                    tape.leaf(proj, requires_grad=False)).data
+        a = _readout(batch, tape.leaf(emb, requires_grad=False),
+                     tape.leaf(proj, requires_grad=False)).data
         swapped = emb.copy()
         swapped[[1, 2]] = swapped[[2, 1]]  # ego row 0 untouched
-        b = readout(batch, tape.leaf(swapped, requires_grad=False),
-                    tape.leaf(proj, requires_grad=False)).data
+        b = _readout(batch, tape.leaf(swapped, requires_grad=False),
+                     tape.leaf(proj, requires_grad=False)).data
         np.testing.assert_allclose(a, b)
 
     def test_two_node_hand_case(self):
@@ -262,8 +274,8 @@ class TestReadout:
         emb = np.array([[1.0, 2.0], [3.0, 4.0]])
         proj = np.arange(8.0).reshape(4, 2)
         tape = ad.Tape()
-        out = readout(batch, tape.leaf(emb, requires_grad=False),
-                      tape.leaf(proj, requires_grad=False))
+        out = _readout(batch, tape.leaf(emb, requires_grad=False),
+                       tape.leaf(proj, requires_grad=False))
         concat = np.array([[1.0, 2.0, 2.0, 3.0]])  # ego then mean
         np.testing.assert_allclose(out.data, concat @ proj)
 
@@ -271,18 +283,18 @@ class TestReadout:
 class TestClassify:
     def test_zero_parameters_give_uniform(self):
         tape = ad.Tape()
-        out = classify(tape.leaf(np.ones((2, 3)), requires_grad=False),
-                       tape.leaf(np.zeros((3, 4)), requires_grad=False),
-                       tape.leaf(np.zeros((1, 4)), requires_grad=False))
+        out = ad.softmax_head(tape.leaf(np.ones((2, 3)), requires_grad=False),
+                              tape.leaf(np.zeros((3, 4)), requires_grad=False),
+                              tape.leaf(np.zeros((1, 4)), requires_grad=False))
         np.testing.assert_allclose(out.data, 0.25)
 
     def test_saturated_logit_wins(self):
         tape = ad.Tape()
         w = np.zeros((1, 3))
         b = np.array([[0.0, 40.0, 0.0]])
-        out = classify(tape.leaf(np.ones((1, 1)), requires_grad=False),
-                       tape.leaf(w, requires_grad=False),
-                       tape.leaf(b, requires_grad=False))
+        out = ad.softmax_head(tape.leaf(np.ones((1, 1)), requires_grad=False),
+                              tape.leaf(w, requires_grad=False),
+                              tape.leaf(b, requires_grad=False))
         assert out.data[0, 1] >= 1.0 - 1e-6
 
     def test_matches_direct_softmax(self):
@@ -291,9 +303,9 @@ class TestClassify:
         w = rng.normal(size=(4, 3))
         b = rng.normal(size=(1, 3))
         tape = ad.Tape()
-        out = classify(tape.leaf(emb, requires_grad=False),
-                       tape.leaf(w, requires_grad=False),
-                       tape.leaf(b, requires_grad=False)).data
+        out = ad.softmax_head(tape.leaf(emb, requires_grad=False),
+                              tape.leaf(w, requires_grad=False),
+                              tape.leaf(b, requires_grad=False)).data
         logits = emb @ w + b
         ex = np.exp(logits - logits.max(axis=1, keepdims=True))
         np.testing.assert_allclose(out, ex / ex.sum(axis=1, keepdims=True),
@@ -302,10 +314,11 @@ class TestClassify:
     def test_rows_are_distributions(self):
         rng = np.random.default_rng(13)
         tape = ad.Tape()
-        out = classify(tape.leaf(rng.normal(size=(6, 3)) * 10,
-                                 requires_grad=False),
-                       tape.leaf(rng.normal(size=(3, 5)), requires_grad=False),
-                       tape.leaf(rng.normal(size=(1, 5)), requires_grad=False))
+        emb, w, b = (tape.leaf(v, requires_grad=False)
+                     for v in (rng.normal(size=(6, 3)) * 10,
+                               rng.normal(size=(3, 5)),
+                               rng.normal(size=(1, 5))))
+        out = ad.softmax_head(emb, w, b)
         vals = out.data
         assert (vals > 0).all()
         np.testing.assert_allclose(vals.sum(axis=1), 1.0, atol=1e-9)
