@@ -18,7 +18,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from . import autodiff as ad
 from .graphs import Graph
@@ -324,6 +323,17 @@ def disentanglement_score(mask_params: dict[str, np.ndarray], g: Graph,
         raise ValueError("both ground-truth edge sets must be non-empty")
     pos = score_edges(mask_params, g.features, ce)
     neg = score_edges(mask_params, g.features, se)
-    ranks = rankdata(np.concatenate([pos, neg]), method="average")
-    u = ranks[: pos.shape[0]].sum() - pos.shape[0] * (pos.shape[0] + 1) / 2.0
-    return float(u / (pos.shape[0] * neg.shape[0]))
+    return _mann_whitney_auc(pos, neg)
+
+
+def _mann_whitney_auc(pos: np.ndarray, neg: np.ndarray) -> float:
+    """Share of (pos, neg) pairs with pos > neg, ties counting 1/2; NaN if
+    any score is NaN. U is a sum of half-integers, so it is exact and
+    equals the average-rank formula bit for bit."""
+    if np.isnan(pos).any() or np.isnan(neg).any():
+        return float("nan")
+    neg = np.sort(neg)
+    # Twice U: each positive counts the negatives below it twice, ties once.
+    twice_u = (np.searchsorted(neg, pos, side="left")
+               + np.searchsorted(neg, pos, side="right")).sum()
+    return float(twice_u / 2.0 / (pos.shape[0] * neg.shape[0]))

@@ -11,9 +11,9 @@ touching the topology.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, field, replace
 
-import networkx as nx
 import numpy as np
 
 from .graphs import Graph, GraphError, label_heterophily
@@ -122,8 +122,8 @@ class GenConfig:
             raise GraphError(f"unknown feature rule {self.feature_rule!r}")
         if self.feature_dim < 1:
             raise GraphError("feature_dim must be >= 1")
-        if self.base_kind == "barabasi_albert" and self.base_size <= self.ba_attach_edges:
-            raise GraphError("barabasi_albert base needs base_size > ba_attach_edges")
+        if self.base_kind == "barabasi_albert" and not 1 <= self.ba_attach_edges < self.base_size:
+            raise GraphError("barabasi_albert base needs 1 <= ba_attach_edges < base_size")
 
 
 def _tree_edges(n: int) -> list[tuple[int, int]]:
@@ -136,12 +136,31 @@ def _tree_edges(n: int) -> list[tuple[int, int]]:
     return edges
 
 
+def _barabasi_albert_edges(n: int, m: int, seed: int) -> list[tuple[int, int]]:
+    """Preferential attachment on nodes 0..n-1: from a star on 0..m, each
+    new node joins m distinct earlier nodes drawn in proportion to degree.
+
+    The draws follow networkx's `barabasi_albert_graph(n, m, seed)` call
+    for call, so the edge set is the one networkx 3.6.1 gives.
+    """
+    draw = random.Random(seed).choice
+    edges = [(0, v) for v in range(1, m + 1)]
+    repeated = [0] * m + list(range(1, m + 1))  # a node per edge end
+    for source in range(m + 1, n):
+        targets = set()
+        while len(targets) < m:
+            targets.add(draw(repeated))
+        edges.extend((t, source) for t in targets)
+        repeated.extend(targets)
+        repeated.extend([source] * m)
+    return edges
+
+
 def _base_edges(config: GenConfig, rng: np.random.Generator) -> list[tuple[int, int]]:
     if config.base_kind == "tree":
         return _tree_edges(config.base_size)
     seed = int(rng.integers(0, 2**31 - 1))
-    g = nx.barabasi_albert_graph(config.base_size, config.ba_attach_edges, seed=seed)
-    return [tuple(sorted(e)) for e in g.edges()]
+    return _barabasi_albert_edges(config.base_size, config.ba_attach_edges, seed)
 
 
 def generate(config: GenConfig) -> tuple[Graph, dict[int, int]]:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from composed import gce_grad_identity_check, hsic_value
 from cdgnn import autodiff as ad
+from cdgnn import disentangle
 from cdgnn.disentangle import (
     TwoBranchPass,
     causal_loss,
@@ -469,6 +470,14 @@ class TestSplitAndEmbed:
         np.testing.assert_array_equal(fwd.joint.data, np.hstack([h_c, h_s]))
 
 
+def _rank_auc(pos, neg):
+    """The AUC as computed before it moved to numpy: U from average ranks."""
+    from scipy.stats import rankdata
+    ranks = rankdata(np.concatenate([pos, neg]), method="average")
+    u = ranks[: pos.shape[0]].sum() - pos.shape[0] * (pos.shape[0] + 1) / 2.0
+    return float(u / (pos.shape[0] * neg.shape[0]))
+
+
 class TestDisentanglementScore:
     def _planted(self, seed=17):
         from cdgnn.synth import PlantedShortcutConfig, planted_shortcut
@@ -498,6 +507,37 @@ class TestDisentanglementScore:
                    for p in pos for n in neg)
         np.testing.assert_allclose(score, wins / (len(pos) * len(neg)),
                                    rtol=1e-12)
+
+    def test_matches_rank_formula_bit_for_bit(self):
+        ds = self._planted(seed=19)
+        rng = np.random.default_rng(19)
+        params = init_mask_params(rng, ds.graph.features.shape[1])
+        params["mask.w2"][:] = rng.normal(size=params["mask.w2"].shape)
+        pos = score_edges(params, ds.graph.features, ds.causal_edges)
+        neg = score_edges(params, ds.graph.features, ds.shortcut_edges)
+        score = disentanglement_score(params, ds.graph, ds.causal_edges,
+                                      ds.shortcut_edges)
+        assert score == _rank_auc(pos, neg)
+
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_auc_matches_rank_formula_on_random_scores(self, tied):
+        rng = np.random.default_rng(21 + tied)
+        for _ in range(300):
+            a, b = rng.integers(1, 200, size=2)
+            if tied:
+                pos = rng.integers(0, 4, size=a) / 4.0
+                neg = rng.integers(0, 4, size=b) / 4.0
+            else:
+                pos = rng.normal(0.3, 1.0, size=a)
+                neg = rng.normal(size=b)
+            assert disentangle._mann_whitney_auc(pos, neg) == _rank_auc(pos, neg)
+
+    def test_nan_score_gives_nan(self):
+        finite = np.array([0.2, -1.0, 0.2])
+        for pos, neg in [(np.array([np.nan, 1.0]), finite),
+                         (finite, np.array([0.5, np.nan]))]:
+            assert np.isnan(_rank_auc(pos, neg))
+            assert np.isnan(disentangle._mann_whitney_auc(pos, neg))
 
     def test_empty_side_rejected(self):
         ds = self._planted(seed=20)

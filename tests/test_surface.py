@@ -11,11 +11,22 @@ The public methods and properties of every `__all__` class need an
 attribute load of their name in the same files, outside their own
 definition. That match is by name alone, so it can miss an unused method
 (any `.shape` counts for `Tensor.shape`) but never flags a used one.
+
+The package's imports are held to its declared dependencies: importing
+`cdgnn` and its CLI loads neither `scipy.stats` nor `networkx`, and the
+third-party packages that `src/cdgnn` imports are exactly those of
+`[project].dependencies`.
 """
 
 import ast
+import os
+import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "cdgnn"
@@ -179,3 +190,36 @@ def test_member_guard_ignores_a_method_that_only_calls_itself():
         "def f(a):\n"
         "    return a.used, a.size\n")
     assert unused_public_members({"m": tree}, []) == ["m.A.alone"]
+
+
+def test_import_loads_neither_scipy_stats_nor_networkx():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    code = "import sys, cdgnn, cdgnn.cli; print(*sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    loaded = proc.stdout.split()
+    assert "cdgnn.cli" in loaded
+    assert [m for m in loaded if m == "networkx" or m.startswith("networkx.")
+            or m == "scipy.stats" or m.startswith("scipy.stats.")] == []
+
+
+def _third_party_imports() -> set[str]:
+    """Top-level names of the non-stdlib modules `src/cdgnn` imports."""
+    out = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.Import):
+                out |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                out.add(node.module.split(".")[0])
+    return out - set(sys.stdlib_module_names) - {"cdgnn"}
+
+
+def test_imports_match_declared_dependencies():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    with open(ROOT / "pyproject.toml", "rb") as f:
+        declared = tomllib.load(f)["project"]["dependencies"]
+    names = {re.match(r"[A-Za-z0-9_.-]+", d).group(0).lower() for d in declared}
+    assert _third_party_imports() == names

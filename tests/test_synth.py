@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from cdgnn import synth
 from cdgnn.graphs import Graph, GraphError, graph_to_dict, label_heterophily
 from cdgnn.synth import (
     GenConfig,
@@ -87,6 +88,10 @@ class TestGenerate:
             GenConfig("hypercube", 8, MotifSpec("cycle"), 1).validate()
         with pytest.raises(GraphError):
             GenConfig("tree", 8, MotifSpec("cycle"), 0).validate()
+        for attach in (0, -1, 8):
+            with pytest.raises(GraphError, match="ba_attach_edges"):
+                GenConfig("barabasi_albert", 8, MotifSpec("cycle"), 1,
+                          ba_attach_edges=attach).validate()
 
 
 class TestPresets:
@@ -109,6 +114,35 @@ class TestPresets:
         g, _ = preset("ba_community", seed=0)
         assert g.num_classes == 8
         assert set(np.unique(g.labels)) == set(range(8))
+
+
+def _networkx_ba_edges(n, m, seed):
+    """The base edges as built with networkx before the in-house port."""
+    nx = pytest.importorskip("networkx")
+    g = nx.barabasi_albert_graph(n, m, seed=seed)
+    return [tuple(sorted(e)) for e in g.edges()]
+
+
+class TestBarabasiAlbert:
+    @pytest.mark.parametrize("n,m", [(2, 1), (6, 5), (30, 1), (60, 3),
+                                     (120, 7), (300, 5)])
+    def test_edge_sets_match_networkx(self, n, m):
+        for seed in (0, 1, 7, 12345, 2**31 - 2):
+            got = synth._barabasi_albert_edges(n, m, seed)
+            want = _networkx_ba_edges(n, m, seed)
+            assert len(got) == len(set(got)) == len(want) == m * (n - m)
+            assert set(got) == set(want)
+
+    @pytest.mark.parametrize("name", ["ba_shapes", "ba_community"])
+    def test_presets_match_a_networkx_built_reference(self, name, monkeypatch):
+        """Seeds 0-31 are the ones perfbench/pins.json covers."""
+        pytest.importorskip("networkx")
+        ours = [preset(name, seed=s) for s in range(32)]
+        monkeypatch.setattr(synth, "_barabasi_albert_edges", _networkx_ba_edges)
+        for seed, (g, blocks) in enumerate(ours):
+            ref, ref_blocks = preset(name, seed=seed)
+            assert graph_to_dict(g) == graph_to_dict(ref), seed
+            assert blocks == ref_blocks
 
 
 class TestRelabel:
