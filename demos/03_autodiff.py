@@ -1,9 +1,9 @@
-"""The reverse-mode tape: build a loss, read gradients, check them.
+"""Reverse-mode autodiff: build a loss, read gradients, check them.
 
 Everything the models need is built from a small primitive set; the hot
 chains (a softmax head, a cross-entropy) are single fused nodes. This
 script differentiates a tiny softmax regression by hand-rolled finite
-differences and by the tape, then trains it for a few steps.
+differences and by the backward walk, then trains it for a few steps.
 """
 
 import numpy as np
@@ -11,12 +11,11 @@ import numpy as np
 from cdgnn import autodiff as ad
 
 
-def nll_loss(x: np.ndarray, y: np.ndarray, w: np.ndarray, b: np.ndarray):
-    """Mean negative log-likelihood of a linear softmax model."""
-    tape = ad.Tape()
-    tw, tb = tape.leaf(w), tape.leaf(b)
-    probs = ad.softmax_head(x, tw, tb)
-    return tape, {"w": tw, "b": tb}, ad.mean(ad.nll_rows(probs, y))
+def nll_loss(x: np.ndarray, y: np.ndarray, params: dict):
+    """Mean negative log-likelihood of a linear softmax model; `params`
+    holds leaves to differentiate, or plain arrays to only evaluate."""
+    probs = ad.softmax_head(x, params["w"], params["b"])
+    return ad.mean(ad.nll_rows(probs, y))
 
 
 def main() -> None:
@@ -26,8 +25,9 @@ def main() -> None:
     w0 = rng.normal(size=(3, 3)) * 0.1
     b0 = np.zeros((1, 3))
 
-    tape, leaves, loss = nll_loss(x, y, w0, b0)
-    grads = ad.gradients(tape, loss, leaves)
+    leaves = ad.leaves({"w": w0, "b": b0})
+    loss = nll_loss(x, y, leaves)
+    grads = ad.gradients(loss, leaves)
     print(f"loss at init: {loss.data[0, 0]:.4f}")
 
     # Central finite differences on one entry agree with the adjoint.
@@ -35,19 +35,19 @@ def main() -> None:
     wp, wm = w0.copy(), w0.copy()
     wp[0, 0] += eps
     wm[0, 0] -= eps
-    fd = (nll_loss(x, y, wp, b0)[2].data
-          - nll_loss(x, y, wm, b0)[2].data) / (2 * eps)
-    print(f"dL/dw[0,0]: tape {grads['w'][0, 0]:+.6f}  "
+    fd = (nll_loss(x, y, {"w": wp, "b": b0}).data
+          - nll_loss(x, y, {"w": wm, "b": b0}).data) / (2 * eps)
+    print(f"dL/dw[0,0]: backward {grads['w'][0, 0]:+.6f}  "
           f"finite difference {float(fd[0, 0]):+.6f}")
 
     # A few steps of Adam drive the loss down. The state holds the
-    # parameters in one buffer and steps them in place.
+    # parameters in one buffer and steps them in place, so the leaves made
+    # from its table once see every update.
     state = ad.AdamState({"w": w0, "b": b0}, 0.1)
+    leaves = ad.leaves(state.params)
     for step in range(30):
-        tape, leaves, loss = nll_loss(x, y, state.params["w"],
-                                      state.params["b"])
-        grads = ad.gradients(tape, loss, leaves)
-        ad.adam_step(state, grads)
+        loss = nll_loss(x, y, leaves)
+        ad.adam_step(state, ad.gradients(loss, leaves))
         if step % 10 == 9:
             print(f"step {step + 1:>2}: loss {loss.data[0, 0]:.4f}")
 

@@ -10,7 +10,7 @@ from .graphs import (Graph, GraphError, ego_subgraph, feature_heterophily,
                      label_heterophily, load_graph, save_graph)
 from .synth import (GenConfig, MotifSpec, PlantedShortcutConfig, PRESET_NAMES,
                     generate, planted_shortcut, preset, relabel_to_heterophily)
-from .autodiff import Tape, Tensor, adam_step, gradients
+from .autodiff import Tensor, adam_step, gradients, leaves
 from .models import build_ego_cache, gcn_forward
 from .disentangle import disentanglement_score, gce_loss, hsic, total_loss
 from .gains import (AuditReport, GainParams, ImprovementReport,
@@ -28,7 +28,7 @@ __all__ = [
     "label_heterophily", "load_graph", "save_graph",
     "GenConfig", "MotifSpec", "PlantedShortcutConfig", "PRESET_NAMES",
     "generate", "planted_shortcut", "preset", "relabel_to_heterophily",
-    "Tape", "Tensor", "adam_step", "gradients",
+    "Tensor", "adam_step", "gradients", "leaves",
     "build_ego_cache", "gcn_forward",
     "disentanglement_score", "gce_loss", "hsic", "total_loss",
     "AuditReport", "GainParams", "ImprovementReport",

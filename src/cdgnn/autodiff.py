@@ -1,10 +1,15 @@
-"""Tape-based reverse-mode differentiation on dense float64 matrices.
+"""Reverse-mode differentiation on dense float64 matrices.
 
-Every value is a 2-D array (scalars are (1, 1)). Operations record onto the
-tape of their inputs; `gradients` walks the recorded nodes once in reverse
-creation order and accumulates gradients into every tensor that requires
-them. Graph propagation and its adjoints run as CSR row sums over a
-PropagationPlan, so no dense adjacency matrix is ever materialized.
+Every value is a 2-D array (scalars are (1, 1)). `leaves` makes the
+tensors to differentiate; plain arrays enter operations as constants, so a
+forward on raw parameter arrays records nothing. An operation's output
+that depends on a leaf keeps its parents, its adjoint and a creation index.
+`gradients` runs the adjoints of the operations the loss depends on once,
+in reverse creation order, and spends each node as it goes. Links run only
+from outputs to inputs, so a step's graph holds no reference cycle and is
+freed by reference count. Graph propagation and its adjoints run as CSR
+row sums over a PropagationPlan, so no dense adjacency matrix is ever
+materialized.
 
 The model's hot paths are fused primitives (gcn_layer, softmax_head,
 mean_of_halves, ego_readout, gce_rows, nll_rows, hsic_rbf): each records one
@@ -12,14 +17,6 @@ node whose backward repeats, in the same order, the float operations the
 chain of elementary primitives it replaces would perform, so results are
 bitwise those of the composed chain. hsic_rbf also takes its own row sample,
 in place of two take_rows nodes.
-
-Every tensor points to its tape and the tape's node list points back, so a
-recorded tape is a reference cycle. `gradients` spends the tape: its
-backward walk drops each node from the list, with the node's gradient and
-adjoint, as soon as the adjoint has run, and then releases the tape. The
-step's activations are thus freed by reference count while the walk runs
-and as soon as the caller drops its own references, never by the cyclic
-collector. The walk runs once per tape.
 
 An AdamState holds one run's parameters in one flat buffer, as named views
 (the table the model reads), with both moments and the per-entry learning
@@ -31,83 +28,41 @@ element-wise, so this gives the bits of a per-parameter loop.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
+from operator import attrgetter
 
 import numpy as np
 from scipy.sparse import _sparsetools
 
 __all__ = [
-    "Tape",
     "Tensor",
     "PropagationPlan",
     "matmul", "add", "subtract", "multiply", "sigmoid", "relu", "mean",
     "concat_cols", "dropout", "take_rows", "permute_rows",
     "gcn_layer", "softmax_head", "mean_of_halves", "ego_readout",
     "gce_rows", "nll_rows", "hsic_rbf",
-    "AdamState", "adam_step", "gradients",
+    "AdamState", "adam_step", "leaves", "gradients",
 ]
 
 LOG_CLAMP = 1e-12
-_RELEASED = "the tape was released by gradients(); record a new one"
-
-
-class Tape:
-    """Ordered record of differentiable operations."""
-
-    def __init__(self) -> None:
-        self._nodes: list[Tensor] | None = []
-
-    def leaf(self, data, requires_grad: bool = True) -> "Tensor":
-        t = Tensor(_as_matrix(data), tape=self, requires_grad=requires_grad)
-        if requires_grad:
-            self._record(t)
-        return t
-
-    def leaves(self, values: dict, requires_grad: bool = True) -> dict:
-        """One leaf per entry of `values`, keyed alike."""
-        return {k: self.leaf(v, requires_grad) for k, v in values.items()}
-
-    def _record(self, t: "Tensor") -> None:
-        if self._nodes is None:
-            raise ValueError(_RELEASED)
-        self._nodes.append(t)
-
-    def _spend(self, loss: "Tensor") -> None:
-        """Accumulate d loss / d node into the leaves' .grad, once: each
-        recorded node is dropped as soon as its adjoint has run, with its
-        gradient and the forward arrays its adjoint kept, so the walk frees
-        memory as it goes, and the tape is released."""
-        if self._nodes is None:
-            raise ValueError(_RELEASED)
-        if loss.tape is not self:
-            raise ValueError("loss does not live on this tape")
-        if loss.data.shape != (1, 1):
-            raise ValueError(f"loss must be scalar shaped (1, 1), got {loss.data.shape}")
-        if not np.isfinite(loss.data[0, 0]):
-            raise FloatingPointError(f"loss is not finite: {loss.data[0, 0]}")
-        # one walk per tape, so every gradient is still None here
-        nodes, self._nodes = self._nodes, None
-        loss.grad = np.ones((1, 1), dtype=np.float64)
-        while nodes:
-            node = nodes.pop()
-            if node._backward is None:
-                continue
-            if node.grad is not None:
-                node._backward(node.grad)
-            node.grad = node._backward = None
+# Creation order of the operations' outputs; the backward walk runs it in
+# reverse, which is the order every gradient sum is pinned to.
+_clock = count()
 
 
 class Tensor:
-    """A dense matrix tracked (optionally) for reverse-mode gradients."""
+    """A dense matrix; an operation's output that needs a gradient keeps
+    its parents, its adjoint and its creation index."""
 
-    __slots__ = ("data", "grad", "requires_grad", "tape", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward",
+                 "_index")
 
-    def __init__(self, data: np.ndarray, tape: Tape | None = None,
-                 requires_grad: bool = False, backward=None) -> None:
+    def __init__(self, data: np.ndarray, requires_grad: bool = False) -> None:
         self.data = data
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
-        self.tape = tape
-        self._backward = backward
+        self._parents = self._backward = None
+        self._index = -1
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -136,31 +91,30 @@ def _as_matrix(x) -> np.ndarray:
     return arr
 
 
-def _coerce(x, tape: Tape | None) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(_as_matrix(x), tape=tape, requires_grad=False)
+def leaves(values: dict) -> dict:
+    """One tensor that requires a gradient per entry of `values`, keyed
+    alike; the arrays are shared, not copied."""
+    return {k: Tensor(_as_matrix(v), requires_grad=True)
+            for k, v in values.items()}
 
 
-def _shared_tape(*xs) -> Tape | None:
-    tape = None
-    for x in xs:
-        if isinstance(x, Tensor) and x.tape is not None:
-            if tape is None:
-                tape = x.tape
-            elif tape is not x.tape:
-                raise ValueError("operands live on different tapes")
-    return tape
+def _coerce(x) -> Tensor:
+    return x if isinstance(x, Tensor) else Tensor(_as_matrix(x))
 
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
-    tape = _shared_tape(*parents)
-    needs = any(p.requires_grad for p in parents)
-    out = Tensor(data, tape=tape, requires_grad=needs,
-                 backward=backward if needs else None)
-    if needs and tape is not None:
-        tape._record(out)
+    out = Tensor(data)
+    if any(p.requires_grad for p in parents):
+        out.requires_grad = True
+        out._parents = parents
+        out._backward = backward
+        out._index = next(_clock)
     return out
+
+
+def _spent(g: np.ndarray) -> None:
+    raise ValueError("gradients() already ran back through this tensor; "
+                     "build the loss again")
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
@@ -171,8 +125,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
 
 
 def matmul(a, b) -> Tensor:
-    a = _coerce(a, _shared_tape(a, b))
-    b = _coerce(b, a.tape)
+    a, b = _coerce(a), _coerce(b)
     data = a.data @ b.data
 
     def backward(g: np.ndarray) -> None:
@@ -183,8 +136,7 @@ def matmul(a, b) -> Tensor:
 
 
 def add(a, b) -> Tensor:
-    a = _coerce(a, _shared_tape(a, b))
-    b = _coerce(b, a.tape)
+    a, b = _coerce(a), _coerce(b)
     data = a.data + b.data
 
     def backward(g: np.ndarray) -> None:
@@ -195,8 +147,7 @@ def add(a, b) -> Tensor:
 
 
 def subtract(a, b) -> Tensor:
-    a = _coerce(a, _shared_tape(a, b))
-    b = _coerce(b, a.tape)
+    a, b = _coerce(a), _coerce(b)
     data = a.data - b.data
 
     def backward(g: np.ndarray) -> None:
@@ -207,8 +158,7 @@ def subtract(a, b) -> Tensor:
 
 
 def multiply(a, b) -> Tensor:
-    a = _coerce(a, _shared_tape(a, b))
-    b = _coerce(b, a.tape)
+    a, b = _coerce(a), _coerce(b)
     data = a.data * b.data
 
     def backward(g: np.ndarray) -> None:
@@ -219,7 +169,7 @@ def multiply(a, b) -> Tensor:
 
 
 def sigmoid(a) -> Tensor:
-    a = _coerce(a, _shared_tape(a))
+    a = _coerce(a)
     data = np.empty_like(a.data)
     pos = a.data >= 0
     data[pos] = 1.0 / (1.0 + np.exp(-a.data[pos]))
@@ -233,7 +183,7 @@ def sigmoid(a) -> Tensor:
 
 
 def relu(a) -> Tensor:
-    a = _coerce(a, _shared_tape(a))
+    a = _coerce(a)
     data = np.maximum(a.data, 0.0)
 
     def backward(g: np.ndarray) -> None:
@@ -243,7 +193,7 @@ def relu(a) -> Tensor:
 
 
 def mean(a) -> Tensor:
-    a = _coerce(a, _shared_tape(a))
+    a = _coerce(a)
     data = np.array([[a.data.mean()]])
 
     def backward(g: np.ndarray) -> None:
@@ -253,8 +203,7 @@ def mean(a) -> Tensor:
 
 
 def concat_cols(a, b) -> Tensor:
-    a = _coerce(a, _shared_tape(a, b))
-    b = _coerce(b, a.tape)
+    a, b = _coerce(a), _coerce(b)
     if a.data.shape[0] != b.data.shape[0]:
         raise ValueError(
             f"concat_cols needs matching row counts, got {a.data.shape} and {b.data.shape}"
@@ -273,9 +222,9 @@ def dropout(a, rate: float, rng: np.random.Generator) -> Tensor:
     """Inverted dropout; rate 0 is the identity (same tensor object)."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
+    a = _coerce(a)
     if rate == 0.0:
-        return a if isinstance(a, Tensor) else _coerce(a, None)
-    a = _coerce(a, _shared_tape(a))
+        return a
     mask = (rng.random(a.data.shape) >= rate) / (1.0 - rate)
     data = a.data * mask
 
@@ -286,7 +235,7 @@ def dropout(a, rate: float, rng: np.random.Generator) -> Tensor:
 
 
 def take_rows(a, indices) -> Tensor:
-    a = _coerce(a, _shared_tape(a))
+    a = _coerce(a)
     idx = np.asarray(indices, dtype=np.int64).reshape(-1)
     rows = a.data.shape[0]
     if idx.size and (idx.min() < 0 or idx.max() >= rows):
@@ -322,7 +271,7 @@ def _segment_means(x: np.ndarray, seg: np.ndarray,
 
 
 def permute_rows(a, perm) -> Tensor:
-    a = _coerce(a, _shared_tape(a))
+    a = _coerce(a)
     p = np.asarray(perm, dtype=np.int64).reshape(-1)
     if not np.array_equal(np.sort(p), np.arange(a.data.shape[0])):
         raise ValueError("perm must be a permutation of the row indices")
@@ -449,9 +398,8 @@ def gcn_layer(f, weights, layer_weight, plan: PropagationPlan,
     a matmul, then relu if `relu` (the last layer of an encoder has none).
     `weights` is a (num_und_edges, 1) tensor applied to both directions of
     every edge, or None for the unweighted operator."""
-    f = _coerce(f, _shared_tape(f, weights, layer_weight))
-    w = None if weights is None else _coerce(weights, f.tape)
-    lw = _coerce(layer_weight, f.tape)
+    f, lw = _coerce(f), _coerce(layer_weight)
+    w = None if weights is None else _coerce(weights)
     prop = _propagate(f.data, w, plan)
     data = prop @ lw.data
     if relu:
@@ -472,9 +420,7 @@ def gcn_layer(f, weights, layer_weight, plan: PropagationPlan,
 def softmax_head(x, weight, bias) -> Tensor:
     """Class distribution rows softmax(x @ weight + bias) as one node; the
     softmax subtracts each row's max first."""
-    x = _coerce(x, _shared_tape(x, weight, bias))
-    weight = _coerce(weight, x.tape)
-    bias = _coerce(bias, x.tape)
+    x, weight, bias = _coerce(x), _coerce(weight), _coerce(bias)
     logits = x.data @ weight.data + bias.data
     e = np.exp(logits - logits.max(axis=1, keepdims=True))
     data = e / e.sum(axis=1, keepdims=True)
@@ -492,7 +438,7 @@ def softmax_head(x, weight, bias) -> Tensor:
 def mean_of_halves(a) -> Tensor:
     """(top half + bottom half) * 0.5 of a matrix with 2n rows: the
     symmetric edge score from the scores of both endpoint orders."""
-    a = _coerce(a, _shared_tape(a))
+    a = _coerce(a)
     rows = a.data.shape[0]
     if rows % 2:
         raise ValueError(f"mean_of_halves needs an even row count, got {rows}")
@@ -510,8 +456,7 @@ def ego_readout(h, ego_rows, segments, num_segments: int,
                 projection) -> Tensor:
     """Per-graph embedding as one node: [h[ego_rows] ; segment means of h]
     @ projection."""
-    h = _coerce(h, _shared_tape(h, projection))
-    projection = _coerce(projection, h.tape)
+    h, projection = _coerce(h), _coerce(projection)
     idx = np.asarray(ego_rows, dtype=np.int64).reshape(-1)
     seg = np.asarray(segments, dtype=np.int64).reshape(-1)
     means, counts = _segment_means(h.data, seg, num_segments)
@@ -552,7 +497,7 @@ def _scatter_picked(probs: Tensor, rows: np.ndarray, y: np.ndarray,
 def gce_rows(probs, labels, q: float) -> Tensor:
     """Per-row generalized cross-entropy (1 - exp(q log p_y)) / q, shape
     (B, 1), with the log clamped below at 1e-12."""
-    probs = _coerce(probs, _shared_tape(probs))
+    probs = _coerce(probs)
     rows, y, clamped = _picked(probs, labels)
     qa = _as_matrix(q)
     inv_q = _as_matrix(1.0 / q)
@@ -569,7 +514,7 @@ def gce_rows(probs, labels, q: float) -> Tensor:
 def nll_rows(probs, labels, weights=None) -> Tensor:
     """Per-row cross-entropy 0 - log p_y, times a (B, 1) array of constant
     `weights` when given; the log is clamped below at 1e-12."""
-    probs = _coerce(probs, _shared_tape(probs))
+    probs = _coerce(probs)
     rows, y, clamped = _picked(probs, labels)
     w = None if weights is None else np.asarray(weights, dtype=np.float64).reshape(-1, 1)
     if w is not None and w.shape[0] != rows.shape[0]:
@@ -632,8 +577,7 @@ def hsic_rbf(x, y, bandwidth_x: float, bandwidth_y: float,
     rows of both inputs, in that order, as take_rows of each would, and
     scatters the gradients back as its adjoint does.
     """
-    x = _coerce(x, _shared_tape(x, y))
-    y = _coerce(y, x.tape)
+    x, y = _coerce(x), _coerce(y)
     bx, by = float(bandwidth_x), float(bandwidth_y)
     if bx <= 0 or by <= 0:
         raise ValueError(f"bandwidth must be positive, got {bx} and {by}")
@@ -745,19 +689,48 @@ def adam_step(state: AdamState, grads: dict, weight_decay: float = 0.0,
     flat -= step
 
 
-def gradients(tape: Tape, loss: Tensor, leaves: dict) -> dict:
-    """Walk the tape back from `loss` once, return a gradient table keyed
-    like `leaves`, and release the tape.
+def _reached(loss: Tensor) -> list[Tensor]:
+    """The operations' outputs `loss` depends on, itself included, in
+    creation order."""
+    ops, seen = [], set()
+    stack = [] if loss._backward is None else [loss]
+    while stack:
+        t = stack.pop()
+        ops.append(t)
+        for p in t._parents or ():
+            if p._backward is not None and p not in seen:
+                seen.add(p)
+                stack.append(p)
+    ops.sort(key=attrgetter("_index"))
+    return ops
 
-    `leaves` are tensors made by Tape.leaf or Tape.leaves; those that do
-    not influence the loss get zero gradients. The walk drops each node once
-    its adjoint has run, and the release empties the tape's node list, the
-    only link from the tape back to its tensors: nothing recorded on it
-    outlives the caller's own references, and the tape records nothing more.
+
+def gradients(loss: Tensor, leaves: dict) -> dict:
+    """d loss / d leaf for every tensor of `leaves` (made by `leaves()`),
+    keyed alike; leaves that do not influence the loss get zeros.
+
+    Each node walked is spent once its adjoint has run: its gradient,
+    adjoint (with the forward arrays it kept) and parents are dropped, and
+    a second walk through it raises. The leaves hand their gradients over
+    and are left clear for the next step.
     """
     for name, t in leaves.items():
         if t._backward is not None:
             raise ValueError(f"{name} is an operation's output, not a leaf")
-    tape._spend(loss)
-    return {name: np.zeros_like(t.data) if t.grad is None else t.grad
-            for name, t in leaves.items()}
+    if loss.data.shape != (1, 1):
+        raise ValueError(f"loss must be scalar shaped (1, 1), got {loss.data.shape}")
+    if not np.isfinite(loss.data[0, 0]):
+        raise FloatingPointError(f"loss is not finite: {loss.data[0, 0]}")
+    ops = _reached(loss)
+    loss._accumulate(np.ones((1, 1)))
+    while ops:
+        node = ops.pop()
+        if node.grad is not None:
+            node._backward(node.grad)
+        node.grad = node._parents = None
+        node._backward = _spent
+    grads = {name: np.zeros_like(t.data) if t.grad is None else t.grad
+             for name, t in leaves.items()}
+    for t in leaves.values():
+        t.grad = None
+    return grads

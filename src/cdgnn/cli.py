@@ -206,19 +206,33 @@ def _require_keys(obj, keys: tuple[str, ...], where: str) -> None:
         raise ValueError(f"{where} missing key {', '.join(missing)}")
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _load_grid_cells(path: Path) -> list[dict]:
     """Grid JSON: either {"degrees": [...], "homophilies": [...],
-    "ratios": [...]} (cartesian) or an explicit list of cell dicts."""
+    "ratios": [...]} (cartesian) or an explicit list of cell dicts, every
+    value a number."""
     payload = json.loads(path.read_text())
     if isinstance(payload, list):
         for index, cell in enumerate(payload):
             _require_keys(cell, ("degree", "homophily", "cross_class_ratio"),
                           f"{path}: grid cell {index}")
+            for key in ("degree", "homophily", "cross_class_ratio",
+                        "total_edge_weight"):
+                if key in cell and not _is_number(cell[key]):
+                    raise ValueError(f"{path}: grid cell {index} {key} must be "
+                                     f"a number, got {json.dumps(cell[key])}")
         return payload
-    _require_keys(payload, ("degrees", "homophilies", "ratios"),
-                  f"{path}: grid axes")
-    return default_grid_cells(payload["degrees"], payload["homophilies"],
-                              payload["ratios"])
+    axes = ("degrees", "homophilies", "ratios")
+    _require_keys(payload, axes, f"{path}: grid axes")
+    for key in axes:
+        axis = payload[key]
+        if not (isinstance(axis, list) and all(map(_is_number, axis))):
+            raise ValueError(f"{path}: grid axis {key} must be a list of "
+                             f"numbers, got {json.dumps(axis)}")
+    return default_grid_cells(*(payload[key] for key in axes))
 
 
 def _cmd_theory_check(args) -> int:

@@ -82,13 +82,12 @@ def init_cdgnn_params(rng: np.random.Generator, feat_dim: int, hidden: int,
 
 
 def edge_score_logits(e: np.ndarray, x: np.ndarray,
-                      params: dict[str, ad.Tensor]) -> ad.Tensor:
+                      params: dict) -> ad.Tensor:
     """Symmetric logits of edges `e` (rows u, v into `x`): the mean of
-    scorer(x_u||x_v) and scorer(x_v||x_u)."""
-    num = e.shape[0]
-    tape = params["mask.w1"].tape
-    if num == 0:
-        return ad.Tensor(np.zeros((0, 1)), tape=tape, requires_grad=False)
+    scorer(x_u||x_v) and scorer(x_v||x_u), with the `mask.*` entries of
+    `params` (leaves or plain arrays)."""
+    if e.shape[0] == 0:
+        return ad.Tensor(np.zeros((0, 1)))
     pairs = np.vstack([
         np.hstack([x[e[:, 0]], x[e[:, 1]]]),
         np.hstack([x[e[:, 1]], x[e[:, 0]]]),
@@ -106,7 +105,8 @@ class TwoBranchPass:
     complements the shortcut branch. `layers_causal` and `layers_shortcut`
     hold each branch's node embeddings after every encoder layer, the
     `graph_*` rows its per-ego readout, and `joint` both readouts side by
-    side. Each head is a (weight, bias) pair reading the joint embedding.
+    side. Each head is a (weight, bias) pair reading the joint embedding,
+    as passed in: leaves or plain arrays.
     """
 
     edge_mask: ad.Tensor
@@ -116,17 +116,18 @@ class TwoBranchPass:
     graph_causal: ad.Tensor
     graph_shortcut: ad.Tensor
     joint: ad.Tensor
-    head_causal: tuple[ad.Tensor, ad.Tensor]
-    head_shortcut: tuple[ad.Tensor, ad.Tensor]
+    head_causal: tuple
+    head_shortcut: tuple
 
 
-def two_branch_forward(batch: EgoBatch, leaves: dict[str, ad.Tensor],
+def two_branch_forward(batch: EgoBatch, leaves: dict,
                        dropout_rate: float = 0.0,
                        rng: np.random.Generator | None = None,
                        training: bool = False) -> TwoBranchPass:
     """Mask `batch` and embed it through both branches; `leaves` holds every
-    init_cdgnn_params entry on one tape (Tape.leaves). Backward sums each
-    gradient in reverse recording order, so the op order below is fixed."""
+    init_cdgnn_params entry, as ad.leaves to train or as plain arrays to
+    infer (which records nothing). Backward sums each gradient in reverse
+    creation order, so the op order below is fixed."""
     edge = ad.sigmoid(edge_score_logits(batch.endpoints, batch.features,
                                         leaves))
     feat = ad.sigmoid(leaves["mask.feat"])
@@ -305,9 +306,9 @@ def total_loss(shortcut_term: ad.Tensor, causal_term: ad.Tensor,
 def score_edges(mask_params: dict[str, np.ndarray], features: np.ndarray,
                 edges: np.ndarray) -> np.ndarray:
     """edge_score_logits on plain arrays, as a flat vector."""
-    t = ad.Tape().leaves(mask_params, requires_grad=False)
     return edge_score_logits(np.asarray(edges, dtype=np.int64).reshape(-1, 2),
-                             np.asarray(features, dtype=np.float64), t).data[:, 0]
+                             np.asarray(features, dtype=np.float64),
+                             mask_params).data[:, 0]
 
 
 def disentanglement_score(mask_params: dict[str, np.ndarray], g: Graph,

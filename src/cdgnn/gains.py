@@ -246,8 +246,11 @@ def theory_check_grid(cells: Sequence[dict], num_samples: int = 100_000,
 
     Each cell is a dict with degree, homophily, and cross_class_ratio
     (optional total_edge_weight, defaulting to degree). Cell seeds derive
-    from `seed` plus the cell index so trials are independent.
+    from `seed` plus the cell index so trials are independent. A grid
+    without cells is refused: it would pass having checked nothing.
     """
+    if not cells:
+        raise ValueError("the grid has no cells")
     rows = []
     within = 0
     for index, cell in enumerate(cells):
@@ -313,9 +316,12 @@ class ImprovementReport:
     improved: bool = False
 
 
+# gain_improvement_check's slack, in multiples of the estimate error.
+SLACK_FACTOR = 2.0
+
+
 def gain_improvement_check(baseline: GainParams, causal: GainParams,
                            gap: float, estimate_error: float,
-                           slack_factor: float = 2.0,
                            depth: int = 1) -> ImprovementReport:
     """Certify that dropping suspect dominance improves the layer gain.
 
@@ -323,7 +329,7 @@ def gain_improvement_check(baseline: GainParams, causal: GainParams,
     suspect dominance, and the suspect part's homophily trails the rest by
     at least `gap`. The homophily improvement is recomputed exactly from
     effective_homophily at both dominance levels and compared against the
-    bound gap * (share_before - share_after) minus slack_factor *
+    bound gap * (share_before - share_after) minus SLACK_FACTOR *
     estimate_error of slack; gain margins multiply the bound by each
     formula's slope in homophily. The deep margin needs positive
     mean_relative_degree (otherwise deeper layers do not transmit the
@@ -351,7 +357,7 @@ def gain_improvement_check(baseline: GainParams, causal: GainParams,
     h_before = baseline.homophily
     h_after = causal.homophily
     h_gain = h_after - h_before
-    slack = slack_factor * estimate_error
+    slack = SLACK_FACTOR * estimate_error
     h_bound = gap * (baseline.subgraph_share - causal.subgraph_share) - slack
 
     g_before = baseline.gain
@@ -473,8 +479,7 @@ def assumption_audit(g: Graph, params: dict[str, np.ndarray], hops: int,
     if nodes.shape[0] < 2:
         raise ValueError("audit needs at least 2 ego nodes")
     batch = batch_from_cache(g, build_ego_cache(g, hops, nodes), nodes)
-    fwd = two_branch_forward(batch,
-                             ad.Tape().leaves(params, requires_grad=False))
+    fwd = two_branch_forward(batch, params)
     h_c, h_s = fwd.graph_causal, fwd.graph_shortcut
 
     independence = hsic(h_c, h_s).item()

@@ -147,18 +147,18 @@ class Split:
         return (self.train.shape[0], self.val.shape[0], self.test.shape[0])
 
 
-def split_nodes(num_nodes: int, seed: int, train_fraction: float = 0.6,
-                val_fraction: float = 0.2) -> Split:
+# split_nodes' shares of train and val nodes; test takes the rest.
+TRAIN_FRACTION = 0.6
+VAL_FRACTION = 0.2
+
+
+def split_nodes(num_nodes: int, seed: int) -> Split:
     """Shuffled 60/20/20 split: floored train and val, remainder test."""
     if num_nodes < 5:
         raise ValueError(f"need at least 5 nodes to split, got {num_nodes}")
-    if train_fraction <= 0 or val_fraction <= 0:
-        raise ValueError("split fractions must be positive")
-    if train_fraction + val_fraction >= 1.0:
-        raise ValueError("train and val fractions must leave room for test")
     order = np.random.default_rng(seed).permutation(num_nodes)
-    n_train = int(np.floor(train_fraction * num_nodes))
-    n_val = int(np.floor(val_fraction * num_nodes))
+    n_train = int(np.floor(TRAIN_FRACTION * num_nodes))
+    n_val = int(np.floor(VAL_FRACTION * num_nodes))
     return Split(
         train=np.sort(order[:n_train]),
         val=np.sort(order[n_train:n_train + n_val]),
@@ -187,8 +187,7 @@ def _predict_cdgnn(batches: list[EgoBatch],
     """Causal-head predictions for the egos of `batches`, in order."""
     preds = []
     for batch in batches:
-        fwd = two_branch_forward(
-            batch, ad.Tape().leaves(params, requires_grad=False))
+        fwd = two_branch_forward(batch, params)
         probs = ad.softmax_head(fwd.joint, *fwd.head_causal)
         preds.append(np.argmax(probs.data, axis=1))
     return np.concatenate(preds)
@@ -299,8 +298,7 @@ def train_cdgnn(g: Graph, config: RunConfig, seed: int,
             for nodes in _train_batches(train_nodes, config.batch_size,
                                         rng_batch):
                 batch = batch_from_cache(g, egos, nodes)
-                tape = ad.Tape()
-                leaves = tape.leaves(state.params)
+                leaves = ad.leaves(state.params)
                 fwd = two_branch_forward(batch, leaves, config.dropout,
                                          rng_dropout, training=True)
                 y = batch.ego_labels
@@ -323,7 +321,7 @@ def train_cdgnn(g: Graph, config: RunConfig, seed: int,
                 breakdown["ce_s"] = float(ce_s.mean())
                 breakdown["ce_c"] = float(ce_c.mean())
                 guard(breakdown)
-                grads = ad.gradients(tape, total, leaves)
+                grads = ad.gradients(total, leaves)
                 ad.adam_step(state, grads, config.weight_decay)
                 for key, value in breakdown.items():
                     if key != "total":
@@ -345,18 +343,16 @@ def train_cdgnn(g: Graph, config: RunConfig, seed: int,
     return _fit(g, config, seed, train_nodes, val_nodes, model)
 
 
-def _gcn_probs(g: Graph, plan: ad.PropagationPlan,
-               params: dict[str, np.ndarray], rows: np.ndarray,
-               dropout: float = 0.0, rng=None, training: bool = False):
-    """The GCN baseline's class rows for nodes `rows` of `g`, on a new tape
-    (tracked only when training), with `plan` the full graph's."""
-    tape = ad.Tape()
-    t = tape.leaves(params, requires_grad=training)
-    layers = [t[k] for k in sorted(k for k in t if k.startswith("gcn.w"))]
+def _gcn_probs(g: Graph, plan: ad.PropagationPlan, params: dict,
+               rows: np.ndarray, dropout: float = 0.0, rng=None,
+               training: bool = False):
+    """The GCN baseline's class rows for nodes `rows` of `g`, from `params`
+    (leaves to train, plain arrays to infer), with `plan` the full graph's."""
+    layers = [params[k] for k in sorted(params) if k.startswith("gcn.w")]
     h = gcn_forward(plan, g.features, None, None, layers, dropout, rng,
                     training)[-1]
-    probs = ad.softmax_head(ad.take_rows(h, rows), t["head.w"], t["head.b"])
-    return tape, t, probs
+    return ad.softmax_head(ad.take_rows(h, rows), params["head.w"],
+                           params["head.b"])
 
 
 def train_gcn_baseline(g: Graph, config: RunConfig, seed: int,
@@ -374,19 +370,19 @@ def train_gcn_baseline(g: Graph, config: RunConfig, seed: int,
         y_train = g.labels[train_nodes]
 
         def step(state, guard):
-            tape, t, probs = _gcn_probs(g, plan, state.params, train_nodes,
-                                        config.dropout, rng_dropout,
-                                        training=True)
+            t = ad.leaves(state.params)
+            probs = _gcn_probs(g, plan, t, train_nodes, config.dropout,
+                               rng_dropout, training=True)
             loss = ad.mean(ad.nll_rows(probs, y_train))
             row = {"loss": loss.item()}
             guard(row)
-            grads = ad.gradients(tape, loss, t)
+            grads = ad.gradients(loss, t)
             ad.adam_step(state, grads, config.weight_decay)
             return row
 
         return (params, config.learning_rate, step,
                 lambda params: np.argmax(
-                    _gcn_probs(g, plan, params, val_nodes)[2].data, axis=1))
+                    _gcn_probs(g, plan, params, val_nodes).data, axis=1))
 
     return _fit(g, config, seed, train_nodes, val_nodes, model)
 
@@ -421,8 +417,8 @@ def evaluate(g: Graph, params: dict[str, np.ndarray], nodes,
         predictions = _predict_cdgnn(_eval_batches(g, cache, nodes), params)
     else:
         plan = ad.PropagationPlan.from_edges(g.edges, g.num_nodes)
-        _, _, probs = _gcn_probs(g, plan, params, nodes)
-        predictions = np.argmax(probs.data, axis=1)
+        predictions = np.argmax(_gcn_probs(g, plan, params, nodes).data,
+                                axis=1)
     truth = g.labels[nodes]
     confusion = np.zeros((g.num_classes, g.num_classes), dtype=np.int64)
     np.add.at(confusion, (truth, predictions), 1)

@@ -7,7 +7,7 @@ H_l = relu(P_masked @ H_{l-1} @ W_l) with dropout between layers (training
 only) and no nonlinearity after the final layer; P_masked is the renormalized
 propagation with per-edge weights. The readout (ego row joined with the
 subgraph mean, projected back to the embedding width) and the softmax head
-are the tape primitives ad.ego_readout and ad.softmax_head.
+are the autodiff primitives ad.ego_readout and ad.softmax_head.
 """
 
 from __future__ import annotations

@@ -1,11 +1,11 @@
-"""Composed oracles of the fused tape primitives.
+"""Composed oracles of the fused autodiff primitives.
 
 Every fused primitive of cdgnn.autodiff records one node for a chain of
 smaller primitives. The chains are written out here, node by node, so that
 tests can require each fused op to reproduce its chain bit for bit, values
 and gradients alike. The primitives that only these chains and the tests
 use (exp, log, sum_all, segment_mean_rows, masked_propagate, rbf_gram,
-center_gram, row_softmax, pick_class) live here too, as tape ops with their
+center_gram, row_softmax, pick_class) live here too, as ops with their
 own adjoints, beside gce_grad_identity_check, the GCE gradient identity.
 
 gather_scatter_propagate is the oracle of the CSR propagation: the edge-list
@@ -26,7 +26,7 @@ from cdgnn.models import batch_from_cache, build_ego_cache
 
 
 def exp(a):
-    a = ad._coerce(a, ad._shared_tape(a))
+    a = ad._coerce(a)
     data = np.exp(a.data)
 
     def backward(g):
@@ -37,7 +37,7 @@ def exp(a):
 
 def log(a):
     """Natural log with the argument clamped below at 1e-12."""
-    a = ad._coerce(a, ad._shared_tape(a))
+    a = ad._coerce(a)
     clamped = np.maximum(a.data, ad.LOG_CLAMP)
     data = np.log(clamped)
 
@@ -48,7 +48,7 @@ def log(a):
 
 
 def sum_all(a):
-    a = ad._coerce(a, ad._shared_tape(a))
+    a = ad._coerce(a)
     data = np.array([[a.data.sum()]])
 
     def backward(g):
@@ -59,7 +59,7 @@ def sum_all(a):
 
 def segment_mean_rows(a, segments, num_segments):
     """Row means per segment id; every segment must be non-empty."""
-    a = ad._coerce(a, ad._shared_tape(a))
+    a = ad._coerce(a)
     seg = np.asarray(segments, dtype=np.int64).reshape(-1)
     data, counts = ad._segment_means(a.data, seg, num_segments)
 
@@ -76,8 +76,8 @@ def masked_propagate(f, weights, plan):
     (num_und_edges, 1) tensor applied to both directions of every edge, or
     None for the unweighted operator.
     """
-    f = ad._coerce(f, ad._shared_tape(f, weights))
-    w = None if weights is None else ad._coerce(weights, f.tape)
+    f = ad._coerce(f)
+    w = None if weights is None else ad._coerce(weights)
     data = ad._propagate(f.data, w, plan)
 
     def backward(g):
@@ -89,7 +89,7 @@ def masked_propagate(f, weights, plan):
 
 def row_softmax(a):
     """Softmax along each row, stabilized by max subtraction."""
-    a = ad._coerce(a, ad._shared_tape(a))
+    a = ad._coerce(a)
     shifted = a.data - a.data.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     data = e / e.sum(axis=1, keepdims=True)
@@ -103,7 +103,7 @@ def row_softmax(a):
 
 def pick_class(probs, labels):
     """Column vector of probs[i, labels[i]]."""
-    probs = ad._coerce(probs, ad._shared_tape(probs))
+    probs = ad._coerce(probs)
     y = np.asarray(labels, dtype=np.int64).reshape(-1)
     if y.shape[0] != probs.data.shape[0]:
         raise ValueError("labels must match the number of rows")
@@ -120,7 +120,7 @@ def pick_class(probs, labels):
 
 def rbf_gram(a, bandwidth):
     """Gaussian kernel gram matrix K_ij = exp(-|x_i - x_j|^2 / (2 bw^2))."""
-    a = ad._coerce(a, ad._shared_tape(a))
+    a = ad._coerce(a)
     bw = float(bandwidth)
     if bw <= 0:
         raise ValueError(f"bandwidth must be positive, got {bw}")
@@ -138,7 +138,7 @@ def rbf_gram(a, bandwidth):
 
 def center_gram(k):
     """Double centering H K H with H = I - 11^T/n (self-adjoint, linear)."""
-    k = ad._coerce(k, ad._shared_tape(k))
+    k = ad._coerce(k)
     if k.data.shape[0] != k.data.shape[1]:
         raise ValueError(f"center_gram needs a square matrix, got {k.data.shape}")
 
@@ -157,7 +157,7 @@ def center_gram(k):
 
 def add_at_take_rows(a, indices):
     """take_rows with its adjoint as np.add.at into zeros."""
-    a = ad._coerce(a, ad._shared_tape(a))
+    a = ad._coerce(a)
     idx = np.asarray(indices, dtype=np.int64).reshape(-1)
     data = a.data[idx].copy()
 
@@ -182,8 +182,8 @@ def gather_scatter_propagate(f, weights, edges, num_nodes):
     scatter them into the destination rows with one bincount; the adjoints
     gather and scatter the other way, and the weight adjoint sums the two
     directions of each edge with one more bincount."""
-    f = ad._coerce(f, ad._shared_tape(f, weights))
-    w = None if weights is None else ad._coerce(weights, f.tape)
+    f = ad._coerce(f)
+    w = None if weights is None else ad._coerce(weights)
     e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     und = e.shape[0]
     src = np.concatenate([e[:, 0], e[:, 1]])
@@ -264,20 +264,18 @@ def gce_grad_identity_check(params, forward, label, q):
 
     `forward(tensors)` must return a (1, C) probability row built from the
     given parameter tensors. The two gradients are taken on independent
-    tapes from identical parameter values.
+    leaves from identical parameter values.
     """
-    tape_a = ad.Tape()
-    tensors_a = {k: tape_a.leaf(v.copy()) for k, v in params.items()}
+    tensors_a = ad.leaves({k: v.copy() for k, v in params.items()})
     probs_a = forward(tensors_a)
     loss_a = ad.mean(gce_loss(probs_a, [label], q))
     p_y = float(probs_a.data[0, label])
-    grads_a = ad.gradients(tape_a, loss_a, tensors_a)
+    grads_a = ad.gradients(loss_a, tensors_a)
 
-    tape_b = ad.Tape()
-    tensors_b = {k: tape_b.leaf(v.copy()) for k, v in params.items()}
+    tensors_b = ad.leaves({k: v.copy() for k, v in params.items()})
     probs_b = forward(tensors_b)
     loss_b = ad.mean(ad.nll_rows(probs_b, [label]))
-    grads_b = ad.gradients(tape_b, loss_b, tensors_b)
+    grads_b = ad.gradients(loss_b, tensors_b)
 
     scale = p_y**q
     dev = 0.0
@@ -333,10 +331,10 @@ def audit_cross_class_ratios(g, params, hops, nodes):
     of `nodes` (at most AUDIT_MAX_NODES, so the audit samples none): the
     masks rebuilt from the scorer and the layers propagated again."""
     batch = batch_from_cache(g, build_ego_cache(g, hops, nodes), nodes)
-    t = ad.Tape().leaves(params, requires_grad=False)
-    edge = ad.sigmoid(edge_score_logits(batch.endpoints, batch.features, t))
-    layers = [t[k] for k in sorted(k for k in t if k.startswith("gnn_c.w"))]
-    h = ad.multiply(batch.features, ad.sigmoid(t["mask.feat"]))
+    edge = ad.sigmoid(edge_score_logits(batch.endpoints, batch.features,
+                                        params))
+    layers = [params[k] for k in sorted(params) if k.startswith("gnn_c.w")]
+    h = ad.multiply(batch.features, ad.sigmoid(params["mask.feat"]))
     ratios = []
     for l, w in enumerate(layers):
         h = ad.gcn_layer(h, edge, w, batch.plan, relu=l < len(layers) - 1)

@@ -1,4 +1,4 @@
-"""Central finite-difference gradient checking for the tape primitives.
+"""Central finite-difference gradient checking for the autodiff primitives.
 
 `PRIMITIVE_CASES` maps each differentiable primitive to a sampler that
 draws one random instance: a loss builder plus the leaf values it closes
@@ -16,22 +16,18 @@ from cdgnn import autodiff as ad
 
 
 def loss_value(build, values):
-    tape = ad.Tape()
-    leaves = tape.leaves(values)
-    return build(tape, leaves).item()
+    return build(values).item()
 
 
 def max_relative_error(build, values, step=1e-5):
-    """Worst-case deviation between tape gradients and central differences.
+    """Worst-case deviation between backward gradients and central differences.
 
     Relative to max(|analytic|, |numeric|, 1e-5); the floor keeps the
     finite-difference noise floor (~1e-10 for O(1) losses) from
     dominating entries whose true gradient is essentially zero.
     """
-    tape = ad.Tape()
-    leaves = tape.leaves(values)
-    loss = build(tape, leaves)
-    grads = ad.gradients(tape, loss, leaves)
+    leaves = ad.leaves(values)
+    grads = ad.gradients(build(leaves), leaves)
 
     worst = 0.0
     for name, base in values.items():
@@ -61,66 +57,66 @@ def _functional(rng, shape):
 def _case_matmul(rng):
     values = {"a": rng.normal(size=(3, 4)), "b": rng.normal(size=(4, 2))}
     f = _functional(rng, (3, 2))
-    return lambda tape, lv: f(ad.matmul(lv["a"], lv["b"])), values
+    return lambda lv: f(ad.matmul(lv["a"], lv["b"])), values
 
 
 def _case_add(rng):
     b_shape = (3, 4) if rng.random() < 0.5 else (1, 4)
     values = {"a": rng.normal(size=(3, 4)), "b": rng.normal(size=b_shape)}
     f = _functional(rng, (3, 4))
-    return lambda tape, lv: f(ad.add(lv["a"], lv["b"])), values
+    return lambda lv: f(ad.add(lv["a"], lv["b"])), values
 
 
 def _case_subtract(rng):
     b_shape = (3, 4) if rng.random() < 0.5 else (3, 1)
     values = {"a": rng.normal(size=(3, 4)), "b": rng.normal(size=b_shape)}
     f = _functional(rng, (3, 4))
-    return lambda tape, lv: f(ad.subtract(lv["a"], lv["b"])), values
+    return lambda lv: f(ad.subtract(lv["a"], lv["b"])), values
 
 
 def _case_multiply(rng):
     b_shape = (3, 4) if rng.random() < 0.5 else (1, 4)
     values = {"a": rng.normal(size=(3, 4)), "b": rng.normal(size=b_shape)}
     f = _functional(rng, (3, 4))
-    return lambda tape, lv: f(ad.multiply(lv["a"], lv["b"])), values
+    return lambda lv: f(ad.multiply(lv["a"], lv["b"])), values
 
 
 def _case_exp(rng):
     values = {"a": rng.uniform(-2.0, 2.0, size=(3, 3))}
     f = _functional(rng, (3, 3))
-    return lambda tape, lv: f(composed.exp(lv["a"])), values
+    return lambda lv: f(composed.exp(lv["a"])), values
 
 
 def _case_log(rng):
     values = {"a": rng.uniform(0.3, 3.0, size=(3, 3))}
     f = _functional(rng, (3, 3))
-    return lambda tape, lv: f(composed.log(lv["a"])), values
+    return lambda lv: f(composed.log(lv["a"])), values
 
 
 def _case_sigmoid(rng):
     values = {"a": rng.uniform(-4.0, 4.0, size=(3, 3))}
     f = _functional(rng, (3, 3))
-    return lambda tape, lv: f(ad.sigmoid(lv["a"])), values
+    return lambda lv: f(ad.sigmoid(lv["a"])), values
 
 
 def _case_relu(rng):
     a = rng.uniform(0.05, 2.0, size=(3, 4)) * rng.choice([-1.0, 1.0], size=(3, 4))
     f = _functional(rng, (3, 4))
-    return lambda tape, lv: f(ad.relu(lv["a"])), {"a": a}
+    return lambda lv: f(ad.relu(lv["a"])), {"a": a}
 
 
 def _case_mean(rng):
-    return lambda tape, lv: ad.mean(lv["a"]), {"a": rng.normal(size=(4, 3))}
+    return lambda lv: ad.mean(lv["a"]), {"a": rng.normal(size=(4, 3))}
 
 
 def _case_sum(rng):
-    return lambda tape, lv: composed.sum_all(lv["a"]), {"a": rng.normal(size=(4, 3))}
+    return lambda lv: composed.sum_all(lv["a"]), {"a": rng.normal(size=(4, 3))}
 
 
 def _case_concat_cols(rng):
     values = {"a": rng.normal(size=(3, 2)), "b": rng.normal(size=(3, 3))}
     f = _functional(rng, (3, 5))
-    return lambda tape, lv: f(ad.concat_cols(lv["a"], lv["b"])), values
+    return lambda lv: f(ad.concat_cols(lv["a"], lv["b"])), values
 
 
 def _case_dropout(rng):
@@ -129,7 +125,7 @@ def _case_dropout(rng):
     values = {"a": rng.normal(size=(4, 3))}
     f = _functional(rng, (4, 3))
 
-    def build(tape, lv):
+    def build(lv):
         return f(ad.dropout(lv["a"], rate, np.random.default_rng(seed)))
 
     return build, values
@@ -139,21 +135,21 @@ def _case_take_rows(rng):
     idx = rng.integers(0, 5, size=4)  # duplicates exercise accumulation
     values = {"a": rng.normal(size=(5, 3))}
     f = _functional(rng, (4, 3))
-    return lambda tape, lv: f(ad.take_rows(lv["a"], idx)), values
+    return lambda lv: f(ad.take_rows(lv["a"], idx)), values
 
 
 def _case_segment_mean(rng):
     seg = np.array([0, 0, 1, 1, 2, 2])
     values = {"a": rng.normal(size=(6, 3))}
     f = _functional(rng, (3, 3))
-    return lambda tape, lv: f(composed.segment_mean_rows(lv["a"], seg, 3)), values
+    return lambda lv: f(composed.segment_mean_rows(lv["a"], seg, 3)), values
 
 
 def _case_permute_rows(rng):
     perm = rng.permutation(5)
     values = {"a": rng.normal(size=(5, 3))}
     f = _functional(rng, (5, 3))
-    return lambda tape, lv: f(ad.permute_rows(lv["a"], perm)), values
+    return lambda lv: f(ad.permute_rows(lv["a"], perm)), values
 
 
 _PLAN_EDGES = np.array([[0, 1], [1, 2], [2, 3], [3, 4], [0, 2]])
@@ -166,14 +162,14 @@ def _case_masked_propagate(rng):
         "w": rng.uniform(0.1, 0.9, size=(5, 1)),
     }
     f = _functional(rng, (5, 2))
-    return lambda tape, lv: f(composed.masked_propagate(lv["f"], lv["w"], plan)), values
+    return lambda lv: f(composed.masked_propagate(lv["f"], lv["w"], plan)), values
 
 
 def _case_masked_propagate_unweighted(rng):
     plan = ad.PropagationPlan.from_edges(_PLAN_EDGES, 5)
     values = {"f": rng.normal(size=(5, 2))}
     f = _functional(rng, (5, 2))
-    return lambda tape, lv: f(composed.masked_propagate(lv["f"], None, plan)), values
+    return lambda lv: f(composed.masked_propagate(lv["f"], None, plan)), values
 
 
 def _case_gcn_layer(rng):
@@ -185,7 +181,7 @@ def _case_gcn_layer(rng):
     }
     f = _functional(rng, (5, 3))
 
-    def build(tape, lv):
+    def build(lv):
         return f(ad.gcn_layer(lv["f"], lv["w"], lv["lw"], plan, relu=True))
 
     return build, values
@@ -197,7 +193,7 @@ def _case_gcn_layer_last(rng):
     values = {"f": rng.normal(size=(5, 2)), "lw": rng.normal(size=(2, 3))}
     f = _functional(rng, (5, 3))
 
-    def build(tape, lv):
+    def build(lv):
         return f(ad.gcn_layer(lv["f"], None, lv["lw"], plan, relu=False))
 
     return build, values
@@ -210,13 +206,13 @@ def _case_softmax_head(rng):
         "b": rng.normal(size=(1, 3)),
     }
     f = _functional(rng, (3, 3))
-    return lambda tape, lv: f(ad.softmax_head(lv["x"], lv["w"], lv["b"])), values
+    return lambda lv: f(ad.softmax_head(lv["x"], lv["w"], lv["b"])), values
 
 
 def _case_mean_of_halves(rng):
     values = {"a": rng.normal(size=(6, 2))}
     f = _functional(rng, (3, 2))
-    return lambda tape, lv: f(ad.mean_of_halves(lv["a"])), values
+    return lambda lv: f(ad.mean_of_halves(lv["a"])), values
 
 
 def _case_ego_readout(rng):
@@ -225,7 +221,7 @@ def _case_ego_readout(rng):
     values = {"h": rng.normal(size=(6, 2)), "p": rng.normal(size=(4, 2))}
     f = _functional(rng, (3, 2))
 
-    def build(tape, lv):
+    def build(lv):
         return f(ad.ego_readout(lv["h"], ego, seg, 3, lv["p"]))
 
     return build, values
@@ -236,7 +232,7 @@ def _case_gce_rows(rng):
     y = rng.integers(0, 3, size=4)
     values = {"p": rng.uniform(0.1, 1.0, size=(4, 3))}
     f = _functional(rng, (4, 1))
-    return lambda tape, lv: f(ad.gce_rows(lv["p"], y, q)), values
+    return lambda lv: f(ad.gce_rows(lv["p"], y, q)), values
 
 
 def _case_nll_rows(rng):
@@ -244,26 +240,26 @@ def _case_nll_rows(rng):
     w = rng.uniform(0.0, 1.0, size=4)
     values = {"p": rng.uniform(0.1, 1.0, size=(4, 3))}
     f = _functional(rng, (4, 1))
-    return lambda tape, lv: f(ad.nll_rows(lv["p"], y, w)), values
+    return lambda lv: f(ad.nll_rows(lv["p"], y, w)), values
 
 
 def _case_rbf_gram(rng):
     bw = float(rng.uniform(0.5, 2.0))
     values = {"a": rng.normal(size=(4, 3))}
     f = _functional(rng, (4, 4))
-    return lambda tape, lv: f(composed.rbf_gram(lv["a"], bw)), values
+    return lambda lv: f(composed.rbf_gram(lv["a"], bw)), values
 
 
 def _case_center_gram(rng):
     values = {"k": rng.normal(size=(4, 4))}
     f = _functional(rng, (4, 4))
-    return lambda tape, lv: f(composed.center_gram(lv["k"])), values
+    return lambda lv: f(composed.center_gram(lv["k"])), values
 
 
 def _case_hsic_rbf(rng):
     bx, by = rng.uniform(0.5, 2.0, size=2)
     values = {"x": rng.normal(size=(5, 2)), "y": rng.normal(size=(5, 3))}
-    return lambda tape, lv: ad.hsic_rbf(lv["x"], lv["y"], bx, by), values
+    return lambda lv: ad.hsic_rbf(lv["x"], lv["y"], bx, by), values
 
 
 def _case_composite(rng):
@@ -275,7 +271,7 @@ def _case_composite(rng):
         "w2": rng.normal(size=(5, 2)) * 0.7,
     }
 
-    def build(tape, lv):
+    def build(lv):
         h = ad.sigmoid(ad.matmul(lv["a"], lv["w1"]))
         probs = ad.softmax_head(h, lv["w2"], np.zeros((1, 2)))
         return ad.mean(ad.nll_rows(probs, y))

@@ -106,7 +106,7 @@ def _composed_objective_case(rng):
                        lambda_independence=0.1)
     y = batch.ego_labels
 
-    fwd0 = two_branch_forward(batch, ad.Tape().leaves(values))
+    fwd0 = two_branch_forward(batch, values)
     probs_s0 = ad.softmax_head(fwd0.joint, *fwd0.head_shortcut)
     probs_c0 = ad.softmax_head(fwd0.joint, *fwd0.head_causal)
     weights = difficulty_weights(ad.nll_rows(probs_s0, y).data,
@@ -114,7 +114,7 @@ def _composed_objective_case(rng):
     bx = median_bandwidth(fwd0.layers_causal[-1].data)
     by = median_bandwidth(fwd0.layers_shortcut[-1].data)
 
-    def build(tape, t):
+    def build(t):
         fwd = two_branch_forward(batch, t)
         probs_s = ad.softmax_head(fwd.joint, *fwd.head_shortcut)
         probs_c = ad.softmax_head(fwd.joint, *fwd.head_causal)

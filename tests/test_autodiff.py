@@ -1,4 +1,4 @@
-"""Reverse-mode tape: primitive adjoints, backward semantics, Adam."""
+"""Reverse-mode autodiff: primitive adjoints, backward semantics, Adam."""
 
 import gc
 import weakref
@@ -50,93 +50,105 @@ class TestForwardValues:
 
 class TestBackwardSemantics:
     def test_sum_gradient_is_ones(self):
-        tape = ad.Tape()
-        x = tape.leaf(np.arange(6.0).reshape(2, 3))
-        grads = ad.gradients(tape, composed.sum_all(x), {"x": x})
+        x = ad.leaves({"x": np.arange(6.0).reshape(2, 3)})
+        grads = ad.gradients(composed.sum_all(x["x"]), x)
         np.testing.assert_array_equal(grads["x"], np.ones((2, 3)))
 
     def test_half_square_sum_gradient_is_x(self):
-        tape = ad.Tape()
         base = np.array([[1.0, -2.0], [0.5, 3.0]])
-        x = tape.leaf(base)
+        t = ad.leaves({"x": base})
+        x = t["x"]
         loss = ad.multiply(composed.sum_all(ad.multiply(x, x)), 0.5)
-        grads = ad.gradients(tape, loss, {"x": x})
+        grads = ad.gradients(loss, t)
         np.testing.assert_allclose(grads["x"], base)
 
     def test_gradients_match_closed_form_then_release_the_tape(self):
-        tape = ad.Tape()
+        """The walk spends the graph: the leaves are left clear, and a
+        second walk through a spent node raises."""
         xv = np.array([[1.0, -2.0], [0.5, 3.0]])
         wv = np.array([[0.3], [-0.7]])
-        x, w = tape.leaf(xv), tape.leaf(wv)
-        loss = ad.mean(ad.sigmoid(ad.matmul(x, w)))
-        got = ad.gradients(tape, loss, {"x": x, "w": w})
+        t = ad.leaves({"x": xv, "w": wv})
+        loss = ad.mean(ad.sigmoid(ad.matmul(t["x"], t["w"])))
+        got = ad.gradients(loss, t)
         s = 1.0 / (1.0 + np.exp(-(xv @ wv)))
         gz = s * (1.0 - s) / 2.0
         np.testing.assert_allclose(got["x"], gz @ wv.T, rtol=1e-12)
         np.testing.assert_allclose(got["w"], xv.T @ gz, rtol=1e-12)
-        for spent in (lambda: ad.gradients(tape, loss, {"x": x}),
-                      lambda: ad.add(x, x),
-                      lambda: tape.leaf(np.ones((1, 1)))):
-            with pytest.raises(ValueError, match="released"):
-                spent()
+        assert t["x"].grad is None and t["w"].grad is None
+        assert loss.grad is None and loss._parents is None
+        with pytest.raises(ValueError, match="already ran"):
+            ad.gradients(loss, t)
+
+    def test_new_op_on_spent_intermediate_raises(self):
+        t = ad.leaves({"x": np.ones((2, 2))})
+        h = ad.sigmoid(t["x"])
+        ad.gradients(composed.sum_all(h), t)
+        again = composed.sum_all(ad.multiply(h, 2.0))
+        with pytest.raises(ValueError, match="already ran"):
+            ad.gradients(again, t)
+
+    def test_reused_leaves_match_fresh_leaves_bit_for_bit(self):
+        rng = np.random.default_rng(41)
+        values = {"x": rng.normal(size=(4, 3)), "w": rng.normal(size=(3, 2))}
+        r = rng.normal(size=(4, 2))
+
+        def loss_of(t):
+            h = ad.relu(ad.matmul(t["x"], t["w"]))
+            return composed.sum_all(ad.multiply(ad.multiply(h, h), r))
+
+        reused = ad.leaves(values)
+        first = ad.gradients(loss_of(reused), reused)
+        second = ad.gradients(loss_of(reused), reused)
+        fresh = ad.leaves(values)
+        want = ad.gradients(loss_of(fresh), fresh)
+        for got in (first, second):
+            for k in values:
+                np.testing.assert_array_equal(got[k], want[k], err_msg=k)
 
     def test_spent_tape_dies_by_reference_count(self):
-        """After gradients, a step's tensors and its tape go as soon as the
-        caller drops them, with the cyclic collector off."""
+        """After gradients, a step's activations go as soon as the caller
+        drops them, with the cyclic collector off: outputs link only to
+        their inputs, so a graph holds no cycle."""
         gc.disable()
         try:
-            tape = ad.Tape()
-            x = tape.leaf(np.ones((3, 2)))
-            h = ad.sigmoid(x)
+            t = ad.leaves({"x": np.ones((3, 2))})
+            h = ad.sigmoid(t["x"])
             loss = ad.mean(ad.multiply(h, h))
-            refs = [weakref.ref(tape), weakref.ref(h.data),
-                    weakref.ref(loss.data)]
-            ad.gradients(tape, loss, {"x": x})
+            refs = [weakref.ref(h.data), weakref.ref(loss.data)]
+            ad.gradients(loss, t)
             assert all(ref() is not None for ref in refs)
-            del tape, x, h, loss
-            assert [ref() for ref in refs] == [None, None, None]
+            del h, loss
+            assert [ref() for ref in refs] == [None, None]
         finally:
             gc.enable()
 
     def test_unused_leaf_gets_zero_gradient(self):
-        tape = ad.Tape()
-        x = tape.leaf(np.ones((2, 2)))
-        unused = tape.leaf(np.ones((3, 3)))
-        grads = ad.gradients(tape, composed.sum_all(x), {"x": x, "unused": unused})
+        t = ad.leaves({"x": np.ones((2, 2)), "unused": np.ones((3, 3))})
+        grads = ad.gradients(composed.sum_all(t["x"]), t)
         np.testing.assert_array_equal(grads["unused"], np.zeros((3, 3)))
 
     def test_non_scalar_loss_rejected(self):
-        tape = ad.Tape()
-        x = tape.leaf(np.ones((2, 2)))
+        t = ad.leaves({"x": np.ones((2, 2))})
         with pytest.raises(ValueError, match="scalar"):
-            ad.gradients(tape, ad.multiply(x, 2.0), {"x": x})
-
-    def test_foreign_tape_rejected(self):
-        tape_a, tape_b = ad.Tape(), ad.Tape()
-        x = tape_a.leaf(np.ones((1, 1)))
-        with pytest.raises(ValueError, match="tape"):
-            ad.gradients(tape_b, composed.sum_all(x), {"x": x})
+            ad.gradients(ad.multiply(t["x"], 2.0), t)
 
     def test_non_finite_loss_rejected(self):
-        tape = ad.Tape()
-        x = tape.leaf(np.array([[1e308]]))
+        t = ad.leaves({"x": np.array([[1e308]])})
         with np.errstate(over="ignore"):
-            doubled = ad.add(x, x)  # overflows to inf
+            doubled = ad.add(t["x"], t["x"])  # overflows to inf
         with pytest.raises(FloatingPointError):
-            ad.gradients(tape, composed.sum_all(doubled), {"x": x})
+            ad.gradients(composed.sum_all(doubled), t)
 
-    def test_mixed_tapes_in_one_op_rejected(self):
-        tape_a, tape_b = ad.Tape(), ad.Tape()
-        x = tape_a.leaf(np.ones((1, 1)))
-        y = tape_b.leaf(np.ones((1, 1)))
-        with pytest.raises(ValueError, match="tapes"):
-            ad.add(x, y)
+    def test_operation_output_is_not_a_leaf(self):
+        t = ad.leaves({"x": np.ones((2, 2))})
+        h = ad.sigmoid(t["x"])
+        with pytest.raises(ValueError, match="not a leaf"):
+            ad.gradients(composed.sum_all(h), {"h": h})
 
 
 class TestDropout:
     def test_rate_zero_is_identity(self):
-        tape = ad.Tape()
-        x = tape.leaf(np.ones((3, 3)))
+        x = ad.leaves({"x": np.ones((3, 3))})["x"]
         out = ad.dropout(x, 0.0, np.random.default_rng(0))
         assert out is x
 

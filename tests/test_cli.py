@@ -205,6 +205,33 @@ class TestTheoryCheck:
         assert missing in err
         assert err.count("\n") == 1
 
+    _AXES = {"degrees": [3], "homophilies": [0.5], "ratios": [0.0]}
+    _CELL = {"degree": 3, "homophily": 0.5, "cross_class_ratio": 0.0}
+
+    @pytest.mark.parametrize("payload, needle", [
+        ([], "the grid has no cells"),
+        ({**_AXES, "ratios": []}, "the grid has no cells"),
+        ({**_AXES, "degrees": 3}, "grid axis degrees must be a list"),
+        ({**_AXES, "homophilies": [0.5, None]},
+         "grid axis homophilies must be a list"),
+        ([_CELL, {**_CELL, "homophily": None}],
+         "grid cell 1 homophily must be a number, got null"),
+        ([{**_CELL, "total_edge_weight": "3"}],
+         "grid cell 0 total_edge_weight must be a number"),
+    ])
+    @pytest.mark.parametrize("with_out", [False, True])
+    def test_bad_grid_is_one_line_error(self, tmp_path, capsys, payload,
+                                        needle, with_out):
+        """No cell checked is no pass: an empty or malformed grid exits 2
+        and writes no CSV."""
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps(payload))
+        out = tmp_path / "cells.csv"
+        _one_line_error(capsys, ["theory-check", "--grid", grid, "--samples",
+                                 "1000", *(["--out", out] if with_out else [])],
+                        needle)
+        assert not out.exists()
+
 
 class TestAudit:
     def test_clean_model_passes(self, tiny_graph_file, tmp_path, capsys):

@@ -33,50 +33,43 @@ def _ego_batch(g, nodes, hops):
     return batch_from_cache(g, build_ego_cache(g, hops, nodes), nodes)
 
 
-def _probs_row(tape, values):
-    return tape.leaf(np.asarray(values, dtype=np.float64).reshape(1, -1),
-                     requires_grad=False)
+def _probs_row(values):
+    return ad.Tensor(np.asarray(values, dtype=np.float64).reshape(1, -1))
 
 
 class TestGce:
     def test_half_probability_hand_value(self):
-        tape = ad.Tape()
-        out = gce_loss(_probs_row(tape, [0.5, 0.5]), [0], 0.5)
+        out = gce_loss(_probs_row([0.5, 0.5]), [0], 0.5)
         np.testing.assert_allclose(out.data, 0.5857864376269049, rtol=1e-12)
 
     def test_q_one_is_one_minus_p(self):
-        tape = ad.Tape()
-        out = gce_loss(_probs_row(tape, [0.3, 0.7]), [1], 1.0)
+        out = gce_loss(_probs_row([0.3, 0.7]), [1], 1.0)
         np.testing.assert_allclose(out.data, 0.3, rtol=1e-12)
 
     def test_small_q_approaches_cross_entropy(self):
-        tape = ad.Tape()
         q = 1e-3
         for p in (0.1, 0.3, 0.8):
-            probs = _probs_row(tape, [p, 1.0 - p])
+            probs = _probs_row([p, 1.0 - p])
             g = gce_loss(probs, [0], q).item()
             ce = ad.nll_rows(probs, [0]).item()
             assert abs(g - ce) <= q * np.log(p) ** 2
 
     def test_bounded_by_inverse_q(self):
-        tape = ad.Tape()
         rng = np.random.default_rng(0)
         for _ in range(50):
             p = rng.uniform(1e-6, 1.0)
             q = rng.uniform(0.05, 1.0)
-            val = gce_loss(_probs_row(tape, [p, 1.0 - p]), [0], q).item()
+            val = gce_loss(_probs_row([p, 1.0 - p]), [0], q).item()
             assert 0.0 <= val <= 1.0 / q + 1e-12
 
     def test_decreasing_in_correct_probability(self):
-        tape = ad.Tape()
         grid = np.linspace(0.05, 0.95, 19)
-        vals = [gce_loss(_probs_row(tape, [p, 1.0 - p]), [0], 0.7).item()
+        vals = [gce_loss(_probs_row([p, 1.0 - p]), [0], 0.7).item()
                 for p in grid]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_q_out_of_range_rejected(self):
-        tape = ad.Tape()
-        probs = _probs_row(tape, [0.5, 0.5])
+        probs = _probs_row([0.5, 0.5])
         for q in (0.0, -0.5, 1.5):
             with pytest.raises(ValueError, match="q"):
                 gce_loss(probs, [0], q)
@@ -117,36 +110,34 @@ class TestDifficultyWeights:
 
 class TestCausalLoss:
     def test_weighted_mean_hand_case(self):
-        tape = ad.Tape()
-        probs = tape.leaf(np.full((3, 4), 0.25), requires_grad=False)
+        probs = ad.Tensor(np.full((3, 4), 0.25))
         out = causal_loss(probs, [0, 1, 2], [1.0, 1.0, 0.0])
         np.testing.assert_allclose(out.data, 0.9241962407465937, rtol=1e-12)
 
     def test_zero_weights_zero_loss(self):
-        tape = ad.Tape()
-        probs = tape.leaf(np.full((2, 3), 1 / 3), requires_grad=False)
+        probs = ad.Tensor(np.full((2, 3), 1 / 3))
         assert causal_loss(probs, [0, 1], [0.0, 0.0]).item() == 0.0
 
     def test_confident_correct_is_tiny(self):
-        tape = ad.Tape()
-        probs = tape.leaf(np.array([[1.0, 0.0], [0.0, 1.0]]),
-                          requires_grad=False)
+        probs = ad.Tensor(np.array([[1.0, 0.0], [0.0, 1.0]]))
         # exact ones survive the clamp, so the loss is exactly -log(1)
         assert causal_loss(probs, [0, 1], [1.0, 1.0]).item() <= 1e-9
 
     def test_weight_count_mismatch(self):
-        tape = ad.Tape()
-        probs = tape.leaf(np.full((3, 2), 0.5), requires_grad=False)
+        probs = ad.Tensor(np.full((3, 2), 0.5))
         with pytest.raises(ValueError, match="per sample"):
             causal_loss(probs, [0, 1, 0], [1.0, 1.0])
 
 
-def _toy_pass(tape, rng, n=3, dim=2, classes=2):
+def _toy_pass(rng, n=3, dim=2, classes=2):
     """A TwoBranchPass of random graph embeddings and heads (no masks)."""
-    h_c = tape.leaf(rng.normal(size=(n, dim)))
-    h_s = tape.leaf(rng.normal(size=(n, dim)))
-    head_s, head_c = [(tape.leaf(rng.normal(size=(2 * dim, classes))),
-                       tape.leaf(np.zeros((1, classes)))) for _ in range(2)]
+    h_c, h_s, *heads = ad.leaves({
+        "h_c": rng.normal(size=(n, dim)), "h_s": rng.normal(size=(n, dim)),
+        "head_s.w": rng.normal(size=(2 * dim, classes)),
+        "head_s.b": np.zeros((1, classes)),
+        "head_c.w": rng.normal(size=(2 * dim, classes)),
+        "head_c.b": np.zeros((1, classes))}).values()
+    head_s, head_c = tuple(heads[:2]), tuple(heads[2:])
     return TwoBranchPass(edge_mask=None, feature_mask=None,
                          layers_causal=[h_c], layers_shortcut=[h_s],
                          graph_causal=h_c, graph_shortcut=h_s,
@@ -157,8 +148,7 @@ def _toy_pass(tape, rng, n=3, dim=2, classes=2):
 class TestCounterfactualLoss:
     def test_identity_permutation_recovers_plain_terms(self):
         rng = np.random.default_rng(2)
-        tape = ad.Tape()
-        fwd = _toy_pass(tape, rng)
+        fwd = _toy_pass(rng)
         y = np.array([0, 1, 0])
         w = np.array([0.3, 0.9, 0.5])
         plain_s = ad.mean(gce_loss(
@@ -172,8 +162,7 @@ class TestCounterfactualLoss:
 
     def test_matches_numpy_oracle_under_shuffle(self):
         rng = np.random.default_rng(3)
-        tape = ad.Tape()
-        fwd = _toy_pass(tape, rng)
+        fwd = _toy_pass(rng)
         head_s, head_c = fwd.head_shortcut, fwd.head_causal
         y = np.array([0, 1, 1])
         w = np.array([0.2, 0.7, 0.4])
@@ -197,15 +186,13 @@ class TestCounterfactualLoss:
 
     def test_batch_of_one_rejected(self):
         rng = np.random.default_rng(4)
-        tape = ad.Tape()
-        fwd = _toy_pass(tape, rng, n=1)
+        fwd = _toy_pass(rng, n=1)
         with pytest.raises(ValueError, match="at least 2"):
             counterfactual_loss(fwd, [0], 0.7, np.array([0]), [1.0])
 
     def test_short_permutation_rejected(self):
         rng = np.random.default_rng(5)
-        tape = ad.Tape()
-        fwd = _toy_pass(tape, rng)
+        fwd = _toy_pass(rng)
         with pytest.raises(ValueError, match="cover"):
             counterfactual_loss(fwd, [0, 1, 0], 0.7, np.array([1, 0]),
                                 [1.0, 1.0, 1.0])
@@ -272,8 +259,7 @@ class TestHsic:
         rng = np.random.default_rng(10)
         x = rng.normal(size=(20, 2))
         y = rng.normal(size=(20, 2))
-        tape = ad.Tape()
-        t = hsic(tape.leaf(x), tape.leaf(y))
+        t = hsic(*ad.leaves({"x": x, "y": y}).values())
         np.testing.assert_allclose(t.item(), hsic_value(x, y), rtol=1e-12)
 
     def test_too_few_rows_rejected(self):
@@ -286,14 +272,12 @@ class TestHsic:
 
 
 class TestTotalLoss:
-    def _terms(self, tape):
-        return [tape.leaf(np.array([[v]]), requires_grad=False)
-                for v in (1.0, 2.0, 3.0, 4.0)]
+    def _terms(self):
+        return [ad.Tensor(np.array([[v]])) for v in (1.0, 2.0, 3.0, 4.0)]
 
     def test_weighted_sum_hand_case(self):
-        tape = ad.Tape()
         total, breakdown = total_loss(
-            *self._terms(tape),
+            *self._terms(),
             RunConfig(lambda_counterfactual=10.0,
                       lambda_independence=0.1).coefficients)
         np.testing.assert_allclose(total.item(), 33.4, rtol=1e-12)
@@ -304,21 +288,19 @@ class TestTotalLoss:
         assert breakdown["total"] == total.item()
 
     def test_flag_and_zero_lambda_agree(self):
-        tape = ad.Tape()
         by_flag, _ = total_loss(
-            *self._terms(tape),
+            *self._terms(),
             RunConfig(no_counterfactual_term=True,
                       lambda_independence=0.1).coefficients)
         by_zero, _ = total_loss(
-            *self._terms(tape),
+            *self._terms(),
             RunConfig(lambda_counterfactual=0.0,
                       lambda_independence=0.1).coefficients)
         assert by_flag.item() == by_zero.item() == 1.0 + 2.0 + 0.4
 
     def test_breakdown_reports_ablated_terms(self):
-        tape = ad.Tape()
         _, breakdown = total_loss(
-            *self._terms(tape),
+            *self._terms(),
             RunConfig(no_independence_term=True).coefficients)
         assert breakdown["loss_hsic"] == 4.0
 
@@ -326,13 +308,12 @@ class TestTotalLoss:
         config = RunConfig(lambda_counterfactual=3.0, lambda_independence=0.2,
                            no_causal_term=True, no_independence_term=True)
         assert config.coefficients == (1.0, 0.0, 3.0, 0.0)
-        total, _ = total_loss(*self._terms(ad.Tape()), config.coefficients)
+        total, _ = total_loss(*self._terms(), config.coefficients)
         assert total.item() == 1.0 + 3.0 * 3.0
 
     def test_all_ablated_rejected(self):
-        tape = ad.Tape()
         with pytest.raises(ValueError, match="ablated"):
-            total_loss(*self._terms(tape),
+            total_loss(*self._terms(),
                        RunConfig(no_shortcut_term=True, no_causal_term=True,
                                  no_counterfactual_term=True,
                                  no_independence_term=True).coefficients)
@@ -356,9 +337,8 @@ def _score_edges_numpy(params, x, e):
 
 
 def _pass_of(batch, params, training=False):
-    return two_branch_forward(
-        batch, ad.Tape().leaves(params, requires_grad=training),
-        training=training)
+    return two_branch_forward(batch, ad.leaves(params) if training else params,
+                              training=training)
 
 
 class TestMasks:
@@ -402,9 +382,8 @@ class TestMasks:
         params["mask.b2"][:] = 0.3
         oracle = _score_edges_numpy(params, batch.features, batch.endpoints)
         assert np.ptp(oracle) > 0.0
-        tape = ad.Tape()
-        tensors = {k: tape.leaf(v) for k, v in params.items()}
-        logits = edge_score_logits(batch.endpoints, batch.features, tensors)
+        logits = edge_score_logits(batch.endpoints, batch.features,
+                                   ad.leaves(params))
         np.testing.assert_allclose(logits.data[:, 0], oracle, rtol=1e-12)
         np.testing.assert_allclose(
             score_edges(params, batch.features, batch.endpoints), oracle,
@@ -447,8 +426,7 @@ class TestSplitAndEmbed:
         g = _toy_graph(seed=18)
         batch = _ego_batch(g, np.arange(g.num_nodes), hops=1)
         params = init_cdgnn_params(np.random.default_rng(18), 4, 5, 2, 3, 2)
-        t = ad.Tape().leaves(params, requires_grad=training)
-        assert all(leaf.requires_grad == training for leaf in t.values())
+        t = ad.leaves(params) if training else params
         fwd = two_branch_forward(batch, t, training=training)
         assert fwd.head_causal == (t["head_c.w"], t["head_c.b"])
         assert fwd.head_shortcut == (t["head_s.w"], t["head_s.b"])
@@ -468,6 +446,29 @@ class TestSplitAndEmbed:
             np.testing.assert_array_equal(got.data, want.data)
         np.testing.assert_array_equal(fwd.graph_causal.data, h_c)
         np.testing.assert_array_equal(fwd.joint.data, np.hstack([h_c, h_s]))
+
+    def test_raw_arrays_give_the_forward_of_leaves_bit_for_bit(self):
+        """Inference passes the parameter arrays, which record nothing."""
+        g = _toy_graph(seed=19)
+        batch = _ego_batch(g, np.arange(g.num_nodes), hops=1)
+        params = init_cdgnn_params(np.random.default_rng(19), 4, 5, 2, 3, 2)
+        params["mask.w2"][:] = np.random.default_rng(20).normal(
+            size=params["mask.w2"].shape)
+        raw = two_branch_forward(batch, params)
+        tracked = two_branch_forward(batch, ad.leaves(params))
+        assert not raw.joint.requires_grad and tracked.joint.requires_grad
+        for got, want in zip(
+                [raw.edge_mask, raw.feature_mask, *raw.layers_causal,
+                 *raw.layers_shortcut, raw.graph_causal, raw.graph_shortcut,
+                 raw.joint],
+                [tracked.edge_mask, tracked.feature_mask,
+                 *tracked.layers_causal, *tracked.layers_shortcut,
+                 tracked.graph_causal, tracked.graph_shortcut, tracked.joint],
+                strict=True):
+            np.testing.assert_array_equal(got.data, want.data)
+        np.testing.assert_array_equal(
+            ad.softmax_head(raw.joint, *raw.head_causal).data,
+            ad.softmax_head(tracked.joint, *tracked.head_causal).data)
 
 
 def _rank_auc(pos, neg):

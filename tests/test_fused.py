@@ -1,4 +1,4 @@
-"""Fused tape primitives against their composed chains (tests/composed.py).
+"""Fused autodiff ops against their composed chains (tests/composed.py).
 
 Each fused op must give the same bits as the chain it replaces: the value,
 and the gradient of every input, including when an input already holds a
@@ -25,15 +25,14 @@ def _run(op, values, tracked, rng_seed):
     """Value and gradients of op(leaves) under a random linear functional,
     plus a later consumer of every tracked leaf."""
     rng = np.random.default_rng(rng_seed)
-    tape = ad.Tape()
-    leaves = {k: tape.leaf(v, requires_grad=k in tracked)
-              for k, v in values.items()}
+    leaves = {k: ad._coerce(v) for k, v in values.items()}
+    leaves.update(ad.leaves({k: values[k] for k in tracked}))
     out = op(leaves)
     loss = composed.sum_all(ad.multiply(out, rng.normal(size=out.shape)))
     for k in sorted(tracked):
         later = composed.sum_all(ad.multiply(leaves[k], rng.normal(size=values[k].shape)))
         loss = ad.add(loss, later)
-    grads = ad.gradients(tape, loss, {k: leaves[k] for k in tracked})
+    grads = ad.gradients(loss, {k: leaves[k] for k in tracked})
     return out.data, grads
 
 
@@ -277,10 +276,10 @@ class TestFusedOpGuards:
         assert set(OPS) <= set(ad.__all__)
 
     def test_untracked_inputs_record_nothing(self):
-        tape = ad.Tape()
-        x = tape.leaf(np.ones((2, 2)), requires_grad=False)
-        out = ad.softmax_head(x, np.ones((2, 3)), np.zeros((1, 3)))
-        assert not out.requires_grad and tape._nodes == []
+        out = ad.softmax_head(np.ones((2, 2)), np.ones((2, 3)),
+                              np.zeros((1, 3)))
+        assert not out.requires_grad
+        assert out._parents is None and out._backward is None
 
     def test_odd_row_count_rejected(self):
         with pytest.raises(ValueError, match="even"):
@@ -386,13 +385,13 @@ def test_one_training_batch_builds_no_sparse_matrix(monkeypatch):
 
 
 def test_one_training_batch_records_at_most_46_nodes(monkeypatch):
-    """The tape of one training batch holds at most 46 non-leaf nodes."""
+    """The loss of one training batch depends on at most 46 operations."""
     sizes = []
     real = ad.gradients
 
-    def counting(tape, loss, leaves):
-        sizes.append(sum(node._backward is not None for node in tape._nodes))
-        return real(tape, loss, leaves)
+    def counting(loss, leaves):
+        sizes.append(len(ad._reached(loss)))
+        return real(loss, leaves)
 
     monkeypatch.setattr(ad, "gradients", counting)
     _train_one_batch()

@@ -417,6 +417,11 @@ class TestTheoryGrid:
         np.testing.assert_allclose(check.rows[0]["analytic"],
                                    one_layer_gain(5, 5, 0.0, 0.5))
 
+    def test_empty_grid_rejected(self):
+        """No cell checked is no pass."""
+        with pytest.raises(ValueError, match="no cells"):
+            theory_check_grid([])
+
 
 def _ring_graph(n=12, dim=6, seed=21):
     rng = np.random.default_rng(seed)

@@ -89,10 +89,6 @@ class TestSplitNodes:
         with pytest.raises(ValueError, match="at least 5"):
             split_nodes(4, seed=0)
 
-    def test_fractions_must_leave_test_room(self):
-        with pytest.raises(ValueError, match="room"):
-            split_nodes(10, seed=0, train_fraction=0.8, val_fraction=0.2)
-
 
 class TestRunConfig:
     def test_defaults_validate(self):
@@ -354,8 +350,8 @@ def test_result_params_are_the_best_epoch_in_one_buffer(train):
 
 
 def test_training_leaves_no_cyclic_garbage():
-    """Each step's tape is freed by reference count: with the cyclic
-    collector off, training leaves it no Tape or Tensor to find."""
+    """Each step's graph is freed by reference count: with the cyclic
+    collector off, training leaves it no Tensor to find."""
     g = _tiny_graph(seed=8)
     sp = split_nodes(g.num_nodes, seed=8)
     gc.collect()
@@ -365,8 +361,7 @@ def test_training_leaves_no_cyclic_garbage():
         train_cdgnn(g, _tiny_config(epochs=3), 0, sp.train, sp.val)
         train_gcn_baseline(g, _tiny_config(epochs=3), 0, sp.train, sp.val)
         gc.collect()
-        found = sorted({type(o).__name__ for o in gc.garbage
-                        if isinstance(o, (ad.Tape, ad.Tensor))})
+        found = [o for o in gc.garbage if isinstance(o, ad.Tensor)]
     finally:
         gc.set_debug(0)
         gc.garbage.clear()

@@ -105,12 +105,10 @@ class TestGcnForward:
         batch = _ego_batch(g, np.arange(5), hops=2)
         rng = np.random.default_rng(0)
         weights_np = init_gcn_weights(rng, 3, 4, 2, "gnn")
-        tape = ad.Tape()
-        ws = [tape.leaf(weights_np[f"gnn.w{l}"]) for l in range(2)]
-        x = tape.leaf(batch.features, requires_grad=False)
-        ones_e = tape.leaf(np.ones((batch.endpoints.shape[0], 1)),
-                           requires_grad=False)
-        ones_f = tape.leaf(np.ones((1, 3)), requires_grad=False)
+        ws = list(ad.leaves(weights_np).values())
+        x = batch.features
+        ones_e = np.ones((batch.endpoints.shape[0], 1))
+        ones_f = np.ones((1, 3))
         masked = gcn_forward(batch.plan, x, ones_e, ones_f, ws)
         plain = gcn_forward(batch.plan, x, None, None, ws)
         for a, b in zip(masked, plain, strict=True):
@@ -121,11 +119,9 @@ class TestGcnForward:
         batch = _ego_batch(g, np.arange(4), hops=1)
         rng = np.random.default_rng(1)
         weights_np = init_gcn_weights(rng, 3, 3, 2, "gnn")
-        tape = ad.Tape()
-        ws = [tape.leaf(weights_np[f"gnn.w{l}"]) for l in range(2)]
-        x = tape.leaf(batch.features, requires_grad=False)
-        zeros = tape.leaf(np.zeros((batch.endpoints.shape[0], 1)),
-                          requires_grad=False)
+        ws = list(ad.leaves(weights_np).values())
+        x = batch.features
+        zeros = np.zeros((batch.endpoints.shape[0], 1))
         out = gcn_forward(batch.plan, x, zeros, None, ws)[-1]
         oracle = _forward_numpy(batch, batch.features,
                                 [weights_np["gnn.w0"], weights_np["gnn.w1"]],
@@ -136,9 +132,8 @@ class TestGcnForward:
         g = Graph(2, np.array([[0, 1]]), np.array([[1.0, 2.0], [3.0, 5.0]]),
                   np.zeros(2, int), 1)
         batch = _ego_batch(g, np.arange(2), hops=1)
-        tape = ad.Tape()
-        w = tape.leaf(np.eye(2), requires_grad=False)
-        x = tape.leaf(batch.features, requires_grad=False)
+        w = np.eye(2)
+        x = batch.features
         (out,) = gcn_forward(batch.plan, x, None, None, [w])
         # batch holds both ego copies; each copy is the 2-node graph itself
         oracle = _renormalized_propagate(g, g.features)
@@ -165,12 +160,9 @@ class TestGcnForward:
         weights_np = init_gcn_weights(rng, 3, 4, 2, "gnn")
         edge_w = rng.uniform(0.1, 0.9, size=(batch.endpoints.shape[0], 1))
         feat_m = rng.uniform(0.0, 1.0, size=(1, 3))
-        tape = ad.Tape()
-        ws = [tape.leaf(weights_np[f"gnn.w{l}"]) for l in range(2)]
-        first, out = gcn_forward(
-            batch.plan, tape.leaf(batch.features, requires_grad=False),
-            tape.leaf(edge_w, requires_grad=False),
-            tape.leaf(feat_m, requires_grad=False), ws)
+        ws = list(ad.leaves(weights_np).values())
+        first, out = gcn_forward(batch.plan, batch.features, edge_w, feat_m,
+                                 ws)
         oracle = _forward_numpy(batch, batch.features,
                                 [weights_np["gnn.w0"], weights_np["gnn.w1"]],
                                 edge_w=edge_w[:, 0], feat_mask=feat_m)
@@ -217,13 +209,8 @@ class TestGcnForward:
         )
 
         def run(b):
-            tape = ad.Tape()
-            ws = [tape.leaf(weights_np[f"gnn.w{l}"], requires_grad=False)
-                  for l in range(2)]
-            return gcn_forward(b.plan,
-                               tape.leaf(b.features, requires_grad=False),
-                               tape.leaf(edge_w, requires_grad=False),
-                               None, ws)[-1].data
+            ws = [weights_np[f"gnn.w{l}"] for l in range(2)]
+            return gcn_forward(b.plan, b.features, edge_w, None, ws)[-1].data
 
         base = run(batch)
         moved = run(permuted)
@@ -232,12 +219,10 @@ class TestGcnForward:
     def test_training_dropout_needs_rng(self):
         g = _path_graph(3, seed=10)
         batch = _ego_batch(g, np.arange(3), hops=1)
-        tape = ad.Tape()
-        ws = [tape.leaf(np.eye(3), requires_grad=False) for _ in range(2)]
+        ws = [np.eye(3) for _ in range(2)]
         with pytest.raises(ValueError, match="rng"):
-            gcn_forward(batch.plan,
-                        tape.leaf(batch.features, requires_grad=False),
-                        None, None, ws, dropout_rate=0.5, training=True)
+            gcn_forward(batch.plan, batch.features, None, None, ws,
+                        dropout_rate=0.5, training=True)
 
 
 class TestReadout:
@@ -247,9 +232,7 @@ class TestReadout:
         batch = _ego_batch(g, np.array([0]), hops=1)
         emb = np.array([[3.0, -1.0]])
         proj = np.random.default_rng(5).normal(size=(4, 2))
-        tape = ad.Tape()
-        out = _readout(batch, tape.leaf(emb, requires_grad=False),
-                       tape.leaf(proj, requires_grad=False))
+        out = _readout(batch, emb, proj)
         expected = np.concatenate([emb[0], emb[0]])[None, :] @ proj
         np.testing.assert_allclose(out.data, expected)
 
@@ -259,13 +242,10 @@ class TestReadout:
         rng = np.random.default_rng(6)
         emb = rng.normal(size=(3, 2))
         proj = rng.normal(size=(4, 2))
-        tape = ad.Tape()
-        a = _readout(batch, tape.leaf(emb, requires_grad=False),
-                     tape.leaf(proj, requires_grad=False)).data
+        a = _readout(batch, emb, proj).data
         swapped = emb.copy()
         swapped[[1, 2]] = swapped[[2, 1]]  # ego row 0 untouched
-        b = _readout(batch, tape.leaf(swapped, requires_grad=False),
-                     tape.leaf(proj, requires_grad=False)).data
+        b = _readout(batch, swapped, proj).data
         np.testing.assert_allclose(a, b)
 
     def test_two_node_hand_case(self):
@@ -273,28 +253,21 @@ class TestReadout:
         batch = _ego_batch(g, np.array([0]), hops=1)
         emb = np.array([[1.0, 2.0], [3.0, 4.0]])
         proj = np.arange(8.0).reshape(4, 2)
-        tape = ad.Tape()
-        out = _readout(batch, tape.leaf(emb, requires_grad=False),
-                       tape.leaf(proj, requires_grad=False))
+        out = _readout(batch, emb, proj)
         concat = np.array([[1.0, 2.0, 2.0, 3.0]])  # ego then mean
         np.testing.assert_allclose(out.data, concat @ proj)
 
 
 class TestClassify:
     def test_zero_parameters_give_uniform(self):
-        tape = ad.Tape()
-        out = ad.softmax_head(tape.leaf(np.ones((2, 3)), requires_grad=False),
-                              tape.leaf(np.zeros((3, 4)), requires_grad=False),
-                              tape.leaf(np.zeros((1, 4)), requires_grad=False))
+        out = ad.softmax_head(np.ones((2, 3)), np.zeros((3, 4)),
+                              np.zeros((1, 4)))
         np.testing.assert_allclose(out.data, 0.25)
 
     def test_saturated_logit_wins(self):
-        tape = ad.Tape()
         w = np.zeros((1, 3))
         b = np.array([[0.0, 40.0, 0.0]])
-        out = ad.softmax_head(tape.leaf(np.ones((1, 1)), requires_grad=False),
-                              tape.leaf(w, requires_grad=False),
-                              tape.leaf(b, requires_grad=False))
+        out = ad.softmax_head(np.ones((1, 1)), w, b)
         assert out.data[0, 1] >= 1.0 - 1e-6
 
     def test_matches_direct_softmax(self):
@@ -302,10 +275,7 @@ class TestClassify:
         emb = rng.normal(size=(5, 4))
         w = rng.normal(size=(4, 3))
         b = rng.normal(size=(1, 3))
-        tape = ad.Tape()
-        out = ad.softmax_head(tape.leaf(emb, requires_grad=False),
-                              tape.leaf(w, requires_grad=False),
-                              tape.leaf(b, requires_grad=False)).data
+        out = ad.softmax_head(emb, w, b).data
         logits = emb @ w + b
         ex = np.exp(logits - logits.max(axis=1, keepdims=True))
         np.testing.assert_allclose(out, ex / ex.sum(axis=1, keepdims=True),
@@ -313,11 +283,9 @@ class TestClassify:
 
     def test_rows_are_distributions(self):
         rng = np.random.default_rng(13)
-        tape = ad.Tape()
-        emb, w, b = (tape.leaf(v, requires_grad=False)
-                     for v in (rng.normal(size=(6, 3)) * 10,
-                               rng.normal(size=(3, 5)),
-                               rng.normal(size=(1, 5))))
+        emb = rng.normal(size=(6, 3)) * 10
+        w = rng.normal(size=(3, 5))
+        b = rng.normal(size=(1, 5))
         out = ad.softmax_head(emb, w, b)
         vals = out.data
         assert (vals > 0).all()
