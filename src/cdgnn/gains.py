@@ -15,6 +15,7 @@ the neighborhood plus the node itself.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -157,29 +158,30 @@ class MonteCarloGain:
 
 
 def monte_carlo_one_layer(params: GainParams, subgraph_degree: int,
-                          rest_degree: int, signal: float = 1.0,
-                          noise_ratio: float = 0.1, num_samples: int = 100_000,
+                          rest_degree: int, noise_ratio: float = 0.1,
+                          num_samples: int = 100_000,
                           seed: int = 0) -> MonteCarloGain:
     """Simulate one propagation step and compare against one_layer_gain.
 
     Each sample draws subgraph_degree neighbors that match the center's
     class with probability subgraph_homophily and rest_degree with
-    rest_homophily; matching neighbors emit +signal, the rest emit
-    -cross_class_ratio * signal, every emission (center included) gets
-    Gaussian noise with variance noise_ratio * signal^2, and edges carry
-    the uniform weight total_edge_weight / degree. The analytic value is
+    rest_homophily; matching neighbors emit +1 (the gain is scale-free),
+    the rest emit -cross_class_ratio, every emission (center included)
+    gets Gaussian noise with variance noise_ratio, and edges carry the
+    uniform weight w = total_edge_weight / degree. The analytic value is
     one_layer_gain at the group-mixture homophily, so this run doubles as
     an independent oracle for that formula.
 
-    Each group is drawn through its sufficient statistics rather than
-    neighbor by neighbor: the matching count is Binomial(count, homophily)
-    and the group's summed noise is one Normal(0, count * noise_ratio *
-    signal^2) draw. Every sample has the same law as per-neighbor draws,
-    at two draws per sample and group; the center's noise is drawn last.
+    No sample is drawn on its own. A sample's gain is u(a, b) + e, where a
+    and b count the matching neighbors of the two groups and the summed
+    noise e ~ N(0, noise_ratio (w^2 degree + 1) / (degree + 1)^2) is
+    independent of them. The sample mean and its standard error are drawn
+    from their exact joint law: how many samples fall on each (a, b), then
+    the noise's mean, its component along the centered u and the rest of
+    its sum of squares (chi-square, num_samples - 2 degrees of freedom).
+    Time and memory grow with the number of pairs (a, b), not num_samples.
     """
     params.validate()
-    if signal == 0.0:
-        raise ValueError("signal must be nonzero")
     if subgraph_degree < 0 or rest_degree < 0:
         raise ValueError("group degrees must be nonnegative")
     degree = subgraph_degree + rest_degree
@@ -191,44 +193,41 @@ def monte_carlo_one_layer(params: GainParams, subgraph_degree: int,
     if num_samples < 1000:
         raise ValueError(f"num_samples must be at least 1000, got {num_samples}")
     rng = np.random.default_rng(seed)
-    noise_std = np.sqrt(noise_ratio) * abs(signal)
     rho = params.cross_class_ratio
     edge_weight = params.total_edge_weight / degree
 
-    # The arithmetic runs in place, in the order of the plain expressions
-    # (signal * (same - rho * (count - same)), then + noise, and so on):
-    # fresh 100k-sample temporaries make the allocator trim and refault
-    # the heap once per cell.
-    def group(count: int, homophily: float) -> np.ndarray:
-        if count == 0:
-            return np.zeros(num_samples)
-        same = rng.binomial(count, homophily, size=num_samples)
-        total = np.subtract(count, same, dtype=np.float64)
-        total *= rho
-        np.subtract(same, total, out=total)
-        total *= signal
-        if noise_ratio > 0:
-            total += rng.normal(0.0, noise_std * np.sqrt(count),
-                                size=num_samples)
-        return total
+    def xlog(k: int, x: float) -> float:
+        return 0.0 if k == 0 else k * math.log(x) if x > 0 else -math.inf
 
-    total = group(subgraph_degree, params.subgraph_homophily)
-    total += group(rest_degree, params.rest_homophily)
-    total *= edge_weight
+    def group(count: int, homophily: float) -> tuple[list, list]:
+        """Each match count's summed emission and log probability (logs, as
+        a binomial coefficient such as C(1030, 515) overflows a float)."""
+        same = range(count + 1)
+        log_p = [math.lgamma(count + 1) - math.lgamma(k + 1) - math.lgamma(count - k + 1)
+                 + xlog(k, homophily) + xlog(count - k, 1.0 - homophily) for k in same]
+        return [k - rho * (count - k) for k in same], log_p
+
+    emit_a, log_a = group(subgraph_degree, params.subgraph_homophily)
+    emit_b, log_b = group(rest_degree, params.rest_homophily)
+    u = ((1.0 + edge_weight * np.add.outer(emit_a, emit_b))
+         / (degree + 1.0)).ravel()
+    log_p = np.add.outer(log_a, log_b).ravel()
+    p = np.exp(log_p - log_p.max())
+    n = rng.multinomial(num_samples, p / p.sum())
+    mean = n @ u / num_samples
+    ss = n @ (u - mean) ** 2
     if noise_ratio > 0:
-        center = rng.normal(0.0, noise_std, size=num_samples)
-        center += signal
-        total += center
-    else:
-        total += signal
-    total /= degree + 1.0
-    gains = np.divide(total, signal, out=total)
+        tau = math.sqrt(noise_ratio * (edge_weight**2 * degree + 1.0)) / (degree + 1.0)
+        mean += rng.normal(0.0, tau / math.sqrt(num_samples))
+        z = rng.normal()
+        rest = rng.chisquare(num_samples - 2)
+        ss += 2.0 * tau * z * math.sqrt(ss) + tau**2 * (z * z + rest)
     mix = effective_homophily(subgraph_degree / degree,
                               params.subgraph_homophily, params.rest_homophily)
     analytic = one_layer_gain(degree, params.total_edge_weight, rho, mix)
     return MonteCarloGain(
-        empirical=float(gains.mean()),
-        stderr=float(gains.std(ddof=1) / np.sqrt(num_samples)),
+        empirical=float(mean),
+        stderr=math.sqrt(ss / (num_samples - 1) / num_samples),
         analytic=analytic,
     )
 

@@ -213,10 +213,13 @@ def _fit(g: Graph, config: RunConfig, seed: int, train_nodes, val_nodes,
     predict); `rngs` are the init, batch order, dropout, counterfactual
     permutation and HSIC row streams. One ad.AdamState starts from params
     and rates (a rate or a rate dict) and holds the run's parameters.
-    `step(state, guard)` trains one epoch, stepping the state in place, and
-    returns its history row, passing each loss breakdown to `guard` before
-    differentiating it. `predict(params)` labels the val nodes. The result's
-    params are views into the state's buffer, holding the best epoch's.
+    `step(state, leaves, guard)` trains one epoch, stepping the state in
+    place, and returns its history row, passing each loss breakdown to
+    `guard` before differentiating it. `leaves` are made once per run: they
+    share the state's arrays, which every step updates in place, and
+    `ad.gradients` leaves them clear for the next step. `predict(params)`
+    labels the val nodes. The result's params are views into the state's
+    buffer, holding the best epoch's.
     """
     config.validate()
     train_nodes = np.asarray(train_nodes, dtype=np.int64).reshape(-1)
@@ -225,6 +228,7 @@ def _fit(g: Graph, config: RunConfig, seed: int, train_nodes, val_nodes,
             for s in np.random.SeedSequence(seed).spawn(5)]
     params, rates, step, predict = model(train_nodes, val_nodes, rngs)
     state = ad.AdamState(params, rates)
+    leaves = ad.leaves(state.params)
     val_labels = g.labels[val_nodes]
 
     history: list[dict[str, float]] = []
@@ -240,7 +244,7 @@ def _fit(g: Graph, config: RunConfig, seed: int, train_nodes, val_nodes,
                     raise RuntimeError(
                         f"non-finite {key} ({value}) at epoch {epoch}")
 
-        row = step(state, guard)
+        row = step(state, leaves, guard)
         row["epoch"] = float(epoch)
         val_acc = float((predict(state.params) == val_labels).mean())
         row["val_acc"] = val_acc
@@ -292,13 +296,12 @@ def train_cdgnn(g: Graph, config: RunConfig, seed: int,
             g, config.resolved_hops, np.concatenate([train_nodes, val_nodes]))
         val_batches = _eval_batches(g, egos, val_nodes)
 
-        def step(state, guard):
+        def step(state, leaves, guard):
             sums: dict[str, float] = {}
             graphs_seen = 0
             for nodes in _train_batches(train_nodes, config.batch_size,
                                         rng_batch):
                 batch = batch_from_cache(g, egos, nodes)
-                leaves = ad.leaves(state.params)
                 fwd = two_branch_forward(batch, leaves, config.dropout,
                                          rng_dropout, training=True)
                 y = batch.ego_labels
@@ -369,14 +372,13 @@ def train_gcn_baseline(g: Graph, config: RunConfig, seed: int,
         plan = ad.PropagationPlan.from_edges(g.edges, g.num_nodes)
         y_train = g.labels[train_nodes]
 
-        def step(state, guard):
-            t = ad.leaves(state.params)
-            probs = _gcn_probs(g, plan, t, train_nodes, config.dropout,
+        def step(state, leaves, guard):
+            probs = _gcn_probs(g, plan, leaves, train_nodes, config.dropout,
                                rng_dropout, training=True)
             loss = ad.mean(ad.nll_rows(probs, y_train))
             row = {"loss": loss.item()}
             guard(row)
-            grads = ad.gradients(loss, t)
+            grads = ad.gradients(loss, leaves)
             ad.adam_step(state, grads, config.weight_decay)
             return row
 
@@ -473,9 +475,12 @@ class RunRecord:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         payload = self.canonical_dict()
+        # record_hash(), from the payload already built
+        digest = hashlib.sha256(
+            json.dumps(payload, sort_keys=True).encode()).hexdigest()
         payload["wall_time"] = self.wall_time
         path = out / (f"run_{self.model}_{self.dataset}_"
-                      f"{self.record_hash()[:8]}_s{self.seed}.json")
+                      f"{digest[:8]}_s{self.seed}.json")
         path.write_text(json.dumps(payload, indent=2))
         return path
 

@@ -1,5 +1,7 @@
 """Closed-form gain expressions, Monte Carlo checks, and the audit."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -304,47 +306,37 @@ class TestMonteCarloAgainstPerEmissionOracle:
         np.testing.assert_allclose(mc.stderr, stderr, rtol=0.05)
 
 
-def _plain_monte_carlo(params, subgraph_degree, rest_degree, signal,
-                       noise_ratio, num_samples, seed):
-    """Oracle: monte_carlo_one_layer's sampler as plain expressions, each
-    allocating its result. Returns (empirical gain, its standard error)."""
-    rng = np.random.default_rng(seed)
-    noise_std = np.sqrt(noise_ratio) * abs(signal)
-    rho = params.cross_class_ratio
-    degree = subgraph_degree + rest_degree
-    edge_weight = params.total_edge_weight / degree
-
-    def group(count, homophily):
-        if count == 0:
-            return np.zeros(num_samples)
-        same = rng.binomial(count, homophily, size=num_samples)
-        total = signal * (same - rho * (count - same))
-        if noise_ratio > 0:
-            total = total + rng.normal(0.0, noise_std * np.sqrt(count),
-                                       size=num_samples)
-        return total
-
-    total = group(subgraph_degree, params.subgraph_homophily)
-    total = total + group(rest_degree, params.rest_homophily)
-    center = signal
-    if noise_ratio > 0:
-        center = center + rng.normal(0.0, noise_std, size=num_samples)
-    gains = (center + edge_weight * total) / (degree + 1.0) / signal
-    return float(gains.mean()), float(gains.std(ddof=1) / np.sqrt(num_samples))
+def _across_seeds(sample, seeds):
+    """Mean and spread of the empirical gains, then of the stderrs, of
+    `sample(seed)` over `seeds`."""
+    draws = np.array([sample(seed) for seed in seeds])
+    return (*draws.mean(axis=0), *draws.std(axis=0, ddof=1))
 
 
 @pytest.mark.parametrize("cell", range(len(_ORACLE_CELLS)))
-@pytest.mark.parametrize("signal", [1.0, -1.7])
-def test_in_place_sampler_gives_the_bits_of_plain_expressions(cell, signal):
+def test_across_seeds_the_law_of_per_emission_draws(cell):
+    """The drawn (mean, stderr) pair has the law of the per-emission
+    sampler's: same center and spread of the mean, same typical stderr
+    and spread of it."""
     params, sub, rest, noise = _ORACLE_CELLS[cell]
-    for first, second in ((sub, rest), (rest, sub)):
-        if first + second == 0 or params.degree != first + second:
-            continue
-        mc = monte_carlo_one_layer(params, first, second, signal=signal,
-                                   noise_ratio=noise, num_samples=5000,
-                                   seed=40 + cell)
-        assert (mc.empirical, mc.stderr) == _plain_monte_carlo(
-            params, first, second, signal, noise, 5000, 40 + cell)
+    seeds = 1000
+
+    def drawn(seed):
+        mc = monte_carlo_one_layer(params, sub, rest, noise_ratio=noise,
+                                   num_samples=1000, seed=seed)
+        return mc.empirical, mc.stderr
+
+    def per_emission(seed):
+        return _per_emission_monte_carlo(params, sub, rest, noise,
+                                         num_samples=1000, seed=seed)
+
+    mean, stderr, spread, stderr_spread = _across_seeds(
+        drawn, range(10_000, 10_000 + seeds))
+    want = _across_seeds(per_emission, range(seeds))
+    assert abs(mean - want[0]) <= 4.0 * np.hypot(spread, want[2]) / np.sqrt(seeds)
+    np.testing.assert_allclose(stderr, want[1], rtol=0.01)
+    np.testing.assert_allclose(spread, want[2], rtol=0.15)
+    np.testing.assert_allclose(stderr_spread, want[3], rtol=0.15)
 
 
 class TestMonteCarlo:
@@ -375,12 +367,65 @@ class TestMonteCarlo:
 
     def test_input_guards(self):
         params = _mc_params()
-        with pytest.raises(ValueError, match="signal"):
-            monte_carlo_one_layer(params, 3, 0, signal=0.0)
         with pytest.raises(ValueError, match="sum"):
             monte_carlo_one_layer(params, 2, 0)
         with pytest.raises(ValueError, match="num_samples"):
             monte_carlo_one_layer(params, 3, 0, num_samples=10)
+
+    @pytest.mark.parametrize("cell", range(len(_ORACLE_CELLS)))
+    def test_three_stderr_cover_the_analytic_gain_at_its_rate(self, cell):
+        """A normal mean lies within 3 stderr with probability 0.9973."""
+        params, sub, rest, noise = _ORACLE_CELLS[cell]
+        hits = [monte_carlo_one_layer(params, sub, rest, noise_ratio=noise,
+                                      num_samples=2000, seed=seed).within(3.0)
+                for seed in range(1000)]
+        assert 0.99 <= np.mean(hits) <= 1.0
+
+    @pytest.mark.parametrize("homophily", [0.0, 1.0])
+    def test_zero_spread_cell_has_only_the_noise_spread(self, homophily):
+        """Every sample has the same match count, so only the noise moves
+        the result: the mean by N(0, tau^2 / N) and the sum of squares to
+        tau^2 (Z^2 + chi^2_{N-2}), drawn in that order after the counts,
+        with tau^2 = noise (w^2 d + 1) / (d + 1)^2."""
+        params = _mc_params(degree=4, weight=2.0, h_sub=homophily,
+                            h_rest=homophily)
+        emitted = 4.0 if homophily == 1.0 else -0.5 * 4
+        gain = (1.0 + 0.5 * emitted) / 5.0
+        tau = np.sqrt(0.1 * (0.5**2 * 4 + 1.0)) / 5.0
+        n = 100_000
+        for seed in range(20):
+            mc = monte_carlo_one_layer(params, 4, 0, noise_ratio=0.1,
+                                       num_samples=n, seed=seed)
+            rng = np.random.default_rng(seed)
+            rng.multinomial(n, np.eye(5)[4 if homophily == 1.0 else 0])
+            noise_mean = rng.normal(0.0, tau / np.sqrt(n))
+            z = rng.normal()
+            rest = rng.chisquare(n - 2)
+            np.testing.assert_allclose(mc.empirical, gain + noise_mean,
+                                       rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(
+                mc.stderr, tau * np.sqrt((z * z + rest) / (n - 1) / n),
+                rtol=1e-12)
+            np.testing.assert_allclose(mc.stderr, tau / np.sqrt(n), rtol=0.02)
+
+    def test_degree_past_float_binomial_coefficients(self):
+        """C(5000, 2500) overflows a float; the sampler works in logs."""
+        params = _mc_params(degree=5000, h_sub=0.5, h_rest=0.5)
+        mc = monte_carlo_one_layer(params, 5000, 0, seed=2)
+        assert np.isfinite(mc.empirical) and mc.stderr > 0
+        assert mc.within(3.0)
+
+    def test_memory_does_not_grow_with_samples(self):
+        tracemalloc.start()
+        try:
+            mc = monte_carlo_one_layer(_mc_params(degree=15, h_sub=0.5,
+                                                  h_rest=0.5),
+                                       15, 0, num_samples=10**9, seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert mc.within(3.0)
 
     def test_seed_reproducible(self):
         a = monte_carlo_one_layer(_mc_params(), 3, 0, seed=11)

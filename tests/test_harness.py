@@ -349,6 +349,25 @@ def test_result_params_are_the_best_epoch_in_one_buffer(train):
         np.testing.assert_array_equal(full.params[key], cut.params[key])
 
 
+@pytest.mark.parametrize("train", [train_cdgnn, train_gcn_baseline])
+def test_one_set_of_leaves_per_run(train, monkeypatch):
+    """The leaves share the parameter buffer that Adam updates in place,
+    so every batch of every epoch differentiates through the same ones."""
+    calls, real = [], ad.leaves
+
+    def counted(values):
+        calls.append(sorted(values))
+        return real(values)
+
+    monkeypatch.setattr(ad, "leaves", counted)
+    g = _tiny_graph(seed=0)
+    sp = split_nodes(g.num_nodes, seed=0)
+    result = train(g, _tiny_config(epochs=3, batch_size=4), 0, sp.train,
+                   sp.val)
+    assert result.epochs_run == 3
+    assert calls == [sorted(result.params)]
+
+
 def test_training_leaves_no_cyclic_garbage():
     """Each step's graph is freed by reference count: with the cyclic
     collector off, training leaves it no Tensor to find."""
@@ -402,8 +421,9 @@ class TestRunRecord:
         assert path.name == (f"run_cdgnn_stub_{record.record_hash()[:8]}_s7"
                              ".json")
         payload = json.loads(path.read_text())
-        assert payload["wall_time"] == 0.0
+        assert payload.pop("wall_time") == 0.0
         assert payload["seed"] == 7
+        assert json.dumps(payload, sort_keys=True) == record.canonical_json()
 
 
 class TestRunExperiment:
