@@ -17,8 +17,8 @@ from .gains import (AuditReport, GainParams, ImprovementReport,
                     assumption_audit, deep_layer_gain, default_grid_cells,
                     effective_homophily, gain_improvement_check,
                     monte_carlo_one_layer, one_layer_gain, theory_check_grid)
-from .harness import (RunConfig, RunRecord, ablate, evaluate, multirun,
-                      run_experiment, split_nodes, sweep, train_cdgnn,
+from .harness import (RunConfig, RunRecord, evaluate, run_experiment,
+                      run_variants, split_nodes, train_cdgnn,
                       train_gcn_baseline)
 
 __version__ = "0.1.0"
@@ -35,8 +35,7 @@ __all__ = [
     "assumption_audit", "deep_layer_gain", "default_grid_cells",
     "effective_homophily", "gain_improvement_check",
     "monte_carlo_one_layer", "one_layer_gain", "theory_check_grid",
-    "RunConfig", "RunRecord", "ablate", "evaluate", "multirun",
-    "run_experiment", "split_nodes", "sweep", "train_cdgnn",
-    "train_gcn_baseline",
+    "RunConfig", "RunRecord", "evaluate", "run_experiment", "run_variants",
+    "split_nodes", "train_cdgnn", "train_gcn_baseline",
     "__version__",
 ]

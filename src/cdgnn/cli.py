@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -19,9 +20,9 @@ import numpy as np
 from .gains import assumption_audit, default_grid_cells, theory_check_grid
 from .graphs import (feature_heterophily, label_heterophily, load_graph,
                      save_graph)
-from .harness import (RunConfig, RunRecord, ablate, evaluate, load_model,
-                      multirun, run_experiment, save_model, save_sweep,
-                      split_nodes, sweep, write_report_csv)
+from .harness import (RunConfig, RunRecord, aggregate_runs, evaluate,
+                      load_model, run_experiment, run_variants, save_model,
+                      save_sweep, split_nodes, write_report_csv)
 from .synth import PRESET_NAMES, preset, relabel_to_heterophily
 
 __all__ = ["main", "build_parser"]
@@ -114,12 +115,11 @@ def _train(args, model: str) -> int:
     config = _config_from_args(args)
     if args.num_runs > 1:
         seeds = [args.seed + i for i in range(args.num_runs)]
-        result = multirun(g, config, seeds, dataset, model)
-        out_dir = Path(args.out_dir)
-        for record in result.records:
-            record.save(out_dir)
-        print(f"{model} on {dataset}: "
-              f"{result.mean_accuracy:.4f} +/- {result.std_accuracy:.4f} "
+        records = run_variants(g, {model: config}, seeds, dataset, model)[model]
+        for record in records:
+            record.save(args.out_dir)
+        mean, std = aggregate_runs([r.test_accuracy for r in records])
+        print(f"{model} on {dataset}: {mean:.4f} +/- {std:.4f} "
               f"over {len(seeds)} runs")
         return 0
     record, params = run_experiment(g, config, args.seed, dataset, model,
@@ -171,30 +171,47 @@ def _cmd_evaluate(args) -> int:
 def _cmd_ablate(args) -> int:
     g, dataset = _resolve_graph(args)
     config = _config_from_args(args)
-    rows = ablate(g, config, args.seed, dataset)
-    out_dir = Path(args.out_dir)
+    # The full objective, then each single-term ablation flag of RunConfig.
+    variants = {"full": config}
+    for flag in (f.name for f in fields(RunConfig) if f.name.startswith("no_")):
+        variants[flag] = replace(config, **{flag: True})
+    runs = run_variants(g, variants, [args.seed], dataset)
     records = []
-    for name, record in rows.items():
-        record.save(out_dir)
+    for name, (record,) in runs.items():
+        record.save(args.out_dir)
         records.append(record)
         print(f"{name:24s} test accuracy {record.test_accuracy:.4f}")
-    write_report_csv(records, out_dir / "ablation.csv")
+    write_report_csv(records, args.out_dir / "ablation.csv")
     return 0
 
 
+def _distinct_floats(text: str, flag: str) -> list[float]:
+    values = [float(v) for v in text.split(",")]
+    if len(set(values)) != len(values):
+        raise ValueError(f"{flag} repeats a value: {text}")
+    return values
+
+
 def _cmd_sweep(args) -> int:
+    l1 = _distinct_floats(args.lambda1_values, "--lambda1-values")
+    l2 = _distinct_floats(args.lambda2_values, "--lambda2-values")
     g, dataset = _resolve_graph(args)
     config = _config_from_args(args)
-    l1 = [float(v) for v in args.lambda1_values.split(",")]
-    l2 = [float(v) for v in args.lambda2_values.split(",")]
     seeds = [args.seed + i for i in range(args.num_runs)]
-    result = sweep(g, config, l1, l2, seeds, dataset)
-    csv_path, json_path = save_sweep(result, args.out_dir)
-    best = max(result.rows, key=lambda r: r["mean_accuracy"])
+    # One variant per grid cell: independence weight outer, counterfactual inner.
+    variants = {f"lambda1={a} lambda2={b}":
+                replace(config, lambda_counterfactual=a, lambda_independence=b)
+                for b in l2 for a in l1}
+    runs = run_variants(g, variants, seeds, dataset)
+    csv_path, json_path = save_sweep(runs, args.out_dir)
+    means = {name: aggregate_runs([r.test_accuracy for r in records])[0]
+             for name, records in runs.items()}
+    best = max(means, key=means.get)
+    cell = runs[best][0].config
     print(f"wrote {csv_path} and {json_path}")
-    print(f"best cell: lambda1={best['lambda_counterfactual']} "
-          f"lambda2={best['lambda_independence']} "
-          f"accuracy {best['mean_accuracy']:.4f}")
+    print(f"best cell: lambda1={cell['lambda_counterfactual']} "
+          f"lambda2={cell['lambda_independence']} "
+          f"accuracy {means[best]:.4f}")
     return 0
 
 

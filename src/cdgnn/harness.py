@@ -21,7 +21,7 @@ import json
 import math
 import time
 import zipfile
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -46,13 +46,9 @@ __all__ = [
     "evaluate",
     "RunRecord",
     "run_experiment",
+    "run_variants",
     "dataset_hash",
     "aggregate_runs",
-    "MultirunResult",
-    "multirun",
-    "ablate",
-    "SweepResult",
-    "sweep",
     "save_sweep",
     "write_report_csv",
     "SavedModel",
@@ -485,26 +481,28 @@ class RunRecord:
         return path
 
 
-def run_experiment(g: Graph, config: RunConfig, seed: int,
-                   dataset: str = "custom", model: str = "cdgnn",
-                   return_params: bool = False, *,
-                   graph_hash: str | None = None):
-    """Split, train, evaluate on test, and assemble the record.
-
-    With return_params=True, returns (record, trained parameter dict).
-    graph_hash is dataset_hash(g), computed here when omitted; callers
-    that run one graph many times pass it once.
-    """
+def _check(model: str, configs) -> None:
+    """Refuse an unknown model or an invalid config before any work."""
     if model not in ("cdgnn", "gcn"):
         raise ValueError(f"unknown model {model!r}")
-    config.validate()  # before the ego cache, which can take a while
+    for config in configs:
+        config.validate()
+
+
+def _run(g: Graph, config: RunConfig, seed: int, dataset: str, model: str,
+         graph_hash: str, caches: dict) -> tuple[RunRecord, dict]:
+    """Split, train, evaluate on test, and assemble the record, with the
+    trained parameters. A CD-GNN run takes its all-node ego cache from
+    `caches` (hops -> cache), building and adding it when missing."""
     sp = split_nodes(g.num_nodes, seed)
     start = time.perf_counter()
     hops = config.resolved_hops
     cache = None
     if model == "cdgnn":
         # One ego subgraph per node, shared by training and both evaluations.
-        cache = build_ego_cache(g, hops, np.arange(g.num_nodes))
+        if hops not in caches:
+            caches[hops] = build_ego_cache(g, hops, np.arange(g.num_nodes))
+        cache = caches[hops]
         result = train_cdgnn(g, config, seed, sp.train, sp.val, cache)
     else:
         result = train_gcn_baseline(g, config, seed, sp.train, sp.val)
@@ -513,7 +511,7 @@ def run_experiment(g: Graph, config: RunConfig, seed: int,
     wall = time.perf_counter() - start
     record = RunRecord(
         dataset=dataset,
-        dataset_hash=dataset_hash(g) if graph_hash is None else graph_hash,
+        dataset_hash=graph_hash,
         model=model,
         seed=seed,
         config=asdict(config),
@@ -528,9 +526,47 @@ def run_experiment(g: Graph, config: RunConfig, seed: int,
         history=result.history,
         wall_time=wall,
     )
-    if return_params:
-        return record, result.params
-    return record
+    return record, result.params
+
+
+def run_experiment(g: Graph, config: RunConfig, seed: int,
+                   dataset: str = "custom", model: str = "cdgnn",
+                   return_params: bool = False):
+    """Split, train, evaluate on test, and assemble the record.
+
+    With return_params=True, returns (record, trained parameter dict).
+    """
+    _check(model, [config])  # before the ego cache, which can take a while
+    record, params = _run(g, config, seed, dataset, model, dataset_hash(g), {})
+    return (record, params) if return_params else record
+
+
+def run_variants(g: Graph, variants: dict[str, RunConfig],
+                 seeds: Sequence[int], dataset: str = "custom",
+                 model: str = "cdgnn") -> dict[str, list[RunRecord]]:
+    """Each variant's records, one per seed in seed order, keyed as
+    `variants` (a name -> RunConfig map) and in its order.
+
+    The model, every config and the seeds are checked before any run. `g`
+    is hashed once, and a CD-GNN builds one all-node ego cache per distinct
+    resolved_hops, which every run at those hops reads and none writes.
+    Each record equals run_experiment's for its config and seed, except
+    the non-canonical wall_time, which excludes a cache shared from an
+    earlier run.
+    """
+    seeds = list(seeds)
+    if not variants:
+        raise ValueError("run_variants needs at least one variant")
+    if not seeds:
+        raise ValueError("run_variants needs at least one seed")
+    if len(set(seeds)) != len(seeds):
+        raise ValueError(f"seeds must be distinct, got {seeds}")
+    _check(model, variants.values())
+    graph_hash = dataset_hash(g)
+    caches: dict = {}
+    return {name: [_run(g, config, seed, dataset, model, graph_hash,
+                        caches)[0] for seed in seeds]
+            for name, config in variants.items()}
 
 
 def aggregate_runs(accuracies: Sequence[float]) -> tuple[float, float]:
@@ -541,100 +577,39 @@ def aggregate_runs(accuracies: Sequence[float]) -> tuple[float, float]:
     return float(a.mean()), float(a.std(ddof=0))
 
 
-@dataclass
-class MultirunResult:
-    records: list[RunRecord]
-    accuracies: list[float]
-    mean_accuracy: float
-    std_accuracy: float
-
-
-def multirun(g: Graph, config: RunConfig, seeds: Sequence[int],
-             dataset: str = "custom", model: str = "cdgnn") -> MultirunResult:
-    seeds = list(seeds)
-    if len(seeds) < 2:
-        raise ValueError("multirun needs at least 2 runs")
-    if len(set(seeds)) != len(seeds):
-        raise ValueError("multirun seeds must be distinct")
-    graph_hash = dataset_hash(g)
-    records = [run_experiment(g, config, s, dataset, model,
-                              graph_hash=graph_hash) for s in seeds]
-    accs = [r.test_accuracy for r in records]
-    mean, std = aggregate_runs(accs)
-    return MultirunResult(records=records, accuracies=accs,
-                          mean_accuracy=mean, std_accuracy=std)
-
-
-_ABLATION_FLAGS = ("no_shortcut_term", "no_causal_term",
-                   "no_counterfactual_term", "no_independence_term")
-
-
-def ablate(g: Graph, config: RunConfig, seed: int,
-           dataset: str = "custom") -> dict[str, RunRecord]:
-    """Full objective plus each single-term ablation, same seed."""
-    graph_hash = dataset_hash(g)
-    rows = {"full": run_experiment(g, config, seed, dataset,
-                                   graph_hash=graph_hash)}
-    for flag in _ABLATION_FLAGS:
-        variant = replace(config, **{flag: True})
-        rows[flag] = run_experiment(g, variant, seed, dataset,
-                                    graph_hash=graph_hash)
-    return rows
-
-
-@dataclass
-class SweepResult:
-    rows: list[dict]
-    plot: dict
-
-
-def sweep(g: Graph, config: RunConfig, counterfactual_weights: Sequence[float],
-          independence_weights: Sequence[float], seeds: Sequence[int],
-          dataset: str = "custom") -> SweepResult:
-    """Grid over the two loss weights; one plot series per independence weight."""
-    seeds = list(seeds)
-    if len(set(seeds)) != len(seeds):
-        raise ValueError("sweep seeds must be distinct")
-    graph_hash = dataset_hash(g)
+def save_sweep(runs: dict[str, list[RunRecord]], out_dir) -> tuple[Path, Path]:
+    """Write a loss-weight grid's run_variants records as sweep.csv, one
+    row per variant, and sweep.json, one plot series per independence
+    weight over the counterfactual weights, in variant order; each weight
+    is read from the records' config."""
     rows = []
-    series = []
-    for l2 in independence_weights:
-        means, stds = [], []
-        for l1 in counterfactual_weights:
-            variant = replace(config, lambda_counterfactual=l1,
-                              lambda_independence=l2)
-            mean, std = aggregate_runs([
-                run_experiment(g, variant, s, dataset,
-                               graph_hash=graph_hash).test_accuracy
-                for s in seeds])
-            rows.append({
-                "lambda_counterfactual": l1,
-                "lambda_independence": l2,
-                "mean_accuracy": mean,
-                "std_accuracy": std,
-                "num_runs": len(seeds),
-            })
-            means.append(mean)
-            stds.append(std)
-        series.append({
-            "label": f"independence weight {l2}",
-            "x": list(counterfactual_weights),
-            "y": means,
-            "yerr": stds,
+    series: dict[float, dict] = {}
+    for records in runs.values():
+        l1 = records[0].config["lambda_counterfactual"]
+        l2 = records[0].config["lambda_independence"]
+        mean, std = aggregate_runs([r.test_accuracy for r in records])
+        rows.append({
+            "lambda_counterfactual": l1,
+            "lambda_independence": l2,
+            "mean_accuracy": mean,
+            "std_accuracy": std,
+            "num_runs": len(records),
         })
-    return SweepResult(rows=rows, plot={"series": series})
-
-
-def save_sweep(result: SweepResult, out_dir) -> tuple[Path, Path]:
+        line = series.setdefault(l2, {"label": f"independence weight {l2}",
+                                      "x": [], "y": [], "yerr": []})
+        line["x"].append(l1)
+        line["y"].append(mean)
+        line["yerr"].append(std)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "sweep.csv"
     with csv_path.open("w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(result.rows[0].keys()))
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
         writer.writeheader()
-        writer.writerows(result.rows)
+        writer.writerows(rows)
     json_path = out / "sweep.json"
-    json_path.write_text(json.dumps(result.plot, indent=2))
+    json_path.write_text(json.dumps({"series": list(series.values())},
+                                    indent=2))
     return csv_path, json_path
 
 

@@ -141,7 +141,13 @@ class TestAblate:
                      "no_counterfactual_term", "no_independence_term"):
             assert name in stdout
         assert (out_dir / "ablation.csv").exists()
-        assert len(list(out_dir.glob("run_cdgnn_*.json"))) == 5
+        records = [json.loads(p.read_text())
+                   for p in out_dir.glob("run_cdgnn_*.json")]
+        assert len(records) == 5
+        flags = ("no_shortcut_term", "no_causal_term",
+                 "no_counterfactual_term", "no_independence_term")
+        assert sorted(sum(r["config"][f] for f in flags)
+                      for r in records) == [0, 1, 1, 1, 1]
 
 
 class TestSweep:
@@ -158,6 +164,19 @@ class TestSweep:
         payload = json.loads((out_dir / "sweep.json").read_text())
         assert payload["series"][0]["label"] == "independence weight 0.1"
         assert "best cell" in capsys.readouterr().out
+
+    def test_cells_run_lambda2_outer_lambda1_inner(self, tiny_graph_file,
+                                                    tmp_path):
+        out_dir = tmp_path / "runs"
+        code = main(["sweep", "--graph", str(tiny_graph_file),
+                     "--lambda1-values", "1,0", "--lambda2-values", "0.2,0.1",
+                     "--out-dir", str(out_dir)] + _FAST)
+        assert code == 0
+        lines = (out_dir / "sweep.csv").read_text().splitlines()[1:]
+        assert [line.split(",")[:2] for line in lines] == [
+            ["1.0", "0.2"], ["0.0", "0.2"], ["1.0", "0.1"], ["0.0", "0.1"]]
+        series = json.loads((out_dir / "sweep.json").read_text())["series"]
+        assert [s["x"] for s in series] == [[1.0, 0.0], [1.0, 0.0]]
 
 
 class TestTheoryCheck:
@@ -394,6 +413,25 @@ class TestInputErrors:
                                      f"{flag}={value}"],
                             f"{name} must be finite")
         assert list(tmp_path.glob("run_*.json")) == []
+
+    @pytest.mark.parametrize("flag", ["--lambda1-values", "--lambda2-values"])
+    def test_repeated_sweep_value_is_one_line_error(self, flag, tiny_graph_file,
+                                                    tmp_path, capsys):
+        _one_line_error(capsys, ["sweep", "--graph", tiny_graph_file,
+                                 "--out-dir", tmp_path, *_FAST,
+                                 flag, "5,0.1,5"],
+                        f"{flag} repeats a value: 5,0.1,5")
+        assert list(tmp_path.iterdir()) == [tiny_graph_file]
+
+    def test_invalid_sweep_cell_trains_nothing(self, tiny_graph_file,
+                                               tmp_path, capsys):
+        out_dir = tmp_path / "runs"
+        _one_line_error(capsys, ["sweep", "--graph", tiny_graph_file,
+                                 "--out-dir", out_dir, *_FAST,
+                                 "--lambda1-values", "5,-1",
+                                 "--lambda2-values", "0.1"],
+                        "loss weights must be nonnegative")
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize("command", ["train", "train-baseline", "sweep"])
     def test_num_runs_below_one_is_one_line_error(self, command, capsys):

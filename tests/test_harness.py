@@ -1,16 +1,17 @@
-"""Splits, training loops, run records, and experiment drivers."""
+"""Splits, training loops, run records, and the variant runner."""
 
 import gc
 import json
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
 
 from cdgnn import autodiff as ad
-from cdgnn import harness, models
+from cdgnn import cli, harness, models
 from cdgnn.disentangle import init_cdgnn_params
-from cdgnn.graphs import Graph, feature_heterophily, label_heterophily
+from cdgnn.graphs import (Graph, feature_heterophily, label_heterophily,
+                          save_graph)
 from cdgnn.harness import (
     RunConfig,
     RunRecord,
@@ -18,12 +19,11 @@ from cdgnn.harness import (
     dataset_hash,
     evaluate,
     load_model,
-    multirun,
     run_experiment,
+    run_variants,
     save_model,
     save_sweep,
     split_nodes,
-    sweep,
     train_cdgnn,
     train_gcn_baseline,
     write_report_csv,
@@ -493,17 +493,111 @@ class TestAggregation:
             aggregate_runs([])
 
 
+def _stub_run(accuracy):
+    """A stand-in for harness._run whose record has `accuracy(config, seed)`
+    and the config and graph hash it was given."""
+    def run(g, config, seed, dataset, model, graph_hash, caches):
+        record = _stub_record(seed, accuracy(config, seed))
+        record.config = asdict(config)
+        record.dataset_hash = graph_hash
+        return record, {}
+    return run
+
+
+def _grid(config, counterfactual_weights, independence_weights):
+    """Loss-weight grid variants as the CLI's sweep builds them:
+    independence weight outer, counterfactual weight inner."""
+    return {f"{l1},{l2}": replace(config, lambda_counterfactual=l1,
+                                  lambda_independence=l2)
+            for l2 in independence_weights for l1 in counterfactual_weights}
+
+
+class TestRunVariants:
+    @pytest.mark.parametrize("model", ["cdgnn", "gcn"])
+    def test_records_equal_run_experiment(self, model):
+        g = _tiny_graph(seed=12)
+        variants = {"base": _tiny_config(),
+                    "no_cf": _tiny_config(no_counterfactual_term=True)}
+        runs = run_variants(g, variants, [1, 0], "tiny", model)
+        assert list(runs) == ["base", "no_cf"]
+        for name, config in variants.items():
+            assert [r.seed for r in runs[name]] == [1, 0]
+            for record in runs[name]:
+                assert record.record_hash() == run_experiment(
+                    g, config, record.seed, "tiny", model).record_hash()
+
+    def test_one_ego_cache_per_hops(self, monkeypatch):
+        built = []
+        real = harness.build_ego_cache
+
+        def counting(g, hops, nodes):
+            built.append(hops)
+            return real(g, hops, nodes)
+
+        monkeypatch.setattr(harness, "build_ego_cache", counting)
+        g = _tiny_graph(seed=13)
+        cfg = _tiny_config(epochs=1)
+        two = {"a": cfg, "b": replace(cfg, lambda_independence=0.5)}
+        run_variants(g, two, [0, 1, 2])
+        assert built == [2]
+        built.clear()
+        run_variants(g, {**two, "one_hop": replace(cfg, ego_hops=1)}, [0])
+        assert built == [2, 1]
+
+    def test_shared_cache_is_read_only(self, monkeypatch):
+        """Runs sharing a cache whose arrays refuse writes still train."""
+        real = harness.build_ego_cache
+
+        def frozen(g, hops, nodes):
+            cache = real(g, hops, nodes)
+            for arrays in cache.values():
+                for a in arrays:
+                    a.flags.writeable = False
+            return cache
+
+        monkeypatch.setattr(harness, "build_ego_cache", frozen)
+        g = _tiny_graph(seed=14)
+        cfg = _tiny_config(epochs=1)
+        runs = run_variants(g, {"a": cfg, "b": replace(cfg, q=0.5)}, [0, 1])
+        assert runs["b"][1].record_hash() == run_experiment(
+            g, replace(cfg, q=0.5), 1).record_hash()
+
+    def test_invalid_last_variant_stops_before_any_work(self, monkeypatch):
+        calls = []
+        for name in ("dataset_hash", "build_ego_cache", "train_cdgnn",
+                     "train_gcn_baseline"):
+            monkeypatch.setattr(harness, name,
+                                lambda *a, name=name, **k: calls.append(name))
+        cfg = _tiny_config()
+        variants = {"ok": cfg,
+                    "bad": replace(cfg, lambda_counterfactual=-1.0)}
+        for model in ("cdgnn", "gcn"):
+            with pytest.raises(ValueError, match="must be nonnegative"):
+                run_variants(_tiny_graph(), variants, [0, 1], model=model)
+        assert calls == []
+
+    def test_guards(self):
+        g = _tiny_graph()
+        with pytest.raises(ValueError, match="at least one variant"):
+            run_variants(g, {}, [0])
+        with pytest.raises(ValueError, match="unknown model"):
+            run_variants(g, {"a": _tiny_config()}, [0], model="mlp")
+
+
 class TestMultirun:
+    """One variant over several seeds, as `train --num-runs` runs it."""
+
     def test_aggregates_stubbed_runs(self, monkeypatch):
         table = {0: 0.5, 1: 0.6, 2: 0.7}
-        monkeypatch.setattr(
-            harness, "run_experiment",
-            lambda g, cfg, seed, dataset="custom", model="cdgnn", *,
-            graph_hash=None: _stub_record(seed, table[seed]))
-        result = multirun(_tiny_graph(), _tiny_config(), seeds=[0, 1, 2])
-        assert result.accuracies == [0.5, 0.6, 0.7]
-        np.testing.assert_allclose(result.mean_accuracy, 0.6)
-        np.testing.assert_allclose(result.std_accuracy, 0.08164965809277258)
+        monkeypatch.setattr(harness, "_run",
+                            _stub_run(lambda config, seed: table[seed]))
+        runs = run_variants(_tiny_graph(), {"cdgnn": _tiny_config()},
+                            seeds=[2, 0, 1])
+        accs = [r.test_accuracy for r in runs["cdgnn"]]
+        assert accs == [0.7, 0.5, 0.6]
+        mean, std = aggregate_runs(accs)
+        np.testing.assert_allclose(mean, 0.6)
+        np.testing.assert_allclose(std, 0.08164965809277258)
 
     def test_hashes_the_graph_once(self, monkeypatch):
         calls = []
@@ -514,73 +608,92 @@ class TestMultirun:
 
         monkeypatch.setattr(harness, "dataset_hash", counting_hash)
         g = _tiny_graph()
-        result = multirun(g, _tiny_config(epochs=1), seeds=[0, 1, 2],
-                          model="gcn")
+        runs = run_variants(g, {"gcn": _tiny_config(epochs=1)},
+                            seeds=[0, 1, 2], model="gcn")
         assert len(calls) == 1
-        assert {r.dataset_hash for r in result.records} == {dataset_hash(g)}
+        assert {r.dataset_hash for r in runs["gcn"]} == {dataset_hash(g)}
 
     def test_seed_guards(self):
         g = _tiny_graph()
-        with pytest.raises(ValueError, match="at least 2"):
-            multirun(g, _tiny_config(), seeds=[0])
+        with pytest.raises(ValueError, match="at least one seed"):
+            run_variants(g, {"a": _tiny_config()}, seeds=[])
         with pytest.raises(ValueError, match="distinct"):
-            multirun(g, _tiny_config(), seeds=[1, 1])
+            run_variants(g, {"a": _tiny_config()}, seeds=[1, 1])
 
 
 class TestAblate:
-    def test_five_variants_with_flags(self, monkeypatch):
-        captured = []
+    """The full objective and its four single-term ablations at one seed,
+    as `cdgnn ablate` runs them."""
 
-        def fake_run(g, cfg, seed, dataset="custom", model="cdgnn", *,
-                     graph_hash=None):
-            captured.append(cfg)
-            return _stub_record(seed, 0.5)
+    def test_five_variants_with_flags(self, monkeypatch, tmp_path):
+        captured = {}
 
-        monkeypatch.setattr(harness, "run_experiment", fake_run)
-        rows = harness.ablate(_tiny_graph(), _tiny_config(), seed=0)
-        assert list(rows) == ["full", "no_shortcut_term", "no_causal_term",
-                              "no_counterfactual_term", "no_independence_term"]
-        assert not any([captured[0].no_shortcut_term,
-                        captured[0].no_causal_term,
-                        captured[0].no_counterfactual_term,
-                        captured[0].no_independence_term])
-        assert captured[1].no_shortcut_term
-        assert captured[4].no_independence_term
+        def fake_run_variants(g, variants, seeds, dataset="custom",
+                              model="cdgnn"):
+            captured.update(variants=variants, seeds=seeds, model=model)
+            return {name: [_stub_record(seeds[0], 0.5)] for name in variants}
+
+        monkeypatch.setattr(cli, "run_variants", fake_run_variants)
+        save_graph(_tiny_graph(), tmp_path / "tiny.json")
+        assert cli.main(["ablate", "--graph", str(tmp_path / "tiny.json"),
+                         "--seed", "3", "--out-dir", str(tmp_path)]) == 0
+        variants = captured["variants"]
+        flags = ["no_shortcut_term", "no_causal_term",
+                 "no_counterfactual_term", "no_independence_term"]
+        assert list(variants) == ["full", *flags]
+        assert captured["seeds"] == [3] and captured["model"] == "cdgnn"
+        assert not any(getattr(variants["full"], f) for f in flags)
+        for flag in flags:
+            assert [getattr(variants[flag], f) for f in flags] == [
+                f == flag for f in flags]
+            assert replace(variants[flag], **{flag: False}) == variants["full"]
+        assert len((tmp_path / "ablation.csv").read_text().splitlines()) == 6
 
     def test_passes_one_graph_hash_to_every_variant(self, monkeypatch):
-        hashes = []
+        calls = []
+        real = harness.dataset_hash
 
-        def fake_run(g, cfg, seed, dataset="custom", model="cdgnn", *,
-                     graph_hash=None):
-            hashes.append(graph_hash)
-            return _stub_record(seed, 0.5)
+        def counting_hash(g):
+            calls.append(g)
+            return real(g)
 
-        monkeypatch.setattr(harness, "run_experiment", fake_run)
+        monkeypatch.setattr(harness, "dataset_hash", counting_hash)
+        monkeypatch.setattr(harness, "_run", _stub_run(lambda c, s: 0.5))
         g = _tiny_graph()
-        harness.ablate(g, _tiny_config(), seed=0)
-        assert hashes == [dataset_hash(g)] * 5
+        cfg = _tiny_config()
+        variants = {"full": cfg}
+        for flag in ("no_shortcut_term", "no_causal_term",
+                     "no_counterfactual_term", "no_independence_term"):
+            variants[flag] = replace(cfg, **{flag: True})
+        runs = run_variants(g, variants, seeds=[0])
+        assert len(calls) == 1
+        assert [r.dataset_hash for (r,) in runs.values()] == [real(g)] * 5
 
 
 class TestSweep:
-    def test_grid_rows_and_plot_series(self, monkeypatch):
-        monkeypatch.setattr(
-            harness, "run_experiment",
-            lambda g, cfg, seed, dataset="custom", model="cdgnn", *,
-            graph_hash=None:
-            _stub_record(seed, cfg.lambda_counterfactual * 0.01
-                         + cfg.lambda_independence * 0.1))
-        result = sweep(_tiny_graph(), _tiny_config(), [0.0, 1.0],
-                       [0.1, 0.2], seeds=[0])
-        assert len(result.rows) == 4
-        assert result.rows[0]["num_runs"] == 1
-        labels = [s["label"] for s in result.plot["series"]]
-        assert labels == ["independence weight 0.1",
-                          "independence weight 0.2"]
-        np.testing.assert_allclose(result.plot["series"][0]["y"],
-                                   [0.01, 0.02])
+    """A loss-weight grid, one variant per cell, saved by save_sweep."""
+
+    def test_grid_rows_and_plot_series(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(harness, "_run", _stub_run(
+            lambda cfg, seed: cfg.lambda_counterfactual * 0.01
+            + cfg.lambda_independence * 0.1))
+        runs = run_variants(_tiny_graph(),
+                            _grid(_tiny_config(), [0.0, 1.0], [0.1, 0.2]),
+                            seeds=[0])
+        csv_path, json_path = save_sweep(runs, tmp_path)
+        rows = csv_path.read_text().splitlines()[1:]
+        assert [r.split(",")[:2] for r in rows] == [
+            ["0.0", "0.1"], ["1.0", "0.1"], ["0.0", "0.2"], ["1.0", "0.2"]]
+        assert [r.split(",")[4] for r in rows] == ["1"] * 4
+        series = json.loads(json_path.read_text())["series"]
+        assert [s["label"] for s in series] == ["independence weight 0.1",
+                                                "independence weight 0.2"]
+        assert [s["x"] for s in series] == [[0.0, 1.0], [0.0, 1.0]]
+        np.testing.assert_allclose(series[0]["y"], [0.01, 0.02])
+        np.testing.assert_allclose(series[1]["yerr"], [0.0, 0.0])
 
     @pytest.mark.parametrize("seeds", [[0], [0, 1]])
-    def test_hashes_the_graph_once(self, monkeypatch, seeds):
+    def test_hashes_the_graph_once(self, monkeypatch, seeds, tmp_path):
         calls = []
 
         def counting_hash(g):
@@ -588,23 +701,24 @@ class TestSweep:
             return dataset_hash(g)
 
         monkeypatch.setattr(harness, "dataset_hash", counting_hash)
-        result = sweep(_tiny_graph(), _tiny_config(epochs=1), [0.0, 1.0],
-                       [0.1, 0.2], seeds=seeds)
+        runs = run_variants(_tiny_graph(),
+                            _grid(_tiny_config(epochs=1), [0.0, 1.0],
+                                  [0.1, 0.2]), seeds=seeds)
         assert len(calls) == 1
-        assert [row["num_runs"] for row in result.rows] == [len(seeds)] * 4
+        csv_path, _ = save_sweep(runs, tmp_path)
+        rows = csv_path.read_text().splitlines()[1:]
+        assert [r.split(",")[4] for r in rows] == [str(len(seeds))] * 4
 
     def test_duplicate_seeds_rejected(self):
         with pytest.raises(ValueError, match="distinct"):
-            sweep(_tiny_graph(), _tiny_config(), [1.0], [0.1], seeds=[1, 1])
+            run_variants(_tiny_graph(), _grid(_tiny_config(), [1.0], [0.1]),
+                         seeds=[1, 1])
 
     def test_save_sweep_layout(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(
-            harness, "run_experiment",
-            lambda g, cfg, seed, dataset="custom", model="cdgnn", *,
-            graph_hash=None:
-            _stub_record(seed, 0.5))
-        result = sweep(_tiny_graph(), _tiny_config(), [1.0], [0.1], seeds=[0])
-        csv_path, json_path = save_sweep(result, tmp_path)
+        monkeypatch.setattr(harness, "_run", _stub_run(lambda c, s: 0.5))
+        runs = run_variants(_tiny_graph(), _grid(_tiny_config(), [1.0], [0.1]),
+                            seeds=[0])
+        csv_path, json_path = save_sweep(runs, tmp_path)
         header = csv_path.read_text().splitlines()[0]
         assert header == ("lambda_counterfactual,lambda_independence,"
                           "mean_accuracy,std_accuracy,num_runs")
