@@ -110,17 +110,23 @@ def _cmd_relabel(args) -> int:
     return 0
 
 
+def _seeds(args) -> list[int]:
+    """--seed and the --num-runs - 1 seeds after it."""
+    return list(range(args.seed, args.seed + args.num_runs))
+
+
 def _train(args, model: str) -> int:
     g, dataset = _resolve_graph(args)
     config = _config_from_args(args)
     if args.num_runs > 1:
-        seeds = [args.seed + i for i in range(args.num_runs)]
+        seeds = _seeds(args)
         records = run_variants(g, {model: config}, seeds, dataset, model)[model]
         for record in records:
             record.save(args.out_dir)
         mean, std = aggregate_runs([r.test_accuracy for r in records])
         print(f"{model} on {dataset}: {mean:.4f} +/- {std:.4f} "
-              f"over {len(seeds)} runs")
+              f"over {len(seeds)} runs; wrote run records only, no weights "
+              f"(--num-runs 1 saves them)")
         return 0
     record, params = run_experiment(g, config, args.seed, dataset, model,
                                     return_params=True)
@@ -175,12 +181,20 @@ def _cmd_ablate(args) -> int:
     variants = {"full": config}
     for flag in (f.name for f in fields(RunConfig) if f.name.startswith("no_")):
         variants[flag] = replace(config, **{flag: True})
-    runs = run_variants(g, variants, [args.seed], dataset)
+    runs = run_variants(g, variants, _seeds(args), dataset)
     records = []
-    for name, (record,) in runs.items():
-        record.save(args.out_dir)
-        records.append(record)
-        print(f"{name:24s} test accuracy {record.test_accuracy:.4f}")
+    for name, variant_records in runs.items():
+        for record in variant_records:
+            record.save(args.out_dir)
+        records += variant_records
+        if args.num_runs == 1:
+            print(f"{name:24s} test accuracy "
+                  f"{variant_records[0].test_accuracy:.4f}")
+        else:
+            mean, std = aggregate_runs(
+                [r.test_accuracy for r in variant_records])
+            print(f"{name:24s} test accuracy {mean:.4f} +/- {std:.4f} "
+                  f"over {args.num_runs} runs")
     write_report_csv(records, args.out_dir / "ablation.csv")
     return 0
 
@@ -197,7 +211,7 @@ def _cmd_sweep(args) -> int:
     l2 = _distinct_floats(args.lambda2_values, "--lambda2-values")
     g, dataset = _resolve_graph(args)
     config = _config_from_args(args)
-    seeds = [args.seed + i for i in range(args.num_runs)]
+    seeds = _seeds(args)
     # One variant per grid cell: independence weight outer, counterfactual inner.
     variants = {f"lambda1={a} lambda2={b}":
                 replace(config, lambda_counterfactual=a, lambda_independence=b)
@@ -356,7 +370,10 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=blurb)
         _add_graph_source(p)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--num-runs", type=int, default=1)
+        p.add_argument("--num-runs", type=int, default=1,
+                       help="train at seeds --seed, --seed + 1, ... and print "
+                            "mean +/- std; above 1 only run records are "
+                            "written, --num-runs 1 also saves the weights")
         p.add_argument("--out-dir", type=Path, default=Path("runs"))
         _add_config_flags(p)
         p.set_defaults(func=fn)
@@ -372,6 +389,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ablate", help="single-term loss ablations")
     _add_graph_source(p)
     p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--num-runs", type=int, default=1,
+                   help="run every variant at seeds --seed, --seed + 1, ... "
+                        "and print its mean +/- std test accuracy")
     p.add_argument("--out-dir", type=Path, default=Path("runs"))
     _add_config_flags(p)
     p.set_defaults(func=_cmd_ablate)

@@ -209,13 +209,21 @@ def _fit(g: Graph, config: RunConfig, seed: int, train_nodes, val_nodes,
     predict); `rngs` are the init, batch order, dropout, counterfactual
     permutation and HSIC row streams. One ad.AdamState starts from params
     and rates (a rate or a rate dict) and holds the run's parameters.
-    `step(state, leaves, guard)` trains one epoch, stepping the state in
-    place, and returns its history row, passing each loss breakdown to
-    `guard` before differentiating it. `leaves` are made once per run: they
-    share the state's arrays, which every step updates in place, and
-    `ad.gradients` leaves them clear for the next step. `predict(params)`
-    labels the val nodes. The result's params are views into the state's
-    buffer, holding the best epoch's.
+    `leaves` are made once per run: they share the state's arrays, which
+    every step updates in place, and `ad.gradients` leaves them clear for
+    the next step.
+
+    `step(state, leaves, settle, guard)` trains one epoch and returns its
+    history row. Before it guards, differentiates or updates anything, it
+    calls `settle(labels)`. When the previous epoch's row is pending,
+    settle scores it with `labels()`, the val nodes' labels under the
+    parameters the step starts with, and returns True if early stopping
+    fires; the step then returns None at once, ending the run. So a step
+    can read the labels off its own training forward when that forward
+    computes predict's values. Each loss breakdown goes to `guard` before
+    it is differentiated, and the state steps in place. `predict(params)`
+    labels the val nodes and settles the last epoch. The result's params
+    are views into the state's buffer, holding the best epoch's.
     """
     config.validate()
     train_nodes = np.asarray(train_nodes, dtype=np.int64).reshape(-1)
@@ -228,11 +236,26 @@ def _fit(g: Graph, config: RunConfig, seed: int, train_nodes, val_nodes,
     val_labels = g.labels[val_nodes]
 
     history: list[dict[str, float]] = []
-    best_val = -1.0
-    best_epoch = -1
+    pending: dict[str, float] | None = None
     best = state.flat.copy()
-    stale = 0
+    best_val, best_epoch, stale = -1.0, -1, 0
     stopped_early = False
+
+    def settle(labels) -> bool:
+        nonlocal pending, best, best_val, best_epoch, stale, stopped_early
+        if pending is None:
+            return False
+        row, pending = pending, None
+        row["val_acc"] = val_acc = float((labels() == val_labels).mean())
+        history.append(row)
+        if val_acc > best_val:
+            best_val, best_epoch, stale = val_acc, len(history) - 1, 0
+            best = state.flat.copy()
+        else:
+            stale += 1
+            stopped_early = 0 < config.patience <= stale
+        return stopped_early
+
     for epoch in range(config.epochs):
         def guard(values: dict[str, float]) -> None:
             for key, value in values.items():
@@ -240,21 +263,12 @@ def _fit(g: Graph, config: RunConfig, seed: int, train_nodes, val_nodes,
                     raise RuntimeError(
                         f"non-finite {key} ({value}) at epoch {epoch}")
 
-        row = step(state, leaves, guard)
+        row = step(state, leaves, settle, guard)
+        if row is None:
+            break
         row["epoch"] = float(epoch)
-        val_acc = float((predict(state.params) == val_labels).mean())
-        row["val_acc"] = val_acc
-        history.append(row)
-        if val_acc > best_val:
-            best_val = val_acc
-            best_epoch = epoch
-            best = state.flat.copy()
-            stale = 0
-        else:
-            stale += 1
-            if config.patience > 0 and stale >= config.patience:
-                stopped_early = True
-                break
+        pending = row
+    settle(lambda: predict(state.params))
     state.flat[:] = best
     return TrainResult(
         params=state.params,
@@ -292,7 +306,9 @@ def train_cdgnn(g: Graph, config: RunConfig, seed: int,
             g, config.resolved_hops, np.concatenate([train_nodes, val_nodes]))
         val_batches = _eval_batches(g, egos, val_nodes)
 
-        def step(state, leaves, guard):
+        def step(state, leaves, settle, guard):
+            if settle(lambda: _predict_cdgnn(val_batches, state.params)):
+                return None
             sums: dict[str, float] = {}
             graphs_seen = 0
             for nodes in _train_batches(train_nodes, config.batch_size,
@@ -342,16 +358,20 @@ def train_cdgnn(g: Graph, config: RunConfig, seed: int,
     return _fit(g, config, seed, train_nodes, val_nodes, model)
 
 
-def _gcn_probs(g: Graph, plan: ad.PropagationPlan, params: dict,
-               rows: np.ndarray, dropout: float = 0.0, rng=None,
-               training: bool = False):
-    """The GCN baseline's class rows for nodes `rows` of `g`, from `params`
+def _gcn_hidden(g: Graph, plan: ad.PropagationPlan, params: dict,
+                dropout: float = 0.0, rng=None, training: bool = False):
+    """The GCN baseline's last layer over every node of `g`, from `params`
     (leaves to train, plain arrays to infer), with `plan` the full graph's."""
     layers = [params[k] for k in sorted(params) if k.startswith("gcn.w")]
-    h = gcn_forward(plan, g.features, None, None, layers, dropout, rng,
-                    training)[-1]
-    return ad.softmax_head(ad.take_rows(h, rows), params["head.w"],
-                           params["head.b"])
+    return gcn_forward(plan, g.features, None, None, layers, dropout, rng,
+                       training)[-1]
+
+
+def _gcn_labels(rows, params: dict) -> np.ndarray:
+    """The GCN baseline's predicted classes of the nodes whose last-layer
+    values are `rows`."""
+    probs = ad.softmax_head(rows, params["head.w"], params["head.b"])
+    return np.argmax(probs.data, axis=1)
 
 
 def train_gcn_baseline(g: Graph, config: RunConfig, seed: int,
@@ -368,9 +388,20 @@ def train_gcn_baseline(g: Graph, config: RunConfig, seed: int,
         plan = ad.PropagationPlan.from_edges(g.edges, g.num_nodes)
         y_train = g.labels[train_nodes]
 
-        def step(state, leaves, guard):
-            probs = _gcn_probs(g, plan, leaves, train_nodes, config.dropout,
-                               rng_dropout, training=True)
+        def predict(params):
+            return _gcn_labels(_gcn_hidden(g, plan, params).data[val_nodes],
+                               params)
+
+        def step(state, leaves, settle, guard):
+            h = _gcn_hidden(g, plan, leaves, config.dropout, rng_dropout,
+                            training=True)
+            # Without dropout this forward is predict's, bit for bit, so
+            # the previous epoch is scored off it.
+            if settle(lambda: predict(state.params) if config.dropout
+                      else _gcn_labels(h.data[val_nodes], state.params)):
+                return None
+            probs = ad.softmax_head(ad.take_rows(h, train_nodes),
+                                    leaves["head.w"], leaves["head.b"])
             loss = ad.mean(ad.nll_rows(probs, y_train))
             row = {"loss": loss.item()}
             guard(row)
@@ -378,9 +409,7 @@ def train_gcn_baseline(g: Graph, config: RunConfig, seed: int,
             ad.adam_step(state, grads, config.weight_decay)
             return row
 
-        return (params, config.learning_rate, step,
-                lambda params: np.argmax(
-                    _gcn_probs(g, plan, params, val_nodes).data, axis=1))
+        return params, config.learning_rate, step, predict
 
     return _fit(g, config, seed, train_nodes, val_nodes, model)
 
@@ -415,8 +444,8 @@ def evaluate(g: Graph, params: dict[str, np.ndarray], nodes,
         predictions = _predict_cdgnn(_eval_batches(g, cache, nodes), params)
     else:
         plan = ad.PropagationPlan.from_edges(g.edges, g.num_nodes)
-        predictions = np.argmax(_gcn_probs(g, plan, params, nodes).data,
-                                axis=1)
+        predictions = _gcn_labels(
+            ad.take_rows(_gcn_hidden(g, plan, params), nodes), params)
     truth = g.labels[nodes]
     confusion = np.zeros((g.num_classes, g.num_classes), dtype=np.int64)
     np.add.at(confusion, (truth, predictions), 1)

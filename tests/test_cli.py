@@ -91,7 +91,11 @@ class TestTraining:
                      "--num-runs", "2", "--out-dir", str(out_dir)] + _FAST)
         assert code == 0
         assert len(list(out_dir.glob("run_cdgnn_*.json"))) == 2
-        assert "+/-" in capsys.readouterr().out
+        assert list(out_dir.glob("*.npz")) == []
+        stdout = capsys.readouterr().out
+        assert "+/-" in stdout
+        assert stdout.endswith("over 2 runs; wrote run records only, no "
+                               "weights (--num-runs 1 saves them)\n")
 
     def test_train_baseline(self, tiny_graph_file, tmp_path, capsys):
         out_dir = tmp_path / "runs"
@@ -148,6 +152,34 @@ class TestAblate:
                  "no_counterfactual_term", "no_independence_term")
         assert sorted(sum(r["config"][f] for f in flags)
                       for r in records) == [0, 1, 1, 1, 1]
+
+    def test_num_runs_prints_mean_and_std_per_variant(self, tiny_graph_file,
+                                                      tmp_path, capsys):
+        out_dir = tmp_path / "runs"
+        code = main(["ablate", "--graph", str(tiny_graph_file), "--seed", "3",
+                     "--num-runs", "2", "--out-dir", str(out_dir)] + _FAST)
+        assert code == 0
+        records = [json.loads(p.read_text())
+                   for p in out_dir.glob("run_cdgnn_*.json")]
+        assert sorted(r["seed"] for r in records) == [3] * 5 + [4] * 5
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines] == [
+            "full", "no_shortcut_term", "no_causal_term",
+            "no_counterfactual_term", "no_independence_term"]
+
+        def variant(record):
+            return next((flag for flag, on in record["config"].items()
+                         if flag.startswith("no_") and on), "full")
+
+        for line in lines:
+            name = line.split()[0]
+            accs = [r["test_accuracy"] for r in records if variant(r) == name]
+            assert len(accs) == 2
+            mean, std = np.mean(accs), np.std(accs)
+            assert line == (f"{name:24s} test accuracy {mean:.4f} +/- "
+                            f"{std:.4f} over 2 runs")
+        rows = (out_dir / "ablation.csv").read_text().splitlines()
+        assert len(rows) == 1 + 10
 
 
 class TestSweep:
@@ -433,7 +465,8 @@ class TestInputErrors:
                         "loss weights must be nonnegative")
         assert not out_dir.exists()
 
-    @pytest.mark.parametrize("command", ["train", "train-baseline", "sweep"])
+    @pytest.mark.parametrize("command", ["train", "train-baseline", "ablate",
+                                         "sweep"])
     def test_num_runs_below_one_is_one_line_error(self, command, capsys):
         for runs in ("0", "-3"):
             _one_line_error(capsys, [command, "--preset", "tree_cycles",

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from cdgnn import autodiff as ad
-from cdgnn import cli, harness, models
+from cdgnn import cli, harness, models, synth
 from cdgnn.disentangle import init_cdgnn_params
 from cdgnn.graphs import (Graph, feature_heterophily, label_heterophily,
                           save_graph)
@@ -226,6 +226,23 @@ class TestTrainCdgnn:
                     val_nodes=sp.val)
         assert sorted(egos) == sorted(sp.train.tolist() + sp.val.tolist())
 
+    @pytest.mark.parametrize("patience", [1, 4])
+    def test_predicts_val_once_per_epoch_run(self, monkeypatch, patience):
+        calls, real = [], harness._predict_cdgnn
+
+        def counted(batches, params):
+            calls.append(1)
+            return real(batches, params)
+
+        monkeypatch.setattr(harness, "_predict_cdgnn", counted)
+        g = _tiny_graph(seed=4)
+        sp = split_nodes(g.num_nodes, seed=4)
+        result = train_cdgnn(g, _tiny_config(epochs=4, patience=patience,
+                                             learning_rate=1e-6),
+                             0, sp.train, sp.val)
+        assert result.stopped_early == (patience == 1)
+        assert len(calls) == result.epochs_run
+
     def test_needs_two_train_nodes(self):
         g = _tiny_graph()
         with pytest.raises(ValueError, match="at least 2"):
@@ -274,14 +291,40 @@ class TestTrainBaseline:
         assert {k.split(".")[0] for k in a.params} == {"gcn", "head"}
 
     def test_early_stopping_respects_patience(self):
+        """At dropout 0 and above, the two ways the GCN scores val."""
         g = _tiny_graph(seed=4)
-        cfg = _tiny_config(epochs=30, patience=1, learning_rate=1e-6)
         sp = split_nodes(g.num_nodes, seed=4)
-        result = train_gcn_baseline(g, cfg, seed=0, train_nodes=sp.train,
-                                    val_nodes=sp.val)
-        if result.stopped_early:
-            assert result.epochs_run < cfg.epochs
-        assert result.epochs_run >= result.best_epoch + 1
+        for dropout in (0.0, 0.3):
+            cfg = _tiny_config(epochs=30, patience=1, learning_rate=1e-6,
+                               dropout=dropout)
+            result = train_gcn_baseline(g, cfg, seed=0, train_nodes=sp.train,
+                                        val_nodes=sp.val)
+            assert result.stopped_early, dropout
+            assert result.epochs_run == result.best_epoch + cfg.patience + 1
+            assert len(result.history) == result.epochs_run < cfg.epochs
+
+    @pytest.mark.parametrize("dropout,forwards", [(0.0, 5 + 1),
+                                                  (0.3, 2 * 5)])
+    def test_full_graph_forwards_per_run(self, monkeypatch, dropout,
+                                         forwards):
+        """Without dropout each epoch's val accuracy is read off the next
+        step's training forward, and one predict scores the last epoch;
+        with dropout every epoch but the last predicts val on its own."""
+        calls, real = [], harness.gcn_forward
+
+        def counted(*args):
+            calls.append(args[7])  # training
+            return real(*args)
+
+        monkeypatch.setattr(harness, "gcn_forward", counted)
+        g = _tiny_graph(seed=3)
+        sp = split_nodes(g.num_nodes, seed=3)
+        result = train_gcn_baseline(g, _tiny_config(epochs=5, patience=5,
+                                                    dropout=dropout),
+                                    0, sp.train, sp.val)
+        assert result.epochs_run == 5 and not result.stopped_early
+        assert calls.count(True) == 5
+        assert len(calls) == forwards
 
 
 class TestEvaluate:
@@ -480,6 +523,53 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="unknown model"):
             run_experiment(_tiny_graph(), _tiny_config(), seed=0,
                            model="mlp")
+
+
+@pytest.fixture(scope="module")
+def relabeled_tree_cycles():
+    g, _ = synth.preset("tree_cycles", seed=0)
+    return synth.relabel_to_heterophily(g, target=0.5, seed=0).graph
+
+
+# (model, dropout, patience, epochs run, record hash) of 6-epoch runs on
+# relabeled tree_cycles, pinned before the val accuracy of a dropout-0 GCN
+# epoch came to be read off the next step's training forward. Patience 2
+# stops every run early; patience 6 stops none. The widths are small
+# enough that BLAS runs every product on one thread.
+_PINNED_RUNS = [
+    ("gcn", 0.0, 2, 3,
+     "844ba2881e01317b20fbd0610aa70ed8d3417aa2cd92a736bc6d6f1415feec41"),
+    ("gcn", 0.0, 6, 6,
+     "8bfc2ba75a3e7edb9e6e4cd9a20611729a667a7c0d89060ae70dc0641b423d23"),
+    ("gcn", 0.3, 2, 3,
+     "715c89aa53372e18cd7e2b528a8e0c9ed8ce4989f877450fee63372a55fcdd40"),
+    ("gcn", 0.3, 6, 6,
+     "2e1318a6a79183d0987a564d76e18555f7e430c368e50264f1bb576beac4b2b0"),
+    ("cdgnn", 0.0, 2, 4,
+     "6987944229a1ea59e59d07f7304663c4c707c30beda84c53935d6da8b9532365"),
+    ("cdgnn", 0.0, 6, 6,
+     "2ddec61f131100496bb55c86ac28880bd800b8705337ec927f79bca5c00f40d6"),
+    ("cdgnn", 0.3, 2, 3,
+     "61d363b8fb76af52c680ca36a3099000487b16310b2696c005856952fadc46ab"),
+    ("cdgnn", 0.3, 6, 6,
+     "525fd336c89ba99c4f7c04d26c96f82808a8d19f084101ba843fd639c12a1e24"),
+]
+
+
+@pytest.mark.parametrize("model,dropout,patience,epochs_run,digest",
+                         _PINNED_RUNS)
+def test_record_hash_is_pinned(relabeled_tree_cycles, model, dropout,
+                               patience, epochs_run, digest):
+    """Early stopping and dropout, which the seed-0 bench pins never
+    reach, reproduce the records of the loop that predicted val after
+    every step."""
+    cfg = RunConfig(learning_rate=0.02, hidden=8, dropout=dropout, layers=2,
+                    epochs=6, patience=patience, batch_size=64,
+                    scorer_hidden=4, hsic_max_rows=64)
+    record = run_experiment(relabeled_tree_cycles, cfg, seed=1,
+                            dataset="tree_cycles", model=model)
+    assert record.epochs_run == epochs_run
+    assert record.record_hash() == digest
 
 
 class TestAggregation:
