@@ -9,14 +9,18 @@ in reverse creation order, and spends each node as it goes. Links run only
 from outputs to inputs, so a step's graph holds no reference cycle and is
 freed by reference count. Graph propagation and its adjoints run as CSR
 row sums over a PropagationPlan, so no dense adjacency matrix is ever
-materialized.
+materialized. `propagate` runs the unweighted propagation of a constant
+input once; a gcn_layer given no plan takes its input as propagated.
 
 The model's hot paths are fused primitives (gcn_layer, softmax_head,
 mean_of_halves, ego_readout, gce_rows, nll_rows, hsic_rbf): each records one
 node whose backward repeats, in the same order, the float operations the
 chain of elementary primitives it replaces would perform, so results are
 bitwise those of the composed chain. hsic_rbf also takes its own row sample,
-in place of two take_rows nodes.
+in place of two take_rows nodes. softmax_head takes each row's max a
+column at a time, and the adjoint of a row gather with no repeated index
+writes the rows into zeros; both give the bits of the reduce and of the
+CSR row sum they replace (NaN signs aside, see _softmax_rows).
 
 An AdamState holds one run's parameters in one flat buffer, as named views
 (the table the model reads), with both moments and the per-entry learning
@@ -39,7 +43,7 @@ __all__ = [
     "PropagationPlan",
     "matmul", "add", "subtract", "multiply", "sigmoid", "relu", "mean",
     "concat_cols", "dropout", "take_rows", "permute_rows",
-    "gcn_layer", "softmax_head", "mean_of_halves", "ego_readout",
+    "propagate", "gcn_layer", "softmax_head", "mean_of_halves", "ego_readout",
     "gce_rows", "nll_rows", "hsic_rbf",
     "AdamState", "adam_step", "leaves", "gradients",
 ]
@@ -240,7 +244,7 @@ def take_rows(a, indices) -> Tensor:
     rows = a.data.shape[0]
     if idx.size and (idx.min() < 0 or idx.max() >= rows):
         raise ValueError(f"row index outside [0, {rows})")
-    data = a.data[idx].copy()
+    data = a.data[idx]
 
     def backward(g: np.ndarray) -> None:
         a._accumulate(_row_scatter(a.data.shape, idx, g))
@@ -250,8 +254,14 @@ def take_rows(a, indices) -> Tensor:
 
 def _row_scatter(da_shape, idx: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Adjoint of gathering rows `idx`: row r sums, from 0 and in index
-    order, the rows of g gathered from r."""
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(idx, minlength=da_shape[0]))])
+    order, the rows of g gathered from r. Unique indices are written as
+    g + 0.0, the bits of that one-term sum (-0.0 lands as +0.0)."""
+    counts = np.bincount(idx, minlength=da_shape[0])
+    if counts.max(initial=0) <= 1:
+        out = np.zeros(da_shape)
+        out[idx] = g + 0.0
+        return out
+    indptr = np.concatenate([[0], np.cumsum(counts)])
     return _csr_rowsum(indptr, np.argsort(idx, kind="stable"), np.ones(idx.shape[0]), g)
 
 
@@ -392,15 +402,26 @@ def _propagate_backward(g: np.ndarray, f: Tensor, w: Tensor | None,
         w._accumulate(dw[:, None])
 
 
-def gcn_layer(f, weights, layer_weight, plan: PropagationPlan,
+def propagate(f, plan: PropagationPlan) -> np.ndarray:
+    """The unweighted propagation (f + A f) / (deg + 1) of a constant f, as
+    gcn_layer computes it: a layer over a fixed input can take it from here
+    once and pass it with plan None."""
+    return _propagate(_as_matrix(f), None, plan)
+
+
+def gcn_layer(f, weights, layer_weight, plan: PropagationPlan | None,
               relu: bool) -> Tensor:
     """One GCN layer as one node: the propagation (f + A_w f) / (deg + 1),
     a matmul, then relu if `relu` (the last layer of an encoder has none).
     `weights` is a (num_und_edges, 1) tensor applied to both directions of
-    every edge, or None for the unweighted operator."""
+    every edge, or None for the unweighted operator. With plan None, f is
+    a constant that holds the propagation already (see propagate)."""
     f, lw = _coerce(f), _coerce(layer_weight)
     w = None if weights is None else _coerce(weights)
-    prop = _propagate(f.data, w, plan)
+    if plan is None and (w is not None or f.requires_grad):
+        raise ValueError("a gcn_layer without a plan takes a constant, "
+                         "propagated input and no edge weights")
+    prop = f.data if plan is None else _propagate(f.data, w, plan)
     data = prop @ lw.data
     if relu:
         np.maximum(data, 0.0, out=data)
@@ -417,13 +438,24 @@ def gcn_layer(f, weights, layer_weight, plan: PropagationPlan,
     return _make(data, parents, backward)
 
 
+def _softmax_rows(logits: np.ndarray) -> np.ndarray:
+    """Row softmax after subtracting each row's max, which is taken a
+    column at a time: a reduce along rows this short is slower, and max is
+    exact, so the result has the bits of subtracting logits.max(axis=1).
+    (Only NaN signs may differ, in a row that starts with a negative NaN:
+    the reduce returns a positive one there.)"""
+    top = logits[:, 0]
+    for j in range(1, logits.shape[1]):
+        top = np.maximum(top, logits[:, j])
+    e = np.exp(logits - top[:, None])
+    return e / e.sum(axis=1, keepdims=True)
+
+
 def softmax_head(x, weight, bias) -> Tensor:
     """Class distribution rows softmax(x @ weight + bias) as one node; the
     softmax subtracts each row's max first."""
     x, weight, bias = _coerce(x), _coerce(weight), _coerce(bias)
-    logits = x.data @ weight.data + bias.data
-    e = np.exp(logits - logits.max(axis=1, keepdims=True))
-    data = e / e.sum(axis=1, keepdims=True)
+    data = _softmax_rows(x.data @ weight.data + bias.data)
 
     def backward(g: np.ndarray) -> None:
         dot = (g * data).sum(axis=1, keepdims=True)

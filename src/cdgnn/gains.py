@@ -172,14 +172,15 @@ def monte_carlo_one_layer(params: GainParams, subgraph_degree: int,
     one_layer_gain at the group-mixture homophily, so this run doubles as
     an independent oracle for that formula.
 
-    No sample is drawn on its own. A sample's gain is u(a, b) + e, where a
-    and b count the matching neighbors of the two groups and the summed
-    noise e ~ N(0, noise_ratio (w^2 degree + 1) / (degree + 1)^2) is
-    independent of them. The sample mean and its standard error are drawn
-    from their exact joint law: how many samples fall on each (a, b), then
-    the noise's mean, its component along the centered u and the rest of
-    its sum of squares (chi-square, num_samples - 2 degrees of freedom).
-    Time and memory grow with the number of pairs (a, b), not num_samples.
+    No sample is drawn on its own. A sample's gain is u(s) + e, where s
+    counts the matching neighbors of both groups and the summed noise
+    e ~ N(0, noise_ratio (w^2 degree + 1) / (degree + 1)^2) is independent
+    of it. The sample mean and its standard error are drawn from their
+    exact joint law: how many samples fall on each s, then the noise's
+    mean, its component along the centered u and the rest of its sum of
+    squares (chi-square, num_samples - 2 degrees of freedom). The law of s
+    is the convolution of the two groups' binomial pmfs. Memory grows with
+    degree, not num_samples.
     """
     params.validate()
     if subgraph_degree < 0 or rest_degree < 0:
@@ -199,20 +200,19 @@ def monte_carlo_one_layer(params: GainParams, subgraph_degree: int,
     def xlog(k: int, x: float) -> float:
         return 0.0 if k == 0 else k * math.log(x) if x > 0 else -math.inf
 
-    def group(count: int, homophily: float) -> tuple[list, list]:
-        """Each match count's summed emission and log probability (logs, as
-        a binomial coefficient such as C(1030, 515) overflows a float)."""
-        same = range(count + 1)
-        log_p = [math.lgamma(count + 1) - math.lgamma(k + 1) - math.lgamma(count - k + 1)
-                 + xlog(k, homophily) + xlog(count - k, 1.0 - homophily) for k in same]
-        return [k - rho * (count - k) for k in same], log_p
+    def pmf(count: int, homophily: float) -> np.ndarray:
+        """A group's match-count pmf over its largest entry, from logs (a
+        binomial coefficient such as C(1030, 515) overflows a float)."""
+        log_p = np.array([
+            math.lgamma(count + 1) - math.lgamma(k + 1) - math.lgamma(count - k + 1)
+            + xlog(k, homophily) + xlog(count - k, 1.0 - homophily)
+            for k in range(count + 1)])
+        return np.exp(log_p - log_p.max())
 
-    emit_a, log_a = group(subgraph_degree, params.subgraph_homophily)
-    emit_b, log_b = group(rest_degree, params.rest_homophily)
-    u = ((1.0 + edge_weight * np.add.outer(emit_a, emit_b))
-         / (degree + 1.0)).ravel()
-    log_p = np.add.outer(log_a, log_b).ravel()
-    p = np.exp(log_p - log_p.max())
+    p = np.convolve(pmf(subgraph_degree, params.subgraph_homophily),
+                    pmf(rest_degree, params.rest_homophily))
+    same = np.arange(degree + 1)
+    u = (1.0 + edge_weight * (same - rho * (degree - same))) / (degree + 1.0)
     n = rng.multinomial(num_samples, p / p.sum())
     mean = n @ u / num_samples
     ss = n @ (u - mean) ** 2

@@ -358,13 +358,22 @@ def train_cdgnn(g: Graph, config: RunConfig, seed: int,
     return _fit(g, config, seed, train_nodes, val_nodes, model)
 
 
-def _gcn_hidden(g: Graph, plan: ad.PropagationPlan, params: dict,
+def _full_graph(g: Graph) -> tuple[ad.PropagationPlan, np.ndarray]:
+    """The GCN baseline's fixed inputs on `g`: the full graph's plan and
+    the propagation of the features, which every forward's first layer
+    reads."""
+    plan = ad.PropagationPlan.from_edges(g.edges, g.num_nodes)
+    return plan, ad.propagate(g.features, plan)
+
+
+def _gcn_hidden(full: tuple[ad.PropagationPlan, np.ndarray], params: dict,
                 dropout: float = 0.0, rng=None, training: bool = False):
-    """The GCN baseline's last layer over every node of `g`, from `params`
-    (leaves to train, plain arrays to infer), with `plan` the full graph's."""
+    """The GCN baseline's last layer over every node, from `params` (leaves
+    to train, plain arrays to infer), with `full` the graph's _full_graph."""
+    plan, x = full
     layers = [params[k] for k in sorted(params) if k.startswith("gcn.w")]
-    return gcn_forward(plan, g.features, None, None, layers, dropout, rng,
-                       training)[-1]
+    return gcn_forward(plan, x, None, None, layers, dropout, rng, training,
+                       propagated=True)[-1]
 
 
 def _gcn_labels(rows, params: dict) -> np.ndarray:
@@ -375,9 +384,13 @@ def _gcn_labels(rows, params: dict) -> np.ndarray:
 
 
 def train_gcn_baseline(g: Graph, config: RunConfig, seed: int,
-                       train_nodes: np.ndarray,
-                       val_nodes: np.ndarray) -> TrainResult:
-    """Full-batch GCN trained with cross-entropy; same stopping rule."""
+                       train_nodes: np.ndarray, val_nodes: np.ndarray,
+                       cache: tuple | None = None) -> TrainResult:
+    """Full-batch GCN trained with cross-entropy; same stopping rule.
+
+    `cache` holds the full graph's plan and propagated features, which
+    run_variants shares between runs; by default they are built here.
+    """
 
     def model(train_nodes, val_nodes, rngs):
         rng_init, rng_dropout = rngs[0], rngs[2]
@@ -385,15 +398,15 @@ def train_gcn_baseline(g: Graph, config: RunConfig, seed: int,
                                   config.layers, "gcn")
         params.update(init_head_params(rng_init, config.hidden, g.num_classes,
                                        "head"))
-        plan = ad.PropagationPlan.from_edges(g.edges, g.num_nodes)
+        full = _full_graph(g) if cache is None else cache
         y_train = g.labels[train_nodes]
 
         def predict(params):
-            return _gcn_labels(_gcn_hidden(g, plan, params).data[val_nodes],
+            return _gcn_labels(_gcn_hidden(full, params).data[val_nodes],
                                params)
 
         def step(state, leaves, settle, guard):
-            h = _gcn_hidden(g, plan, leaves, config.dropout, rng_dropout,
+            h = _gcn_hidden(full, leaves, config.dropout, rng_dropout,
                             training=True)
             # Without dropout this forward is predict's, bit for bit, so
             # the previous epoch is scored off it.
@@ -421,31 +434,40 @@ class EvalResult:
     predictions: np.ndarray
 
 
+def _predict(g: Graph, params: dict[str, np.ndarray], node_sets: list,
+             hops: int | None, cache) -> list[np.ndarray]:
+    """The predicted classes of each array of `node_sets`, as evaluate
+    documents; a GCN labels them all from one forward over the graph."""
+    if _model_shape(params)[0] == "cdgnn":
+        if hops is None:
+            raise ValueError("evaluate needs the ego hops a CD-GNN model was "
+                             "trained at (SavedModel.hops)")
+        if cache is None:
+            cache = build_ego_cache(g, hops, np.concatenate(node_sets))
+        return [_predict_cdgnn(_eval_batches(g, cache, nodes), params)
+                for nodes in node_sets]
+    h = _gcn_hidden(_full_graph(g) if cache is None else cache, params).data
+    return [_gcn_labels(h[nodes], params) for nodes in node_sets]
+
+
 def evaluate(g: Graph, params: dict[str, np.ndarray], nodes,
-             hops: int | None = None, cache: dict | None = None) -> EvalResult:
+             hops: int | None = None, cache=None) -> EvalResult:
     """Accuracy and confusion (rows true, cols predicted) on given nodes.
 
     Dispatches on the model kind the parameters hold: the disentangled
     model predicts via the causal head, on the ego subgraphs of `cache`, a
     build_ego_cache at `hops` covering `nodes`, built when None; its `hops`
     are those it was trained at (SavedModel.hops) and have no default. The
-    GCN baseline predicts on the full graph and ignores `hops`. Ties
-    resolve to the lowest class id via argmax.
+    GCN baseline predicts on the full graph, from `cache`, its plan and
+    propagated features as train_gcn_baseline takes them, built when None,
+    and ignores `hops`. Ties resolve to the lowest class id via argmax.
     """
     nodes = np.asarray(nodes, dtype=np.int64).reshape(-1)
     if nodes.shape[0] == 0:
         raise ValueError("evaluate needs at least one node")
-    if _model_shape(params)[0] == "cdgnn":
-        if hops is None:
-            raise ValueError("evaluate needs the ego hops a CD-GNN model was "
-                             "trained at (SavedModel.hops)")
-        if cache is None:
-            cache = build_ego_cache(g, hops, nodes)
-        predictions = _predict_cdgnn(_eval_batches(g, cache, nodes), params)
-    else:
-        plan = ad.PropagationPlan.from_edges(g.edges, g.num_nodes)
-        predictions = _gcn_labels(
-            ad.take_rows(_gcn_hidden(g, plan, params), nodes), params)
+    if (nodes < 0).any() or (nodes >= g.num_nodes).any():
+        raise ValueError(f"node outside [0, {g.num_nodes})")
+    (predictions,) = _predict(g, params, [nodes], hops, cache)
     truth = g.labels[nodes]
     confusion = np.zeros((g.num_classes, g.num_classes), dtype=np.int64)
     np.add.at(confusion, (truth, predictions), 1)
@@ -520,23 +542,23 @@ def _check(model: str, configs) -> None:
 
 def _run(g: Graph, config: RunConfig, seed: int, dataset: str, model: str,
          graph_hash: str, caches: dict) -> tuple[RunRecord, dict]:
-    """Split, train, evaluate on test, and assemble the record, with the
-    trained parameters. A CD-GNN run takes its all-node ego cache from
-    `caches` (hops -> cache), building and adding it when missing."""
+    """Split, train, evaluate on train and test, and assemble the record,
+    with the trained parameters. The run takes its cache from `caches`,
+    building and adding it when missing: a CD-GNN's all-node ego cache
+    keyed by its hops, a GCN's full-graph inputs keyed by "gcn"."""
     sp = split_nodes(g.num_nodes, seed)
     start = time.perf_counter()
     hops = config.resolved_hops
-    cache = None
-    if model == "cdgnn":
-        # One ego subgraph per node, shared by training and both evaluations.
-        if hops not in caches:
-            caches[hops] = build_ego_cache(g, hops, np.arange(g.num_nodes))
-        cache = caches[hops]
-        result = train_cdgnn(g, config, seed, sp.train, sp.val, cache)
-    else:
-        result = train_gcn_baseline(g, config, seed, sp.train, sp.val)
-    train_eval = evaluate(g, result.params, sp.train, hops, cache)
-    test = evaluate(g, result.params, sp.test, hops, cache)
+    # Shared by training and both evaluations: one ego subgraph per node,
+    # or the full graph's plan and propagated features.
+    key = hops if model == "cdgnn" else "gcn"
+    if key not in caches:
+        caches[key] = (build_ego_cache(g, hops, np.arange(g.num_nodes))
+                       if model == "cdgnn" else _full_graph(g))
+    train = train_cdgnn if model == "cdgnn" else train_gcn_baseline
+    result = train(g, config, seed, sp.train, sp.val, caches[key])
+    on_train, on_test = _predict(g, result.params, [sp.train, sp.test], hops,
+                                 caches[key])
     wall = time.perf_counter() - start
     record = RunRecord(
         dataset=dataset,
@@ -549,9 +571,9 @@ def _run(g: Graph, config: RunConfig, seed: int, dataset: str, model: str,
         feature_heterophily=feature_heterophily(g),
         best_epoch=result.best_epoch,
         epochs_run=result.epochs_run,
-        train_accuracy=train_eval.accuracy,
+        train_accuracy=float((on_train == g.labels[sp.train]).mean()),
         val_accuracy=result.best_val_accuracy,
-        test_accuracy=test.accuracy,
+        test_accuracy=float((on_test == g.labels[sp.test]).mean()),
         history=result.history,
         wall_time=wall,
     )
@@ -577,11 +599,11 @@ def run_variants(g: Graph, variants: dict[str, RunConfig],
     `variants` (a name -> RunConfig map) and in its order.
 
     The model, every config and the seeds are checked before any run. `g`
-    is hashed once, and a CD-GNN builds one all-node ego cache per distinct
-    resolved_hops, which every run at those hops reads and none writes.
-    Each record equals run_experiment's for its config and seed, except
-    the non-canonical wall_time, which excludes a cache shared from an
-    earlier run.
+    is hashed once; a CD-GNN builds one all-node ego cache per distinct
+    resolved_hops, and a GCN one full-graph plan with its propagated
+    features, which every run reads and none writes. Each record equals
+    run_experiment's for its config and seed, except the non-canonical
+    wall_time, which excludes a cache shared from an earlier run.
     """
     seeds = list(seeds)
     if not variants:

@@ -111,19 +111,26 @@ def init_head_params(rng: np.random.Generator, in_dim: int, num_classes: int,
 def gcn_forward(plan: ad.PropagationPlan, x, edge_weights, feature_mask,
                 layer_weights: list[ad.Tensor], dropout_rate: float = 0.0,
                 rng: np.random.Generator | None = None,
-                training: bool = False) -> list[ad.Tensor]:
+                training: bool = False,
+                propagated: bool = False) -> list[ad.Tensor]:
     """Node embeddings of the graph `plan` propagates, after every layer.
 
     x: node features (array or tensor), one row per node of `plan`.
     edge_weights: (num_und_edges, 1) tensor or None for the unit operator.
     feature_mask: (1, d) tensor or None; multiplies the input features.
+    propagated: x holds ad.propagate of the features already, which the
+    first layer then only multiplies; needs no edge weights and no mask.
     Training dropout acts between layers, after the output it records.
     """
+    if propagated and feature_mask is not None:
+        raise ValueError("a feature mask acts before the propagation")
     h = x if feature_mask is None else ad.multiply(x, feature_mask)
     outputs = []
     last = len(layer_weights) - 1
     for l, w in enumerate(layer_weights):
-        h = ad.gcn_layer(h, edge_weights, w, plan, relu=l < last)
+        h = ad.gcn_layer(h, edge_weights, w,
+                         None if propagated and l == 0 else plan,
+                         relu=l < last)
         outputs.append(h)
         if l < last and training and dropout_rate > 0.0:
             if rng is None:

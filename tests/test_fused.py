@@ -397,3 +397,148 @@ def test_one_training_batch_records_at_most_46_nodes(monkeypatch):
     _train_one_batch()
     assert len(sizes) == 1
     assert 0 < sizes[0] <= 46, sizes
+
+
+def _old_softmax_rows(logits):
+    """Row softmax as softmax_head took it before: the max by reduce."""
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize("classes", range(1, 21))
+def test_softmax_rows_max_by_column_against_reduce(classes):
+    """The max taken a column at a time gives the bits of the reduce on
+    rows of ±0.0, ±inf, NaN and finite values. A row that starts with a
+    NaN of sign bit 1 is the one exception: numpy's reduce returns a NaN
+    of sign bit 0 there, so that row's NaNs differ in the sign bit only."""
+    rng = np.random.default_rng(50 + classes)
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.5, -2.0])
+    logits = np.vstack([rng.choice(specials, size=(400, classes)),
+                        rng.normal(size=(50, classes)) * 30])
+    with np.errstate(invalid="ignore"):
+        np.testing.assert_array_equal(_bits(ad._softmax_rows(logits)),
+                                      _bits(_old_softmax_rows(logits)))
+        logits[::7, 0] = -np.nan
+        got, want = ad._softmax_rows(logits), _old_softmax_rows(logits)
+    np.testing.assert_array_equal(got, want)  # NaN where NaN
+    first = np.signbit(logits[:, 0]) & np.isnan(logits[:, 0])
+    np.testing.assert_array_equal(_bits(got[~first]), _bits(want[~first]))
+
+
+def _adjoints(out, tracked, seed):
+    """Value and adjoints of the tracked leaves under the output adjoint
+    `seed`, walked as ad.gradients walks, which refuses a non-finite
+    loss."""
+    ops = ad._reached(out)
+    out._accumulate(seed)
+    while ops:
+        node = ops.pop()
+        if node.grad is not None:
+            node._backward(node.grad)
+    return out.data, {k: t.grad for k, t in tracked.items()}
+
+
+@pytest.mark.parametrize("classes", [1, 2, 5, 20])
+def test_softmax_head_on_non_finite_logits_against_chain(classes):
+    """Overflowing products give ±inf and NaN logits; the head's value and
+    its adjoints keep the chain's bits (NaN signs aside on rows that start
+    with a negative NaN), and NaN where the chain has NaN."""
+    rng = np.random.default_rng(70 + classes)
+    x = np.vstack([rng.normal(size=(30, 3)),
+                   [[1e308, 1.0, 0.0], [-1e308, 0.0, 1.0],
+                    [1e308, 1e308, 1e308], [0.0, 0.0, 0.0]]])
+    w = rng.normal(size=(3, classes)) * 10
+    b = rng.normal(size=(1, classes))
+    seed = rng.normal(size=(x.shape[0], classes))
+    runs = []
+    with np.errstate(invalid="ignore", over="ignore"):
+        logits = x @ w + b
+        for impl in (ad.softmax_head, composed.softmax_head):
+            leaves = ad.leaves({"x": x, "w": w, "b": b})
+            runs.append(_adjoints(impl(leaves["x"], leaves["w"], leaves["b"]),
+                                  leaves, seed))
+    (got, got_grads), (want, want_grads) = runs
+    assert np.isinf(logits).any() and np.isnan(got).any()
+    clean = ~(np.isnan(logits[:, 0]) & np.signbit(logits[:, 0]))
+    np.testing.assert_array_equal(_bits(got[clean]), _bits(want[clean]))
+    np.testing.assert_array_equal(_bits(got_grads["x"][clean]),
+                                  _bits(want_grads["x"][clean]))
+    np.testing.assert_array_equal(got, want)
+    for k in want_grads:
+        np.testing.assert_array_equal(got_grads[k], want_grads[k], err_msg=k)
+
+
+def _csr_scatter(shape, idx, g):
+    """The CSR row sum the unique-index scatter replaces."""
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(idx, minlength=shape[0]))])
+    return ad._csr_rowsum(indptr, np.argsort(idx, kind="stable"),
+                          np.ones(idx.shape[0]), g)
+
+
+class TestRowScatter:
+    def test_unique_indices_give_the_csr_bits(self):
+        """A -0.0 gradient lands as +0.0, and rows no index picks are +0.0."""
+        rng = np.random.default_rng(60)
+        for rows, width in ((1, 1), (7, 3), (600, 16)):
+            idx = rng.permutation(rows)[:max(1, rows // 2)]
+            g = rng.normal(size=(idx.shape[0], width))
+            g[0, 0] = -0.0
+            g.flat[-1] = np.nan if g.size > 1 else -0.0
+            got = ad._row_scatter((rows, width), idx, g)
+            np.testing.assert_array_equal(
+                _bits(got), _bits(_csr_scatter((rows, width), idx, g)))
+            assert not np.signbit(got[idx[0], 0])
+            untouched = np.setdiff1d(np.arange(rows), idx)
+            assert not np.signbit(got[untouched]).any()
+
+    def test_repeated_indices_take_the_csr_sum(self, monkeypatch):
+        calls = []
+        real = ad._csr_rowsum
+
+        def counted(*args):
+            calls.append(args[1].shape[0])
+            return real(*args)
+
+        monkeypatch.setattr(ad, "_csr_rowsum", counted)
+        g = np.arange(8.0).reshape(4, 2)
+        ad._row_scatter((3, 2), np.array([2, 0, 1]), g[:3])
+        assert calls == []
+        got = ad._row_scatter((3, 2), np.array([2, 0, 2, 1]), g)
+        assert calls == [4]
+        np.testing.assert_array_equal(got, [[2.0, 3.0], [6.0, 7.0],
+                                            [0.0 + 4.0, 1.0 + 5.0]])
+        assert ad._row_scatter((3, 2), np.array([], dtype=np.int64),
+                               np.zeros((0, 2))).tolist() == [[0.0] * 2] * 3
+
+
+def test_take_rows_output_owns_its_data():
+    a = np.arange(12.0).reshape(6, 2)
+    for idx in ([1, 3], [0, 0, 5], np.arange(6)):
+        out = ad.take_rows(a, np.array(idx))
+        assert not np.shares_memory(out.data, a)
+        out.data[:] = -1.0
+    np.testing.assert_array_equal(a, np.arange(12.0).reshape(6, 2))
+
+
+@pytest.mark.parametrize("relu", [True, False])
+def test_gcn_layer_over_propagated_input_is_the_layer(relu):
+    """A layer given ad.propagate of its input and no plan gives the bits of
+    the layer that propagates, in its value and its weight's gradient."""
+    rng = np.random.default_rng(80)
+    for trial in range(5):
+        plan = _random_plan(rng, 9, edgeless=trial == 0)
+        f = rng.normal(size=(9, 4))
+        prop = ad.propagate(f, plan)
+        _assert_bitwise(lambda lv: ad.gcn_layer(prop, None, lv["lw"], None, relu),
+                        lambda lv: ad.gcn_layer(f, None, lv["lw"], plan, relu),
+                        {"lw": rng.normal(size=(4, 3))}, {"lw"})
+    with pytest.raises(ValueError, match="plan"):
+        ad.gcn_layer(prop, np.ones((plan.num_und_edges, 1)), np.ones((4, 3)),
+                     None, relu)
+    with pytest.raises(ValueError, match="constant"):
+        ad.gcn_layer(ad.leaves({"f": prop})["f"], None, np.ones((4, 3)),
+                     None, relu)

@@ -427,6 +427,23 @@ class TestMonteCarlo:
         assert peak < 1_000_000
         assert mc.within(3.0)
 
+    def test_large_split_cell_costs_its_degree(self):
+        """Draws run over the degree + 1 match sums, so a 1000 + 1000 cell
+        neither builds a million (a, b) pairs nor needs logs past
+        C(1000, 500)."""
+        params = _mc_params(degree=2000, rho=0.5, h_sub=0.2, h_rest=0.7,
+                            share=0.5)
+        tracemalloc.start()
+        try:
+            mc = monte_carlo_one_layer(params, 1000, 1000, seed=4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        np.testing.assert_allclose(
+            mc.analytic, one_layer_gain(2000, 2000, 0.5, 0.45), rtol=1e-12)
+        assert mc.within(3.0)
+
     def test_seed_reproducible(self):
         a = monte_carlo_one_layer(_mc_params(), 3, 0, seed=11)
         b = monte_carlo_one_layer(_mc_params(), 3, 0, seed=11)

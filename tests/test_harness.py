@@ -312,9 +312,9 @@ class TestTrainBaseline:
         with dropout every epoch but the last predicts val on its own."""
         calls, real = [], harness.gcn_forward
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             calls.append(args[7])  # training
-            return real(*args)
+            return real(*args, **kwargs)
 
         monkeypatch.setattr(harness, "gcn_forward", counted)
         g = _tiny_graph(seed=3)
@@ -327,7 +327,67 @@ class TestTrainBaseline:
         assert len(calls) == forwards
 
 
+class TestGcnRunCounts:
+    """A GCN run does its fixed work once: the full graph's plan and the
+    propagation of the features, which training and both evaluations read."""
+
+    def _count(self, monkeypatch, g):
+        plans, props, forwards = [], [], []
+        real_plan, real_prop = ad.PropagationPlan.from_edges, ad._propagate
+        real_forward = harness.gcn_forward
+
+        def plan(edges, num_nodes):
+            plans.append(num_nodes)
+            return real_plan(edges, num_nodes)
+
+        def prop(f, w, p):
+            if f.shape == g.features.shape and np.array_equal(f, g.features):
+                props.append(w)
+            return real_prop(f, w, p)
+
+        def forward(*args, **kwargs):
+            forwards.append(args[7])  # training
+            return real_forward(*args, **kwargs)
+
+        monkeypatch.setattr(ad.PropagationPlan, "from_edges",
+                            staticmethod(plan))
+        monkeypatch.setattr(ad, "_propagate", prop)
+        monkeypatch.setattr(harness, "gcn_forward", forward)
+        return plans, props, forwards
+
+    def test_one_plan_and_one_feature_propagation_per_run(self, monkeypatch):
+        g = _tiny_graph(seed=3)
+        plans, props, _ = self._count(monkeypatch, g)
+        cfg = _tiny_config(epochs=4, patience=4)
+        run_experiment(g, cfg, seed=0, model="gcn")
+        assert plans == [g.num_nodes]
+        assert props == [None]
+        run_variants(g, {"a": cfg, "b": replace(cfg, hidden=6)}, [0, 1, 2],
+                     model="gcn")
+        assert plans == [g.num_nodes] * 2
+        assert props == [None] * 2
+
+    def test_train_and_test_share_one_inference_forward(self, monkeypatch):
+        """Without dropout: one training forward per epoch, one predict
+        for the last epoch, then one forward for both evaluations."""
+        g = _tiny_graph(seed=3)
+        _, _, forwards = self._count(monkeypatch, g)
+        record = run_experiment(g, _tiny_config(epochs=5, patience=5),
+                                seed=0, model="gcn")
+        assert record.epochs_run == 5
+        assert forwards == [True] * 5 + [False] * 2
+
+
 class TestEvaluate:
+    def test_node_outside_the_graph_rejected(self):
+        """A negative id would otherwise wrap to a row from the end."""
+        g = _tiny_graph(seed=5)
+        params = train_gcn_baseline(g, _tiny_config(epochs=1), 0,
+                                    np.arange(10), np.arange(10, 14)).params
+        for nodes in ([-1], [0, g.num_nodes]):
+            with pytest.raises(ValueError, match="outside"):
+                evaluate(g, params, np.array(nodes))
+
     def test_confusion_consistent_with_accuracy(self):
         g = _tiny_graph(seed=5)
         sp = split_nodes(g.num_nodes, seed=5)

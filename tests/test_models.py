@@ -311,3 +311,33 @@ class TestInit:
         assert head["head.b"].shape == (1, 4)
         ro = init_readout_params(rng, 5, "readout")
         assert ro["readout.proj"].shape == (10, 5)
+
+
+class TestPropagatedForward:
+    def test_propagated_features_give_the_forward_bits(self):
+        """ad.propagate once, then every forward from it, is the forward
+        that propagates its own features, at dropout 0 and above."""
+        g = _path_graph(6, seed=7)
+        plan = ad.PropagationPlan.from_edges(g.edges, g.num_nodes)
+        ws = list(init_gcn_weights(np.random.default_rng(2), 3, 4, 3,
+                                   "gcn").values())
+        prop = ad.propagate(g.features, plan)
+        for rate in (0.0, 0.5):
+            want = gcn_forward(plan, g.features, None, None, ws, rate,
+                               np.random.default_rng(3), training=True)
+            got = gcn_forward(plan, prop, None, None, ws, rate,
+                              np.random.default_rng(3), training=True,
+                              propagated=True)
+            for a, b in zip(got, want, strict=True):
+                np.testing.assert_array_equal(a.data, b.data)
+
+    def test_propagated_features_take_no_mask_or_weights(self):
+        g = _path_graph(4, seed=8)
+        plan = ad.PropagationPlan.from_edges(g.edges, g.num_nodes)
+        prop = ad.propagate(g.features, plan)
+        ws = [np.ones((3, 2))]
+        with pytest.raises(ValueError, match="mask"):
+            gcn_forward(plan, prop, None, np.ones((1, 3)), ws, propagated=True)
+        with pytest.raises(ValueError, match="plan"):
+            gcn_forward(plan, prop, np.ones((plan.num_und_edges, 1)), None, ws,
+                        propagated=True)
