@@ -7,10 +7,13 @@ that depends on a leaf keeps its parents, its adjoint and a creation index.
 `gradients` runs the adjoints of the operations the loss depends on once,
 in reverse creation order, and spends each node as it goes. Links run only
 from outputs to inputs, so a step's graph holds no reference cycle and is
-freed by reference count. Graph propagation and its adjoints run as CSR
-row sums over a PropagationPlan, so no dense adjacency matrix is ever
-materialized. `propagate` runs the unweighted propagation of a constant
-input once; a gcn_layer given no plan takes its input as propagated.
+freed by reference count. An adjoint hands an input a gradient it has
+just built without a copy, and copies one it passes through or slices.
+Graph propagation and its adjoints run as CSR row sums over a
+PropagationPlan, in scipy's compiled kernel (loaded without importing
+scipy.sparse), so no dense adjacency matrix is ever materialized.
+`propagate` runs the unweighted propagation of a constant input once; a
+gcn_layer given no plan takes its input as propagated.
 
 The model's hot paths are fused primitives (gcn_layer, softmax_head,
 mean_of_halves, ego_readout, gce_rows, nll_rows, hsic_rbf): each records one
@@ -31,12 +34,16 @@ element-wise, so this gives the bits of a per-parameter loop.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
 from itertools import count
 from operator import attrgetter
 
 import numpy as np
-from scipy.sparse import _sparsetools
+import scipy
 
 __all__ = [
     "Tensor",
@@ -47,6 +54,33 @@ __all__ = [
     "gce_rows", "nll_rows", "hsic_rbf",
     "AdamState", "adam_step", "leaves", "gradients",
 ]
+
+
+def _load_sparsetools():
+    """scipy's compiled CSR kernels, `scipy.sparse._sparsetools`, loaded
+    from their extension file under that name. Importing `scipy.sparse` for
+    them would also import numpy.f2py and scipy's array API layer, most of
+    the cost of `import cdgnn`; the module is the same either way, and one
+    already imported is reused."""
+    name = "scipy.sparse._sparsetools"
+    if name in sys.modules:
+        return sys.modules[name]
+    folder = os.path.join(scipy.__path__[0], "sparse")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(folder, "_sparsetools" + suffix)
+        if os.path.isfile(path):
+            break
+    else:
+        raise ImportError(f"scipy's compiled CSR kernel (_sparsetools) is not in {folder}")
+    loader = importlib.machinery.ExtensionFileLoader(name, path)
+    module = importlib.util.module_from_spec(
+        importlib.util.spec_from_file_location(name, path, loader=loader))
+    loader.exec_module(module)
+    sys.modules[name] = module
+    return module
+
+
+_sparsetools = _load_sparsetools()
 
 LOG_CLAMP = 1e-12
 # Creation order of the operations' outputs; the backward walk runs it in
@@ -78,10 +112,22 @@ class Tensor:
         return float(self.data.reshape(-1)[0])
 
     def _accumulate(self, g: np.ndarray) -> None:
+        """Add g into the gradient. A first g is copied: it may be another
+        node's gradient, or a view of one."""
         if not self.requires_grad:
             return
         if self.grad is None:
             self.grad = np.array(g, dtype=np.float64)
+        else:
+            self.grad += g
+
+    def _accumulate_fresh(self, g: np.ndarray) -> None:
+        """Add g, a float64 array the adjoint has just built and reads no
+        more, into the gradient; a first g becomes the gradient, uncopied."""
+        if not self.requires_grad:
+            return
+        if self.grad is None:
+            self.grad = g
         else:
             self.grad += g
 
@@ -133,8 +179,8 @@ def matmul(a, b) -> Tensor:
     data = a.data @ b.data
 
     def backward(g: np.ndarray) -> None:
-        a._accumulate(g @ b.data.T)
-        b._accumulate(a.data.T @ g)
+        a._accumulate_fresh(g @ b.data.T)
+        b._accumulate_fresh(a.data.T @ g)
 
     return _make(data, (a, b), backward)
 
@@ -156,7 +202,7 @@ def subtract(a, b) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         a._accumulate(_unbroadcast(g, a.data.shape))
-        b._accumulate(_unbroadcast(-g, b.data.shape))
+        b._accumulate_fresh(_unbroadcast(-g, b.data.shape))
 
     return _make(data, (a, b), backward)
 
@@ -166,8 +212,8 @@ def multiply(a, b) -> Tensor:
     data = a.data * b.data
 
     def backward(g: np.ndarray) -> None:
-        a._accumulate(_unbroadcast(g * b.data, a.data.shape))
-        b._accumulate(_unbroadcast(g * a.data, b.data.shape))
+        a._accumulate_fresh(_unbroadcast(g * b.data, a.data.shape))
+        b._accumulate_fresh(_unbroadcast(g * a.data, b.data.shape))
 
     return _make(data, (a, b), backward)
 
@@ -181,7 +227,7 @@ def sigmoid(a) -> Tensor:
     data[~pos] = ex / (1.0 + ex)
 
     def backward(g: np.ndarray) -> None:
-        a._accumulate(g * data * (1.0 - data))
+        a._accumulate_fresh(g * data * (1.0 - data))
 
     return _make(data, (a,), backward)
 
@@ -191,7 +237,7 @@ def relu(a) -> Tensor:
     data = np.maximum(a.data, 0.0)
 
     def backward(g: np.ndarray) -> None:
-        a._accumulate(g * (a.data > 0))
+        a._accumulate_fresh(g * (a.data > 0))
 
     return _make(data, (a,), backward)
 
@@ -201,7 +247,7 @@ def mean(a) -> Tensor:
     data = np.array([[a.data.mean()]])
 
     def backward(g: np.ndarray) -> None:
-        a._accumulate(np.full_like(a.data, g[0, 0] / a.data.size))
+        a._accumulate_fresh(np.full_like(a.data, g[0, 0] / a.data.size))
 
     return _make(data, (a,), backward)
 
@@ -233,7 +279,7 @@ def dropout(a, rate: float, rng: np.random.Generator) -> Tensor:
     data = a.data * mask
 
     def backward(g: np.ndarray) -> None:
-        a._accumulate(g * mask)
+        a._accumulate_fresh(g * mask)
 
     return _make(data, (a,), backward)
 
@@ -247,7 +293,7 @@ def take_rows(a, indices) -> Tensor:
     data = a.data[idx]
 
     def backward(g: np.ndarray) -> None:
-        a._accumulate(_row_scatter(a.data.shape, idx, g))
+        a._accumulate_fresh(_row_scatter(a.data.shape, idx, g))
 
     return _make(data, (a,), backward)
 
@@ -290,7 +336,7 @@ def permute_rows(a, perm) -> Tensor:
     inv[p] = np.arange(p.shape[0])
 
     def backward(g: np.ndarray) -> None:
-        a._accumulate(g[inv])
+        a._accumulate_fresh(g[inv])
 
     return _make(data, (a,), backward)
 
@@ -388,18 +434,18 @@ def _propagate_backward(g: np.ndarray, f: Tensor, w: Tensor | None,
     """Accumulate the adjoint of _propagate into f, then into w."""
     go = g * plan.inv_deg
     if plan.num_und_edges == 0:
-        f._accumulate(go)
+        f._accumulate_fresh(go)
         return
     if f.requires_grad:
         back = _csr_rowsum(plan.indptr, plan.bwd_cols,
                            _edge_data(w, plan.bwd_und), go)
         back += go
-        f._accumulate(back)
+        f._accumulate_fresh(back)
     if w is not None and w.requires_grad:
         per_dir = np.einsum("ek,ek->e", f.data[plan.fwd_cols], go[plan.fwd_rows])
         dw = np.bincount(plan.fwd_und, weights=per_dir,
                          minlength=plan.num_und_edges)
-        w._accumulate(dw[:, None])
+        w._accumulate_fresh(dw[:, None])
 
 
 def propagate(f, plan: PropagationPlan) -> np.ndarray:
@@ -430,7 +476,7 @@ def gcn_layer(f, weights, layer_weight, plan: PropagationPlan | None,
         # relu's output is positive exactly where its input is
         gz = g * (data > 0) if relu else g
         if lw.requires_grad:
-            lw._accumulate(prop.T @ gz)
+            lw._accumulate_fresh(prop.T @ gz)
         if f.requires_grad or (w is not None and w.requires_grad):
             _propagate_backward(gz @ lw.data.T, f, w, plan)
 
@@ -461,8 +507,8 @@ def softmax_head(x, weight, bias) -> Tensor:
         dot = (g * data).sum(axis=1, keepdims=True)
         gl = data * (g - dot)
         bias._accumulate(_unbroadcast(gl, bias.data.shape))
-        x._accumulate(gl @ weight.data.T)
-        weight._accumulate(x.data.T @ gl)
+        x._accumulate_fresh(gl @ weight.data.T)
+        weight._accumulate_fresh(x.data.T @ gl)
 
     return _make(data, (x, weight, bias), backward)
 
@@ -479,7 +525,7 @@ def mean_of_halves(a) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         gh = g * 0.5
-        a._accumulate(np.vstack([gh, gh]))
+        a._accumulate_fresh(np.vstack([gh, gh]))
 
     return _make(data, (a,), backward)
 
@@ -497,11 +543,11 @@ def ego_readout(h, ego_rows, segments, num_segments: int,
     k = h.data.shape[1]
 
     def backward(g: np.ndarray) -> None:
-        projection._accumulate(joined.T @ g)
+        projection._accumulate_fresh(joined.T @ g)
         if h.requires_grad:
             gj = g @ projection.data.T
-            h._accumulate(gj[:, k:][seg] / counts[seg][:, None])
-            h._accumulate(_row_scatter(h.data.shape, idx, gj[:, :k]))
+            h._accumulate_fresh(gj[:, k:][seg] / counts[seg][:, None])
+            h._accumulate_fresh(_row_scatter(h.data.shape, idx, gj[:, :k]))
 
     return _make(data, (h, projection), backward)
 
@@ -523,7 +569,7 @@ def _scatter_picked(probs: Tensor, rows: np.ndarray, y: np.ndarray,
     """Accumulate the column gp into probs at the picked entries."""
     dp = np.zeros_like(probs.data)
     dp[rows, y] = gp[:, 0]
-    probs._accumulate(dp)
+    probs._accumulate_fresh(dp)
 
 
 def gce_rows(probs, labels, q: float) -> Tensor:
@@ -641,7 +687,7 @@ def hsic_rbf(x, y, bandwidth_x: float, bandwidth_y: float,
             if t.requires_grad:
                 gk = np.multiply(gp, kc)
                 gs = _rbf_backward(_centered(gk, out=gk), sample, k, bw)
-                t._accumulate(gs if rows is None
+                t._accumulate_fresh(gs if rows is None
                               else _row_scatter(t.data.shape, rows, gs))
 
     return _make(data, (x, y), backward)

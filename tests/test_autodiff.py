@@ -122,6 +122,38 @@ class TestBackwardSemantics:
         finally:
             gc.enable()
 
+    @pytest.mark.parametrize("case", ["add", "add_self", "subtract", "concat_cols"])
+    def test_gradients_share_no_memory(self, case):
+        """Adjoints that pass their gradient through (add, subtract) or
+        hand out views of it (concat_cols) give each input its own copy.
+        `a` also feeds an op recorded before them, whose adjoint runs later
+        and adds into a's gradient: with a shared buffer, that add would
+        reach another input's gradient too."""
+        rng = np.random.default_rng(43)
+        t = ad.leaves({"a": rng.normal(size=(3, 2)), "b": rng.normal(size=(3, 2)),
+                       "c": rng.normal(size=(3, 4))})
+        a, b, c = t["a"], t["b"], t["c"]
+        r, early = rng.normal(size=(3, 2)), rng.normal(size=(3, 2))
+        first = composed.sum_all(ad.multiply(a, early))
+        if case == "add":
+            out, want = ad.add(a, b), {"a": early + r, "b": r}
+        elif case == "add_self":
+            out, want = ad.add(ad.add(a, a), b), {"a": early + 2.0 * r, "b": r}
+        elif case == "subtract":
+            out, want = ad.subtract(a, b), {"a": early + r, "b": -r}
+        else:
+            r = rng.normal(size=(3, 6))
+            out = ad.concat_cols(a, c)
+            want = {"a": early + r[:, :2], "c": r[:, 2:]}
+        loss = ad.add(first, composed.sum_all(ad.multiply(out, r)))
+        grads = ad.gradients(loss, {k: t[k] for k in want})
+        for k in want:
+            np.testing.assert_allclose(grads[k], want[k], rtol=1e-15, err_msg=k)
+        arrays = list(grads.values())
+        for i, x in enumerate(arrays):
+            for y in arrays[i + 1:]:
+                assert not np.may_share_memory(x, y)
+
     def test_unused_leaf_gets_zero_gradient(self):
         t = ad.leaves({"x": np.ones((2, 2)), "unused": np.ones((3, 3))})
         grads = ad.gradients(composed.sum_all(t["x"]), t)

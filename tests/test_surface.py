@@ -13,7 +13,9 @@ definition. That match is by name alone, so it can miss an unused method
 (any `.shape` counts for `Tensor.shape`) but never flags a used one.
 
 The package's imports are held to its declared dependencies: importing
-`cdgnn` and its CLI loads neither `scipy.stats` nor `networkx`, and the
+`cdgnn` and its CLI loads none of `networkx`, `scipy.stats`, `scipy.sparse`
+or `numpy.f2py`, only scipy's compiled CSR kernel, which is the module
+`scipy.sparse` itself uses, whichever is imported first; and the
 third-party packages that `src/cdgnn` imports are exactly those of
 `[project].dependencies`.
 """
@@ -192,17 +194,85 @@ def test_member_guard_ignores_a_method_that_only_calls_itself():
     assert unused_public_members({"m": tree}, []) == ["m.A.alone"]
 
 
-def test_import_loads_neither_scipy_stats_nor_networkx():
+def _python(code: str, *path: Path) -> subprocess.CompletedProcess:
+    """Run `code` in a fresh interpreter with `path` and src/ first on its
+    module path."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
-    code = "import sys, cdgnn, cdgnn.cli; print(*sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, check=True)
+        [str(p) for p in (*path, ROOT / "src")]
+        + [p for p in [env.get("PYTHONPATH")] if p])
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+
+
+KERNEL = "scipy.sparse._sparsetools"
+HEAVY = ("networkx", "numpy.f2py", "scipy.stats", "scipy.sparse",
+         "scipy._lib._util")
+
+
+def test_import_loads_none_of_scipy_sparse_stats_f2py_or_networkx():
+    proc = _python("import sys, cdgnn, cdgnn.cli; print(*sys.modules)")
+    assert proc.returncode == 0, proc.stderr
     loaded = proc.stdout.split()
-    assert "cdgnn.cli" in loaded
-    assert [m for m in loaded if m == "networkx" or m.startswith("networkx.")
-            or m == "scipy.stats" or m.startswith("scipy.stats.")] == []
+    assert "cdgnn.cli" in loaded and KERNEL in loaded
+    assert [m for m in loaded if m != KERNEL and any(
+        m == h or m.startswith(h + ".") for h in HEAVY)] == []
+
+
+# Random propagation plans with isolated nodes (empty rows), signed zeros
+# and edge weights; _csr_rowsum must give the bits of scipy's CSR product.
+SAME_KERNEL = """
+import sys
+import numpy as np
+{first}
+assert ad._sparsetools is sys.modules["scipy.sparse._sparsetools"]
+rng = np.random.default_rng(7)
+signed = np.array([0.0, -0.0, 1.0, -1.5])
+for trial in range(60):
+    n, k = int(rng.integers(1, 40)), int(rng.integers(1, 6))
+    m = int(rng.integers(0, 3 * n))
+    edges = rng.integers(0, max(n // 2, 1), size=(m, 2))
+    plan = ad.PropagationPlan.from_edges(edges, n)
+    w = np.where(rng.random((m, 1)) < 0.3, rng.choice(signed, (m, 1)),
+                 rng.normal(size=(m, 1)))
+    x = np.where(rng.random((n, k)) < 0.3, rng.choice(signed, (n, k)),
+                 rng.normal(size=(n, k)))
+    for weights in (None, ad.Tensor(w)):
+        for cols, und in ((plan.fwd_cols, plan.fwd_und),
+                          (plan.bwd_cols, plan.bwd_und)):
+            data = ad._edge_data(weights, und)
+            got = ad._csr_rowsum(plan.indptr, cols, data, x)
+            want = scipy.sparse.csr_array((data, cols, plan.indptr),
+                                          shape=(n, n)) @ x
+            assert np.array_equal(got.view(np.uint64),
+                                  np.ascontiguousarray(want).view(np.uint64))
+print("same kernel")
+"""
+
+
+@pytest.mark.parametrize("first", [
+    "from cdgnn import autodiff as ad\nimport scipy.sparse",
+    "import scipy.sparse\nfrom cdgnn import autodiff as ad",
+], ids=["cdgnn_first", "scipy_sparse_first"])
+def test_csr_kernel_is_scipy_sparses_own(first):
+    """cdgnn's CSR kernel is the module scipy.sparse runs, loaded once,
+    whichever of the two is imported first, and gives its bits."""
+    proc = _python(SAME_KERNEL.format(first=first))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "same kernel"
+
+
+def test_missing_csr_kernel_is_one_line_import_error(tmp_path):
+    """A scipy tree without the compiled kernel stops `import cdgnn` with
+    one ImportError line that names the folder it looked in."""
+    (tmp_path / "scipy" / "sparse").mkdir(parents=True)
+    (tmp_path / "scipy" / "__init__.py").write_text("")
+    (tmp_path / "scipy" / "sparse" / "__init__.py").write_text("")
+    proc = _python("import cdgnn", tmp_path)
+    assert proc.returncode == 1
+    folder = tmp_path / "scipy" / "sparse"
+    assert proc.stderr.splitlines()[-1] == (
+        f"ImportError: scipy's compiled CSR kernel (_sparsetools) is not in {folder}")
 
 
 def _third_party_imports() -> set[str]:
