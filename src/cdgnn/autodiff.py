@@ -7,8 +7,8 @@ that depends on a leaf keeps its parents, its adjoint and a creation index.
 `gradients` runs the adjoints of the operations the loss depends on once,
 in reverse creation order, and spends each node as it goes. Links run only
 from outputs to inputs, so a step's graph holds no reference cycle and is
-freed by reference count. An adjoint hands an input a gradient it has
-just built without a copy, and copies one it passes through or slices.
+freed by reference count. A first gradient is taken without a copy, so an
+adjoint copies only an array that would otherwise reach two inputs.
 Graph propagation and its adjoints run as CSR row sums over a
 PropagationPlan, in scipy's compiled kernel (loaded without importing
 scipy.sparse), so no dense adjacency matrix is ever materialized.
@@ -112,18 +112,8 @@ class Tensor:
         return float(self.data.reshape(-1)[0])
 
     def _accumulate(self, g: np.ndarray) -> None:
-        """Add g into the gradient. A first g is copied: it may be another
-        node's gradient, or a view of one."""
-        if not self.requires_grad:
-            return
-        if self.grad is None:
-            self.grad = np.array(g, dtype=np.float64)
-        else:
-            self.grad += g
-
-    def _accumulate_fresh(self, g: np.ndarray) -> None:
-        """Add g, a float64 array the adjoint has just built and reads no
-        more, into the gradient; a first g becomes the gradient, uncopied."""
+        """Add g, a float64 array no other input gets and the adjoint reads
+        no more, into the gradient; a first g becomes the gradient, uncopied."""
         if not self.requires_grad:
             return
         if self.grad is None:
@@ -179,8 +169,8 @@ def matmul(a, b) -> Tensor:
     data = a.data @ b.data
 
     def backward(g: np.ndarray) -> None:
-        a._accumulate_fresh(g @ b.data.T)
-        b._accumulate_fresh(a.data.T @ g)
+        a._accumulate(g @ b.data.T)
+        b._accumulate(a.data.T @ g)
 
     return _make(data, (a, b), backward)
 
@@ -191,7 +181,8 @@ def add(a, b) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         a._accumulate(_unbroadcast(g, a.data.shape))
-        b._accumulate(_unbroadcast(g, b.data.shape))
+        gb = _unbroadcast(g, b.data.shape)
+        b._accumulate(gb.copy() if gb is g else gb)
 
     return _make(data, (a, b), backward)
 
@@ -202,7 +193,7 @@ def subtract(a, b) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         a._accumulate(_unbroadcast(g, a.data.shape))
-        b._accumulate_fresh(_unbroadcast(-g, b.data.shape))
+        b._accumulate(_unbroadcast(-g, b.data.shape))
 
     return _make(data, (a, b), backward)
 
@@ -212,8 +203,8 @@ def multiply(a, b) -> Tensor:
     data = a.data * b.data
 
     def backward(g: np.ndarray) -> None:
-        a._accumulate_fresh(_unbroadcast(g * b.data, a.data.shape))
-        b._accumulate_fresh(_unbroadcast(g * a.data, b.data.shape))
+        a._accumulate(_unbroadcast(g * b.data, a.data.shape))
+        b._accumulate(_unbroadcast(g * a.data, b.data.shape))
 
     return _make(data, (a, b), backward)
 
@@ -227,7 +218,7 @@ def sigmoid(a) -> Tensor:
     data[~pos] = ex / (1.0 + ex)
 
     def backward(g: np.ndarray) -> None:
-        a._accumulate_fresh(g * data * (1.0 - data))
+        a._accumulate(g * data * (1.0 - data))
 
     return _make(data, (a,), backward)
 
@@ -237,7 +228,7 @@ def relu(a) -> Tensor:
     data = np.maximum(a.data, 0.0)
 
     def backward(g: np.ndarray) -> None:
-        a._accumulate_fresh(g * (a.data > 0))
+        a._accumulate(g * (a.data > 0))
 
     return _make(data, (a,), backward)
 
@@ -247,7 +238,7 @@ def mean(a) -> Tensor:
     data = np.array([[a.data.mean()]])
 
     def backward(g: np.ndarray) -> None:
-        a._accumulate_fresh(np.full_like(a.data, g[0, 0] / a.data.size))
+        a._accumulate(np.full_like(a.data, g[0, 0] / a.data.size))
 
     return _make(data, (a,), backward)
 
@@ -262,8 +253,8 @@ def concat_cols(a, b) -> Tensor:
     split = a.data.shape[1]
 
     def backward(g: np.ndarray) -> None:
-        a._accumulate(g[:, :split])
-        b._accumulate(g[:, split:])
+        a._accumulate(g[:, :split].copy())
+        b._accumulate(g[:, split:].copy())
 
     return _make(data, (a, b), backward)
 
@@ -279,7 +270,7 @@ def dropout(a, rate: float, rng: np.random.Generator) -> Tensor:
     data = a.data * mask
 
     def backward(g: np.ndarray) -> None:
-        a._accumulate_fresh(g * mask)
+        a._accumulate(g * mask)
 
     return _make(data, (a,), backward)
 
@@ -293,7 +284,7 @@ def take_rows(a, indices) -> Tensor:
     data = a.data[idx]
 
     def backward(g: np.ndarray) -> None:
-        a._accumulate_fresh(_row_scatter(a.data.shape, idx, g))
+        a._accumulate(_row_scatter(a.data.shape, idx, g))
 
     return _make(data, (a,), backward)
 
@@ -336,7 +327,7 @@ def permute_rows(a, perm) -> Tensor:
     inv[p] = np.arange(p.shape[0])
 
     def backward(g: np.ndarray) -> None:
-        a._accumulate_fresh(g[inv])
+        a._accumulate(g[inv])
 
     return _make(data, (a,), backward)
 
@@ -434,18 +425,18 @@ def _propagate_backward(g: np.ndarray, f: Tensor, w: Tensor | None,
     """Accumulate the adjoint of _propagate into f, then into w."""
     go = g * plan.inv_deg
     if plan.num_und_edges == 0:
-        f._accumulate_fresh(go)
+        f._accumulate(go)
         return
     if f.requires_grad:
         back = _csr_rowsum(plan.indptr, plan.bwd_cols,
                            _edge_data(w, plan.bwd_und), go)
         back += go
-        f._accumulate_fresh(back)
+        f._accumulate(back)
     if w is not None and w.requires_grad:
         per_dir = np.einsum("ek,ek->e", f.data[plan.fwd_cols], go[plan.fwd_rows])
         dw = np.bincount(plan.fwd_und, weights=per_dir,
                          minlength=plan.num_und_edges)
-        w._accumulate_fresh(dw[:, None])
+        w._accumulate(dw[:, None])
 
 
 def propagate(f, plan: PropagationPlan) -> np.ndarray:
@@ -476,7 +467,7 @@ def gcn_layer(f, weights, layer_weight, plan: PropagationPlan | None,
         # relu's output is positive exactly where its input is
         gz = g * (data > 0) if relu else g
         if lw.requires_grad:
-            lw._accumulate_fresh(prop.T @ gz)
+            lw._accumulate(prop.T @ gz)
         if f.requires_grad or (w is not None and w.requires_grad):
             _propagate_backward(gz @ lw.data.T, f, w, plan)
 
@@ -506,9 +497,10 @@ def softmax_head(x, weight, bias) -> Tensor:
     def backward(g: np.ndarray) -> None:
         dot = (g * data).sum(axis=1, keepdims=True)
         gl = data * (g - dot)
+        x._accumulate(gl @ weight.data.T)
+        weight._accumulate(x.data.T @ gl)
+        # last: with one row, bias takes gl itself
         bias._accumulate(_unbroadcast(gl, bias.data.shape))
-        x._accumulate_fresh(gl @ weight.data.T)
-        weight._accumulate_fresh(x.data.T @ gl)
 
     return _make(data, (x, weight, bias), backward)
 
@@ -525,7 +517,7 @@ def mean_of_halves(a) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         gh = g * 0.5
-        a._accumulate_fresh(np.vstack([gh, gh]))
+        a._accumulate(np.vstack([gh, gh]))
 
     return _make(data, (a,), backward)
 
@@ -543,11 +535,11 @@ def ego_readout(h, ego_rows, segments, num_segments: int,
     k = h.data.shape[1]
 
     def backward(g: np.ndarray) -> None:
-        projection._accumulate_fresh(joined.T @ g)
+        projection._accumulate(joined.T @ g)
         if h.requires_grad:
             gj = g @ projection.data.T
-            h._accumulate_fresh(gj[:, k:][seg] / counts[seg][:, None])
-            h._accumulate_fresh(_row_scatter(h.data.shape, idx, gj[:, :k]))
+            h._accumulate(gj[:, k:][seg] / counts[seg][:, None])
+            h._accumulate(_row_scatter(h.data.shape, idx, gj[:, :k]))
 
     return _make(data, (h, projection), backward)
 
@@ -569,7 +561,7 @@ def _scatter_picked(probs: Tensor, rows: np.ndarray, y: np.ndarray,
     """Accumulate the column gp into probs at the picked entries."""
     dp = np.zeros_like(probs.data)
     dp[rows, y] = gp[:, 0]
-    probs._accumulate_fresh(dp)
+    probs._accumulate(dp)
 
 
 def gce_rows(probs, labels, q: float) -> Tensor:
@@ -687,7 +679,7 @@ def hsic_rbf(x, y, bandwidth_x: float, bandwidth_y: float,
             if t.requires_grad:
                 gk = np.multiply(gp, kc)
                 gs = _rbf_backward(_centered(gk, out=gk), sample, k, bw)
-                t._accumulate_fresh(gs if rows is None
+                t._accumulate(gs if rows is None
                               else _row_scatter(t.data.shape, rows, gs))
 
     return _make(data, (x, y), backward)

@@ -17,7 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .gains import assumption_audit, default_grid_cells, theory_check_grid
+from .gains import (STDERR_MULTIPLE, assumption_audit, default_grid_cells,
+                    theory_check_grid)
 from .graphs import (feature_heterophily, label_heterophily, load_graph,
                      save_graph)
 from .harness import (RunConfig, RunRecord, aggregate_runs, evaluate,
@@ -277,7 +278,8 @@ def _cmd_theory_check(args) -> int:
               f"analytic {row['analytic']:+.5f}  "
               f"empirical {row['empirical']:+.5f} "
               f"(stderr {row['stderr']:.2e})  {flag}")
-    print(f"{grid.within_count}/{grid.total} cells within 3 standard errors")
+    print(f"{grid.within_count}/{grid.total} cells within {STDERR_MULTIPLE} "
+          f"standard errors")
     if args.out is not None:
         import csv as _csv
 

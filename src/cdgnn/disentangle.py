@@ -122,8 +122,7 @@ class TwoBranchPass:
 
 def two_branch_forward(batch: EgoBatch, leaves: dict,
                        dropout_rate: float = 0.0,
-                       rng: np.random.Generator | None = None,
-                       training: bool = False) -> TwoBranchPass:
+                       rng: np.random.Generator | None = None) -> TwoBranchPass:
     """Mask `batch` and embed it through both branches; `leaves` holds every
     init_cdgnn_params entry, as ad.leaves to train or as plain arrays to
     infer (which records nothing). Backward sums each gradient in reverse
@@ -135,12 +134,11 @@ def two_branch_forward(batch: EgoBatch, leaves: dict,
     feat_shortcut = ad.subtract(1.0, feat)
     keys = sorted(k for k in leaves if k.startswith("gnn_c.w"))
     layers_c = gcn_forward(batch.plan, batch.features, edge, feat,
-                           [leaves[k] for k in keys], dropout_rate, rng,
-                           training)
+                           [leaves[k] for k in keys], dropout_rate, rng)
     layers_s = gcn_forward(batch.plan, batch.features, edge_shortcut,
                            feat_shortcut,
                            [leaves[k.replace("gnn_c.", "gnn_s.")] for k in keys],
-                           dropout_rate, rng, training)
+                           dropout_rate, rng)
     h_c = ad.ego_readout(layers_c[-1], batch.ego_rows, batch.segments,
                          batch.num_graphs, leaves["readout_c.proj"])
     h_s = ad.ego_readout(layers_s[-1], batch.ego_rows, batch.segments,
@@ -252,15 +250,14 @@ def median_bandwidth(x: np.ndarray) -> float:
     return float(np.sqrt(med / 2.0))
 
 
-def hsic(x: ad.Tensor, y: ad.Tensor, bandwidth_x: float | None = None,
-         bandwidth_y: float | None = None, rows=None) -> ad.Tensor:
+def hsic(x: ad.Tensor, y: ad.Tensor, rows=None) -> ad.Tensor:
     """Biased HSIC estimate between aligned rows of x and y, or between
     their rows `rows` when given (as take_rows of both would give them).
 
-    (1/(n-1))^2 * trace(Kx H Ky H) with RBF kernels; bandwidths default to
-    the median heuristic on the detached values of those rows. The trace is
-    evaluated as an elementwise product of the centered grams (identical by
-    symmetry and idempotence of H).
+    (1/(n-1))^2 * trace(Kx H Ky H) with RBF kernels at the median-heuristic
+    bandwidths of those rows' detached values (ad.hsic_rbf takes others).
+    The trace is evaluated as an elementwise product of the centered grams
+    (identical by symmetry and idempotence of H).
     """
     n = x.data.shape[0] if rows is None else np.shape(rows)[0]
     if n < 2:
@@ -269,9 +266,7 @@ def hsic(x: ad.Tensor, y: ad.Tensor, bandwidth_x: float | None = None,
         raise ValueError("hsic inputs must have the same number of rows")
     xs = x.data if rows is None else x.data[rows]
     ys = y.data if rows is None else y.data[rows]
-    bx = median_bandwidth(xs) if bandwidth_x is None else float(bandwidth_x)
-    by = median_bandwidth(ys) if bandwidth_y is None else float(bandwidth_y)
-    return ad.hsic_rbf(x, y, bx, by, rows)
+    return ad.hsic_rbf(x, y, median_bandwidth(xs), median_bandwidth(ys), rows)
 
 
 def total_loss(shortcut_term: ad.Tensor, causal_term: ad.Tensor,

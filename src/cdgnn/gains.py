@@ -54,9 +54,7 @@ class GainParams:
     """Neighborhood description consumed by the gain formulas.
 
     mean_relative_degree is the depth->1 ratio of neighbor signal to own
-    signal (often nonpositive in practice); carry_scale is an opaque
-    positive factor folded into the deep multiplier, supplied rather than
-    derived because no closed form exists for it here.
+    signal (often nonpositive in practice).
     """
 
     degree: float
@@ -66,7 +64,6 @@ class GainParams:
     subgraph_homophily: float
     rest_homophily: float
     mean_relative_degree: float = 0.0
-    carry_scale: float = 1.0
 
     def validate(self) -> None:
         if self.degree < 0:
@@ -117,21 +114,18 @@ def one_layer_gain(degree: float, total_edge_weight: float,
 
 
 def deep_layer_gain(degree: float, cross_class_ratio: float, homophily: float,
-                    mean_relative_degree: float,
-                    carry_scale: float = 1.0) -> tuple[float, float]:
-    """Per-layer gain deeper in the network and its carried multiplier.
+                    mean_relative_degree: float) -> float:
+    """Per-layer gain deeper in the network.
 
     At depth the incoming signal is no longer the raw unit feature;
     mean_relative_degree measures how much neighbor signal remains relative
-    to the node's own, and carry_scale folds in the linear map's action on
-    the signal direction. Returns (gain, gain * carry_scale).
+    to the node's own.
     """
     if degree < 0:
         raise ValueError(f"degree must be nonnegative, got {degree}")
     _check_unit("homophily", homophily)
     mix = (1.0 + cross_class_ratio) * homophily - cross_class_ratio
-    gain = (mix * degree * mean_relative_degree + 1.0) / (degree + 1.0)
-    return gain, gain * carry_scale
+    return (mix * degree * mean_relative_degree + 1.0) / (degree + 1.0)
 
 
 def cumulative_gain_ratio(gain_a: float, gain_b: float, depth: int) -> float:
@@ -141,6 +135,10 @@ def cumulative_gain_ratio(gain_a: float, gain_b: float, depth: int) -> float:
     if depth < 1:
         raise ValueError(f"depth must be at least 1, got {depth}")
     return (gain_a / gain_b) ** depth
+
+
+# MonteCarloGain.within's tolerance, in standard errors of the estimate.
+STDERR_MULTIPLE = 3
 
 
 @dataclass(frozen=True)
@@ -153,8 +151,8 @@ class MonteCarloGain:
     def deviation(self) -> float:
         return abs(self.empirical - self.analytic)
 
-    def within(self, stderr_multiple: float = 3.0) -> bool:
-        return self.deviation <= stderr_multiple * self.stderr
+    def within(self) -> bool:
+        return self.deviation <= STDERR_MULTIPLE * self.stderr
 
 
 def monte_carlo_one_layer(params: GainParams, subgraph_degree: int,
@@ -240,16 +238,21 @@ class GridCheck:
 
 
 def theory_check_grid(cells: Sequence[dict], num_samples: int = 100_000,
-                      seed: int = 0, stderr_multiple: float = 3.0) -> GridCheck:
+                      seed: int = 0) -> GridCheck:
     """Monte Carlo the one-layer gain on explicit grid cells.
 
     Each cell is a dict with degree, homophily, and cross_class_ratio
     (optional total_edge_weight, defaulting to degree). Cell seeds derive
     from `seed` plus the cell index so trials are independent. A grid
-    without cells is refused: it would pass having checked nothing.
+    without cells is refused: it would pass having checked nothing; so is
+    a degree that is not a whole number (3.0 is one), before any cell runs.
     """
     if not cells:
         raise ValueError("the grid has no cells")
+    for index, cell in enumerate(cells):
+        if not float(cell["degree"]).is_integer():
+            raise ValueError(f"grid cell {index} degree must be a whole "
+                             f"number, got {cell['degree']}")
     rows = []
     within = 0
     for index, cell in enumerate(cells):
@@ -263,7 +266,7 @@ def theory_check_grid(cells: Sequence[dict], num_samples: int = 100_000,
                             rest_homophily=homophily)
         mc = monte_carlo_one_layer(params, degree, 0, num_samples=num_samples,
                                    seed=seed + index)
-        ok = mc.within(stderr_multiple)
+        ok = mc.within()
         within += int(ok)
         rows.append({
             "degree": degree,
@@ -368,13 +371,12 @@ def gain_improvement_check(baseline: GainParams, causal: GainParams,
     deep_before = deep_after = deep_margin = deep_bound = None
     rbar = baseline.mean_relative_degree
     if rbar > 0:
-        deep_before, _ = deep_layer_gain(baseline.degree,
-                                         baseline.cross_class_ratio, h_before,
-                                         rbar, baseline.carry_scale)
-        deep_after, _ = deep_layer_gain(causal.degree,
-                                        causal.cross_class_ratio, h_after,
-                                        causal.mean_relative_degree or rbar,
-                                        causal.carry_scale)
+        deep_before = deep_layer_gain(baseline.degree,
+                                      baseline.cross_class_ratio, h_before,
+                                      rbar)
+        deep_after = deep_layer_gain(causal.degree, causal.cross_class_ratio,
+                                     h_after,
+                                     causal.mean_relative_degree or rbar)
         deep_slope = ((1.0 + baseline.cross_class_ratio) * baseline.degree
                       * rbar / (baseline.degree + 1.0))
         deep_margin = deep_after - deep_before

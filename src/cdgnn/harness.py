@@ -315,7 +315,7 @@ def train_cdgnn(g: Graph, config: RunConfig, seed: int,
                                         rng_batch):
                 batch = batch_from_cache(g, egos, nodes)
                 fwd = two_branch_forward(batch, leaves, config.dropout,
-                                         rng_dropout, training=True)
+                                         rng_dropout)
                 y = batch.ego_labels
                 probs_s = ad.softmax_head(fwd.joint, *fwd.head_shortcut)
                 probs_c = ad.softmax_head(fwd.joint, *fwd.head_causal)
@@ -367,12 +367,12 @@ def _full_graph(g: Graph) -> tuple[ad.PropagationPlan, np.ndarray]:
 
 
 def _gcn_hidden(full: tuple[ad.PropagationPlan, np.ndarray], params: dict,
-                dropout: float = 0.0, rng=None, training: bool = False):
-    """The GCN baseline's last layer over every node, from `params` (leaves
-    to train, plain arrays to infer), with `full` the graph's _full_graph."""
+                dropout: float = 0.0, rng=None):
+    """The GCN baseline's last layer over every node from `full`, the
+    graph's _full_graph, and `params`: leaves to train, arrays to infer."""
     plan, x = full
     layers = [params[k] for k in sorted(params) if k.startswith("gcn.w")]
-    return gcn_forward(plan, x, None, None, layers, dropout, rng, training,
+    return gcn_forward(plan, x, None, None, layers, dropout, rng,
                        propagated=True)[-1]
 
 
@@ -406,8 +406,7 @@ def train_gcn_baseline(g: Graph, config: RunConfig, seed: int,
                                params)
 
         def step(state, leaves, settle, guard):
-            h = _gcn_hidden(full, leaves, config.dropout, rng_dropout,
-                            training=True)
+            h = _gcn_hidden(full, leaves, config.dropout, rng_dropout)
             # Without dropout this forward is predict's, bit for bit, so
             # the previous epoch is scored off it.
             if settle(lambda: predict(state.params) if config.dropout
@@ -437,7 +436,8 @@ class EvalResult:
 def _predict(g: Graph, params: dict[str, np.ndarray], node_sets: list,
              hops: int | None, cache) -> list[np.ndarray]:
     """The predicted classes of each array of `node_sets`, as evaluate
-    documents; a GCN labels them all from one forward over the graph."""
+    documents, from `cache` when given: a CD-GNN's ego cache covering them,
+    or a GCN's _full_graph, which labels them all in one forward."""
     if _model_shape(params)[0] == "cdgnn":
         if hops is None:
             raise ValueError("evaluate needs the ego hops a CD-GNN model was "
@@ -451,23 +451,21 @@ def _predict(g: Graph, params: dict[str, np.ndarray], node_sets: list,
 
 
 def evaluate(g: Graph, params: dict[str, np.ndarray], nodes,
-             hops: int | None = None, cache=None) -> EvalResult:
+             hops: int | None = None) -> EvalResult:
     """Accuracy and confusion (rows true, cols predicted) on given nodes.
 
     Dispatches on the model kind the parameters hold: the disentangled
-    model predicts via the causal head, on the ego subgraphs of `cache`, a
-    build_ego_cache at `hops` covering `nodes`, built when None; its `hops`
-    are those it was trained at (SavedModel.hops) and have no default. The
-    GCN baseline predicts on the full graph, from `cache`, its plan and
-    propagated features as train_gcn_baseline takes them, built when None,
-    and ignores `hops`. Ties resolve to the lowest class id via argmax.
+    model predicts via the causal head, on the ego subgraphs of `nodes` at
+    `hops`, the hops it was trained at (SavedModel.hops), which have no
+    default. The GCN baseline predicts on the full graph and ignores
+    `hops`. Ties resolve to the lowest class id via argmax.
     """
     nodes = np.asarray(nodes, dtype=np.int64).reshape(-1)
     if nodes.shape[0] == 0:
         raise ValueError("evaluate needs at least one node")
     if (nodes < 0).any() or (nodes >= g.num_nodes).any():
         raise ValueError(f"node outside [0, {g.num_nodes})")
-    (predictions,) = _predict(g, params, [nodes], hops, cache)
+    (predictions,) = _predict(g, params, [nodes], hops, None)
     truth = g.labels[nodes]
     confusion = np.zeros((g.num_classes, g.num_classes), dtype=np.int64)
     np.add.at(confusion, (truth, predictions), 1)
@@ -532,20 +530,25 @@ class RunRecord:
         return path
 
 
-def _check(model: str, configs) -> None:
-    """Refuse an unknown model or an invalid config before any work."""
+def _check(g: Graph, model: str, configs) -> dict:
+    """Refuse an unknown model, an invalid config or a graph without edges
+    before any work; return the record fields `g` fixes: its dataset_hash
+    and its label and feature heterophily, which raise without edges."""
     if model not in ("cdgnn", "gcn"):
         raise ValueError(f"unknown model {model!r}")
     for config in configs:
         config.validate()
+    return {"dataset_hash": dataset_hash(g),
+            "label_heterophily": label_heterophily(g),
+            "feature_heterophily": feature_heterophily(g)}
 
 
 def _run(g: Graph, config: RunConfig, seed: int, dataset: str, model: str,
-         graph_hash: str, caches: dict) -> tuple[RunRecord, dict]:
-    """Split, train, evaluate on train and test, and assemble the record,
-    with the trained parameters. The run takes its cache from `caches`,
-    building and adding it when missing: a CD-GNN's all-node ego cache
-    keyed by its hops, a GCN's full-graph inputs keyed by "gcn"."""
+         facts: dict, caches: dict) -> tuple[RunRecord, dict]:
+    """Split, train, evaluate on train and test, and assemble the record
+    from `facts` (_check's), with the trained parameters. The run takes its
+    cache from `caches`, building and adding it when missing: a CD-GNN's
+    all-node ego cache keyed by hops, a GCN's full-graph inputs by "gcn"."""
     sp = split_nodes(g.num_nodes, seed)
     start = time.perf_counter()
     hops = config.resolved_hops
@@ -562,13 +565,11 @@ def _run(g: Graph, config: RunConfig, seed: int, dataset: str, model: str,
     wall = time.perf_counter() - start
     record = RunRecord(
         dataset=dataset,
-        dataset_hash=graph_hash,
         model=model,
         seed=seed,
         config=asdict(config),
         split_sizes=sp.sizes,
-        label_heterophily=label_heterophily(g),
-        feature_heterophily=feature_heterophily(g),
+        **facts,
         best_epoch=result.best_epoch,
         epochs_run=result.epochs_run,
         train_accuracy=float((on_train == g.labels[sp.train]).mean()),
@@ -587,8 +588,8 @@ def run_experiment(g: Graph, config: RunConfig, seed: int,
 
     With return_params=True, returns (record, trained parameter dict).
     """
-    _check(model, [config])  # before the ego cache, which can take a while
-    record, params = _run(g, config, seed, dataset, model, dataset_hash(g), {})
+    facts = _check(g, model, [config])  # before the ego cache, which is slow
+    record, params = _run(g, config, seed, dataset, model, facts, {})
     return (record, params) if return_params else record
 
 
@@ -598,12 +599,12 @@ def run_variants(g: Graph, variants: dict[str, RunConfig],
     """Each variant's records, one per seed in seed order, keyed as
     `variants` (a name -> RunConfig map) and in its order.
 
-    The model, every config and the seeds are checked before any run. `g`
-    is hashed once; a CD-GNN builds one all-node ego cache per distinct
-    resolved_hops, and a GCN one full-graph plan with its propagated
-    features, which every run reads and none writes. Each record equals
-    run_experiment's for its config and seed, except the non-canonical
-    wall_time, which excludes a cache shared from an earlier run.
+    The model, every config, the seeds and `g` are checked before any run,
+    and `g` is hashed and its heterophily measured once. A CD-GNN builds one
+    all-node ego cache per distinct resolved_hops, and a GCN one full-graph
+    plan with its propagated features, which every run reads and none
+    writes. Each record equals run_experiment's for its config and seed,
+    except the non-canonical wall_time, which excludes a shared cache.
     """
     seeds = list(seeds)
     if not variants:
@@ -612,10 +613,9 @@ def run_variants(g: Graph, variants: dict[str, RunConfig],
         raise ValueError("run_variants needs at least one seed")
     if len(set(seeds)) != len(seeds):
         raise ValueError(f"seeds must be distinct, got {seeds}")
-    _check(model, variants.values())
-    graph_hash = dataset_hash(g)
+    facts = _check(g, model, variants.values())
     caches: dict = {}
-    return {name: [_run(g, config, seed, dataset, model, graph_hash,
+    return {name: [_run(g, config, seed, dataset, model, facts,
                         caches)[0] for seed in seeds]
             for name, config in variants.items()}
 

@@ -3,8 +3,8 @@
 The encoder runs on an EgoBatch: the disjoint union of one ego subgraph per
 classified node, propagated as one graph through a single CSR
 PropagationPlan that batch_from_cache builds. Layer l computes
-H_l = relu(P_masked @ H_{l-1} @ W_l) with dropout between layers (training
-only) and no nonlinearity after the final layer; P_masked is the renormalized
+H_l = relu(P_masked @ H_{l-1} @ W_l) with dropout between layers (rate > 0)
+and no nonlinearity after the final layer; P_masked is the renormalized
 propagation with per-edge weights. The readout (ego row joined with the
 subgraph mean, projected back to the embedding width) and the softmax head
 are the autodiff primitives ad.ego_readout and ad.softmax_head.
@@ -111,7 +111,6 @@ def init_head_params(rng: np.random.Generator, in_dim: int, num_classes: int,
 def gcn_forward(plan: ad.PropagationPlan, x, edge_weights, feature_mask,
                 layer_weights: list[ad.Tensor], dropout_rate: float = 0.0,
                 rng: np.random.Generator | None = None,
-                training: bool = False,
                 propagated: bool = False) -> list[ad.Tensor]:
     """Node embeddings of the graph `plan` propagates, after every layer.
 
@@ -120,7 +119,7 @@ def gcn_forward(plan: ad.PropagationPlan, x, edge_weights, feature_mask,
     feature_mask: (1, d) tensor or None; multiplies the input features.
     propagated: x holds ad.propagate of the features already, which the
     first layer then only multiplies; needs no edge weights and no mask.
-    Training dropout acts between layers, after the output it records.
+    Dropout (at a rate > 0) acts between layers, after the output it records.
     """
     if propagated and feature_mask is not None:
         raise ValueError("a feature mask acts before the propagation")
@@ -132,8 +131,8 @@ def gcn_forward(plan: ad.PropagationPlan, x, edge_weights, feature_mask,
                          None if propagated and l == 0 else plan,
                          relu=l < last)
         outputs.append(h)
-        if l < last and training and dropout_rate > 0.0:
+        if l < last and dropout_rate > 0.0:
             if rng is None:
-                raise ValueError("training dropout needs an rng")
+                raise ValueError("dropout needs an rng")
             h = ad.dropout(h, dropout_rate, rng)
     return outputs

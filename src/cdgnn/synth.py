@@ -37,6 +37,15 @@ HOUSE_ROLES = {4: 1, 0: 2, 1: 2, 2: 3, 3: 3}
 
 PRESET_NAMES = ("tree_cycles", "tree_grid", "ba_shapes", "ba_community")
 
+# generate's feature width, base-node label and the "block_kind" contrast
+# added to a motif node's feature 0; ba_community's share of cross-community
+# node pairs joined by an edge and its second community's feature offset.
+FEATURE_DIM = 10
+BASE_LABEL = 0
+FEATURE_CONTRAST = 1.0
+INTER_DENSITY = 8e-4
+COMMUNITY_FEATURE_OFFSET = 2.0
+
 
 @dataclass(frozen=True)
 class MotifSpec:
@@ -105,9 +114,6 @@ class GenConfig:
     motif: MotifSpec
     motif_count: int
     feature_rule: str = "block_kind"
-    feature_dim: int = 10
-    feature_contrast: float = 1.0
-    base_label: int = 0
     ba_attach_edges: int = 5
     seed: int = 0
 
@@ -120,8 +126,6 @@ class GenConfig:
             raise GraphError("motif_count must be >= 1")
         if self.feature_rule not in ("block_kind", "uniform_ones"):
             raise GraphError(f"unknown feature rule {self.feature_rule!r}")
-        if self.feature_dim < 1:
-            raise GraphError("feature_dim must be >= 1")
         if self.base_kind == "barabasi_albert" and not 1 <= self.ba_attach_edges < self.base_size:
             raise GraphError("barabasi_albert base needs 1 <= ba_attach_edges < base_size")
 
@@ -176,7 +180,7 @@ def generate(config: GenConfig) -> tuple[Graph, dict[int, int]]:
     motif_size = config.motif.size()
 
     edges = _base_edges(config, rng)
-    labels = [config.base_label] * config.base_size
+    labels = [BASE_LABEL] * config.base_size
     blocks = {v: 0 for v in range(config.base_size)}
 
     next_id = config.base_size
@@ -192,11 +196,11 @@ def generate(config: GenConfig) -> tuple[Graph, dict[int, int]]:
         next_id += motif_size
 
     n = next_id
-    features = np.ones((n, config.feature_dim), dtype=np.float64)
+    features = np.ones((n, FEATURE_DIM), dtype=np.float64)
     if config.feature_rule == "block_kind":
         motif_nodes = np.array([v for v, b in blocks.items() if b > 0], dtype=np.int64)
         if motif_nodes.size:
-            features[motif_nodes, 0] += config.feature_contrast
+            features[motif_nodes, 0] += FEATURE_CONTRAST
 
     labels_arr = np.array(labels, dtype=np.int64)
     g = Graph(
@@ -210,20 +214,18 @@ def generate(config: GenConfig) -> tuple[Graph, dict[int, int]]:
 
 
 def _merge_communities(parts: list[tuple[Graph, dict[int, int]]],
-                       inter_density: float,
-                       rng: np.random.Generator,
-                       community_feature_offset: float) -> tuple[Graph, dict[int, int]]:
+                       rng: np.random.Generator) -> tuple[Graph, dict[int, int]]:
     g0, b0 = parts[0]
     g1, b1 = parts[1]
     n0, n1 = g0.num_nodes, g1.num_nodes
     edges = [tuple(e) for e in g0.edges]
     edges += [(int(u) + n0, int(v) + n0) for u, v in g1.edges]
-    num_inter = int(round(inter_density * n0 * n1))
+    num_inter = int(round(INTER_DENSITY * n0 * n1))
     if num_inter > 0:
         flat = rng.choice(n0 * n1, size=num_inter, replace=False)
         for f in np.sort(flat):
             edges.append((int(f) // n1, n0 + int(f) % n1))
-    features = np.vstack([g0.features, g1.features + community_feature_offset])
+    features = np.vstack([g0.features, g1.features + COMMUNITY_FEATURE_OFFSET])
     labels = np.concatenate([g0.labels, g1.labels + g0.num_classes])
     blocks = dict(b0)
     shift = max(b0.values()) + 1
@@ -239,8 +241,8 @@ def _merge_communities(parts: list[tuple[Graph, dict[int, int]]],
     return g, blocks
 
 
-def preset(name: str, seed: int = 0, feature_rule: str = "block_kind",
-           inter_density: float = 8e-4) -> tuple[Graph, dict[int, int]]:
+def preset(name: str, seed: int = 0,
+           feature_rule: str = "block_kind") -> tuple[Graph, dict[int, int]]:
     """Named benchmark graphs.
 
     tree_cycles: depth-8 binary tree base (511 nodes) + 80 six-node cycles.
@@ -277,8 +279,7 @@ def preset(name: str, seed: int = 0, feature_rule: str = "block_kind",
                             seed=int(child.generate_state(1)[0]))
             parts.append(generate(cfg))
         rng = np.random.default_rng(children[2].generate_state(1)[0])
-        return _merge_communities(parts, inter_density, rng,
-                                  community_feature_offset=2.0)
+        return _merge_communities(parts, rng)
     raise GraphError(f"unknown preset {name!r}; expected one of {PRESET_NAMES}")
 
 

@@ -319,11 +319,10 @@ def adam_step(params, grads, state, lr, weight_decay=0.0, beta1=0.9,
     return new_params, (t, new_m, new_v)
 
 
-def hsic_value(x, y, bandwidth_x=None, bandwidth_y=None):
+def hsic_value(x, y):
     """hsic() of two plain arrays, on untracked tensors, as a float."""
     return hsic(ad.Tensor(np.asarray(x, dtype=np.float64)),
-                ad.Tensor(np.asarray(y, dtype=np.float64)),
-                bandwidth_x, bandwidth_y).item()
+                ad.Tensor(np.asarray(y, dtype=np.float64))).item()
 
 
 def audit_cross_class_ratios(g, params, hops, nodes):

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cdgnn import synth
 from cdgnn.cli import build_parser, main
 from cdgnn.disentangle import init_cdgnn_params
 from cdgnn.graphs import (Graph, feature_heterophily, label_heterophily,
@@ -58,6 +59,25 @@ class TestGenerate:
         assert code == 0
         assert "relabeled to h_L 0.5" in capsys.readouterr().out
         assert label_heterophily(load_graph(out)) >= 0.5
+
+    def test_feature_rules(self, tmp_path):
+        """uniform_ones writes all-ones features; block_kind adds the
+        contrast to column 0 of the motif rows and nowhere else."""
+        graphs = {}
+        for rule in ("uniform_ones", "block_kind"):
+            out = tmp_path / f"{rule}.json"
+            assert main(["generate", "--preset", "tree_cycles",
+                         "--feature-rule", rule, "--out", str(out)]) == 0
+            graphs[rule] = load_graph(out).features
+        ones = graphs["uniform_ones"]
+        assert ones.shape[1] == synth.FEATURE_DIM
+        assert (ones == 1.0).all()
+        blocks = json.loads((tmp_path / "block_kind.blocks.json").read_text())
+        motif = [int(v) for v, block in blocks.items() if block > 0]
+        assert motif
+        expected = np.ones_like(ones)
+        expected[motif, 0] += synth.FEATURE_CONTRAST
+        np.testing.assert_array_equal(graphs["block_kind"], expected)
 
 
 class TestRelabel:
@@ -269,6 +289,10 @@ class TestTheoryCheck:
          "grid cell 1 homophily must be a number, got null"),
         ([{**_CELL, "total_edge_weight": "3"}],
          "grid cell 0 total_edge_weight must be a number"),
+        ([{**_CELL, "degree": 2.7}],
+         "grid cell 0 degree must be a whole number, got 2.7"),
+        ({**_AXES, "degrees": [3, 3.5]},
+         "grid cell 1 degree must be a whole number, got 3.5"),
     ])
     @pytest.mark.parametrize("with_out", [False, True])
     def test_bad_grid_is_one_line_error(self, tmp_path, capsys, payload,
@@ -464,6 +488,19 @@ class TestInputErrors:
                                  "--lambda2-values", "0.1"],
                         "loss weights must be nonnegative")
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("command", ["train", "train-baseline", "ablate",
+                                         "sweep"])
+    def test_graph_without_edges_is_one_line_error(self, command, tmp_path,
+                                                   capsys):
+        path = tmp_path / "noedge.json"
+        save_graph(Graph(10, np.zeros((0, 2), dtype=np.int64),
+                         np.ones((10, 3)), np.arange(10) % 2, 2), path)
+        _one_line_error(capsys, [command, "--graph", path,
+                                 "--out-dir", tmp_path / "runs"],
+                        "label heterophily is undefined on a graph with no "
+                        "edges")
+        assert not (tmp_path / "runs").exists()
 
     @pytest.mark.parametrize("command", ["train", "train-baseline", "ablate",
                                          "sweep"])

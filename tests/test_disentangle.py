@@ -337,8 +337,7 @@ def _score_edges_numpy(params, x, e):
 
 
 def _pass_of(batch, params, training=False):
-    return two_branch_forward(batch, ad.leaves(params) if training else params,
-                              training=training)
+    return two_branch_forward(batch, ad.leaves(params) if training else params)
 
 
 class TestMasks:
@@ -427,7 +426,7 @@ class TestSplitAndEmbed:
         batch = _ego_batch(g, np.arange(g.num_nodes), hops=1)
         params = init_cdgnn_params(np.random.default_rng(18), 4, 5, 2, 3, 2)
         t = ad.leaves(params) if training else params
-        fwd = two_branch_forward(batch, t, training=training)
+        fwd = two_branch_forward(batch, t)
         assert fwd.head_causal == (t["head_c.w"], t["head_c.b"])
         assert fwd.head_shortcut == (t["head_s.w"], t["head_s.b"])
         edge = ad.sigmoid(edge_score_logits(batch.endpoints, batch.features, t))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import composed
+from cdgnn import gains as gains_mod
 from cdgnn.gains import (
     INDEPENDENCE_THRESHOLD,
     GainParams,
@@ -84,23 +85,18 @@ class TestOneLayerGain:
 
 class TestDeepLayerGain:
     def test_negative_relative_degree_hand_case(self):
-        gain, carried = deep_layer_gain(4, 0.5, 0.3, -0.2)
+        gain = deep_layer_gain(4, 0.5, 0.3, -0.2)
         np.testing.assert_allclose(gain, 0.208, rtol=1e-12)
-        assert carried == gain
 
     def test_zero_relative_degree_keeps_self_share(self):
         for d in (1, 5, 9):
-            gain, _ = deep_layer_gain(d, 1.0, 0.4, 0.0)
+            gain = deep_layer_gain(d, 1.0, 0.4, 0.0)
             np.testing.assert_allclose(gain, 1.0 / (d + 1))
 
     def test_pure_homophily_closed_form(self):
         d, rbar = 6, 0.5
-        gain, _ = deep_layer_gain(d, 0.8, 1.0, rbar)
+        gain = deep_layer_gain(d, 0.8, 1.0, rbar)
         np.testing.assert_allclose(gain, (d * rbar + 1.0) / (d + 1))
-
-    def test_carry_scale_multiplies(self):
-        gain, carried = deep_layer_gain(4, 0.5, 0.6, 0.3, carry_scale=2.5)
-        np.testing.assert_allclose(carried, 2.5 * gain, rtol=1e-15)
 
     def test_nonincreasing_in_ratio_for_nonnegative_relative_degree(self):
         rng = np.random.default_rng(1)
@@ -109,15 +105,15 @@ class TestDeepLayerGain:
             h = rng.uniform(0.0, 1.0)
             rbar = rng.uniform(0.0, 1.0)
             rhos = np.sort(rng.uniform(0.0, 2.0, size=2))
-            lo, _ = deep_layer_gain(d, rhos[1], h, rbar)
-            hi, _ = deep_layer_gain(d, rhos[0], h, rbar)
+            lo = deep_layer_gain(d, rhos[1], h, rbar)
+            hi = deep_layer_gain(d, rhos[0], h, rbar)
             assert lo <= hi + 1e-15
 
     def test_increasing_in_ratio_when_relative_degree_negative(self):
         """Sign flip: a negative carry inverts the ratio's effect."""
-        low, _ = deep_layer_gain(4, 0.0, 0.3, -0.2)
-        mid, _ = deep_layer_gain(4, 0.5, 0.3, -0.2)
-        high, _ = deep_layer_gain(4, 1.0, 0.3, -0.2)
+        low = deep_layer_gain(4, 0.0, 0.3, -0.2)
+        mid = deep_layer_gain(4, 0.5, 0.3, -0.2)
+        high = deep_layer_gain(4, 1.0, 0.3, -0.2)
         np.testing.assert_allclose([low, mid, high], [0.152, 0.208, 0.264],
                                    rtol=1e-12)
         assert low < mid < high
@@ -350,14 +346,14 @@ class TestMonteCarlo:
     def test_mixed_hand_case_within_three_stderr(self):
         mc = monte_carlo_one_layer(_mc_params(), 3, 0, seed=7)
         np.testing.assert_allclose(mc.analytic, 0.1, rtol=1e-12)
-        assert mc.within(3.0)
+        assert mc.within()
 
     def test_split_groups_match_mixture_formula(self):
         params = _mc_params(degree=6, h_sub=0.1, h_rest=0.9)
         mc = monte_carlo_one_layer(params, 3, 3, seed=8)
         np.testing.assert_allclose(
             mc.analytic, one_layer_gain(6, 6, 0.5, 0.5), rtol=1e-12)
-        assert mc.within(3.0)
+        assert mc.within()
 
     def test_stderr_shrinks_with_sample_count(self):
         params = _mc_params()
@@ -377,7 +373,7 @@ class TestMonteCarlo:
         """A normal mean lies within 3 stderr with probability 0.9973."""
         params, sub, rest, noise = _ORACLE_CELLS[cell]
         hits = [monte_carlo_one_layer(params, sub, rest, noise_ratio=noise,
-                                      num_samples=2000, seed=seed).within(3.0)
+                                      num_samples=2000, seed=seed).within()
                 for seed in range(1000)]
         assert 0.99 <= np.mean(hits) <= 1.0
 
@@ -413,7 +409,7 @@ class TestMonteCarlo:
         params = _mc_params(degree=5000, h_sub=0.5, h_rest=0.5)
         mc = monte_carlo_one_layer(params, 5000, 0, seed=2)
         assert np.isfinite(mc.empirical) and mc.stderr > 0
-        assert mc.within(3.0)
+        assert mc.within()
 
     def test_memory_does_not_grow_with_samples(self):
         tracemalloc.start()
@@ -425,7 +421,7 @@ class TestMonteCarlo:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
-        assert mc.within(3.0)
+        assert mc.within()
 
     def test_large_split_cell_costs_its_degree(self):
         """Draws run over the degree + 1 match sums, so a 1000 + 1000 cell
@@ -442,7 +438,7 @@ class TestMonteCarlo:
         assert peak < 1_000_000
         np.testing.assert_allclose(
             mc.analytic, one_layer_gain(2000, 2000, 0.5, 0.45), rtol=1e-12)
-        assert mc.within(3.0)
+        assert mc.within()
 
     def test_seed_reproducible(self):
         a = monte_carlo_one_layer(_mc_params(), 3, 0, seed=11)
@@ -483,6 +479,23 @@ class TestTheoryGrid:
         """No cell checked is no pass."""
         with pytest.raises(ValueError, match="no cells"):
             theory_check_grid([])
+
+    def test_fractional_degree_rejected_before_any_cell_runs(self,
+                                                              monkeypatch):
+        """int() would quietly check degree 2 for 2.7; 3.0 is a degree."""
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a cell ran before the grid was checked")
+
+        monkeypatch.setattr(gains_mod, "monte_carlo_one_layer", unreachable)
+        cell = {"homophily": 0.5, "cross_class_ratio": 0.0}
+        for bad in (2.7, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="cell 1 degree must be a "
+                                                 "whole number"):
+                theory_check_grid([{**cell, "degree": 3},
+                                   {**cell, "degree": bad}], num_samples=1000)
+        monkeypatch.undo()
+        check = theory_check_grid([{**cell, "degree": 3.0}], num_samples=1000)
+        assert check.rows[0]["degree"] == 3
 
 
 def _ring_graph(n=12, dim=6, seed=21):

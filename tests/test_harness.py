@@ -10,8 +10,8 @@ import pytest
 from cdgnn import autodiff as ad
 from cdgnn import cli, harness, models, synth
 from cdgnn.disentangle import init_cdgnn_params
-from cdgnn.graphs import (Graph, feature_heterophily, label_heterophily,
-                          save_graph)
+from cdgnn.graphs import (Graph, GraphError, feature_heterophily,
+                          label_heterophily, save_graph)
 from cdgnn.harness import (
     RunConfig,
     RunRecord,
@@ -313,7 +313,7 @@ class TestTrainBaseline:
         calls, real = [], harness.gcn_forward
 
         def counted(*args, **kwargs):
-            calls.append(args[7])  # training
+            calls.append(isinstance(args[4][0], ad.Tensor))  # leaves: training
             return real(*args, **kwargs)
 
         monkeypatch.setattr(harness, "gcn_forward", counted)
@@ -346,7 +346,7 @@ class TestGcnRunCounts:
             return real_prop(f, w, p)
 
         def forward(*args, **kwargs):
-            forwards.append(args[7])  # training
+            forwards.append(isinstance(args[4][0], ad.Tensor))  # leaves: training
             return real_forward(*args, **kwargs)
 
         monkeypatch.setattr(ad.PropagationPlan, "from_edges",
@@ -584,6 +584,23 @@ class TestRunExperiment:
             run_experiment(_tiny_graph(), _tiny_config(), seed=0,
                            model="mlp")
 
+    @pytest.mark.parametrize("model", ["cdgnn", "gcn"])
+    def test_graph_without_edges_fails_before_any_work(self, monkeypatch,
+                                                       model):
+        """Its heterophily, which the record holds, is undefined: both
+        runners refuse it before a cache is built or a run trains."""
+        def unreachable(*args, **kwargs):
+            raise AssertionError("an edgeless graph got past _check")
+
+        for name in ("_fit", "build_ego_cache", "_full_graph"):
+            monkeypatch.setattr(harness, name, unreachable)
+        g = Graph(10, np.zeros((0, 2), dtype=np.int64), np.ones((10, 3)),
+                  np.arange(10) % 2, 2)
+        with pytest.raises(GraphError, match="graph with no edges"):
+            run_experiment(g, _tiny_config(), seed=0, model=model)
+        with pytest.raises(GraphError, match="graph with no edges"):
+            run_variants(g, {"a": _tiny_config()}, [0, 1], model=model)
+
 
 @pytest.fixture(scope="module")
 def relabeled_tree_cycles():
@@ -646,10 +663,10 @@ class TestAggregation:
 def _stub_run(accuracy):
     """A stand-in for harness._run whose record has `accuracy(config, seed)`
     and the config and graph hash it was given."""
-    def run(g, config, seed, dataset, model, graph_hash, caches):
+    def run(g, config, seed, dataset, model, facts, caches):
         record = _stub_record(seed, accuracy(config, seed))
         record.config = asdict(config)
-        record.dataset_hash = graph_hash
+        record.dataset_hash = facts["dataset_hash"]
         return record, {}
     return run
 

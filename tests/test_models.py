@@ -222,7 +222,7 @@ class TestGcnForward:
         ws = [np.eye(3) for _ in range(2)]
         with pytest.raises(ValueError, match="rng"):
             gcn_forward(batch.plan, batch.features, None, None, ws,
-                        dropout_rate=0.5, training=True)
+                        dropout_rate=0.5)
 
 
 class TestReadout:
@@ -324,10 +324,9 @@ class TestPropagatedForward:
         prop = ad.propagate(g.features, plan)
         for rate in (0.0, 0.5):
             want = gcn_forward(plan, g.features, None, None, ws, rate,
-                               np.random.default_rng(3), training=True)
+                               np.random.default_rng(3))
             got = gcn_forward(plan, prop, None, None, ws, rate,
-                              np.random.default_rng(3), training=True,
-                              propagated=True)
+                              np.random.default_rng(3), propagated=True)
             for a, b in zip(got, want, strict=True):
                 np.testing.assert_array_equal(a.data, b.data)
 
