@@ -7,6 +7,7 @@ cheap to evaluate; the simulation brackets them with standard errors.
 """
 
 from cdgnn.gains import (
+    STDERR_MULTIPLE,
     GainParams,
     cumulative_gain_ratio,
     deep_layer_gain,
@@ -36,10 +37,10 @@ def main() -> None:
                         subgraph_homophily=0.5, rest_homophily=0.2)
     mc = monte_carlo_one_layer(params, subgraph_degree=1, rest_degree=2,
                                num_samples=200_000, seed=0)
-    lo = mc.empirical - 3 * mc.stderr
-    hi = mc.empirical + 3 * mc.stderr
+    lo = mc.empirical - STDERR_MULTIPLE * mc.stderr
+    hi = mc.empirical + STDERR_MULTIPLE * mc.stderr
     print(f"simulated: {mc.empirical:.4f} "
-          f"(3-stderr bracket [{lo:.4f}, {hi:.4f}], "
+          f"({STDERR_MULTIPLE}-stderr bracket [{lo:.4f}, {hi:.4f}], "
           f"analytic inside: {mc.within()})")
 
     # The full 27-cell grid, at a lighter sample count than the tests use.
@@ -47,7 +48,8 @@ def main() -> None:
     # reads 26/27 at about one seed in 14; seed 0 here is one of them (the
     # d=3, h=0.5, rho=0.5 cell lands 3.5 stderr out).
     grid = theory_check_grid(default_grid_cells(), num_samples=20_000, seed=0)
-    print(f"grid: {grid.within_count}/{grid.total} cells within 3 stderr")
+    print(f"grid: {grid.within_count}/{grid.total} cells within "
+          f"{STDERR_MULTIPLE} stderr")
 
     # Deeper layers: the incoming signal is attenuated neighbor residue,
     # so the per-layer gain depends on the mean relative degree too.

@@ -8,8 +8,8 @@ analysis, and a training or experiment harness with a CLI.
 
 from .graphs import (Graph, GraphError, ego_subgraph, feature_heterophily,
                      label_heterophily, load_graph, save_graph)
-from .synth import (GenConfig, MotifSpec, PlantedShortcutConfig, PRESET_NAMES,
-                    generate, planted_shortcut, preset, relabel_to_heterophily)
+from .synth import (PlantedShortcutConfig, PRESET_NAMES, planted_shortcut,
+                    preset, relabel_to_heterophily)
 from .autodiff import Tensor, adam_step, gradients, leaves
 from .models import build_ego_cache, gcn_forward
 from .disentangle import disentanglement_score, gce_loss, hsic, total_loss
@@ -26,8 +26,8 @@ __version__ = "0.1.0"
 __all__ = [
     "Graph", "GraphError", "ego_subgraph", "feature_heterophily",
     "label_heterophily", "load_graph", "save_graph",
-    "GenConfig", "MotifSpec", "PlantedShortcutConfig", "PRESET_NAMES",
-    "generate", "planted_shortcut", "preset", "relabel_to_heterophily",
+    "PlantedShortcutConfig", "PRESET_NAMES", "planted_shortcut", "preset",
+    "relabel_to_heterophily",
     "Tensor", "adam_step", "gradients", "leaves",
     "build_ego_cache", "gcn_forward",
     "disentanglement_score", "gce_loss", "hsic", "total_loss",

@@ -24,7 +24,7 @@ from .graphs import (feature_heterophily, label_heterophily, load_graph,
 from .harness import (RunConfig, RunRecord, aggregate_runs, evaluate,
                       load_model, run_experiment, run_variants, save_model,
                       save_sweep, split_nodes, write_report_csv)
-from .synth import PRESET_NAMES, preset, relabel_to_heterophily
+from .synth import FEATURE_RULES, PRESET_NAMES, preset, relabel_to_heterophily
 
 __all__ = ["main", "build_parser"]
 
@@ -351,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="write a benchmark graph to JSON")
     p.add_argument("--preset", choices=sorted(PRESET_NAMES), required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--feature-rule", choices=["block_kind", "uniform_ones"],
+    p.add_argument("--feature-rule", choices=FEATURE_RULES,
                    default="block_kind")
     p.add_argument("--relabel-to", type=float, default=None,
                    help="relabel after generation to this label heterophily")

@@ -245,14 +245,19 @@ def theory_check_grid(cells: Sequence[dict], num_samples: int = 100_000,
     (optional total_edge_weight, defaulting to degree). Cell seeds derive
     from `seed` plus the cell index so trials are independent. A grid
     without cells is refused: it would pass having checked nothing; so is
-    a degree that is not a whole number (3.0 is one), before any cell runs.
+    a degree that is not a whole number (3.0 is one) or is below 1, before
+    any cell runs.
     """
     if not cells:
         raise ValueError("the grid has no cells")
     for index, cell in enumerate(cells):
-        if not float(cell["degree"]).is_integer():
+        degree = float(cell["degree"])
+        if not degree.is_integer():
             raise ValueError(f"grid cell {index} degree must be a whole "
                              f"number, got {cell['degree']}")
+        if degree < 1:
+            raise ValueError(f"grid cell {index} degree must be at least 1, "
+                             f"got {cell['degree']}")
     rows = []
     within = 0
     for index, cell in enumerate(cells):

@@ -1,29 +1,27 @@
-"""Synthetic benchmark generators: motif-on-base graphs, heterophily
+"""Synthetic benchmark graphs: the four motif-on-base presets, heterophily
 relabeling, and a planted-shortcut fixture.
 
-The motif-on-base family attaches small labeled motifs (cycles, grids,
-houses) to a tree or preferential-attachment base. Labels follow the block
-structure, so the baseline graphs are strongly homophilous; the greedy
-relabeler then pushes label heterophily up to a requested level without
-touching the topology.
+The presets are GNNExplainer's fixed recipes (Ying et al., NeurIPS 2019):
+small labeled motifs (cycles, grids, houses) attached to a tree or
+preferential-attachment base. Labels follow the block structure, so the
+graphs are strongly homophilous; the greedy relabeler then pushes label
+heterophily up to a requested level without touching the topology.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .graphs import Graph, GraphError, label_heterophily
 
 __all__ = [
-    "MotifSpec",
-    "GenConfig",
-    "generate",
     "preset",
     "PRESET_NAMES",
+    "FEATURE_RULES",
     "RelabelResult",
     "relabel_to_heterophily",
     "PlantedShortcutConfig",
@@ -31,103 +29,35 @@ __all__ = [
     "planted_shortcut",
 ]
 
-_HOUSE_EDGES = ((0, 1), (1, 2), (2, 3), (3, 0), (4, 0), (4, 1))
-# House positions: 4 is the apex, 0-1 the mid nodes it rests on, 2-3 the floor.
-HOUSE_ROLES = {4: 1, 0: 2, 1: 2, 2: 3, 3: 3}
-
 PRESET_NAMES = ("tree_cycles", "tree_grid", "ba_shapes", "ba_community")
+FEATURE_RULES = ("block_kind", "uniform_ones")
 
-# generate's feature width, base-node label and the "block_kind" contrast
-# added to a motif node's feature 0; ba_community's share of cross-community
-# node pairs joined by an edge and its second community's feature offset.
+# Motifs per graph and edges each new preferential-attachment node brings;
+# feature width, base-node label and the "block_kind" contrast added to a
+# motif node's feature 0; ba_community's share of cross-community node
+# pairs joined by an edge and its second community's feature offset.
+MOTIF_COUNT = 80
+BA_ATTACH_EDGES = 5
 FEATURE_DIM = 10
 BASE_LABEL = 0
 FEATURE_CONTRAST = 1.0
 INTER_DENSITY = 8e-4
 COMMUNITY_FEATURE_OFFSET = 2.0
 
-
-@dataclass(frozen=True)
-class MotifSpec:
-    """Shape and labeling of one attached motif.
-
-    kind: "cycle", "grid", or "house".
-    labeling: a single class id applied to every motif node, or a mapping
-    from motif position to class id covering every position exactly once.
-    """
-
-    kind: str
-    cycle_length: int = 6
-    grid_rows: int = 3
-    grid_cols: int = 3
-    labeling: object = 1
-
-    def size(self) -> int:
-        if self.kind == "cycle":
-            return self.cycle_length
-        if self.kind == "grid":
-            return self.grid_rows * self.grid_cols
-        if self.kind == "house":
-            return 5
-        raise GraphError(f"unknown motif kind {self.kind!r}")
-
-    def internal_edges(self) -> list[tuple[int, int]]:
-        if self.kind == "cycle":
-            k = self.cycle_length
-            if k < 3:
-                raise GraphError(f"cycle motif needs length >= 3, got {k}")
-            return [(i, (i + 1) % k) for i in range(k)]
-        if self.kind == "grid":
-            r, c = self.grid_rows, self.grid_cols
-            if r < 1 or c < 1:
-                raise GraphError(f"grid motif needs positive dims, got {r}x{c}")
-            edges = []
-            for i in range(r):
-                for j in range(c):
-                    if j + 1 < c:
-                        edges.append((i * c + j, i * c + j + 1))
-                    if i + 1 < r:
-                        edges.append((i * c + j, (i + 1) * c + j))
-            return edges
-        if self.kind == "house":
-            return [tuple(e) for e in _HOUSE_EDGES]
-        raise GraphError(f"unknown motif kind {self.kind!r}")
-
-    def labels(self) -> np.ndarray:
-        n = self.size()
-        if isinstance(self.labeling, int):
-            return np.full(n, self.labeling, dtype=np.int64)
-        mapping = dict(self.labeling)
-        if sorted(mapping) != list(range(n)):
-            raise GraphError(
-                f"role labeling must cover positions 0..{n - 1} exactly once"
-            )
-        return np.array([mapping[i] for i in range(n)], dtype=np.int64)
-
-
-@dataclass(frozen=True)
-class GenConfig:
-    """Recipe for one motif-on-base synthetic graph."""
-
-    base_kind: str
-    base_size: int
-    motif: MotifSpec
-    motif_count: int
-    feature_rule: str = "block_kind"
-    ba_attach_edges: int = 5
-    seed: int = 0
-
-    def validate(self) -> None:
-        if self.base_kind not in ("tree", "barabasi_albert"):
-            raise GraphError(f"unknown base kind {self.base_kind!r}")
-        if self.base_size < 1:
-            raise GraphError("base_size must be >= 1")
-        if self.motif_count < 1:
-            raise GraphError("motif_count must be >= 1")
-        if self.feature_rule not in ("block_kind", "uniform_ones"):
-            raise GraphError(f"unknown feature rule {self.feature_rule!r}")
-        if self.base_kind == "barabasi_albert" and not 1 <= self.ba_attach_edges < self.base_size:
-            raise GraphError("barabasi_albert base needs 1 <= ba_attach_edges < base_size")
+# Preset -> (base kind, base size, motif edges, class of each motif
+# position). The grid is 3x3 in row-major order; house positions 0-1 are
+# the mid nodes (class 2), 2-3 the floor (class 3) and 4 the apex (class 1).
+_RECIPES = {
+    "tree_cycles": ("tree", 511,
+                    ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)),
+                    (1,) * 6),
+    "tree_grid": ("tree", 511,
+                  ((0, 1), (0, 3), (1, 2), (1, 4), (2, 5), (3, 4), (3, 6),
+                   (4, 5), (4, 7), (5, 8), (6, 7), (7, 8)), (1,) * 9),
+    "ba_shapes": ("barabasi_albert", 300,
+                  ((0, 1), (1, 2), (2, 3), (3, 0), (4, 0), (4, 1)),
+                  (2, 2, 3, 3, 1)),
+}
 
 
 def _tree_edges(n: int) -> list[tuple[int, int]]:
@@ -160,55 +90,41 @@ def _barabasi_albert_edges(n: int, m: int, seed: int) -> list[tuple[int, int]]:
     return edges
 
 
-def _base_edges(config: GenConfig, rng: np.random.Generator) -> list[tuple[int, int]]:
-    if config.base_kind == "tree":
-        return _tree_edges(config.base_size)
-    seed = int(rng.integers(0, 2**31 - 1))
-    return _barabasi_albert_edges(config.base_size, config.ba_attach_edges, seed)
-
-
-def generate(config: GenConfig) -> tuple[Graph, dict[int, int]]:
-    """Build the motif-on-base graph described by `config`, each motif
-    joined by one edge to a base node drawn uniformly.
+def _motif_on_base(recipe: tuple, feature_rule: str,
+                   seed: int) -> tuple[Graph, dict[int, int]]:
+    """Build one recipe's graph: the base, then MOTIF_COUNT motifs, each
+    joined by one edge from its position 0 to a base node drawn uniformly.
 
     Returns (graph, blocks) where blocks maps each node to its block id:
     0 for the base, k >= 1 for the k-th motif instance.
     """
-    config.validate()
-    rng = np.random.default_rng(config.seed)
-    motif_labels = config.motif.labels()
-    motif_size = config.motif.size()
+    base_kind, base_size, motif_edges, motif_labels = recipe
+    rng = np.random.default_rng(seed)
+    if base_kind == "tree":
+        edges = _tree_edges(base_size)
+    else:
+        ba_seed = int(rng.integers(0, 2**31 - 1))
+        edges = _barabasi_albert_edges(base_size, BA_ATTACH_EDGES, ba_seed)
+    size = len(motif_labels)
+    blocks = dict.fromkeys(range(base_size), 0)
+    for k in range(MOTIF_COUNT):
+        offset = base_size + k * size
+        edges.extend((offset + u, offset + v) for u, v in motif_edges)
+        edges.append((int(rng.integers(0, base_size)), offset))
+        blocks.update(dict.fromkeys(range(offset, offset + size), k + 1))
 
-    edges = _base_edges(config, rng)
-    labels = [BASE_LABEL] * config.base_size
-    blocks = {v: 0 for v in range(config.base_size)}
-
-    next_id = config.base_size
-    for k in range(config.motif_count):
-        offset = next_id
-        for u, v in config.motif.internal_edges():
-            edges.append((offset + u, offset + v))
-        anchor = int(rng.integers(0, config.base_size))
-        edges.append((anchor, offset))
-        labels.extend(int(c) for c in motif_labels)
-        for p in range(motif_size):
-            blocks[offset + p] = k + 1
-        next_id += motif_size
-
-    n = next_id
+    n = base_size + MOTIF_COUNT * size
     features = np.ones((n, FEATURE_DIM), dtype=np.float64)
-    if config.feature_rule == "block_kind":
-        motif_nodes = np.array([v for v, b in blocks.items() if b > 0], dtype=np.int64)
-        if motif_nodes.size:
-            features[motif_nodes, 0] += FEATURE_CONTRAST
-
-    labels_arr = np.array(labels, dtype=np.int64)
+    if feature_rule == "block_kind":
+        features[base_size:, 0] += FEATURE_CONTRAST
+    labels = np.array([BASE_LABEL] * base_size
+                      + list(motif_labels) * MOTIF_COUNT, dtype=np.int64)
     g = Graph(
         num_nodes=n,
         edges=np.array(edges, dtype=np.int64),
         features=features,
-        labels=labels_arr,
-        num_classes=int(labels_arr.max()) + 1,
+        labels=labels,
+        num_classes=int(labels.max()) + 1,
     )
     return g, blocks
 
@@ -243,44 +159,31 @@ def _merge_communities(parts: list[tuple[Graph, dict[int, int]]],
 
 def preset(name: str, seed: int = 0,
            feature_rule: str = "block_kind") -> tuple[Graph, dict[int, int]]:
-    """Named benchmark graphs.
+    """Named benchmark graphs, each with 80 motifs.
 
-    tree_cycles: depth-8 binary tree base (511 nodes) + 80 six-node cycles.
-    tree_grid:   same base + 80 3x3 grids.
-    ba_shapes:   300-node preferential-attachment base + 80 five-node houses
+    tree_cycles: depth-8 binary tree base (511 nodes) + six-node cycles.
+    tree_grid:   same base + 3x3 grids.
+    ba_shapes:   300-node preferential-attachment base + five-node houses
                  (apex class 1, mid class 2, floor class 3, base class 0).
     ba_community: two ba_shapes communities, class ids offset by 4, features
                  offset per community, joined by sparse random edges.
+
+    feature_rule "block_kind" adds FEATURE_CONTRAST to feature 0 of every
+    motif node; "uniform_ones" leaves all features at 1. Returns (graph,
+    blocks) where blocks maps each node to its block id: 0 for a base,
+    k >= 1 for the k-th motif instance.
     """
-    ss = np.random.SeedSequence(seed)
-    children = ss.spawn(3)
-    if name == "tree_cycles":
-        cfg = GenConfig("tree", 511, MotifSpec("cycle", cycle_length=6, labeling=1),
-                        80, feature_rule=feature_rule,
-                        seed=int(children[0].generate_state(1)[0]))
-        return generate(cfg)
-    if name == "tree_grid":
-        cfg = GenConfig("tree", 511, MotifSpec("grid", grid_rows=3, grid_cols=3, labeling=1),
-                        80, feature_rule=feature_rule,
-                        seed=int(children[0].generate_state(1)[0]))
-        return generate(cfg)
-    if name == "ba_shapes":
-        cfg = GenConfig("barabasi_albert", 300,
-                        MotifSpec("house", labeling=HOUSE_ROLES), 80,
-                        feature_rule=feature_rule,
-                        seed=int(children[0].generate_state(1)[0]))
-        return generate(cfg)
-    if name == "ba_community":
-        parts = []
-        for child in children[:2]:
-            cfg = GenConfig("barabasi_albert", 300,
-                            MotifSpec("house", labeling=HOUSE_ROLES), 80,
-                            feature_rule=feature_rule,
-                            seed=int(child.generate_state(1)[0]))
-            parts.append(generate(cfg))
-        rng = np.random.default_rng(children[2].generate_state(1)[0])
-        return _merge_communities(parts, rng)
-    raise GraphError(f"unknown preset {name!r}; expected one of {PRESET_NAMES}")
+    seeds = [int(child.generate_state(1)[0])
+             for child in np.random.SeedSequence(seed).spawn(3)]
+    if name not in PRESET_NAMES:
+        raise GraphError(f"unknown preset {name!r}; expected one of {PRESET_NAMES}")
+    if feature_rule not in FEATURE_RULES:
+        raise GraphError(f"unknown feature rule {feature_rule!r}")
+    if name != "ba_community":
+        return _motif_on_base(_RECIPES[name], feature_rule, seeds[0])
+    parts = [_motif_on_base(_RECIPES["ba_shapes"], feature_rule, s)
+             for s in seeds[:2]]
+    return _merge_communities(parts, np.random.default_rng(seeds[2]))
 
 
 @dataclass
@@ -288,11 +191,15 @@ class RelabelResult:
     graph: Graph
     reached: bool
     rounds: int
-    history: list[float] = field(default_factory=list)
+    history: list[float]
 
 
-def relabel_to_heterophily(g: Graph, target: float | None = None, seed: int = 0,
-                           max_stale_rounds: int = 50) -> RelabelResult:
+# Rounds without an increase after which an untargeted sweep stops.
+MAX_STALE_ROUNDS = 50
+
+
+def relabel_to_heterophily(g: Graph, target: float | None = None,
+                           seed: int = 0) -> RelabelResult:
     """Greedily reassign labels to raise label heterophily.
 
     Each round visits nodes in a seeded random order and gives every node the
@@ -300,7 +207,7 @@ def relabel_to_heterophily(g: Graph, target: float | None = None, seed: int = 0,
     lowest class id). Each reassignment is individually non-decreasing in the
     mismatched-edge count, so per-round heterophily is monotone. With a
     target, the sweep stops as soon as the running heterophily reaches it;
-    without one, it stops after `max_stale_rounds` rounds with no increase.
+    without one, it stops after MAX_STALE_ROUNDS rounds with no increase.
     Returns the relabeled graph plus a flag saying whether the target was met
     (best effort otherwise).
     """
@@ -314,7 +221,7 @@ def relabel_to_heterophily(g: Graph, target: float | None = None, seed: int = 0,
     rng = np.random.default_rng(seed)
     labels = g.labels.copy()
     num_edges = g.num_edges
-    u, v = (g.edges[:, 0], g.edges[:, 1]) if num_edges else (None, None)
+    u, v = g.edges[:, 0], g.edges[:, 1]
     mismatches = int(np.sum(labels[u] != labels[v]))
     history: list[float] = []
     best = mismatches
@@ -348,7 +255,7 @@ def relabel_to_heterophily(g: Graph, target: float | None = None, seed: int = 0,
             stale = 0
         else:
             stale += 1
-        if stale >= max_stale_rounds:
+        if stale >= MAX_STALE_ROUNDS:
             reached = target is None or done(mismatches)
             return RelabelResult(g.with_labels(labels), reached, rounds, history)
 

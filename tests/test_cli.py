@@ -293,6 +293,10 @@ class TestTheoryCheck:
          "grid cell 0 degree must be a whole number, got 2.7"),
         ({**_AXES, "degrees": [3, 3.5]},
          "grid cell 1 degree must be a whole number, got 3.5"),
+        ([_CELL, {**_CELL, "degree": 0}],
+         "grid cell 1 degree must be at least 1, got 0"),
+        ([_CELL, {**_CELL, "degree": -2}],
+         "grid cell 1 degree must be at least 1, got -2"),
     ])
     @pytest.mark.parametrize("with_out", [False, True])
     def test_bad_grid_is_one_line_error(self, tmp_path, capsys, payload,

@@ -497,6 +497,20 @@ class TestTheoryGrid:
         check = theory_check_grid([{**cell, "degree": 3.0}], num_samples=1000)
         assert check.rows[0]["degree"] == 3
 
+    def test_degree_below_one_rejected_before_any_cell_runs(self,
+                                                            monkeypatch):
+        """Cell 0 is fine, so the refusal has to come before it runs."""
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a cell ran before the grid was checked")
+
+        monkeypatch.setattr(gains_mod, "monte_carlo_one_layer", unreachable)
+        cell = {"homophily": 0.5, "cross_class_ratio": 0.0}
+        for bad in (0, -2, 0.0):
+            with pytest.raises(ValueError,
+                               match="cell 1 degree must be at least 1"):
+                theory_check_grid([{**cell, "degree": 3},
+                                   {**cell, "degree": bad}], num_samples=1000)
+
 
 def _ring_graph(n=12, dim=6, seed=21):
     rng = np.random.default_rng(seed)

@@ -26,7 +26,7 @@ from cdgnn.graphs import (
 )
 from cdgnn.harness import dataset_hash
 from cdgnn.models import build_ego_cache
-from cdgnn.synth import PRESET_NAMES, GenConfig, MotifSpec, generate, preset
+from cdgnn.synth import PRESET_NAMES, preset
 
 
 def _random_graph(rng, num_nodes=None, num_classes=3, dim=4):
@@ -382,10 +382,20 @@ class TestEgoSubgraph:
         assert isolated and split
 
     def test_full_cache_on_ten_thousand_nodes(self):
-        """The 2-hop cache of every node of a 10k-node graph; 20 egos are
-        checked against the scan oracle."""
-        g, _ = generate(GenConfig("tree", 8191, MotifSpec("cycle", cycle_length=6,
-                                                           labeling=1), 320, seed=1))
+        """The 2-hop cache of every node of a 10k-node graph (a binary tree
+        with 320 six-cycles hung on random nodes); 20 egos are checked
+        against the scan oracle."""
+        tree, cycles = 8191, 320
+        n = tree + 6 * cycles
+        edges = [(i, c) for i in range(tree) for c in (2 * i + 1, 2 * i + 2)
+                 if c < tree]
+        anchors = np.random.default_rng(1).integers(0, tree, size=cycles)
+        for k, anchor in enumerate(anchors):
+            first = tree + 6 * k
+            edges += [(first + i, first + (i + 1) % 6) for i in range(6)]
+            edges.append((int(anchor), first))
+        g = Graph(n, np.array(edges), np.ones((n, 2)),
+                  (np.arange(n) >= tree).astype(np.int64), 2)
         assert g.num_nodes >= 10_000
         cache = build_ego_cache(g, 2, np.arange(g.num_nodes))
         assert len(cache) == g.num_nodes

@@ -12,6 +12,10 @@ attribute load of their name in the same files, outside their own
 definition. That match is by name alone, so it can miss an unused method
 (any `.shape` counts for `Tensor.shape`) but never flags a used one.
 
+Every value a caller can set (a parameter with a default, a dataclass
+field with a default) is listed by name, so adding or removing a knob means
+editing that list.
+
 The package's imports are held to its declared dependencies: importing
 `cdgnn` and its CLI loads none of `networkx`, `scipy.stats`, `scipy.sparse`
 or `numpy.f2py`, only scipy's compiled CSR kernel, which is the module
@@ -192,6 +196,159 @@ def test_member_guard_ignores_a_method_that_only_calls_itself():
         "def f(a):\n"
         "    return a.used, a.size\n")
     assert unused_public_members({"m": tree}, []) == ["m.A.alone"]
+
+
+def _init_false(value: ast.expr) -> bool:
+    return (isinstance(value, ast.Call)
+            and any(k.arg == "init" and isinstance(k.value, ast.Constant)
+                    and k.value.value is False for k in value.keywords))
+
+
+def settable_values(modules: dict[str, ast.Module]) -> list[str]:
+    """Each parameter with a default, as `module.function(name)`, and each
+    dataclass field with a default, as `module.Class.name`, in source
+    order; methods and nested functions carry their enclosing names. A
+    `field(init=False)` is no setting: no caller can pass it."""
+    out = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                args = child.args
+                positional = args.posonlyargs + args.args
+                named = positional[len(positional) - len(args.defaults):]
+                named += [a for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                          if d is not None]
+                out.extend(f"{prefix}{child.name}({a.arg})" for a in named)
+                visit(child, f"{prefix}{child.name}.")
+            elif isinstance(child, ast.ClassDef):
+                if any("dataclass" in ast.unparse(d)
+                       for d in child.decorator_list):
+                    out.extend(f"{prefix}{child.name}.{st.target.id}"
+                               for st in child.body
+                               if isinstance(st, ast.AnnAssign)
+                               and st.value is not None
+                               and not _init_false(st.value))
+                visit(child, f"{prefix}{child.name}.")
+
+    for module, tree in modules.items():
+        visit(tree, f"{module}.")
+    return out
+
+
+SETTABLE = [
+    "autodiff.Tensor.__init__(requires_grad)",
+    "autodiff.nll_rows(weights)",
+    "autodiff._centered(out)",
+    "autodiff.hsic_rbf(rows)",
+    "autodiff.adam_step(weight_decay)",
+    "autodiff.adam_step(beta1)",
+    "autodiff.adam_step(beta2)",
+    "autodiff.adam_step(eps)",
+    "cli.main(argv)",
+    "disentangle.init_mask_params(scorer_hidden)",
+    "disentangle.two_branch_forward(dropout_rate)",
+    "disentangle.two_branch_forward(rng)",
+    "disentangle.hsic(rows)",
+    "gains.GainParams.mean_relative_degree",
+    "gains.monte_carlo_one_layer(noise_ratio)",
+    "gains.monte_carlo_one_layer(num_samples)",
+    "gains.monte_carlo_one_layer(seed)",
+    "gains.theory_check_grid(num_samples)",
+    "gains.theory_check_grid(seed)",
+    "gains.default_grid_cells(degrees)",
+    "gains.default_grid_cells(homophilies)",
+    "gains.default_grid_cells(ratios)",
+    "gains.ImprovementReport.homophily_before",
+    "gains.ImprovementReport.homophily_after",
+    "gains.ImprovementReport.homophily_gain",
+    "gains.ImprovementReport.homophily_bound",
+    "gains.ImprovementReport.slack",
+    "gains.ImprovementReport.one_layer_before",
+    "gains.ImprovementReport.one_layer_after",
+    "gains.ImprovementReport.one_layer_margin",
+    "gains.ImprovementReport.one_layer_slope",
+    "gains.ImprovementReport.one_layer_bound",
+    "gains.ImprovementReport.deep_before",
+    "gains.ImprovementReport.deep_after",
+    "gains.ImprovementReport.deep_margin",
+    "gains.ImprovementReport.deep_bound",
+    "gains.ImprovementReport.cumulative_ratio",
+    "gains.ImprovementReport.improved",
+    "gains.gain_improvement_check(depth)",
+    "gains.assumption_audit(nodes)",
+    "gains.assumption_audit(seed)",
+    "harness.RunConfig.learning_rate",
+    "harness.RunConfig.scorer_learning_rate",
+    "harness.RunConfig.weight_decay",
+    "harness.RunConfig.hidden",
+    "harness.RunConfig.dropout",
+    "harness.RunConfig.layers",
+    "harness.RunConfig.q",
+    "harness.RunConfig.lambda_counterfactual",
+    "harness.RunConfig.lambda_independence",
+    "harness.RunConfig.epochs",
+    "harness.RunConfig.patience",
+    "harness.RunConfig.batch_size",
+    "harness.RunConfig.ego_hops",
+    "harness.RunConfig.scorer_hidden",
+    "harness.RunConfig.hsic_max_rows",
+    "harness.RunConfig.no_shortcut_term",
+    "harness.RunConfig.no_causal_term",
+    "harness.RunConfig.no_counterfactual_term",
+    "harness.RunConfig.no_independence_term",
+    "harness.train_cdgnn(cache)",
+    "harness._gcn_hidden(dropout)",
+    "harness._gcn_hidden(rng)",
+    "harness.train_gcn_baseline(cache)",
+    "harness.evaluate(hops)",
+    "harness.run_experiment(dataset)",
+    "harness.run_experiment(model)",
+    "harness.run_experiment(return_params)",
+    "harness.run_variants(dataset)",
+    "harness.run_variants(model)",
+    "models.gcn_forward(dropout_rate)",
+    "models.gcn_forward(rng)",
+    "models.gcn_forward(propagated)",
+    "synth.preset(seed)",
+    "synth.preset(feature_rule)",
+    "synth.relabel_to_heterophily(target)",
+    "synth.relabel_to_heterophily(seed)",
+    "synth.PlantedShortcutConfig.num_egos",
+    "synth.PlantedShortcutConfig.num_classes",
+    "synth.PlantedShortcutConfig.causal_leaves",
+    "synth.PlantedShortcutConfig.shortcut_size",
+    "synth.PlantedShortcutConfig.shortcut_magnitude",
+    "synth.PlantedShortcutConfig.magnitude_jitter",
+    "synth.PlantedShortcutConfig.shortcut_agreement",
+    "synth.PlantedShortcutConfig.seed",
+]
+
+
+def test_every_settable_value_is_listed():
+    """A knob added or removed anywhere in `src/cdgnn` shows up here."""
+    modules = {name: _parse(PACKAGE / f"{name}.py") for name in MODULES}
+    assert settable_values(modules) == SETTABLE
+
+
+def test_settable_lister_reads_defaults_fields_and_nesting():
+    tree = ast.parse(
+        "from dataclasses import dataclass, field\n"
+        "def f(a, b=1, *args, c, d=2, **kw):\n"
+        "    def inner(e=3):\n"
+        "        pass\n"
+        "@dataclass(frozen=True)\n"
+        "class C:\n"
+        "    x: int\n"
+        "    y: int = 0\n"
+        "    z: list = field(default_factory=list)\n"
+        "    cache: int = field(init=False, repr=False)\n"
+        "    def m(self, k=None):\n"
+        "        pass\n"
+        "class Plain:\n"
+        "    w: int = 0\n")
+    assert settable_values({"m": tree}) == [
+        "m.f(b)", "m.f(d)", "m.f.inner(e)", "m.C.y", "m.C.z", "m.C.m(k)"]
 
 
 def _python(code: str, *path: Path) -> subprocess.CompletedProcess:

@@ -1,16 +1,18 @@
 """Benchmark generators, heterophily relabeling, and the planted fixture."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
 from cdgnn import synth
 from cdgnn.graphs import Graph, GraphError, graph_to_dict, label_heterophily
+from cdgnn.harness import dataset_hash
 from cdgnn.synth import (
-    GenConfig,
-    MotifSpec,
+    FEATURE_RULES,
     PlantedShortcutConfig,
     PRESET_NAMES,
-    generate,
     planted_shortcut,
     preset,
     relabel_to_heterophily,
@@ -24,6 +26,44 @@ PRESET_HL = {
     "ba_community": 0.264,
 }
 
+# Leading 16 hex digits of the sha256 of each block map as `cdgnn generate`
+# writes it (its `.blocks.json`), and of `dataset_hash` per preset, feature
+# rule and seed, taken before the presets became one recipe table.
+BLOCKS_SHA = {
+    "tree_cycles": "c28e228050c70417",
+    "tree_grid": "5e9702e327694070",
+    "ba_shapes": "c604c7785f2cc8d8",
+    "ba_community": "14e8becf4aca00e7",
+}
+DATASET_SHA = {
+    ("tree_cycles", "block_kind", 0): "98f5df35b37d8cdc",
+    ("tree_cycles", "block_kind", 1): "7e5984c4065828b3",
+    ("tree_cycles", "uniform_ones", 0): "c17772bfb907a28a",
+    ("tree_cycles", "uniform_ones", 1): "e37d67caf42e91a3",
+    ("tree_grid", "block_kind", 0): "f9927eaf9ec990c0",
+    ("tree_grid", "block_kind", 1): "d4f9717e6301eae6",
+    ("tree_grid", "uniform_ones", 0): "b0d80ba30d0595cc",
+    ("tree_grid", "uniform_ones", 1): "6d39806518e94f4d",
+    ("ba_shapes", "block_kind", 0): "c1e3a298630732f1",
+    ("ba_shapes", "block_kind", 1): "3cc22a3e7856b616",
+    ("ba_shapes", "uniform_ones", 0): "39b49e4ab0405c7d",
+    ("ba_shapes", "uniform_ones", 1): "bdcd5214d85f69d6",
+    ("ba_community", "block_kind", 0): "0b1c863702328772",
+    ("ba_community", "block_kind", 1): "5b544400d5c54a79",
+    ("ba_community", "uniform_ones", 0): "63eedbc29b3850b9",
+    ("ba_community", "uniform_ones", 1): "a18d3a438c278874",
+}
+
+# Preset -> (nodes, edges, base nodes, motif size). Edges: the base's (a
+# 510-edge tree or 5 x 295 preferential-attachment edges), the motifs'
+# own, one attachment per motif, and for ba_community 392 joining edges.
+SHAPES = {
+    "tree_cycles": (511 + 80 * 6, 510 + 80 * 6 + 80, 511, 6),
+    "tree_grid": (511 + 80 * 9, 510 + 80 * 12 + 80, 511, 9),
+    "ba_shapes": (300 + 80 * 5, 1475 + 80 * 6 + 80, 300, 5),
+    "ba_community": (1400, 2 * (1475 + 80 * 6 + 80) + 392, 300, 5),
+}
+
 
 def _path_graph(labels, num_classes=2):
     n = len(labels)
@@ -31,67 +71,97 @@ def _path_graph(labels, num_classes=2):
                  np.ones((n, 2)), np.array(labels), num_classes)
 
 
+class TestPinnedPresets:
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    @pytest.mark.parametrize("rule", FEATURE_RULES)
+    def test_graph_and_blocks_match_the_pinned_hashes(self, name, rule):
+        for seed in (0, 1):
+            g, blocks = preset(name, seed=seed, feature_rule=rule)
+            sidecar = json.dumps({str(k): v for k, v in blocks.items()})
+            assert hashlib.sha256(sidecar.encode()).hexdigest()[:16] == \
+                BLOCKS_SHA[name]
+            assert dataset_hash(g)[:16] == DATASET_SHA[name, rule, seed]
+
+
 class TestGenerate:
-    def test_tree_plus_one_cycle_counts(self):
-        """8-node tree (7 edges) + 6-cycle (6 edges) + 1 attachment edge."""
-        cfg = GenConfig("tree", 8, MotifSpec("cycle", cycle_length=6), 1, seed=0)
-        g, blocks = generate(cfg)
-        assert g.num_nodes == 14
-        assert g.num_edges == 7 + 6 + 1
-        assert sorted(set(blocks.values())) == [0, 1]
-        assert sum(1 for b in blocks.values() if b == 1) == 6
+    def test_node_and_edge_counts(self):
+        for name in PRESET_NAMES:
+            nodes, edges, base, size = SHAPES[name]
+            g, blocks = preset(name, seed=2)
+            assert (g.num_nodes, g.num_edges) == (nodes, edges), name
+            assert list(blocks) == list(range(nodes))
+            parts = 2 if name == "ba_community" else 1
+            np.testing.assert_array_equal(
+                np.bincount(list(blocks.values())),
+                np.tile([base] + [size] * 80, parts))
 
     def test_motif_internal_edge_counts(self):
-        for spec, expected in [
-            (MotifSpec("cycle", cycle_length=5), 5),
-            (MotifSpec("house"), 6),
-            (MotifSpec("grid", grid_rows=3, grid_cols=3), 12),
-        ]:
-            assert len(spec.internal_edges()) == expected
+        """Within one motif: a 6-cycle has 6 edges, a 3x3 grid 12, a
+        house 6; the base keeps its own edges."""
+        for name, base_edges, motif_edges in [("tree_cycles", 510, 6),
+                                              ("tree_grid", 510, 12),
+                                              ("ba_shapes", 1475, 6)]:
+            g, blocks = preset(name, seed=2)
+            block = np.array([blocks[v] for v in range(g.num_nodes)])
+            ends = block[g.edges]
+            inside = ends[ends[:, 0] == ends[:, 1], 0]
+            np.testing.assert_array_equal(
+                np.bincount(inside), [base_edges] + [motif_edges] * 80)
+
+    def test_one_attachment_edge_per_motif(self):
+        """Each motif meets the base by one edge, at its first node, and
+        no other motif."""
+        for name in ("tree_cycles", "tree_grid", "ba_shapes"):
+            g, blocks = preset(name, seed=3)
+            block = np.array([blocks[v] for v in range(g.num_nodes)])
+            ends = block[g.edges]
+            crossing = g.edges[ends[:, 0] != ends[:, 1]]
+            assert (block[crossing[:, 0]] == 0).all()
+            np.testing.assert_array_equal(np.sort(block[crossing[:, 1]]),
+                                          np.arange(1, 81))
+            for motif in crossing[:, 1]:
+                assert blocks[int(motif) - 1] != blocks[int(motif)]
 
     def test_house_apex_gets_class_one(self):
-        cfg = GenConfig("barabasi_albert", 30,
-                        MotifSpec("house", labeling={4: 1, 0: 2, 1: 2, 2: 3, 3: 3}),
-                        4, seed=3)
-        g, blocks = generate(cfg)
-        for motif_id in range(1, 5):
-            members = sorted(n for n, b in blocks.items() if b == motif_id)
-            apex = members[4]
-            assert g.labels[apex] == 1
+        """House positions 0-1 are mid (class 2), 2-3 floor (3), 4 the apex
+        (1); ba_community's second community adds 4 to every class."""
+        for name, count in [("ba_shapes", 80), ("ba_community", 160)]:
+            g, blocks = preset(name, seed=3)
+            members = {}
+            for node, block in blocks.items():
+                members.setdefault(block, []).append(node)
+            houses = [m for m in members.values() if len(m) == 5]
+            assert len(houses) == count
+            for house in houses:
+                np.testing.assert_array_equal(g.labels[house] % 4,
+                                              [2, 2, 3, 3, 1])
 
     def test_block_labels_follow_rule(self):
-        cfg = GenConfig("tree", 8, MotifSpec("cycle", cycle_length=6, labeling=1),
-                        2, seed=1)
-        g, blocks = generate(cfg)
-        for node, block in blocks.items():
-            assert g.labels[node] == (0 if block == 0 else 1)
+        for name in ("tree_cycles", "tree_grid"):
+            g, blocks = preset(name, seed=1)
+            for node, block in blocks.items():
+                assert g.labels[node] == (0 if block == 0 else 1)
 
     def test_same_seed_identical(self):
-        cfg = GenConfig("tree", 64, MotifSpec("cycle", cycle_length=6), 5, seed=9)
-        a, blocks_a = generate(cfg)
-        b, blocks_b = generate(cfg)
-        assert graph_to_dict(a) == graph_to_dict(b)
-        assert blocks_a == blocks_b
+        for name in PRESET_NAMES:
+            a, blocks_a = preset(name, seed=9)
+            b, blocks_b = preset(name, seed=9)
+            assert graph_to_dict(a) == graph_to_dict(b)
+            assert blocks_a == blocks_b
 
     def test_different_seeds_differ(self):
-        base = GenConfig("tree", 64, MotifSpec("cycle", cycle_length=6), 5)
-        different = 0
-        for s in range(10):
-            a, _ = generate(GenConfig(**{**base.__dict__, "seed": s}))
-            b, _ = generate(GenConfig(**{**base.__dict__, "seed": s + 100}))
-            if graph_to_dict(a) != graph_to_dict(b):
-                different += 1
-        assert different >= 9
+        for name in PRESET_NAMES:
+            graphs = [graph_to_dict(preset(name, seed=s)[0]) for s in range(4)]
+            assert all(graphs[i] != graphs[j]
+                       for i in range(4) for j in range(i + 1, 4)), name
 
-    def test_invalid_config_rejected(self):
-        with pytest.raises(GraphError):
-            GenConfig("hypercube", 8, MotifSpec("cycle"), 1).validate()
-        with pytest.raises(GraphError):
-            GenConfig("tree", 8, MotifSpec("cycle"), 0).validate()
-        for attach in (0, -1, 8):
-            with pytest.raises(GraphError, match="ba_attach_edges"):
-                GenConfig("barabasi_albert", 8, MotifSpec("cycle"), 1,
-                          ba_attach_edges=attach).validate()
+    def test_bad_name_or_feature_rule_rejected(self):
+        with pytest.raises(GraphError, match="unknown preset 'karate_club'"):
+            preset("karate_club")
+        for name in PRESET_NAMES:
+            with pytest.raises(GraphError,
+                               match="unknown feature rule 'gaussian'"):
+                preset(name, feature_rule="gaussian")
 
 
 class TestPresets:
@@ -187,7 +257,7 @@ class TestRelabel:
 
         g3 = Graph(3, np.array([[0, 1], [0, 2], [1, 2]]), np.ones((3, 1)),
                    np.zeros(3, int), 2)
-        r3 = relabel_to_heterophily(g3, target=1.0, seed=0, max_stale_rounds=3)
+        r3 = relabel_to_heterophily(g3, target=1.0, seed=0)
         assert not r3.reached  # a triangle is not 2-colorable
         assert label_heterophily(r3.graph) == pytest.approx(2.0 / 3.0)
 
