@@ -8,12 +8,7 @@ experiments. Ends with a look inside the planted-shortcut fixture.
 import numpy as np
 
 from cdgnn.graphs import label_heterophily
-from cdgnn.synth import (
-    PlantedShortcutConfig,
-    planted_shortcut,
-    preset,
-    relabel_to_heterophily,
-)
+from cdgnn.synth import planted_shortcut, preset, relabel_to_heterophily
 
 
 def main() -> None:
@@ -35,7 +30,7 @@ def main() -> None:
     # two quiet leaves that jointly encode the label exactly, and a loud
     # ring that broadcasts a decoy class which is only right 80% of the
     # time. The generator returns both edge sets as ground truth.
-    ds = planted_shortcut(PlantedShortcutConfig(num_egos=50, seed=0))
+    ds = planted_shortcut(num_egos=50, seed=0)
     g = ds.graph
     agree = np.mean(ds.decoy_classes == g.labels[ds.ego_nodes])
     print(f"\nplanted fixture: {g.num_nodes} nodes, "

@@ -10,11 +10,11 @@ import numpy as np
 
 from cdgnn.disentangle import disentanglement_score, score_edges
 from cdgnn.harness import RunConfig, split_nodes, train_cdgnn
-from cdgnn.synth import PlantedShortcutConfig, planted_shortcut
+from cdgnn.synth import planted_shortcut
 
 
 def main() -> None:
-    ds = planted_shortcut(PlantedShortcutConfig(num_egos=40, seed=1))
+    ds = planted_shortcut(num_egos=40, seed=1)
     g = ds.graph
     print(f"fixture: {g.num_nodes} nodes, {g.edges.shape[0]} edges, "
           f"{ds.causal_edges.shape[0]} causal / "

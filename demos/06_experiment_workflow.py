@@ -14,11 +14,11 @@ from pathlib import Path
 
 from cdgnn.harness import (RunConfig, aggregate_runs, run_experiment,
                            run_variants, save_sweep, write_report_csv)
-from cdgnn.synth import PlantedShortcutConfig, planted_shortcut
+from cdgnn.synth import planted_shortcut
 
 
 def main() -> None:
-    ds = planted_shortcut(PlantedShortcutConfig(num_egos=30, seed=2))
+    ds = planted_shortcut(num_egos=30, seed=2)
     g = ds.graph
     config = RunConfig(learning_rate=3e-3, hidden=8, dropout=0.0, layers=2,
                        lambda_counterfactual=10.0, lambda_independence=0.01,

@@ -720,9 +720,14 @@ class AdamState:
         self.step = 0
 
 
-def adam_step(state: AdamState, grads: dict, weight_decay: float = 0.0,
-              beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8) -> None:
+# Adam's moment decays and the term that keeps its denominator off zero.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
+def adam_step(state: AdamState, grads: dict,
+              weight_decay: float = 0.0) -> None:
     """One Adam update with decoupled weight decay (lr * wd * param), in
     place on `state`.
 
@@ -739,18 +744,18 @@ def adam_step(state: AdamState, grads: dict, weight_decay: float = 0.0,
         parts.append(g.reshape(-1))
     g = np.concatenate(parts, dtype=np.float64)
     state.step += 1
-    correction1 = 1.0 - beta1**state.step
-    correction2 = 1.0 - beta2**state.step
+    correction1 = 1.0 - ADAM_BETA1**state.step
+    correction2 = 1.0 - ADAM_BETA2**state.step
     m, v, flat = state.m, state.v, state.flat
-    m *= beta1
-    m += (1 - beta1) * g
-    fresh = (1 - beta2) * g
+    m *= ADAM_BETA1
+    m += (1 - ADAM_BETA1) * g
+    fresh = (1 - ADAM_BETA2) * g
     fresh *= g
-    v *= beta2
+    v *= ADAM_BETA2
     v += fresh
     denom = v / correction2
     np.sqrt(denom, out=denom)
-    denom += eps
+    denom += ADAM_EPS
     step = m / correction1
     step *= state.lr
     step /= denom

@@ -29,43 +29,49 @@ from .synth import FEATURE_RULES, PRESET_NAMES, preset, relabel_to_heterophily
 __all__ = ["main", "build_parser"]
 
 
-def _add_config_flags(p: argparse.ArgumentParser) -> None:
-    d = RunConfig()
-    p.add_argument("--lr", type=float, default=d.learning_rate)
-    p.add_argument("--weight-decay", type=float, default=d.weight_decay)
-    p.add_argument("--hidden", type=int, default=d.hidden)
-    p.add_argument("--dropout", type=float, default=d.dropout)
-    p.add_argument("--layers", type=int, default=d.layers)
-    p.add_argument("--q", type=float, default=d.q)
-    p.add_argument("--lambda1", type=float, default=d.lambda_counterfactual,
-                   help="counterfactual loss weight")
-    p.add_argument("--lambda2", type=float, default=d.lambda_independence,
-                   help="independence (HSIC) loss weight")
-    p.add_argument("--epochs", type=int, default=d.epochs)
-    p.add_argument("--patience", type=int, default=d.patience)
-    p.add_argument("--batch-size", type=int, default=d.batch_size)
-    p.add_argument("--ego-hops", type=int, default=None)
-    p.add_argument("--scorer-hidden", type=int, default=d.scorer_hidden)
-    p.add_argument("--hsic-max-rows", type=int, default=d.hsic_max_rows)
+# Each training flag and the RunConfig field it sets; the flag takes the
+# field's type and its default in RunConfig().
+CONFIG_FLAGS = {
+    "--lr": "learning_rate",
+    "--weight-decay": "weight_decay",
+    "--hidden": "hidden",
+    "--dropout": "dropout",
+    "--layers": "layers",
+    "--q": "q",
+    "--lambda1": "lambda_counterfactual",
+    "--lambda2": "lambda_independence",
+    "--epochs": "epochs",
+    "--patience": "patience",
+    "--batch-size": "batch_size",
+    "--ego-hops": "ego_hops",
+    "--scorer-hidden": "scorer_hidden",
+    "--hsic-max-rows": "hsic_max_rows",
+}
+FLAG_HELP = {"--lambda1": "counterfactual loss weight",
+             "--lambda2": "independence (HSIC) loss weight"}
+
+
+def _add_run_flags(p: argparse.ArgumentParser, runs_help) -> None:
+    """The flags of the training commands after the graph source: --seed,
+    --num-runs, --out-dir and the CONFIG_FLAGS."""
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--num-runs", type=int, default=1, help=runs_help)
+    p.add_argument("--out-dir", type=Path, default=Path("runs"))
+    defaults = RunConfig()
+    # The annotations are strings: "int", "float" or "int | None".
+    types = {f.name: f.type for f in fields(RunConfig)}
+    for flag, name in CONFIG_FLAGS.items():
+        # the metavar argparse derives from the flag itself: --lr LR
+        p.add_argument(flag, dest=name,
+                       metavar=flag[2:].upper().replace("-", "_"),
+                       type=float if types[name] == "float" else int,
+                       default=getattr(defaults, name),
+                       help=FLAG_HELP.get(flag))
 
 
 def _config_from_args(args) -> RunConfig:
-    return RunConfig(
-        learning_rate=args.lr,
-        weight_decay=args.weight_decay,
-        hidden=args.hidden,
-        dropout=args.dropout,
-        layers=args.layers,
-        q=args.q,
-        lambda_counterfactual=args.lambda1,
-        lambda_independence=args.lambda2,
-        epochs=args.epochs,
-        patience=args.patience,
-        batch_size=args.batch_size,
-        ego_hops=args.ego_hops,
-        scorer_hidden=args.scorer_hidden,
-        hsic_max_rows=args.hsic_max_rows,
-    )
+    return RunConfig(**{name: getattr(args, name)
+                        for name in CONFIG_FLAGS.values()})
 
 
 def _add_graph_source(p: argparse.ArgumentParser) -> None:
@@ -116,7 +122,9 @@ def _seeds(args) -> list[int]:
     return list(range(args.seed, args.seed + args.num_runs))
 
 
-def _train(args, model: str) -> int:
+def _cmd_train(args) -> int:
+    """train and train-baseline: the model is in `args.model`."""
+    model = args.model
     g, dataset = _resolve_graph(args)
     config = _config_from_args(args)
     if args.num_runs > 1:
@@ -141,26 +149,8 @@ def _train(args, model: str) -> int:
     return 0
 
 
-def _cmd_train(args) -> int:
-    return _train(args, "cdgnn")
-
-
-def _cmd_train_baseline(args) -> int:
-    return _train(args, "gcn")
-
-
-def _graph_and_model(args):
-    """The --graph and --model of evaluate and audit, checked to fit."""
-    g, model = load_graph(args.graph), load_model(args.model)
-    if (g.feature_dim, g.num_classes) != (model.feature_dim, model.num_classes):
-        raise ValueError(f"{args.model} takes {model.feature_dim} features and "
-                         f"{model.num_classes} classes, {args.graph} has "
-                         f"{g.feature_dim} and {g.num_classes}")
-    return g, model
-
-
 def _cmd_evaluate(args) -> int:
-    g, model = _graph_and_model(args)
+    g, model = load_graph(args.graph), load_model(args.model)
     if args.split == "all":
         nodes = np.arange(g.num_nodes)
     else:
@@ -230,38 +220,24 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _require_keys(obj, keys: tuple[str, ...], where: str) -> None:
-    if not isinstance(obj, dict):
-        raise ValueError(f"{where} must be an object")
-    missing = [k for k in keys if k not in obj]
-    if missing:
-        raise ValueError(f"{where} missing key {', '.join(missing)}")
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _load_grid_cells(path: Path) -> list[dict]:
     """Grid JSON: either {"degrees": [...], "homophilies": [...],
-    "ratios": [...]} (cartesian) or an explicit list of cell dicts, every
-    value a number."""
+    "ratios": [...]} (cartesian) or an explicit list of cell dicts, which
+    theory_check_grid checks."""
     payload = json.loads(path.read_text())
     if isinstance(payload, list):
-        for index, cell in enumerate(payload):
-            _require_keys(cell, ("degree", "homophily", "cross_class_ratio"),
-                          f"{path}: grid cell {index}")
-            for key in ("degree", "homophily", "cross_class_ratio",
-                        "total_edge_weight"):
-                if key in cell and not _is_number(cell[key]):
-                    raise ValueError(f"{path}: grid cell {index} {key} must be "
-                                     f"a number, got {json.dumps(cell[key])}")
         return payload
     axes = ("degrees", "homophilies", "ratios")
-    _require_keys(payload, axes, f"{path}: grid axes")
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: grid axes must be an object")
+    missing = [k for k in axes if k not in payload]
+    if missing:
+        raise ValueError(f"{path}: grid axes missing key {', '.join(missing)}")
     for key in axes:
         axis = payload[key]
-        if not (isinstance(axis, list) and all(map(_is_number, axis))):
+        if not (isinstance(axis, list) and all(
+                isinstance(v, (int, float)) and not isinstance(v, bool)
+                for v in axis)):
             raise ValueError(f"{path}: grid axis {key} must be a list of "
                              f"numbers, got {json.dumps(axis)}")
     return default_grid_cells(*(payload[key] for key in axes))
@@ -293,9 +269,7 @@ def _cmd_theory_check(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    g, model = _graph_and_model(args)
-    if model.kind != "cdgnn":
-        raise ValueError(f"audit needs a cdgnn model, {args.model} holds a gcn")
+    g, model = load_graph(args.graph), load_model(args.model)
     report = assumption_audit(g, model.params, model.hops, seed=args.seed)
     print(f"branch independence (HSIC) {report.independence:.6f} "
           f"{'ok' if report.independence_ok else 'VIOLATED'}")
@@ -366,19 +340,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=Path, required=True)
     p.set_defaults(func=_cmd_relabel)
 
-    for name, fn, blurb in (
-            ("train", _cmd_train, "train the disentangled model"),
-            ("train-baseline", _cmd_train_baseline, "train the GCN baseline")):
+    for name, model, blurb in (
+            ("train", "cdgnn", "train the disentangled model"),
+            ("train-baseline", "gcn", "train the GCN baseline")):
         p = sub.add_parser(name, help=blurb)
         _add_graph_source(p)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--num-runs", type=int, default=1,
-                       help="train at seeds --seed, --seed + 1, ... and print "
-                            "mean +/- std; above 1 only run records are "
-                            "written, --num-runs 1 also saves the weights")
-        p.add_argument("--out-dir", type=Path, default=Path("runs"))
-        _add_config_flags(p)
-        p.set_defaults(func=fn)
+        _add_run_flags(p, "train at seeds --seed, --seed + 1, ... and print "
+                          "mean +/- std; above 1 only run records are "
+                          "written, --num-runs 1 also saves the weights")
+        p.set_defaults(func=_cmd_train, model=model)
 
     p = sub.add_parser("evaluate", help="evaluate saved weights on a split")
     p.add_argument("--graph", type=Path, required=True)
@@ -390,22 +360,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ablate", help="single-term loss ablations")
     _add_graph_source(p)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--num-runs", type=int, default=1,
-                   help="run every variant at seeds --seed, --seed + 1, ... "
-                        "and print its mean +/- std test accuracy")
-    p.add_argument("--out-dir", type=Path, default=Path("runs"))
-    _add_config_flags(p)
+    _add_run_flags(p, "run every variant at seeds --seed, --seed + 1, ... "
+                      "and print its mean +/- std test accuracy")
     p.set_defaults(func=_cmd_ablate)
 
     p = sub.add_parser("sweep", help="grid over the two loss weights")
     _add_graph_source(p)
     p.add_argument("--lambda1-values", default="5,10,15,20")
     p.add_argument("--lambda2-values", default="0.1,0.3,0.5,1")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--num-runs", type=int, default=1)
-    p.add_argument("--out-dir", type=Path, default=Path("runs"))
-    _add_config_flags(p)
+    _add_run_flags(p, None)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("theory-check",

@@ -45,7 +45,7 @@ _CE_EPS = 1e-12
 
 
 def init_mask_params(rng: np.random.Generator, feat_dim: int,
-                     scorer_hidden: int = 16) -> dict[str, np.ndarray]:
+                     scorer_hidden: int) -> dict[str, np.ndarray]:
     """Scorer MLP weights plus feature-mask logits.
 
     The output layer starts at zero so every edge and feature logit is

@@ -15,7 +15,9 @@ the neighborhood plus the node itself.
 
 from __future__ import annotations
 
+import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -24,6 +26,7 @@ import numpy as np
 from . import autodiff as ad
 from .disentangle import hsic, two_branch_forward
 from .graphs import Graph
+from .harness import model_kind
 from .models import batch_from_cache, build_ego_cache
 
 __all__ = [
@@ -241,15 +244,28 @@ def theory_check_grid(cells: Sequence[dict], num_samples: int = 100_000,
                       seed: int = 0) -> GridCheck:
     """Monte Carlo the one-layer gain on explicit grid cells.
 
-    Each cell is a dict with degree, homophily, and cross_class_ratio
-    (optional total_edge_weight, defaulting to degree). Cell seeds derive
+    Each cell is a dict of numbers: degree, homophily, cross_class_ratio
+    and optional total_edge_weight, defaulting to degree. Cell seeds derive
     from `seed` plus the cell index so trials are independent. A grid
-    without cells is refused: it would pass having checked nothing; so is
-    a degree that is not a whole number (3.0 is one) or is below 1, before
-    any cell runs.
+    without cells is refused: it would pass having checked nothing; so is,
+    before any cell runs, any other cell, or a degree that is not a whole
+    number (3.0 is one) or is below 1.
     """
     if not cells:
         raise ValueError("the grid has no cells")
+    keys = ("degree", "homophily", "cross_class_ratio")
+    for index, cell in enumerate(cells):
+        if not isinstance(cell, dict):
+            raise ValueError(f"grid cell {index} must be an object")
+        missing = [k for k in keys if k not in cell]
+        if missing:
+            raise ValueError(f"grid cell {index} missing key "
+                             f"{', '.join(missing)}")
+        for key in (*keys, "total_edge_weight"):
+            value = cell.get(key, 0)  # total_edge_weight may be absent
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                raise ValueError(f"grid cell {index} {key} must be a number, "
+                                 f"got {json.dumps(value, default=repr)}")
     for index, cell in enumerate(cells):
         degree = float(cell["degree"])
         if not degree.is_integer():
@@ -474,8 +490,11 @@ def assumption_audit(g: Graph, params: dict[str, np.ndarray], hops: int,
     when the shortcut embedding is swapped across the batch (counterfactual
     sensitivity), and the share of causal-branch propagation mass flowing
     through edges the mask assigns to the shortcut side (dominance). Also
-    estimates the cross-class signal ratio at each encoder layer.
+    estimates the cross-class signal ratio at each encoder layer. A GCN's
+    parameters, or a CD-GNN's that do not fit `g`, are refused.
     """
+    if model_kind(g, params) != "cdgnn":
+        raise ValueError("audit needs a cdgnn model, the parameters hold a gcn")
     rng = np.random.default_rng(seed)
     if nodes is None:
         nodes = np.arange(g.num_nodes)

@@ -44,6 +44,7 @@ __all__ = [
     "train_gcn_baseline",
     "EvalResult",
     "evaluate",
+    "model_kind",
     "RunRecord",
     "run_experiment",
     "run_variants",
@@ -438,7 +439,7 @@ def _predict(g: Graph, params: dict[str, np.ndarray], node_sets: list,
     """The predicted classes of each array of `node_sets`, as evaluate
     documents, from `cache` when given: a CD-GNN's ego cache covering them,
     or a GCN's _full_graph, which labels them all in one forward."""
-    if _model_shape(params)[0] == "cdgnn":
+    if model_kind(g, params) == "cdgnn":
         if hops is None:
             raise ValueError("evaluate needs the ego hops a CD-GNN model was "
                              "trained at (SavedModel.hops)")
@@ -458,7 +459,8 @@ def evaluate(g: Graph, params: dict[str, np.ndarray], nodes,
     model predicts via the causal head, on the ego subgraphs of `nodes` at
     `hops`, the hops it was trained at (SavedModel.hops), which have no
     default. The GCN baseline predicts on the full graph and ignores
-    `hops`. Ties resolve to the lowest class id via argmax.
+    `hops`. Ties resolve to the lowest class id via argmax. Parameters
+    that do not fit `g` (model_kind) are refused.
     """
     nodes = np.asarray(nodes, dtype=np.int64).reshape(-1)
     if nodes.shape[0] == 0:
@@ -686,26 +688,28 @@ def write_report_csv(records: Sequence[RunRecord], path) -> Path:
 
 @dataclass(frozen=True)
 class SavedModel:
-    """A model archive: the parameters, the ego hops they were trained at
-    (the GCN ignores them), and the kind ("cdgnn" or "gcn"), layer count,
-    feature width and class count that the parameter names and shapes give."""
+    """A model archive: the parameters and the ego hops they were trained
+    at (the GCN ignores them)."""
 
     params: dict[str, np.ndarray]
     hops: int
-    kind: str
-    layers: int
-    feature_dim: int
-    num_classes: int
 
 
-def _model_shape(params: dict[str, np.ndarray]) -> tuple[str, int, int, int]:
-    """Kind, layer count, feature width and class count of `params`."""
+def model_kind(g: Graph, params: dict[str, np.ndarray]) -> str:
+    """The kind of model `params` hold, "cdgnn" or "gcn", by their names;
+    parameters of neither, or whose feature width or class count is not
+    `g`'s, are refused."""
     for kind, encoder, head in (("cdgnn", "gnn_c", "head_c"),
                                 ("gcn", "gcn", "head")):
         if f"{encoder}.w0" in params and f"{head}.w" in params:
-            layers = sum(k.startswith(f"{encoder}.w") for k in params)
-            return (kind, layers, params[f"{encoder}.w0"].shape[0],
-                    params[f"{head}.w"].shape[1])
+            width = params[f"{encoder}.w0"].shape[0]
+            classes = params[f"{head}.w"].shape[1]
+            if (width, classes) != (g.feature_dim, g.num_classes):
+                raise ValueError(
+                    f"the model takes {width} features and {classes} "
+                    f"classes, the graph has {g.feature_dim} and "
+                    f"{g.num_classes}")
+            return kind
     raise ValueError("parameters hold neither a CD-GNN nor a GCN")
 
 
@@ -731,4 +735,4 @@ def load_model(path) -> SavedModel:
         raise ValueError(f"{path} stores no ego hops (it predates archives "
                          f"that do); train the model again")
     hops = int(params.pop("ego_hops"))
-    return SavedModel(params, hops, *_model_shape(params))
+    return SavedModel(params, hops)

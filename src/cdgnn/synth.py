@@ -24,7 +24,6 @@ __all__ = [
     "FEATURE_RULES",
     "RelabelResult",
     "relabel_to_heterophily",
-    "PlantedShortcutConfig",
     "PlantedShortcut",
     "planted_shortcut",
 ]
@@ -43,6 +42,14 @@ BASE_LABEL = 0
 FEATURE_CONTRAST = 1.0
 INTER_DENSITY = 8e-4
 COMMUNITY_FEATURE_OFFSET = 2.0
+
+# The planted fixture's decoy ring: its node count, the share of egos whose
+# decoy class is their label, and the decoy one-hot's magnitude, drawn
+# uniformly within SHORTCUT_JITTER of SHORTCUT_MAGNITUDE per ring node.
+SHORTCUT_SIZE = 4
+SHORTCUT_AGREEMENT = 0.8
+SHORTCUT_MAGNITUDE = 3.0
+SHORTCUT_JITTER = 0.5
 
 # Preset -> (base kind, base size, motif edges, class of each motif
 # position). The grid is 3x3 in row-major order; house positions 0-1 are
@@ -260,49 +267,6 @@ def relabel_to_heterophily(g: Graph, target: float | None = None,
             return RelabelResult(g.with_labels(labels), reached, rounds, history)
 
 
-@dataclass(frozen=True)
-class PlantedShortcutConfig:
-    """Fixture with a perfectly predictive causal pattern and a louder decoy.
-
-    Every classified node sits in its own small component. The causal
-    pattern is a two-part rotation code spread over the `causal_leaves`
-    pendant neighbors: even-indexed leaves carry a unit one-hot of the
-    rotated class (label + rotation mod C, dims [0, C)), odd-indexed leaves
-    a unit one-hot of the rotation itself (dims [C, 2C)). Neither leaf
-    alone says anything about the label; together they determine it
-    exactly, so a lookup classifier on the pair is exact while a linear
-    reader learns nothing fast. A ring of `shortcut_size` nodes, present on
-    100% of components so its presence carries no label information,
-    broadcasts a high-magnitude one-hot of a decoy class in the same
-    dims [0, C) as the rotated-class code. The decoy agrees with the label
-    only `shortcut_agreement` of the time, yet it is the loudest and the
-    only linearly readable signal, and it buries the quiet rotated-class
-    bit for any reader that cannot drop the ring edges.
-    """
-
-    num_egos: int = 60
-    num_classes: int = 2
-    causal_leaves: int = 2
-    shortcut_size: int = 4
-    shortcut_magnitude: float = 3.0
-    magnitude_jitter: float = 0.5
-    shortcut_agreement: float = 0.8
-    seed: int = 0
-
-    def validate(self) -> None:
-        if self.num_egos < 2:
-            raise GraphError("num_egos must be >= 2")
-        if self.num_classes < 2:
-            raise GraphError("num_classes must be >= 2")
-        if self.causal_leaves < 2:
-            raise GraphError("causal_leaves must be >= 2 to carry both "
-                             "halves of the rotation code")
-        if self.shortcut_size < 2:
-            raise GraphError("shortcut_size must be >= 2")
-        if not 0.0 <= self.shortcut_agreement <= 1.0:
-            raise GraphError("shortcut_agreement must be in [0, 1]")
-
-
 @dataclass
 class PlantedShortcut:
     graph: Graph
@@ -312,74 +276,68 @@ class PlantedShortcut:
     decoy_classes: np.ndarray
 
 
-def planted_shortcut(config: PlantedShortcutConfig) -> PlantedShortcut:
-    """Build the planted-shortcut fixture described by `config`."""
-    config.validate()
-    rng = np.random.default_rng(config.seed)
-    C = config.num_classes
-    dim = 2 * C + 2  # rotated-class/decoy dims, rotation dims, ego, constant
-    per = 1 + config.causal_leaves + config.shortcut_size
-    n = config.num_egos * per
+def planted_shortcut(num_egos: int = 60, num_classes: int = 2,
+                     seed: int = 0) -> PlantedShortcut:
+    """Fixture with a perfectly predictive causal pattern and a louder decoy.
 
-    reps = math.ceil(config.num_egos / C)
-    y = rng.permutation(np.tile(np.arange(C), reps)[: config.num_egos])
-    flip = rng.random(config.num_egos) >= config.shortcut_agreement
-    shift = rng.integers(1, C, size=config.num_egos)
+    Every classified node sits in its own small component. The causal
+    pattern is a two-part rotation code spread over two pendant leaves: the
+    first carries a unit one-hot of the rotated class (label + rotation mod
+    C, dims [0, C)), the second a unit one-hot of the rotation itself (dims
+    [C, 2C)). Neither leaf alone says anything about the label; together
+    they determine it exactly, so a lookup classifier on the pair is exact
+    while a linear reader learns nothing fast. A ring of SHORTCUT_SIZE
+    nodes, present on 100% of components so its presence carries no label
+    information, broadcasts a high-magnitude one-hot of a decoy class in
+    the same dims [0, C) as the rotated-class code. The decoy agrees with
+    the label only SHORTCUT_AGREEMENT of the time, yet it is the loudest
+    and the only linearly readable signal, and it buries the quiet
+    rotated-class bit for any reader that cannot drop the ring edges.
+    """
+    if num_egos < 2:
+        raise GraphError("num_egos must be >= 2")
+    if num_classes < 2:
+        raise GraphError("num_classes must be >= 2")
+    rng = np.random.default_rng(seed)
+    C = num_classes
+    per = 3 + SHORTCUT_SIZE  # ego, two leaves, ring
+    reps = math.ceil(num_egos / C)
+    y = rng.permutation(np.tile(np.arange(C), reps)[:num_egos])
+    flip = rng.random(num_egos) >= SHORTCUT_AGREEMENT
+    shift = rng.integers(1, C, size=num_egos)
     z = np.where(flip, (y + shift) % C, y)
-    rot = rng.integers(0, C, size=config.num_egos)
+    rot = rng.integers(0, C, size=num_egos)
 
-    features = np.zeros((n, dim), dtype=np.float64)
-    labels = np.zeros(n, dtype=np.int64)
-    edges: list[tuple[int, int]] = []
-    causal: list[tuple[int, int]] = []
-    short: list[tuple[int, int]] = []
-    egos = np.zeros(config.num_egos, dtype=np.int64)
+    # Dims: rotated class or decoy, rotation, ego flag, constant.
+    egos = np.arange(num_egos, dtype=np.int64) * per
+    ring = np.arange(3, per)
+    features = np.zeros((num_egos * per, 2 * C + 2), dtype=np.float64)
+    features[:, 2 * C + 1] = 1.0
+    features[egos, 2 * C] = 1.0
+    features[egos + 1, (y + rot) % C] = 1.0
+    features[egos + 2, C + rot] = 1.0
+    features[egos[:, None] + ring, z[:, None]] = (
+        SHORTCUT_MAGNITUDE
+        + SHORTCUT_JITTER * (2.0 * rng.random((num_egos, SHORTCUT_SIZE)) - 1.0))
 
-    for e in range(config.num_egos):
-        base = e * per
-        ego = base
-        egos[e] = ego
-        leaves = range(base + 1, base + 1 + config.causal_leaves)
-        ring = range(base + 1 + config.causal_leaves, base + per)
-        labels[base: base + per] = y[e]
-
-        features[ego, 2 * C] = 1.0
-        features[ego, 2 * C + 1] = 1.0
-        for k, leaf in enumerate(leaves):
-            if k % 2 == 0:
-                features[leaf, (y[e] + rot[e]) % C] = 1.0
-            else:
-                features[leaf, C + rot[e]] = 1.0
-            features[leaf, 2 * C + 1] = 1.0
-            edges.append((ego, leaf))
-            causal.append((ego, leaf))
-        ring = list(ring)
-        for s in ring:
-            mag = config.shortcut_magnitude + config.magnitude_jitter * (
-                2.0 * rng.random() - 1.0
-            )
-            features[s, z[e]] = mag
-            features[s, 2 * C + 1] = 1.0
-            edges.append((ego, s))
-            short.append((ego, s))
-        for i in range(len(ring)):
-            a, b = ring[i], ring[(i + 1) % len(ring)]
-            if len(ring) == 2 and i == 1:
-                break
-            edges.append((min(a, b), max(a, b)))
-            short.append((min(a, b), max(a, b)))
-
+    # One component's edges by position, offset to every ego: the two
+    # causal spokes, then the ring's spokes and its cycle.
+    causal = np.array([(0, 1), (0, 2)])
+    spokes = np.stack([np.zeros_like(ring), ring], axis=1)
+    cycle = np.sort(np.stack([ring, np.roll(ring, -1)], axis=1), axis=1)
+    shortcut = np.vstack([spokes, cycle])
+    offsets = egos[:, None, None]
     g = Graph(
-        num_nodes=n,
-        edges=np.array(edges, dtype=np.int64),
+        num_nodes=num_egos * per,
+        edges=(offsets + np.vstack([causal, shortcut])).reshape(-1, 2),
         features=features,
-        labels=labels,
+        labels=np.repeat(y, per),
         num_classes=C,
     )
     return PlantedShortcut(
         graph=g,
         ego_nodes=egos,
-        causal_edges=np.array(sorted(set(map(tuple, map(sorted, causal)))), dtype=np.int64),
-        shortcut_edges=np.array(sorted(set(map(tuple, map(sorted, short)))), dtype=np.int64),
+        causal_edges=(offsets + causal).reshape(-1, 2),
+        shortcut_edges=(offsets + np.unique(shortcut, axis=0)).reshape(-1, 2),
         decoy_classes=z,
     )

@@ -46,7 +46,6 @@ from cdgnn.models import (
     init_readout_params,
 )
 from cdgnn.synth import (
-    PlantedShortcutConfig,
     planted_shortcut,
     preset,
     relabel_to_heterophily,
@@ -130,7 +129,7 @@ def _composed_objective_case(rng):
 
 
 def _planted_fixture():
-    return planted_shortcut(PlantedShortcutConfig(num_egos=100, seed=0))
+    return planted_shortcut(num_egos=100, seed=0)
 
 
 def _relabeled_tree_cycles():

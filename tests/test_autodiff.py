@@ -296,9 +296,9 @@ class TestAdam:
         rng = np.random.default_rng(31)
         g = rng.normal(size=(3, 2))
         theta = rng.normal(size=(3, 2))
-        lr, wd, eps = 0.01, 0.05, 1e-8
+        lr, wd, eps = 0.01, 0.05, ad.ADAM_EPS
         state = ad.AdamState({"w": theta}, lr)
-        ad.adam_step(state, {"w": g}, weight_decay=wd, eps=eps)
+        ad.adam_step(state, {"w": g}, weight_decay=wd)
         expected = theta - lr * wd * theta - lr * g / (np.abs(g) + eps)
         np.testing.assert_allclose(state.params["w"], expected, rtol=1e-12)
 

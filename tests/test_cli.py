@@ -4,12 +4,13 @@ import argparse
 import gc
 import json
 import shlex
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cdgnn import synth
+from cdgnn import cli, synth
 from cdgnn.cli import build_parser, main
 from cdgnn.disentangle import init_cdgnn_params
 from cdgnn.graphs import (Graph, feature_heterophily, label_heterophily,
@@ -630,6 +631,36 @@ class TestModelArchives:
             _one_line_error(capsys, ["evaluate", "--graph", tiny_graph_file,
                                      "--model", bad],
                             f"{bad} is not an .npz model archive")
+
+
+TRAINING_COMMANDS = ("train", "train-baseline", "ablate", "sweep")
+
+
+class TestConfigFlags:
+    def test_every_flag_names_its_own_field_and_defaults_to_it(self):
+        names = list(cli.CONFIG_FLAGS.values())
+        assert len(set(names)) == len(names)
+        assert set(names) <= {f.name for f in fields(RunConfig)}
+        assert set(cli.FLAG_HELP) <= set(cli.CONFIG_FLAGS)
+        for command in TRAINING_COMMANDS:
+            args = build_parser().parse_args([command, "--preset",
+                                              "tree_cycles"])
+            for name in names:
+                assert getattr(args, name) == getattr(RunConfig(), name)
+            assert cli._config_from_args(args) == RunConfig()
+
+    @pytest.mark.parametrize("command", TRAINING_COMMANDS)
+    def test_each_flag_sets_exactly_its_field(self, command):
+        types = {f.name: f.type for f in fields(RunConfig)}
+        argv, expected = [command, "--preset", "tree_cycles"], {}
+        for i, (flag, name) in enumerate(cli.CONFIG_FLAGS.items()):
+            value = 1000 + i if "int" in types[name] else i + 0.25
+            argv += [flag, str(value)]
+            expected[name] = value
+        config = cli._config_from_args(build_parser().parse_args(argv))
+        assert asdict(config) == {**asdict(RunConfig()), **expected}
+        for name, value in expected.items():
+            assert type(getattr(config, name)) is type(value), name
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"

@@ -375,7 +375,7 @@ class TestMasks:
         g = _toy_graph(seed=14)
         batch = _ego_batch(g, np.arange(g.num_nodes), hops=1)
         rng = np.random.default_rng(14)
-        params = init_mask_params(rng, 4)
+        params = init_mask_params(rng, 4, 16)
         params["mask.b1"][:] = rng.normal(size=params["mask.b1"].shape)
         params["mask.w2"][:] = rng.normal(size=params["mask.w2"].shape)
         params["mask.b2"][:] = 0.3
@@ -391,7 +391,7 @@ class TestMasks:
     def test_scorer_symmetric_in_endpoint_order(self):
         g = _toy_graph(seed=15)
         rng = np.random.default_rng(15)
-        params = init_mask_params(rng, 4)
+        params = init_mask_params(rng, 4, 16)
         params["mask.b2"][:] = 0.1
         edges = np.array([[0, 1], [2, 3]])
         flipped = edges[:, ::-1]
@@ -480,13 +480,13 @@ def _rank_auc(pos, neg):
 
 class TestDisentanglementScore:
     def _planted(self, seed=17):
-        from cdgnn.synth import PlantedShortcutConfig, planted_shortcut
-        return planted_shortcut(PlantedShortcutConfig(num_egos=10, seed=seed))
+        from cdgnn.synth import planted_shortcut
+        return planted_shortcut(num_egos=10, seed=seed)
 
     def test_all_tied_scores_give_half(self):
         ds = self._planted()
         rng = np.random.default_rng(18)
-        params = init_mask_params(rng, ds.graph.features.shape[1])
+        params = init_mask_params(rng, ds.graph.features.shape[1], 16)
         params["mask.w2"][:] = 0.0
         score = disentanglement_score(params, ds.graph, ds.causal_edges,
                                       ds.shortcut_edges)
@@ -495,7 +495,7 @@ class TestDisentanglementScore:
     def test_matches_pairwise_oracle(self):
         ds = self._planted(seed=19)
         rng = np.random.default_rng(19)
-        params = init_mask_params(rng, ds.graph.features.shape[1])
+        params = init_mask_params(rng, ds.graph.features.shape[1], 16)
         params["mask.b1"][:] = rng.normal(size=params["mask.b1"].shape)
         params["mask.w2"][:] = rng.normal(size=params["mask.w2"].shape)
         params["mask.b2"][:] = rng.normal(size=params["mask.b2"].shape)
@@ -511,7 +511,7 @@ class TestDisentanglementScore:
     def test_matches_rank_formula_bit_for_bit(self):
         ds = self._planted(seed=19)
         rng = np.random.default_rng(19)
-        params = init_mask_params(rng, ds.graph.features.shape[1])
+        params = init_mask_params(rng, ds.graph.features.shape[1], 16)
         params["mask.w2"][:] = rng.normal(size=params["mask.w2"].shape)
         pos = score_edges(params, ds.graph.features, ds.causal_edges)
         neg = score_edges(params, ds.graph.features, ds.shortcut_edges)
@@ -542,7 +542,7 @@ class TestDisentanglementScore:
     def test_empty_side_rejected(self):
         ds = self._planted(seed=20)
         params = init_mask_params(np.random.default_rng(20),
-                                  ds.graph.features.shape[1])
+                                  ds.graph.features.shape[1], 16)
         with pytest.raises(ValueError, match="non-empty"):
             disentanglement_score(params, ds.graph,
                                   np.zeros((0, 2), int), ds.shortcut_edges)

@@ -22,6 +22,7 @@ from cdgnn.gains import (
 )
 from cdgnn.graphs import Graph
 from cdgnn.disentangle import init_cdgnn_params
+from cdgnn.models import init_gcn_weights, init_head_params
 
 
 class TestEffectiveHomophily:
@@ -512,6 +513,39 @@ class TestTheoryGrid:
                                    {**cell, "degree": bad}], num_samples=1000)
 
 
+    _CELL = {"degree": 3, "homophily": 0.5, "cross_class_ratio": 0.0}
+
+    @pytest.mark.parametrize("bad, needle", [
+        ("3", "grid cell 1 must be an object"),
+        ({"degree": 3, "cross_class_ratio": 0.0},
+         "grid cell 1 missing key homophily"),
+        ({"degree": 3}, "grid cell 1 missing key homophily, cross_class_ratio"),
+        ({**_CELL, "homophily": None},
+         "grid cell 1 homophily must be a number, got null"),
+        ({**_CELL, "cross_class_ratio": "0.5"},
+         'grid cell 1 cross_class_ratio must be a number, got "0.5"'),
+        ({**_CELL, "degree": True},
+         "grid cell 1 degree must be a number, got true"),
+        ({**_CELL, "total_edge_weight": {3}},
+         'grid cell 1 total_edge_weight must be a number, got "{3}"'),
+    ])
+    def test_malformed_cell_rejected_before_any_cell_runs(self, monkeypatch,
+                                                          bad, needle):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a cell ran before the grid was checked")
+
+        monkeypatch.setattr(gains_mod, "monte_carlo_one_layer", unreachable)
+        with pytest.raises(ValueError) as err:
+            theory_check_grid([self._CELL, bad], num_samples=1000)
+        assert str(err.value) == needle
+
+    def test_numpy_numbers_are_numbers(self):
+        cell = {"degree": np.int64(3), "homophily": np.float64(0.5),
+                "cross_class_ratio": np.float32(0.0)}
+        check = theory_check_grid([cell], num_samples=1000)
+        assert check.rows[0]["degree"] == 3
+
+
 def _ring_graph(n=12, dim=6, seed=21):
     rng = np.random.default_rng(seed)
     edges = np.array([(i, (i + 1) % n) for i in range(n)])
@@ -589,6 +623,17 @@ class TestAssumptionAudit:
         oracle = composed.audit_cross_class_ratios(g, params, 2, nodes)
         assert len(oracle) == layers and min(oracle) > 0.0
         assert report.cross_class_ratios == oracle
+
+    def test_gcn_or_unfitting_parameters_refused(self):
+        g = _ring_graph(seed=28)  # 6 features, 2 classes
+        rng = np.random.default_rng(28)
+        gcn = {**init_gcn_weights(rng, 6, 4, 2, "gcn"),
+               **init_head_params(rng, 4, 2, "head")}
+        with pytest.raises(ValueError, match="audit needs a cdgnn model, "
+                                             "the parameters hold a gcn"):
+            assumption_audit(g, gcn, hops=2)
+        with pytest.raises(ValueError, match="takes 6 features and 3 classes"):
+            assumption_audit(g, _audit_params(rng, 6, classes=3), hops=2)
 
     def test_too_few_nodes_rejected(self):
         g = _ring_graph(seed=25)

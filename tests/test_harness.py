@@ -424,6 +424,21 @@ class TestEvaluate:
         ev = evaluate(g, params, sp.test, hops=1)
         assert ev.predictions.shape == sp.test.shape
 
+    def test_parameters_that_do_not_fit_the_graph_are_refused(self):
+        """Scored anyway, a model of another class count or feature width
+        would read as an accuracy (the class ids it predicts exist)."""
+        g = _tiny_graph(seed=6)  # 5 features, 2 classes
+        rng = np.random.default_rng(0)
+        gcn = {**models.init_gcn_weights(rng, 5, 4, 1, "gcn"),
+               **models.init_head_params(rng, 4, 3, "head")}
+        for params, needle in (
+                (gcn, "takes 5 features and 3 classes, the graph has 5 and 2"),
+                (init_cdgnn_params(rng, 5, 4, 1, 4, 1), "5 features and 1 "),
+                (init_cdgnn_params(rng, 6, 4, 1, 4, 2), "6 features and 2 "),
+                ({"w": np.ones((1, 1))}, "neither a CD-GNN nor a GCN")):
+            with pytest.raises(ValueError, match=needle):
+                evaluate(g, params, np.arange(10), hops=1)
+
     def test_empty_nodes_rejected(self):
         g = _tiny_graph(seed=7)
         result = train_gcn_baseline(g, _tiny_config(epochs=1), seed=0,
@@ -920,8 +935,7 @@ class TestModelIo:
         assert set(loaded.params) == set(params)
         for key in params:
             np.testing.assert_array_equal(loaded.params[key], params[key])
-        assert (loaded.kind, loaded.hops, loaded.layers, loaded.feature_dim,
-                loaded.num_classes) == ("cdgnn", 2, 3, 5, 7)
+        assert loaded.hops == 2
 
     def test_suffix_added_when_missing(self, tmp_path):
         path = save_model({"a": np.ones((1, 1))}, tmp_path / "model", hops=1)

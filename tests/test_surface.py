@@ -242,11 +242,7 @@ SETTABLE = [
     "autodiff._centered(out)",
     "autodiff.hsic_rbf(rows)",
     "autodiff.adam_step(weight_decay)",
-    "autodiff.adam_step(beta1)",
-    "autodiff.adam_step(beta2)",
-    "autodiff.adam_step(eps)",
     "cli.main(argv)",
-    "disentangle.init_mask_params(scorer_hidden)",
     "disentangle.two_branch_forward(dropout_rate)",
     "disentangle.two_branch_forward(rng)",
     "disentangle.hsic(rows)",
@@ -314,14 +310,9 @@ SETTABLE = [
     "synth.preset(feature_rule)",
     "synth.relabel_to_heterophily(target)",
     "synth.relabel_to_heterophily(seed)",
-    "synth.PlantedShortcutConfig.num_egos",
-    "synth.PlantedShortcutConfig.num_classes",
-    "synth.PlantedShortcutConfig.causal_leaves",
-    "synth.PlantedShortcutConfig.shortcut_size",
-    "synth.PlantedShortcutConfig.shortcut_magnitude",
-    "synth.PlantedShortcutConfig.magnitude_jitter",
-    "synth.PlantedShortcutConfig.shortcut_agreement",
-    "synth.PlantedShortcutConfig.seed",
+    "synth.planted_shortcut(num_egos)",
+    "synth.planted_shortcut(num_classes)",
+    "synth.planted_shortcut(seed)",
 ]
 
 

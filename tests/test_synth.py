@@ -11,7 +11,6 @@ from cdgnn.graphs import Graph, GraphError, graph_to_dict, label_heterophily
 from cdgnn.harness import dataset_hash
 from cdgnn.synth import (
     FEATURE_RULES,
-    PlantedShortcutConfig,
     PRESET_NAMES,
     planted_shortcut,
     preset,
@@ -65,6 +64,20 @@ SHAPES = {
 }
 
 
+# Leading 16 hex digits of `dataset_hash` and of the sha256 of the bytes of
+# the graph's edges, the causal and shortcut edges and the decoy classes
+# (all int64) of the planted fixture, per (num_egos, num_classes, seed),
+# taken before its settings became module constants.
+PLANTED_SHA = {
+    (60, 2, 0): ("4572a68d723194f2", "580411d6f338bf92", "0ab3762624ff64ad",
+                 "ad5131aa47d631e7", "3eeebb6da7a95bc1"),
+    (100, 2, 0): ("7b4ee75f6177fe8f", "f9e0399da7d2d898", "cc40527b39b9aedb",
+                  "b08411fe2ef053ce", "6b9cf7fd155faf83"),
+    (40, 4, 1): ("cc52b3ee61f26268", "fa67df9b8c890eff", "8eac01f8a0183026",
+                 "4d8e43d413b69df8", "88325b9c3df1d682"),
+}
+
+
 def _path_graph(labels, num_classes=2):
     n = len(labels)
     return Graph(n, np.array([(i, i + 1) for i in range(n - 1)]),
@@ -81,6 +94,20 @@ class TestPinnedPresets:
             assert hashlib.sha256(sidecar.encode()).hexdigest()[:16] == \
                 BLOCKS_SHA[name]
             assert dataset_hash(g)[:16] == DATASET_SHA[name, rule, seed]
+
+
+class TestPinnedPlanted:
+    @pytest.mark.parametrize("key", PLANTED_SHA)
+    def test_fixture_matches_the_pinned_hashes(self, key):
+        num_egos, num_classes, seed = key
+        fx = planted_shortcut(num_egos=num_egos, num_classes=num_classes,
+                              seed=seed)
+        arrays = (fx.graph.edges, fx.causal_edges, fx.shortcut_edges,
+                  fx.decoy_classes)
+        assert all(a.dtype == np.int64 for a in arrays)
+        got = (dataset_hash(fx.graph)[:16],
+               *(hashlib.sha256(a.tobytes()).hexdigest()[:16] for a in arrays))
+        assert got == PLANTED_SHA[key]
 
 
 class TestGenerate:
@@ -275,9 +302,8 @@ class TestRelabel:
 
 class TestPlantedShortcut:
     def test_component_structure(self):
-        cfg = PlantedShortcutConfig(num_egos=10, seed=0)
-        fx = planted_shortcut(cfg)
-        per = 1 + cfg.causal_leaves + cfg.shortcut_size
+        fx = planted_shortcut(num_egos=10, seed=0)
+        per = 1 + 2 + synth.SHORTCUT_SIZE  # ego, leaves, ring
         assert fx.graph.num_nodes == 10 * per
         assert fx.ego_nodes.shape == (10,)
         # spokes to leaves + spokes to ring + ring edges
@@ -287,7 +313,7 @@ class TestPlantedShortcut:
 
     def test_causal_lookup_is_exact(self):
         """Decoding the leaves' rotation code recovers every label."""
-        fx = planted_shortcut(PlantedShortcutConfig(num_egos=40, seed=1))
+        fx = planted_shortcut(num_egos=40, seed=1)
         g = fx.graph
         C = g.num_classes
         correct = 0
@@ -307,7 +333,7 @@ class TestPlantedShortcut:
     def test_single_leaf_half_carries_no_label_information(self):
         """Either half of the rotation code alone is independent of the
         label; only the pair decodes it."""
-        fx = planted_shortcut(PlantedShortcutConfig(num_egos=400, seed=5))
+        fx = planted_shortcut(num_egos=400, seed=5)
         g = fx.graph
         C = g.num_classes
         causal = {tuple(e) for e in fx.causal_edges.tolist()}
@@ -328,7 +354,7 @@ class TestPlantedShortcut:
     def test_shortcut_presence_carries_no_label_information(self):
         """The ring is attached to every ego, so presence has zero entropy
         and zero mutual information with the label."""
-        fx = planted_shortcut(PlantedShortcutConfig(num_egos=50, seed=2))
+        fx = planted_shortcut(num_egos=50, seed=2)
         short = {tuple(e) for e in fx.shortcut_edges.tolist()}
         has_ring = []
         for ego in fx.ego_nodes:
@@ -352,20 +378,19 @@ class TestPlantedShortcut:
         assert mi == pytest.approx(0.0, abs=1e-12)
 
     def test_shortcut_agreement_is_imperfect(self):
-        fx = planted_shortcut(PlantedShortcutConfig(num_egos=200, seed=3,
-                                                    shortcut_agreement=0.8))
+        fx = planted_shortcut(num_egos=200, seed=3)
         agree = np.mean(fx.decoy_classes == fx.graph.labels[fx.ego_nodes])
         assert 0.6 < agree < 0.95
 
     def test_fixed_seed_reproducible(self):
-        a = planted_shortcut(PlantedShortcutConfig(seed=7))
-        b = planted_shortcut(PlantedShortcutConfig(seed=7))
+        a = planted_shortcut(seed=7)
+        b = planted_shortcut(seed=7)
         assert graph_to_dict(a.graph) == graph_to_dict(b.graph)
         np.testing.assert_array_equal(a.causal_edges, b.causal_edges)
         np.testing.assert_array_equal(a.shortcut_edges, b.shortcut_edges)
 
     def test_invalid_config_rejected(self):
-        with pytest.raises(GraphError):
-            PlantedShortcutConfig(num_egos=1).validate()
-        with pytest.raises(GraphError):
-            PlantedShortcutConfig(shortcut_agreement=1.5).validate()
+        with pytest.raises(GraphError, match="num_egos"):
+            planted_shortcut(num_egos=1)
+        with pytest.raises(GraphError, match="num_classes"):
+            planted_shortcut(num_classes=1)
