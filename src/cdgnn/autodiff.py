@@ -566,7 +566,9 @@ def _scatter_picked(probs: Tensor, rows: np.ndarray, y: np.ndarray,
 
 def gce_rows(probs, labels, q: float) -> Tensor:
     """Per-row generalized cross-entropy (1 - exp(q log p_y)) / q, shape
-    (B, 1), with the log clamped below at 1e-12."""
+    (B, 1), with the log clamped below at 1e-12; q must be in (0, 1]."""
+    if not 0.0 < q <= 1.0:
+        raise ValueError(f"q must be in (0, 1], got {q}")
     probs = _coerce(probs)
     rows, y, clamped = _picked(probs, labels)
     qa = _as_matrix(q)

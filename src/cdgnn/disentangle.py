@@ -6,10 +6,11 @@ averaging both endpoint orders), and a shared logit vector masks feature
 columns. sigmoid(logit) weights the causal branch; the complement weights the
 shortcut branch, so the two masked weight tables tile the unmasked graph.
 
-Losses: a generalized cross-entropy (GCE) term that lets the shortcut branch
-latch onto easy signal, a difficulty-weighted cross-entropy for the causal
-branch, a counterfactual term that swaps shortcut embeddings across the
-batch, and an HSIC penalty driving the branch embeddings independent.
+total_loss, the whole objective of one two_branch_forward: a generalized
+cross-entropy (GCE) term that lets the shortcut branch latch onto easy
+signal, a difficulty-weighted cross-entropy for the causal branch, a
+counterfactual term that swaps shortcut embeddings across the batch, and
+an HSIC penalty driving the branch embeddings independent.
 """
 
 from __future__ import annotations
@@ -30,9 +31,7 @@ __all__ = [
     "edge_score_logits",
     "TwoBranchPass",
     "two_branch_forward",
-    "gce_loss",
     "difficulty_weights",
-    "causal_loss",
     "counterfactual_loss",
     "median_bandwidth",
     "hsic",
@@ -132,12 +131,13 @@ def two_branch_forward(batch: EgoBatch, leaves: dict,
     feat = ad.sigmoid(leaves["mask.feat"])
     edge_shortcut = ad.subtract(1.0, edge)
     feat_shortcut = ad.subtract(1.0, feat)
-    keys = sorted(k for k in leaves if k.startswith("gnn_c.w"))
+    depth = sum(k.startswith("gnn_c.w") for k in leaves)
     layers_c = gcn_forward(batch.plan, batch.features, edge, feat,
-                           [leaves[k] for k in keys], dropout_rate, rng)
+                           [leaves[f"gnn_c.w{l}"] for l in range(depth)],
+                           dropout_rate, rng)
     layers_s = gcn_forward(batch.plan, batch.features, edge_shortcut,
                            feat_shortcut,
-                           [leaves[k.replace("gnn_c.", "gnn_s.")] for k in keys],
+                           [leaves[f"gnn_s.w{l}"] for l in range(depth)],
                            dropout_rate, rng)
     h_c = ad.ego_readout(layers_c[-1], batch.ego_rows, batch.segments,
                          batch.num_graphs, leaves["readout_c.proj"])
@@ -149,17 +149,6 @@ def two_branch_forward(batch: EgoBatch, leaves: dict,
         graph_causal=h_c, graph_shortcut=h_s, joint=ad.concat_cols(h_c, h_s),
         head_causal=(leaves["head_c.w"], leaves["head_c.b"]),
         head_shortcut=(leaves["head_s.w"], leaves["head_s.b"]))
-
-
-def gce_loss(probs: ad.Tensor, labels, q: float) -> ad.Tensor:
-    """Per-sample generalized cross-entropy (1 - p_y^q) / q, shape (B, 1).
-
-    The power is computed as exp(q * log p) with the log clamped at 1e-12.
-    At q = 1 this is 1 - p_y; as q -> 0 it approaches the cross-entropy.
-    """
-    if not 0.0 < q <= 1.0:
-        raise ValueError(f"q must be in (0, 1], got {q}")
-    return ad.gce_rows(probs, labels, q)
 
 
 def difficulty_weights(ce_shortcut: np.ndarray, ce_causal: np.ndarray) -> np.ndarray:
@@ -177,11 +166,6 @@ def difficulty_weights(ce_shortcut: np.ndarray, ce_causal: np.ndarray) -> np.nda
     ok = denom > _CE_EPS
     out[ok] = s[ok] / denom[ok]
     return out
-
-
-def causal_loss(probs_causal: ad.Tensor, labels, weights) -> ad.Tensor:
-    """Difficulty-weighted mean cross-entropy of the causal head."""
-    return ad.mean(ad.nll_rows(probs_causal, labels, weights))
 
 
 def counterfactual_loss(fwd: TwoBranchPass, labels, q: float,
@@ -203,7 +187,7 @@ def counterfactual_loss(fwd: TwoBranchPass, labels, q: float,
                           ad.permute_rows(fwd.graph_shortcut, perm))
     probs_s = ad.softmax_head(h_ct, *fwd.head_shortcut)
     probs_c = ad.softmax_head(h_ct, *fwd.head_causal)
-    gce = gce_loss(probs_s, y[perm], q)
+    gce = ad.gce_rows(probs_s, y[perm], q)
     ce = ad.nll_rows(probs_c, y, weights)
     return ad.mean(ad.add(gce, ce))
 
@@ -269,32 +253,45 @@ def hsic(x: ad.Tensor, y: ad.Tensor, rows=None) -> ad.Tensor:
     return ad.hsic_rbf(x, y, median_bandwidth(xs), median_bandwidth(ys), rows)
 
 
-def total_loss(shortcut_term: ad.Tensor, causal_term: ad.Tensor,
-               counterfactual_term: ad.Tensor, independence_term: ad.Tensor,
-               coefficients: tuple[float, float, float, float]
-               ) -> tuple[ad.Tensor, dict[str, float]]:
-    """Weighted objective plus a raw-value breakdown.
+# The objective's terms, in the order RunConfig.coefficients weighs them.
+LOSS_TERMS = ("loss_s", "loss_c", "loss_cf", "loss_hsic")
 
-    `coefficients` weigh the four terms in this order (RunConfig.coefficients);
-    a term weighed 0 (ablated, or a zero lambda) leaves the objective, but
-    every term's raw value is still reported so ablated runs stay comparable.
+
+def total_loss(fwd: TwoBranchPass, labels, q: float,
+               coefficients: tuple[float, float, float, float],
+               perm: np.ndarray, rows) -> tuple[ad.Tensor, dict[str, float]]:
+    """The CD-GNN objective of the batch `fwd` embeds, plus a breakdown.
+
+    The LOSS_TERMS, in order: the mean GCE (1 - p_y^q) / q of the shortcut
+    head, with q in (0, 1]; the mean cross-entropy of the causal head,
+    weighted by the difficulty_weights of both heads' detached per-sample
+    cross-entropies; counterfactual_loss over `perm` with those weights;
+    and the hsic of both branches' last-layer node embeddings at `rows`.
+    `coefficients` weigh them (RunConfig.coefficients): a term weighed 0
+    (ablated, or a zero lambda) leaves the objective, but every term's raw
+    value is still reported, so ablated runs stay comparable, beside the
+    total and the mean detached cross-entropies ce_s and ce_c.
     """
-    breakdown = {
-        "loss_s": shortcut_term.item(),
-        "loss_c": causal_term.item(),
-        "loss_cf": counterfactual_term.item(),
-        "loss_hsic": independence_term.item(),
-    }
-    terms = (shortcut_term, causal_term, counterfactual_term, independence_term)
+    probs_s = ad.softmax_head(fwd.joint, *fwd.head_shortcut)
+    probs_c = ad.softmax_head(fwd.joint, *fwd.head_causal)
+    loss_s = ad.mean(ad.gce_rows(probs_s, labels, q))
+    # Detached values: on plain arrays nothing is recorded.
+    ce_s = ad.nll_rows(probs_s.data, labels).data.reshape(-1)
+    ce_c = ad.nll_rows(probs_c.data, labels).data.reshape(-1)
+    weights = difficulty_weights(ce_s, ce_c)
+    terms = (loss_s, ad.mean(ad.nll_rows(probs_c, labels, weights)),
+             counterfactual_loss(fwd, labels, q, perm, weights),
+             hsic(fwd.layers_causal[-1], fwd.layers_shortcut[-1], rows))
+    breakdown = {name: term.item() for name, term in zip(LOSS_TERMS, terms)}
     pieces = [term if coeff == 1.0 else ad.multiply(term, coeff)
               for term, coeff in zip(terms, coefficients)
               if coeff != 0.0]
     if not pieces:
         raise ValueError("all loss terms ablated")
-    total = pieces[0]
-    for p in pieces[1:]:
-        total = ad.add(total, p)
+    total = functools.reduce(ad.add, pieces)
     breakdown["total"] = total.item()
+    breakdown["ce_s"] = float(ce_s.mean())
+    breakdown["ce_c"] = float(ce_c.mean())
     return total, breakdown
 
 

@@ -248,8 +248,8 @@ def theory_check_grid(cells: Sequence[dict], num_samples: int = 100_000,
     and optional total_edge_weight, defaulting to degree. Cell seeds derive
     from `seed` plus the cell index so trials are independent. A grid
     without cells is refused: it would pass having checked nothing; so is,
-    before any cell runs, any other cell, or a degree that is not a whole
-    number (3.0 is one) or is below 1.
+    before any cell runs, any other cell, a number too large for a float,
+    or a degree that is not a whole number (3.0 is one) or is below 1.
     """
     if not cells:
         raise ValueError("the grid has no cells")
@@ -266,6 +266,11 @@ def theory_check_grid(cells: Sequence[dict], num_samples: int = 100_000,
             if not isinstance(value, numbers.Real) or isinstance(value, bool):
                 raise ValueError(f"grid cell {index} {key} must be a number, "
                                  f"got {json.dumps(value, default=repr)}")
+            try:
+                float(value)
+            except OverflowError:
+                raise ValueError(f"grid cell {index} {key} is too large for "
+                                 f"a float") from None
     for index, cell in enumerate(cells):
         degree = float(cell["degree"])
         if not degree.is_integer():

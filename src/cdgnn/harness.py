@@ -6,11 +6,11 @@ plain GCN baseline run on the full graph. Experiments produce RunRecords
 whose canonical form excludes wall time, so identical seeds must reproduce
 identical records byte for byte.
 
-Every loss term is computed and logged on every batch regardless of
-ablation flags; flags only decide what enters the optimized total. RNG
-draws (batch order, dropout, counterfactual permutation, HSIC row sample)
-likewise happen unconditionally, so an ablated run and a zero-weight run
-follow identical trajectories.
+A CD-GNN step's disentangle.total_loss computes and logs every loss term
+on every batch regardless of ablation flags; flags only decide what enters
+the optimized total. RNG draws (batch order, dropout, counterfactual
+permutation, HSIC row sample) likewise happen unconditionally, so an
+ablated run and a zero-weight run follow identical trajectories.
 """
 
 from __future__ import annotations
@@ -28,9 +28,8 @@ from typing import Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .disentangle import (causal_loss, counterfactual_loss,
-                          difficulty_weights, gce_loss, hsic,
-                          init_cdgnn_params, total_loss, two_branch_forward)
+from .disentangle import (LOSS_TERMS, init_cdgnn_params, total_loss,
+                          two_branch_forward)
 from .graphs import Graph, feature_heterophily, label_heterophily
 from .models import (EgoBatch, batch_from_cache, build_ego_cache, gcn_forward,
                      init_gcn_weights, init_head_params)
@@ -315,27 +314,13 @@ def train_cdgnn(g: Graph, config: RunConfig, seed: int,
             for nodes in _train_batches(train_nodes, config.batch_size,
                                         rng_batch):
                 batch = batch_from_cache(g, egos, nodes)
+                perm = rng_perm.permutation(batch.num_graphs)
+                rows = rng_hsic.permutation(
+                    batch.features.shape[0])[:config.hsic_max_rows]
                 fwd = two_branch_forward(batch, leaves, config.dropout,
                                          rng_dropout)
-                y = batch.ego_labels
-                probs_s = ad.softmax_head(fwd.joint, *fwd.head_shortcut)
-                probs_c = ad.softmax_head(fwd.joint, *fwd.head_causal)
-                loss_s = ad.mean(gce_loss(probs_s, y, config.q))
-                # Detached values: on plain arrays nothing is recorded.
-                ce_s = ad.nll_rows(probs_s.data, y).data.reshape(-1)
-                ce_c = ad.nll_rows(probs_c.data, y).data.reshape(-1)
-                weights = difficulty_weights(ce_s, ce_c)
-                loss_c = causal_loss(probs_c, y, weights)
-                perm = rng_perm.permutation(batch.num_graphs)
-                loss_cf = counterfactual_loss(fwd, y, config.q, perm, weights)
-                nodes_c, nodes_s = fwd.layers_causal[-1], fwd.layers_shortcut[-1]
-                rows = rng_hsic.permutation(
-                    nodes_c.data.shape[0])[:config.hsic_max_rows]
-                loss_hsic = hsic(nodes_c, nodes_s, rows=rows)
-                total, breakdown = total_loss(loss_s, loss_c, loss_cf,
-                                              loss_hsic, config.coefficients)
-                breakdown["ce_s"] = float(ce_s.mean())
-                breakdown["ce_c"] = float(ce_c.mean())
+                total, breakdown = total_loss(fwd, batch.ego_labels, config.q,
+                                              config.coefficients, perm, rows)
                 guard(breakdown)
                 grads = ad.gradients(total, leaves)
                 ad.adam_step(state, grads, config.weight_decay)
@@ -372,7 +357,8 @@ def _gcn_hidden(full: tuple[ad.PropagationPlan, np.ndarray], params: dict,
     """The GCN baseline's last layer over every node from `full`, the
     graph's _full_graph, and `params`: leaves to train, arrays to infer."""
     plan, x = full
-    layers = [params[k] for k in sorted(params) if k.startswith("gcn.w")]
+    depth = sum(k.startswith("gcn.w") for k in params)
+    layers = [params[f"gcn.w{l}"] for l in range(depth)]
     return gcn_forward(plan, x, None, None, layers, dropout, rng,
                        propagated=True)[-1]
 
@@ -671,7 +657,7 @@ def write_report_csv(records: Sequence[RunRecord], path) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     header = ["dataset", "seed", "h_L", "h_F", "split", "accuracy",
-              "loss_s", "loss_c", "loss_cf", "loss_hsic"]
+              *LOSS_TERMS]
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -680,8 +666,7 @@ def write_report_csv(records: Sequence[RunRecord], path) -> Path:
             writer.writerow([
                 r.dataset, r.seed, r.label_heterophily, r.feature_heterophily,
                 "test", r.test_accuracy,
-                last.get("loss_s", ""), last.get("loss_c", ""),
-                last.get("loss_cf", ""), last.get("loss_hsic", ""),
+                *(last.get(key, "") for key in LOSS_TERMS),
             ])
     return path
 

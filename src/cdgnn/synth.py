@@ -263,8 +263,8 @@ def relabel_to_heterophily(g: Graph, target: float | None = None,
         else:
             stale += 1
         if stale >= MAX_STALE_ROUNDS:
-            reached = target is None or done(mismatches)
-            return RelabelResult(g.with_labels(labels), reached, rounds, history)
+            return RelabelResult(g.with_labels(labels), target is None,
+                                 rounds, history)
 
 
 @dataclass

@@ -15,14 +15,22 @@ adam_step is the per-parameter loop that the flat-buffer Adam replaced.
 hsic_value is hsic on plain arrays, and audit_cross_class_ratios is
 assumption_audit's old per-layer loop, which propagated the causal branch
 again from its masks instead of reading the forward's layers.
+composed_objective_case is total_loss written out term by term, the
+objective whose gradient acceptance criterion c01 checks.
 """
 
 import numpy as np
 
 from cdgnn import autodiff as ad
-from cdgnn.disentangle import edge_score_logits, gce_loss, hsic
+from cdgnn.disentangle import (counterfactual_loss, difficulty_weights,
+                               edge_score_logits, hsic, init_mask_params,
+                               median_bandwidth, total_loss,
+                               two_branch_forward)
 from cdgnn.gains import _layer_cross_class_ratio
-from cdgnn.models import batch_from_cache, build_ego_cache
+from cdgnn.graphs import Graph
+from cdgnn.harness import RunConfig
+from cdgnn.models import (batch_from_cache, build_ego_cache, init_gcn_weights,
+                          init_head_params, init_readout_params)
 
 
 def exp(a):
@@ -268,7 +276,7 @@ def gce_grad_identity_check(params, forward, label, q):
     """
     tensors_a = ad.leaves({k: v.copy() for k, v in params.items()})
     probs_a = forward(tensors_a)
-    loss_a = ad.mean(gce_loss(probs_a, [label], q))
+    loss_a = ad.mean(ad.gce_rows(probs_a, [label], q))
     p_y = float(probs_a.data[0, label])
     grads_a = ad.gradients(loss_a, tensors_a)
 
@@ -332,7 +340,8 @@ def audit_cross_class_ratios(g, params, hops, nodes):
     batch = batch_from_cache(g, build_ego_cache(g, hops, nodes), nodes)
     edge = ad.sigmoid(edge_score_logits(batch.endpoints, batch.features,
                                         params))
-    layers = [params[k] for k in sorted(params) if k.startswith("gnn_c.w")]
+    depth = sum(k.startswith("gnn_c.w") for k in params)
+    layers = [params[f"gnn_c.w{l}"] for l in range(depth)]
     h = ad.multiply(batch.features, ad.sigmoid(params["mask.feat"]))
     ratios = []
     for l, w in enumerate(layers):
@@ -340,3 +349,67 @@ def audit_cross_class_ratios(g, params, hops, nodes):
         ratios.append(_layer_cross_class_ratio(
             h.data, batch.endpoints, g.labels[batch.member_ids]))
     return ratios
+
+
+def composed_objective_case(rng):
+    """One random instance of the full four-term training objective, as
+    (build, values, objective). `build(t)` is the objective at parameters
+    `t`, composed from ad.gce_rows, ad.nll_rows and the weighted sum that
+    total_loss forms; `values` are the parameters at the unperturbed point;
+    `objective(t)` is total_loss of the same batch, permutation and
+    coefficients at `t`, over every node row.
+
+    In `build`, stop-gradient data (difficulty weights, counterfactual
+    permutation, kernel bandwidths) is frozen at the unperturbed point,
+    because that is the function whose gradient the optimizer follows.
+    """
+    n, dim, hidden = 6, 2, 2
+    edges = np.array([(i, i + 1) for i in range(n - 1)] + [(0, 2)])
+    g = Graph(n, edges, rng.normal(size=(n, dim)),
+              rng.integers(0, 2, size=n), 2)
+    nodes = np.arange(3)
+    batch = batch_from_cache(g, build_ego_cache(g, 1, nodes), nodes)
+
+    values = init_mask_params(rng, dim, scorer_hidden=2)
+    values.update(init_gcn_weights(rng, dim, hidden, 2, "gnn_c"))
+    values.update(init_gcn_weights(rng, dim, hidden, 2, "gnn_s"))
+    values.update(init_readout_params(rng, hidden, "readout_c"))
+    values.update(init_readout_params(rng, hidden, "readout_s"))
+    values.update(init_head_params(rng, 2 * hidden, 2, "head_c"))
+    values.update(init_head_params(rng, 2 * hidden, 2, "head_s"))
+    perm = rng.permutation(batch.num_graphs)
+    config = RunConfig(q=0.7, lambda_counterfactual=10.0,
+                       lambda_independence=0.1)
+    y = batch.ego_labels
+
+    fwd0 = two_branch_forward(batch, values)
+    probs_s0 = ad.softmax_head(fwd0.joint, *fwd0.head_shortcut)
+    probs_c0 = ad.softmax_head(fwd0.joint, *fwd0.head_causal)
+    weights = difficulty_weights(ad.nll_rows(probs_s0, y).data,
+                                 ad.nll_rows(probs_c0, y).data)
+    bx = median_bandwidth(fwd0.layers_causal[-1].data)
+    by = median_bandwidth(fwd0.layers_shortcut[-1].data)
+
+    def build(t):
+        fwd = two_branch_forward(batch, t)
+        probs_s = ad.softmax_head(fwd.joint, *fwd.head_shortcut)
+        probs_c = ad.softmax_head(fwd.joint, *fwd.head_causal)
+        terms = (ad.mean(ad.gce_rows(probs_s, y, config.q)),
+                 ad.mean(ad.nll_rows(probs_c, y, weights)),
+                 counterfactual_loss(fwd, y, config.q, perm, weights),
+                 ad.hsic_rbf(fwd.layers_causal[-1], fwd.layers_shortcut[-1],
+                             bx, by))
+        total = None
+        for term, coeff in zip(terms, config.coefficients):
+            if coeff != 0.0:
+                piece = term if coeff == 1.0 else ad.multiply(term, coeff)
+                total = piece if total is None else ad.add(total, piece)
+        return total
+
+    def objective(t):
+        fwd = two_branch_forward(batch, t)
+        rows = np.arange(batch.features.shape[0])
+        return total_loss(fwd, y, config.q, config.coefficients, perm,
+                          rows)[0]
+
+    return build, values, objective

@@ -12,21 +12,12 @@ import time
 import numpy as np
 import pytest
 
-from composed import gce_grad_identity_check, hsic_value
+from composed import (composed_objective_case, gce_grad_identity_check,
+                      hsic_value)
 from fdcheck import PRIMITIVE_CASES, max_relative_error
 
 from cdgnn import autodiff as ad
-from cdgnn.disentangle import (
-    causal_loss,
-    counterfactual_loss,
-    difficulty_weights,
-    disentanglement_score,
-    gce_loss,
-    init_mask_params,
-    median_bandwidth,
-    total_loss,
-    two_branch_forward,
-)
+from cdgnn.disentangle import disentanglement_score
 from cdgnn.gains import (
     GainParams,
     cumulative_gain_ratio,
@@ -38,13 +29,6 @@ from cdgnn.gains import (
 )
 from cdgnn.graphs import Graph, label_heterophily, feature_heterophily
 from cdgnn.harness import RunConfig, run_experiment, train_cdgnn, split_nodes
-from cdgnn.models import (
-    batch_from_cache,
-    build_ego_cache,
-    init_gcn_weights,
-    init_head_params,
-    init_readout_params,
-)
 from cdgnn.synth import (
     planted_shortcut,
     preset,
@@ -76,56 +60,6 @@ def criterion(number, limit_seconds, description):
 
 # ---------------------------------------------------------------------------
 # shared fixtures
-
-
-def _composed_objective_case(rng):
-    """One random instance of the full four-term training objective.
-
-    Stop-gradient data (difficulty weights, counterfactual permutation,
-    kernel bandwidths) is frozen at the unperturbed point, because that is
-    the function whose gradient the optimizer follows.
-    """
-    n, dim, hidden = 6, 2, 2
-    edges = np.array([(i, i + 1) for i in range(n - 1)] + [(0, 2)])
-    g = Graph(n, edges, rng.normal(size=(n, dim)),
-              rng.integers(0, 2, size=n), 2)
-    nodes = np.arange(3)
-    batch = batch_from_cache(g, build_ego_cache(g, 1, nodes), nodes)
-
-    values = init_mask_params(rng, dim, scorer_hidden=2)
-    values.update(init_gcn_weights(rng, dim, hidden, 2, "gnn_c"))
-    values.update(init_gcn_weights(rng, dim, hidden, 2, "gnn_s"))
-    values.update(init_readout_params(rng, hidden, "readout_c"))
-    values.update(init_readout_params(rng, hidden, "readout_s"))
-    values.update(init_head_params(rng, 2 * hidden, 2, "head_c"))
-    values.update(init_head_params(rng, 2 * hidden, 2, "head_s"))
-    perm = rng.permutation(batch.num_graphs)
-    config = RunConfig(q=0.7, lambda_counterfactual=10.0,
-                       lambda_independence=0.1)
-    y = batch.ego_labels
-
-    fwd0 = two_branch_forward(batch, values)
-    probs_s0 = ad.softmax_head(fwd0.joint, *fwd0.head_shortcut)
-    probs_c0 = ad.softmax_head(fwd0.joint, *fwd0.head_causal)
-    weights = difficulty_weights(ad.nll_rows(probs_s0, y).data,
-                                 ad.nll_rows(probs_c0, y).data)
-    bx = median_bandwidth(fwd0.layers_causal[-1].data)
-    by = median_bandwidth(fwd0.layers_shortcut[-1].data)
-
-    def build(t):
-        fwd = two_branch_forward(batch, t)
-        probs_s = ad.softmax_head(fwd.joint, *fwd.head_shortcut)
-        probs_c = ad.softmax_head(fwd.joint, *fwd.head_causal)
-        loss_s = ad.mean(gce_loss(probs_s, y, config.q))
-        loss_c = causal_loss(probs_c, y, weights)
-        loss_cf = counterfactual_loss(fwd, y, config.q, perm, weights)
-        loss_h = ad.hsic_rbf(fwd.layers_causal[-1], fwd.layers_shortcut[-1],
-                             bx, by)
-        total, _ = total_loss(loss_s, loss_c, loss_cf, loss_h,
-                              config.coefficients)
-        return total
-
-    return build, values
 
 
 def _planted_fixture():
@@ -162,7 +96,7 @@ def test_c01_gradient_correctness():
             assert err < 1e-4, f"{name}: relative error {err:.2e}"
             instances += 1
     for _ in range(100):
-        build, values = _composed_objective_case(rng)
+        build, values, _ = composed_objective_case(rng)
         err = max_relative_error(build, values)
         assert err < 1e-4, f"composed objective: relative error {err:.2e}"
         instances += 1

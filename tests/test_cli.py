@@ -298,6 +298,10 @@ class TestTheoryCheck:
          "grid cell 1 degree must be at least 1, got 0"),
         ([_CELL, {**_CELL, "degree": -2}],
          "grid cell 1 degree must be at least 1, got -2"),
+        ([_CELL, {**_CELL, "degree": 10 ** 400}],
+         "grid cell 1 degree is too large for a float"),
+        ([{**_CELL, "homophily": 10 ** 400}],
+         "grid cell 0 homophily is too large for a float"),
     ])
     @pytest.mark.parametrize("with_out", [False, True])
     def test_bad_grid_is_one_line_error(self, tmp_path, capsys, payload,

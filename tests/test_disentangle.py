@@ -5,17 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from composed import gce_grad_identity_check, hsic_value
+from composed import (composed_objective_case, gce_grad_identity_check,
+                      hsic_value)
 from cdgnn import autodiff as ad
 from cdgnn import disentangle
 from cdgnn.disentangle import (
+    LOSS_TERMS,
     TwoBranchPass,
-    causal_loss,
     counterfactual_loss,
     difficulty_weights,
     disentanglement_score,
     edge_score_logits,
-    gce_loss,
     hsic,
     init_cdgnn_params,
     init_mask_params,
@@ -38,19 +38,21 @@ def _probs_row(values):
 
 
 class TestGce:
+    """ad.gce_rows, the per-sample GCE (1 - p_y^q) / q of total_loss."""
+
     def test_half_probability_hand_value(self):
-        out = gce_loss(_probs_row([0.5, 0.5]), [0], 0.5)
+        out = ad.gce_rows(_probs_row([0.5, 0.5]), [0], 0.5)
         np.testing.assert_allclose(out.data, 0.5857864376269049, rtol=1e-12)
 
     def test_q_one_is_one_minus_p(self):
-        out = gce_loss(_probs_row([0.3, 0.7]), [1], 1.0)
+        out = ad.gce_rows(_probs_row([0.3, 0.7]), [1], 1.0)
         np.testing.assert_allclose(out.data, 0.3, rtol=1e-12)
 
     def test_small_q_approaches_cross_entropy(self):
         q = 1e-3
         for p in (0.1, 0.3, 0.8):
             probs = _probs_row([p, 1.0 - p])
-            g = gce_loss(probs, [0], q).item()
+            g = ad.gce_rows(probs, [0], q).item()
             ce = ad.nll_rows(probs, [0]).item()
             assert abs(g - ce) <= q * np.log(p) ** 2
 
@@ -59,20 +61,25 @@ class TestGce:
         for _ in range(50):
             p = rng.uniform(1e-6, 1.0)
             q = rng.uniform(0.05, 1.0)
-            val = gce_loss(_probs_row([p, 1.0 - p]), [0], q).item()
+            val = ad.gce_rows(_probs_row([p, 1.0 - p]), [0], q).item()
             assert 0.0 <= val <= 1.0 / q + 1e-12
 
     def test_decreasing_in_correct_probability(self):
         grid = np.linspace(0.05, 0.95, 19)
-        vals = [gce_loss(_probs_row([p, 1.0 - p]), [0], 0.7).item()
+        vals = [ad.gce_rows(_probs_row([p, 1.0 - p]), [0], 0.7).item()
                 for p in grid]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_q_out_of_range_rejected(self):
+        """Refused by ad.gce_rows, so by both GCE terms of total_loss."""
         probs = _probs_row([0.5, 0.5])
+        fwd = _toy_pass(np.random.default_rng(0))
         for q in (0.0, -0.5, 1.5):
-            with pytest.raises(ValueError, match="q"):
-                gce_loss(probs, [0], q)
+            with pytest.raises(ValueError, match="q must be in"):
+                ad.gce_rows(probs, [0], q)
+            with pytest.raises(ValueError, match="q must be in"):
+                total_loss(fwd, [0, 1, 0], q, (1.0, 1.0, 1.0, 1.0),
+                           np.arange(3), np.arange(3))
 
 
 class TestGceGradIdentity:
@@ -108,25 +115,30 @@ class TestDifficultyWeights:
             difficulty_weights([-0.1], [1.0])
 
 
+def _causal_term(probs, labels, weights):
+    """total_loss's causal term: the weighted mean cross-entropy."""
+    return ad.mean(ad.nll_rows(probs, labels, weights))
+
+
 class TestCausalLoss:
     def test_weighted_mean_hand_case(self):
         probs = ad.Tensor(np.full((3, 4), 0.25))
-        out = causal_loss(probs, [0, 1, 2], [1.0, 1.0, 0.0])
+        out = _causal_term(probs, [0, 1, 2], [1.0, 1.0, 0.0])
         np.testing.assert_allclose(out.data, 0.9241962407465937, rtol=1e-12)
 
     def test_zero_weights_zero_loss(self):
         probs = ad.Tensor(np.full((2, 3), 1 / 3))
-        assert causal_loss(probs, [0, 1], [0.0, 0.0]).item() == 0.0
+        assert _causal_term(probs, [0, 1], [0.0, 0.0]).item() == 0.0
 
     def test_confident_correct_is_tiny(self):
         probs = ad.Tensor(np.array([[1.0, 0.0], [0.0, 1.0]]))
         # exact ones survive the clamp, so the loss is exactly -log(1)
-        assert causal_loss(probs, [0, 1], [1.0, 1.0]).item() <= 1e-9
+        assert _causal_term(probs, [0, 1], [1.0, 1.0]).item() <= 1e-9
 
     def test_weight_count_mismatch(self):
         probs = ad.Tensor(np.full((3, 2), 0.5))
         with pytest.raises(ValueError, match="per sample"):
-            causal_loss(probs, [0, 1, 0], [1.0, 1.0])
+            _causal_term(probs, [0, 1, 0], [1.0, 1.0])
 
 
 def _toy_pass(rng, n=3, dim=2, classes=2):
@@ -151,9 +163,9 @@ class TestCounterfactualLoss:
         fwd = _toy_pass(rng)
         y = np.array([0, 1, 0])
         w = np.array([0.3, 0.9, 0.5])
-        plain_s = ad.mean(gce_loss(
+        plain_s = ad.mean(ad.gce_rows(
             ad.softmax_head(fwd.joint, *fwd.head_shortcut), y, 0.7))
-        plain_c = causal_loss(
+        plain_c = _causal_term(
             ad.softmax_head(fwd.joint, *fwd.head_causal), y, w)
         cf = counterfactual_loss(fwd, y, 0.7, np.arange(3), w)
         np.testing.assert_allclose(cf.item(),
@@ -272,51 +284,83 @@ class TestHsic:
 
 
 class TestTotalLoss:
+    """total_loss on a _toy_pass of 3 egos whose node rows are the egos."""
+
+    y = np.array([0, 1, 0])
+    perm = np.array([2, 0, 1])
+
+    def _loss(self, coefficients):
+        fwd = _toy_pass(np.random.default_rng(30))
+        return total_loss(fwd, self.y, 0.7, coefficients, self.perm,
+                          np.arange(3))
+
     def _terms(self):
-        return [ad.Tensor(np.array([[v]])) for v in (1.0, 2.0, 3.0, 4.0)]
+        """The four raw terms, composed one by one."""
+        fwd = _toy_pass(np.random.default_rng(30))
+        probs_s = ad.softmax_head(fwd.joint, *fwd.head_shortcut)
+        probs_c = ad.softmax_head(fwd.joint, *fwd.head_causal)
+        weights = difficulty_weights(ad.nll_rows(probs_s.data, self.y).data,
+                                     ad.nll_rows(probs_c.data, self.y).data)
+        return (ad.mean(ad.gce_rows(probs_s, self.y, 0.7)).item(),
+                _causal_term(probs_c, self.y, weights).item(),
+                counterfactual_loss(fwd, self.y, 0.7, self.perm,
+                                    weights).item(),
+                hsic(fwd.layers_causal[-1], fwd.layers_shortcut[-1]).item())
 
     def test_weighted_sum_hand_case(self):
-        total, breakdown = total_loss(
-            *self._terms(),
+        total, breakdown = self._loss(
             RunConfig(lambda_counterfactual=10.0,
                       lambda_independence=0.1).coefficients)
-        np.testing.assert_allclose(total.item(), 33.4, rtol=1e-12)
-        assert breakdown["loss_s"] == 1.0
-        assert breakdown["loss_c"] == 2.0
-        assert breakdown["loss_cf"] == 3.0
-        assert breakdown["loss_hsic"] == 4.0
-        assert breakdown["total"] == total.item()
+        s, c, cf, h = self._terms()
+        assert list(breakdown) == [*LOSS_TERMS, "total", "ce_s", "ce_c"]
+        assert [breakdown[k] for k in LOSS_TERMS] == [s, c, cf, h]
+        assert total.item() == breakdown["total"] == s + c + cf * 10.0 + h * 0.1
+
+    def test_breakdown_holds_the_mean_detached_cross_entropies(self):
+        _, breakdown = self._loss((1.0, 1.0, 1.0, 1.0))
+        fwd = _toy_pass(np.random.default_rng(30))
+        for key, head in (("ce_s", fwd.head_shortcut),
+                          ("ce_c", fwd.head_causal)):
+            probs = ad.softmax_head(fwd.joint, *head).data
+            assert breakdown[key] == float(ad.nll_rows(probs, self.y).data.mean())
 
     def test_flag_and_zero_lambda_agree(self):
-        by_flag, _ = total_loss(
-            *self._terms(),
+        by_flag, _ = self._loss(
             RunConfig(no_counterfactual_term=True,
                       lambda_independence=0.1).coefficients)
-        by_zero, _ = total_loss(
-            *self._terms(),
+        by_zero, _ = self._loss(
             RunConfig(lambda_counterfactual=0.0,
                       lambda_independence=0.1).coefficients)
-        assert by_flag.item() == by_zero.item() == 1.0 + 2.0 + 0.4
+        s, c, _, h = self._terms()
+        assert by_flag.item() == by_zero.item() == s + c + h * 0.1
 
     def test_breakdown_reports_ablated_terms(self):
-        _, breakdown = total_loss(
-            *self._terms(),
+        _, breakdown = self._loss(
             RunConfig(no_independence_term=True).coefficients)
-        assert breakdown["loss_hsic"] == 4.0
+        assert breakdown["loss_hsic"] == self._terms()[3]
 
     def test_coefficients_weigh_ablated_terms_zero(self):
         config = RunConfig(lambda_counterfactual=3.0, lambda_independence=0.2,
                            no_causal_term=True, no_independence_term=True)
         assert config.coefficients == (1.0, 0.0, 3.0, 0.0)
-        total, _ = total_loss(*self._terms(), config.coefficients)
-        assert total.item() == 1.0 + 3.0 * 3.0
+        total, _ = self._loss(config.coefficients)
+        s, _, cf, _ = self._terms()
+        assert total.item() == s + cf * 3.0
 
     def test_all_ablated_rejected(self):
         with pytest.raises(ValueError, match="ablated"):
-            total_loss(*self._terms(),
-                       RunConfig(no_shortcut_term=True, no_causal_term=True,
+            self._loss(RunConfig(no_shortcut_term=True, no_causal_term=True,
                                  no_counterfactual_term=True,
                                  no_independence_term=True).coefficients)
+
+    def test_c01_composition_is_total_loss_bit_for_bit(self):
+        """Acceptance criterion c01 differentiates its own composition of
+        the objective; at the unperturbed point it must be total_loss."""
+        rng = np.random.default_rng(20260816)
+        for _ in range(25):
+            build, values, objective = composed_objective_case(rng)
+            leaves = ad.leaves(values)
+            assert build(leaves).item() == objective(leaves).item()
 
 
 def _toy_graph(n=6, dim=4, seed=11):
@@ -445,6 +489,23 @@ class TestSplitAndEmbed:
             np.testing.assert_array_equal(got.data, want.data)
         np.testing.assert_array_equal(fwd.graph_causal.data, h_c)
         np.testing.assert_array_equal(fwd.joint.data, np.hstack([h_c, h_s]))
+
+    def test_layer_weights_apply_in_index_order(self):
+        """From 11 layers on, "gnn_c.w10" sorts before "gnn_c.w2"; layer l
+        must still apply gnn_c.w<l> (and gnn_s.w<l>)."""
+        g = _toy_graph(seed=22)
+        batch = _ego_batch(g, np.arange(g.num_nodes), hops=1)
+        params = init_cdgnn_params(np.random.default_rng(22), 4, 6, 11, 3, 2)
+        fwd = two_branch_forward(batch, params)
+        for prefix, layers, edge, feat in (
+                ("gnn_c", fwd.layers_causal, fwd.edge_mask, fwd.feature_mask),
+                ("gnn_s", fwd.layers_shortcut, 1.0 - fwd.edge_mask.data,
+                 1.0 - fwd.feature_mask.data)):
+            ws = [params[f"{prefix}.w{l}"] for l in range(11)]
+            want = gcn_forward(batch.plan, batch.features, edge, feat, ws)
+            assert np.abs(want[-1].data).sum() > 0.0
+            for got, layer in zip(layers, want, strict=True):
+                np.testing.assert_array_equal(got.data, layer.data)
 
     def test_raw_arrays_give_the_forward_of_leaves_bit_for_bit(self):
         """Inference passes the parameter arrays, which record nothing."""

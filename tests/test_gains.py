@@ -528,6 +528,10 @@ class TestTheoryGrid:
          "grid cell 1 degree must be a number, got true"),
         ({**_CELL, "total_edge_weight": {3}},
          'grid cell 1 total_edge_weight must be a number, got "{3}"'),
+        ({**_CELL, "degree": 10 ** 400},
+         "grid cell 1 degree is too large for a float"),
+        ({**_CELL, "homophily": -10 ** 400},
+         "grid cell 1 homophily is too large for a float"),
     ])
     def test_malformed_cell_rejected_before_any_cell_runs(self, monkeypatch,
                                                           bad, needle):

@@ -327,6 +327,20 @@ class TestTrainBaseline:
         assert len(calls) == forwards
 
 
+    def test_layer_weights_apply_in_index_order(self):
+        """From 11 layers on, "gcn.w10" sorts before "gcn.w2"; layer l must
+        still apply gcn.w<l>."""
+        g = _tiny_graph(seed=8)
+        params = models.init_gcn_weights(np.random.default_rng(8), 5, 8, 11,
+                                         "gcn")
+        plan = ad.PropagationPlan.from_edges(g.edges, g.num_nodes)
+        ws = [params[f"gcn.w{l}"] for l in range(11)]
+        want = models.gcn_forward(plan, g.features, None, None, ws)[-1].data
+        got = harness._gcn_hidden(harness._full_graph(g), params).data
+        assert np.abs(want).sum() > 0.0
+        np.testing.assert_array_equal(got, want)
+
+
 class TestGcnRunCounts:
     """A GCN run does its fixed work once: the full graph's plan and the
     propagation of the features, which training and both evaluations read."""
