@@ -401,8 +401,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command; bad input (ValueError) or an unreadable file
-    (OSError) exits 2 with one stderr line."""
+    """Run one command; bad input (ValueError), an unreadable file
+    (OSError) or a run whose loss diverges (FloatingPointError) exits 2
+    with one stderr line."""
     args = build_parser().parse_args(argv)
     try:
         # numpy rejects a negative seed deep inside a command; name it here.
@@ -412,7 +413,7 @@ def main(argv=None) -> int:
         if getattr(args, "num_runs", 1) < 1:
             raise ValueError(f"--num-runs must be >= 1, got {args.num_runs}")
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, FloatingPointError) as exc:
         print(f"cdgnn {args.command}: error: {exc}", file=sys.stderr)
         return 2
 

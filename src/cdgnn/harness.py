@@ -168,8 +168,11 @@ class TrainResult:
     history: list[dict[str, float]]
     best_epoch: int
     best_val_accuracy: float
-    epochs_run: int
-    stopped_early: bool
+
+    @property
+    def epochs_run(self) -> int:
+        """The epochs trained: len(history)."""
+        return len(self.history)
 
 
 def _eval_batches(g: Graph, cache, nodes: np.ndarray) -> list[EgoBatch]:
@@ -201,83 +204,52 @@ def _train_batches(train_nodes: np.ndarray, batch_size: int,
     return chunks
 
 
-def _fit(g: Graph, config: RunConfig, seed: int, train_nodes, val_nodes,
-         model) -> TrainResult:
-    """The loop both models share: early stopping on val accuracy.
-
-    `model(train_nodes, val_nodes, rngs)` returns (params, rates, step,
-    predict); `rngs` are the init, batch order, dropout, counterfactual
-    permutation and HSIC row streams. One ad.AdamState starts from params
-    and rates (a rate or a rate dict) and holds the run's parameters.
-    `leaves` are made once per run: they share the state's arrays, which
-    every step updates in place, and `ad.gradients` leaves them clear for
-    the next step.
-
-    `step(state, leaves, settle, guard)` trains one epoch and returns its
-    history row. Before it guards, differentiates or updates anything, it
-    calls `settle(labels)`. When the previous epoch's row is pending,
-    settle scores it with `labels()`, the val nodes' labels under the
-    parameters the step starts with, and returns True if early stopping
-    fires; the step then returns None at once, ending the run. So a step
-    can read the labels off its own training forward when that forward
-    computes predict's values. Each loss breakdown goes to `guard` before
-    it is differentiated, and the state steps in place. `predict(params)`
-    labels the val nodes and settles the last epoch. The result's params
-    are views into the state's buffer, holding the best epoch's.
-    """
+def _setup(config: RunConfig, seed: int, train_nodes, val_nodes):
+    """Validate `config` and return the node arrays and the run's five
+    streams: init, batch order, dropout, counterfactual permutation and
+    HSIC rows."""
     config.validate()
     train_nodes = np.asarray(train_nodes, dtype=np.int64).reshape(-1)
     val_nodes = np.asarray(val_nodes, dtype=np.int64).reshape(-1)
     rngs = [np.random.default_rng(s)
             for s in np.random.SeedSequence(seed).spawn(5)]
-    params, rates, step, predict = model(train_nodes, val_nodes, rngs)
-    state = ad.AdamState(params, rates)
-    leaves = ad.leaves(state.params)
-    val_labels = g.labels[val_nodes]
+    return train_nodes, val_nodes, rngs
 
+
+def _check_finite(values: dict[str, float], epoch: int) -> None:
+    """Refuse a loss breakdown with a non-finite entry, naming it."""
+    for key, value in values.items():
+        if not np.isfinite(value):
+            raise FloatingPointError(
+                f"non-finite {key} ({value}) at epoch {epoch}")
+
+
+def _fit(config: RunConfig, state: ad.AdamState, step, predict,
+         val_labels: np.ndarray) -> TrainResult:
+    """The loop both models share: early stopping on val accuracy.
+
+    `step(epoch)` trains one epoch, stepping `state` in place, and returns
+    its loss row; `predict()` then labels the val nodes under the
+    parameters the step left. The result's params are views into the
+    state's buffer, holding the best epoch's.
+    """
     history: list[dict[str, float]] = []
-    pending: dict[str, float] | None = None
     best = state.flat.copy()
     best_val, best_epoch, stale = -1.0, -1, 0
-    stopped_early = False
-
-    def settle(labels) -> bool:
-        nonlocal pending, best, best_val, best_epoch, stale, stopped_early
-        if pending is None:
-            return False
-        row, pending = pending, None
-        row["val_acc"] = val_acc = float((labels() == val_labels).mean())
+    for epoch in range(config.epochs):
+        row = step(epoch)
+        row["epoch"] = float(epoch)
+        row["val_acc"] = val_acc = float((predict() == val_labels).mean())
         history.append(row)
         if val_acc > best_val:
-            best_val, best_epoch, stale = val_acc, len(history) - 1, 0
+            best_val, best_epoch, stale = val_acc, epoch, 0
             best = state.flat.copy()
         else:
             stale += 1
-            stopped_early = 0 < config.patience <= stale
-        return stopped_early
-
-    for epoch in range(config.epochs):
-        def guard(values: dict[str, float]) -> None:
-            for key, value in values.items():
-                if not np.isfinite(value):
-                    raise RuntimeError(
-                        f"non-finite {key} ({value}) at epoch {epoch}")
-
-        row = step(state, leaves, settle, guard)
-        if row is None:
-            break
-        row["epoch"] = float(epoch)
-        pending = row
-    settle(lambda: predict(state.params))
+            if 0 < config.patience <= stale:
+                break
     state.flat[:] = best
-    return TrainResult(
-        params=state.params,
-        history=history,
-        best_epoch=best_epoch,
-        best_val_accuracy=best_val,
-        epochs_run=len(history),
-        stopped_early=stopped_early,
-    )
+    return TrainResult(state.params, history, best_epoch, best_val)
 
 
 def train_cdgnn(g: Graph, config: RunConfig, seed: int,
@@ -288,60 +260,59 @@ def train_cdgnn(g: Graph, config: RunConfig, seed: int,
     `cache` is a build_ego_cache of at least the train and val nodes at
     config.resolved_hops; by default one is built for exactly those.
     """
-    def model(train_nodes, val_nodes, rngs):
-        if train_nodes.shape[0] < 2:
-            raise ValueError("need at least 2 training nodes")
-        rng_init, rng_batch, rng_dropout, rng_perm, rng_hsic = rngs
-        params = init_cdgnn_params(rng_init, g.feature_dim, config.hidden,
-                                   config.layers, config.scorer_hidden,
-                                   g.num_classes)
-        # The edge scorer can take its own (usually smaller) step size: a
-        # mask that commits before the branch heads have settled locks in
-        # whatever split the first noisy gradients suggest.
-        scorer_lr = (config.learning_rate if config.scorer_learning_rate is None
-                     else config.scorer_learning_rate)
-        rates = {k: scorer_lr if k.startswith("mask.") else config.learning_rate
-                 for k in params}
-        egos = cache if cache is not None else build_ego_cache(
-            g, config.resolved_hops, np.concatenate([train_nodes, val_nodes]))
-        val_batches = _eval_batches(g, egos, val_nodes)
+    train_nodes, val_nodes, rngs = _setup(config, seed, train_nodes, val_nodes)
+    if train_nodes.shape[0] < 2:
+        raise ValueError("need at least 2 training nodes")
+    rng_init, rng_batch, rng_dropout, rng_perm, rng_hsic = rngs
+    params = init_cdgnn_params(rng_init, g.feature_dim, config.hidden,
+                               config.layers, config.scorer_hidden,
+                               g.num_classes)
+    # The edge scorer can take its own (usually smaller) step size: a mask
+    # that commits before the branch heads have settled locks in whatever
+    # split the first noisy gradients suggest.
+    scorer_lr = (config.learning_rate if config.scorer_learning_rate is None
+                 else config.scorer_learning_rate)
+    state = ad.AdamState(params, {
+        k: scorer_lr if k.startswith("mask.") else config.learning_rate
+        for k in params})
+    # Made once per run: the leaves share the state's arrays, which every
+    # step updates in place, and ad.gradients leaves them clear.
+    leaves = ad.leaves(state.params)
+    egos = cache if cache is not None else build_ego_cache(
+        g, config.resolved_hops, np.concatenate([train_nodes, val_nodes]))
+    val_batches = _eval_batches(g, egos, val_nodes)
 
-        def step(state, leaves, settle, guard):
-            if settle(lambda: _predict_cdgnn(val_batches, state.params)):
-                return None
-            sums: dict[str, float] = {}
-            graphs_seen = 0
-            for nodes in _train_batches(train_nodes, config.batch_size,
-                                        rng_batch):
-                batch = batch_from_cache(g, egos, nodes)
-                perm = rng_perm.permutation(batch.num_graphs)
-                rows = rng_hsic.permutation(
-                    batch.features.shape[0])[:config.hsic_max_rows]
-                fwd = two_branch_forward(batch, leaves, config.dropout,
-                                         rng_dropout)
-                total, breakdown = total_loss(fwd, batch.ego_labels, config.q,
-                                              config.coefficients, perm, rows)
-                guard(breakdown)
-                grads = ad.gradients(total, leaves)
-                ad.adam_step(state, grads, config.weight_decay)
-                for key, value in breakdown.items():
-                    if key != "total":
-                        sums[key] = sums.get(key, 0.0) + value * batch.num_graphs
-                graphs_seen += batch.num_graphs
-            row = {key: value / graphs_seen for key, value in sums.items()}
-            # Epoch total is recomposed from the epoch term means so the
-            # recorded identity total = s + c + l1*cf + l2*hsic holds
-            # exactly (averaging per-batch totals would break it to
-            # rounding).
-            c_s, c_c, c_cf, c_hsic = config.coefficients
-            row["total"] = (c_s * row["loss_s"] + c_c * row["loss_c"]
-                            + c_cf * row["loss_cf"] + c_hsic * row["loss_hsic"])
-            return row
+    def step(epoch):
+        sums: dict[str, float] = {}
+        graphs_seen = 0
+        for nodes in _train_batches(train_nodes, config.batch_size, rng_batch):
+            batch = batch_from_cache(g, egos, nodes)
+            perm = rng_perm.permutation(batch.num_graphs)
+            rows = rng_hsic.permutation(
+                batch.features.shape[0])[:config.hsic_max_rows]
+            fwd = two_branch_forward(batch, leaves, config.dropout,
+                                     rng_dropout)
+            total, breakdown = total_loss(fwd, batch.ego_labels, config.q,
+                                          config.coefficients, perm, rows)
+            _check_finite(breakdown, epoch)
+            ad.adam_step(state, ad.gradients(total, leaves),
+                         config.weight_decay)
+            for key, value in breakdown.items():
+                if key != "total":
+                    sums[key] = sums.get(key, 0.0) + value * batch.num_graphs
+            graphs_seen += batch.num_graphs
+        row = {key: value / graphs_seen for key, value in sums.items()}
+        # Epoch total is recomposed from the epoch term means so the
+        # recorded identity total = s + c + l1*cf + l2*hsic holds exactly
+        # (averaging per-batch totals would break it to rounding).
+        c_s, c_c, c_cf, c_hsic = config.coefficients
+        row["total"] = (c_s * row["loss_s"] + c_c * row["loss_c"]
+                        + c_cf * row["loss_cf"] + c_hsic * row["loss_hsic"])
+        return row
 
-        return (params, rates, step,
-                lambda params: _predict_cdgnn(val_batches, params))
-
-    return _fit(g, config, seed, train_nodes, val_nodes, model)
+    return _fit(config, state, step,
+                lambda: _predict_cdgnn(val_batches, state.params),
+                g.labels[val_nodes])
 
 
 def _full_graph(g: Graph) -> tuple[ad.PropagationPlan, np.ndarray]:
@@ -377,40 +348,44 @@ def train_gcn_baseline(g: Graph, config: RunConfig, seed: int,
 
     `cache` holds the full graph's plan and propagated features, which
     run_variants shares between runs; by default they are built here.
+    Without dropout the training forward is predict's, bit for bit, so
+    predict runs it on the leaves and the next step differentiates it:
+    a run makes one full-graph forward per epoch, plus the first step's.
     """
+    train_nodes, val_nodes, rngs = _setup(config, seed, train_nodes, val_nodes)
+    rng_init, rng_dropout = rngs[0], rngs[2]
+    params = init_gcn_weights(rng_init, g.feature_dim, config.hidden,
+                              config.layers, "gcn")
+    params.update(init_head_params(rng_init, config.hidden, g.num_classes,
+                                   "head"))
+    state = ad.AdamState(params, config.learning_rate)
+    leaves = ad.leaves(state.params)
+    full = _full_graph(g) if cache is None else cache
+    y_train = g.labels[train_nodes]
+    kept = None  # predict's forward on the leaves, for the next step
 
-    def model(train_nodes, val_nodes, rngs):
-        rng_init, rng_dropout = rngs[0], rngs[2]
-        params = init_gcn_weights(rng_init, g.feature_dim, config.hidden,
-                                  config.layers, "gcn")
-        params.update(init_head_params(rng_init, config.hidden, g.num_classes,
-                                       "head"))
-        full = _full_graph(g) if cache is None else cache
-        y_train = g.labels[train_nodes]
+    def step(epoch):
+        nonlocal kept
+        h = (_gcn_hidden(full, leaves, config.dropout, rng_dropout)
+             if kept is None else kept)
+        kept = None
+        probs = ad.softmax_head(ad.take_rows(h, train_nodes),
+                                leaves["head.w"], leaves["head.b"])
+        loss = ad.mean(ad.nll_rows(probs, y_train))
+        row = {"loss": loss.item()}
+        _check_finite(row, epoch)
+        ad.adam_step(state, ad.gradients(loss, leaves), config.weight_decay)
+        return row
 
-        def predict(params):
-            return _gcn_labels(_gcn_hidden(full, params).data[val_nodes],
-                               params)
+    def predict():
+        nonlocal kept
+        if config.dropout:
+            h = _gcn_hidden(full, state.params)
+        else:
+            h = kept = _gcn_hidden(full, leaves)
+        return _gcn_labels(h.data[val_nodes], state.params)
 
-        def step(state, leaves, settle, guard):
-            h = _gcn_hidden(full, leaves, config.dropout, rng_dropout)
-            # Without dropout this forward is predict's, bit for bit, so
-            # the previous epoch is scored off it.
-            if settle(lambda: predict(state.params) if config.dropout
-                      else _gcn_labels(h.data[val_nodes], state.params)):
-                return None
-            probs = ad.softmax_head(ad.take_rows(h, train_nodes),
-                                    leaves["head.w"], leaves["head.b"])
-            loss = ad.mean(ad.nll_rows(probs, y_train))
-            row = {"loss": loss.item()}
-            guard(row)
-            grads = ad.gradients(loss, leaves)
-            ad.adam_step(state, grads, config.weight_decay)
-            return row
-
-        return params, config.learning_rate, step, predict
-
-    return _fit(g, config, seed, train_nodes, val_nodes, model)
+    return _fit(config, state, step, predict, g.labels[val_nodes])
 
 
 @dataclass

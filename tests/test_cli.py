@@ -452,6 +452,17 @@ class TestInputErrors:
                 f"cdgnn {command}: error: --seed must be a non-negative "
                 f"integer, got -1\n")
 
+    def test_diverging_run_is_one_line_error(self, tmp_path, capsys):
+        """A learning rate that sends the loss to nan ends the run with one
+        error line naming the term and the epoch, not a traceback."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            _one_line_error(capsys, ["train-baseline", "--preset",
+                                     "tree_cycles", "--lr", "1e200",
+                                     "--epochs", "3", "--patience", "3",
+                                     "--out-dir", tmp_path],
+                            "non-finite loss (nan) at epoch 1")
+        assert list(tmp_path.glob("run_*.json")) == []
+
     def test_ingest_out_of_range_edge_is_one_line_error(self, tmp_path,
                                                          capsys):
         path = tmp_path / "bad.json"

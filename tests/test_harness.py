@@ -168,7 +168,7 @@ class TestTrainCdgnn:
         sp = split_nodes(g.num_nodes, seed=0)
         result = train_cdgnn(g, cfg, seed=0, train_nodes=sp.train,
                              val_nodes=sp.val)
-        assert result.epochs_run == len(result.history) == 2
+        assert len(result.history) == 2
         for row in result.history:
             for key in ("loss_s", "loss_c", "loss_cf", "loss_hsic", "total",
                         "val_acc", "epoch", "ce_s", "ce_c"):
@@ -240,8 +240,8 @@ class TestTrainCdgnn:
         result = train_cdgnn(g, _tiny_config(epochs=4, patience=patience,
                                              learning_rate=1e-6),
                              0, sp.train, sp.val)
-        assert result.stopped_early == (patience == 1)
-        assert len(calls) == result.epochs_run
+        assert (len(result.history) < 4) == (patience == 1)
+        assert len(calls) == len(result.history)
 
     def test_needs_two_train_nodes(self):
         g = _tiny_graph()
@@ -290,41 +290,52 @@ class TestTrainBaseline:
         assert set(a.history[0]) == {"epoch", "loss", "val_acc"}
         assert {k.split(".")[0] for k in a.params} == {"gcn", "head"}
 
-    def test_early_stopping_respects_patience(self):
-        """At dropout 0 and above, the two ways the GCN scores val."""
+    def test_early_stopping_respects_patience(self, monkeypatch):
+        """At dropout 0 and above, the two ways the GCN scores val. A run
+        cut short keeps its forward count: at dropout 0 the last predict's
+        forward is made and never differentiated."""
+        calls = self._count_forwards(monkeypatch)
         g = _tiny_graph(seed=4)
         sp = split_nodes(g.num_nodes, seed=4)
         for dropout in (0.0, 0.3):
+            calls.clear()
             cfg = _tiny_config(epochs=30, patience=1, learning_rate=1e-6,
                                dropout=dropout)
             result = train_gcn_baseline(g, cfg, seed=0, train_nodes=sp.train,
                                         val_nodes=sp.val)
-            assert result.stopped_early, dropout
-            assert result.epochs_run == result.best_epoch + cfg.patience + 1
-            assert len(result.history) == result.epochs_run < cfg.epochs
+            n = len(result.history)
+            assert n == result.best_epoch + cfg.patience + 1 < cfg.epochs
+            assert len(calls) == (n + 1 if dropout == 0.0 else 2 * n), dropout
 
     @pytest.mark.parametrize("dropout,forwards", [(0.0, 5 + 1),
                                                   (0.3, 2 * 5)])
     def test_full_graph_forwards_per_run(self, monkeypatch, dropout,
                                          forwards):
-        """Without dropout each epoch's val accuracy is read off the next
-        step's training forward, and one predict scores the last epoch;
-        with dropout every epoch but the last predicts val on its own."""
-        calls, real = [], harness.gcn_forward
-
-        def counted(*args, **kwargs):
-            calls.append(isinstance(args[4][0], ad.Tensor))  # leaves: training
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(harness, "gcn_forward", counted)
+        """Without dropout each epoch's predict runs on the leaves and the
+        next step differentiates that forward, so only the first step makes
+        its own; with dropout every step and every predict make one, the
+        predict's on the parameter arrays."""
+        calls = self._count_forwards(monkeypatch)
         g = _tiny_graph(seed=3)
         sp = split_nodes(g.num_nodes, seed=3)
         result = train_gcn_baseline(g, _tiny_config(epochs=5, patience=5,
                                                     dropout=dropout),
                                     0, sp.train, sp.val)
-        assert result.epochs_run == 5 and not result.stopped_early
-        assert calls.count(True) == 5
+        assert len(result.history) == 5
+        assert calls == ([True] * 6 if dropout == 0.0 else [True, False] * 5)
         assert len(calls) == forwards
+
+    @staticmethod
+    def _count_forwards(monkeypatch) -> list[bool]:
+        """Record each full-graph forward: True on leaves, False on arrays."""
+        calls, real = [], harness.gcn_forward
+
+        def counted(*args, **kwargs):
+            calls.append(isinstance(args[4][0], ad.Tensor))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "gcn_forward", counted)
+        return calls
 
 
     def test_layer_weights_apply_in_index_order(self):
@@ -382,14 +393,14 @@ class TestGcnRunCounts:
         assert props == [None] * 2
 
     def test_train_and_test_share_one_inference_forward(self, monkeypatch):
-        """Without dropout: one training forward per epoch, one predict
-        for the last epoch, then one forward for both evaluations."""
+        """Without dropout: the first step's forward and one predict per
+        epoch, all on the leaves, then one forward for both evaluations."""
         g = _tiny_graph(seed=3)
         _, _, forwards = self._count(monkeypatch, g)
         record = run_experiment(g, _tiny_config(epochs=5, patience=5),
                                 seed=0, model="gcn")
         assert record.epochs_run == 5
-        assert forwards == [True] * 5 + [False] * 2
+        assert forwards == [True] * 6 + [False]
 
 
 class TestEvaluate:
@@ -469,7 +480,7 @@ def test_result_params_are_the_best_epoch_in_one_buffer(train):
     g = _tiny_graph(seed=0)
     sp = split_nodes(g.num_nodes, seed=0)
     full = train(g, _tiny_config(epochs=5, patience=5), 0, sp.train, sp.val)
-    assert full.best_epoch < full.epochs_run - 1
+    assert full.best_epoch < len(full.history) - 1
     views = list(full.params.values())
     buffer = views[0].base
     assert buffer is not None and all(v.base is buffer for v in views)
@@ -496,8 +507,22 @@ def test_one_set_of_leaves_per_run(train, monkeypatch):
     sp = split_nodes(g.num_nodes, seed=0)
     result = train(g, _tiny_config(epochs=3, batch_size=4), 0, sp.train,
                    sp.val)
-    assert result.epochs_run == 3
+    assert len(result.history) == 3
     assert calls == [sorted(result.params)]
+
+
+@pytest.mark.parametrize("train,message", [
+    (train_gcn_baseline, "non-finite loss (nan) at epoch 1"),
+    (train_cdgnn, "non-finite loss_s (nan) at epoch 0")])
+def test_non_finite_loss_ends_the_run(train, message):
+    """A step refuses a loss breakdown that has diverged before it is
+    differentiated, naming the term and the epoch."""
+    g = _tiny_graph(seed=0)
+    sp = split_nodes(g.num_nodes, seed=0)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(FloatingPointError) as err:
+        train(g, _tiny_config(learning_rate=1e200), 0, sp.train, sp.val)
+    assert str(err.value) == message
 
 
 def test_training_leaves_no_cyclic_garbage():
@@ -638,10 +663,11 @@ def relabeled_tree_cycles():
 
 
 # (model, dropout, patience, epochs run, record hash) of 6-epoch runs on
-# relabeled tree_cycles, pinned before the val accuracy of a dropout-0 GCN
-# epoch came to be read off the next step's training forward. Patience 2
-# stops every run early; patience 6 stops none. The widths are small
-# enough that BLAS runs every product on one thread.
+# relabeled tree_cycles, pinned when every predict ran on the parameter
+# arrays: before a dropout-0 GCN's predict came to run on the leaves, for
+# its next step to differentiate. Patience 2 stops every run early;
+# patience 6 stops none. The widths are small enough that BLAS runs every
+# product on one thread.
 _PINNED_RUNS = [
     ("gcn", 0.0, 2, 3,
      "844ba2881e01317b20fbd0610aa70ed8d3417aa2cd92a736bc6d6f1415feec41"),
