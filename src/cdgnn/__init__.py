@@ -13,13 +13,13 @@ from .synth import (PRESET_NAMES, planted_shortcut, preset,
 from .autodiff import Tensor, adam_step, gradients, leaves
 from .models import build_ego_cache, gcn_forward
 from .disentangle import disentanglement_score, hsic, total_loss
-from .gains import (AuditReport, GainParams, ImprovementReport,
-                    assumption_audit, deep_layer_gain, default_grid_cells,
-                    effective_homophily, gain_improvement_check,
-                    monte_carlo_one_layer, one_layer_gain, theory_check_grid)
-from .harness import (RunConfig, RunRecord, evaluate, run_experiment,
-                      run_variants, split_nodes, train_cdgnn,
-                      train_gcn_baseline)
+from .gains import (GainParams, ImprovementReport, deep_layer_gain,
+                    default_grid_cells, effective_homophily,
+                    gain_improvement_check, monte_carlo_one_layer,
+                    one_layer_gain, theory_check_grid)
+from .harness import (AuditReport, RunConfig, RunRecord, assumption_audit,
+                      evaluate, run_experiment, run_variants, split_nodes,
+                      train_cdgnn, train_gcn_baseline)
 
 __version__ = "0.1.0"
 
@@ -30,11 +30,11 @@ __all__ = [
     "Tensor", "adam_step", "gradients", "leaves",
     "build_ego_cache", "gcn_forward",
     "disentanglement_score", "hsic", "total_loss",
-    "AuditReport", "GainParams", "ImprovementReport",
-    "assumption_audit", "deep_layer_gain", "default_grid_cells",
-    "effective_homophily", "gain_improvement_check",
+    "GainParams", "ImprovementReport", "deep_layer_gain",
+    "default_grid_cells", "effective_homophily", "gain_improvement_check",
     "monte_carlo_one_layer", "one_layer_gain", "theory_check_grid",
-    "RunConfig", "RunRecord", "evaluate", "run_experiment", "run_variants",
-    "split_nodes", "train_cdgnn", "train_gcn_baseline",
+    "AuditReport", "RunConfig", "RunRecord", "assumption_audit", "evaluate",
+    "run_experiment", "run_variants", "split_nodes", "train_cdgnn",
+    "train_gcn_baseline",
     "__version__",
 ]

@@ -9,6 +9,7 @@ assumptions, and summarize saved run records as CSV.
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
 import json
 import sys
@@ -17,13 +18,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .gains import (STDERR_MULTIPLE, assumption_audit, default_grid_cells,
-                    theory_check_grid)
+from .gains import STDERR_MULTIPLE, default_grid_cells, theory_check_grid
 from .graphs import (feature_heterophily, label_heterophily, load_graph,
                      save_graph)
-from .harness import (RunConfig, RunRecord, aggregate_runs, evaluate,
-                      load_model, run_experiment, run_variants, save_model,
-                      save_sweep, split_nodes, write_report_csv)
+from .harness import (RunConfig, RunRecord, aggregate_runs,
+                      assumption_audit, evaluate, load_model, run_experiment,
+                      run_variants, save_model, save_sweep, split_nodes,
+                      write_report_csv)
 from .synth import FEATURE_RULES, PRESET_NAMES, preset, relabel_to_heterophily
 
 __all__ = ["main", "build_parser"]
@@ -257,11 +258,9 @@ def _cmd_theory_check(args) -> int:
     print(f"{grid.within_count}/{grid.total} cells within {STDERR_MULTIPLE} "
           f"standard errors")
     if args.out is not None:
-        import csv as _csv
-
         args.out.parent.mkdir(parents=True, exist_ok=True)
         with args.out.open("w", newline="") as fh:
-            writer = _csv.DictWriter(fh, fieldnames=list(grid.rows[0].keys()))
+            writer = csv.DictWriter(fh, fieldnames=list(grid.rows[0].keys()))
             writer.writeheader()
             writer.writerows(grid.rows)
         print(f"wrote {args.out}")

@@ -1,9 +1,9 @@
 """Signal-gain analysis for renormalized propagation on mixed neighborhoods.
 
 Closed-form expressions for how much class-aligned signal one propagation
-layer keeps, Monte Carlo checks of those expressions, a certificate that
-shrinking the suspect subgraph's dominance improves the gain, and an
-empirical audit of the analysis assumptions on a trained model.
+layer keeps, Monte Carlo checks of those expressions, and a certificate
+that shrinking the suspect subgraph's dominance improves the gain. The
+audit of these assumptions on a trained model is harness.assumption_audit.
 
 Conventions: a neighborhood of degree `degree` splits into a suspect
 subgraph holding `subgraph_share` of the aggregated incoming weight with
@@ -23,12 +23,6 @@ from typing import Sequence
 
 import numpy as np
 
-from . import autodiff as ad
-from .disentangle import hsic, two_branch_forward
-from .graphs import Graph
-from .harness import model_kind
-from .models import batch_from_cache, build_ego_cache
-
 __all__ = [
     "GainParams",
     "effective_homophily",
@@ -42,8 +36,6 @@ __all__ = [
     "default_grid_cells",
     "ImprovementReport",
     "gain_improvement_check",
-    "AuditReport",
-    "assumption_audit",
 ]
 
 
@@ -54,7 +46,8 @@ def _check_unit(name: str, value: float) -> None:
 
 @dataclass(frozen=True)
 class GainParams:
-    """Neighborhood description consumed by the gain formulas.
+    """Neighborhood description consumed by the gain formulas; invalid
+    values are refused when it is built.
 
     mean_relative_degree is the depth->1 ratio of neighbor signal to own
     signal (often nonpositive in practice).
@@ -68,7 +61,7 @@ class GainParams:
     rest_homophily: float
     mean_relative_degree: float = 0.0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.degree < 0:
             raise ValueError(f"degree must be nonnegative, got {self.degree}")
         if self.cross_class_ratio < 0:
@@ -183,7 +176,6 @@ def monte_carlo_one_layer(params: GainParams, subgraph_degree: int,
     is the convolution of the two groups' binomial pmfs. Memory grows with
     degree, not num_samples.
     """
-    params.validate()
     if subgraph_degree < 0 or rest_degree < 0:
         raise ValueError("group degrees must be nonnegative")
     degree = subgraph_degree + rest_degree
@@ -319,29 +311,39 @@ def default_grid_cells(degrees: Sequence[int] = (3, 8, 15),
 class ImprovementReport:
     """Certified effect of shrinking the suspect subgraph's dominance.
 
-    When the preconditions fail (suspect share not small enough after
-    disentanglement, or the suspect part not label-inconsistent enough),
-    assumptions_met is False and no margins are claimed.
+    Every number is computed on every call. When a precondition fails
+    (suspect share not small enough after disentanglement, or the suspect
+    part not label-inconsistent enough), `reason` names it and no
+    improvement is claimed. The deep fields are None without positive
+    mean_relative_degree, and cumulative_ratio without positive one-layer
+    gains.
     """
 
-    assumptions_met: bool
     reason: str
-    homophily_before: float | None = None
-    homophily_after: float | None = None
-    homophily_gain: float | None = None
-    homophily_bound: float | None = None
-    slack: float | None = None
-    one_layer_before: float | None = None
-    one_layer_after: float | None = None
-    one_layer_margin: float | None = None
-    one_layer_slope: float | None = None
-    one_layer_bound: float | None = None
-    deep_before: float | None = None
-    deep_after: float | None = None
-    deep_margin: float | None = None
-    deep_bound: float | None = None
-    cumulative_ratio: float | None = None
-    improved: bool = False
+    homophily_before: float
+    homophily_after: float
+    homophily_gain: float
+    homophily_bound: float
+    slack: float
+    one_layer_before: float
+    one_layer_after: float
+    one_layer_margin: float
+    one_layer_slope: float
+    one_layer_bound: float
+    deep_before: float | None
+    deep_after: float | None
+    deep_margin: float | None
+    deep_bound: float | None
+    cumulative_ratio: float | None
+
+    @property
+    def assumptions_met(self) -> bool:
+        return not self.reason
+
+    @property
+    def improved(self) -> bool:
+        return (self.assumptions_met and self.homophily_bound > 0
+                and self.one_layer_bound > 0)
 
 
 # gain_improvement_check's slack, in multiples of the estimate error.
@@ -363,28 +365,22 @@ def gain_improvement_check(baseline: GainParams, causal: GainParams,
     mean_relative_degree (otherwise deeper layers do not transmit the
     neighborhood signal and the bound is vacuous; reported as None).
     """
-    baseline.validate()
-    causal.validate()
     if gap < 0:
         raise ValueError(f"gap must be nonnegative, got {gap}")
     if estimate_error < 0:
         raise ValueError(f"estimate_error must be nonnegative, got {estimate_error}")
+    reason = ""
     if causal.subgraph_share > estimate_error:
-        return ImprovementReport(
-            assumptions_met=False,
-            reason=(f"suspect dominance {causal.subgraph_share} exceeds "
-                    f"the tolerated residual {estimate_error}"))
+        reason = (f"suspect dominance {causal.subgraph_share} exceeds "
+                  f"the tolerated residual {estimate_error}")
     # Tolerance keeps boundary cases like h=0.1, rest=0.6, gap=0.5 from
     # failing on float roundoff (0.6 - 0.5 != 0.1 exactly).
-    if baseline.subgraph_homophily > baseline.rest_homophily - gap + 1e-12:
-        return ImprovementReport(
-            assumptions_met=False,
-            reason=(f"suspect homophily {baseline.subgraph_homophily} is not "
-                    f"below the rest by the stated gap {gap}"))
+    elif baseline.subgraph_homophily > baseline.rest_homophily - gap + 1e-12:
+        reason = (f"suspect homophily {baseline.subgraph_homophily} is not "
+                  f"below the rest by the stated gap {gap}")
 
     h_before = baseline.homophily
     h_after = causal.homophily
-    h_gain = h_after - h_before
     slack = SLACK_FACTOR * estimate_error
     h_bound = gap * (baseline.subgraph_share - causal.subgraph_share) - slack
 
@@ -392,7 +388,6 @@ def gain_improvement_check(baseline: GainParams, causal: GainParams,
     g_after = causal.gain
     slope = (baseline.total_edge_weight * (1.0 + baseline.cross_class_ratio)
              / (baseline.degree + 1.0))
-    g_bound = slope * h_bound
 
     deep_before = deep_after = deep_margin = deep_bound = None
     rbar = baseline.mean_relative_degree
@@ -413,136 +408,20 @@ def gain_improvement_check(baseline: GainParams, causal: GainParams,
         ratio = cumulative_gain_ratio(g_after, g_before, depth)
 
     return ImprovementReport(
-        assumptions_met=True,
-        reason="",
+        reason=reason,
         homophily_before=h_before,
         homophily_after=h_after,
-        homophily_gain=h_gain,
+        homophily_gain=h_after - h_before,
         homophily_bound=h_bound,
         slack=slack,
         one_layer_before=g_before,
         one_layer_after=g_after,
         one_layer_margin=g_after - g_before,
         one_layer_slope=slope,
-        one_layer_bound=g_bound,
+        one_layer_bound=slope * h_bound,
         deep_before=deep_before,
         deep_after=deep_after,
         deep_margin=deep_margin,
         deep_bound=deep_bound,
         cumulative_ratio=ratio,
-        improved=h_bound > 0 and g_bound > 0,
-    )
-
-
-# assumption_audit's ego sample size, shortcut swaps and pass thresholds.
-AUDIT_MAX_NODES = 256
-AUDIT_PERMUTATIONS = 8
-INDEPENDENCE_THRESHOLD = 0.01
-SENSITIVITY_THRESHOLD = 0.25
-DOMINANCE_THRESHOLD = 0.5
-
-
-@dataclass(frozen=True)
-class AuditReport:
-    """Empirical check of the assumptions behind the gain analysis.
-
-    dominance_share is one number for every encoder layer: the mask is
-    shared across depth. cross_class_ratios are informational estimates of
-    the cross-class signal ratio at each layer's embedding; no threshold
-    applies to them.
-    """
-
-    independence: float
-    independence_ok: bool
-    sensitivity: float
-    sensitivity_ok: bool
-    dominance_share: float
-    dominance_ok: bool
-    cross_class_ratios: list[float]
-
-    @property
-    def passed(self) -> bool:
-        return self.independence_ok and self.sensitivity_ok and self.dominance_ok
-
-
-def _layer_cross_class_ratio(embedding: np.ndarray, endpoints: np.ndarray,
-                             labels: np.ndarray) -> float:
-    """|mean neighbor signal across classes| / |mean within class|.
-
-    Signal is the embedding row mean; the directed edge list is both
-    orientations of every undirected edge.
-    """
-    if endpoints.shape[0] == 0:
-        return 0.0
-    signal = embedding.mean(axis=1)
-    src = np.concatenate([endpoints[:, 0], endpoints[:, 1]])
-    dst = np.concatenate([endpoints[:, 1], endpoints[:, 0]])
-    cross = labels[src] != labels[dst]
-    same_mean = signal[dst[~cross]].mean() if (~cross).any() else 0.0
-    cross_mean = signal[dst[cross]].mean() if cross.any() else 0.0
-    if abs(same_mean) < 1e-12:
-        return 0.0
-    return float(abs(cross_mean) / abs(same_mean))
-
-
-def assumption_audit(g: Graph, params: dict[str, np.ndarray], hops: int,
-                     nodes: np.ndarray | None = None,
-                     seed: int = 0) -> AuditReport:
-    """Audit a trained model against the analysis assumptions.
-
-    Checks, on a sample of ego graphs: HSIC between the branch embeddings
-    (independence), how much the causal head's true-class probability moves
-    when the shortcut embedding is swapped across the batch (counterfactual
-    sensitivity), and the share of causal-branch propagation mass flowing
-    through edges the mask assigns to the shortcut side (dominance). Also
-    estimates the cross-class signal ratio at each encoder layer. A GCN's
-    parameters, or a CD-GNN's that do not fit `g`, are refused.
-    """
-    if model_kind(g, params) != "cdgnn":
-        raise ValueError("audit needs a cdgnn model, the parameters hold a gcn")
-    rng = np.random.default_rng(seed)
-    if nodes is None:
-        nodes = np.arange(g.num_nodes)
-    nodes = np.asarray(nodes, dtype=np.int64).reshape(-1)
-    if nodes.shape[0] > AUDIT_MAX_NODES:
-        nodes = np.sort(rng.choice(nodes, size=AUDIT_MAX_NODES, replace=False))
-    if nodes.shape[0] < 2:
-        raise ValueError("audit needs at least 2 ego nodes")
-    batch = batch_from_cache(g, build_ego_cache(g, hops, nodes), nodes)
-    fwd = two_branch_forward(batch, params)
-    h_c, h_s = fwd.graph_causal, fwd.graph_shortcut
-
-    independence = hsic(h_c, h_s).item()
-
-    base = ad.softmax_head(fwd.joint, *fwd.head_causal).data
-    rows = np.arange(batch.num_graphs)
-    labels = batch.ego_labels
-    sensitivity = 0.0
-    for _ in range(AUDIT_PERMUTATIONS):
-        perm = rng.permutation(batch.num_graphs)
-        swapped = ad.softmax_head(
-            ad.concat_cols(h_c, ad.permute_rows(h_s, perm)),
-            *fwd.head_causal).data
-        delta = np.abs(base[rows, labels] - swapped[rows, labels])
-        sensitivity = max(sensitivity, float(delta.max()))
-
-    mask_vals = fwd.edge_mask.data.reshape(-1)
-    # Dominance is the share of the causal branch's aggregate incoming edge
-    # weight that flows through edges the mask pushes to the shortcut side.
-    edge_mass = mask_vals.sum()
-    leak = mask_vals[mask_vals < 0.5].sum()
-    dominance = float(leak / edge_mass) if edge_mass > 1e-12 else 0.0
-
-    node_labels = g.labels[batch.member_ids]
-    ratios = [_layer_cross_class_ratio(h.data, batch.endpoints, node_labels)
-              for h in fwd.layers_causal]
-
-    return AuditReport(
-        independence=independence,
-        independence_ok=independence <= INDEPENDENCE_THRESHOLD,
-        sensitivity=sensitivity,
-        sensitivity_ok=sensitivity <= SENSITIVITY_THRESHOLD,
-        dominance_share=dominance,
-        dominance_ok=dominance <= DOMINANCE_THRESHOLD,
-        cross_class_ratios=ratios,
     )

@@ -2,9 +2,10 @@
 
 Two trainable models: the disentangled two-branch classifier (mask pair,
 per-branch encoders and readouts, two heads on the joint embedding) and a
-plain GCN baseline run on the full graph. Experiments produce RunRecords
-whose canonical form excludes wall time, so identical seeds must reproduce
-identical records byte for byte.
+plain GCN baseline run on the full graph. A trained CD-GNN can be audited
+against the gain analysis's assumptions (assumption_audit). Experiments
+produce RunRecords whose canonical form excludes wall time, so identical
+seeds must reproduce identical records byte for byte.
 
 A CD-GNN step's disentangle.total_loss computes and logs every loss term
 on every batch regardless of ablation flags; flags only decide what enters
@@ -28,9 +29,10 @@ from typing import Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .disentangle import (LOSS_TERMS, init_cdgnn_params, total_loss,
+from .disentangle import (LOSS_TERMS, hsic, init_cdgnn_params, total_loss,
                           two_branch_forward)
-from .graphs import Graph, feature_heterophily, label_heterophily
+from .graphs import (Graph, feature_heterophily, graph_to_dict,
+                     label_heterophily)
 from .models import (EgoBatch, batch_from_cache, build_ego_cache, gcn_forward,
                      init_gcn_weights, init_head_params)
 
@@ -43,7 +45,8 @@ __all__ = [
     "train_gcn_baseline",
     "EvalResult",
     "evaluate",
-    "model_kind",
+    "AuditReport",
+    "assumption_audit",
     "RunRecord",
     "run_experiment",
     "run_variants",
@@ -207,10 +210,12 @@ def _train_batches(train_nodes: np.ndarray, batch_size: int,
 def _setup(config: RunConfig, seed: int, train_nodes, val_nodes):
     """Validate `config` and return the node arrays and the run's five
     streams: init, batch order, dropout, counterfactual permutation and
-    HSIC rows."""
+    HSIC rows. An empty val set is refused: early stopping scores it."""
     config.validate()
     train_nodes = np.asarray(train_nodes, dtype=np.int64).reshape(-1)
     val_nodes = np.asarray(val_nodes, dtype=np.int64).reshape(-1)
+    if val_nodes.shape[0] == 0:
+        raise ValueError("need at least 1 validation node")
     rngs = [np.random.default_rng(s)
             for s in np.random.SeedSequence(seed).spawn(5)]
     return train_nodes, val_nodes, rngs
@@ -232,22 +237,26 @@ def _fit(config: RunConfig, state: ad.AdamState, step, predict,
     its loss row; `predict()` then labels the val nodes under the
     parameters the step left. The result's params are views into the
     state's buffer, holding the best epoch's.
+
+    Overflow and invalid values raise no numpy warning here: a diverging
+    run ends in _check_finite's error, which names the term and the epoch.
     """
     history: list[dict[str, float]] = []
     best = state.flat.copy()
     best_val, best_epoch, stale = -1.0, -1, 0
-    for epoch in range(config.epochs):
-        row = step(epoch)
-        row["epoch"] = float(epoch)
-        row["val_acc"] = val_acc = float((predict() == val_labels).mean())
-        history.append(row)
-        if val_acc > best_val:
-            best_val, best_epoch, stale = val_acc, epoch, 0
-            best = state.flat.copy()
-        else:
-            stale += 1
-            if 0 < config.patience <= stale:
-                break
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.epochs):
+            row = step(epoch)
+            row["epoch"] = float(epoch)
+            row["val_acc"] = val_acc = float((predict() == val_labels).mean())
+            history.append(row)
+            if val_acc > best_val:
+                best_val, best_epoch, stale = val_acc, epoch, 0
+                best = state.flat.copy()
+            else:
+                stale += 1
+                if 0 < config.patience <= stale:
+                    break
     state.flat[:] = best
     return TrainResult(state.params, history, best_epoch, best_val)
 
@@ -400,7 +409,7 @@ def _predict(g: Graph, params: dict[str, np.ndarray], node_sets: list,
     """The predicted classes of each array of `node_sets`, as evaluate
     documents, from `cache` when given: a CD-GNN's ego cache covering them,
     or a GCN's _full_graph, which labels them all in one forward."""
-    if model_kind(g, params) == "cdgnn":
+    if _model_kind(g, params) == "cdgnn":
         if hops is None:
             raise ValueError("evaluate needs the ego hops a CD-GNN model was "
                              "trained at (SavedModel.hops)")
@@ -421,7 +430,7 @@ def evaluate(g: Graph, params: dict[str, np.ndarray], nodes,
     `hops`, the hops it was trained at (SavedModel.hops), which have no
     default. The GCN baseline predicts on the full graph and ignores
     `hops`. Ties resolve to the lowest class id via argmax. Parameters
-    that do not fit `g` (model_kind) are refused.
+    that do not fit `g` (_model_kind) are refused.
     """
     nodes = np.asarray(nodes, dtype=np.int64).reshape(-1)
     if nodes.shape[0] == 0:
@@ -439,10 +448,122 @@ def evaluate(g: Graph, params: dict[str, np.ndarray], nodes,
     )
 
 
+# assumption_audit's ego sample size, shortcut swaps and pass thresholds.
+AUDIT_MAX_NODES = 256
+AUDIT_PERMUTATIONS = 8
+INDEPENDENCE_THRESHOLD = 0.01
+SENSITIVITY_THRESHOLD = 0.25
+DOMINANCE_THRESHOLD = 0.5
+
+
+@dataclass(frozen=True)
+class AuditReport:
+    """Empirical check of the assumptions behind the gain analysis.
+
+    dominance_share is one number for every encoder layer: the mask is
+    shared across depth. cross_class_ratios are informational estimates of
+    the cross-class signal ratio at each layer's embedding; no threshold
+    applies to them.
+    """
+
+    independence: float
+    independence_ok: bool
+    sensitivity: float
+    sensitivity_ok: bool
+    dominance_share: float
+    dominance_ok: bool
+    cross_class_ratios: list[float]
+
+    @property
+    def passed(self) -> bool:
+        return self.independence_ok and self.sensitivity_ok and self.dominance_ok
+
+
+def _layer_cross_class_ratio(embedding: np.ndarray, endpoints: np.ndarray,
+                             labels: np.ndarray) -> float:
+    """|mean neighbor signal across classes| / |mean within class|.
+
+    Signal is the embedding row mean; the directed edge list is both
+    orientations of every undirected edge.
+    """
+    if endpoints.shape[0] == 0:
+        return 0.0
+    signal = embedding.mean(axis=1)
+    src = np.concatenate([endpoints[:, 0], endpoints[:, 1]])
+    dst = np.concatenate([endpoints[:, 1], endpoints[:, 0]])
+    cross = labels[src] != labels[dst]
+    same_mean = signal[dst[~cross]].mean() if (~cross).any() else 0.0
+    cross_mean = signal[dst[cross]].mean() if cross.any() else 0.0
+    if abs(same_mean) < 1e-12:
+        return 0.0
+    return float(abs(cross_mean) / abs(same_mean))
+
+
+def assumption_audit(g: Graph, params: dict[str, np.ndarray], hops: int,
+                     nodes: np.ndarray | None = None,
+                     seed: int = 0) -> AuditReport:
+    """Audit a trained model against the analysis assumptions.
+
+    Checks, on a sample of ego graphs: HSIC between the branch embeddings
+    (independence), how much the causal head's true-class probability moves
+    when the shortcut embedding is swapped across the batch (counterfactual
+    sensitivity), and the share of causal-branch propagation mass flowing
+    through edges the mask assigns to the shortcut side (dominance). Also
+    estimates the cross-class signal ratio at each encoder layer. A GCN's
+    parameters, or a CD-GNN's that do not fit `g`, are refused.
+    """
+    if _model_kind(g, params) != "cdgnn":
+        raise ValueError("audit needs a cdgnn model, the parameters hold a gcn")
+    rng = np.random.default_rng(seed)
+    if nodes is None:
+        nodes = np.arange(g.num_nodes)
+    nodes = np.asarray(nodes, dtype=np.int64).reshape(-1)
+    if nodes.shape[0] > AUDIT_MAX_NODES:
+        nodes = np.sort(rng.choice(nodes, size=AUDIT_MAX_NODES, replace=False))
+    if nodes.shape[0] < 2:
+        raise ValueError("audit needs at least 2 ego nodes")
+    batch = batch_from_cache(g, build_ego_cache(g, hops, nodes), nodes)
+    fwd = two_branch_forward(batch, params)
+    h_c, h_s = fwd.graph_causal, fwd.graph_shortcut
+
+    independence = hsic(h_c, h_s).item()
+
+    base = ad.softmax_head(fwd.joint, *fwd.head_causal).data
+    rows = np.arange(batch.num_graphs)
+    labels = batch.ego_labels
+    sensitivity = 0.0
+    for _ in range(AUDIT_PERMUTATIONS):
+        perm = rng.permutation(batch.num_graphs)
+        swapped = ad.softmax_head(
+            ad.concat_cols(h_c, ad.permute_rows(h_s, perm)),
+            *fwd.head_causal).data
+        delta = np.abs(base[rows, labels] - swapped[rows, labels])
+        sensitivity = max(sensitivity, float(delta.max()))
+
+    mask_vals = fwd.edge_mask.data.reshape(-1)
+    # Dominance is the share of the causal branch's aggregate incoming edge
+    # weight that flows through edges the mask pushes to the shortcut side.
+    edge_mass = mask_vals.sum()
+    leak = mask_vals[mask_vals < 0.5].sum()
+    dominance = float(leak / edge_mass) if edge_mass > 1e-12 else 0.0
+
+    node_labels = g.labels[batch.member_ids]
+    ratios = [_layer_cross_class_ratio(h.data, batch.endpoints, node_labels)
+              for h in fwd.layers_causal]
+
+    return AuditReport(
+        independence=independence,
+        independence_ok=independence <= INDEPENDENCE_THRESHOLD,
+        sensitivity=sensitivity,
+        sensitivity_ok=sensitivity <= SENSITIVITY_THRESHOLD,
+        dominance_share=dominance,
+        dominance_ok=dominance <= DOMINANCE_THRESHOLD,
+        cross_class_ratios=ratios,
+    )
+
+
 def dataset_hash(g: Graph) -> str:
     """Content hash of the canonical graph serialization."""
-    from .graphs import graph_to_dict
-
     payload = json.dumps(graph_to_dict(g), sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()
 
@@ -655,7 +776,7 @@ class SavedModel:
     hops: int
 
 
-def model_kind(g: Graph, params: dict[str, np.ndarray]) -> str:
+def _model_kind(g: Graph, params: dict[str, np.ndarray]) -> str:
     """The kind of model `params` hold, "cdgnn" or "gcn", by their names;
     parameters of neither, or whose feature width or class count is not
     `g`'s, are refused."""

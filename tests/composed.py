@@ -26,7 +26,7 @@ from cdgnn.disentangle import (counterfactual_loss, difficulty_weights,
                                edge_score_logits, hsic, init_mask_params,
                                median_bandwidth, total_loss,
                                two_branch_forward)
-from cdgnn.gains import _layer_cross_class_ratio
+from cdgnn.harness import _layer_cross_class_ratio
 from cdgnn.graphs import Graph
 from cdgnn.harness import RunConfig
 from cdgnn.models import (batch_from_cache, build_ego_cache, init_gcn_weights,

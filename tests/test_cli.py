@@ -4,6 +4,7 @@ import argparse
 import gc
 import json
 import shlex
+import warnings
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -454,8 +455,10 @@ class TestInputErrors:
 
     def test_diverging_run_is_one_line_error(self, tmp_path, capsys):
         """A learning rate that sends the loss to nan ends the run with one
-        error line naming the term and the epoch, not a traceback."""
-        with np.errstate(over="ignore", invalid="ignore"):
+        error line naming the term and the epoch, not a traceback, and
+        numpy warns of no overflow or invalid value before it."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
             _one_line_error(capsys, ["train-baseline", "--preset",
                                      "tree_cycles", "--lr", "1e200",
                                      "--epochs", "3", "--patience", "3",

@@ -8,9 +8,7 @@ import pytest
 import composed
 from cdgnn import gains as gains_mod
 from cdgnn.gains import (
-    INDEPENDENCE_THRESHOLD,
     GainParams,
-    assumption_audit,
     cumulative_gain_ratio,
     deep_layer_gain,
     default_grid_cells,
@@ -22,6 +20,7 @@ from cdgnn.gains import (
 )
 from cdgnn.graphs import Graph
 from cdgnn.disentangle import init_cdgnn_params
+from cdgnn.harness import INDEPENDENCE_THRESHOLD, assumption_audit
 from cdgnn.models import init_gcn_weights, init_head_params
 
 
@@ -40,6 +39,21 @@ class TestEffectiveHomophily:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="subgraph_share"):
             effective_homophily(1.2, 0.5, 0.5)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("degree", -1, "degree must be nonnegative, got -1"),
+    ("cross_class_ratio", -0.5,
+     "cross_class_ratio must be nonnegative, got -0.5"),
+    ("subgraph_share", 1.2, r"subgraph_share must be in \[0, 1\], got 1.2"),
+    ("rest_homophily", -0.1, r"rest_homophily must be in \[0, 1\], got -0.1"),
+])
+def test_invalid_gain_params_refused_when_built(field, value, message):
+    valid = dict(degree=3, total_edge_weight=3, cross_class_ratio=0.5,
+                 subgraph_share=0.5, subgraph_homophily=0.2,
+                 rest_homophily=0.8)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        GainParams(**{**valid, field: value})
 
 
 class TestOneLayerGain:
@@ -194,7 +208,9 @@ class TestImprovementCheck:
                                         estimate_error=0.05)
         assert not report.assumptions_met
         assert "dominance" in report.reason
-        assert report.homophily_gain is None
+        assert not report.improved
+        assert report.homophily_gain == (report.homophily_after
+                                         - report.homophily_before)
 
     def test_insufficient_gap_fails_precondition(self):
         base, causal = _improvement_pair()

@@ -2,6 +2,7 @@
 
 import gc
 import json
+import warnings
 from dataclasses import asdict, fields, replace
 
 import numpy as np
@@ -516,13 +517,24 @@ def test_one_set_of_leaves_per_run(train, monkeypatch):
     (train_cdgnn, "non-finite loss_s (nan) at epoch 0")])
 def test_non_finite_loss_ends_the_run(train, message):
     """A step refuses a loss breakdown that has diverged before it is
-    differentiated, naming the term and the epoch."""
+    differentiated, naming the term and the epoch; numpy warns of no
+    overflow or invalid value on the way."""
     g = _tiny_graph(seed=0)
     sp = split_nodes(g.num_nodes, seed=0)
-    with np.errstate(over="ignore", invalid="ignore"), \
+    with warnings.catch_warnings(), \
             pytest.raises(FloatingPointError) as err:
+        warnings.simplefilter("error", RuntimeWarning)
         train(g, _tiny_config(learning_rate=1e200), 0, sp.train, sp.val)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("train", [train_cdgnn, train_gcn_baseline])
+def test_empty_val_set_refused(train):
+    """Early stopping scores the val set, so a run without one is refused
+    before it trains."""
+    g = _tiny_graph(seed=0)
+    with pytest.raises(ValueError, match="^need at least 1 validation node$"):
+        train(g, _tiny_config(), 0, np.arange(10), [])
 
 
 def test_training_leaves_no_cyclic_garbage():

@@ -21,7 +21,8 @@ The package's imports are held to its declared dependencies: importing
 or `numpy.f2py`, only scipy's compiled CSR kernel, which is the module
 `scipy.sparse` itself uses, whichever is imported first; and the
 third-party packages that `src/cdgnn` imports are exactly those of
-`[project].dependencies`.
+`[project].dependencies`. The gain theory, `gains`, imports no other
+`cdgnn` module.
 """
 
 import ast
@@ -255,25 +256,7 @@ SETTABLE = [
     "gains.default_grid_cells(degrees)",
     "gains.default_grid_cells(homophilies)",
     "gains.default_grid_cells(ratios)",
-    "gains.ImprovementReport.homophily_before",
-    "gains.ImprovementReport.homophily_after",
-    "gains.ImprovementReport.homophily_gain",
-    "gains.ImprovementReport.homophily_bound",
-    "gains.ImprovementReport.slack",
-    "gains.ImprovementReport.one_layer_before",
-    "gains.ImprovementReport.one_layer_after",
-    "gains.ImprovementReport.one_layer_margin",
-    "gains.ImprovementReport.one_layer_slope",
-    "gains.ImprovementReport.one_layer_bound",
-    "gains.ImprovementReport.deep_before",
-    "gains.ImprovementReport.deep_after",
-    "gains.ImprovementReport.deep_margin",
-    "gains.ImprovementReport.deep_bound",
-    "gains.ImprovementReport.cumulative_ratio",
-    "gains.ImprovementReport.improved",
     "gains.gain_improvement_check(depth)",
-    "gains.assumption_audit(nodes)",
-    "gains.assumption_audit(seed)",
     "harness.RunConfig.learning_rate",
     "harness.RunConfig.scorer_learning_rate",
     "harness.RunConfig.weight_decay",
@@ -298,6 +281,8 @@ SETTABLE = [
     "harness._gcn_hidden(rng)",
     "harness.train_gcn_baseline(cache)",
     "harness.evaluate(hops)",
+    "harness.assumption_audit(nodes)",
+    "harness.assumption_audit(seed)",
     "harness.run_experiment(dataset)",
     "harness.run_experiment(model)",
     "harness.run_experiment(return_params)",
@@ -441,3 +426,27 @@ def test_imports_match_declared_dependencies():
         declared = tomllib.load(f)["project"]["dependencies"]
     names = {re.match(r"[A-Za-z0-9_.-]+", d).group(0).lower() for d in declared}
     assert _third_party_imports() == names
+
+
+def _package_imports(tree: ast.Module) -> list[str]:
+    """The source of each import in `tree` that loads a cdgnn module."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            hit = node.level > 0 or node.module.split(".")[0] == "cdgnn"
+        elif isinstance(node, ast.Import):
+            hit = any(a.name.split(".")[0] == "cdgnn" for a in node.names)
+        else:
+            continue
+        if hit:
+            out.append(ast.unparse(node))
+    return out
+
+
+def test_gains_imports_no_package_module():
+    assert _package_imports(ast.parse(
+        "import numpy as np\nimport cdgnn.graphs\n"
+        "from . import autodiff as ad\nfrom cdgnn.harness import evaluate\n"
+    )) == ["import cdgnn.graphs", "from . import autodiff as ad",
+           "from cdgnn.harness import evaluate"]
+    assert _package_imports(_parse(PACKAGE / "gains.py")) == []
