@@ -2,7 +2,8 @@
 
 Everything the models need is built from a small primitive set; the hot
 chains (a softmax head, a cross-entropy) are single fused nodes. This
-script differentiates a tiny softmax regression by hand-rolled finite
+script differentiates a tiny softmax classifier with one hidden layer,
+built from elementary and fused nodes alike, by hand-rolled finite
 differences and by the backward walk, then trains it for a few steps.
 """
 
@@ -12,9 +13,11 @@ from cdgnn import autodiff as ad
 
 
 def nll_loss(x: np.ndarray, y: np.ndarray, params: dict):
-    """Mean negative log-likelihood of a linear softmax model; `params`
-    holds leaves to differentiate, or plain arrays to only evaluate."""
-    probs = ad.softmax_head(x, params["w"], params["b"])
+    """Mean negative log-likelihood of a softmax model on a relu hidden
+    layer; `params` holds leaves to differentiate, or plain arrays to only
+    evaluate."""
+    hidden = ad.relu(ad.matmul(x, params["v"]))
+    probs = ad.softmax_head(hidden, params["w"], params["b"])
     return ad.mean(ad.nll_rows(probs, y))
 
 
@@ -22,10 +25,11 @@ def main() -> None:
     rng = np.random.default_rng(0)
     x = rng.normal(size=(8, 3))
     y = np.array([0, 1, 2, 0, 1, 2, 0, 1])
-    w0 = rng.normal(size=(3, 3)) * 0.1
+    v0 = rng.normal(size=(3, 4))
+    w0 = rng.normal(size=(4, 3)) * 0.1
     b0 = np.zeros((1, 3))
 
-    leaves = ad.leaves({"w": w0, "b": b0})
+    leaves = ad.leaves({"v": v0, "w": w0, "b": b0})
     loss = nll_loss(x, y, leaves)
     grads = ad.gradients(loss, leaves)
     print(f"loss at init: {loss.data[0, 0]:.4f}")
@@ -35,15 +39,15 @@ def main() -> None:
     wp, wm = w0.copy(), w0.copy()
     wp[0, 0] += eps
     wm[0, 0] -= eps
-    fd = (nll_loss(x, y, {"w": wp, "b": b0}).data
-          - nll_loss(x, y, {"w": wm, "b": b0}).data) / (2 * eps)
+    fd = (nll_loss(x, y, {"v": v0, "w": wp, "b": b0}).data
+          - nll_loss(x, y, {"v": v0, "w": wm, "b": b0}).data) / (2 * eps)
     print(f"dL/dw[0,0]: backward {grads['w'][0, 0]:+.6f}  "
           f"finite difference {float(fd[0, 0]):+.6f}")
 
     # A few steps of Adam drive the loss down. The state holds the
     # parameters in one buffer and steps them in place, so the leaves made
     # from its table once see every update.
-    state = ad.AdamState({"w": w0, "b": b0}, 0.1)
+    state = ad.AdamState({"v": v0, "w": w0, "b": b0}, 0.1)
     leaves = ad.leaves(state.params)
     for step in range(30):
         loss = nll_loss(x, y, leaves)

@@ -16,14 +16,19 @@ scipy.sparse), so no dense adjacency matrix is ever materialized.
 gcn_layer given no plan takes its input as propagated.
 
 The model's hot paths are fused primitives (gcn_layer, softmax_head,
-mean_of_halves, ego_readout, gce_rows, nll_rows, hsic_rbf): each records one
-node whose backward repeats, in the same order, the float operations the
-chain of elementary primitives it replaces would perform, so results are
-bitwise those of the composed chain. hsic_rbf also takes its own row sample,
-in place of two take_rows nodes. softmax_head takes each row's max a
-column at a time, and the adjoint of a row gather with no repeated index
-writes the rows into zeros; both give the bits of the reduce and of the
-CSR row sum they replace (NaN signs aside, see _softmax_rows).
+edge_scorer, ego_readout, nll_rows, two_head_loss, hsic_rbf): each records
+one node whose backward repeats, in the same order, the float operations
+the chain of elementary primitives it replaces would perform, so results
+are bitwise those of the composed chain. edge_scorer is the CD-GNN mask's
+whole MLP, and two_head_loss three terms of its objective with both heads,
+so that a training batch records few nodes: on batches this small each
+node costs more in bookkeeping than in arithmetic. hsic_rbf also takes
+its own row sample, in place of two take_rows nodes. The means of small
+arrays skip ndarray.mean's dispatch for the same sum and division (_mean).
+softmax_head takes each row's max a column at a time, and the adjoint of a
+row gather with no repeated index writes the rows into zeros; both give the
+bits of the reduce and of the CSR row sum they replace (NaN signs aside,
+see _softmax_rows).
 
 An AdamState holds one run's parameters in one flat buffer, as named views
 (the table the model reads), with both moments and the per-entry learning
@@ -50,8 +55,8 @@ __all__ = [
     "PropagationPlan",
     "matmul", "add", "subtract", "multiply", "sigmoid", "relu", "mean",
     "concat_cols", "dropout", "take_rows", "permute_rows",
-    "propagate", "gcn_layer", "softmax_head", "mean_of_halves", "ego_readout",
-    "gce_rows", "nll_rows", "hsic_rbf",
+    "propagate", "gcn_layer", "softmax_head", "edge_scorer", "ego_readout",
+    "nll_rows", "two_head_loss", "hsic_rbf",
     "AdamState", "adam_step", "leaves", "gradients",
 ]
 
@@ -233,9 +238,17 @@ def relu(a) -> Tensor:
     return _make(data, (a,), backward)
 
 
+def _mean(x: np.ndarray, axis: int | None, keepdims: bool) -> np.ndarray:
+    """x.mean(axis, keepdims=keepdims) of a float64 x, bit for bit: the sum
+    and the division ndarray.mean performs, without its Python dispatch,
+    which costs more than the arithmetic on arrays this small."""
+    count = x.size if axis is None else x.shape[axis]
+    return np.add.reduce(x, axis=axis, keepdims=keepdims) / count
+
+
 def mean(a) -> Tensor:
     a = _coerce(a)
-    data = np.array([[a.data.mean()]])
+    data = np.array([[_mean(a.data, None, False)]])
 
     def backward(g: np.ndarray) -> None:
         a._accumulate(np.full_like(a.data, g[0, 0] / a.data.size))
@@ -488,6 +501,20 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
+def _softmax_logit_adjoint(probs: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Adjoint of the logits of softmax rows `probs` for their adjoint g."""
+    dot = (g * probs).sum(axis=1, keepdims=True)
+    return probs * (g - dot)
+
+
+def _affine_backward(gl: np.ndarray, x: np.ndarray, weight: Tensor,
+                     bias: Tensor) -> None:
+    """Accumulate the adjoint gl of x @ weight + bias into weight, then into
+    bias (which, with one row, takes gl itself)."""
+    weight._accumulate(x.T @ gl)
+    bias._accumulate(_unbroadcast(gl, bias.data.shape))
+
+
 def softmax_head(x, weight, bias) -> Tensor:
     """Class distribution rows softmax(x @ weight + bias) as one node; the
     softmax subtracts each row's max first."""
@@ -495,31 +522,43 @@ def softmax_head(x, weight, bias) -> Tensor:
     data = _softmax_rows(x.data @ weight.data + bias.data)
 
     def backward(g: np.ndarray) -> None:
-        dot = (g * data).sum(axis=1, keepdims=True)
-        gl = data * (g - dot)
+        gl = _softmax_logit_adjoint(data, g)
         x._accumulate(gl @ weight.data.T)
-        weight._accumulate(x.data.T @ gl)
-        # last: with one row, bias takes gl itself
-        bias._accumulate(_unbroadcast(gl, bias.data.shape))
+        _affine_backward(gl, x.data, weight, bias)
 
     return _make(data, (x, weight, bias), backward)
 
 
-def mean_of_halves(a) -> Tensor:
-    """(top half + bottom half) * 0.5 of a matrix with 2n rows: the
-    symmetric edge score from the scores of both endpoint orders."""
-    a = _coerce(a)
-    rows = a.data.shape[0]
-    if rows % 2:
-        raise ValueError(f"mean_of_halves needs an even row count, got {rows}")
-    half = rows // 2
-    data = (a.data[:half] + a.data[half:]) * 0.5
+def edge_scorer(endpoints, x, w1, b1, w2, b2) -> Tensor:
+    """Symmetric edge logits as one node: the mean of s(x_u||x_v) and
+    s(x_v||x_u) for each edge (u, v) of `endpoints` (rows into x), with the
+    MLP s(p) = relu(p @ w1 + b1) @ w2 + b2. Both endpoint orders are scored
+    as one stacked matrix, and the halves are averaged as
+    (top + bottom) * 0.5. No edges give a constant (0, 1) tensor."""
+    e = np.asarray(endpoints, dtype=np.int64).reshape(-1, 2)
+    if e.shape[0] == 0:
+        return Tensor(np.zeros((0, 1)))
+    w1, b1, w2, b2 = _coerce(w1), _coerce(b1), _coerce(w2), _coerce(b2)
+    pairs = np.vstack([np.hstack([x[e[:, 0]], x[e[:, 1]]]),
+                       np.hstack([x[e[:, 1]], x[e[:, 0]]])])
+    pre = pairs @ w1.data + b1.data
+    hidden = np.maximum(pre, 0.0)
+    scores = hidden @ w2.data + b2.data
+    half = e.shape[0]
+    data = (scores[:half] + scores[half:]) * 0.5
 
     def backward(g: np.ndarray) -> None:
         gh = g * 0.5
-        a._accumulate(np.vstack([gh, gh]))
+        gs = np.vstack([gh, gh])
+        b2._accumulate(_unbroadcast(gs, b2.data.shape))
+        w2._accumulate(hidden.T @ gs)
+        if w1.requires_grad or b1.requires_grad:
+            # relu's input is positive exactly where it passes the adjoint
+            gz = (gs @ w2.data.T) * (pre > 0)
+            b1._accumulate(_unbroadcast(gz, b1.data.shape))
+            w1._accumulate(pairs.T @ gz)
 
-    return _make(data, (a,), backward)
+    return _make(data, (w1, b1, w2, b2), backward)
 
 
 def ego_readout(h, ego_rows, segments, num_segments: int,
@@ -544,50 +583,51 @@ def ego_readout(h, ego_rows, segments, num_segments: int,
     return _make(data, (h, projection), backward)
 
 
-def _picked(probs: Tensor, labels) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row ids and validated labels of the entries probs[i, labels[i]], and
-    those entries as a column clamped below at 1e-12."""
+def _labels(labels, rows: int, classes: int) -> np.ndarray:
+    """`labels` as validated class ids, one per row."""
     y = np.asarray(labels, dtype=np.int64).reshape(-1)
-    if y.shape[0] != probs.data.shape[0]:
+    if y.shape[0] != rows:
         raise ValueError("labels must match the number of rows")
-    if y.size and ((y < 0).any() or (y >= probs.data.shape[1]).any()):
+    if y.size and ((y < 0).any() or (y >= classes).any()):
         raise ValueError("label outside the class range")
-    rows = np.arange(y.shape[0])
-    return rows, y, np.maximum(probs.data[rows, y][:, None], LOG_CLAMP)
+    return y
 
 
-def _scatter_picked(probs: Tensor, rows: np.ndarray, y: np.ndarray,
-                    gp: np.ndarray) -> None:
-    """Accumulate the column gp into probs at the picked entries."""
-    dp = np.zeros_like(probs.data)
+def _picked(probs: np.ndarray, rows: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The entries probs[rows, y] as a column clamped below at 1e-12."""
+    return np.maximum(probs[rows, y][:, None], LOG_CLAMP)
+
+
+def _picked_adjoint(probs: np.ndarray, rows: np.ndarray, y: np.ndarray,
+                    gp: np.ndarray) -> np.ndarray:
+    """Adjoint of probs for the adjoint column gp of its picked entries."""
+    dp = np.zeros_like(probs)
     dp[rows, y] = gp[:, 0]
-    probs._accumulate(dp)
+    return dp
 
 
-def gce_rows(probs, labels, q: float) -> Tensor:
-    """Per-row generalized cross-entropy (1 - exp(q log p_y)) / q, shape
-    (B, 1), with the log clamped below at 1e-12; q must be in (0, 1]."""
-    if not 0.0 < q <= 1.0:
-        raise ValueError(f"q must be in (0, 1], got {q}")
-    probs = _coerce(probs)
-    rows, y, clamped = _picked(probs, labels)
-    qa = _as_matrix(q)
-    inv_q = _as_matrix(1.0 / q)
-    powered = np.exp(qa * np.log(clamped))
-    data = (1.0 - powered) * inv_q
+def _gce(clamped: np.ndarray, q: np.ndarray,
+         inv_q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row generalized cross-entropy (1 - exp(q log p)) / q of clamped
+    picked probabilities, and the power exp(q log p) its adjoint reads."""
+    powered = np.exp(q * np.log(clamped))
+    return (1.0 - powered) * inv_q, powered
 
-    def backward(g: np.ndarray) -> None:
-        gm = -(g * inv_q) * powered
-        _scatter_picked(probs, rows, y, gm * qa / clamped)
 
-    return _make(data, (probs,), backward)
+def _gce_adjoint(g: np.ndarray, clamped: np.ndarray, powered: np.ndarray,
+                 q: np.ndarray, inv_q: np.ndarray) -> np.ndarray:
+    """Adjoint of the clamped picked probabilities for the GCE rows' g."""
+    gm = -(g * inv_q) * powered
+    return gm * q / clamped
 
 
 def nll_rows(probs, labels, weights=None) -> Tensor:
     """Per-row cross-entropy 0 - log p_y, times a (B, 1) array of constant
     `weights` when given; the log is clamped below at 1e-12."""
     probs = _coerce(probs)
-    rows, y, clamped = _picked(probs, labels)
+    y = _labels(labels, *probs.data.shape)
+    rows = np.arange(y.shape[0])
+    clamped = _picked(probs.data, rows, y)
     w = None if weights is None else np.asarray(weights, dtype=np.float64).reshape(-1, 1)
     if w is not None and w.shape[0] != rows.shape[0]:
         raise ValueError("one weight per sample required")
@@ -597,17 +637,150 @@ def nll_rows(probs, labels, weights=None) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         gce = g if w is None else g * w
-        _scatter_picked(probs, rows, y, -gce / clamped)
+        probs._accumulate(_picked_adjoint(probs.data, rows, y, -gce / clamped))
 
     return _make(data, (probs,), backward)
+
+
+# Relative difficulties whose denominator is at most this resolve to 0.5.
+_CE_EPS = 1e-12
+
+
+def _difficulty_weights(ce_shortcut: np.ndarray,
+                        ce_causal: np.ndarray) -> np.ndarray:
+    """Relative difficulty W = CE_s / (CE_s + CE_c), 0/0 resolved to 0.5,
+    of detached per-sample cross-entropies: a stop-gradient quantity."""
+    s = np.asarray(ce_shortcut, dtype=np.float64).reshape(-1)
+    c = np.asarray(ce_causal, dtype=np.float64).reshape(-1)
+    if (s < 0).any() or (c < 0).any():
+        raise ValueError("cross-entropy values must be nonnegative")
+    denom = s + c
+    return np.divide(s, denom, out=np.full(s.shape, 0.5),
+                     where=denom > _CE_EPS)
+
+
+def two_head_loss(joint, graph_causal, graph_shortcut, head_causal,
+                  head_shortcut, labels, q: float, perm,
+                  coefficients) -> tuple[Tensor | None, dict[str, float]]:
+    """The shortcut, causal and counterfactual terms of the CD-GNN
+    objective, weighed and summed as one node, plus their raw values.
+
+    With p_s and p_c the softmax heads (weight, bias) `head_shortcut` and
+    `head_causal` read from `joint`:
+    - loss_s, the mean GCE (1 - p_s[y]^q) / q, with q in (0, 1];
+    - loss_c, the mean of W * CE(p_c), where W is the _difficulty_weights
+      of the detached per-row cross-entropies ce_s and ce_c of both heads;
+    - loss_cf, the mean of GCE(shortcut head, y[perm]) + W * CE(causal
+      head, y), both heads reading [graph_causal ; graph_shortcut[perm]];
+      it needs a batch of at least 2 and a permutation `perm` of it.
+    Logs are clamped below at 1e-12. The node is the sum, left to right,
+    of each term times its entry of the three `coefficients`, a term
+    weighed 1 entering as it is and one weighed 0 not at all; with all
+    three 0 there is no node (None). The dict holds the three raw terms
+    and the mean ce_s and ce_c.
+
+    The value and every adjoint are the bits of the chain of softmax_head,
+    GCE and nll_rows, mean, concat_cols, permute_rows, multiply and add
+    nodes this replaces: adjoints reach the heads, then graph_causal and
+    graph_shortcut from the counterfactual term, and then joint, in the
+    order that chain's reverse walk adds them.
+    """
+    if not 0.0 < q <= 1.0:
+        raise ValueError(f"q must be in (0, 1], got {q}")
+    joint, h_c, h_s = _coerce(joint), _coerce(graph_causal), _coerce(graph_shortcut)
+    w_c, b_c = map(_coerce, head_causal)
+    w_s, b_s = map(_coerce, head_shortcut)
+    n = h_c.data.shape[0]
+    y = _labels(labels, joint.data.shape[0], w_s.data.shape[1])
+    if n < 2:
+        raise ValueError("counterfactual loss needs a batch of at least 2")
+    perm = np.asarray(perm, dtype=np.int64).reshape(-1)
+    if perm.shape[0] != n:
+        raise ValueError("perm must cover the batch")
+    if not np.array_equal(np.sort(perm), np.arange(h_s.data.shape[0])):
+        raise ValueError("perm must be a permutation of the row indices")
+    qa, inv_q = _as_matrix(q), _as_matrix(1.0 / q)
+    rows = np.arange(n)
+    y_perm = y[perm]
+
+    probs_s = _softmax_rows(joint.data @ w_s.data + b_s.data)
+    probs_c = _softmax_rows(joint.data @ w_c.data + b_c.data)
+    picked_s = _picked(probs_s, rows, y)
+    picked_c = _picked(probs_c, rows, y)
+    gce_s, powered_s = _gce(picked_s, qa, inv_q)
+    ce_s = 0.0 - np.log(picked_s)
+    ce_c = 0.0 - np.log(picked_c)
+    weights = _difficulty_weights(ce_s, ce_c).reshape(-1, 1)
+    causal = ce_c * weights
+
+    swapped = np.hstack([h_c.data, h_s.data[perm]])
+    probs_sx = _softmax_rows(swapped @ w_s.data + b_s.data)
+    probs_cx = _softmax_rows(swapped @ w_c.data + b_c.data)
+    picked_sx = _picked(probs_sx, rows, y_perm)
+    picked_cx = _picked(probs_cx, rows, y)
+    gce_sx, powered_sx = _gce(picked_sx, qa, inv_q)
+    counterfactual = gce_sx + (0.0 - np.log(picked_cx)) * weights
+
+    terms = [np.array([[_mean(t, None, False)]])
+             for t in (gce_s, causal, counterfactual)]
+    values = dict(zip(("loss_s", "loss_c", "loss_cf"),
+                      (float(t[0, 0]) for t in terms)))
+    values["ce_s"] = float(_mean(ce_s.reshape(-1), None, False))
+    values["ce_c"] = float(_mean(ce_c.reshape(-1), None, False))
+    scales = [None if c == 0.0 else _as_matrix(c) for c in coefficients]
+    data = None
+    for term, scale in zip(terms, scales):
+        if scale is not None:
+            piece = term if scale[0, 0] == 1.0 else term * scale
+            data = piece if data is None else data + piece
+    if data is None:
+        return None, values
+    split = h_c.data.shape[1]
+    inverse = np.empty_like(perm)
+    inverse[perm] = rows
+
+    def mean_adjoint(g: np.ndarray, scale: np.ndarray) -> np.ndarray:
+        """Adjoint of the per-row values under a term weighed by scale."""
+        gt = g if scale[0, 0] == 1.0 else g * scale
+        return np.full((n, 1), gt[0, 0] / n)
+
+    def backward(g: np.ndarray) -> None:
+        scale_s, scale_c, scale_cf = scales
+        if scale_cf is not None:
+            gr = mean_adjoint(g, scale_cf)
+            gl_c = _softmax_logit_adjoint(probs_cx, _picked_adjoint(
+                probs_cx, rows, y, -(gr * weights) / picked_cx))
+            gl_s = _softmax_logit_adjoint(probs_sx, _picked_adjoint(
+                probs_sx, rows, y_perm,
+                _gce_adjoint(gr, picked_sx, powered_sx, qa, inv_q)))
+            g_swapped = gl_c @ w_c.data.T
+            _affine_backward(gl_c, swapped, w_c, b_c)
+            g_swapped += gl_s @ w_s.data.T
+            _affine_backward(gl_s, swapped, w_s, b_s)
+            h_c._accumulate(g_swapped[:, :split].copy())
+            h_s._accumulate(g_swapped[:, split:][inverse])
+        if scale_c is not None:
+            gl_c = _softmax_logit_adjoint(probs_c, _picked_adjoint(
+                probs_c, rows, y,
+                -(mean_adjoint(g, scale_c) * weights) / picked_c))
+            joint._accumulate(gl_c @ w_c.data.T)
+            _affine_backward(gl_c, joint.data, w_c, b_c)
+        if scale_s is not None:
+            gl_s = _softmax_logit_adjoint(probs_s, _picked_adjoint(
+                probs_s, rows, y, _gce_adjoint(mean_adjoint(g, scale_s),
+                                               picked_s, powered_s, qa, inv_q)))
+            joint._accumulate(gl_s @ w_s.data.T)
+            _affine_backward(gl_s, joint.data, w_s, b_s)
+
+    return _make(data, (joint, h_c, h_s, w_c, b_c, w_s, b_s), backward), values
 
 
 def _centered(k: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Double centering H K H with H = I - 11^T/n (self-adjoint, linear),
     written to `out` (which may be k itself) or to a new array."""
-    row = k.mean(axis=1, keepdims=True)
-    col = k.mean(axis=0, keepdims=True)
-    mean = k.mean()
+    row = _mean(k, 1, True)
+    col = _mean(k, 0, True)
+    mean = _mean(k, None, False)
     out = np.subtract(k, row, out=out)
     out -= col
     out += mean

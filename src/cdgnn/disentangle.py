@@ -9,8 +9,9 @@ shortcut branch, so the two masked weight tables tile the unmasked graph.
 total_loss, the whole objective of one two_branch_forward: a generalized
 cross-entropy (GCE) term that lets the shortcut branch latch onto easy
 signal, a difficulty-weighted cross-entropy for the causal branch, a
-counterfactual term that swaps shortcut embeddings across the batch, and
-an HSIC penalty driving the branch embeddings independent.
+counterfactual term that swaps shortcut embeddings across the batch (the
+three of them one ad.two_head_loss node), and an HSIC penalty driving the
+branch embeddings independent.
 """
 
 from __future__ import annotations
@@ -31,17 +32,12 @@ __all__ = [
     "edge_score_logits",
     "TwoBranchPass",
     "two_branch_forward",
-    "difficulty_weights",
-    "counterfactual_loss",
     "median_bandwidth",
     "hsic",
     "total_loss",
     "score_edges",
     "disentanglement_score",
 ]
-
-_CE_EPS = 1e-12
-
 
 def init_mask_params(rng: np.random.Generator, feat_dim: int,
                      scorer_hidden: int) -> dict[str, np.ndarray]:
@@ -83,17 +79,10 @@ def init_cdgnn_params(rng: np.random.Generator, feat_dim: int, hidden: int,
 def edge_score_logits(e: np.ndarray, x: np.ndarray,
                       params: dict) -> ad.Tensor:
     """Symmetric logits of edges `e` (rows u, v into `x`): the mean of
-    scorer(x_u||x_v) and scorer(x_v||x_u), with the `mask.*` entries of
-    `params` (leaves or plain arrays)."""
-    if e.shape[0] == 0:
-        return ad.Tensor(np.zeros((0, 1)))
-    pairs = np.vstack([
-        np.hstack([x[e[:, 0]], x[e[:, 1]]]),
-        np.hstack([x[e[:, 1]], x[e[:, 0]]]),
-    ])
-    hidden = ad.relu(ad.add(ad.matmul(pairs, params["mask.w1"]), params["mask.b1"]))
-    scores = ad.add(ad.matmul(hidden, params["mask.w2"]), params["mask.b2"])
-    return ad.mean_of_halves(scores)
+    scorer(x_u||x_v) and scorer(x_v||x_u), as one ad.edge_scorer node of
+    the `mask.*` entries of `params` (leaves or plain arrays)."""
+    return ad.edge_scorer(e, x, params["mask.w1"], params["mask.b1"],
+                          params["mask.w2"], params["mask.b2"])
 
 
 @dataclass
@@ -149,47 +138,6 @@ def two_branch_forward(batch: EgoBatch, leaves: dict,
         graph_causal=h_c, graph_shortcut=h_s, joint=ad.concat_cols(h_c, h_s),
         head_causal=(leaves["head_c.w"], leaves["head_c.b"]),
         head_shortcut=(leaves["head_s.w"], leaves["head_s.b"]))
-
-
-def difficulty_weights(ce_shortcut: np.ndarray, ce_causal: np.ndarray) -> np.ndarray:
-    """Relative difficulty W = CE_s / (CE_s + CE_c), 0/0 resolved to 0.5.
-
-    Inputs are detached per-sample cross-entropy values; the weight is a
-    stop-gradient quantity by construction.
-    """
-    s = np.asarray(ce_shortcut, dtype=np.float64).reshape(-1)
-    c = np.asarray(ce_causal, dtype=np.float64).reshape(-1)
-    if (s < 0).any() or (c < 0).any():
-        raise ValueError("cross-entropy values must be nonnegative")
-    denom = s + c
-    out = np.full(s.shape, 0.5)
-    ok = denom > _CE_EPS
-    out[ok] = s[ok] / denom[ok]
-    return out
-
-
-def counterfactual_loss(fwd: TwoBranchPass, labels, q: float,
-                        perm: np.ndarray, weights) -> ad.Tensor:
-    """Counterfactual pairing loss over one batch permutation.
-
-    Builds h_ct = [h_causal_i ; h_shortcut_perm(i)] and averages
-    GCE(shortcut head, permuted labels) + W_i * CE(causal head, original
-    labels); W comes from the unpermuted pass. Needs batch size >= 2.
-    """
-    y = np.asarray(labels, dtype=np.int64).reshape(-1)
-    n = fwd.graph_causal.data.shape[0]
-    if n < 2:
-        raise ValueError("counterfactual loss needs a batch of at least 2")
-    perm = np.asarray(perm, dtype=np.int64).reshape(-1)
-    if perm.shape[0] != n:
-        raise ValueError("perm must cover the batch")
-    h_ct = ad.concat_cols(fwd.graph_causal,
-                          ad.permute_rows(fwd.graph_shortcut, perm))
-    probs_s = ad.softmax_head(h_ct, *fwd.head_shortcut)
-    probs_c = ad.softmax_head(h_ct, *fwd.head_causal)
-    gce = ad.gce_rows(probs_s, y[perm], q)
-    ce = ad.nll_rows(probs_c, y, weights)
-    return ad.mean(ad.add(gce, ce))
 
 
 # Inputs of up to this many rows share one cached upper-triangle mask;
@@ -264,34 +212,30 @@ def total_loss(fwd: TwoBranchPass, labels, q: float,
 
     The LOSS_TERMS, in order: the mean GCE (1 - p_y^q) / q of the shortcut
     head, with q in (0, 1]; the mean cross-entropy of the causal head,
-    weighted by the difficulty_weights of both heads' detached per-sample
-    cross-entropies; counterfactual_loss over `perm` with those weights;
-    and the hsic of both branches' last-layer node embeddings at `rows`.
-    `coefficients` weigh them (RunConfig.coefficients): a term weighed 0
-    (ablated, or a zero lambda) leaves the objective, but every term's raw
-    value is still reported, so ablated runs stay comparable, beside the
-    total and the mean detached cross-entropies ce_s and ce_c.
+    weighted by the relative difficulty of both heads' detached per-sample
+    cross-entropies; the counterfactual term over `perm` with those
+    weights (the three of them ad.two_head_loss); and the hsic of both
+    branches' last-layer node embeddings at `rows`. `coefficients` weigh
+    them (RunConfig.coefficients): a term weighed 0 (ablated, or a zero
+    lambda) leaves the objective, but every term's raw value is still
+    reported, so ablated runs stay comparable, beside the total and the
+    mean detached cross-entropies ce_s and ce_c.
     """
-    probs_s = ad.softmax_head(fwd.joint, *fwd.head_shortcut)
-    probs_c = ad.softmax_head(fwd.joint, *fwd.head_causal)
-    loss_s = ad.mean(ad.gce_rows(probs_s, labels, q))
-    # Detached values: on plain arrays nothing is recorded.
-    ce_s = ad.nll_rows(probs_s.data, labels).data.reshape(-1)
-    ce_c = ad.nll_rows(probs_c.data, labels).data.reshape(-1)
-    weights = difficulty_weights(ce_s, ce_c)
-    terms = (loss_s, ad.mean(ad.nll_rows(probs_c, labels, weights)),
-             counterfactual_loss(fwd, labels, q, perm, weights),
-             hsic(fwd.layers_causal[-1], fwd.layers_shortcut[-1], rows))
-    breakdown = {name: term.item() for name, term in zip(LOSS_TERMS, terms)}
-    pieces = [term if coeff == 1.0 else ad.multiply(term, coeff)
-              for term, coeff in zip(terms, coefficients)
-              if coeff != 0.0]
+    heads, values = ad.two_head_loss(
+        fwd.joint, fwd.graph_causal, fwd.graph_shortcut, fwd.head_causal,
+        fwd.head_shortcut, labels, q, perm, coefficients[:3])
+    independence = hsic(fwd.layers_causal[-1], fwd.layers_shortcut[-1], rows)
+    weight = coefficients[3]
+    pieces = [] if heads is None else [heads]
+    if weight != 0.0:
+        pieces.append(independence if weight == 1.0
+                      else ad.multiply(independence, weight))
     if not pieces:
         raise ValueError("all loss terms ablated")
     total = functools.reduce(ad.add, pieces)
-    breakdown["total"] = total.item()
-    breakdown["ce_s"] = float(ce_s.mean())
-    breakdown["ce_c"] = float(ce_c.mean())
+    breakdown = {name: values[name] for name in LOSS_TERMS[:3]}
+    breakdown.update(loss_hsic=independence.item(), total=total.item(),
+                     ce_s=values["ce_s"], ce_c=values["ce_c"])
     return total, breakdown
 
 

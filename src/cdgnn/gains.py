@@ -369,6 +369,8 @@ def gain_improvement_check(baseline: GainParams, causal: GainParams,
         raise ValueError(f"gap must be nonnegative, got {gap}")
     if estimate_error < 0:
         raise ValueError(f"estimate_error must be nonnegative, got {estimate_error}")
+    if depth < 1:
+        raise ValueError(f"depth must be at least 1, got {depth}")
     reason = ""
     if causal.subgraph_share > estimate_error:
         reason = (f"suspect dominance {causal.subgraph_share} exceeds "

@@ -540,9 +540,14 @@ def assumption_audit(g: Graph, params: dict[str, np.ndarray], hops: int,
         delta = np.abs(base[rows, labels] - swapped[rows, labels])
         sensitivity = max(sensitivity, float(delta.max()))
 
-    mask_vals = fwd.edge_mask.data.reshape(-1)
     # Dominance is the share of the causal branch's aggregate incoming edge
     # weight that flows through edges the mask pushes to the shortcut side.
+    # Egos overlap, so one graph edge can have a copy in several of them;
+    # each edge counts once, at its first copy (the scorer reads only the
+    # endpoints' features, so every copy has the same mask value).
+    pairs = np.sort(batch.member_ids[batch.endpoints], axis=1)
+    first = np.sort(np.unique(pairs, axis=0, return_index=True)[1])
+    mask_vals = fwd.edge_mask.data.reshape(-1)[first]
     edge_mass = mask_vals.sum()
     leak = mask_vals[mask_vals < 0.5].sum()
     dominance = float(leak / edge_mass) if edge_mass > 1e-12 else 0.0

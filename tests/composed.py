@@ -16,14 +16,15 @@ hsic_value is hsic on plain arrays, and audit_cross_class_ratios is
 assumption_audit's old per-layer loop, which propagated the causal branch
 again from its masks instead of reading the forward's layers.
 composed_objective_case is total_loss written out term by term, the
-objective whose gradient acceptance criterion c01 checks.
+objective whose gradient acceptance criterion c01 checks. gce_rows and
+mean_of_halves are chains with no fused op of their own left: the fused
+two_head_loss and edge_scorer hold them.
 """
 
 import numpy as np
 
 from cdgnn import autodiff as ad
-from cdgnn.disentangle import (counterfactual_loss, difficulty_weights,
-                               edge_score_logits, hsic, init_mask_params,
+from cdgnn.disentangle import (edge_score_logits, hsic, init_mask_params,
                                median_bandwidth, total_loss,
                                two_branch_forward)
 from cdgnn.harness import _layer_cross_class_ratio
@@ -260,6 +261,61 @@ def nll_rows(probs, labels, weights=None):
     return ad.multiply(ce, np.asarray(weights, dtype=np.float64).reshape(-1, 1))
 
 
+def edge_scorer(endpoints, x, w1, b1, w2, b2):
+    """ad.edge_scorer as the chain edge_score_logits built before it: both
+    endpoint orders through matmul, add, relu, matmul and add, then
+    mean_of_halves."""
+    e = np.asarray(endpoints, dtype=np.int64).reshape(-1, 2)
+    if e.shape[0] == 0:
+        return ad.Tensor(np.zeros((0, 1)))
+    pairs = np.vstack([np.hstack([x[e[:, 0]], x[e[:, 1]]]),
+                       np.hstack([x[e[:, 1]], x[e[:, 0]]])])
+    hidden = ad.relu(ad.add(ad.matmul(pairs, w1), b1))
+    return mean_of_halves(ad.add(ad.matmul(hidden, w2), b2))
+
+
+def two_head_loss(joint, graph_causal, graph_shortcut, head_causal,
+                  head_shortcut, labels, q, perm, coefficients, weights=None):
+    """ad.two_head_loss as the chain total_loss built before it: both
+    softmax heads on `joint`, the GCE and weighted CE means, the
+    counterfactual mean of GCE(shortcut head, labels[perm]) + W * CE(causal
+    head, labels) on [graph_causal ; graph_shortcut[perm]], and each term
+    weighed by a multiply node (none at weight 1, no term at weight 0) and
+    summed left to right by add nodes. `weights`, when given, stand in for
+    the difficulty weights W of the detached cross-entropies."""
+    probs_s = ad.softmax_head(joint, *head_shortcut)
+    probs_c = ad.softmax_head(joint, *head_causal)
+    loss_s = ad.mean(gce_rows(probs_s, labels, q))
+    ce_s = ad.nll_rows(probs_s.data, labels).data.reshape(-1)
+    ce_c = ad.nll_rows(probs_c.data, labels).data.reshape(-1)
+    if weights is None:
+        weights = ad._difficulty_weights(ce_s, ce_c)
+    loss_c = ad.mean(ad.nll_rows(probs_c, labels, weights))
+    y = np.asarray(labels, dtype=np.int64).reshape(-1)
+    h_ct = ad.concat_cols(graph_causal, ad.permute_rows(graph_shortcut, perm))
+    probs_sx = ad.softmax_head(h_ct, *head_shortcut)
+    probs_cx = ad.softmax_head(h_ct, *head_causal)
+    loss_cf = ad.mean(ad.add(gce_rows(probs_sx, y[perm], q),
+                             ad.nll_rows(probs_cx, y, weights)))
+    terms = (loss_s, loss_c, loss_cf)
+    values = {name: term.item()
+              for name, term in zip(("loss_s", "loss_c", "loss_cf"), terms)}
+    values["ce_s"] = float(ce_s.mean())
+    values["ce_c"] = float(ce_c.mean())
+    return weighted_sum(terms, coefficients), values
+
+
+def weighted_sum(terms, coefficients):
+    """Sum, left to right, of each term weighed by its coefficient: a term
+    weighed 1 enters as it is, one weighed 0 not at all; None if none."""
+    total = None
+    for term, coeff in zip(terms, coefficients):
+        if coeff != 0.0:
+            piece = term if coeff == 1.0 else ad.multiply(term, coeff)
+            total = piece if total is None else ad.add(total, piece)
+    return total
+
+
 def hsic_rbf(x, y, bandwidth_x, bandwidth_y):
     n = x.data.shape[0]
     kx = center_gram(rbf_gram(x, bandwidth_x))
@@ -276,7 +332,7 @@ def gce_grad_identity_check(params, forward, label, q):
     """
     tensors_a = ad.leaves({k: v.copy() for k, v in params.items()})
     probs_a = forward(tensors_a)
-    loss_a = ad.mean(ad.gce_rows(probs_a, [label], q))
+    loss_a = ad.mean(gce_rows(probs_a, [label], q))
     p_y = float(probs_a.data[0, label])
     grads_a = ad.gradients(loss_a, tensors_a)
 
@@ -354,10 +410,10 @@ def audit_cross_class_ratios(g, params, hops, nodes):
 def composed_objective_case(rng):
     """One random instance of the full four-term training objective, as
     (build, values, objective). `build(t)` is the objective at parameters
-    `t`, composed from ad.gce_rows, ad.nll_rows and the weighted sum that
-    total_loss forms; `values` are the parameters at the unperturbed point;
-    `objective(t)` is total_loss of the same batch, permutation and
-    coefficients at `t`, over every node row.
+    `t`, composed from the two_head_loss chain, ad.hsic_rbf and the
+    weighted sum that total_loss forms; `values` are the parameters at the
+    unperturbed point; `objective(t)` is total_loss of the same batch,
+    permutation and coefficients at `t`, over every node row.
 
     In `build`, stop-gradient data (difficulty weights, counterfactual
     permutation, kernel bandwidths) is frozen at the unperturbed point,
@@ -385,26 +441,21 @@ def composed_objective_case(rng):
     fwd0 = two_branch_forward(batch, values)
     probs_s0 = ad.softmax_head(fwd0.joint, *fwd0.head_shortcut)
     probs_c0 = ad.softmax_head(fwd0.joint, *fwd0.head_causal)
-    weights = difficulty_weights(ad.nll_rows(probs_s0, y).data,
-                                 ad.nll_rows(probs_c0, y).data)
+    weights = ad._difficulty_weights(ad.nll_rows(probs_s0, y).data,
+                                     ad.nll_rows(probs_c0, y).data)
     bx = median_bandwidth(fwd0.layers_causal[-1].data)
     by = median_bandwidth(fwd0.layers_shortcut[-1].data)
 
     def build(t):
         fwd = two_branch_forward(batch, t)
-        probs_s = ad.softmax_head(fwd.joint, *fwd.head_shortcut)
-        probs_c = ad.softmax_head(fwd.joint, *fwd.head_causal)
-        terms = (ad.mean(ad.gce_rows(probs_s, y, config.q)),
-                 ad.mean(ad.nll_rows(probs_c, y, weights)),
-                 counterfactual_loss(fwd, y, config.q, perm, weights),
-                 ad.hsic_rbf(fwd.layers_causal[-1], fwd.layers_shortcut[-1],
-                             bx, by))
-        total = None
-        for term, coeff in zip(terms, config.coefficients):
-            if coeff != 0.0:
-                piece = term if coeff == 1.0 else ad.multiply(term, coeff)
-                total = piece if total is None else ad.add(total, piece)
-        return total
+        heads, _ = two_head_loss(fwd.joint, fwd.graph_causal,
+                                 fwd.graph_shortcut, fwd.head_causal,
+                                 fwd.head_shortcut, y, config.q, perm,
+                                 config.coefficients[:3], weights)
+        independence = ad.hsic_rbf(fwd.layers_causal[-1],
+                                   fwd.layers_shortcut[-1], bx, by)
+        return weighted_sum((heads, independence),
+                            (1.0, config.coefficients[3]))
 
     def objective(t):
         fwd = two_branch_forward(batch, t)

@@ -6,7 +6,8 @@ over. The builder is re-invoked from scratch for every perturbed
 evaluation, so anything stochastic inside it (dropout masks) must be
 seeded per instance. The kernel and centering oracles of tests/composed.py
 keep their own cases: their adjoints are what the fused hsic_rbf is
-compared against bit for bit.
+compared against bit for bit. So do its GCE and mean-of-halves chains,
+which two_head_loss and edge_scorer are compared against.
 """
 
 import numpy as np
@@ -212,7 +213,20 @@ def _case_softmax_head(rng):
 def _case_mean_of_halves(rng):
     values = {"a": rng.normal(size=(6, 2))}
     f = _functional(rng, (3, 2))
-    return lambda lv: f(ad.mean_of_halves(lv["a"])), values
+    return lambda lv: f(composed.mean_of_halves(lv["a"])), values
+
+
+def _case_edge_scorer(rng):
+    x = rng.normal(size=(5, 2))
+    edges = np.array([[0, 1], [1, 2], [3, 1], [4, 0]])
+    values = {"w1": rng.normal(size=(4, 3)), "b1": rng.normal(size=(1, 3)),
+              "w2": rng.normal(size=(3, 1)), "b2": rng.normal(size=(1, 1))}
+    f = _functional(rng, (4, 1))
+
+    def build(lv):
+        return f(ad.edge_scorer(edges, x, lv["w1"], lv["b1"], lv["w2"], lv["b2"]))
+
+    return build, values
 
 
 def _case_ego_readout(rng):
@@ -232,7 +246,7 @@ def _case_gce_rows(rng):
     y = rng.integers(0, 3, size=4)
     values = {"p": rng.uniform(0.1, 1.0, size=(4, 3))}
     f = _functional(rng, (4, 1))
-    return lambda lv: f(ad.gce_rows(lv["p"], y, q)), values
+    return lambda lv: f(composed.gce_rows(lv["p"], y, q)), values
 
 
 def _case_nll_rows(rng):
@@ -241,6 +255,32 @@ def _case_nll_rows(rng):
     values = {"p": rng.uniform(0.1, 1.0, size=(4, 3))}
     f = _functional(rng, (4, 1))
     return lambda lv: f(ad.nll_rows(lv["p"], y, w)), values
+
+
+def _case_two_head_loss(rng):
+    """The shortcut term alone, through the joint embedding and both heads,
+    or the counterfactual term alone, through the two graph embeddings:
+    the difficulty weights are a stop-gradient function of the joint
+    embedding and the heads, so either way they stay fixed."""
+    q = float(rng.choice([0.3, 0.7, 1.0]))
+    y = rng.integers(0, 3, size=4)
+    perm = rng.permutation(4)
+    values = {"joint": rng.normal(size=(4, 4)), "h_c": rng.normal(size=(4, 2)),
+              "h_s": rng.normal(size=(4, 2)), "w_c": rng.normal(size=(4, 3)),
+              "b_c": rng.normal(size=(1, 3)), "w_s": rng.normal(size=(4, 3)),
+              "b_s": rng.normal(size=(1, 3))}
+    shortcut = bool(rng.integers(0, 2))
+    tracked = ("joint", "w_c", "b_c", "w_s", "b_s") if shortcut else ("h_c", "h_s")
+    coefficients = (0.7, 0.0, 0.0) if shortcut else (0.0, 0.0, 1.5)
+    fixed = {k: v for k, v in values.items() if k not in tracked}
+
+    def build(lv):
+        t = {**fixed, **lv}
+        return ad.two_head_loss(t["joint"], t["h_c"], t["h_s"],
+                                (t["w_c"], t["b_c"]), (t["w_s"], t["b_s"]),
+                                y, q, perm, coefficients)[0]
+
+    return build, {k: values[k] for k in tracked}
 
 
 def _case_rbf_gram(rng):
@@ -301,9 +341,11 @@ PRIMITIVE_CASES = {
     "gcn_layer_last": _case_gcn_layer_last,
     "softmax_head": _case_softmax_head,
     "mean_of_halves": _case_mean_of_halves,
+    "edge_scorer": _case_edge_scorer,
     "ego_readout": _case_ego_readout,
     "gce_rows": _case_gce_rows,
     "nll_rows": _case_nll_rows,
+    "two_head_loss": _case_two_head_loss,
     "rbf_gram": _case_rbf_gram,
     "center_gram": _case_center_gram,
     "hsic_rbf": _case_hsic_rbf,

@@ -243,7 +243,11 @@ class TestShapeGuards:
         with pytest.raises(ValueError, match="label"):
             ad.nll_rows(np.ones((2, 3)) / 3, np.array([0, 5]))
         with pytest.raises(ValueError, match="label"):
-            ad.gce_rows(np.ones((2, 3)) / 3, np.array([-1, 0]), 0.5)
+            ad.two_head_loss(np.ones((2, 4)), np.ones((2, 2)), np.ones((2, 2)),
+                             (np.ones((4, 3)), np.zeros((1, 3))),
+                             (np.ones((4, 3)), np.zeros((1, 3))),
+                             np.array([-1, 0]), 0.5, np.arange(2),
+                             (1.0, 1.0, 1.0))
 
     def test_permute_rows_rejects_non_permutation(self):
         for perm in ([0, 0, 2], [0, 1], [0, 1, 2, 3], [0, 1, 3], [-1, 1, 2]):

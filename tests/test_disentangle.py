@@ -5,15 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import composed
 from composed import (composed_objective_case, gce_grad_identity_check,
-                      hsic_value)
+                      gce_rows, hsic_value)
 from cdgnn import autodiff as ad
 from cdgnn import disentangle
 from cdgnn.disentangle import (
     LOSS_TERMS,
     TwoBranchPass,
-    counterfactual_loss,
-    difficulty_weights,
     disentanglement_score,
     edge_score_logits,
     hsic,
@@ -37,22 +36,26 @@ def _probs_row(values):
     return ad.Tensor(np.asarray(values, dtype=np.float64).reshape(1, -1))
 
 
+difficulty_weights = ad._difficulty_weights
+
+
 class TestGce:
-    """ad.gce_rows, the per-sample GCE (1 - p_y^q) / q of total_loss."""
+    """The per-sample GCE (1 - p_y^q) / q of total_loss, as the chain that
+    ad.two_head_loss reproduces bit for bit."""
 
     def test_half_probability_hand_value(self):
-        out = ad.gce_rows(_probs_row([0.5, 0.5]), [0], 0.5)
+        out = gce_rows(_probs_row([0.5, 0.5]), [0], 0.5)
         np.testing.assert_allclose(out.data, 0.5857864376269049, rtol=1e-12)
 
     def test_q_one_is_one_minus_p(self):
-        out = ad.gce_rows(_probs_row([0.3, 0.7]), [1], 1.0)
+        out = gce_rows(_probs_row([0.3, 0.7]), [1], 1.0)
         np.testing.assert_allclose(out.data, 0.3, rtol=1e-12)
 
     def test_small_q_approaches_cross_entropy(self):
         q = 1e-3
         for p in (0.1, 0.3, 0.8):
             probs = _probs_row([p, 1.0 - p])
-            g = ad.gce_rows(probs, [0], q).item()
+            g = gce_rows(probs, [0], q).item()
             ce = ad.nll_rows(probs, [0]).item()
             assert abs(g - ce) <= q * np.log(p) ** 2
 
@@ -61,22 +64,19 @@ class TestGce:
         for _ in range(50):
             p = rng.uniform(1e-6, 1.0)
             q = rng.uniform(0.05, 1.0)
-            val = ad.gce_rows(_probs_row([p, 1.0 - p]), [0], q).item()
+            val = gce_rows(_probs_row([p, 1.0 - p]), [0], q).item()
             assert 0.0 <= val <= 1.0 / q + 1e-12
 
     def test_decreasing_in_correct_probability(self):
         grid = np.linspace(0.05, 0.95, 19)
-        vals = [ad.gce_rows(_probs_row([p, 1.0 - p]), [0], 0.7).item()
+        vals = [gce_rows(_probs_row([p, 1.0 - p]), [0], 0.7).item()
                 for p in grid]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_q_out_of_range_rejected(self):
-        """Refused by ad.gce_rows, so by both GCE terms of total_loss."""
-        probs = _probs_row([0.5, 0.5])
+        """Refused by ad.two_head_loss, so by total_loss."""
         fwd = _toy_pass(np.random.default_rng(0))
         for q in (0.0, -0.5, 1.5):
-            with pytest.raises(ValueError, match="q must be in"):
-                ad.gce_rows(probs, [0], q)
             with pytest.raises(ValueError, match="q must be in"):
                 total_loss(fwd, [0, 1, 0], q, (1.0, 1.0, 1.0, 1.0),
                            np.arange(3), np.arange(3))
@@ -157,19 +157,22 @@ def _toy_pass(rng, n=3, dim=2, classes=2):
                          head_causal=head_c, head_shortcut=head_s)
 
 
+def _head_values(fwd, y, q, perm):
+    """ad.two_head_loss's raw terms and mean cross-entropies on `fwd`."""
+    return ad.two_head_loss(fwd.joint, fwd.graph_causal, fwd.graph_shortcut,
+                            fwd.head_causal, fwd.head_shortcut, y, q, perm,
+                            (1.0, 1.0, 1.0))[1]
+
+
 class TestCounterfactualLoss:
+    """The counterfactual term loss_cf of ad.two_head_loss."""
+
     def test_identity_permutation_recovers_plain_terms(self):
         rng = np.random.default_rng(2)
         fwd = _toy_pass(rng)
-        y = np.array([0, 1, 0])
-        w = np.array([0.3, 0.9, 0.5])
-        plain_s = ad.mean(ad.gce_rows(
-            ad.softmax_head(fwd.joint, *fwd.head_shortcut), y, 0.7))
-        plain_c = _causal_term(
-            ad.softmax_head(fwd.joint, *fwd.head_causal), y, w)
-        cf = counterfactual_loss(fwd, y, 0.7, np.arange(3), w)
-        np.testing.assert_allclose(cf.item(),
-                                   plain_s.item() + plain_c.item(),
+        values = _head_values(fwd, np.array([0, 1, 0]), 0.7, np.arange(3))
+        np.testing.assert_allclose(values["loss_cf"],
+                                   values["loss_s"] + values["loss_c"],
                                    rtol=1e-12)
 
     def test_matches_numpy_oracle_under_shuffle(self):
@@ -177,37 +180,38 @@ class TestCounterfactualLoss:
         fwd = _toy_pass(rng)
         head_s, head_c = fwd.head_shortcut, fwd.head_causal
         y = np.array([0, 1, 1])
-        w = np.array([0.2, 0.7, 0.4])
         perm = np.array([2, 0, 1])
         q = 0.7
-        out = counterfactual_loss(fwd, y, q, perm, w)
+        out = _head_values(fwd, y, q, perm)["loss_cf"]
 
         def softmax(z):
             e = np.exp(z - z.max(axis=1, keepdims=True))
             return e / e.sum(axis=1, keepdims=True)
 
+        rows = np.arange(3)
+        joint = fwd.joint.data
+        ce_s = -np.log(softmax(joint @ head_s[0].data + head_s[1].data)[rows, y])
+        ce_c = -np.log(softmax(joint @ head_c[0].data + head_c[1].data)[rows, y])
+        w = ce_s / (ce_s + ce_c)
         h_ct = np.hstack([fwd.graph_causal.data,
                           fwd.graph_shortcut.data[perm]])
         p_s = softmax(h_ct @ head_s[0].data + head_s[1].data)
         p_c = softmax(h_ct @ head_c[0].data + head_c[1].data)
-        rows = np.arange(3)
         gce = (1.0 - p_s[rows, y[perm]] ** q) / q
         ce = -np.log(p_c[rows, y])
-        np.testing.assert_allclose(out.item(), np.mean(gce + w * ce),
-                                   rtol=1e-10)
+        np.testing.assert_allclose(out, np.mean(gce + w * ce), rtol=1e-10)
 
     def test_batch_of_one_rejected(self):
         rng = np.random.default_rng(4)
         fwd = _toy_pass(rng, n=1)
         with pytest.raises(ValueError, match="at least 2"):
-            counterfactual_loss(fwd, [0], 0.7, np.array([0]), [1.0])
+            _head_values(fwd, [0], 0.7, np.array([0]))
 
     def test_short_permutation_rejected(self):
         rng = np.random.default_rng(5)
         fwd = _toy_pass(rng)
         with pytest.raises(ValueError, match="cover"):
-            counterfactual_loss(fwd, [0, 1, 0], 0.7, np.array([1, 0]),
-                                [1.0, 1.0, 1.0])
+            _head_values(fwd, [0, 1, 0], 0.7, np.array([1, 0]))
 
 
 class TestMedianBandwidth:
@@ -295,16 +299,12 @@ class TestTotalLoss:
                           np.arange(3))
 
     def _terms(self):
-        """The four raw terms, composed one by one."""
+        """The four raw terms, from the composed chain of the head terms."""
         fwd = _toy_pass(np.random.default_rng(30))
-        probs_s = ad.softmax_head(fwd.joint, *fwd.head_shortcut)
-        probs_c = ad.softmax_head(fwd.joint, *fwd.head_causal)
-        weights = difficulty_weights(ad.nll_rows(probs_s.data, self.y).data,
-                                     ad.nll_rows(probs_c.data, self.y).data)
-        return (ad.mean(ad.gce_rows(probs_s, self.y, 0.7)).item(),
-                _causal_term(probs_c, self.y, weights).item(),
-                counterfactual_loss(fwd, self.y, 0.7, self.perm,
-                                    weights).item(),
+        _, values = composed.two_head_loss(
+            fwd.joint, fwd.graph_causal, fwd.graph_shortcut, fwd.head_causal,
+            fwd.head_shortcut, self.y, 0.7, self.perm, (1.0, 1.0, 1.0))
+        return (values["loss_s"], values["loss_c"], values["loss_cf"],
                 hsic(fwd.layers_causal[-1], fwd.layers_shortcut[-1]).item())
 
     def test_weighted_sum_hand_case(self):

@@ -17,8 +17,8 @@ from cdgnn import autodiff as ad
 from cdgnn import harness, models, synth
 from cdgnn.disentangle import hsic
 
-OPS = ("gcn_layer", "softmax_head", "mean_of_halves", "ego_readout",
-       "gce_rows", "nll_rows", "hsic_rbf")
+OPS = ("gcn_layer", "softmax_head", "edge_scorer", "ego_readout",
+       "nll_rows", "two_head_loss", "hsic_rbf")
 
 
 def _run(op, values, tracked, rng_seed):
@@ -90,13 +90,28 @@ class TestBitwiseAgainstComposedChain:
                     lambda lv: composed.softmax_head(lv["x"], lv["w"], lv["b"]),
                     values, tracked)
 
-    @pytest.mark.parametrize("half", [1, 2, 13])
-    def test_mean_of_halves(self, half):
+    @pytest.mark.parametrize("num_edges", [0, 1, 2, 13])
+    def test_edge_scorer(self, num_edges):
+        """Both MLP layers, the relu and the mean of halves, with every
+        grad pattern; relu inputs at exactly 0 included."""
         rng = np.random.default_rng(9)
         for _ in range(10):
-            _assert_bitwise(lambda lv: ad.mean_of_halves(lv["a"]),
-                            lambda lv: composed.mean_of_halves(lv["a"]),
-                            {"a": rng.normal(size=(2 * half, 1))}, {"a"})
+            x = rng.normal(size=(7, 3))
+            x[0] = 0.0
+            edges = rng.integers(0, 7, size=(num_edges, 2))
+            edges[:1] = 0  # a zero pair row: relu input b1 exactly
+            values = {"w1": rng.normal(size=(6, 5)), "b1": rng.normal(size=(1, 5)),
+                      "w2": rng.normal(size=(5, 1)), "b2": rng.normal(size=(1, 1))}
+            values["b1"][0, 0] = 0.0
+
+            def op(impl):
+                return lambda lv: impl(edges, x, lv["w1"], lv["b1"], lv["w2"],
+                                       lv["b2"])
+
+            for tracked in ({"w1", "b1", "w2", "b2"}, {"w2", "b2"}, {"w1"}):
+                _assert_bitwise(op(ad.edge_scorer), op(composed.edge_scorer),
+                                values, tracked)
+        assert not ad.edge_scorer(np.zeros((0, 2)), x, *values.values()).requires_grad
 
     @pytest.mark.parametrize("sizes", [[1, 1], [3, 1, 4, 2], [5, 2]])
     def test_ego_readout(self, sizes):
@@ -114,7 +129,7 @@ class TestBitwiseAgainstComposedChain:
                     values, tracked)
 
     @pytest.mark.parametrize("batch", [2, 9])
-    def test_gce_and_nll_rows(self, batch):
+    def test_nll_rows(self, batch):
         rng = np.random.default_rng(11)
         for _ in range(10):
             logits = rng.normal(size=(batch, 4)) * 4
@@ -123,10 +138,6 @@ class TestBitwiseAgainstComposedChain:
             y = rng.integers(0, 4, size=batch)
             y[0] = 0
             weights = rng.uniform(0.0, 1.0, size=batch)
-            for q in (0.3, 0.7, 1.0):
-                _assert_bitwise(lambda lv: ad.gce_rows(lv["p"], y, q),
-                                lambda lv: composed.gce_rows(lv["p"], y, q),
-                                {"p": probs}, {"p"})
             for w in (weights, None):
                 _assert_bitwise(lambda lv: ad.nll_rows(lv["p"], y, w),
                                 lambda lv: composed.nll_rows(lv["p"], y, w),
@@ -184,6 +195,104 @@ class TestBitwiseAgainstComposedChain:
         _assert_bitwise(lambda lv: ad.hsic_rbf(lv["x"], lv["x"], 1.3, 0.7),
                         lambda lv: composed.hsic_rbf(lv["x"], lv["x"], 1.3, 0.7),
                         values, {"x"})
+
+
+# Every ablation pattern of the three head terms, at unit weights and at
+# weights that take multiply nodes, as RunConfig.coefficients gives them.
+HEAD_COEFFICIENTS = [
+    tuple(weight if on else 0.0 for weight, on in zip(base, mask))
+    for base in ((1.0, 1.0, 1.0), (1.0, 1.0, 10.0), (0.5, 3.0, 10.0))
+    for mask in ((1, 1, 1), (0, 1, 1), (1, 0, 1), (1, 1, 0), (1, 0, 0),
+                 (0, 1, 0), (0, 0, 1))]
+
+
+def _head_case(rng, batch, classes=3, width=4):
+    """Graph embeddings, heads and labels of one batch; the first row is a
+    confident miss, so its picked probabilities fall under the log clamp."""
+    values = {"h_c": rng.normal(size=(batch, width)),
+              "h_s": rng.normal(size=(batch, width)),
+              "joint": rng.normal(size=(batch, 2 * width)),
+              "w_c": rng.normal(size=(2 * width, classes)) * 2,
+              "b_c": rng.normal(size=(1, classes)),
+              "w_s": rng.normal(size=(2 * width, classes)) * 2,
+              "b_s": rng.normal(size=(1, classes))}
+    values["h_c"][0] = values["h_s"][0] = values["joint"][0] = 40.0
+    y = rng.integers(0, classes, size=batch)
+    y[0] = int(np.argmin(values["joint"][0] @ values["w_s"]))
+    return values, y
+
+
+def _head_op(impl, y, q, perm, coefficients, joined):
+    """impl's weighed head terms; with `joined`, joint is concat_cols of
+    the two graph embeddings, as in training, else a leaf of its own."""
+    def op(lv):
+        joint = ad.concat_cols(lv["h_c"], lv["h_s"]) if joined else lv["joint"]
+        return impl(joint, lv["h_c"], lv["h_s"], (lv["w_c"], lv["b_c"]),
+                    (lv["w_s"], lv["b_s"]), y, q, perm, coefficients)
+    return op
+
+
+class TestTwoHeadLoss:
+    """ad.two_head_loss against the chain total_loss built before it."""
+
+    @pytest.mark.parametrize("batch", [2, 3, 16, 17])
+    def test_value_breakdown_and_adjoints_are_the_chains(self, batch):
+        rng = np.random.default_rng(90 + batch)
+        for q in (0.3, 0.7, 1.0):
+            values, y = _head_case(rng, batch)
+            perm = rng.permutation(batch)
+            for coefficients in HEAD_COEFFICIENTS:
+                for joined in (True, False):
+                    fused = _head_op(ad.two_head_loss, y, q, perm, coefficients, joined)
+                    chain = _head_op(composed.two_head_loss, y, q, perm,
+                                     coefficients, joined)
+                    got, want = fused(ad.leaves(values))[1], chain(ad.leaves(values))[1]
+                    assert got == want
+                    tracked = set(values) - ({"joint"} if joined else set())
+                    _assert_bitwise(lambda lv: fused(lv)[0], lambda lv: chain(lv)[0],
+                                    values, tracked)
+
+    def test_frozen_heads_and_embeddings(self):
+        """Adjoints reach only the inputs that carry a gradient."""
+        rng = np.random.default_rng(95)
+        values, y = _head_case(rng, 5)
+        perm = rng.permutation(5)
+        for tracked in ({"h_c", "h_s"}, {"w_c", "b_c"}, {"joint", "w_s"}):
+            for joined in (True, False):
+                _assert_bitwise(
+                    lambda lv: _head_op(ad.two_head_loss, y, 0.7, perm,
+                                        (1.0, 1.0, 10.0), joined)(lv)[0],
+                    lambda lv: _head_op(composed.two_head_loss, y, 0.7, perm,
+                                        (1.0, 1.0, 10.0), joined)(lv)[0],
+                    values, tracked)
+
+    def test_all_ablated_records_no_node(self):
+        rng = np.random.default_rng(96)
+        values, y = _head_case(rng, 4)
+        perm = rng.permutation(4)
+        leaves = ad.leaves(values)
+        before = next(ad._clock)
+        node, got = _head_op(ad.two_head_loss, y, 0.7, perm, (0.0, 0.0, 0.0),
+                             False)(leaves)
+        assert node is None and next(ad._clock) == before + 1
+        _, want = _head_op(composed.two_head_loss, y, 0.7, perm,
+                           (1.0, 1.0, 1.0), False)(ad.leaves(values))
+        assert got == want
+
+    def test_untracked_inputs_record_nothing(self):
+        rng = np.random.default_rng(97)
+        values, y = _head_case(rng, 3)
+        node, _ = _head_op(ad.two_head_loss, y, 0.7, np.arange(3),
+                           (1.0, 1.0, 1.0), False)(values)
+        assert not node.requires_grad and node._backward is None
+
+    @pytest.mark.parametrize("perm, match", [
+        ([0, 0, 1], "permutation"), ([0, 1], "cover"), ([0, 1, 3], "permutation")])
+    def test_bad_permutation_rejected(self, perm, match):
+        values, y = _head_case(np.random.default_rng(98), 3)
+        with pytest.raises(ValueError, match=match):
+            _head_op(ad.two_head_loss, y, 0.7, np.array(perm), (1.0, 1.0, 1.0),
+                     False)(values)
 
 
 def _assert_propagation_bitwise(edges, n, width, rng):
@@ -280,10 +389,6 @@ class TestFusedOpGuards:
                               np.zeros((1, 3)))
         assert not out.requires_grad
         assert out._parents is None and out._backward is None
-
-    def test_odd_row_count_rejected(self):
-        with pytest.raises(ValueError, match="even"):
-            ad.mean_of_halves(np.ones((3, 1)))
 
     def test_hsic_rows_must_match(self):
         with pytest.raises(ValueError, match="rows"):
@@ -397,6 +502,59 @@ def test_one_training_batch_records_at_most_46_nodes(monkeypatch):
     _train_one_batch()
     assert len(sizes) == 1
     assert 0 < sizes[0] <= 46, sizes
+
+
+def _recorded(run):
+    """Nodes recorded while `run()` runs: the creation clock's advance."""
+    before = next(ad._clock)
+    run()
+    return next(ad._clock) - before - 1
+
+
+def test_one_training_batch_records_at_most_18_nodes():
+    """The fused edge scorer and head terms keep a CD-GNN batch of the
+    benchmark's shape to at most 18 recorded nodes (39 when the scorer
+    and the heads were chains of elementary nodes)."""
+    assert 0 < _recorded(_train_one_batch) <= 18
+
+
+def test_one_gcn_baseline_step_records_8_nodes():
+    """The GCN baseline's step keeps its softmax head, nll_rows and mean:
+    fusing the CD-GNN head leaves its node count as it was."""
+    g, _ = synth.preset("tree_cycles", seed=0)
+    config = harness.RunConfig(learning_rate=0.02, hidden=16, dropout=0.0,
+                               layers=2, epochs=1, patience=1, batch_size=32)
+    sp = harness.split_nodes(g.num_nodes, seed=0)
+    assert _recorded(lambda: harness.train_gcn_baseline(
+        g, config, 0, sp.train, sp.val)) == 8
+
+
+def _bits_equal(got, want):
+    np.testing.assert_array_equal(_bits(np.atleast_1d(got)),
+                                  _bits(np.atleast_1d(want)))
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 7, 8, 9, 16, 17, 100, 127, 128,
+                                  129, 255, 256, 257, 300])
+def test_reduce_mean_is_ndarray_mean(rows):
+    """ad._mean gives the bits of ndarray.mean on every axis the tape
+    averages over: whole (B, 1) columns and flat vectors, and the rows,
+    columns and whole of square grams, with ±0.0, ±inf and NaN among
+    the entries."""
+    rng = np.random.default_rng(rows)
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+    draws = [rng.normal(size=(rows, rows)) * 10.0 ** rng.integers(-3, 4),
+             np.full((rows, rows), -0.0),
+             np.where(rng.random((rows, rows)) < 0.1,
+                      rng.choice(specials, size=(rows, rows)),
+                      rng.normal(size=(rows, rows)))]
+    with np.errstate(invalid="ignore"):
+        for x in draws:
+            for arr in (x, x[:, :1].copy(), x[0].copy(), x[:, :3].copy()):
+                _bits_equal(ad._mean(arr, None, False), arr.mean())
+            for axis in (0, 1):
+                _bits_equal(ad._mean(x, axis, True),
+                            x.mean(axis=axis, keepdims=True))
 
 
 def _old_softmax_rows(logits):

@@ -19,7 +19,7 @@ from cdgnn.gains import (
     theory_check_grid,
 )
 from cdgnn.graphs import Graph
-from cdgnn.disentangle import init_cdgnn_params
+from cdgnn.disentangle import init_cdgnn_params, score_edges
 from cdgnn.harness import INDEPENDENCE_THRESHOLD, assumption_audit
 from cdgnn.models import init_gcn_weights, init_head_params
 
@@ -251,6 +251,23 @@ class TestImprovementCheck:
         expected = (report.one_layer_after / report.one_layer_before) ** 3
         np.testing.assert_allclose(report.cumulative_ratio, expected)
         assert report.cumulative_ratio > 1.0
+
+    def test_depth_below_one_rejected_whatever_the_gains(self):
+        """A pair with positive gains and one whose baseline gain is
+        negative (so no cumulative ratio is formed) refuse depth 0 alike."""
+        positive = _improvement_pair()
+        negative = (GainParams(degree=3, total_edge_weight=3,
+                               cross_class_ratio=3, subgraph_share=0.6,
+                               subgraph_homophily=0.0, rest_homophily=0.9),
+                    GainParams(degree=3, total_edge_weight=3,
+                               cross_class_ratio=0, subgraph_share=0.0,
+                               subgraph_homophily=0.0, rest_homophily=0.9))
+        assert negative[0].gain < 0 < negative[1].gain
+        for base, causal in (positive, negative):
+            for depth in (0, -1):
+                with pytest.raises(ValueError, match="depth must be at least 1"):
+                    gain_improvement_check(base, causal, gap=0.5,
+                                           estimate_error=0.05, depth=depth)
 
     def test_negative_gap_rejected(self):
         base, causal = _improvement_pair()
@@ -654,6 +671,24 @@ class TestAssumptionAudit:
             assumption_audit(g, gcn, hops=2)
         with pytest.raises(ValueError, match="takes 6 features and 3 classes"):
             assumption_audit(g, _audit_params(rng, 6, classes=3), hops=2)
+
+    def test_dominance_counts_each_graph_edge_once(self):
+        """Two overlapping 2-hop egos on a path share the edges around
+        them; each edge of the graph enters the share once, whatever the
+        number of ego copies."""
+        rng = np.random.default_rng(29)
+        g = Graph(6, np.array([(i, i + 1) for i in range(5)]),
+                  rng.normal(size=(6, 6)), rng.integers(0, 2, size=6), 2)
+        params = _audit_params(rng, 6)
+        params["mask.w2"] = rng.normal(size=params["mask.w2"].shape) * 3
+        nodes = np.array([2, 3])
+        report = assumption_audit(g, params, hops=2, nodes=nodes, seed=0)
+        used = np.array([(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
+        mask = 1.0 / (1.0 + np.exp(-score_edges(params, g.features, used)))
+        assert (mask < 0.5).any() and (mask > 0.5).any()
+        np.testing.assert_allclose(report.dominance_share,
+                                   mask[mask < 0.5].sum() / mask.sum(),
+                                   rtol=1e-12)
 
     def test_too_few_nodes_rejected(self):
         g = _ring_graph(seed=25)
