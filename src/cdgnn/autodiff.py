@@ -22,13 +22,14 @@ the chain of elementary primitives it replaces would perform, so results
 are bitwise those of the composed chain. edge_scorer is the CD-GNN mask's
 whole MLP, and two_head_loss three terms of its objective with both heads,
 so that a training batch records few nodes: on batches this small each
-node costs more in bookkeeping than in arithmetic. hsic_rbf also takes
-its own row sample, in place of two take_rows nodes. The means of small
-arrays skip ndarray.mean's dispatch for the same sum and division (_mean).
-softmax_head takes each row's max a column at a time, and the adjoint of a
-row gather with no repeated index writes the rows into zeros; both give the
-bits of the reduce and of the CSR row sum they replace (NaN signs aside,
-see _softmax_rows).
+node costs more in bookkeeping than in arithmetic. softmax_head and the
+four heads of two_head_loss share one forward and one adjoint. hsic_rbf
+takes its own row sample, in place of two take_rows nodes. The means of
+small arrays skip ndarray.mean's dispatch for the same sum and division
+(_mean). A softmax takes each row's max a column at a time, and the
+adjoint of a row gather with no repeated index writes the rows into
+zeros; both give the bits of the reduce and of the CSR row sum they
+replace (NaN signs aside, see _softmax_rows).
 
 An AdamState holds one run's parameters in one flat buffer, as named views
 (the table the model reads), with both moments and the per-entry learning
@@ -330,17 +331,26 @@ def _segment_means(x: np.ndarray, seg: np.ndarray,
     return sums / counts[:, None], counts
 
 
+def _permutation(perm, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """`perm` as a checked permutation of `rows` row indices, and its
+    inverse."""
+    p = np.asarray(perm, dtype=np.int64).reshape(-1)
+    if p.shape[0] != rows:
+        raise ValueError(f"perm must cover the {rows} rows, got {p.shape[0]}")
+    if not np.array_equal(np.sort(p), np.arange(rows)):
+        raise ValueError("perm must be a permutation of the row indices")
+    inverse = np.empty_like(p)
+    inverse[p] = np.arange(rows)
+    return p, inverse
+
+
 def permute_rows(a, perm) -> Tensor:
     a = _coerce(a)
-    p = np.asarray(perm, dtype=np.int64).reshape(-1)
-    if not np.array_equal(np.sort(p), np.arange(a.data.shape[0])):
-        raise ValueError("perm must be a permutation of the row indices")
-    data = a.data[p].copy()
-    inv = np.empty_like(p)
-    inv[p] = np.arange(p.shape[0])
+    p, inverse = _permutation(perm, a.data.shape[0])
+    data = a.data[p]
 
     def backward(g: np.ndarray) -> None:
-        a._accumulate(g[inv])
+        a._accumulate(g[inverse])
 
     return _make(data, (a,), backward)
 
@@ -501,30 +511,29 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _softmax_logit_adjoint(probs: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Adjoint of the logits of softmax rows `probs` for their adjoint g."""
-    dot = (g * probs).sum(axis=1, keepdims=True)
-    return probs * (g - dot)
+def _head(x: np.ndarray, weight: Tensor, bias: Tensor) -> np.ndarray:
+    """The class distribution rows softmax(x @ weight + bias) of a head."""
+    return _softmax_rows(x @ weight.data + bias.data)
 
 
-def _affine_backward(gl: np.ndarray, x: np.ndarray, weight: Tensor,
-                     bias: Tensor) -> None:
-    """Accumulate the adjoint gl of x @ weight + bias into weight, then into
-    bias (which, with one row, takes gl itself)."""
+def _head_adjoint(g: np.ndarray, probs: np.ndarray, x: np.ndarray,
+                  weight: Tensor, bias: Tensor) -> np.ndarray:
+    """Adjoint of a head's rows `probs` = _head(x, weight, bias) for their
+    adjoint g, accumulated into weight, then bias; returns x's adjoint."""
+    gl = probs * (g - (g * probs).sum(axis=1, keepdims=True))
     weight._accumulate(x.T @ gl)
     bias._accumulate(_unbroadcast(gl, bias.data.shape))
+    return gl @ weight.data.T
 
 
 def softmax_head(x, weight, bias) -> Tensor:
     """Class distribution rows softmax(x @ weight + bias) as one node; the
     softmax subtracts each row's max first."""
     x, weight, bias = _coerce(x), _coerce(weight), _coerce(bias)
-    data = _softmax_rows(x.data @ weight.data + bias.data)
+    data = _head(x.data, weight, bias)
 
     def backward(g: np.ndarray) -> None:
-        gl = _softmax_logit_adjoint(data, g)
-        x._accumulate(gl @ weight.data.T)
-        _affine_backward(gl, x.data, weight, bias)
+        x._accumulate(_head_adjoint(g, data, x.data, weight, bias))
 
     return _make(data, (x, weight, bias), backward)
 
@@ -621,42 +630,28 @@ def _gce_adjoint(g: np.ndarray, clamped: np.ndarray, powered: np.ndarray,
     return gm * q / clamped
 
 
-def nll_rows(probs, labels, weights=None) -> Tensor:
-    """Per-row cross-entropy 0 - log p_y, times a (B, 1) array of constant
-    `weights` when given; the log is clamped below at 1e-12."""
+def nll_rows(probs, labels) -> Tensor:
+    """Per-row cross-entropy 0 - log p_y; the log is clamped below at 1e-12."""
     probs = _coerce(probs)
     y = _labels(labels, *probs.data.shape)
     rows = np.arange(y.shape[0])
     clamped = _picked(probs.data, rows, y)
-    w = None if weights is None else np.asarray(weights, dtype=np.float64).reshape(-1, 1)
-    if w is not None and w.shape[0] != rows.shape[0]:
-        raise ValueError("one weight per sample required")
     data = 0.0 - np.log(clamped)
-    if w is not None:
-        data = data * w
 
     def backward(g: np.ndarray) -> None:
-        gce = g if w is None else g * w
-        probs._accumulate(_picked_adjoint(probs.data, rows, y, -gce / clamped))
+        probs._accumulate(_picked_adjoint(probs.data, rows, y, -g / clamped))
 
     return _make(data, (probs,), backward)
 
 
-# Relative difficulties whose denominator is at most this resolve to 0.5.
-_CE_EPS = 1e-12
-
-
 def _difficulty_weights(ce_shortcut: np.ndarray,
                         ce_causal: np.ndarray) -> np.ndarray:
-    """Relative difficulty W = CE_s / (CE_s + CE_c), 0/0 resolved to 0.5,
-    of detached per-sample cross-entropies: a stop-gradient quantity."""
-    s = np.asarray(ce_shortcut, dtype=np.float64).reshape(-1)
-    c = np.asarray(ce_causal, dtype=np.float64).reshape(-1)
-    if (s < 0).any() or (c < 0).any():
-        raise ValueError("cross-entropy values must be nonnegative")
-    denom = s + c
-    return np.divide(s, denom, out=np.full(s.shape, 0.5),
-                     where=denom > _CE_EPS)
+    """Relative difficulty W = CE_s / (CE_s + CE_c) of detached per-sample
+    cross-entropies (float arrays of one shape), a stop-gradient quantity;
+    a denominator of at most 1e-12 (0/0 among them) resolves to 0.5."""
+    denom = ce_shortcut + ce_causal
+    return np.divide(ce_shortcut, denom, out=np.full(denom.shape, 0.5),
+                     where=denom > 1e-12)
 
 
 def two_head_loss(joint, graph_causal, graph_shortcut, head_causal,
@@ -674,10 +669,10 @@ def two_head_loss(joint, graph_causal, graph_shortcut, head_causal,
       head, y), both heads reading [graph_causal ; graph_shortcut[perm]];
       it needs a batch of at least 2 and a permutation `perm` of it.
     Logs are clamped below at 1e-12. The node is the sum, left to right,
-    of each term times its entry of the three `coefficients`, a term
-    weighed 1 entering as it is and one weighed 0 not at all; with all
-    three 0 there is no node (None). The dict holds the three raw terms
-    and the mean ce_s and ce_c.
+    of each term times its entry of the three `coefficients` (x * 1.0 is
+    x, so a term weighed 1 has the bits of the term itself), a term
+    weighed 0 entering not at all; with all three 0 there is no node
+    (None). The dict holds the three raw terms and the mean ce_s and ce_c.
 
     The value and every adjoint are the bits of the chain of softmax_head,
     GCE and nll_rows, mean, concat_cols, permute_rows, multiply and add
@@ -694,28 +689,24 @@ def two_head_loss(joint, graph_causal, graph_shortcut, head_causal,
     y = _labels(labels, joint.data.shape[0], w_s.data.shape[1])
     if n < 2:
         raise ValueError("counterfactual loss needs a batch of at least 2")
-    perm = np.asarray(perm, dtype=np.int64).reshape(-1)
-    if perm.shape[0] != n:
-        raise ValueError("perm must cover the batch")
-    if not np.array_equal(np.sort(perm), np.arange(h_s.data.shape[0])):
-        raise ValueError("perm must be a permutation of the row indices")
+    perm, inverse = _permutation(perm, n)
     qa, inv_q = _as_matrix(q), _as_matrix(1.0 / q)
     rows = np.arange(n)
     y_perm = y[perm]
 
-    probs_s = _softmax_rows(joint.data @ w_s.data + b_s.data)
-    probs_c = _softmax_rows(joint.data @ w_c.data + b_c.data)
+    probs_s = _head(joint.data, w_s, b_s)
+    probs_c = _head(joint.data, w_c, b_c)
     picked_s = _picked(probs_s, rows, y)
     picked_c = _picked(probs_c, rows, y)
     gce_s, powered_s = _gce(picked_s, qa, inv_q)
     ce_s = 0.0 - np.log(picked_s)
     ce_c = 0.0 - np.log(picked_c)
-    weights = _difficulty_weights(ce_s, ce_c).reshape(-1, 1)
+    weights = _difficulty_weights(ce_s, ce_c)
     causal = ce_c * weights
 
     swapped = np.hstack([h_c.data, h_s.data[perm]])
-    probs_sx = _softmax_rows(swapped @ w_s.data + b_s.data)
-    probs_cx = _softmax_rows(swapped @ w_c.data + b_c.data)
+    probs_sx = _head(swapped, w_s, b_s)
+    probs_cx = _head(swapped, w_c, b_c)
     picked_sx = _picked(probs_sx, rows, y_perm)
     picked_cx = _picked(probs_cx, rows, y)
     gce_sx, powered_sx = _gce(picked_sx, qa, inv_q)
@@ -731,46 +722,37 @@ def two_head_loss(joint, graph_causal, graph_shortcut, head_causal,
     data = None
     for term, scale in zip(terms, scales):
         if scale is not None:
-            piece = term if scale[0, 0] == 1.0 else term * scale
-            data = piece if data is None else data + piece
+            data = term * scale if data is None else data + term * scale
     if data is None:
         return None, values
-    split = h_c.data.shape[1]
-    inverse = np.empty_like(perm)
-    inverse[perm] = rows
 
-    def mean_adjoint(g: np.ndarray, scale: np.ndarray) -> np.ndarray:
-        """Adjoint of the per-row values under a term weighed by scale."""
-        gt = g if scale[0, 0] == 1.0 else g * scale
-        return np.full((n, 1), gt[0, 0] / n)
+    def head_adjoint(probs, labels, gp, x, weight, bias):
+        """_head_adjoint for the adjoint column gp of the picked entries."""
+        return _head_adjoint(_picked_adjoint(probs, rows, labels, gp), probs,
+                             x, weight, bias)
 
     def backward(g: np.ndarray) -> None:
-        scale_s, scale_c, scale_cf = scales
-        if scale_cf is not None:
-            gr = mean_adjoint(g, scale_cf)
-            gl_c = _softmax_logit_adjoint(probs_cx, _picked_adjoint(
-                probs_cx, rows, y, -(gr * weights) / picked_cx))
-            gl_s = _softmax_logit_adjoint(probs_sx, _picked_adjoint(
-                probs_sx, rows, y_perm,
-                _gce_adjoint(gr, picked_sx, powered_sx, qa, inv_q)))
-            g_swapped = gl_c @ w_c.data.T
-            _affine_backward(gl_c, swapped, w_c, b_c)
-            g_swapped += gl_s @ w_s.data.T
-            _affine_backward(gl_s, swapped, w_s, b_s)
+        # the adjoint of each weighed term's per-row values, via its mean
+        gs, gc, gcf = (None if scale is None
+                       else np.full((n, 1), (g * scale)[0, 0] / n)
+                       for scale in scales)
+        if gcf is not None:
+            g_swapped = head_adjoint(probs_cx, y, -(gcf * weights) / picked_cx,
+                                     swapped, w_c, b_c)
+            g_swapped += head_adjoint(
+                probs_sx, y_perm,
+                _gce_adjoint(gcf, picked_sx, powered_sx, qa, inv_q),
+                swapped, w_s, b_s)
+            split = h_c.data.shape[1]
             h_c._accumulate(g_swapped[:, :split].copy())
             h_s._accumulate(g_swapped[:, split:][inverse])
-        if scale_c is not None:
-            gl_c = _softmax_logit_adjoint(probs_c, _picked_adjoint(
-                probs_c, rows, y,
-                -(mean_adjoint(g, scale_c) * weights) / picked_c))
-            joint._accumulate(gl_c @ w_c.data.T)
-            _affine_backward(gl_c, joint.data, w_c, b_c)
-        if scale_s is not None:
-            gl_s = _softmax_logit_adjoint(probs_s, _picked_adjoint(
-                probs_s, rows, y, _gce_adjoint(mean_adjoint(g, scale_s),
-                                               picked_s, powered_s, qa, inv_q)))
-            joint._accumulate(gl_s @ w_s.data.T)
-            _affine_backward(gl_s, joint.data, w_s, b_s)
+        if gc is not None:
+            joint._accumulate(head_adjoint(
+                probs_c, y, -(gc * weights) / picked_c, joint.data, w_c, b_c))
+        if gs is not None:
+            joint._accumulate(head_adjoint(
+                probs_s, y, _gce_adjoint(gs, picked_s, powered_s, qa, inv_q),
+                joint.data, w_s, b_s))
 
     return _make(data, (joint, h_c, h_s, w_c, b_c, w_s, b_s), backward), values
 

@@ -274,9 +274,16 @@ def _cmd_audit(args) -> int:
           f"{'ok' if report.independence_ok else 'VIOLATED'}")
     print(f"counterfactual sensitivity {report.sensitivity:.6f} "
           f"{'ok' if report.sensitivity_ok else 'VIOLATED'}")
-    ratios = ", ".join(f"{r:.4f}" for r in report.cross_class_ratios)
+    ratios = ", ".join("undefined" if np.isnan(r) else f"{r:.4f}"
+                       for r in report.cross_class_ratios)
     print(f"shortcut dominance share {report.dominance_share:.4f} "
           f"{'ok' if report.dominance_ok else 'VIOLATED'}")
+    live_c, live_s = report.live_units
+    distinct_c, distinct_s = report.distinct_embeddings
+    print(f"branch liveness: live units by layer causal {live_c}, "
+          f"shortcut {live_s}; distinct graph embeddings causal "
+          f"{distinct_c}, shortcut {distinct_s} "
+          f"{'ok' if report.liveness_ok else 'VIOLATED'}")
     print(f"cross-class ratio by layer  [{ratios}]")
     print("assumptions hold" if report.passed else "assumptions violated")
     return 0 if report.passed else 1

@@ -2,16 +2,18 @@
 
 A single learned scorer drives both branches: each edge gets a logit from a
 two-layer MLP on the concatenated endpoint input features (symmetrized by
-averaging both endpoint orders), and a shared logit vector masks feature
-columns. sigmoid(logit) weights the causal branch; the complement weights the
-shortcut branch, so the two masked weight tables tile the unmasked graph.
+averaging both endpoint orders; one ad.edge_scorer node, which
+two_branch_forward and score_edges call), and a shared logit vector masks
+feature columns. sigmoid(logit) weights the causal branch; the complement
+weights the shortcut branch, so the two masked weight tables tile the
+unmasked graph.
 
 total_loss, the whole objective of one two_branch_forward: a generalized
 cross-entropy (GCE) term that lets the shortcut branch latch onto easy
 signal, a difficulty-weighted cross-entropy for the causal branch, a
 counterfactual term that swaps shortcut embeddings across the batch (the
 three of them one ad.two_head_loss node), and an HSIC penalty driving the
-branch embeddings independent.
+branch embeddings independent, each times its coefficient.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from .models import (EgoBatch, gcn_forward, glorot, init_gcn_weights,
 __all__ = [
     "init_mask_params",
     "init_cdgnn_params",
-    "edge_score_logits",
     "TwoBranchPass",
     "two_branch_forward",
     "median_bandwidth",
@@ -76,15 +77,6 @@ def init_cdgnn_params(rng: np.random.Generator, feat_dim: int, hidden: int,
     return params
 
 
-def edge_score_logits(e: np.ndarray, x: np.ndarray,
-                      params: dict) -> ad.Tensor:
-    """Symmetric logits of edges `e` (rows u, v into `x`): the mean of
-    scorer(x_u||x_v) and scorer(x_v||x_u), as one ad.edge_scorer node of
-    the `mask.*` entries of `params` (leaves or plain arrays)."""
-    return ad.edge_scorer(e, x, params["mask.w1"], params["mask.b1"],
-                          params["mask.w2"], params["mask.b2"])
-
-
 @dataclass
 class TwoBranchPass:
     """One forward of the two-branch model on one batch.
@@ -108,6 +100,10 @@ class TwoBranchPass:
     head_shortcut: tuple
 
 
+# The edge scorer's MLP parameters, in ad.edge_scorer's order.
+_SCORER_KEYS = ("mask.w1", "mask.b1", "mask.w2", "mask.b2")
+
+
 def two_branch_forward(batch: EgoBatch, leaves: dict,
                        dropout_rate: float = 0.0,
                        rng: np.random.Generator | None = None) -> TwoBranchPass:
@@ -115,8 +111,8 @@ def two_branch_forward(batch: EgoBatch, leaves: dict,
     init_cdgnn_params entry, as ad.leaves to train or as plain arrays to
     infer (which records nothing). Backward sums each gradient in reverse
     creation order, so the op order below is fixed."""
-    edge = ad.sigmoid(edge_score_logits(batch.endpoints, batch.features,
-                                        leaves))
+    edge = ad.sigmoid(ad.edge_scorer(batch.endpoints, batch.features,
+                                     *(leaves[k] for k in _SCORER_KEYS)))
     feat = ad.sigmoid(leaves["mask.feat"])
     edge_shortcut = ad.subtract(1.0, edge)
     feat_shortcut = ad.subtract(1.0, feat)
@@ -218,33 +214,35 @@ def total_loss(fwd: TwoBranchPass, labels, q: float,
     branches' last-layer node embeddings at `rows`. `coefficients` weigh
     them (RunConfig.coefficients): a term weighed 0 (ablated, or a zero
     lambda) leaves the objective, but every term's raw value is still
-    reported, so ablated runs stay comparable, beside the total and the
-    mean detached cross-entropies ce_s and ce_c.
+    reported, so ablated runs stay comparable, beside the mean detached
+    cross-entropies ce_s and ce_c.
     """
-    heads, values = ad.two_head_loss(
+    total, values = ad.two_head_loss(
         fwd.joint, fwd.graph_causal, fwd.graph_shortcut, fwd.head_causal,
         fwd.head_shortcut, labels, q, perm, coefficients[:3])
     independence = hsic(fwd.layers_causal[-1], fwd.layers_shortcut[-1], rows)
-    weight = coefficients[3]
-    pieces = [] if heads is None else [heads]
-    if weight != 0.0:
-        pieces.append(independence if weight == 1.0
-                      else ad.multiply(independence, weight))
-    if not pieces:
+    if coefficients[3] != 0.0:
+        weighed = ad.multiply(independence, coefficients[3])
+        total = weighed if total is None else ad.add(total, weighed)
+    if total is None:
         raise ValueError("all loss terms ablated")
-    total = functools.reduce(ad.add, pieces)
     breakdown = {name: values[name] for name in LOSS_TERMS[:3]}
-    breakdown.update(loss_hsic=independence.item(), total=total.item(),
-                     ce_s=values["ce_s"], ce_c=values["ce_c"])
+    breakdown.update(loss_hsic=independence.item(), ce_s=values["ce_s"],
+                     ce_c=values["ce_c"])
     return total, breakdown
 
 
 def score_edges(mask_params: dict[str, np.ndarray], features: np.ndarray,
                 edges: np.ndarray) -> np.ndarray:
-    """edge_score_logits on plain arrays, as a flat vector."""
-    return edge_score_logits(np.asarray(edges, dtype=np.int64).reshape(-1, 2),
-                             np.asarray(features, dtype=np.float64),
-                             mask_params).data[:, 0]
+    """The edge scorer's symmetric logits of `edges` (rows u, v into
+    `features`) from plain `mask.*` arrays, as a flat vector. An endpoint
+    outside the feature rows is refused (ad.edge_scorer checks none)."""
+    x = np.asarray(features, dtype=np.float64)
+    e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    if e.size and (e.min() < 0 or e.max() >= x.shape[0]):
+        raise ValueError(f"edge endpoint outside [0, {x.shape[0]})")
+    logits = ad.edge_scorer(e, x, *(mask_params[k] for k in _SCORER_KEYS))
+    return logits.data[:, 0]
 
 
 def disentanglement_score(mask_params: dict[str, np.ndarray], g: Graph,

@@ -130,9 +130,9 @@ class RunConfig:
             raise ValueError(f"ego_hops must be >= 1, got {self.ego_hops}")
         if self.hsic_max_rows < 2:
             raise ValueError(f"hsic_max_rows must be >= 2, got {self.hsic_max_rows}")
-        if (self.no_shortcut_term and self.no_causal_term
-                and self.no_counterfactual_term and self.no_independence_term):
-            raise ValueError("all loss terms ablated; nothing to optimize")
+        if not any(self.coefficients):
+            raise ValueError("all loss terms ablated or weighed 0; "
+                             "nothing to optimize")
 
 
 @dataclass(frozen=True)
@@ -307,8 +307,7 @@ def train_cdgnn(g: Graph, config: RunConfig, seed: int,
             ad.adam_step(state, ad.gradients(total, leaves),
                          config.weight_decay)
             for key, value in breakdown.items():
-                if key != "total":
-                    sums[key] = sums.get(key, 0.0) + value * batch.num_graphs
+                sums[key] = sums.get(key, 0.0) + value * batch.num_graphs
             graphs_seen += batch.num_graphs
         row = {key: value / graphs_seen for key, value in sums.items()}
         # Epoch total is recomposed from the epoch term means so the
@@ -461,9 +460,13 @@ class AuditReport:
     """Empirical check of the assumptions behind the gain analysis.
 
     dominance_share is one number for every encoder layer: the mask is
-    shared across depth. cross_class_ratios are informational estimates of
-    the cross-class signal ratio at each layer's embedding; no threshold
-    applies to them.
+    shared across depth. live_units counts, per branch (causal, shortcut)
+    and encoder layer, the units nonzero on some audited node, and
+    distinct_embeddings the distinct graph embedding rows of each branch;
+    the model is live if every layer of both branches has a live unit and
+    both branches tell at least two egos apart. cross_class_ratios are
+    informational estimates of the cross-class signal ratio at each
+    layer's embedding, NaN where undefined; no threshold applies to them.
     """
 
     independence: float
@@ -472,22 +475,28 @@ class AuditReport:
     sensitivity_ok: bool
     dominance_share: float
     dominance_ok: bool
+    live_units: tuple[list[int], list[int]]
+    distinct_embeddings: tuple[int, int]
+    liveness_ok: bool
     cross_class_ratios: list[float]
 
     @property
     def passed(self) -> bool:
-        return self.independence_ok and self.sensitivity_ok and self.dominance_ok
+        return (self.independence_ok and self.sensitivity_ok
+                and self.dominance_ok and self.liveness_ok)
 
 
 def _layer_cross_class_ratio(embedding: np.ndarray, endpoints: np.ndarray,
                              labels: np.ndarray) -> float:
-    """|mean neighbor signal across classes| / |mean within class|.
+    """|mean neighbor signal across classes| / |mean within class|, NaN
+    when undefined: without edges, or with a within-class signal below
+    1e-12.
 
     Signal is the embedding row mean; the directed edge list is both
     orientations of every undirected edge.
     """
     if endpoints.shape[0] == 0:
-        return 0.0
+        return math.nan
     signal = embedding.mean(axis=1)
     src = np.concatenate([endpoints[:, 0], endpoints[:, 1]])
     dst = np.concatenate([endpoints[:, 1], endpoints[:, 0]])
@@ -495,7 +504,7 @@ def _layer_cross_class_ratio(embedding: np.ndarray, endpoints: np.ndarray,
     same_mean = signal[dst[~cross]].mean() if (~cross).any() else 0.0
     cross_mean = signal[dst[cross]].mean() if cross.any() else 0.0
     if abs(same_mean) < 1e-12:
-        return 0.0
+        return math.nan
     return float(abs(cross_mean) / abs(same_mean))
 
 
@@ -507,10 +516,12 @@ def assumption_audit(g: Graph, params: dict[str, np.ndarray], hops: int,
     Checks, on a sample of ego graphs: HSIC between the branch embeddings
     (independence), how much the causal head's true-class probability moves
     when the shortcut embedding is swapped across the batch (counterfactual
-    sensitivity), and the share of causal-branch propagation mass flowing
-    through edges the mask assigns to the shortcut side (dominance). Also
-    estimates the cross-class signal ratio at each encoder layer. A GCN's
-    parameters, or a CD-GNN's that do not fit `g`, are refused.
+    sensitivity), the share of causal-branch propagation mass flowing
+    through edges the mask assigns to the shortcut side (dominance), and
+    that neither branch is dead (liveness): a constant branch would pass
+    the other three checks trivially. Also estimates the cross-class
+    signal ratio at each encoder layer. A GCN's parameters, or a CD-GNN's
+    that do not fit `g`, are refused.
     """
     if _model_kind(g, params) != "cdgnn":
         raise ValueError("audit needs a cdgnn model, the parameters hold a gcn")
@@ -552,6 +563,10 @@ def assumption_audit(g: Graph, params: dict[str, np.ndarray], hops: int,
     leak = mask_vals[mask_vals < 0.5].sum()
     dominance = float(leak / edge_mass) if edge_mass > 1e-12 else 0.0
 
+    live = tuple([int((h.data != 0).any(axis=0).sum()) for h in layers]
+                 for layers in (fwd.layers_causal, fwd.layers_shortcut))
+    distinct = tuple(np.unique(h.data, axis=0).shape[0] for h in (h_c, h_s))
+
     node_labels = g.labels[batch.member_ids]
     ratios = [_layer_cross_class_ratio(h.data, batch.endpoints, node_labels)
               for h in fwd.layers_causal]
@@ -563,6 +578,9 @@ def assumption_audit(g: Graph, params: dict[str, np.ndarray], hops: int,
         sensitivity_ok=sensitivity <= SENSITIVITY_THRESHOLD,
         dominance_share=dominance,
         dominance_ok=dominance <= DOMINANCE_THRESHOLD,
+        live_units=live,
+        distinct_embeddings=distinct,
+        liveness_ok=min(live[0] + live[1]) > 0 and min(distinct) > 1,
         cross_class_ratios=ratios,
     )
 

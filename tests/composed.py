@@ -18,13 +18,15 @@ again from its masks instead of reading the forward's layers.
 composed_objective_case is total_loss written out term by term, the
 objective whose gradient acceptance criterion c01 checks. gce_rows and
 mean_of_halves are chains with no fused op of their own left: the fused
-two_head_loss and edge_scorer hold them.
+two_head_loss and edge_scorer hold them. nll_rows takes per-row weights,
+which ad.nll_rows does not: its weighted form, a multiply node after the
+unweighted chain, is the causal CE of the two_head_loss chain.
 """
 
 import numpy as np
 
 from cdgnn import autodiff as ad
-from cdgnn.disentangle import (edge_score_logits, hsic, init_mask_params,
+from cdgnn.disentangle import (_SCORER_KEYS, hsic, init_mask_params,
                                median_bandwidth, total_loss,
                                two_branch_forward)
 from cdgnn.harness import _layer_cross_class_ratio
@@ -262,7 +264,7 @@ def nll_rows(probs, labels, weights=None):
 
 
 def edge_scorer(endpoints, x, w1, b1, w2, b2):
-    """ad.edge_scorer as the chain edge_score_logits built before it: both
+    """ad.edge_scorer as the chain the mask scorer was before it: both
     endpoint orders through matmul, add, relu, matmul and add, then
     mean_of_halves."""
     e = np.asarray(endpoints, dtype=np.int64).reshape(-1, 2)
@@ -290,13 +292,13 @@ def two_head_loss(joint, graph_causal, graph_shortcut, head_causal,
     ce_c = ad.nll_rows(probs_c.data, labels).data.reshape(-1)
     if weights is None:
         weights = ad._difficulty_weights(ce_s, ce_c)
-    loss_c = ad.mean(ad.nll_rows(probs_c, labels, weights))
+    loss_c = ad.mean(nll_rows(probs_c, labels, weights))
     y = np.asarray(labels, dtype=np.int64).reshape(-1)
     h_ct = ad.concat_cols(graph_causal, ad.permute_rows(graph_shortcut, perm))
     probs_sx = ad.softmax_head(h_ct, *head_shortcut)
     probs_cx = ad.softmax_head(h_ct, *head_causal)
     loss_cf = ad.mean(ad.add(gce_rows(probs_sx, y[perm], q),
-                             ad.nll_rows(probs_cx, y, weights)))
+                             nll_rows(probs_cx, y, weights)))
     terms = (loss_s, loss_c, loss_cf)
     values = {name: term.item()
               for name, term in zip(("loss_s", "loss_c", "loss_cf"), terms)}
@@ -394,8 +396,8 @@ def audit_cross_class_ratios(g, params, hops, nodes):
     of `nodes` (at most AUDIT_MAX_NODES, so the audit samples none): the
     masks rebuilt from the scorer and the layers propagated again."""
     batch = batch_from_cache(g, build_ego_cache(g, hops, nodes), nodes)
-    edge = ad.sigmoid(edge_score_logits(batch.endpoints, batch.features,
-                                        params))
+    edge = ad.sigmoid(ad.edge_scorer(batch.endpoints, batch.features,
+                                     *(params[k] for k in _SCORER_KEYS)))
     depth = sum(k.startswith("gnn_c.w") for k in params)
     layers = [params[f"gnn_c.w{l}"] for l in range(depth)]
     h = ad.multiply(batch.features, ad.sigmoid(params["mask.feat"]))

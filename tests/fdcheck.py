@@ -254,7 +254,7 @@ def _case_nll_rows(rng):
     w = rng.uniform(0.0, 1.0, size=4)
     values = {"p": rng.uniform(0.1, 1.0, size=(4, 3))}
     f = _functional(rng, (4, 1))
-    return lambda lv: f(ad.nll_rows(lv["p"], y, w)), values
+    return lambda lv: f(ad.multiply(ad.nll_rows(lv["p"], y), w[:, None])), values
 
 
 def _case_two_head_loss(rng):

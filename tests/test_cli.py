@@ -319,26 +319,55 @@ class TestTheoryCheck:
 
 
 class TestAudit:
-    def test_clean_model_passes(self, tiny_graph_file, tmp_path, capsys):
-        g = load_graph(tiny_graph_file)
-        cfg = RunConfig(learning_rate=0.01, hidden=8, dropout=0.0, epochs=1,
+    _CONFIG = RunConfig(learning_rate=0.01, hidden=8, dropout=0.0, epochs=1,
                         patience=1, batch_size=16, scorer_hidden=4)
-        _, params = run_experiment(g, cfg, seed=0, return_params=True)
-        for key in list(params):
-            if key.startswith(("gnn_s.", "readout_s.")):
-                params[key] = np.zeros_like(params[key])
+
+    def _audit(self, graph_file, params, tmp_path, capsys):
+        model_path = save_model(params, tmp_path / "model.npz",
+                                self._CONFIG.resolved_hops)
+        code = main(["audit", "--graph", str(graph_file),
+                     "--model", str(model_path)])
+        return code, capsys.readouterr().out
+
+    def test_clean_model_passes(self, tmp_path, capsys):
+        """Both branches live on disjoint, independent feature columns (the
+        label column for the causal branch, noise for the shortcut one),
+        every edge stays causal and the causal head reads only its own
+        half. 200 egos keep HSIC's estimation floor under its threshold."""
+        graph_file = tmp_path / "ring.json"
+        save_graph(_tiny_graph(n=200), graph_file)
+        _, params = run_experiment(load_graph(graph_file), self._CONFIG,
+                                   seed=0, return_params=True)
         params["mask.w2"] = np.zeros_like(params["mask.w2"])
         params["mask.b2"] = np.full_like(params["mask.b2"], 40.0)
-        model_path = save_model(params, tmp_path / "model.npz",
-                                cfg.resolved_hops)
-        code = main(["audit", "--graph", str(tiny_graph_file),
-                     "--model", str(model_path)])
-        stdout = capsys.readouterr().out
+        params["mask.feat"] = np.array([[40.0, -40.0, -40.0, -40.0, -40.0]])
+        params["head_c.w"][self._CONFIG.hidden:] = 0.0
+        code, stdout = self._audit(graph_file, params, tmp_path, capsys)
         assert code == 0
         assert "branch independence" in stdout
         assert "counterfactual sensitivity" in stdout
         assert "shortcut dominance share" in stdout
+        assert "branch liveness" in stdout
+        assert "VIOLATED" not in stdout
         assert "assumptions hold" in stdout
+
+    def test_dead_branch_fails(self, tiny_graph_file, tmp_path, capsys):
+        """A silenced shortcut branch leaks nothing, so the three leak
+        checks pass; it is dead, so the audit fails. A zero causal encoder
+        leaves every cross-class ratio undefined."""
+        g = load_graph(tiny_graph_file)
+        params = init_cdgnn_params(np.random.default_rng(0), g.feature_dim,
+                                   8, 2, 4, g.num_classes)
+        for key in list(params):
+            if key.startswith(("gnn_s.", "gnn_c.")):
+                params[key] = np.zeros_like(params[key])
+        code, stdout = self._audit(tiny_graph_file, params, tmp_path, capsys)
+        assert code == 1
+        assert ("branch liveness: live units by layer causal [0, 0], shortcut "
+                "[0, 0]; distinct graph embeddings causal 1, shortcut 1 "
+                "VIOLATED") in stdout
+        assert "cross-class ratio by layer  [undefined, undefined]" in stdout
+        assert "assumptions violated" in stdout
 
 
 class TestIngestAndReport:

@@ -138,10 +138,14 @@ class TestBitwiseAgainstComposedChain:
             y = rng.integers(0, 4, size=batch)
             y[0] = 0
             weights = rng.uniform(0.0, 1.0, size=batch)
-            for w in (weights, None):
-                _assert_bitwise(lambda lv: ad.nll_rows(lv["p"], y, w),
-                                lambda lv: composed.nll_rows(lv["p"], y, w),
-                                {"p": probs}, {"p"})
+            _assert_bitwise(lambda lv: ad.nll_rows(lv["p"], y),
+                            lambda lv: composed.nll_rows(lv["p"], y),
+                            {"p": probs}, {"p"})
+            # the weighted CE of two_head_loss's chain
+            _assert_bitwise(
+                lambda lv: ad.multiply(ad.nll_rows(lv["p"], y), weights[:, None]),
+                lambda lv: composed.nll_rows(lv["p"], y, weights),
+                {"p": probs}, {"p"})
 
     @pytest.mark.parametrize("rows", ["all", "distinct", "repeated"])
     def test_hsic_rbf_on_a_row_sample(self, rows):

@@ -20,8 +20,10 @@ from cdgnn.gains import (
 )
 from cdgnn.graphs import Graph
 from cdgnn.disentangle import init_cdgnn_params, score_edges
-from cdgnn.harness import INDEPENDENCE_THRESHOLD, assumption_audit
+from cdgnn.harness import (INDEPENDENCE_THRESHOLD, _layer_cross_class_ratio,
+                           assumption_audit)
 from cdgnn.models import init_gcn_weights, init_head_params
+from cdgnn.synth import preset
 
 
 class TestEffectiveHomophily:
@@ -603,12 +605,17 @@ class TestAssumptionAudit:
         assert len(report.cross_class_ratios) == 2
         assert report.independence >= -1e-10
         assert 0.0 <= report.sensitivity <= 1.0
+        assert report.live_units == ([4, 4], [4, 4])
+        assert report.distinct_embeddings == (12, 12)
         assert report.passed == (report.independence_ok
                                  and report.sensitivity_ok
-                                 and report.dominance_ok)
+                                 and report.dominance_ok
+                                 and report.liveness_ok)
 
     def test_silenced_shortcut_branch_passes_exactly(self):
-        """Zero shortcut weights and a saturated mask leave nothing to leak."""
+        """Zero shortcut weights and a saturated mask leave nothing to leak:
+        the three leak checks pass, at exactly 0. The shortcut branch is
+        then dead, which the liveness check fails."""
         g = _ring_graph(seed=23)
         params = _audit_params(np.random.default_rng(23), 6)
         for key in list(params):
@@ -620,7 +627,37 @@ class TestAssumptionAudit:
         assert report.independence == 0.0
         assert report.sensitivity == 0.0
         assert report.dominance_share == 0.0
-        assert report.passed
+        assert (report.independence_ok and report.sensitivity_ok
+                and report.dominance_ok)
+        assert report.live_units[1] == [0, 0]
+        assert report.distinct_embeddings[1] == 1
+        assert not report.liveness_ok and not report.passed
+
+    def test_dead_branch_fails(self):
+        """A fresh tree_cycles model with its shortcut encoder zeroed: HSIC
+        and the swap see a constant branch and read 0, so only the
+        liveness check can fail it."""
+        g, _ = preset("tree_cycles", seed=0)
+        params = _audit_params(np.random.default_rng(0), g.feature_dim,
+                               hidden=8, classes=g.num_classes)
+        for key in params:
+            if key.startswith("gnn_s.w"):
+                params[key] = np.zeros_like(params[key])
+        report = assumption_audit(g, params, hops=2, seed=0)
+        assert report.independence == 0.0 and report.sensitivity == 0.0
+        assert report.live_units[1] == [0, 0]
+        assert min(report.live_units[0]) > 0
+        assert report.distinct_embeddings[1] == 1
+        assert not report.liveness_ok and not report.passed
+
+    def test_undefined_cross_class_ratio_is_nan(self):
+        """No edges, or no same-class signal, leave the ratio undefined;
+        it is not the best value, 0."""
+        labels = np.array([0, 1, 0])
+        assert np.isnan(_layer_cross_class_ratio(
+            np.ones((3, 2)), np.zeros((0, 2), dtype=np.int64), labels))
+        assert np.isnan(_layer_cross_class_ratio(
+            np.zeros((3, 2)), np.array([[0, 1], [0, 2]]), labels))
 
     def test_identical_branches_flag_dependence(self):
         """Copying the causal branch into the shortcut maximizes dependence."""

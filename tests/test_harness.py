@@ -105,6 +105,14 @@ class TestRunConfig:
                          no_counterfactual_term=True,
                          no_independence_term=True).validate()
 
+    def test_all_terms_weighed_zero_rejected(self):
+        """Zero lambdas count as ablations: the objective would be empty,
+        and run_variants checks every config before any run."""
+        with pytest.raises(ValueError, match="nothing to optimize"):
+            RunConfig(no_shortcut_term=True, no_causal_term=True,
+                      lambda_counterfactual=0.0,
+                      lambda_independence=0.0).validate()
+
     def test_batch_size_floor(self):
         with pytest.raises(ValueError, match="batch_size"):
             _tiny_config(batch_size=1).validate()

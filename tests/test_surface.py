@@ -239,7 +239,6 @@ def settable_values(modules: dict[str, ast.Module]) -> list[str]:
 
 SETTABLE = [
     "autodiff.Tensor.__init__(requires_grad)",
-    "autodiff.nll_rows(weights)",
     "autodiff._centered(out)",
     "autodiff.hsic_rbf(rows)",
     "autodiff.adam_step(weight_decay)",
