@@ -23,7 +23,8 @@ are bitwise those of the composed chain. edge_scorer is the CD-GNN mask's
 whole MLP, and two_head_loss three terms of its objective with both heads,
 so that a training batch records few nodes: on batches this small each
 node costs more in bookkeeping than in arithmetic. softmax_head and the
-four heads of two_head_loss share one forward and one adjoint. hsic_rbf
+four heads of two_head_loss share one forward and one adjoint, and
+two_head_loss reads both heads for both its passes alike. hsic_rbf
 takes its own row sample, in place of two take_rows nodes. The means of
 small arrays skip ndarray.mean's dispatch for the same sum and division
 (_mean). A softmax takes each row's max a column at a time, and the
@@ -615,21 +616,6 @@ def _picked_adjoint(probs: np.ndarray, rows: np.ndarray, y: np.ndarray,
     return dp
 
 
-def _gce(clamped: np.ndarray, q: np.ndarray,
-         inv_q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row generalized cross-entropy (1 - exp(q log p)) / q of clamped
-    picked probabilities, and the power exp(q log p) its adjoint reads."""
-    powered = np.exp(q * np.log(clamped))
-    return (1.0 - powered) * inv_q, powered
-
-
-def _gce_adjoint(g: np.ndarray, clamped: np.ndarray, powered: np.ndarray,
-                 q: np.ndarray, inv_q: np.ndarray) -> np.ndarray:
-    """Adjoint of the clamped picked probabilities for the GCE rows' g."""
-    gm = -(g * inv_q) * powered
-    return gm * q / clamped
-
-
 def nll_rows(probs, labels) -> Tensor:
     """Per-row cross-entropy 0 - log p_y; the log is clamped below at 1e-12."""
     probs = _coerce(probs)
@@ -674,6 +660,7 @@ def two_head_loss(joint, graph_causal, graph_shortcut, head_causal,
     weighed 0 entering not at all; with all three 0 there is no node
     (None). The dict holds the three raw terms and the mean ce_s and ce_c.
 
+    Both passes, on joint and on the swapped rows, read both heads alike.
     The value and every adjoint are the bits of the chain of softmax_head,
     GCE and nll_rows, mean, concat_cols, permute_rows, multiply and add
     nodes this replaces: adjoints reach the heads, then graph_causal and
@@ -683,8 +670,8 @@ def two_head_loss(joint, graph_causal, graph_shortcut, head_causal,
     if not 0.0 < q <= 1.0:
         raise ValueError(f"q must be in (0, 1], got {q}")
     joint, h_c, h_s = _coerce(joint), _coerce(graph_causal), _coerce(graph_shortcut)
-    w_c, b_c = map(_coerce, head_causal)
-    w_s, b_s = map(_coerce, head_shortcut)
+    heads = [tuple(map(_coerce, head)) for head in (head_causal, head_shortcut)]
+    (w_c, b_c), (w_s, b_s) = heads
     n = h_c.data.shape[0]
     y = _labels(labels, joint.data.shape[0], w_s.data.shape[1])
     if n < 2:
@@ -694,26 +681,23 @@ def two_head_loss(joint, graph_causal, graph_shortcut, head_causal,
     rows = np.arange(n)
     y_perm = y[perm]
 
-    probs_s = _head(joint.data, w_s, b_s)
-    probs_c = _head(joint.data, w_c, b_c)
-    picked_s = _picked(probs_s, rows, y)
-    picked_c = _picked(probs_c, rows, y)
-    gce_s, powered_s = _gce(picked_s, qa, inv_q)
-    ce_s = 0.0 - np.log(picked_s)
-    ce_c = 0.0 - np.log(picked_c)
-    weights = _difficulty_weights(ce_s, ce_c)
-    causal = ce_c * weights
+    def read(x, y_s):
+        """Both heads on the rows x, picking the causal head at y and the
+        shortcut head at y_s: what the adjoint keeps, then the rows of both
+        CEs and of the shortcut GCE (1 - p^q) / q; causal head first."""
+        probs = [_head(x, *head) for head in heads]
+        picked = [_picked(p, rows, labels) for p, labels in zip(probs, (y, y_s))]
+        powered = np.exp(qa * np.log(picked[1]))  # p^q
+        return ((probs, picked, powered),
+                [0.0 - np.log(p) for p in picked] + [(1.0 - powered) * inv_q])
 
+    factual, (ce_c, ce_s, gce_s) = read(joint.data, y)
+    weights = _difficulty_weights(ce_s, ce_c)
     swapped = np.hstack([h_c.data, h_s.data[perm]])
-    probs_sx = _head(swapped, w_s, b_s)
-    probs_cx = _head(swapped, w_c, b_c)
-    picked_sx = _picked(probs_sx, rows, y_perm)
-    picked_cx = _picked(probs_cx, rows, y)
-    gce_sx, powered_sx = _gce(picked_sx, qa, inv_q)
-    counterfactual = gce_sx + (0.0 - np.log(picked_cx)) * weights
+    counter, (ce_cx, _, gce_sx) = read(swapped, y_perm)
 
     terms = [np.array([[_mean(t, None, False)]])
-             for t in (gce_s, causal, counterfactual)]
+             for t in (gce_s, ce_c * weights, gce_sx + ce_cx * weights)]
     values = dict(zip(("loss_s", "loss_c", "loss_cf"),
                       (float(t[0, 0]) for t in terms)))
     values["ce_s"] = float(_mean(ce_s.reshape(-1), None, False))
@@ -726,10 +710,15 @@ def two_head_loss(joint, graph_causal, graph_shortcut, head_causal,
     if data is None:
         return None, values
 
-    def head_adjoint(probs, labels, gp, x, weight, bias):
-        """_head_adjoint for the adjoint column gp of the picked entries."""
-        return _head_adjoint(_picked_adjoint(probs, rows, labels, gp), probs,
-                             x, weight, bias)
+    def read_adjoint(x, kept, y_s, g_c, g_s):
+        """x's adjoints from both heads of read(x, y_s), causal head first,
+        for g_c of the W * CE rows and g_s of the GCE rows (None skips)."""
+        probs, (picked_c, picked_s), powered = kept
+        gps = (None if g_c is None else -(g_c * weights) / picked_c,
+               None if g_s is None else -(g_s * inv_q) * powered * qa / picked_s)
+        return [_head_adjoint(_picked_adjoint(p, rows, labels, gp), p, x, *head)
+                for gp, p, labels, head in zip(gps, probs, (y, y_s), heads)
+                if gp is not None]
 
     def backward(g: np.ndarray) -> None:
         # the adjoint of each weighed term's per-row values, via its mean
@@ -737,22 +726,14 @@ def two_head_loss(joint, graph_causal, graph_shortcut, head_causal,
                        else np.full((n, 1), (g * scale)[0, 0] / n)
                        for scale in scales)
         if gcf is not None:
-            g_swapped = head_adjoint(probs_cx, y, -(gcf * weights) / picked_cx,
-                                     swapped, w_c, b_c)
-            g_swapped += head_adjoint(
-                probs_sx, y_perm,
-                _gce_adjoint(gcf, picked_sx, powered_sx, qa, inv_q),
-                swapped, w_s, b_s)
+            g_swapped, g_shortcut = read_adjoint(swapped, counter, y_perm,
+                                                 gcf, gcf)
+            g_swapped += g_shortcut
             split = h_c.data.shape[1]
             h_c._accumulate(g_swapped[:, :split].copy())
             h_s._accumulate(g_swapped[:, split:][inverse])
-        if gc is not None:
-            joint._accumulate(head_adjoint(
-                probs_c, y, -(gc * weights) / picked_c, joint.data, w_c, b_c))
-        if gs is not None:
-            joint._accumulate(head_adjoint(
-                probs_s, y, _gce_adjoint(gs, picked_s, powered_s, qa, inv_q),
-                joint.data, w_s, b_s))
+        for g_joint in read_adjoint(joint.data, factual, y, gc, gs):
+            joint._accumulate(g_joint)
 
     return _make(data, (joint, h_c, h_s, w_c, b_c, w_s, b_s), backward), values
 
@@ -811,8 +792,8 @@ def hsic_rbf(x, y, bandwidth_x: float, bandwidth_y: float,
     total = x.data.shape[0]
     if y.data.shape[0] != total:
         raise ValueError(
-            f"hsic_rbf needs two inputs with the same rows, got {total} and "
-            f"{y.data.shape[0]}")
+            f"hsic_rbf needs two inputs with the same number of rows, got "
+            f"{total} and {y.data.shape[0]}")
     xs, ys = x.data, y.data
     if rows is not None:
         rows = np.asarray(rows, dtype=np.int64).reshape(-1)

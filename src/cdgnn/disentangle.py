@@ -6,7 +6,7 @@ averaging both endpoint orders; one ad.edge_scorer node, which
 two_branch_forward and score_edges call), and a shared logit vector masks
 feature columns. sigmoid(logit) weights the causal branch; the complement
 weights the shortcut branch, so the two masked weight tables tile the
-unmasked graph.
+unmasked graph. Both views share one encoder and readout path.
 
 total_loss, the whole objective of one two_branch_forward: a generalized
 cross-entropy (GCE) term that lets the shortcut branch latch onto easy
@@ -58,6 +58,10 @@ def init_mask_params(rng: np.random.Generator, feat_dim: int,
     }
 
 
+# The causal and the shortcut branch's key suffixes, in computation order.
+_BRANCHES = ("c", "s")
+
+
 def init_cdgnn_params(rng: np.random.Generator, feat_dim: int, hidden: int,
                       layers: int, scorer_hidden: int,
                       num_classes: int) -> dict[str, np.ndarray]:
@@ -68,12 +72,12 @@ def init_cdgnn_params(rng: np.random.Generator, feat_dim: int, hidden: int,
     `head_c.*` / `head_s.*`, which read the joint embedding.
     """
     params = init_mask_params(rng, feat_dim, scorer_hidden)
-    params.update(init_gcn_weights(rng, feat_dim, hidden, layers, "gnn_c"))
-    params.update(init_gcn_weights(rng, feat_dim, hidden, layers, "gnn_s"))
-    params.update(init_readout_params(rng, hidden, "readout_c"))
-    params.update(init_readout_params(rng, hidden, "readout_s"))
-    params.update(init_head_params(rng, 2 * hidden, num_classes, "head_c"))
-    params.update(init_head_params(rng, 2 * hidden, num_classes, "head_s"))
+    parts = (("gnn", init_gcn_weights, (feat_dim, hidden, layers)),
+             ("readout", init_readout_params, (hidden,)),
+             ("head", init_head_params, (2 * hidden, num_classes)))
+    for part, init, sizes in parts:
+        for branch in _BRANCHES:
+            params.update(init(rng, *sizes, f"{part}_{branch}"))
     return params
 
 
@@ -110,24 +114,21 @@ def two_branch_forward(batch: EgoBatch, leaves: dict,
     """Mask `batch` and embed it through both branches; `leaves` holds every
     init_cdgnn_params entry, as ad.leaves to train or as plain arrays to
     infer (which records nothing). Backward sums each gradient in reverse
-    creation order, so the op order below is fixed."""
+    creation order, so the op order is fixed: scorer, masks, complements,
+    then both encoders and both readouts, causal first, and joint."""
     edge = ad.sigmoid(ad.edge_scorer(batch.endpoints, batch.features,
                                      *(leaves[k] for k in _SCORER_KEYS)))
     feat = ad.sigmoid(leaves["mask.feat"])
-    edge_shortcut = ad.subtract(1.0, edge)
-    feat_shortcut = ad.subtract(1.0, feat)
+    views = ((edge, feat), (ad.subtract(1.0, edge), ad.subtract(1.0, feat)))
     depth = sum(k.startswith("gnn_c.w") for k in leaves)
-    layers_c = gcn_forward(batch.plan, batch.features, edge, feat,
-                           [leaves[f"gnn_c.w{l}"] for l in range(depth)],
-                           dropout_rate, rng)
-    layers_s = gcn_forward(batch.plan, batch.features, edge_shortcut,
-                           feat_shortcut,
-                           [leaves[f"gnn_s.w{l}"] for l in range(depth)],
-                           dropout_rate, rng)
-    h_c = ad.ego_readout(layers_c[-1], batch.ego_rows, batch.segments,
-                         batch.num_graphs, leaves["readout_c.proj"])
-    h_s = ad.ego_readout(layers_s[-1], batch.ego_rows, batch.segments,
-                         batch.num_graphs, leaves["readout_s.proj"])
+    layers_c, layers_s = (
+        gcn_forward(batch.plan, batch.features, edge_view, feat_view,
+                    [leaves[f"gnn_{branch}.w{l}"] for l in range(depth)],
+                    dropout_rate, rng)
+        for branch, (edge_view, feat_view) in zip(_BRANCHES, views))
+    h_c, h_s = (ad.ego_readout(layers[-1], batch.ego_rows, batch.segments,
+                               batch.num_graphs, leaves[f"readout_{branch}.proj"])
+                for branch, layers in zip(_BRANCHES, (layers_c, layers_s)))
     return TwoBranchPass(
         edge_mask=edge, feature_mask=feat,
         layers_causal=layers_c, layers_shortcut=layers_s,
@@ -185,15 +186,12 @@ def hsic(x: ad.Tensor, y: ad.Tensor, rows=None) -> ad.Tensor:
     (1/(n-1))^2 * trace(Kx H Ky H) with RBF kernels at the median-heuristic
     bandwidths of those rows' detached values (ad.hsic_rbf takes others).
     The trace is evaluated as an elementwise product of the centered grams
-    (identical by symmetry and idempotence of H).
+    (identical by symmetry and idempotence of H). ad.hsic_rbf refuses
+    inputs of different row counts or fewer than 2 rows.
     """
-    n = x.data.shape[0] if rows is None else np.shape(rows)[0]
-    if n < 2:
-        raise ValueError(f"hsic needs at least 2 rows, got {n}")
-    if y.data.shape[0] != x.data.shape[0]:
-        raise ValueError("hsic inputs must have the same number of rows")
-    xs = x.data if rows is None else x.data[rows]
-    ys = y.data if rows is None else y.data[rows]
+    # take_rows refuses a row outside the inputs, as ad.hsic_rbf would
+    xs, ys = ((x.data, y.data) if rows is None else
+              (ad.take_rows(x.data, rows).data, ad.take_rows(y.data, rows).data))
     return ad.hsic_rbf(x, y, median_bandwidth(xs), median_bandwidth(ys), rows)
 
 

@@ -203,29 +203,43 @@ def graph_to_dict(g: Graph) -> dict:
     }
 
 
+def _whole(value) -> bool:
+    """Whether `value` is a whole number in int64's range: an int or an
+    integral float; a bool or a string is none."""
+    return ((type(value) is int
+             or isinstance(value, (float, np.integer, np.floating)))
+            and -2**63 <= value < 2**63 and float(value).is_integer())
+
+
 def graph_from_dict(payload: dict) -> Graph:
+    """The graph a graph_to_dict payload holds. The first entry out of form
+    is refused by name: a count, label or edge end that is not a whole
+    number, an edge that is not one [u, v] pair, a feature row unlike row 0."""
     if not isinstance(payload, dict):
         raise GraphError(f"graph payload must be an object, got {type(payload).__name__}")
     missing = [k for k in ("num_nodes", "num_classes", "edges", "features", "labels")
                if k not in payload]
     if missing:
         raise GraphError(f"graph payload missing keys: {', '.join(missing)}")
-    num_nodes = int(payload["num_nodes"])
+    for key in ("num_nodes", "num_classes"):
+        if not _whole(payload[key]):
+            raise GraphError(f"{key} is {payload[key]!r}, not a whole number")
     feats = payload["features"]
-    if isinstance(feats, list):
-        lengths = {len(row) for row in feats if isinstance(row, list)}
-        if any(not isinstance(row, list) for row in feats):
-            raise GraphError("features must be a list of rows")
-        if len(lengths) > 1:
-            widths = [len(row) for row in feats]
-            bad = next(i for i, w in enumerate(widths) if w != widths[0])
-            raise GraphError(
-                f"feature row {bad} has length {widths[bad]}, expected {widths[0]}"
-            )
+    for key, what, form, fits in (
+            ("edges", "edge", "a [u, v] pair of whole numbers",
+             lambda v: isinstance(v, list) and len(v) == 2 and _whole(v[0]) and _whole(v[1])),
+            ("labels", "label", "a whole number", _whole),
+            ("features", "feature row", "a list as long as row 0",
+             lambda v: isinstance(v, list) and len(v) == len(feats[0]))):
+        values = payload[key]
+        if not isinstance(values, list):
+            raise GraphError(f"{key} must be a list, got {type(values).__name__}")
+        bad = next((i for i, v in enumerate(values) if not fits(v)), None)
+        if bad is not None:
+            raise GraphError(f"{what} {bad} is {values[bad]!r}, not {form}")
     return Graph(
-        num_nodes=num_nodes,
-        edges=np.asarray(payload["edges"], dtype=np.int64).reshape(-1, 2)
-        if payload["edges"] else np.zeros((0, 2), dtype=np.int64),
+        num_nodes=int(payload["num_nodes"]),
+        edges=np.asarray(payload["edges"], dtype=np.int64),
         features=np.asarray(feats, dtype=np.float64),
         labels=np.asarray(payload["labels"], dtype=np.int64),
         num_classes=int(payload["num_classes"]),

@@ -310,12 +310,14 @@ def train_cdgnn(g: Graph, config: RunConfig, seed: int,
                 sums[key] = sums.get(key, 0.0) + value * batch.num_graphs
             graphs_seen += batch.num_graphs
         row = {key: value / graphs_seen for key, value in sums.items()}
-        # Epoch total is recomposed from the epoch term means so the
-        # recorded identity total = s + c + l1*cf + l2*hsic holds exactly
-        # (averaging per-batch totals would break it to rounding).
-        c_s, c_c, c_cf, c_hsic = config.coefficients
-        row["total"] = (c_s * row["loss_s"] + c_c * row["loss_c"]
-                        + c_cf * row["loss_cf"] + c_hsic * row["loss_hsic"])
+        # Epoch total is recomposed from the epoch term means, left to right
+        # (sum() compensates from Python 3.12), so the recorded identity
+        # total = s + c + l1*cf + l2*hsic holds exactly (averaging per-batch
+        # totals would break it to rounding).
+        row["total"], *rest = (c * row[name] for c, name in
+                               zip(config.coefficients, LOSS_TERMS))
+        for term in rest:
+            row["total"] += term
         return row
 
     return _fit(config, state, step,
@@ -655,9 +657,9 @@ def _run(g: Graph, config: RunConfig, seed: int, dataset: str, model: str,
     """Split, train, evaluate on train and test, and assemble the record
     from `facts` (_check's), with the trained parameters. The run takes its
     cache from `caches`, building and adding it when missing: a CD-GNN's
-    all-node ego cache keyed by hops, a GCN's full-graph inputs by "gcn"."""
+    all-node ego cache keyed by hops, a GCN's full-graph inputs by "gcn".
+    wall_time starts once the cache exists."""
     sp = split_nodes(g.num_nodes, seed)
-    start = time.perf_counter()
     hops = config.resolved_hops
     # Shared by training and both evaluations: one ego subgraph per node,
     # or the full graph's plan and propagated features.
@@ -665,6 +667,7 @@ def _run(g: Graph, config: RunConfig, seed: int, dataset: str, model: str,
     if key not in caches:
         caches[key] = (build_ego_cache(g, hops, np.arange(g.num_nodes))
                        if model == "cdgnn" else _full_graph(g))
+    start = time.perf_counter()
     train = train_cdgnn if model == "cdgnn" else train_gcn_baseline
     result = train(g, config, seed, sp.train, sp.val, caches[key])
     on_train, on_test = _predict(g, result.params, [sp.train, sp.test], hops,
@@ -711,7 +714,7 @@ def run_variants(g: Graph, variants: dict[str, RunConfig],
     all-node ego cache per distinct resolved_hops, and a GCN one full-graph
     plan with its propagated features, which every run reads and none
     writes. Each record equals run_experiment's for its config and seed,
-    except the non-canonical wall_time, which excludes a shared cache.
+    except the non-canonical wall_time, which excludes any cache build.
     """
     seeds = list(seeds)
     if not variants:

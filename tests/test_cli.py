@@ -508,6 +508,33 @@ class TestInputErrors:
         assert "outside [0, 2)" in err
         assert err.count("\n") == 1
 
+    def test_non_integral_graph_entry_is_one_line_error(
+            self, tmp_path, capsys):
+        """A truncating float, a bool or a string where the graph file needs
+        a whole number ends ingest and every --graph command with one error
+        line naming the entry, before any work."""
+        path = tmp_path / "bad.json"
+        model = save_model(
+            init_cdgnn_params(np.random.default_rng(0), 1, 4, 1, 4, 2),
+            tmp_path / "model.npz", hops=1)
+        for key, value, named in (("edges", [[0.4, 1.6]], "edge 0"),
+                                  ("labels", [0.9, 1.2], "label 0"),
+                                  ("num_nodes", 3.9, "num_nodes")):
+            path.write_text(json.dumps({
+                "num_nodes": 2, "num_classes": 2, "edges": [[0, 1]],
+                "features": [[0.0], [1.0]], "labels": [0, 1], key: value}))
+            _one_line_error(capsys, ["ingest", "--graph", path], named)
+        for argv in (["relabel", "--out", tmp_path / "o.json"],
+                     ["train", "--out-dir", tmp_path],
+                     ["train-baseline", "--out-dir", tmp_path],
+                     ["evaluate", "--model", model],
+                     ["audit", "--model", model],
+                     ["ablate", "--out-dir", tmp_path],
+                     ["sweep", "--out-dir", tmp_path]):
+            _one_line_error(capsys, [argv[0], "--graph", path, *argv[1:]],
+                            "num_nodes is 3.9")
+        assert list(tmp_path.glob("run_*.json")) == []
+
     def test_non_finite_hyperparameter_is_one_line_error(
             self, tiny_graph_file, tmp_path, capsys):
         for command, flag, value, name in (

@@ -280,6 +280,14 @@ class TestHsic:
         with pytest.raises(ValueError, match="same number"):
             hsic_value(np.ones((3, 2)), np.ones((4, 2)))
 
+    @pytest.mark.parametrize("rows", [[0, 5], [0, 3], [-1, 1]])
+    def test_row_outside_the_inputs_refused_first(self, rows):
+        """A sample row past the inputs is refused with hsic_rbf's message,
+        before the bandwidths gather it."""
+        x, y = ad.leaves({"x": np.eye(3), "y": np.ones((3, 2))}).values()
+        with pytest.raises(ValueError, match=r"row index outside \[0, 3\)"):
+            hsic(x, y, rows=rows)
+
 
 class TestTotalLoss:
     """total_loss on a _toy_pass of 3 egos whose node rows are the egos."""
@@ -536,6 +544,23 @@ class TestSplitAndEmbed:
             assert np.abs(want[-1].data).sum() > 0.0
             for got, layer in zip(layers, want, strict=True):
                 np.testing.assert_array_equal(got.data, layer.data)
+
+    def test_training_batch_creation_order(self):
+        """Backward sums each gradient in reverse creation order, so the
+        bitwise oracles rely on this order: edge mask, feature mask, every
+        causal layer, every shortcut layer, causal readout, shortcut
+        readout, joint."""
+        g = _toy_graph(seed=23)
+        batch = _ego_batch(g, np.arange(g.num_nodes), hops=2)
+        params = init_cdgnn_params(np.random.default_rng(23), 4, 5, 3, 3, 2)
+        fwd = two_branch_forward(batch, ad.leaves(params), 0.2,
+                                 np.random.default_rng(24))
+        order = [fwd.edge_mask, fwd.feature_mask, *fwd.layers_causal,
+                 *fwd.layers_shortcut, fwd.graph_causal, fwd.graph_shortcut,
+                 fwd.joint]
+        indices = [t._index for t in order]
+        assert len(order) == 11 and min(indices) >= 0
+        assert indices == sorted(set(indices)), indices
 
     def test_raw_arrays_give_the_forward_of_leaves_bit_for_bit(self):
         """Inference passes the parameter arrays, which record nothing."""

@@ -458,6 +458,36 @@ class TestJsonRoundTrip:
         with pytest.raises(GraphError, match="missing"):
             graph_from_dict(d)
 
+    @pytest.mark.parametrize("key, value, named", [
+        ("edges", [[0, 1], [0.4, 1.6]], "edge 1 is [0.4, 1.6]"),
+        ("edges", [[0, 1, 2], [1, 2, 0]], "edge 0 is [0, 1, 2]"),
+        ("edges", [[0, True]], "edge 0 is [0, True]"),
+        ("edges", [0, 1], "edge 0 is 0"),
+        ("labels", [0.9, 1.2, 0], "label 0 is 0.9"),
+        ("labels", [True, False, "1"], "label 0 is True"),
+        ("labels", [0, 1, "1"], "label 2 is '1'"),
+        ("num_nodes", 3.9, "num_nodes is 3.9"),
+        ("num_nodes", "3", "num_nodes is '3'"),
+        ("num_classes", True, "num_classes is True"),
+    ])
+    def test_non_integral_ids_and_counts_refused(self, key, value, named):
+        """Ids and counts are whole numbers, not truncated floats, bools or
+        strings, and each edge is one [u, v] pair; the first bad entry is
+        named."""
+        d = {"num_nodes": 3, "num_classes": 2, "edges": [[0, 1], [1, 2]],
+             "features": [[1.0], [2.0], [3.0]], "labels": [0, 1, 0],
+             key: value}
+        with pytest.raises(GraphError) as info:
+            graph_from_dict(d)
+        assert named in str(info.value)
+
+    def test_integral_floats_load_as_ids(self):
+        g = graph_from_dict({"num_nodes": 3.0, "num_classes": 2,
+                             "edges": [[0, 1.0]], "features": [[1.0]] * 3,
+                             "labels": [0, 1.0, 0]})
+        assert g.num_nodes == 3
+        assert g.edges.tolist() == [[0, 1]] and g.labels.tolist() == [0, 1, 0]
+
     def test_ragged_features_rejected_by_row(self):
         d = {
             "num_nodes": 2,

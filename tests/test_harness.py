@@ -2,6 +2,7 @@
 
 import gc
 import json
+import time
 import warnings
 from dataclasses import asdict, fields, replace
 
@@ -785,6 +786,26 @@ class TestRunVariants:
         built.clear()
         run_variants(g, {**two, "one_hop": replace(cfg, ego_hops=1)}, [0])
         assert built == [2, 1]
+
+    @pytest.mark.parametrize("model", ["cdgnn", "gcn"])
+    def test_wall_time_excludes_the_cache_build(self, model, monkeypatch):
+        """Every record's wall_time starts once its cache exists, so even
+        the run that builds it does not time the build."""
+        delay = 1.0
+        for name in ("build_ego_cache", "_full_graph"):
+            real = getattr(harness, name)
+
+            def slow(*args, real=real):
+                time.sleep(delay)
+                return real(*args)
+
+            monkeypatch.setattr(harness, name, slow)
+        g = _tiny_graph(seed=15)
+        cfg = _tiny_config(epochs=1)
+        runs = run_variants(g, {"a": cfg}, [0, 1], model=model)
+        records = [*runs["a"], run_experiment(g, cfg, 2, model=model)]
+        assert [r.wall_time < delay for r in records] == [True] * 3, [
+            r.wall_time for r in records]
 
     def test_shared_cache_is_read_only(self, monkeypatch):
         """Runs sharing a cache whose arrays refuse writes still train."""
