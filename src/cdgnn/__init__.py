@@ -12,7 +12,7 @@ from .synth import (PRESET_NAMES, planted_shortcut, preset,
                     relabel_to_heterophily)
 from .autodiff import Tensor, adam_step, gradients, leaves
 from .models import build_ego_cache, gcn_forward
-from .disentangle import disentanglement_score, hsic, total_loss
+from .disentangle import disentanglement_score, total_loss
 from .gains import (GainParams, ImprovementReport, deep_layer_gain,
                     default_grid_cells, effective_homophily,
                     gain_improvement_check, monte_carlo_one_layer,
@@ -29,7 +29,7 @@ __all__ = [
     "PRESET_NAMES", "planted_shortcut", "preset", "relabel_to_heterophily",
     "Tensor", "adam_step", "gradients", "leaves",
     "build_ego_cache", "gcn_forward",
-    "disentanglement_score", "hsic", "total_loss",
+    "disentanglement_score", "total_loss",
     "GainParams", "ImprovementReport", "deep_layer_gain",
     "default_grid_cells", "effective_homophily", "gain_improvement_check",
     "monte_carlo_one_layer", "one_layer_gain", "theory_check_grid",

@@ -25,7 +25,8 @@ so that a training batch records few nodes: on batches this small each
 node costs more in bookkeeping than in arithmetic. softmax_head and the
 four heads of two_head_loss share one forward and one adjoint, and
 two_head_loss reads both heads for both its passes alike. hsic_rbf
-takes its own row sample, in place of two take_rows nodes. The means of
+takes its own row sample, in place of two take_rows nodes, and works out
+its own median-heuristic bandwidths from the rows it reads. The means of
 small arrays skip ndarray.mean's dispatch for the same sum and division
 (_mean). A softmax takes each row's max a column at a time, and the
 adjoint of a row gather with no repeated index writes the rows into
@@ -41,6 +42,7 @@ element-wise, so this gives the bits of a per-parameter loop.
 
 from __future__ import annotations
 
+import functools
 import importlib.machinery
 import importlib.util
 import os
@@ -571,14 +573,13 @@ def edge_scorer(endpoints, x, w1, b1, w2, b2) -> Tensor:
     return _make(data, (w1, b1, w2, b2), backward)
 
 
-def ego_readout(h, ego_rows, segments, num_segments: int,
-                projection) -> Tensor:
-    """Per-graph embedding as one node: [h[ego_rows] ; segment means of h]
-    @ projection."""
+def ego_readout(h, ego_rows, segments, projection) -> Tensor:
+    """Per-graph embedding as one node, one graph per ego row:
+    [h[ego_rows] ; segment means of h] @ projection."""
     h, projection = _coerce(h), _coerce(projection)
     idx = np.asarray(ego_rows, dtype=np.int64).reshape(-1)
     seg = np.asarray(segments, dtype=np.int64).reshape(-1)
-    means, counts = _segment_means(h.data, seg, num_segments)
+    means, counts = _segment_means(h.data, seg, idx.shape[0])
     joined = np.hstack([h.data[idx], means])
     data = joined @ projection.data
     k = h.data.shape[1]
@@ -776,19 +777,58 @@ def _rbf_backward(g: np.ndarray, x: np.ndarray, k: np.ndarray,
     return out
 
 
-def hsic_rbf(x, y, bandwidth_x: float, bandwidth_y: float,
-             rows=None) -> Tensor:
+# Inputs of up to this many rows share one cached upper-triangle mask;
+# larger ones get a larger power-of-two mask.
+_MASK_ROWS = 256
+
+
+@functools.lru_cache(maxsize=1)
+def _upper_mask(size: int) -> np.ndarray:
+    """Read-only mask of the entries above the diagonal of a size x size
+    matrix; its top-left n x n block is the mask of an n x n matrix."""
+    mask = np.triu(np.ones((size, size), dtype=bool), k=1)
+    mask.flags.writeable = False
+    return mask
+
+
+def _median(values: np.ndarray) -> float:
+    """np.median of a 1-D array, bit for bit, from one selection: the lower
+    middle value of an even count is the max of the part left of the upper
+    one, and the two are averaged as np.mean averages them."""
+    if np.isnan(values).any():
+        return float("nan")
+    half = values.size // 2
+    part = np.partition(values, half)
+    if values.size % 2:
+        return float(part[half])
+    return float((part[:half].max() + part[half]) / 2)
+
+
+def _median_bandwidth(x: np.ndarray) -> float:
+    """Median-heuristic RBF bandwidth: sqrt(median squared distance / 2)."""
+    arr = np.asarray(x, dtype=np.float64)
+    if arr.ndim != 2 or arr.shape[0] < 2:
+        return 1.0
+    sq = (arr * arr).sum(axis=1, keepdims=True)
+    d2 = np.maximum(sq + sq.T - 2.0 * arr @ arr.T, 0.0)
+    n = arr.shape[0]
+    upper = _upper_mask(max(_MASK_ROWS, 1 << (n - 1).bit_length()))[:n, :n]
+    med = _median(d2[upper])
+    if med <= 0.0:
+        return 1.0
+    return float(np.sqrt(med / 2.0))
+
+
+def hsic_rbf(x, y, rows=None) -> Tensor:
     """Biased HSIC sum(HKxH * HKyH) / (n-1)^2 of aligned rows as one node,
-    with Gaussian kernels K_ij = exp(-|r_i - r_j|^2 / (2 bw^2)).
+    with Gaussian kernels K_ij = exp(-|r_i - r_j|^2 / (2 bw^2)) at each
+    input's _median_bandwidth of the rows read, a stop-gradient statistic.
 
     `rows`, when given, holds row indices: the estimate then reads those
     rows of both inputs, in that order, as take_rows of each would, and
     scatters the gradients back as its adjoint does.
     """
     x, y = _coerce(x), _coerce(y)
-    bx, by = float(bandwidth_x), float(bandwidth_y)
-    if bx <= 0 or by <= 0:
-        raise ValueError(f"bandwidth must be positive, got {bx} and {by}")
     total = x.data.shape[0]
     if y.data.shape[0] != total:
         raise ValueError(
@@ -803,6 +843,9 @@ def hsic_rbf(x, y, bandwidth_x: float, bandwidth_y: float,
     n = xs.shape[0]
     if n < 2:
         raise ValueError(f"hsic_rbf needs at least 2 rows, got {n}")
+    # kept apart from _rbf's squared distances: numpy runs (2 arr) @ arr.T
+    # as gemm and x @ x.T as syrk, whose bits differ
+    bx, by = _median_bandwidth(xs), _median_bandwidth(ys)
     kx = _rbf(xs, bx)
     ky = _rbf(ys, by)
     kxc = _centered(kx)

@@ -13,12 +13,11 @@ cross-entropy (GCE) term that lets the shortcut branch latch onto easy
 signal, a difficulty-weighted cross-entropy for the causal branch, a
 counterfactual term that swaps shortcut embeddings across the batch (the
 three of them one ad.two_head_loss node), and an HSIC penalty driving the
-branch embeddings independent, each times its coefficient.
+branch embeddings independent (ad.hsic_rbf), each times its coefficient.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,8 +32,6 @@ __all__ = [
     "init_cdgnn_params",
     "TwoBranchPass",
     "two_branch_forward",
-    "median_bandwidth",
-    "hsic",
     "total_loss",
     "score_edges",
     "disentanglement_score",
@@ -127,7 +124,7 @@ def two_branch_forward(batch: EgoBatch, leaves: dict,
                     dropout_rate, rng)
         for branch, (edge_view, feat_view) in zip(_BRANCHES, views))
     h_c, h_s = (ad.ego_readout(layers[-1], batch.ego_rows, batch.segments,
-                               batch.num_graphs, leaves[f"readout_{branch}.proj"])
+                               leaves[f"readout_{branch}.proj"])
                 for branch, layers in zip(_BRANCHES, (layers_c, layers_s)))
     return TwoBranchPass(
         edge_mask=edge, feature_mask=feat,
@@ -135,64 +132,6 @@ def two_branch_forward(batch: EgoBatch, leaves: dict,
         graph_causal=h_c, graph_shortcut=h_s, joint=ad.concat_cols(h_c, h_s),
         head_causal=(leaves["head_c.w"], leaves["head_c.b"]),
         head_shortcut=(leaves["head_s.w"], leaves["head_s.b"]))
-
-
-# Inputs of up to this many rows share one cached upper-triangle mask;
-# larger ones get a larger power-of-two mask.
-_MASK_ROWS = 256
-
-
-@functools.lru_cache(maxsize=1)
-def _upper_mask(size: int) -> np.ndarray:
-    """Read-only mask of the entries above the diagonal of a size x size
-    matrix; its top-left n x n block is the mask of an n x n matrix."""
-    mask = np.triu(np.ones((size, size), dtype=bool), k=1)
-    mask.flags.writeable = False
-    return mask
-
-
-def _median(values: np.ndarray) -> float:
-    """np.median of a 1-D array, bit for bit, from one selection: the lower
-    middle value of an even count is the max of the part left of the upper
-    one, and the two are averaged as np.mean averages them."""
-    if np.isnan(values).any():
-        return float("nan")
-    half = values.size // 2
-    part = np.partition(values, half)
-    if values.size % 2:
-        return float(part[half])
-    return float((part[:half].max() + part[half]) / 2)
-
-
-def median_bandwidth(x: np.ndarray) -> float:
-    """Median-heuristic RBF bandwidth: sqrt(median squared distance / 2)."""
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] < 2:
-        return 1.0
-    sq = (arr * arr).sum(axis=1, keepdims=True)
-    d2 = np.maximum(sq + sq.T - 2.0 * arr @ arr.T, 0.0)
-    n = arr.shape[0]
-    upper = _upper_mask(max(_MASK_ROWS, 1 << (n - 1).bit_length()))[:n, :n]
-    med = _median(d2[upper])
-    if med <= 0.0:
-        return 1.0
-    return float(np.sqrt(med / 2.0))
-
-
-def hsic(x: ad.Tensor, y: ad.Tensor, rows=None) -> ad.Tensor:
-    """Biased HSIC estimate between aligned rows of x and y, or between
-    their rows `rows` when given (as take_rows of both would give them).
-
-    (1/(n-1))^2 * trace(Kx H Ky H) with RBF kernels at the median-heuristic
-    bandwidths of those rows' detached values (ad.hsic_rbf takes others).
-    The trace is evaluated as an elementwise product of the centered grams
-    (identical by symmetry and idempotence of H). ad.hsic_rbf refuses
-    inputs of different row counts or fewer than 2 rows.
-    """
-    # take_rows refuses a row outside the inputs, as ad.hsic_rbf would
-    xs, ys = ((x.data, y.data) if rows is None else
-              (ad.take_rows(x.data, rows).data, ad.take_rows(y.data, rows).data))
-    return ad.hsic_rbf(x, y, median_bandwidth(xs), median_bandwidth(ys), rows)
 
 
 # The objective's terms, in the order RunConfig.coefficients weighs them.
@@ -208,8 +147,8 @@ def total_loss(fwd: TwoBranchPass, labels, q: float,
     head, with q in (0, 1]; the mean cross-entropy of the causal head,
     weighted by the relative difficulty of both heads' detached per-sample
     cross-entropies; the counterfactual term over `perm` with those
-    weights (the three of them ad.two_head_loss); and the hsic of both
-    branches' last-layer node embeddings at `rows`. `coefficients` weigh
+    weights (the three of them ad.two_head_loss); and the ad.hsic_rbf of
+    both branches' last-layer node embeddings at `rows`. `coefficients` weigh
     them (RunConfig.coefficients): a term weighed 0 (ablated, or a zero
     lambda) leaves the objective, but every term's raw value is still
     reported, so ablated runs stay comparable, beside the mean detached
@@ -218,7 +157,8 @@ def total_loss(fwd: TwoBranchPass, labels, q: float,
     total, values = ad.two_head_loss(
         fwd.joint, fwd.graph_causal, fwd.graph_shortcut, fwd.head_causal,
         fwd.head_shortcut, labels, q, perm, coefficients[:3])
-    independence = hsic(fwd.layers_causal[-1], fwd.layers_shortcut[-1], rows)
+    independence = ad.hsic_rbf(fwd.layers_causal[-1], fwd.layers_shortcut[-1],
+                               rows)
     if coefficients[3] != 0.0:
         weighed = ad.multiply(independence, coefficients[3])
         total = weighed if total is None else ad.add(total, weighed)

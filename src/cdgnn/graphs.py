@@ -10,6 +10,7 @@ neighbours, and an ego subgraph, are read without scanning the edge list.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -203,18 +204,22 @@ def graph_to_dict(g: Graph) -> dict:
     }
 
 
+def _numeric(kind: type) -> bool:
+    """Whether `kind` is int, float or a numpy number type (bool is not)."""
+    return kind is int or issubclass(kind, (float, np.integer, np.floating))
+
+
 def _whole(value) -> bool:
-    """Whether `value` is a whole number in int64's range: an int or an
-    integral float; a bool or a string is none."""
-    return ((type(value) is int
-             or isinstance(value, (float, np.integer, np.floating)))
-            and -2**63 <= value < 2**63 and float(value).is_integer())
+    """Whether `value` is a _numeric whole number in int64's range."""
+    return (_numeric(type(value)) and -2**63 <= value < 2**63
+            and float(value).is_integer())
 
 
 def graph_from_dict(payload: dict) -> Graph:
     """The graph a graph_to_dict payload holds. The first entry out of form
     is refused by name: a count, label or edge end that is not a whole
-    number, an edge that is not one [u, v] pair, a feature row unlike row 0."""
+    number, an edge that is not one [u, v] pair, a feature row unlike row 0,
+    a feature value that is not a number."""
     if not isinstance(payload, dict):
         raise GraphError(f"graph payload must be an object, got {type(payload).__name__}")
     missing = [k for k in ("num_nodes", "num_classes", "edges", "features", "labels")
@@ -237,6 +242,12 @@ def graph_from_dict(payload: dict) -> Graph:
         bad = next((i for i, v in enumerate(values) if not fits(v)), None)
         if bad is not None:
             raise GraphError(f"{what} {bad} is {values[bad]!r}, not {form}")
+    kinds = set(map(type, itertools.chain.from_iterable(feats)))
+    if not all(map(_numeric, kinds)):
+        row, col = next((i, j) for i, r in enumerate(feats)
+                        for j, v in enumerate(r) if not _numeric(type(v)))
+        raise GraphError(f"feature row {row} column {col} is "
+                         f"{feats[row][col]!r}, not a number")
     return Graph(
         num_nodes=int(payload["num_nodes"]),
         edges=np.asarray(payload["edges"], dtype=np.int64),

@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .disentangle import (LOSS_TERMS, hsic, init_cdgnn_params, total_loss,
+from .disentangle import (LOSS_TERMS, init_cdgnn_params, total_loss,
                           two_branch_forward)
 from .graphs import (Graph, feature_heterophily, graph_to_dict,
                      label_heterophily)
@@ -207,15 +207,20 @@ def _train_batches(train_nodes: np.ndarray, batch_size: int,
     return chunks
 
 
-def _setup(config: RunConfig, seed: int, train_nodes, val_nodes):
+def _setup(g: Graph, config: RunConfig, seed: int, train_nodes, val_nodes):
     """Validate `config` and return the node arrays and the run's five
     streams: init, batch order, dropout, counterfactual permutation and
-    HSIC rows. An empty val set is refused: early stopping scores it."""
+    HSIC rows. An empty val set is refused: early stopping scores it; so
+    is a node id outside `g`, naming the first."""
     config.validate()
     train_nodes = np.asarray(train_nodes, dtype=np.int64).reshape(-1)
     val_nodes = np.asarray(val_nodes, dtype=np.int64).reshape(-1)
     if val_nodes.shape[0] == 0:
         raise ValueError("need at least 1 validation node")
+    for name, nodes in (("train", train_nodes), ("val", val_nodes)):
+        outside = nodes[(nodes < 0) | (nodes >= g.num_nodes)]
+        if outside.size:
+            raise ValueError(f"{name} node id {outside[0]} outside [0, {g.num_nodes})")
     rngs = [np.random.default_rng(s)
             for s in np.random.SeedSequence(seed).spawn(5)]
     return train_nodes, val_nodes, rngs
@@ -269,7 +274,7 @@ def train_cdgnn(g: Graph, config: RunConfig, seed: int,
     `cache` is a build_ego_cache of at least the train and val nodes at
     config.resolved_hops; by default one is built for exactly those.
     """
-    train_nodes, val_nodes, rngs = _setup(config, seed, train_nodes, val_nodes)
+    train_nodes, val_nodes, rngs = _setup(g, config, seed, train_nodes, val_nodes)
     if train_nodes.shape[0] < 2:
         raise ValueError("need at least 2 training nodes")
     rng_init, rng_batch, rng_dropout, rng_perm, rng_hsic = rngs
@@ -362,7 +367,7 @@ def train_gcn_baseline(g: Graph, config: RunConfig, seed: int,
     predict runs it on the leaves and the next step differentiates it:
     a run makes one full-graph forward per epoch, plus the first step's.
     """
-    train_nodes, val_nodes, rngs = _setup(config, seed, train_nodes, val_nodes)
+    train_nodes, val_nodes, rngs = _setup(g, config, seed, train_nodes, val_nodes)
     rng_init, rng_dropout = rngs[0], rngs[2]
     params = init_gcn_weights(rng_init, g.feature_dim, config.hidden,
                               config.layers, "gcn")
@@ -539,7 +544,7 @@ def assumption_audit(g: Graph, params: dict[str, np.ndarray], hops: int,
     fwd = two_branch_forward(batch, params)
     h_c, h_s = fwd.graph_causal, fwd.graph_shortcut
 
-    independence = hsic(h_c, h_s).item()
+    independence = ad.hsic_rbf(h_c, h_s).item()
 
     base = ad.softmax_head(fwd.joint, *fwd.head_causal).data
     rows = np.arange(batch.num_graphs)

@@ -12,7 +12,7 @@ gather_scatter_propagate is the oracle of the CSR propagation: the edge-list
 gather and bincount scatter that PropagationPlan replaced. add_at_take_rows
 is likewise the oracle of take_rows, whose adjoint runs as a CSR row sum.
 adam_step is the per-parameter loop that the flat-buffer Adam replaced.
-hsic_value is hsic on plain arrays, and audit_cross_class_ratios is
+hsic_value is ad.hsic_rbf on plain arrays, and audit_cross_class_ratios is
 assumption_audit's old per-layer loop, which propagated the causal branch
 again from its masks instead of reading the forward's layers.
 composed_objective_case is total_loss written out term by term, the
@@ -26,8 +26,7 @@ unweighted chain, is the causal CE of the two_head_loss chain.
 import numpy as np
 
 from cdgnn import autodiff as ad
-from cdgnn.disentangle import (_SCORER_KEYS, hsic, init_mask_params,
-                               median_bandwidth, total_loss,
+from cdgnn.disentangle import (_SCORER_KEYS, init_mask_params, total_loss,
                                two_branch_forward)
 from cdgnn.harness import _layer_cross_class_ratio
 from cdgnn.graphs import Graph
@@ -244,9 +243,9 @@ def mean_of_halves(a):
     return ad.multiply(ad.add(top, bottom), 0.5)
 
 
-def ego_readout(h, ego_rows, segments, num_segments, projection):
+def ego_readout(h, ego_rows, segments, projection):
     ego = ad.take_rows(h, ego_rows)
-    means = segment_mean_rows(h, segments, num_segments)
+    means = segment_mean_rows(h, segments, len(ego_rows))
     return ad.matmul(ad.concat_cols(ego, means), projection)
 
 
@@ -386,9 +385,9 @@ def adam_step(params, grads, state, lr, weight_decay=0.0, beta1=0.9,
 
 
 def hsic_value(x, y):
-    """hsic() of two plain arrays, on untracked tensors, as a float."""
-    return hsic(ad.Tensor(np.asarray(x, dtype=np.float64)),
-                ad.Tensor(np.asarray(y, dtype=np.float64))).item()
+    """ad.hsic_rbf of two plain arrays, which records nothing, as a float."""
+    return ad.hsic_rbf(np.asarray(x, dtype=np.float64),
+                       np.asarray(y, dtype=np.float64)).item()
 
 
 def audit_cross_class_ratios(g, params, hops, nodes):
@@ -412,7 +411,7 @@ def audit_cross_class_ratios(g, params, hops, nodes):
 def composed_objective_case(rng):
     """One random instance of the full four-term training objective, as
     (build, values, objective). `build(t)` is the objective at parameters
-    `t`, composed from the two_head_loss chain, ad.hsic_rbf and the
+    `t`, composed from the two_head_loss and hsic_rbf chains and the
     weighted sum that total_loss forms; `values` are the parameters at the
     unperturbed point; `objective(t)` is total_loss of the same batch,
     permutation and coefficients at `t`, over every node row.
@@ -445,8 +444,8 @@ def composed_objective_case(rng):
     probs_c0 = ad.softmax_head(fwd0.joint, *fwd0.head_causal)
     weights = ad._difficulty_weights(ad.nll_rows(probs_s0, y).data,
                                      ad.nll_rows(probs_c0, y).data)
-    bx = median_bandwidth(fwd0.layers_causal[-1].data)
-    by = median_bandwidth(fwd0.layers_shortcut[-1].data)
+    bx = ad._median_bandwidth(fwd0.layers_causal[-1].data)
+    by = ad._median_bandwidth(fwd0.layers_shortcut[-1].data)
 
     def build(t):
         fwd = two_branch_forward(batch, t)
@@ -454,8 +453,8 @@ def composed_objective_case(rng):
                                  fwd.graph_shortcut, fwd.head_causal,
                                  fwd.head_shortcut, y, config.q, perm,
                                  config.coefficients[:3], weights)
-        independence = ad.hsic_rbf(fwd.layers_causal[-1],
-                                   fwd.layers_shortcut[-1], bx, by)
+        independence = hsic_rbf(fwd.layers_causal[-1],
+                                fwd.layers_shortcut[-1], bx, by)
         return weighted_sum((heads, independence),
                             (1.0, config.coefficients[3]))
 

@@ -7,7 +7,10 @@ evaluation, so anything stochastic inside it (dropout masks) must be
 seeded per instance. The kernel and centering oracles of tests/composed.py
 keep their own cases: their adjoints are what the fused hsic_rbf is
 compared against bit for bit. So do its GCE and mean-of-halves chains,
-which two_head_loss and edge_scorer are compared against.
+which two_head_loss and edge_scorer are compared against. The hsic_rbf
+case checks that composed chain at frozen bandwidths: the fused op takes
+its median-heuristic bandwidths as a stop-gradient statistic of its
+inputs, which central differences would move.
 """
 
 import numpy as np
@@ -236,7 +239,7 @@ def _case_ego_readout(rng):
     f = _functional(rng, (3, 2))
 
     def build(lv):
-        return f(ad.ego_readout(lv["h"], ego, seg, 3, lv["p"]))
+        return f(ad.ego_readout(lv["h"], ego, seg, lv["p"]))
 
     return build, values
 
@@ -299,7 +302,7 @@ def _case_center_gram(rng):
 def _case_hsic_rbf(rng):
     bx, by = rng.uniform(0.5, 2.0, size=2)
     values = {"x": rng.normal(size=(5, 2)), "y": rng.normal(size=(5, 3))}
-    return lambda lv: ad.hsic_rbf(lv["x"], lv["y"], bx, by), values
+    return lambda lv: composed.hsic_rbf(lv["x"], lv["y"], bx, by), values
 
 
 def _case_composite(rng):

@@ -204,7 +204,7 @@ class TestDropout:
 
 class TestRbfGram:
     """The kernel and centering oracles behind the bitwise checks of
-    hsic_rbf (tests/composed.py), and the fused op's bandwidth guard."""
+    hsic_rbf (tests/composed.py)."""
 
     def test_positive_semidefinite(self):
         rng = np.random.default_rng(29)
@@ -218,10 +218,6 @@ class TestRbfGram:
     def test_unit_diagonal(self):
         k = composed.rbf_gram(np.random.default_rng(0).normal(size=(6, 3)), 1.0)
         np.testing.assert_allclose(np.diag(k.data), 1.0)
-
-    def test_nonpositive_bandwidth_rejected(self):
-        with pytest.raises(ValueError, match="bandwidth"):
-            ad.hsic_rbf(np.ones((3, 2)), np.ones((3, 2)), 0.0, 1.0)
 
     def test_center_gram_zeroes_row_means(self):
         k = np.random.default_rng(1).normal(size=(5, 5))

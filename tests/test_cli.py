@@ -511,14 +511,17 @@ class TestInputErrors:
     def test_non_integral_graph_entry_is_one_line_error(
             self, tmp_path, capsys):
         """A truncating float, a bool or a string where the graph file needs
-        a whole number ends ingest and every --graph command with one error
-        line naming the entry, before any work."""
+        a whole number, or a feature value that is not a number, ends ingest
+        and every --graph command with one error line naming the entry,
+        before any work."""
         path = tmp_path / "bad.json"
         model = save_model(
             init_cdgnn_params(np.random.default_rng(0), 1, 4, 1, 4, 2),
             tmp_path / "model.npz", hops=1)
         for key, value, named in (("edges", [[0.4, 1.6]], "edge 0"),
                                   ("labels", [0.9, 1.2], "label 0"),
+                                  ("features", [[0.0], ["1"]],
+                                   "feature row 1 column 0"),
                                   ("num_nodes", 3.9, "num_nodes")):
             path.write_text(json.dumps({
                 "num_nodes": 2, "num_classes": 2, "edges": [[0, 1]],

@@ -15,7 +15,6 @@ from scipy.sparse import _base
 import composed
 from cdgnn import autodiff as ad
 from cdgnn import harness, models, synth
-from cdgnn.disentangle import hsic
 
 OPS = ("gcn_layer", "softmax_head", "edge_scorer", "ego_readout",
        "nll_rows", "two_head_loss", "hsic_rbf")
@@ -44,6 +43,21 @@ def _assert_bitwise(fused, chain, values, tracked):
     assert got.keys() == want.keys()
     for k in want:
         np.testing.assert_array_equal(got[k], want[k], err_msg=k)
+
+
+def _hsic_pair(values, sample, names):
+    """ad.hsic_rbf of the inputs `names` (two keys of `values`) at the row
+    sample `sample` (every row if None), and the composed chain on take_rows
+    of both at the median-heuristic bandwidths of the sampled rows."""
+    rows = slice(None) if sample is None else sample
+    bx, by = (ad._median_bandwidth(values[k][rows]) for k in names)
+    a, b = names
+
+    def gather(t):
+        return t if sample is None else ad.take_rows(t, sample)
+
+    return (lambda lv: ad.hsic_rbf(lv[a], lv[b], sample),
+            lambda lv: composed.hsic_rbf(gather(lv[a]), gather(lv[b]), bx, by))
 
 
 def _random_plan(rng, n, edgeless=False):
@@ -123,9 +137,8 @@ class TestBitwiseAgainstComposedChain:
                       "p": rng.normal(size=(6, 3))}
             for tracked in ({"h", "p"}, {"p"}):
                 _assert_bitwise(
-                    lambda lv: ad.ego_readout(lv["h"], ego, seg, len(sizes), lv["p"]),
-                    lambda lv: composed.ego_readout(lv["h"], ego, seg, len(sizes),
-                                                    lv["p"]),
+                    lambda lv: ad.ego_readout(lv["h"], ego, seg, lv["p"]),
+                    lambda lv: composed.ego_readout(lv["h"], ego, seg, lv["p"]),
                     values, tracked)
 
     @pytest.mark.parametrize("batch", [2, 9])
@@ -147,32 +160,29 @@ class TestBitwiseAgainstComposedChain:
                 lambda lv: composed.nll_rows(lv["p"], y, weights),
                 {"p": probs}, {"p"})
 
-    @pytest.mark.parametrize("rows", ["all", "distinct", "repeated"])
+    @pytest.mark.parametrize("rows", ["none", "all", "distinct", "repeated"])
     def test_hsic_rbf_on_a_row_sample(self, rows):
-        """As in training: HSIC of a row sample of two node embeddings."""
+        """As in training: HSIC of a row sample of two node embeddings (or
+        of every row) is the chain at the sampled rows' median-heuristic
+        bandwidths."""
         rng = np.random.default_rng(12)
         for _ in range(10):
             n = int(rng.integers(2, 40))
-            sample = {"all": np.arange(n),
+            sample = {"none": None, "all": np.arange(n),
                       "distinct": rng.permutation(n)[:max(2, n // 2)],
                       "repeated": rng.integers(0, n, size=n + 3)}[rows]
             values = {"x": rng.normal(size=(n, 5)), "y": rng.normal(size=(n, 4))}
-            bx, by = rng.uniform(0.5, 3.0, size=2)
-
-            def op(impl):
-                return lambda lv: impl(ad.take_rows(lv["x"], sample),
-                                       ad.take_rows(lv["y"], sample), bx, by)
-
             for tracked in ({"x", "y"}, {"x"}):
-                _assert_bitwise(op(ad.hsic_rbf), op(composed.hsic_rbf), values,
+                _assert_bitwise(*_hsic_pair(values, sample, "xy"), values,
                                 tracked)
 
     @pytest.mark.parametrize("num_rows, repeated", [(7, False), (40, False),
                                                     (20, True)])
     def test_hsic_takes_its_own_row_sample(self, num_rows, repeated):
-        """hsic with a row sample, as training draws it (a permutation cut
-        to at most max_rows: all rows at 7, a strict subset at 40), or with
-        repeated rows, gives the bits of hsic on take_rows of both inputs."""
+        """hsic_rbf with a row sample, as training draws it (a permutation
+        cut to at most max_rows: all rows at 7, a strict subset at 40), or
+        with repeated rows, gives the bits of hsic_rbf on take_rows of both
+        inputs."""
         rng = np.random.default_rng(num_rows)
         max_rows = 16
         for _ in range(5):
@@ -182,23 +192,24 @@ class TestBitwiseAgainstComposedChain:
                       "y": rng.normal(size=(num_rows, 3))}
             for tracked in ({"x", "y"}, {"x"}, {"y"}):
                 _assert_bitwise(
-                    lambda lv: hsic(lv["x"], lv["y"], rows=sample),
-                    lambda lv: hsic(ad.take_rows(lv["x"], sample),
-                                    ad.take_rows(lv["y"], sample)),
+                    lambda lv: ad.hsic_rbf(lv["x"], lv["y"], sample),
+                    lambda lv: ad.hsic_rbf(ad.take_rows(lv["x"], sample),
+                                           ad.take_rows(lv["y"], sample)),
                     values, tracked)
             _assert_bitwise(
-                lambda lv: ad.hsic_rbf(lv["x"], lv["x"], 1.3, 0.7, sample),
+                lambda lv: ad.hsic_rbf(lv["x"], lv["x"], sample),
                 lambda lv: ad.hsic_rbf(ad.take_rows(lv["x"], sample),
-                                       ad.take_rows(lv["x"], sample), 1.3, 0.7),
+                                       ad.take_rows(lv["x"], sample)),
                 values, {"x"})
 
     def test_hsic_rbf_of_one_input_with_itself(self):
-        """Both kernel adjoints land in the same tensor, y's part first."""
+        """Both kernel adjoints land in the same tensor, y's part first, with
+        every row, a permutation cut and repeated rows."""
         rng = np.random.default_rng(13)
         values = {"x": rng.normal(size=(12, 3))}
-        _assert_bitwise(lambda lv: ad.hsic_rbf(lv["x"], lv["x"], 1.3, 0.7),
-                        lambda lv: composed.hsic_rbf(lv["x"], lv["x"], 1.3, 0.7),
-                        values, {"x"})
+        for sample in (None, rng.permutation(12)[:8],
+                       rng.integers(0, 12, size=15)):
+            _assert_bitwise(*_hsic_pair(values, sample, "xx"), values, {"x"})
 
 
 # Every ablation pattern of the three head terms, at unit weights and at
@@ -396,14 +407,14 @@ class TestFusedOpGuards:
 
     def test_hsic_rows_must_match(self):
         with pytest.raises(ValueError, match="rows"):
-            ad.hsic_rbf(np.ones((3, 2)), np.ones((4, 2)), 1.0, 1.0)
+            ad.hsic_rbf(np.ones((3, 2)), np.ones((4, 2)))
 
     @pytest.mark.parametrize("rows, match", [
         ([0, 3], "outside"), ([-1, 0], "outside"), ([1], "at least 2")])
     def test_hsic_row_sample_checked(self, rows, match):
         """The row scatter of the adjoint checks no bounds."""
         with pytest.raises(ValueError, match=match):
-            ad.hsic_rbf(np.ones((3, 2)), np.ones((3, 2)), 1.0, 1.0, rows)
+            ad.hsic_rbf(np.ones((3, 2)), np.ones((3, 2)), rows)
 
 
 class TestFlatAdam:

@@ -498,3 +498,19 @@ class TestJsonRoundTrip:
         }
         with pytest.raises(GraphError, match="row 1"):
             graph_from_dict(d)
+
+    @pytest.mark.parametrize("features, named", [
+        ([["1.5", True], [2, 3]], "feature row 0 column 0 is '1.5'"),
+        ([[1.5, True], [2, 3]], "feature row 0 column 1 is True"),
+        ([[1.5, 2.0], [None, 3]], "feature row 1 column 0 is None"),
+        ([[1.5, [2.0, 3.0]], [2, 3]], "feature row 0 column 1 is [2.0, 3.0]"),
+    ], ids=["string", "bool", "null", "list"])
+    def test_non_numeric_feature_refused_by_row_and_column(self, features,
+                                                           named):
+        """A feature value is a number: a string, a bool, a null or a list
+        is refused, naming the first one, not converted or misreported."""
+        d = {"num_nodes": 2, "num_classes": 2, "edges": [[0, 1]],
+             "features": features, "labels": [0, 1]}
+        with pytest.raises(GraphError) as info:
+            graph_from_dict(d)
+        assert named in str(info.value)

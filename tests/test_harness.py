@@ -546,6 +546,27 @@ def test_empty_val_set_refused(train):
         train(g, _tiny_config(), 0, np.arange(10), [])
 
 
+@pytest.mark.parametrize("train", [train_cdgnn, train_gcn_baseline])
+@pytest.mark.parametrize("train_nodes, val_nodes, message", [
+    ([0, 1, 2], [-1, -2], "val node id -1 outside [0, 40)"),
+    ([0, 40, 41], [10, 11], "train node id 40 outside [0, 40)")],
+    ids=["val", "train"])
+def test_node_id_outside_the_graph_refused(train, train_nodes, val_nodes,
+                                           message, monkeypatch):
+    """A negative id would wrap around to score another node, and a large
+    one fail in an ego lookup; either is refused, naming the first, before
+    any parameter is drawn."""
+    def drawn(*args):
+        raise AssertionError("parameters drawn")
+
+    monkeypatch.setattr(harness, "init_cdgnn_params", drawn)
+    monkeypatch.setattr(harness, "init_gcn_weights", drawn)
+    g = _tiny_graph(seed=0)
+    with pytest.raises(ValueError) as err:
+        train(g, _tiny_config(), 0, np.array(train_nodes), np.array(val_nodes))
+    assert str(err.value) == message
+
+
 def test_training_leaves_no_cyclic_garbage():
     """Each step's graph is freed by reference count: with the cyclic
     collector off, training leaves it no Tensor to find."""

@@ -27,8 +27,7 @@ def _ego_batch(g, nodes, hops):
 
 
 def _readout(batch, h, projection):
-    return ad.ego_readout(h, batch.ego_rows, batch.segments, batch.num_graphs,
-                          projection)
+    return ad.ego_readout(h, batch.ego_rows, batch.segments, projection)
 
 
 def _renormalized_propagate(g, signal, edge_weights=None):

@@ -245,7 +245,6 @@ SETTABLE = [
     "cli.main(argv)",
     "disentangle.two_branch_forward(dropout_rate)",
     "disentangle.two_branch_forward(rng)",
-    "disentangle.hsic(rows)",
     "gains.GainParams.mean_relative_degree",
     "gains.monte_carlo_one_layer(noise_ratio)",
     "gains.monte_carlo_one_layer(num_samples)",
