@@ -1,9 +1,10 @@
 """The experiment workflow end to end: single runs, seed aggregation,
 term ablations, a loss-weight sweep, and the flat CSV report.
 
-Seeds, ablations and sweeps are all one call, run_variants: a map of named
-configs run over a list of seeds, with the graph hashed once and one ego
-cache per hop count shared by every run. Everything here is deliberately
+Seeds, model comparisons, ablations and sweeps are all one call,
+run_variants: a map of named (model, RunConfig) pairs run over a list of
+seeds, with the graph hashed once, one ego cache per hop count shared by
+the CD-GNN rows and one full-graph input by the GCN rows. Everything here is deliberately
 tiny so the whole tour finishes in about a minute; real runs use more
 seeds and epochs.
 """
@@ -33,17 +34,22 @@ def main() -> None:
     print(f"record hash {record.record_hash()[:16]}..., "
           f"saved to {record.save(out).name}")
 
-    # Seeds: one variant, three seeds.
-    records = run_variants(g, {"cdgnn": config}, seeds=(0, 1, 2),
-                           dataset="planted")["cdgnn"]
-    mean, std = aggregate_runs([r.test_accuracy for r in records])
-    print(f"\nseeds: mean {mean:.3f} +- {std:.3f} over {len(records)} seeds")
+    # Seeds: a GCN row and a CD-GNN row, three seeds each, in one table.
+    table = run_variants(g, {"gcn": ("gcn", config),
+                             "cdgnn": ("cdgnn", config)},
+                         seeds=(0, 1, 2), dataset="planted")
+    print()
+    for name, rows in table.items():
+        mean, std = aggregate_runs([r.test_accuracy for r in rows])
+        print(f"seeds: {name:<5s} mean {mean:.3f} +- {std:.3f} "
+              f"over {len(rows)} seeds")
+    records = table["cdgnn"]
 
     # Ablations flip one term off at a time, same seed and data.
-    variants = {"full": config}
+    variants = {"full": ("cdgnn", config)}
     for flag in ("no_shortcut_term", "no_causal_term",
                  "no_counterfactual_term", "no_independence_term"):
-        variants[flag] = replace(config, **{flag: True})
+        variants[flag] = ("cdgnn", replace(config, **{flag: True}))
     ablation = run_variants(g, variants, seeds=(0,), dataset="planted")
     print("\nablation          test accuracy")
     for name, (rec,) in ablation.items():
@@ -53,7 +59,8 @@ def main() -> None:
     # go to CSV, and the plot payload groups one series per independence
     # weight.
     grid = {f"l_cf={l1} l_ind={l2}":
-            replace(config, lambda_counterfactual=l1, lambda_independence=l2)
+            ("cdgnn", replace(config, lambda_counterfactual=l1,
+                              lambda_independence=l2))
             for l2 in (0.01,) for l1 in (1.0, 10.0)}
     sweep = run_variants(g, grid, seeds=(0,), dataset="planted")
     csv_path, json_path = save_sweep(sweep, out)

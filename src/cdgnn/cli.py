@@ -123,21 +123,30 @@ def _seeds(args) -> list[int]:
     return list(range(args.seed, args.seed + args.num_runs))
 
 
+def _run_table(args, variants: dict) -> dict:
+    """Run `variants` (name -> (model, RunConfig)) on the graph of `args`
+    at the --seed/--num-runs seeds and save every record to --out-dir;
+    the records by variant."""
+    g, dataset = _resolve_graph(args)
+    runs = run_variants(g, variants, _seeds(args), dataset)
+    for records in runs.values():
+        for record in records:
+            record.save(args.out_dir)
+    return runs
+
+
 def _cmd_train(args) -> int:
     """train and train-baseline: the model is in `args.model`."""
     model = args.model
-    g, dataset = _resolve_graph(args)
     config = _config_from_args(args)
     if args.num_runs > 1:
-        seeds = _seeds(args)
-        records = run_variants(g, {model: config}, seeds, dataset, model)[model]
-        for record in records:
-            record.save(args.out_dir)
+        records = _run_table(args, {model: (model, config)})[model]
         mean, std = aggregate_runs([r.test_accuracy for r in records])
-        print(f"{model} on {dataset}: {mean:.4f} +/- {std:.4f} "
-              f"over {len(seeds)} runs; wrote run records only, no weights "
-              f"(--num-runs 1 saves them)")
+        print(f"{model} on {records[0].dataset}: {mean:.4f} +/- {std:.4f} "
+              f"over {args.num_runs} runs; wrote run records only, no "
+              f"weights (--num-runs 1 saves them)")
         return 0
+    g, dataset = _resolve_graph(args)
     record, params = run_experiment(g, config, args.seed, dataset, model,
                                     return_params=True)
     out_dir = Path(args.out_dir)
@@ -167,27 +176,21 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
-    g, dataset = _resolve_graph(args)
     config = _config_from_args(args)
     # The full objective, then each single-term ablation flag of RunConfig.
-    variants = {"full": config}
+    variants = {"full": ("cdgnn", config)}
     for flag in (f.name for f in fields(RunConfig) if f.name.startswith("no_")):
-        variants[flag] = replace(config, **{flag: True})
-    runs = run_variants(g, variants, _seeds(args), dataset)
-    records = []
-    for name, variant_records in runs.items():
-        for record in variant_records:
-            record.save(args.out_dir)
-        records += variant_records
+        variants[flag] = ("cdgnn", replace(config, **{flag: True}))
+    runs = _run_table(args, variants)
+    for name, records in runs.items():
         if args.num_runs == 1:
-            print(f"{name:24s} test accuracy "
-                  f"{variant_records[0].test_accuracy:.4f}")
+            print(f"{name:24s} test accuracy {records[0].test_accuracy:.4f}")
         else:
-            mean, std = aggregate_runs(
-                [r.test_accuracy for r in variant_records])
+            mean, std = aggregate_runs([r.test_accuracy for r in records])
             print(f"{name:24s} test accuracy {mean:.4f} +/- {std:.4f} "
                   f"over {args.num_runs} runs")
-    write_report_csv(records, args.out_dir / "ablation.csv")
+    write_report_csv([r for records in runs.values() for r in records],
+                     args.out_dir / "ablation.csv")
     return 0
 
 
@@ -201,14 +204,13 @@ def _distinct_floats(text: str, flag: str) -> list[float]:
 def _cmd_sweep(args) -> int:
     l1 = _distinct_floats(args.lambda1_values, "--lambda1-values")
     l2 = _distinct_floats(args.lambda2_values, "--lambda2-values")
-    g, dataset = _resolve_graph(args)
     config = _config_from_args(args)
-    seeds = _seeds(args)
     # One variant per grid cell: independence weight outer, counterfactual inner.
     variants = {f"lambda1={a} lambda2={b}":
-                replace(config, lambda_counterfactual=a, lambda_independence=b)
+                ("cdgnn", replace(config, lambda_counterfactual=a,
+                                  lambda_independence=b))
                 for b in l2 for a in l1}
-    runs = run_variants(g, variants, seeds, dataset)
+    runs = _run_table(args, variants)
     csv_path, json_path = save_sweep(runs, args.out_dir)
     means = {name: aggregate_runs([r.test_accuracy for r in records])[0]
              for name, records in runs.items()}

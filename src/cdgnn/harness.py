@@ -31,7 +31,7 @@ import numpy as np
 from . import autodiff as ad
 from .disentangle import (LOSS_TERMS, init_cdgnn_params, total_loss,
                           two_branch_forward)
-from .graphs import (Graph, feature_heterophily, graph_to_dict,
+from .graphs import (Graph, _whole, feature_heterophily, graph_to_dict,
                      label_heterophily)
 from .models import (EgoBatch, batch_from_cache, build_ego_cache, gcn_forward,
                      init_gcn_weights, init_head_params)
@@ -644,14 +644,27 @@ class RunRecord:
         return path
 
 
-def _check(g: Graph, model: str, configs) -> dict:
-    """Refuse an unknown model, an invalid config or a graph without edges
-    before any work; return the record fields `g` fixes: its dataset_hash
-    and its label and feature heterophily, which raise without edges."""
-    if model not in ("cdgnn", "gcn"):
-        raise ValueError(f"unknown model {model!r}")
-    for config in configs:
+def _check(g: Graph, variants: dict, seeds: list) -> dict:
+    """Refuse, before any work: an empty table; a variant whose model is
+    unknown, naming it; an invalid config; no seeds, a repeated seed, or
+    one that is not a non-negative integer, naming it; a graph without
+    edges. Return the record fields `g` fixes: its dataset_hash and its
+    label and feature heterophily, which raise without edges."""
+    if not variants:
+        raise ValueError("run_variants needs at least one variant")
+    for name, (model, config) in variants.items():
+        if model not in ("cdgnn", "gcn"):
+            raise ValueError(f"variant {name!r}: unknown model {model!r}")
         config.validate()
+    if not seeds:
+        raise ValueError("run_variants needs at least one seed")
+    for seed in seeds:
+        if (isinstance(seed, bool) or not isinstance(seed, (int, np.integer))
+                or seed < 0):
+            raise ValueError(f"seed must be a non-negative integer, "
+                             f"got {seed!r}")
+    if len(set(seeds)) != len(seeds):
+        raise ValueError(f"seeds must be distinct, got {seeds}")
     return {"dataset_hash": dataset_hash(g),
             "label_heterophily": label_heterophily(g),
             "feature_heterophily": feature_heterophily(g)}
@@ -681,7 +694,7 @@ def _run(g: Graph, config: RunConfig, seed: int, dataset: str, model: str,
     record = RunRecord(
         dataset=dataset,
         model=model,
-        seed=seed,
+        seed=int(seed),  # a numpy integer would not serialize
         config=asdict(config),
         split_sizes=sp.sizes,
         **facts,
@@ -703,36 +716,33 @@ def run_experiment(g: Graph, config: RunConfig, seed: int,
 
     With return_params=True, returns (record, trained parameter dict).
     """
-    facts = _check(g, model, [config])  # before the ego cache, which is slow
+    # before the ego cache, which is slow
+    facts = _check(g, {model: (model, config)}, [seed])
     record, params = _run(g, config, seed, dataset, model, facts, {})
     return (record, params) if return_params else record
 
 
-def run_variants(g: Graph, variants: dict[str, RunConfig],
-                 seeds: Sequence[int], dataset: str = "custom",
-                 model: str = "cdgnn") -> dict[str, list[RunRecord]]:
+def run_variants(g: Graph, variants: dict[str, tuple[str, RunConfig]],
+                 seeds: Sequence[int],
+                 dataset: str = "custom") -> dict[str, list[RunRecord]]:
     """Each variant's records, one per seed in seed order, keyed as
-    `variants` (a name -> RunConfig map) and in its order.
+    `variants` (a name -> (model, RunConfig) map, "cdgnn" or "gcn") and in
+    its order; a table may mix models.
 
-    The model, every config, the seeds and `g` are checked before any run,
-    and `g` is hashed and its heterophily measured once. A CD-GNN builds one
-    all-node ego cache per distinct resolved_hops, and a GCN one full-graph
-    plan with its propagated features, which every run reads and none
-    writes. Each record equals run_experiment's for its config and seed,
-    except the non-canonical wall_time, which excludes any cache build.
+    Every pair, the seeds and `g` are checked before any run, and `g` is
+    hashed and its heterophily measured once. The CD-GNN rows build one
+    all-node ego cache per distinct resolved_hops, and the GCN rows one
+    full-graph plan with its propagated features, which every run reads
+    and none writes. Each record equals run_experiment's for its model,
+    config and seed, except the non-canonical wall_time, which excludes
+    any cache build.
     """
     seeds = list(seeds)
-    if not variants:
-        raise ValueError("run_variants needs at least one variant")
-    if not seeds:
-        raise ValueError("run_variants needs at least one seed")
-    if len(set(seeds)) != len(seeds):
-        raise ValueError(f"seeds must be distinct, got {seeds}")
-    facts = _check(g, model, variants.values())
+    facts = _check(g, variants, seeds)
     caches: dict = {}
     return {name: [_run(g, config, seed, dataset, model, facts,
                         caches)[0] for seed in seeds]
-            for name, config in variants.items()}
+            for name, (model, config) in variants.items()}
 
 
 def aggregate_runs(accuracies: Sequence[float]) -> tuple[float, float]:
@@ -834,6 +844,9 @@ def save_model(params: dict[str, np.ndarray], path, hops: int) -> Path:
 
 
 def load_model(path) -> SavedModel:
+    """The SavedModel of a save_model archive. A file that is no .npz
+    archive, or whose ego_hops entry is missing or not one whole number
+    >= 1 (2.0 is one), is refused, naming the file."""
     try:
         data = np.load(path)
     except (ValueError, EOFError, zipfile.BadZipFile):
@@ -846,5 +859,8 @@ def load_model(path) -> SavedModel:
     if "ego_hops" not in params:
         raise ValueError(f"{path} stores no ego hops (it predates archives "
                          f"that do); train the model again")
-    hops = int(params.pop("ego_hops"))
-    return SavedModel(params, hops)
+    hops = params.pop("ego_hops")
+    if not (hops.ndim == 0 and _whole(hops.item()) and hops.item() >= 1):
+        raise ValueError(f"{path} stores ego hops {hops.tolist()!r}, not one "
+                         f"whole number >= 1")
+    return SavedModel(params, int(hops))

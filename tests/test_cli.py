@@ -604,6 +604,35 @@ class TestInputErrors:
                             f"{path} is not a run record")
         assert not (tmp_path / "report.csv").exists()
 
+    @pytest.mark.parametrize("hops", [[1, 2], 1.7, 0, -1, True, "2",
+                                      float("nan")])
+    def test_archive_with_bad_hops_is_refused(self, hops, tiny_graph_file,
+                                              tmp_path, capsys):
+        """ego_hops must be one whole number >= 1: an array used to end in
+        a TypeError traceback, and 1.7 loaded silently as 1 hop."""
+        path = tmp_path / "bad.npz"
+        np.savez(path, ego_hops=hops, **init_cdgnn_params(
+            np.random.default_rng(0), 5, 4, 2, 4, 2))
+        for command in ("evaluate", "audit"):
+            _one_line_error(capsys, [command, "--graph", tiny_graph_file,
+                                     "--model", path],
+                            f"{path} stores ego hops ",
+                            "not one whole number >= 1")
+
+    def test_whole_float_hops_are_read(self, tiny_graph_file, tmp_path,
+                                       capsys):
+        """2.0 is a whole number, as in graph files."""
+        params = init_cdgnn_params(np.random.default_rng(0), 5, 4, 2, 4, 2)
+        whole, float_ = tmp_path / "int.npz", tmp_path / "float.npz"
+        np.savez(whole, ego_hops=2, **params)
+        np.savez(float_, ego_hops=2.0, **params)
+        outputs = []
+        for path in (whole, float_):
+            assert main(["evaluate", "--graph", str(tiny_graph_file),
+                         "--model", str(path)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
     def test_missing_or_directory_input_is_one_line_error(
             self, tiny_graph_file, tmp_path, capsys):
         model = save_model(
@@ -711,6 +740,31 @@ class TestModelArchives:
 
 
 TRAINING_COMMANDS = ("train", "train-baseline", "ablate", "sweep")
+
+
+# Each training command at --num-runs 2 and the variants it runs.
+_TABLES = {"train": 1, "train-baseline": 1, "ablate": 5, "sweep": 2}
+
+
+@pytest.mark.parametrize("command", TRAINING_COMMANDS)
+def test_every_run_writes_a_record_that_report_reads(command,
+                                                     tiny_graph_file,
+                                                     tmp_path, capsys):
+    out_dir = tmp_path / "runs"
+    grid = (["--lambda1-values", "1,5", "--lambda2-values", "0.1"]
+            if command == "sweep" else [])
+    assert main([command, "--graph", str(tiny_graph_file), "--seed", "4",
+                 "--num-runs", "2", "--out-dir", str(out_dir), *grid,
+                 *_FAST]) == 0
+    records = [json.loads(p.read_text()) for p in out_dir.glob("run_*.json")]
+    runs = 2 * _TABLES[command]
+    assert len(records) == runs
+    assert sorted(r["seed"] for r in records) == [4] * (runs // 2) + [5] * (
+        runs // 2)
+    capsys.readouterr()
+    assert main(["report", "--records", str(out_dir),
+                 "--out", str(tmp_path / "report.csv")]) == 0
+    assert capsys.readouterr().out.endswith(f"({runs} runs)\n")
 
 
 class TestConfigFlags:

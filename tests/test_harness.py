@@ -397,8 +397,8 @@ class TestGcnRunCounts:
         run_experiment(g, cfg, seed=0, model="gcn")
         assert plans == [g.num_nodes]
         assert props == [None]
-        run_variants(g, {"a": cfg, "b": replace(cfg, hidden=6)}, [0, 1, 2],
-                     model="gcn")
+        run_variants(g, {"a": ("gcn", cfg),
+                         "b": ("gcn", replace(cfg, hidden=6))}, [0, 1, 2])
         assert plans == [g.num_nodes] * 2
         assert props == [None] * 2
 
@@ -676,9 +676,17 @@ class TestRunExperiment:
             g, result.params, sp.test, cfg.resolved_hops).accuracy
 
     def test_unknown_model_rejected(self):
-        with pytest.raises(ValueError, match="unknown model"):
+        with pytest.raises(ValueError, match="unknown model 'mlp'"):
             run_experiment(_tiny_graph(), _tiny_config(), seed=0,
                            model="mlp")
+
+    def test_numpy_integer_seed_records_as_int(self):
+        g = _tiny_graph(seed=4)
+        cfg = _tiny_config(epochs=1)
+        record = run_experiment(g, cfg, seed=np.int64(1), model="gcn")
+        assert type(record.seed) is int
+        assert record.record_hash() == run_experiment(
+            g, cfg, seed=1, model="gcn").record_hash()
 
     @pytest.mark.parametrize("model", ["cdgnn", "gcn"])
     def test_graph_without_edges_fails_before_any_work(self, monkeypatch,
@@ -695,7 +703,7 @@ class TestRunExperiment:
         with pytest.raises(GraphError, match="graph with no edges"):
             run_experiment(g, _tiny_config(), seed=0, model=model)
         with pytest.raises(GraphError, match="graph with no edges"):
-            run_variants(g, {"a": _tiny_config()}, [0, 1], model=model)
+            run_variants(g, {"a": (model, _tiny_config())}, [0, 1])
 
 
 @pytest.fixture(scope="module")
@@ -771,48 +779,67 @@ def _stub_run(accuracy):
 def _grid(config, counterfactual_weights, independence_weights):
     """Loss-weight grid variants as the CLI's sweep builds them:
     independence weight outer, counterfactual weight inner."""
-    return {f"{l1},{l2}": replace(config, lambda_counterfactual=l1,
-                                  lambda_independence=l2)
+    return {f"{l1},{l2}": ("cdgnn", replace(config, lambda_counterfactual=l1,
+                                           lambda_independence=l2))
             for l2 in independence_weights for l1 in counterfactual_weights}
 
 
 class TestRunVariants:
-    @pytest.mark.parametrize("model", ["cdgnn", "gcn"])
-    def test_records_equal_run_experiment(self, model):
+    @pytest.mark.parametrize("first", ["cdgnn", "gcn"])
+    def test_records_equal_run_experiment(self, first):
+        """A GCN row and CD-GNN rows in one call, seeds out of order; the
+        model of the first row is `first`."""
         g = _tiny_graph(seed=12)
-        variants = {"base": _tiny_config(),
-                    "no_cf": _tiny_config(no_counterfactual_term=True)}
-        runs = run_variants(g, variants, [1, 0], "tiny", model)
-        assert list(runs) == ["base", "no_cf"]
-        for name, config in variants.items():
+        variants = {"cdgnn": ("cdgnn", _tiny_config()),
+                    "no_cf": ("cdgnn",
+                              _tiny_config(no_counterfactual_term=True))}
+        gcn = {"gcn": ("gcn", _tiny_config())}
+        variants = {**gcn, **variants} if first == "gcn" else {**variants,
+                                                               **gcn}
+        runs = run_variants(g, variants, [1, 0], "tiny")
+        assert list(runs) == list(variants)
+        for name, (model, config) in variants.items():
             assert [r.seed for r in runs[name]] == [1, 0]
+            assert {r.model for r in runs[name]} == {model}
             for record in runs[name]:
                 assert record.record_hash() == run_experiment(
                     g, config, record.seed, "tiny", model).record_hash()
 
-    def test_one_ego_cache_per_hops(self, monkeypatch):
-        built = []
-        real = harness.build_ego_cache
+    def test_each_cache_built_once_and_each_trainer_once_per_run(
+            self, monkeypatch):
+        """The counting wrappers stand where the bench tracer binds its
+        own, so _run must look each function up when it runs."""
+        calls = []
+        for name in ("build_ego_cache", "_full_graph", "train_cdgnn",
+                     "train_gcn_baseline"):
+            real = getattr(harness, name)
 
-        def counting(g, hops, nodes):
-            built.append(hops)
-            return real(g, hops, nodes)
+            def counting(*args, name=name, real=real):
+                calls.append((name, args[1] if name == "build_ego_cache"
+                              else None))
+                return real(*args)
 
-        monkeypatch.setattr(harness, "build_ego_cache", counting)
-        g = _tiny_graph(seed=13)
+            monkeypatch.setattr(harness, name, counting)
         cfg = _tiny_config(epochs=1)
-        two = {"a": cfg, "b": replace(cfg, lambda_independence=0.5)}
-        run_variants(g, two, [0, 1, 2])
-        assert built == [2]
-        built.clear()
-        run_variants(g, {**two, "one_hop": replace(cfg, ego_hops=1)}, [0])
-        assert built == [2, 1]
+        variants = {"gcn": ("gcn", cfg),
+                    "a": ("cdgnn", cfg),
+                    "b": ("cdgnn", replace(cfg, lambda_independence=0.5)),
+                    "one_hop": ("cdgnn", replace(cfg, ego_hops=1)),
+                    "gcn_wide": ("gcn", replace(cfg, hidden=6))}
+        run_variants(_tiny_graph(seed=13), variants, [2, 0])
+        assert [c for c in calls if not c[0].startswith("train")] == [
+            ("_full_graph", None), ("build_ego_cache", 2),
+            ("build_ego_cache", 1)]
+        trained = [name for name, _ in calls if name.startswith("train")]
+        assert trained == (["train_gcn_baseline"] * 2 + ["train_cdgnn"] * 6
+                           + ["train_gcn_baseline"] * 2)
 
-    @pytest.mark.parametrize("model", ["cdgnn", "gcn"])
-    def test_wall_time_excludes_the_cache_build(self, model, monkeypatch):
+    @pytest.mark.parametrize("first", ["cdgnn", "gcn"])
+    def test_wall_time_excludes_the_cache_build(self, first, monkeypatch):
         """Every record's wall_time starts once its cache exists, so even
-        the run that builds it does not time the build."""
-        delay = 1.0
+        the run that builds it does not time the build, in a table whose
+        first row is a `first` model and for run_experiment."""
+        delay = 0.5
         for name in ("build_ego_cache", "_full_graph"):
             real = getattr(harness, name)
 
@@ -823,9 +850,12 @@ class TestRunVariants:
             monkeypatch.setattr(harness, name, slow)
         g = _tiny_graph(seed=15)
         cfg = _tiny_config(epochs=1)
-        runs = run_variants(g, {"a": cfg}, [0, 1], model=model)
-        records = [*runs["a"], run_experiment(g, cfg, 2, model=model)]
-        assert [r.wall_time < delay for r in records] == [True] * 3, [
+        other = "gcn" if first == "cdgnn" else "cdgnn"
+        runs = run_variants(g, {"a": (first, cfg), "b": (other, cfg)},
+                            [0, 1])
+        records = [*runs["a"], *runs["b"],
+                   run_experiment(g, cfg, 2, model=first)]
+        assert [r.wall_time < delay for r in records] == [True] * 5, [
             r.wall_time for r in records]
 
     def test_shared_cache_is_read_only(self, monkeypatch):
@@ -842,30 +872,44 @@ class TestRunVariants:
         monkeypatch.setattr(harness, "build_ego_cache", frozen)
         g = _tiny_graph(seed=14)
         cfg = _tiny_config(epochs=1)
-        runs = run_variants(g, {"a": cfg, "b": replace(cfg, q=0.5)}, [0, 1])
+        runs = run_variants(g, {"a": ("cdgnn", cfg),
+                                "b": ("cdgnn", replace(cfg, q=0.5))}, [0, 1])
         assert runs["b"][1].record_hash() == run_experiment(
             g, replace(cfg, q=0.5), 1).record_hash()
 
     def test_invalid_last_variant_stops_before_any_work(self, monkeypatch):
-        calls = []
-        for name in ("dataset_hash", "build_ego_cache", "train_cdgnn",
-                     "train_gcn_baseline"):
-            monkeypatch.setattr(harness, name,
-                                lambda *a, name=name, **k: calls.append(name))
+        calls = _no_work(monkeypatch)
         cfg = _tiny_config()
-        variants = {"ok": cfg,
-                    "bad": replace(cfg, lambda_counterfactual=-1.0)}
-        for model in ("cdgnn", "gcn"):
+        bad = replace(cfg, lambda_counterfactual=-1.0)
+        for first, last in (("cdgnn", "gcn"), ("gcn", "cdgnn")):
             with pytest.raises(ValueError, match="must be nonnegative"):
-                run_variants(_tiny_graph(), variants, [0, 1], model=model)
+                run_variants(_tiny_graph(),
+                             {"ok": (first, cfg), "bad": (last, bad)}, [0, 1])
+        with pytest.raises(ValueError,
+                           match="variant 'mlp': unknown model 'mlp'"):
+            run_variants(_tiny_graph(),
+                         {"ok": ("gcn", cfg), "mlp": ("mlp", cfg)}, [0])
+        with pytest.raises(TypeError):  # a bare RunConfig is no pair
+            run_variants(_tiny_graph(), {"ok": ("gcn", cfg), "old": cfg}, [0])
         assert calls == []
 
     def test_guards(self):
         g = _tiny_graph()
         with pytest.raises(ValueError, match="at least one variant"):
             run_variants(g, {}, [0])
-        with pytest.raises(ValueError, match="unknown model"):
-            run_variants(g, {"a": _tiny_config()}, [0], model="mlp")
+        with pytest.raises(ValueError, match="variant 'a': unknown model"):
+            run_variants(g, {"a": ("mlp", _tiny_config())}, [0])
+
+
+def _no_work(monkeypatch) -> list:
+    """Replace the graph hash, both cache builders and both trainers with
+    stubs that log their names; the log."""
+    calls = []
+    for name in ("dataset_hash", "build_ego_cache", "_full_graph",
+                 "train_cdgnn", "train_gcn_baseline"):
+        monkeypatch.setattr(harness, name,
+                            lambda *a, name=name, **k: calls.append(name))
+    return calls
 
 
 class TestMultirun:
@@ -875,7 +919,8 @@ class TestMultirun:
         table = {0: 0.5, 1: 0.6, 2: 0.7}
         monkeypatch.setattr(harness, "_run",
                             _stub_run(lambda config, seed: table[seed]))
-        runs = run_variants(_tiny_graph(), {"cdgnn": _tiny_config()},
+        runs = run_variants(_tiny_graph(),
+                            {"cdgnn": ("cdgnn", _tiny_config())},
                             seeds=[2, 0, 1])
         accs = [r.test_accuracy for r in runs["cdgnn"]]
         assert accs == [0.7, 0.5, 0.6]
@@ -892,17 +937,37 @@ class TestMultirun:
 
         monkeypatch.setattr(harness, "dataset_hash", counting_hash)
         g = _tiny_graph()
-        runs = run_variants(g, {"gcn": _tiny_config(epochs=1)},
-                            seeds=[0, 1, 2], model="gcn")
+        runs = run_variants(g, {"gcn": ("gcn", _tiny_config(epochs=1))},
+                            seeds=[0, 1, 2])
         assert len(calls) == 1
         assert {r.dataset_hash for r in runs["gcn"]} == {dataset_hash(g)}
 
-    def test_seed_guards(self):
+    def test_seed_guards(self, monkeypatch):
+        """Every seed is checked before any run, for both runners."""
+        calls = _no_work(monkeypatch)
         g = _tiny_graph()
-        with pytest.raises(ValueError, match="at least one seed"):
-            run_variants(g, {"a": _tiny_config()}, seeds=[])
-        with pytest.raises(ValueError, match="distinct"):
-            run_variants(g, {"a": _tiny_config()}, seeds=[1, 1])
+        table = {"a": ("cdgnn", _tiny_config()), "b": ("gcn", _tiny_config())}
+        for seeds, message in (
+                ([], "at least one seed"),
+                ([1, 1], "distinct"),
+                ([0, 1, -1], "non-negative integer, got -1"),
+                ([0, 1.5], "non-negative integer, got 1.5"),
+                ([0, True], "non-negative integer, got True"),
+                ([0, "1"], "non-negative integer, got '1'")):
+            with pytest.raises(ValueError, match=message):
+                run_variants(g, table, seeds)
+        for model in ("cdgnn", "gcn"):
+            with pytest.raises(ValueError, match="got -2"):
+                run_experiment(g, _tiny_config(), -2, model=model)
+            with pytest.raises(ValueError, match="got 0.5"):
+                run_experiment(g, _tiny_config(), 0.5, model=model)
+        assert calls == []
+
+    def test_numpy_integer_seeds_accepted(self, monkeypatch):
+        monkeypatch.setattr(harness, "_run", _stub_run(lambda c, s: 0.5))
+        runs = run_variants(_tiny_graph(), {"a": ("gcn", _tiny_config())},
+                            np.array([3, 1]))
+        assert [r.seed for r in runs["a"]] == [3, 1]
 
 
 class TestAblate:
@@ -912,20 +977,21 @@ class TestAblate:
     def test_five_variants_with_flags(self, monkeypatch, tmp_path):
         captured = {}
 
-        def fake_run_variants(g, variants, seeds, dataset="custom",
-                              model="cdgnn"):
-            captured.update(variants=variants, seeds=seeds, model=model)
+        def fake_run_variants(g, variants, seeds, dataset="custom"):
+            captured.update(variants=variants, seeds=seeds)
             return {name: [_stub_record(seeds[0], 0.5)] for name in variants}
 
         monkeypatch.setattr(cli, "run_variants", fake_run_variants)
         save_graph(_tiny_graph(), tmp_path / "tiny.json")
         assert cli.main(["ablate", "--graph", str(tmp_path / "tiny.json"),
                          "--seed", "3", "--out-dir", str(tmp_path)]) == 0
-        variants = captured["variants"]
+        models = {name: m for name, (m, _) in captured["variants"].items()}
+        variants = {name: c for name, (_, c) in captured["variants"].items()}
         flags = ["no_shortcut_term", "no_causal_term",
                  "no_counterfactual_term", "no_independence_term"]
         assert list(variants) == ["full", *flags]
-        assert captured["seeds"] == [3] and captured["model"] == "cdgnn"
+        assert captured["seeds"] == [3]
+        assert set(models.values()) == {"cdgnn"}
         assert not any(getattr(variants["full"], f) for f in flags)
         for flag in flags:
             assert [getattr(variants[flag], f) for f in flags] == [
@@ -945,10 +1011,10 @@ class TestAblate:
         monkeypatch.setattr(harness, "_run", _stub_run(lambda c, s: 0.5))
         g = _tiny_graph()
         cfg = _tiny_config()
-        variants = {"full": cfg}
+        variants = {"full": ("cdgnn", cfg)}
         for flag in ("no_shortcut_term", "no_causal_term",
                      "no_counterfactual_term", "no_independence_term"):
-            variants[flag] = replace(cfg, **{flag: True})
+            variants[flag] = ("cdgnn", replace(cfg, **{flag: True}))
         runs = run_variants(g, variants, seeds=[0])
         assert len(calls) == 1
         assert [r.dataset_hash for (r,) in runs.values()] == [real(g)] * 5

@@ -285,7 +285,6 @@ SETTABLE = [
     "harness.run_experiment(model)",
     "harness.run_experiment(return_params)",
     "harness.run_variants(dataset)",
-    "harness.run_variants(model)",
     "models.gcn_forward(dropout_rate)",
     "models.gcn_forward(rng)",
     "models.gcn_forward(propagated)",
