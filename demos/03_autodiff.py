@@ -1,10 +1,11 @@
 """Reverse-mode autodiff: build a loss, read gradients, check them.
 
 Everything the models need is built from a small primitive set; the hot
-chains (a softmax head, a cross-entropy) are single fused nodes. This
-script differentiates a tiny softmax classifier with one hidden layer,
-built from elementary and fused nodes alike, by hand-rolled finite
-differences and by the backward walk, then trains it for a few steps.
+chains (a softmax head with its cross-entropy, a GCN layer) are single
+fused nodes. This script differentiates a tiny softmax classifier with one
+sigmoid hidden layer, an elementary matmul and sigmoid followed by the
+fused head_nll, by hand-rolled finite differences and by the backward
+walk, then trains it for a few steps.
 """
 
 import numpy as np
@@ -13,12 +14,12 @@ from cdgnn import autodiff as ad
 
 
 def nll_loss(x: np.ndarray, y: np.ndarray, params: dict):
-    """Mean negative log-likelihood of a softmax model on a relu hidden
-    layer; `params` holds leaves to differentiate, or plain arrays to only
-    evaluate."""
-    hidden = ad.relu(ad.matmul(x, params["v"]))
-    probs = ad.softmax_head(hidden, params["w"], params["b"])
-    return ad.mean(ad.nll_rows(probs, y))
+    """Mean negative log-likelihood of a softmax model on a sigmoid hidden
+    layer, over every row of x; `params` holds leaves to differentiate, or
+    plain arrays to only evaluate."""
+    hidden = ad.sigmoid(ad.matmul(x, params["v"]))
+    return ad.head_nll(hidden, np.arange(x.shape[0]), params["w"],
+                       params["b"], y)
 
 
 def main() -> None:

@@ -15,21 +15,21 @@ scipy.sparse), so no dense adjacency matrix is ever materialized.
 `propagate` runs the unweighted propagation of a constant input once; a
 gcn_layer given no plan takes its input as propagated.
 
-The model's hot paths are fused primitives (gcn_layer, softmax_head,
-edge_scorer, ego_readout, nll_rows, two_head_loss, hsic_rbf): each records
-one node whose backward repeats, in the same order, the float operations
-the chain of elementary primitives it replaces would perform, so results
-are bitwise those of the composed chain. edge_scorer is the CD-GNN mask's
-whole MLP, and two_head_loss three terms of its objective with both heads,
-so that a training batch records few nodes: on batches this small each
-node costs more in bookkeeping than in arithmetic. softmax_head and the
-four heads of two_head_loss share one forward and one adjoint, and
-two_head_loss reads both heads for both its passes alike. hsic_rbf
-takes its own row sample, in place of two take_rows nodes, and works out
-its own median-heuristic bandwidths from the rows it reads. The means of
-small arrays skip ndarray.mean's dispatch for the same sum and division
-(_mean). A softmax takes each row's max a column at a time, and the
-adjoint of a row gather with no repeated index writes the rows into
+The elementary primitives are matmul, add, subtract, multiply, sigmoid,
+concat_cols and dropout. The models' hot paths are fused primitives
+(gcn_layer, softmax_head, edge_scorer, ego_readout, head_nll,
+two_head_loss, hsic_rbf): each records one node whose backward repeats, in
+the same order, the float operations of the chain it replaces, so results
+are bitwise the composed chain's. edge_scorer is the CD-GNN mask's whole
+MLP, two_head_loss three terms of its objective with both heads and
+head_nll the GCN baseline's whole loss, so that a training step records
+few nodes: on batches this small each node costs more in bookkeeping than
+in arithmetic. softmax_head, head_nll and the four heads of two_head_loss
+share one forward and one adjoint. hsic_rbf takes its own row sample and
+works out its own median-heuristic bandwidths from the rows it reads. The
+means of small arrays skip ndarray.mean's dispatch for the same sum and
+division (_mean). A softmax takes each row's max a column at a time, and
+the adjoint of a row gather with no repeated index writes the rows into
 zeros; both give the bits of the reduce and of the CSR row sum they
 replace (NaN signs aside, see _softmax_rows).
 
@@ -57,10 +57,9 @@ import scipy
 __all__ = [
     "Tensor",
     "PropagationPlan",
-    "matmul", "add", "subtract", "multiply", "sigmoid", "relu", "mean",
-    "concat_cols", "dropout", "take_rows", "permute_rows",
-    "propagate", "gcn_layer", "softmax_head", "edge_scorer", "ego_readout",
-    "nll_rows", "two_head_loss", "hsic_rbf",
+    "matmul", "add", "subtract", "multiply", "sigmoid", "concat_cols",
+    "dropout", "propagate", "gcn_layer", "softmax_head", "edge_scorer",
+    "ego_readout", "head_nll", "two_head_loss", "hsic_rbf",
     "AdamState", "adam_step", "leaves", "gradients",
 ]
 
@@ -232,32 +231,12 @@ def sigmoid(a) -> Tensor:
     return _make(data, (a,), backward)
 
 
-def relu(a) -> Tensor:
-    a = _coerce(a)
-    data = np.maximum(a.data, 0.0)
-
-    def backward(g: np.ndarray) -> None:
-        a._accumulate(g * (a.data > 0))
-
-    return _make(data, (a,), backward)
-
-
 def _mean(x: np.ndarray, axis: int | None, keepdims: bool) -> np.ndarray:
     """x.mean(axis, keepdims=keepdims) of a float64 x, bit for bit: the sum
     and the division ndarray.mean performs, without its Python dispatch,
     which costs more than the arithmetic on arrays this small."""
     count = x.size if axis is None else x.shape[axis]
     return np.add.reduce(x, axis=axis, keepdims=keepdims) / count
-
-
-def mean(a) -> Tensor:
-    a = _coerce(a)
-    data = np.array([[_mean(a.data, None, False)]])
-
-    def backward(g: np.ndarray) -> None:
-        a._accumulate(np.full_like(a.data, g[0, 0] / a.data.size))
-
-    return _make(data, (a,), backward)
 
 
 def concat_cols(a, b) -> Tensor:
@@ -288,20 +267,6 @@ def dropout(a, rate: float, rng: np.random.Generator) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         a._accumulate(g * mask)
-
-    return _make(data, (a,), backward)
-
-
-def take_rows(a, indices) -> Tensor:
-    a = _coerce(a)
-    idx = np.asarray(indices, dtype=np.int64).reshape(-1)
-    rows = a.data.shape[0]
-    if idx.size and (idx.min() < 0 or idx.max() >= rows):
-        raise ValueError(f"row index outside [0, {rows})")
-    data = a.data[idx]
-
-    def backward(g: np.ndarray) -> None:
-        a._accumulate(_row_scatter(a.data.shape, idx, g))
 
     return _make(data, (a,), backward)
 
@@ -345,17 +310,6 @@ def _permutation(perm, rows: int) -> tuple[np.ndarray, np.ndarray]:
     inverse = np.empty_like(p)
     inverse[p] = np.arange(rows)
     return p, inverse
-
-
-def permute_rows(a, perm) -> Tensor:
-    a = _coerce(a)
-    p, inverse = _permutation(perm, a.data.shape[0])
-    data = a.data[p]
-
-    def backward(g: np.ndarray) -> None:
-        a._accumulate(g[inverse])
-
-    return _make(data, (a,), backward)
 
 
 @dataclass
@@ -410,8 +364,8 @@ def _csr_rowsum(indptr: np.ndarray, cols: np.ndarray, data: np.ndarray,
     """out[i] = sum over entries p of row i of data[p] * x[cols[p]], each row
     started at 0 and summed in stored order (the order of a bincount
     scatter). The kernel behind `csr_matrix @ dense`, without building one;
-    it checks no bounds, so PropagationPlan.from_edges and take_rows check
-    their indices first."""
+    it checks no bounds, so PropagationPlan.from_edges and the row gathers
+    check their indices first."""
     rows = indptr.shape[0] - 1
     k = x.shape[1]
     out = np.zeros((rows, k))
@@ -617,18 +571,31 @@ def _picked_adjoint(probs: np.ndarray, rows: np.ndarray, y: np.ndarray,
     return dp
 
 
-def nll_rows(probs, labels) -> Tensor:
-    """Per-row cross-entropy 0 - log p_y; the log is clamped below at 1e-12."""
-    probs = _coerce(probs)
-    y = _labels(labels, *probs.data.shape)
-    rows = np.arange(y.shape[0])
-    clamped = _picked(probs.data, rows, y)
-    data = 0.0 - np.log(clamped)
+def head_nll(h, rows, weight, bias, labels) -> Tensor:
+    """Mean cross-entropy 0 - log p_y, clamped below at 1e-12, of the
+    softmax head (weight, bias) on the rows `rows` of h, as one node with
+    the bits of the chain of a row gather, softmax_head, the per-row
+    cross-entropy and the mean; adjoints reach weight, bias, then h."""
+    h, weight, bias = _coerce(h), _coerce(weight), _coerce(bias)
+    idx = np.asarray(rows, dtype=np.int64).reshape(-1)
+    if idx.size and (idx.min() < 0 or idx.max() >= len(h.data)):
+        raise ValueError(f"row index outside [0, {len(h.data)})")
+    x = h.data[idx]
+    probs = _head(x, weight, bias)
+    y = _labels(labels, *probs.shape)
+    picks = np.arange(y.shape[0])
+    clamped = _picked(probs, picks, y)
+    nll = 0.0 - np.log(clamped)
+    data = np.array([[_mean(nll, None, False)]])
 
     def backward(g: np.ndarray) -> None:
-        probs._accumulate(_picked_adjoint(probs.data, rows, y, -g / clamped))
+        gp = -np.full_like(nll, g[0, 0] / nll.size) / clamped
+        gx = _head_adjoint(_picked_adjoint(probs, picks, y, gp), probs, x,
+                           weight, bias)
+        if h.requires_grad:
+            h._accumulate(_row_scatter(h.data.shape, idx, gx))
 
-    return _make(data, (probs,), backward)
+    return _make(data, (h, weight, bias), backward)
 
 
 def _difficulty_weights(ce_shortcut: np.ndarray,

@@ -384,9 +384,8 @@ def train_gcn_baseline(g: Graph, config: RunConfig, seed: int,
         h = (_gcn_hidden(full, leaves, config.dropout, rng_dropout)
              if kept is None else kept)
         kept = None
-        probs = ad.softmax_head(ad.take_rows(h, train_nodes),
-                                leaves["head.w"], leaves["head.b"])
-        loss = ad.mean(ad.nll_rows(probs, y_train))
+        loss = ad.head_nll(h, train_nodes, leaves["head.w"], leaves["head.b"],
+                           y_train)
         row = {"loss": loss.item()}
         _check_finite(row, epoch)
         ad.adam_step(state, ad.gradients(loss, leaves), config.weight_decay)
@@ -552,9 +551,8 @@ def assumption_audit(g: Graph, params: dict[str, np.ndarray], hops: int,
     sensitivity = 0.0
     for _ in range(AUDIT_PERMUTATIONS):
         perm = rng.permutation(batch.num_graphs)
-        swapped = ad.softmax_head(
-            ad.concat_cols(h_c, ad.permute_rows(h_s, perm)),
-            *fwd.head_causal).data
+        swapped = ad.softmax_head(np.hstack([h_c.data, h_s.data[perm]]),
+                                  *fwd.head_causal).data
         delta = np.abs(base[rows, labels] - swapped[rows, labels])
         sensitivity = max(sensitivity, float(delta.max()))
 
@@ -640,7 +638,7 @@ class RunRecord:
         payload["wall_time"] = self.wall_time
         path = out / (f"run_{self.model}_{self.dataset}_"
                       f"{digest[:8]}_s{self.seed}.json")
-        path.write_text(json.dumps(payload, indent=2))
+        path.write_text(json.dumps(payload))
         return path
 
 
@@ -784,8 +782,7 @@ def save_sweep(runs: dict[str, list[RunRecord]], out_dir) -> tuple[Path, Path]:
         writer.writeheader()
         writer.writerows(rows)
     json_path = out / "sweep.json"
-    json_path.write_text(json.dumps({"series": list(series.values())},
-                                    indent=2))
+    json_path.write_text(json.dumps({"series": list(series.values())}))
     return csv_path, json_path
 
 

@@ -4,9 +4,10 @@ Every fused primitive of cdgnn.autodiff records one node for a chain of
 smaller primitives. The chains are written out here, node by node, so that
 tests can require each fused op to reproduce its chain bit for bit, values
 and gradients alike. The primitives that only these chains and the tests
-use (exp, log, sum_all, segment_mean_rows, masked_propagate, rbf_gram,
-center_gram, row_softmax, pick_class) live here too, as ops with their
-own adjoints, beside gce_grad_identity_check, the GCE gradient identity.
+use (exp, log, sum_all, relu, mean, take_rows, permute_rows,
+segment_mean_rows, masked_propagate, rbf_gram, center_gram, row_softmax,
+pick_class) live here too, as ops with their own adjoints, beside
+gce_grad_identity_check, the GCE gradient identity.
 
 gather_scatter_propagate is the oracle of the CSR propagation: the edge-list
 gather and bincount scatter that PropagationPlan replaced. add_at_take_rows
@@ -18,9 +19,10 @@ again from its masks instead of reading the forward's layers.
 composed_objective_case is total_loss written out term by term, the
 objective whose gradient acceptance criterion c01 checks. gce_rows and
 mean_of_halves are chains with no fused op of their own left: the fused
-two_head_loss and edge_scorer hold them. nll_rows takes per-row weights,
-which ad.nll_rows does not: its weighted form, a multiply node after the
-unweighted chain, is the causal CE of the two_head_loss chain.
+two_head_loss and edge_scorer hold them. nll_rows is the per-row
+cross-entropy 0 - log p_y, optionally weighted per row: unweighted, it is
+the middle of head_nll's chain, and weighted, the causal CE of the
+two_head_loss chain.
 """
 
 import numpy as np
@@ -63,6 +65,53 @@ def sum_all(a):
 
     def backward(g):
         a._accumulate(np.full_like(a.data, g[0, 0]))
+
+    return ad._make(data, (a,), backward)
+
+
+def relu(a):
+    a = ad._coerce(a)
+    data = np.maximum(a.data, 0.0)
+
+    def backward(g):
+        a._accumulate(g * (a.data > 0))
+
+    return ad._make(data, (a,), backward)
+
+
+def mean(a):
+    a = ad._coerce(a)
+    data = np.array([[ad._mean(a.data, None, False)]])
+
+    def backward(g):
+        a._accumulate(np.full_like(a.data, g[0, 0] / a.data.size))
+
+    return ad._make(data, (a,), backward)
+
+
+def take_rows(a, indices):
+    """Rows `indices` of a; the adjoint sums them back as a CSR row sum,
+    which checks no bounds, so the indices are checked here."""
+    a = ad._coerce(a)
+    idx = np.asarray(indices, dtype=np.int64).reshape(-1)
+    rows = a.data.shape[0]
+    if idx.size and (idx.min() < 0 or idx.max() >= rows):
+        raise ValueError(f"row index outside [0, {rows})")
+    data = a.data[idx]
+
+    def backward(g):
+        a._accumulate(ad._row_scatter(a.data.shape, idx, g))
+
+    return ad._make(data, (a,), backward)
+
+
+def permute_rows(a, perm):
+    a = ad._coerce(a)
+    p, inverse = ad._permutation(perm, a.data.shape[0])
+    data = a.data[p]
+
+    def backward(g):
+        a._accumulate(g[inverse])
 
     return ad._make(data, (a,), backward)
 
@@ -227,9 +276,9 @@ def gather_scatter_propagate(f, weights, edges, num_nodes):
     return ad._make(data, parents, backward)
 
 
-def gcn_layer(f, weights, layer_weight, plan, relu):
+def gcn_layer(f, weights, layer_weight, plan, rectify):
     h = ad.matmul(masked_propagate(f, weights, plan), layer_weight)
-    return ad.relu(h) if relu else h
+    return relu(h) if rectify else h
 
 
 def softmax_head(x, weight, bias):
@@ -238,13 +287,13 @@ def softmax_head(x, weight, bias):
 
 def mean_of_halves(a):
     half = a.data.shape[0] // 2
-    top = ad.take_rows(a, np.arange(half))
-    bottom = ad.take_rows(a, np.arange(half, 2 * half))
+    top = take_rows(a, np.arange(half))
+    bottom = take_rows(a, np.arange(half, 2 * half))
     return ad.multiply(ad.add(top, bottom), 0.5)
 
 
 def ego_readout(h, ego_rows, segments, projection):
-    ego = ad.take_rows(h, ego_rows)
+    ego = take_rows(h, ego_rows)
     means = segment_mean_rows(h, segments, len(ego_rows))
     return ad.matmul(ad.concat_cols(ego, means), projection)
 
@@ -262,6 +311,13 @@ def nll_rows(probs, labels, weights=None):
     return ad.multiply(ce, np.asarray(weights, dtype=np.float64).reshape(-1, 1))
 
 
+def head_nll(h, rows, weight, bias, labels):
+    """ad.head_nll as the GCN baseline's loss chain before it: take_rows,
+    the fused softmax_head, nll_rows and mean."""
+    return mean(nll_rows(ad.softmax_head(take_rows(h, rows), weight, bias),
+                         labels))
+
+
 def edge_scorer(endpoints, x, w1, b1, w2, b2):
     """ad.edge_scorer as the chain the mask scorer was before it: both
     endpoint orders through matmul, add, relu, matmul and add, then
@@ -271,7 +327,7 @@ def edge_scorer(endpoints, x, w1, b1, w2, b2):
         return ad.Tensor(np.zeros((0, 1)))
     pairs = np.vstack([np.hstack([x[e[:, 0]], x[e[:, 1]]]),
                        np.hstack([x[e[:, 1]], x[e[:, 0]]])])
-    hidden = ad.relu(ad.add(ad.matmul(pairs, w1), b1))
+    hidden = relu(ad.add(ad.matmul(pairs, w1), b1))
     return mean_of_halves(ad.add(ad.matmul(hidden, w2), b2))
 
 
@@ -286,18 +342,18 @@ def two_head_loss(joint, graph_causal, graph_shortcut, head_causal,
     the difficulty weights W of the detached cross-entropies."""
     probs_s = ad.softmax_head(joint, *head_shortcut)
     probs_c = ad.softmax_head(joint, *head_causal)
-    loss_s = ad.mean(gce_rows(probs_s, labels, q))
-    ce_s = ad.nll_rows(probs_s.data, labels).data.reshape(-1)
-    ce_c = ad.nll_rows(probs_c.data, labels).data.reshape(-1)
+    loss_s = mean(gce_rows(probs_s, labels, q))
+    ce_s = nll_rows(probs_s.data, labels).data.reshape(-1)
+    ce_c = nll_rows(probs_c.data, labels).data.reshape(-1)
     if weights is None:
         weights = ad._difficulty_weights(ce_s, ce_c)
-    loss_c = ad.mean(nll_rows(probs_c, labels, weights))
+    loss_c = mean(nll_rows(probs_c, labels, weights))
     y = np.asarray(labels, dtype=np.int64).reshape(-1)
-    h_ct = ad.concat_cols(graph_causal, ad.permute_rows(graph_shortcut, perm))
+    h_ct = ad.concat_cols(graph_causal, permute_rows(graph_shortcut, perm))
     probs_sx = ad.softmax_head(h_ct, *head_shortcut)
     probs_cx = ad.softmax_head(h_ct, *head_causal)
-    loss_cf = ad.mean(ad.add(gce_rows(probs_sx, y[perm], q),
-                             nll_rows(probs_cx, y, weights)))
+    loss_cf = mean(ad.add(gce_rows(probs_sx, y[perm], q),
+                          nll_rows(probs_cx, y, weights)))
     terms = (loss_s, loss_c, loss_cf)
     values = {name: term.item()
               for name, term in zip(("loss_s", "loss_c", "loss_cf"), terms)}
@@ -333,13 +389,13 @@ def gce_grad_identity_check(params, forward, label, q):
     """
     tensors_a = ad.leaves({k: v.copy() for k, v in params.items()})
     probs_a = forward(tensors_a)
-    loss_a = ad.mean(gce_rows(probs_a, [label], q))
+    loss_a = mean(gce_rows(probs_a, [label], q))
     p_y = float(probs_a.data[0, label])
     grads_a = ad.gradients(loss_a, tensors_a)
 
     tensors_b = ad.leaves({k: v.copy() for k, v in params.items()})
     probs_b = forward(tensors_b)
-    loss_b = ad.mean(ad.nll_rows(probs_b, [label]))
+    loss_b = mean(nll_rows(probs_b, [label]))
     grads_b = ad.gradients(loss_b, tensors_b)
 
     scale = p_y**q
@@ -442,8 +498,8 @@ def composed_objective_case(rng):
     fwd0 = two_branch_forward(batch, values)
     probs_s0 = ad.softmax_head(fwd0.joint, *fwd0.head_shortcut)
     probs_c0 = ad.softmax_head(fwd0.joint, *fwd0.head_causal)
-    weights = ad._difficulty_weights(ad.nll_rows(probs_s0, y).data,
-                                     ad.nll_rows(probs_c0, y).data)
+    weights = ad._difficulty_weights(nll_rows(probs_s0, y).data,
+                                     nll_rows(probs_c0, y).data)
     bx = ad._median_bandwidth(fwd0.layers_causal[-1].data)
     by = ad._median_bandwidth(fwd0.layers_shortcut[-1].data)
 

@@ -6,8 +6,10 @@ over. The builder is re-invoked from scratch for every perturbed
 evaluation, so anything stochastic inside it (dropout masks) must be
 seeded per instance. The kernel and centering oracles of tests/composed.py
 keep their own cases: their adjoints are what the fused hsic_rbf is
-compared against bit for bit. So do its GCE and mean-of-halves chains,
-which two_head_loss and edge_scorer are compared against. The hsic_rbf
+compared against bit for bit. So do its GCE, cross-entropy and
+mean-of-halves chains, which two_head_loss, head_nll and edge_scorer are
+compared against, and the test-only primitives relu, mean, take_rows and
+permute_rows that those chains are built from. The hsic_rbf
 case checks that composed chain at frozen bandwidths: the fused op takes
 its median-heuristic bandwidths as a stop-gradient statistic of its
 inputs, which central differences would move.
@@ -106,11 +108,11 @@ def _case_sigmoid(rng):
 def _case_relu(rng):
     a = rng.uniform(0.05, 2.0, size=(3, 4)) * rng.choice([-1.0, 1.0], size=(3, 4))
     f = _functional(rng, (3, 4))
-    return lambda lv: f(ad.relu(lv["a"])), {"a": a}
+    return lambda lv: f(composed.relu(lv["a"])), {"a": a}
 
 
 def _case_mean(rng):
-    return lambda lv: ad.mean(lv["a"]), {"a": rng.normal(size=(4, 3))}
+    return lambda lv: composed.mean(lv["a"]), {"a": rng.normal(size=(4, 3))}
 
 
 def _case_sum(rng):
@@ -139,7 +141,7 @@ def _case_take_rows(rng):
     idx = rng.integers(0, 5, size=4)  # duplicates exercise accumulation
     values = {"a": rng.normal(size=(5, 3))}
     f = _functional(rng, (4, 3))
-    return lambda lv: f(ad.take_rows(lv["a"], idx)), values
+    return lambda lv: f(composed.take_rows(lv["a"], idx)), values
 
 
 def _case_segment_mean(rng):
@@ -153,7 +155,7 @@ def _case_permute_rows(rng):
     perm = rng.permutation(5)
     values = {"a": rng.normal(size=(5, 3))}
     f = _functional(rng, (5, 3))
-    return lambda lv: f(ad.permute_rows(lv["a"], perm)), values
+    return lambda lv: f(composed.permute_rows(lv["a"], perm)), values
 
 
 _PLAN_EDGES = np.array([[0, 1], [1, 2], [2, 3], [3, 4], [0, 2]])
@@ -257,7 +259,15 @@ def _case_nll_rows(rng):
     w = rng.uniform(0.0, 1.0, size=4)
     values = {"p": rng.uniform(0.1, 1.0, size=(4, 3))}
     f = _functional(rng, (4, 1))
-    return lambda lv: f(ad.multiply(ad.nll_rows(lv["p"], y), w[:, None])), values
+    return lambda lv: f(composed.nll_rows(lv["p"], y, w)), values
+
+
+def _case_head_nll(rng):
+    rows = rng.integers(0, 5, size=6)  # duplicates exercise the row sum
+    y = rng.integers(0, 3, size=6)
+    values = {"h": rng.normal(size=(5, 4)), "w": rng.normal(size=(4, 3)),
+              "b": rng.normal(size=(1, 3))}
+    return lambda lv: ad.head_nll(lv["h"], rows, lv["w"], lv["b"], y), values
 
 
 def _case_two_head_loss(rng):
@@ -316,8 +326,7 @@ def _case_composite(rng):
 
     def build(lv):
         h = ad.sigmoid(ad.matmul(lv["a"], lv["w1"]))
-        probs = ad.softmax_head(h, lv["w2"], np.zeros((1, 2)))
-        return ad.mean(ad.nll_rows(probs, y))
+        return ad.head_nll(h, np.arange(3), lv["w2"], np.zeros((1, 2)), y)
 
     return build, values
 
@@ -348,6 +357,7 @@ PRIMITIVE_CASES = {
     "ego_readout": _case_ego_readout,
     "gce_rows": _case_gce_rows,
     "nll_rows": _case_nll_rows,
+    "head_nll": _case_head_nll,
     "two_head_loss": _case_two_head_loss,
     "rbf_gram": _case_rbf_gram,
     "center_gram": _case_center_gram,

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from composed import (composed_objective_case, gce_grad_identity_check,
-                      hsic_value)
+                      hsic_value, relu)
 from fdcheck import PRIMITIVE_CASES, max_relative_error
 
 from cdgnn import autodiff as ad
@@ -122,7 +122,7 @@ def test_c02_gce_gradient_identity():
                       "w2": rng.normal(size=(5, classes))}
 
             def forward(t):
-                hidden = ad.relu(ad.add(ad.matmul(x, t["w1"]), t["b1"]))
+                hidden = relu(ad.add(ad.matmul(x, t["w1"]), t["b1"]))
                 return ad.softmax_head(hidden, t["w2"], np.zeros((1, classes)))
 
         label = int(rng.integers(classes))

@@ -446,6 +446,27 @@ class TestParser:
             gc.enable()
         assert found == []
 
+    def test_second_train_baseline_leaves_no_cyclic_garbage(
+            self, tiny_graph_file, tmp_path):
+        """Records are written by the C JSON encoder: the pure-Python one,
+        which `indent` selects, leaves its encoder and closures for the
+        cyclic collector at every save."""
+        argv = ["train-baseline", "--graph", str(tiny_graph_file), "--seed",
+                "0", "--out-dir", str(tmp_path / "runs")] + _FAST
+        assert main(argv) == 0
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            assert main(argv) == 0
+            gc.collect()
+            found = sorted({type(o).__name__ for o in gc.garbage})
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert found == []
+
 
 class TestInputErrors:
     def test_negative_seed_is_one_line_error(self, tmp_path, capsys):

@@ -56,7 +56,7 @@ class TestGce:
         for p in (0.1, 0.3, 0.8):
             probs = _probs_row([p, 1.0 - p])
             g = gce_rows(probs, [0], q).item()
-            ce = ad.nll_rows(probs, [0]).item()
+            ce = composed.nll_rows(probs, [0]).item()
             assert abs(g - ce) <= q * np.log(p) ** 2
 
     def test_bounded_by_inverse_q(self):
@@ -114,7 +114,7 @@ class TestDifficultyWeights:
 def _causal_term(probs, labels, weights):
     """total_loss's causal term: the weighted mean cross-entropy, as the
     chain that ad.two_head_loss reproduces bit for bit."""
-    return ad.mean(composed.nll_rows(probs, labels, weights))
+    return composed.mean(composed.nll_rows(probs, labels, weights))
 
 
 class TestCausalLoss:
@@ -323,7 +323,7 @@ class TestTotalLoss:
         for key, head in (("ce_s", fwd.head_shortcut),
                           ("ce_c", fwd.head_causal)):
             probs = ad.softmax_head(fwd.joint, *head).data
-            assert breakdown[key] == float(ad.nll_rows(probs, self.y).data.mean())
+            assert breakdown[key] == float(composed.nll_rows(probs, self.y).data.mean())
 
     def test_flag_and_zero_lambda_agree(self):
         by_flag, _ = self._loss(

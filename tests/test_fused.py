@@ -17,7 +17,7 @@ from cdgnn import autodiff as ad
 from cdgnn import harness, models, synth
 
 OPS = ("gcn_layer", "softmax_head", "edge_scorer", "ego_readout",
-       "nll_rows", "two_head_loss", "hsic_rbf")
+       "head_nll", "two_head_loss", "hsic_rbf")
 
 
 def _run(op, values, tracked, rng_seed):
@@ -54,7 +54,7 @@ def _hsic_pair(values, sample, names):
     a, b = names
 
     def gather(t):
-        return t if sample is None else ad.take_rows(t, sample)
+        return t if sample is None else composed.take_rows(t, sample)
 
     return (lambda lv: ad.hsic_rbf(lv[a], lv[b], sample),
             lambda lv: composed.hsic_rbf(gather(lv[a]), gather(lv[b]), bx, by))
@@ -142,23 +142,45 @@ class TestBitwiseAgainstComposedChain:
                     values, tracked)
 
     @pytest.mark.parametrize("batch", [2, 9])
-    def test_nll_rows(self, batch):
+    def test_head_nll(self, batch):
+        """The GCN baseline's loss on unique rows (the adjoint writes them
+        into zeros) and on repeated rows (a CSR row sum), with a picked
+        probability under the log clamp; h is a leaf, or a node that other
+        nodes recorded before and after the loss also read."""
         rng = np.random.default_rng(11)
-        for _ in range(10):
-            logits = rng.normal(size=(batch, 4)) * 4
-            probs = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
-            probs[0, 0] = 0.0  # below the log clamp
-            y = rng.integers(0, 4, size=batch)
-            y[0] = 0
-            weights = rng.uniform(0.0, 1.0, size=batch)
-            _assert_bitwise(lambda lv: ad.nll_rows(lv["p"], y),
-                            lambda lv: composed.nll_rows(lv["p"], y),
-                            {"p": probs}, {"p"})
-            # the weighted CE of two_head_loss's chain
-            _assert_bitwise(
-                lambda lv: ad.multiply(ad.nll_rows(lv["p"], y), weights[:, None]),
-                lambda lv: composed.nll_rows(lv["p"], y, weights),
-                {"p": probs}, {"p"})
+        n, width, classes = 12, 5, 4
+        for trial in range(10):
+            unique = trial % 2 == 1
+            rows = np.concatenate([[0], 1 + rng.permutation(n - 1)[:batch - 1]]
+                                  if unique else [[0, 0], rng.integers(0, n, batch)])
+            assert (np.bincount(rows).max() == 1) == unique
+            values = {"a": rng.normal(size=(n, 3)),
+                      "v": rng.normal(size=(3, width)),
+                      "w": rng.normal(size=(width, classes)) * 3,
+                      "b": rng.normal(size=(1, classes))}
+            values["a"][0] *= 40.0
+            values["h"] = values["a"] @ values["v"]
+            logits = values["h"][0] @ values["w"] + values["b"][0]
+            y = rng.integers(0, classes, size=rows.shape[0])
+            y[0] = int(np.argmin(logits))
+            assert ad._softmax_rows(logits[None, :])[0, y[0]] < ad.LOG_CLAMP
+            before, after = (rng.normal(size=(n, width)) for _ in range(2))
+
+            def op(impl, shared):
+                def run(lv):
+                    if not shared:
+                        return impl(lv["h"], rows, lv["w"], lv["b"], y)
+                    h = ad.matmul(lv["a"], lv["v"])
+                    side = composed.sum_all(ad.multiply(h, before))
+                    loss = impl(h, rows, lv["w"], lv["b"], y)
+                    return ad.add(ad.add(side, loss),
+                                  composed.sum_all(ad.multiply(h, after)))
+                return run
+
+            for shared, tracked in ((False, {"h", "w", "b"}), (False, {"w", "b"}),
+                                    (False, {"h"}), (True, {"a", "v", "w", "b"})):
+                _assert_bitwise(op(ad.head_nll, shared),
+                                op(composed.head_nll, shared), values, tracked)
 
     @pytest.mark.parametrize("rows", ["none", "all", "distinct", "repeated"])
     def test_hsic_rbf_on_a_row_sample(self, rows):
@@ -193,13 +215,13 @@ class TestBitwiseAgainstComposedChain:
             for tracked in ({"x", "y"}, {"x"}, {"y"}):
                 _assert_bitwise(
                     lambda lv: ad.hsic_rbf(lv["x"], lv["y"], sample),
-                    lambda lv: ad.hsic_rbf(ad.take_rows(lv["x"], sample),
-                                           ad.take_rows(lv["y"], sample)),
+                    lambda lv: ad.hsic_rbf(composed.take_rows(lv["x"], sample),
+                                           composed.take_rows(lv["y"], sample)),
                     values, tracked)
             _assert_bitwise(
                 lambda lv: ad.hsic_rbf(lv["x"], lv["x"], sample),
-                lambda lv: ad.hsic_rbf(ad.take_rows(lv["x"], sample),
-                                       ad.take_rows(lv["x"], sample)),
+                lambda lv: ad.hsic_rbf(composed.take_rows(lv["x"], sample),
+                                       composed.take_rows(lv["x"], sample)),
                 values, {"x"})
 
     def test_hsic_rbf_of_one_input_with_itself(self):
@@ -333,7 +355,7 @@ def _assert_propagation_bitwise(edges, n, width, rng):
                     oracle, values, tracked)
             _assert_bitwise(
                 lambda lv: ad.gcn_layer(lv["f"], weights(lv), lv["lw"], plan, True),
-                lambda lv: ad.relu(ad.matmul(oracle(lv), lv["lw"])),
+                lambda lv: composed.relu(ad.matmul(oracle(lv), lv["lw"])),
                 values, tracked | {"lw"})
 
 
@@ -390,7 +412,7 @@ def test_take_rows_against_add_at(width):
         values = {"a": rng.normal(size=(rows, width))}
         for idx in (rng.integers(0, rows, size=3 * rows),
                     rng.permutation(rows)[:max(1, rows // 2)]):
-            _assert_bitwise(lambda lv: ad.take_rows(lv["a"], idx),
+            _assert_bitwise(lambda lv: composed.take_rows(lv["a"], idx),
                             lambda lv: composed.add_at_take_rows(lv["a"], idx),
                             values, {"a"})
 
@@ -404,6 +426,15 @@ class TestFusedOpGuards:
                               np.zeros((1, 3)))
         assert not out.requires_grad
         assert out._parents is None and out._backward is None
+
+    @pytest.mark.parametrize("rows, labels, match", [
+        ([0, 3], [0, 1], "row index outside"), ([-1, 0], [0, 1], "row index outside"),
+        ([0, 1], [0, 3], "label outside"), ([0, 1], [-1, 0], "label outside")])
+    def test_head_nll_checks_rows_and_labels(self, rows, labels, match):
+        """The row scatter of the adjoint checks no bounds."""
+        with pytest.raises(ValueError, match=match):
+            ad.head_nll(np.ones((3, 2)), rows, np.ones((2, 3)), np.zeros((1, 3)),
+                        labels)
 
     def test_hsic_rows_must_match(self):
         with pytest.raises(ValueError, match="rows"):
@@ -533,15 +564,30 @@ def test_one_training_batch_records_at_most_18_nodes():
     assert 0 < _recorded(_train_one_batch) <= 18
 
 
-def test_one_gcn_baseline_step_records_8_nodes():
-    """The GCN baseline's step keeps its softmax head, nll_rows and mean:
-    fusing the CD-GNN head leaves its node count as it was."""
+def test_one_gcn_baseline_step_records_layers_plus_one_nodes(monkeypatch):
+    """A GCN baseline step's loss depends on its L layers and one head_nll
+    node (L + 4 when the row gather, head, cross-entropy and mean were
+    nodes of their own). Without dropout, the epoch's validation forward
+    on the leaves records the L layers the next step reads, so a one-epoch
+    run records 2L + 1 nodes."""
+    sizes = []
+    real = ad.gradients
+
+    def counting(loss, leaves):
+        sizes.append(len(ad._reached(loss)))
+        return real(loss, leaves)
+
+    monkeypatch.setattr(ad, "gradients", counting)
     g, _ = synth.preset("tree_cycles", seed=0)
-    config = harness.RunConfig(learning_rate=0.02, hidden=16, dropout=0.0,
-                               layers=2, epochs=1, patience=1, batch_size=32)
     sp = harness.split_nodes(g.num_nodes, seed=0)
-    assert _recorded(lambda: harness.train_gcn_baseline(
-        g, config, 0, sp.train, sp.val)) == 8
+    for layers in (1, 2, 3):
+        config = harness.RunConfig(learning_rate=0.02, hidden=16, dropout=0.0,
+                                   layers=layers, epochs=1, patience=1,
+                                   batch_size=32)
+        sizes.clear()
+        assert _recorded(lambda: harness.train_gcn_baseline(
+            g, config, 0, sp.train, sp.val)) == 2 * layers + 1
+        assert sizes == [layers + 1]
 
 
 def _bits_equal(got, want):
@@ -691,7 +737,7 @@ class TestRowScatter:
 def test_take_rows_output_owns_its_data():
     a = np.arange(12.0).reshape(6, 2)
     for idx in ([1, 3], [0, 0, 5], np.arange(6)):
-        out = ad.take_rows(a, np.array(idx))
+        out = composed.take_rows(a, np.array(idx))
         assert not np.shares_memory(out.data, a)
         out.data[:] = -1.0
     np.testing.assert_array_equal(a, np.arange(12.0).reshape(6, 2))

@@ -94,26 +94,38 @@ def _bindings(tree: ast.Module, reexports: dict[str, str]):
 def _loads(tree: ast.Module, module: str | None,
            reexports: dict[str, str]) -> set[tuple[str, str]]:
     """(module, name) of every package name the file loads, leaving out
-    loads inside that name's own top-level definition."""
+    loads inside that name's own top-level definition and loads of a name
+    that an enclosing function takes as an argument."""
     names, modules = _bindings(tree, reexports)
     if module is not None:
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 names.setdefault(node.name, (module, node.name))
     used = set()
-    for top in tree.body:
-        own = getattr(top, "name", None)
-        for node in ast.walk(top):
-            hit = None
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+
+    def visit(node, own, shadowed):
+        hit = None
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            if node.id not in shadowed:
                 hit = names.get(node.id)
-            elif (isinstance(node, ast.Attribute)
-                  and isinstance(node.ctx, ast.Load)
-                  and isinstance(node.value, ast.Name)
-                  and node.value.id in modules):
-                hit = (modules[node.value.id], node.attr)
-            if hit is not None and not (hit[0] == module and hit[1] == own):
-                used.add(hit)
+        elif (isinstance(node, ast.Attribute)
+              and isinstance(node.ctx, ast.Load)
+              and isinstance(node.value, ast.Name)
+              and node.value.id in modules
+              and node.value.id not in shadowed):
+            hit = (modules[node.value.id], node.attr)
+        if hit is not None and not (hit[0] == module and hit[1] == own):
+            used.add(hit)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            shadowed = shadowed | {arg.arg for arg in [
+                *a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]
+                if arg is not None}
+        for child in ast.iter_child_nodes(node):
+            visit(child, own, shadowed)
+
+    for top in tree.body:
+        visit(top, getattr(top, "name", None), frozenset())
     return used
 
 
@@ -176,6 +188,20 @@ def test_guard_sees_through_aliases_and_ignores_lookalikes(tmp_path):
         "    return np.exp(ad.relu(classify(x)))\n")
     assert _loads(tree, "harness", {}) == {
         ("autodiff", "relu"), ("models", "classify")}
+    # an argument that shares a package name's name, read in its function
+    # or in a nested one, is not a load of that name
+    source = ("from . import autodiff as ad\n"
+              "from .models import classify\n"
+              "def relu(a):\n"
+              "    return a\n"
+              "def layer(f, relu, classify=None, *, ad=None):\n"
+              "    def backward(g):\n"
+              "        return g if relu else classify(ad.exp(g))\n"
+              "    return (lambda relu: relu)(f) if relu else backward\n")
+    assert _loads(ast.parse(source), "harness", {}) == set()
+    head = "def head(x):\n    return relu(x)\n"
+    assert _loads(ast.parse(source + head), "harness", {}) == {
+        ("harness", "relu")}
 
 
 def test_member_guard_ignores_a_method_that_only_calls_itself():
