@@ -26,12 +26,12 @@ head_nll the GCN baseline's whole loss, so that a training step records
 few nodes: on batches this small each node costs more in bookkeeping than
 in arithmetic. softmax_head, head_nll and the four heads of two_head_loss
 share one forward and one adjoint. hsic_rbf takes its own row sample and
-works out its own median-heuristic bandwidths from the rows it reads. The
-means of small arrays skip ndarray.mean's dispatch for the same sum and
-division (_mean). A softmax takes each row's max a column at a time, and
-the adjoint of a row gather with no repeated index writes the rows into
-zeros; both give the bits of the reduce and of the CSR row sum they
-replace (NaN signs aside, see _softmax_rows).
+works out each median-heuristic bandwidth in the pass that builds its gram
+(_rbf). Small means skip ndarray.mean's dispatch (_mean); a softmax takes
+each row's max a column at a time; a row gather's adjoint with no repeated
+index writes the rows into zeros; sigmoid reads one exp for both signs.
+Each gives the bits of the computation it replaced (NaN signs aside in the
+softmax, see _softmax_rows).
 
 An AdamState holds one run's parameters in one flat buffer, as named views
 (the table the model reads), with both moments and the per-entry learning
@@ -218,12 +218,10 @@ def multiply(a, b) -> Tensor:
 
 
 def sigmoid(a) -> Tensor:
+    """1/(1+e) where a >= 0, else e/(1+e), e = exp(min(a, -a)): no overflow."""
     a = _coerce(a)
-    data = np.empty_like(a.data)
-    pos = a.data >= 0
-    data[pos] = 1.0 / (1.0 + np.exp(-a.data[pos]))
-    ex = np.exp(a.data[~pos])
-    data[~pos] = ex / (1.0 + ex)
+    e = np.exp(np.minimum(a.data, -a.data))
+    data = np.where(a.data >= 0, 1.0, e) / (1.0 + e)
 
     def backward(g: np.ndarray) -> None:
         a._accumulate(g * data * (1.0 - data))
@@ -718,32 +716,6 @@ def _centered(k: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def _rbf(x: np.ndarray, bw: float) -> np.ndarray:
-    """Gaussian gram exp(-max(|x_i|^2 + |x_j|^2 - 2 x_i.x_j, 0) / (2 bw^2))."""
-    sq = (x * x).sum(axis=1, keepdims=True)
-    k = sq + sq.T
-    dots = x @ x.T
-    dots *= 2.0
-    k -= dots
-    np.maximum(k, 0.0, out=k)
-    np.negative(k, out=k)
-    k /= 2.0 * bw * bw
-    return np.exp(k, out=k)
-
-
-def _rbf_backward(g: np.ndarray, x: np.ndarray, k: np.ndarray,
-                  bw: float) -> np.ndarray:
-    """Adjoint of _rbf at x for the gram adjoint g, which it overwrites."""
-    m = np.multiply(g, k, out=g)
-    np.negative(m, out=m)
-    m /= 2.0 * bw * bw
-    s = m + m.T
-    out = s.sum(axis=1, keepdims=True) * x
-    out -= s @ x
-    out *= 2.0
-    return out
-
-
 # Inputs of up to this many rows share one cached upper-triangle mask;
 # larger ones get a larger power-of-two mask.
 _MASK_ROWS = 256
@@ -771,25 +743,42 @@ def _median(values: np.ndarray) -> float:
     return float((part[:half].max() + part[half]) / 2)
 
 
-def _median_bandwidth(x: np.ndarray) -> float:
-    """Median-heuristic RBF bandwidth: sqrt(median squared distance / 2)."""
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] < 2:
-        return 1.0
-    sq = (arr * arr).sum(axis=1, keepdims=True)
-    d2 = np.maximum(sq + sq.T - 2.0 * arr @ arr.T, 0.0)
-    n = arr.shape[0]
+def _rbf(x: np.ndarray) -> tuple[np.ndarray, float]:
+    """Gaussian gram exp(-max(|x_i|^2 + |x_j|^2 - 2 x_i.x_j, 0) / (2 bw^2))
+    of the rows of x at bw = sqrt(median over i < j of that distance / 2),
+    or 1 where the median is 0 or x has one row; and bw. The bandwidth's
+    distances take (2x) @ x.T (gemm), the gram's x @ x.T (syrk): bits apart."""
+    sq = (x * x).sum(axis=1, keepdims=True)
+    k = sq + sq.T
+    n = x.shape[0]
     upper = _upper_mask(max(_MASK_ROWS, 1 << (n - 1).bit_length()))[:n, :n]
-    med = _median(d2[upper])
-    if med <= 0.0:
-        return 1.0
-    return float(np.sqrt(med / 2.0))
+    med = _median(np.maximum(k - 2.0 * x @ x.T, 0.0)[upper]) if n > 1 else 0.0
+    bw = 1.0 if med <= 0.0 else float(np.sqrt(med / 2.0))
+    dots = x @ x.T
+    dots *= 2.0
+    k -= dots
+    np.maximum(k, 0.0, out=k)
+    k /= -(2.0 * bw * bw)
+    return np.exp(k, out=k), bw
+
+
+def _rbf_backward(g: np.ndarray, x: np.ndarray, k: np.ndarray,
+                  bw: float) -> np.ndarray:
+    """Adjoint of _rbf at x for the gram adjoint g, which it overwrites."""
+    m = np.multiply(g, k, out=g)
+    m /= -(2.0 * bw * bw)
+    s = m + m.T
+    out = s.sum(axis=1, keepdims=True) * x
+    out -= s @ x
+    out *= 2.0
+    return out
 
 
 def hsic_rbf(x, y, rows=None) -> Tensor:
     """Biased HSIC sum(HKxH * HKyH) / (n-1)^2 of aligned rows as one node,
     with Gaussian kernels K_ij = exp(-|r_i - r_j|^2 / (2 bw^2)) at each
-    input's _median_bandwidth of the rows read, a stop-gradient statistic.
+    input's median-heuristic bandwidth of the rows read (_rbf), a
+    stop-gradient statistic.
 
     `rows`, when given, holds row indices: the estimate then reads those
     rows of both inputs, in that order, as take_rows of each would, and
@@ -810,11 +799,8 @@ def hsic_rbf(x, y, rows=None) -> Tensor:
     n = xs.shape[0]
     if n < 2:
         raise ValueError(f"hsic_rbf needs at least 2 rows, got {n}")
-    # kept apart from _rbf's squared distances: numpy runs (2 arr) @ arr.T
-    # as gemm and x @ x.T as syrk, whose bits differ
-    bx, by = _median_bandwidth(xs), _median_bandwidth(ys)
-    kx = _rbf(xs, bx)
-    ky = _rbf(ys, by)
+    kx, bx = _rbf(xs)
+    ky, by = _rbf(ys)
     kxc = _centered(kx)
     kyc = _centered(ky)
     scale = _as_matrix(1.0 / (n - 1.0) ** 2)

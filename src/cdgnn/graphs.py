@@ -150,47 +150,82 @@ def feature_heterophily(g: Graph) -> float:
     return float(dis.mean())
 
 
-def _csr_rows(g: Graph, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(source, neighbour) pairs of the CSR rows `rows`, row by row."""
-    starts = g.indptr[rows]
-    counts = g.indptr[rows + 1] - starts
-    shift = np.repeat(starts - (np.cumsum(counts) - counts), counts)
-    return np.repeat(rows, counts), g.indices[np.arange(shift.shape[0]) + shift]
+def _spans(ptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The indices ptr[r] .. ptr[r + 1] - 1 of each r of `rows`; their counts."""
+    starts = ptr[rows]
+    counts = ptr[rows + 1] - starts
+    ends = np.cumsum(counts)
+    return (np.arange(ends[-1] if ends.size else 0)
+            + np.repeat(starts - ends + counts, counts)), counts
+
+
+# Egos are extracted in chunks of a sub-id table this large at most.
+_TABLE_ENTRIES = 1 << 16
+
+
+def _egos(g: Graph, nodes, hops) -> tuple[np.ndarray, ...]:
+    """(members, member_ptr, edges, edge_ptr): ego i of `nodes` holds the
+    ids members[member_ptr[i]:member_ptr[i + 1]] and the local edges
+    edges[edge_ptr[i]:edge_ptr[i + 1]], laid out as ego_subgraph says. A
+    chunk of egos expands its BFS levels together: the pair (ego e, node v)
+    is the key e * N + v of a table holding v's sub-id in ego e, or -1."""
+    if not (_whole(hops) and hops >= 1):
+        raise GraphError(f"hops must be a whole number >= 1, got {hops!r}")
+    nodes = np.asarray(nodes, dtype=np.int64).reshape(-1)
+    n = g.num_nodes
+    outside = nodes[(nodes < 0) | (nodes >= n)]
+    if outside.size:
+        raise GraphError(f"node {outside[0]} outside [0, {n})")
+    step = max(1, _TABLE_ENTRIES // n)
+    local = np.full(min(step, nodes.size) * n, -1, dtype=np.int64)
+    chunks = []
+    for start in range(0, max(nodes.size, 1), step):
+        level = nodes[start:start + step] + n * np.arange(min(step, nodes.size - start))
+        local[level] = 0
+        size, levels = np.ones(level.size, dtype=np.int64), [level]
+        for _ in range(int(hops)):
+            at, deg = _spans(g.indptr, level % n)
+            reached = np.repeat(level - level % n, deg) + g.indices[at]
+            reached = reached[local[reached] < 0]
+            # of the writes to a key reached twice one lands: keep its key
+            local[reached] = np.arange(reached.size)
+            level = np.sort(reached[local[reached] == np.arange(reached.size)])
+            if not level.size:
+                break
+            ego = level // n
+            fresh = np.bincount(ego, minlength=size.size)
+            local[level] = size[ego] + np.arange(level.size) - (np.cumsum(fresh) - fresh)[ego]
+            size += fresh
+            levels.append(level)
+        keys = np.concatenate(levels)
+        ego, v = np.divmod(keys, n)
+        sub = local[keys]
+        flat = np.empty_like(keys)
+        flat[(np.cumsum(size) - size)[ego] + sub] = v
+        # each edge once, from its smaller id, sorted as Graph sorts edges
+        at, deg = _spans(g.indptr, v)
+        i, w = np.repeat(np.arange(keys.size), deg), g.indices[at]
+        other = local[(keys - v)[i] + w]
+        keep = (v[i] < w) & (other >= 0)
+        a, b, i = sub[i[keep]], other[keep], i[keep]
+        pair = np.sort((ego[i] * n + np.minimum(a, b)) * n + np.maximum(a, b))
+        local[keys] = -1
+        chunks.append((flat, size, np.stack([pair // n % n, pair % n], axis=1),
+                       np.bincount(pair // (n * n), minlength=size.size)))
+    members, sizes, edges, counts = zip(*chunks)
+    return (np.concatenate(members), np.concatenate([[0], *sizes]).cumsum(),
+            np.concatenate(edges), np.concatenate([[0], *counts]).cumsum())
 
 
 def ego_subgraph(g: Graph, node: int, hops: int) -> tuple[np.ndarray, np.ndarray]:
     """Induced subgraph on nodes within `hops` of `node`.
 
     Returns (mapping, edges): mapping[k] is the original id of sub-node k,
-    with the ego at sub-id 0, and edges are the induced edges (u, v), u < v,
-    in sub-ids, sorted as a Graph sorts its edge list. Nodes are ordered by BFS level, ties by original id, so the
-    construction is deterministic. The features and labels of the subgraph
-    are g.features[mapping] and g.labels[mapping].
+    the ego first, then BFS level by level, ties by original id; edges are
+    the induced edges (u, v), u < v, in sub-ids, sorted as a Graph sorts
+    its edge list. The subgraph's features are g.features[mapping].
     """
-    if hops < 1:
-        raise GraphError(f"hops must be >= 1, got {hops}")
-    if not 0 <= node < g.num_nodes:
-        raise GraphError(f"node {node} outside [0, {g.num_nodes})")
-    # local[v] is v's sub-id, or -1 while v is unreached.
-    local = np.full(g.num_nodes, -1, dtype=np.int64)
-    local[node] = 0
-    levels = [np.array([node], dtype=np.int64)]
-    size = 1
-    for _ in range(hops):
-        reached = np.unique(_csr_rows(g, levels[-1])[1])
-        fresh = reached[local[reached] < 0]
-        if not fresh.size:
-            break
-        local[fresh] = np.arange(size, size + fresh.size)
-        size += fresh.size
-        levels.append(fresh)
-    mapping = np.concatenate(levels)
-    u, v = _csr_rows(g, mapping)
-    keep = (u < v) & (local[v] >= 0)
-    # Each edge once, as (smaller, larger) sub-id, sorted: the order Graph
-    # gives its edge list.
-    edges = np.sort(np.stack([local[u[keep]], local[v[keep]]], axis=1), axis=1)
-    return mapping, edges[np.lexsort((edges[:, 1], edges[:, 0]))]
+    return _egos(g, [node], hops)[::2]
 
 
 def graph_to_dict(g: Graph) -> dict:

@@ -33,8 +33,8 @@ from .disentangle import (LOSS_TERMS, init_cdgnn_params, total_loss,
                           two_branch_forward)
 from .graphs import (Graph, _whole, feature_heterophily, graph_to_dict,
                      label_heterophily)
-from .models import (EgoBatch, batch_from_cache, build_ego_cache, gcn_forward,
-                     init_gcn_weights, init_head_params)
+from .models import (EgoBatch, EgoTable, batch_from_cache, build_ego_cache,
+                     gcn_forward, init_gcn_weights, init_head_params)
 
 __all__ = [
     "RunConfig",
@@ -126,8 +126,9 @@ class RunConfig:
                 f"patience must be in [0, epochs], got {self.patience}")
         if self.batch_size < 2:
             raise ValueError(f"batch_size must be >= 2, got {self.batch_size}")
-        if self.ego_hops is not None and self.ego_hops < 1:
-            raise ValueError(f"ego_hops must be >= 1, got {self.ego_hops}")
+        hops = self.ego_hops
+        if hops is not None and not (_whole(hops) and hops >= 1):
+            raise ValueError(f"ego_hops must be a whole number >= 1, got {hops!r}")
         if self.hsic_max_rows < 2:
             raise ValueError(f"hsic_max_rows must be >= 2, got {self.hsic_max_rows}")
         if not any(self.coefficients):
@@ -268,7 +269,7 @@ def _fit(config: RunConfig, state: ad.AdamState, step, predict,
 
 def train_cdgnn(g: Graph, config: RunConfig, seed: int,
                 train_nodes: np.ndarray, val_nodes: np.ndarray,
-                cache: dict | None = None) -> TrainResult:
+                cache: EgoTable | None = None) -> TrainResult:
     """Train the disentangled model with early stopping on val accuracy.
 
     `cache` is a build_ego_cache of at least the train and val nodes at

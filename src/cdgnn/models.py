@@ -1,13 +1,14 @@
 """Ego batching and the masked GCN encoder.
 
-The encoder runs on an EgoBatch: the disjoint union of one ego subgraph per
-classified node, propagated as one graph through a single CSR
-PropagationPlan that batch_from_cache builds. Layer l computes
-H_l = relu(P_masked @ H_{l-1} @ W_l) with dropout between layers (rate > 0)
-and no nonlinearity after the final layer; P_masked is the renormalized
-propagation with per-edge weights. The readout (ego row joined with the
-subgraph mean, projected back to the embedding width) and the softmax head
-are the autodiff primitives ad.ego_readout and ad.softmax_head.
+build_ego_cache extracts the egos of a run's nodes at once, into one flat
+EgoTable. The encoder runs on an EgoBatch: the disjoint union of one ego
+subgraph per classified node, which batch_from_cache gathers from the
+table, propagated as one graph through one CSR PropagationPlan. Layer l
+computes H_l = relu(P_masked @ H_{l-1} @ W_l) with dropout between layers
+(rate > 0) and no nonlinearity after the final layer; P_masked is the
+renormalized propagation with per-edge weights. The readout (ego row joined
+with the subgraph mean, projected back to the embedding width) and the
+softmax head are the autodiff primitives ad.ego_readout and ad.softmax_head.
 """
 
 from __future__ import annotations
@@ -17,10 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .graphs import Graph, ego_subgraph
+from .graphs import Graph, _egos, _spans
 
 __all__ = [
     "EgoBatch",
+    "EgoTable",
     "build_ego_cache",
     "batch_from_cache",
     "glorot",
@@ -45,33 +47,48 @@ class EgoBatch:
     num_graphs: int
 
 
-def build_ego_cache(g: Graph, hops: int,
-                    nodes) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """(member ids, local edges) of the ego subgraph of each of `nodes`.
+@dataclass
+class EgoTable:
+    """Ego subgraphs end to end, as ego_subgraph gives them: ego i holds the
+    ids members[p:q] and the local edges edges[r:s] for p, q = member_ptr[i:
+    i + 2] and r, s = edge_ptr[i:i + 2]. row[v] is i for node v's ego, else
+    -1, and one more -1 closes it (row[-1])."""
 
-    Local ids follow BFS order with the ego at 0, matching ego_subgraph.
-    """
-    return {int(node): ego_subgraph(g, int(node), hops)
-            for node in np.asarray(nodes, dtype=np.int64).reshape(-1)}
+    members: np.ndarray
+    member_ptr: np.ndarray
+    edges: np.ndarray
+    edge_ptr: np.ndarray
+    row: np.ndarray
 
 
-def batch_from_cache(g: Graph, cache, nodes) -> EgoBatch:
-    """Disjoint union of the cached ego subgraphs of `nodes`, in order."""
+def build_ego_cache(g: Graph, hops: int, nodes) -> EgoTable:
+    """The ego subgraphs of the distinct `nodes` at `hops`, ascending."""
+    nodes = np.unique(np.asarray(nodes, dtype=np.int64))
+    table = EgoTable(*_egos(g, nodes, hops),
+                     row=np.full(g.num_nodes + 1, -1, dtype=np.int64))
+    table.row[nodes] = np.arange(nodes.size)
+    return table
+
+
+def batch_from_cache(g: Graph, cache: EgoTable, nodes) -> EgoBatch:
+    """Disjoint union of the cached ego subgraphs of `nodes`, in order. A
+    node the cache holds no ego of is refused by name."""
     nodes = np.asarray(nodes, dtype=np.int64).reshape(-1)
-    sizes = np.array([cache[i][0].shape[0] for i in nodes], dtype=np.int64)
-    offsets = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-    total = int(sizes.sum())
-    member_ids = np.concatenate([cache[i][0] for i in nodes])
-    edge_chunks = [cache[i][1] + off for i, off in zip(nodes, offsets)
-                   if cache[i][1].size]
-    edges = (np.vstack(edge_chunks) if edge_chunks
-             else np.zeros((0, 2), dtype=np.int64))
-    segments = np.repeat(np.arange(nodes.shape[0]), sizes)
+    # ids outside the graph read the closing -1 (np.clip costs more)
+    at = cache.row[np.minimum(np.maximum(nodes, -1), cache.row.shape[0] - 1)]
+    if (at < 0).any():
+        raise ValueError(f"the ego cache holds no ego of node "
+                         f"{nodes[np.argmax(at < 0)]}")
+    rows, sizes = _spans(cache.member_ptr, at)
+    member_ids = cache.members[rows]
+    offsets = np.cumsum(sizes) - sizes
+    rows, counts = _spans(cache.edge_ptr, at)
+    edges = cache.edges[rows] + np.repeat(offsets, counts)[:, None]
     return EgoBatch(
-        plan=ad.PropagationPlan.from_edges(edges, total),
+        plan=ad.PropagationPlan.from_edges(edges, member_ids.shape[0]),
         features=g.features[member_ids],
         endpoints=edges,
-        segments=segments,
+        segments=np.repeat(np.arange(nodes.shape[0]), sizes),
         member_ids=member_ids,
         ego_rows=offsets,
         ego_labels=g.labels[nodes],

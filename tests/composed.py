@@ -16,6 +16,12 @@ adam_step is the per-parameter loop that the flat-buffer Adam replaced.
 hsic_value is ad.hsic_rbf on plain arrays, and audit_cross_class_ratios is
 assumption_audit's old per-layer loop, which propagated the causal branch
 again from its masks instead of reading the forward's layers.
+median_bandwidth and rbf are the bandwidth and the gram that ad._rbf now
+computes in one pass, each from its own squared distances, and
+masked_sigmoid the sigmoid that gathered and scattered its two signs.
+ego_dict and batch_from_dict are the ego cache as one ego_subgraph per node
+and its batch assembly, chunk by chunk, which the flat EgoTable and
+batch_from_cache's gathers replaced; held_egos reads a table as that dict.
 composed_objective_case is total_loss written out term by term, the
 objective whose gradient acceptance criterion c01 checks. gce_rows and
 mean_of_halves are chains with no fused op of their own left: the fused
@@ -31,10 +37,11 @@ from cdgnn import autodiff as ad
 from cdgnn.disentangle import (_SCORER_KEYS, init_mask_params, total_loss,
                                two_branch_forward)
 from cdgnn.harness import _layer_cross_class_ratio
-from cdgnn.graphs import Graph
+from cdgnn.graphs import Graph, ego_subgraph
 from cdgnn.harness import RunConfig
-from cdgnn.models import (batch_from_cache, build_ego_cache, init_gcn_weights,
-                          init_head_params, init_readout_params)
+from cdgnn.models import (EgoBatch, batch_from_cache, build_ego_cache,
+                          init_gcn_weights, init_head_params,
+                          init_readout_params)
 
 
 def exp(a):
@@ -446,6 +453,82 @@ def hsic_value(x, y):
                        np.asarray(y, dtype=np.float64)).item()
 
 
+def median_bandwidth(x):
+    """Median-heuristic RBF bandwidth: sqrt(median squared distance / 2)."""
+    arr = np.asarray(x, dtype=np.float64)
+    if arr.ndim != 2 or arr.shape[0] < 2:
+        return 1.0
+    sq = (arr * arr).sum(axis=1, keepdims=True)
+    d2 = np.maximum(sq + sq.T - 2.0 * arr @ arr.T, 0.0)
+    n = arr.shape[0]
+    upper = ad._upper_mask(max(ad._MASK_ROWS, 1 << (n - 1).bit_length()))[:n, :n]
+    med = ad._median(d2[upper])
+    if med <= 0.0:
+        return 1.0
+    return float(np.sqrt(med / 2.0))
+
+
+def rbf(x, bw):
+    """Gaussian gram exp(-max(|x_i|^2 + |x_j|^2 - 2 x_i.x_j, 0) / (2 bw^2))."""
+    sq = (x * x).sum(axis=1, keepdims=True)
+    k = sq + sq.T
+    dots = x @ x.T
+    dots *= 2.0
+    k -= dots
+    np.maximum(k, 0.0, out=k)
+    np.negative(k, out=k)
+    k /= 2.0 * bw * bw
+    return np.exp(k, out=k)
+
+
+def masked_sigmoid(a):
+    """The values of sigmoid, each sign's rows gathered and scattered."""
+    data = np.empty_like(a)
+    pos = a >= 0
+    data[pos] = 1.0 / (1.0 + np.exp(-a[pos]))
+    ex = np.exp(a[~pos])
+    data[~pos] = ex / (1.0 + ex)
+    return data
+
+
+def ego_dict(g, hops, nodes):
+    """{node: (member ids, local edges)}: one ego_subgraph per node."""
+    return {int(node): ego_subgraph(g, int(node), hops)
+            for node in np.asarray(nodes, dtype=np.int64).reshape(-1)}
+
+
+def held_egos(table):
+    """An EgoTable as an ego_dict: {node: (member ids, local edges)} of
+    every ego it holds, ascending by node."""
+    return {v: (table.members[table.member_ptr[i]:table.member_ptr[i + 1]],
+                table.edges[table.edge_ptr[i]:table.edge_ptr[i + 1]])
+            for v, i in enumerate(table.row[:-1].tolist()) if i >= 0}
+
+
+def batch_from_dict(g, cache, nodes):
+    """Disjoint union of the egos of `nodes` in an ego_dict, in order."""
+    nodes = np.asarray(nodes, dtype=np.int64).reshape(-1)
+    sizes = np.array([cache[i][0].shape[0] for i in nodes], dtype=np.int64)
+    offsets = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+    total = int(sizes.sum())
+    member_ids = np.concatenate([cache[i][0] for i in nodes])
+    edge_chunks = [cache[i][1] + off for i, off in zip(nodes, offsets)
+                   if cache[i][1].size]
+    edges = (np.vstack(edge_chunks) if edge_chunks
+             else np.zeros((0, 2), dtype=np.int64))
+    segments = np.repeat(np.arange(nodes.shape[0]), sizes)
+    return EgoBatch(
+        plan=ad.PropagationPlan.from_edges(edges, total),
+        features=g.features[member_ids],
+        endpoints=edges,
+        segments=segments,
+        member_ids=member_ids,
+        ego_rows=offsets,
+        ego_labels=g.labels[nodes],
+        num_graphs=int(nodes.shape[0]),
+    )
+
+
 def audit_cross_class_ratios(g, params, hops, nodes):
     """assumption_audit's cross-class ratio of each causal layer on the egos
     of `nodes` (at most AUDIT_MAX_NODES, so the audit samples none): the
@@ -500,8 +583,8 @@ def composed_objective_case(rng):
     probs_c0 = ad.softmax_head(fwd0.joint, *fwd0.head_causal)
     weights = ad._difficulty_weights(nll_rows(probs_s0, y).data,
                                      nll_rows(probs_c0, y).data)
-    bx = ad._median_bandwidth(fwd0.layers_causal[-1].data)
-    by = ad._median_bandwidth(fwd0.layers_shortcut[-1].data)
+    bx = median_bandwidth(fwd0.layers_causal[-1].data)
+    by = median_bandwidth(fwd0.layers_shortcut[-1].data)
 
     def build(t):
         fwd = two_branch_forward(batch, t)

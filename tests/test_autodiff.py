@@ -27,6 +27,25 @@ class TestForwardValues:
         t = ad.sigmoid(np.zeros((1, 1)))
         assert t.item() == 0.5
 
+    def test_sigmoid_is_the_masked_sigmoid_bit_for_bit(self):
+        """One exp of -|a| for both signs gives the bits of gathering each
+        sign's rows (composed.masked_sigmoid): at +-0, at |a| >= 710,
+        where exp(|a|) overflows, at infinities and at NaN of either
+        sign, and over random inputs of six scales; no exp overflows."""
+        edge = np.array([0.0, -0.0, 709.0, 710.0, -710.0, 745.0, -746.0,
+                         1e308, -1e308, np.inf, -np.inf, np.nan, -np.nan,
+                         5e-324, -5e-324]).reshape(-1, 1)
+        rng = np.random.default_rng(3)
+        cases = [edge] + [rng.normal(size=(int(rng.integers(1, 90)), 2))
+                          * 10.0 ** (k % 6 - 2) for k in range(60)]
+        for a in cases:
+            with np.errstate(over="raise"):
+                got = ad.sigmoid(a).data
+            with np.errstate(over="ignore"):
+                want = composed.masked_sigmoid(a)
+            np.testing.assert_array_equal(got.view(np.int64),
+                                          want.view(np.int64))
+
     def test_softmax_of_zeros_is_uniform(self):
         t = ad.softmax_head(np.zeros((1, 2)), np.zeros((2, 3)), np.zeros((1, 3)))
         np.testing.assert_allclose(t.data, [[1 / 3, 1 / 3, 1 / 3]])

@@ -206,14 +206,19 @@ class TestCounterfactualLoss:
             _head_values(fwd, [0, 1, 0], 0.7, np.array([1, 0]))
 
 
+def _bandwidth(x):
+    """The median-heuristic bandwidth ad._rbf takes of the rows of x."""
+    return ad._rbf(np.asarray(x, dtype=np.float64))[1]
+
+
 class TestMedianBandwidth:
     def test_two_point_hand_case(self):
         x = np.array([[0.0, 0.0], [2.0, 2.0]])  # squared distance 8
-        np.testing.assert_allclose(ad._median_bandwidth(x), 2.0)
+        np.testing.assert_allclose(_bandwidth(x), 2.0)
 
     def test_degenerate_inputs_fall_back_to_one(self):
-        assert ad._median_bandwidth(np.ones((5, 3))) == 1.0
-        assert ad._median_bandwidth(np.zeros((1, 3))) == 1.0
+        assert _bandwidth(np.ones((5, 3))) == 1.0
+        assert _bandwidth(np.zeros((1, 3))) == 1.0
 
     def test_matches_np_median_over_triu_indices(self):
         """Bitwise the np.median over np.triu_indices formula, for odd and
@@ -227,10 +232,27 @@ class TestMedianBandwidth:
                 d2 = np.maximum(sq + sq.T - 2.0 * x @ x.T, 0.0)
                 med = float(np.median(d2[np.triu_indices(n, k=1)]))
                 want = 1.0 if med <= 0.0 else float(np.sqrt(med / 2.0))
-                assert ad._median_bandwidth(x) == want, n
+                assert _bandwidth(x) == want, n
         x = rng.normal(size=(6, 2))
         x[3, 1] = np.nan
-        assert np.isnan(ad._median_bandwidth(x))
+        assert np.isnan(_bandwidth(x))
+
+    def test_one_pass_is_the_bandwidth_then_the_gram(self):
+        """ad._rbf shares the squared norms of its two distances and folds
+        the gram's negation into its division, bit for bit the bandwidth
+        and the gram computed apart (composed.median_bandwidth, .rbf), over
+        1-300 rows, repeated rows and three scales."""
+        rng = np.random.default_rng(43)
+        for case in range(300):
+            n = int(rng.integers(1, 301))
+            x = rng.normal(size=(n, int(rng.integers(1, 64))))
+            x *= 10.0 ** (case % 3 * 3 - 3)
+            if case % 4 == 0:
+                x[rng.integers(0, n, size=n // 2)] = x[0]
+            want_bw = composed.median_bandwidth(x)
+            gram, bw = ad._rbf(x)
+            assert bw == want_bw, case
+            np.testing.assert_array_equal(gram, composed.rbf(x, want_bw))
 
 
 class TestHsic:

@@ -50,7 +50,7 @@ def _hsic_pair(values, sample, names):
     sample `sample` (every row if None), and the composed chain on take_rows
     of both at the median-heuristic bandwidths of the sampled rows."""
     rows = slice(None) if sample is None else sample
-    bx, by = (ad._median_bandwidth(values[k][rows]) for k in names)
+    bx, by = (composed.median_bandwidth(values[k][rows]) for k in names)
     a, b = names
 
     def gather(t):

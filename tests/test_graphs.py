@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import composed
 from cdgnn import autodiff as ad
+from cdgnn import graphs
 from cdgnn.graphs import (
     Graph,
     GraphError,
@@ -397,13 +398,63 @@ class TestEgoSubgraph:
         g = Graph(n, np.array(edges), np.ones((n, 2)),
                   (np.arange(n) >= tree).astype(np.int64), 2)
         assert g.num_nodes >= 10_000
-        cache = build_ego_cache(g, 2, np.arange(g.num_nodes))
+        cache = composed.held_egos(build_ego_cache(g, 2, np.arange(g.num_nodes)))
         assert len(cache) == g.num_nodes
         rng = np.random.default_rng(37)
         for node in rng.choice(g.num_nodes, size=20, replace=False):
             sub, mapping = _ego_subgraph_scan(g, int(node), 2)
             np.testing.assert_array_equal(cache[node][0], mapping)
             np.testing.assert_array_equal(cache[node][1], sub.edges)
+
+    def test_table_of_many_egos_matches_scan_oracle(self):
+        """build_ego_cache extracts all egos of a graph at once, or any
+        subset given in any order with repeats, each bitwise the scan
+        oracle's, over isolated nodes, several components, hops 1-3 and
+        hops beyond the diameter."""
+        rng = np.random.default_rng(43)
+        isolated = split = 0
+        for _ in range(40):
+            g = _sparse_graph(rng)
+            every = np.arange(g.num_nodes)
+            subset = rng.choice(every, size=int(rng.integers(1, 2 * g.num_nodes)))
+            for nodes in (every, subset):
+                for hops in (1, 2, 3, g.num_nodes + 1):
+                    table = build_ego_cache(g, hops, nodes)
+                    held = composed.held_egos(table)
+                    assert list(held) == sorted(set(nodes.tolist()))
+                    assert table.members.dtype == table.edges.dtype == np.int64
+                    for node, (mapping, edges) in held.items():
+                        want, want_map = _ego_subgraph_scan(g, node, hops)
+                        np.testing.assert_array_equal(mapping, want_map)
+                        np.testing.assert_array_equal(edges, want.edges)
+                        assert edges.shape == want.edges.shape
+            isolated += (g.degrees == 0).any()
+            split += any(1 < m.shape[0] < g.num_nodes for m, _ in held.values())
+        assert isolated and split
+
+    def test_table_spans_chunks(self, monkeypatch):
+        """Egos extracted a few per chunk are those extracted in one."""
+        g = preset("ba_shapes", seed=0)[0]
+        nodes = np.random.default_rng(5).choice(g.num_nodes, 300)
+        whole = build_ego_cache(g, 2, nodes)
+        monkeypatch.setattr(graphs, "_TABLE_ENTRIES", 7 * g.num_nodes)
+        chunked = build_ego_cache(g, 2, nodes)
+        for a, b in zip(vars(whole).values(), vars(chunked).values()):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("hops", [0, -1, 1.5, True, "2", None, float("nan")])
+    def test_hops_not_a_whole_number_of_at_least_one_are_refused(self, hops):
+        g = _path([0, 0, 0])
+        for extract in (lambda: ego_subgraph(g, 0, hops),
+                        lambda: build_ego_cache(g, hops, [0, 1])):
+            with pytest.raises(GraphError,
+                               match=r"hops must be a whole number >= 1, got "):
+                extract()
+
+    def test_whole_float_hops_are_hops(self):
+        g = _path([0, 0, 0, 0])
+        for got, want in zip(ego_subgraph(g, 0, 2.0), ego_subgraph(g, 0, 2)):
+            np.testing.assert_array_equal(got, want)
 
 
 class TestJsonRoundTrip:

@@ -9,6 +9,7 @@ from dataclasses import asdict, fields, replace
 import numpy as np
 import pytest
 
+import composed
 from cdgnn import autodiff as ad
 from cdgnn import cli, harness, models, synth
 from cdgnn.disentangle import init_cdgnn_params
@@ -53,6 +54,29 @@ def _tiny_config(**overrides):
     return RunConfig(**base)
 
 
+def _built_tables(monkeypatch):
+    """The list every later harness.build_ego_cache call appends its
+    table to."""
+    tables, real = [], harness.build_ego_cache
+
+    def recording(g, hops, nodes):
+        tables.append(real(g, hops, nodes))
+        return tables[-1]
+
+    monkeypatch.setattr(harness, "build_ego_cache", recording)
+    return tables
+
+
+def _each_ego_once(table):
+    """The nodes whose egos `table` holds, ascending, after checking that it
+    holds each of them once: one row, one span, spans end to end."""
+    held = composed.held_egos(table)
+    assert table.member_ptr.shape == table.edge_ptr.shape == (len(held) + 1,)
+    assert table.member_ptr[-1] == table.members.shape[0]
+    assert table.edge_ptr[-1] == table.edges.shape[0]
+    return list(held)
+
+
 def _stub_record(seed, accuracy):
     return RunRecord(
         dataset="stub", dataset_hash="0" * 64, model="cdgnn", seed=seed,
@@ -95,6 +119,13 @@ class TestSplitNodes:
 class TestRunConfig:
     def test_defaults_validate(self):
         RunConfig().validate()
+
+    @pytest.mark.parametrize("hops", [0, 1.5, True, "2", -2.0])
+    def test_ego_hops_not_a_whole_number_of_at_least_one_refused(self, hops):
+        """1.5 used to pass and end in a TypeError; True trained at 1 hop."""
+        with pytest.raises(ValueError, match=rf"^ego_hops must be a whole "
+                                             rf"number >= 1, got {hops!r}$"):
+            RunConfig(ego_hops=hops).validate()
 
     def test_patience_bounded_by_epochs(self):
         with pytest.raises(ValueError, match="patience"):
@@ -224,17 +255,12 @@ class TestTrainCdgnn:
     def test_caches_only_train_and_val_egos(self, monkeypatch):
         g = _tiny_graph()
         sp = split_nodes(g.num_nodes, seed=0)
-        egos = []
-        real = models.ego_subgraph
-
-        def counting(graph, node, hops):
-            egos.append(node)
-            return real(graph, node, hops)
-
-        monkeypatch.setattr(models, "ego_subgraph", counting)
+        tables = _built_tables(monkeypatch)
         train_cdgnn(g, _tiny_config(epochs=1), seed=0, train_nodes=sp.train,
                     val_nodes=sp.val)
-        assert sorted(egos) == sorted(sp.train.tolist() + sp.val.tolist())
+        assert len(tables) == 1
+        assert _each_ego_once(tables[0]) == sorted(sp.train.tolist()
+                                                   + sp.val.tolist())
 
     @pytest.mark.parametrize("patience", [1, 4])
     def test_predicts_val_once_per_epoch_run(self, monkeypatch, patience):
@@ -652,16 +678,10 @@ class TestRunExperiment:
     def test_extracts_each_ego_once(self, monkeypatch):
         """Training and both evaluations share one ego cache."""
         g = _tiny_graph(seed=10)
-        egos = []
-        real = models.ego_subgraph
-
-        def counting(graph, node, hops):
-            egos.append(node)
-            return real(graph, node, hops)
-
-        monkeypatch.setattr(models, "ego_subgraph", counting)
+        tables = _built_tables(monkeypatch)
         run_experiment(g, _tiny_config(epochs=1), seed=0)
-        assert sorted(egos) == list(range(g.num_nodes))
+        assert len(tables) == 1
+        assert _each_ego_once(tables[0]) == list(range(g.num_nodes))
 
     def test_shared_cache_matches_separate_caches(self):
         g = _tiny_graph(seed=11)
@@ -864,9 +884,8 @@ class TestRunVariants:
 
         def frozen(g, hops, nodes):
             cache = real(g, hops, nodes)
-            for arrays in cache.values():
-                for a in arrays:
-                    a.flags.writeable = False
+            for a in vars(cache).values():
+                a.flags.writeable = False
             return cache
 
         monkeypatch.setattr(harness, "build_ego_cache", frozen)

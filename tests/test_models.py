@@ -77,17 +77,53 @@ class TestEgoBatch:
     def test_cache_matches_direct_assembly(self):
         g = _path_graph(6, seed=3)
         nodes = np.array([1, 3, 5])
-        cache = build_ego_cache(g, 2, nodes)
+        table = build_ego_cache(g, 2, nodes)
+        cache = composed.held_egos(table)
         assert sorted(cache) == [1, 3, 5]
         for node in nodes:
             mapping, edges = ego_subgraph(g, int(node), 2)
             np.testing.assert_array_equal(cache[node][0], mapping)
             np.testing.assert_array_equal(cache[node][1], edges)
-        a = batch_from_cache(g, cache, nodes[::-1])
+        a = batch_from_cache(g, table, nodes[::-1])
         b = batch_from_cache(g, build_ego_cache(g, 2, np.arange(6)), nodes[::-1])
         np.testing.assert_array_equal(a.endpoints, b.endpoints)
         np.testing.assert_array_equal(a.features, b.features)
         np.testing.assert_array_equal(a.segments, b.segments)
+
+    def test_gathers_give_the_dict_assembly(self):
+        """Every array of the batch and of its plan is the one the per-ego
+        dict assembly builds (composed.batch_from_dict), dtype and shape
+        included, for batches with repeats, edgeless egos and one ego."""
+        rng = np.random.default_rng(8)
+        for case in range(60):
+            n = int(rng.integers(1, 25))
+            pairs = np.array([(u, v) for u in range(n) for v in range(u + 1, n)],
+                             dtype=np.int64).reshape(-1, 2)
+            g = Graph(n, pairs[rng.random(pairs.shape[0]) < rng.uniform(0, 0.3)],
+                      rng.normal(size=(n, 2)), rng.integers(0, 2, size=n), 2)
+            hops = int(rng.integers(1, 4))
+            table = build_ego_cache(g, hops, np.arange(n))
+            egos = composed.ego_dict(g, hops, np.arange(n))
+            nodes = rng.integers(0, n, size=int(rng.integers(1, 20)))
+            got = batch_from_cache(g, table, nodes)
+            want = composed.batch_from_dict(g, egos, nodes)
+            for ours, theirs in ((got, want), (got.plan, want.plan)):
+                for key, value in vars(theirs).items():
+                    if key != "plan":
+                        mine = np.asarray(getattr(ours, key))
+                        np.testing.assert_array_equal(mine, value, err_msg=key)
+                        assert mine.dtype == np.asarray(value).dtype, key
+                        assert mine.shape == np.shape(value), key
+
+    @pytest.mark.parametrize("node", [4, -1, 6, 99, -7])
+    def test_node_without_an_ego_is_refused_by_name(self, node):
+        """A node the cache holds no ego of, inside the graph or not, is a
+        ValueError naming it, not a KeyError or another ego's rows."""
+        g = _path_graph(6)
+        cache = build_ego_cache(g, 1, [0, 2, 5])
+        with pytest.raises(ValueError,
+                           match=rf"the ego cache holds no ego of node {node}$"):
+            batch_from_cache(g, cache, [0, node, 2])
 
     def test_ego_rows_point_at_ego_features(self):
         g = _path_graph(5, seed=4)

@@ -91,11 +91,39 @@ def _bindings(tree: ast.Module, reexports: dict[str, str]):
     return names, modules
 
 
+# The nodes whose bodies bind names in a scope of their own.
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef,
+           ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _local_names(scope: ast.AST) -> set[str]:
+    """The names a function, lambda or comprehension binds in its own
+    scope: its arguments, and every name it assigns, loops over, defines
+    or otherwise stores, outside the scopes nested in it."""
+    names = set()
+    if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        a = scope.args
+        names |= {arg.arg for arg in [*a.posonlyargs, *a.args, *a.kwonlyargs,
+                                      a.vararg, a.kwarg] if arg is not None}
+        stack = list(scope.body) if isinstance(scope.body, list) else [scope.body]
+    else:
+        stack = list(scope.generators)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        if isinstance(node, _SCOPES):
+            names.add(getattr(node, "name", None))
+        else:
+            stack.extend(ast.iter_child_nodes(node))
+    return names - {None}
+
+
 def _loads(tree: ast.Module, module: str | None,
            reexports: dict[str, str]) -> set[tuple[str, str]]:
     """(module, name) of every package name the file loads, leaving out
     loads inside that name's own top-level definition and loads of a name
-    that an enclosing function takes as an argument."""
+    that an enclosing function or comprehension binds itself (_local_names)."""
     names, modules = _bindings(tree, reexports)
     if module is not None:
         for node in tree.body:
@@ -116,11 +144,8 @@ def _loads(tree: ast.Module, module: str | None,
             hit = (modules[node.value.id], node.attr)
         if hit is not None and not (hit[0] == module and hit[1] == own):
             used.add(hit)
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            a = node.args
-            shadowed = shadowed | {arg.arg for arg in [
-                *a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]
-                if arg is not None}
+        if isinstance(node, _SCOPES) and not isinstance(node, ast.ClassDef):
+            shadowed = shadowed | _local_names(node)
         for child in ast.iter_child_nodes(node):
             visit(child, own, shadowed)
 
@@ -202,6 +227,19 @@ def test_guard_sees_through_aliases_and_ignores_lookalikes(tmp_path):
     head = "def head(x):\n    return relu(x)\n"
     assert _loads(ast.parse(source + head), "harness", {}) == {
         ("harness", "relu")}
+    # nor is a name the function binds itself: by assignment, as a loop
+    # target or as a comprehension target
+    relu = "def relu(a):\n    return a\n"
+    for body in ("    relu = x > 0\n    return relu\n",
+                 "    for relu in x:\n        pass\n    return relu\n",
+                 "    return [relu + 1 for relu in x]\n"):
+        tree = ast.parse(relu + "def f(x):\n" + body)
+        assert _loads(tree, "autodiff", {}) == set(), body
+    # a local of a nested scope leaves the enclosing function's loads be
+    nested = ("    def inner():\n        relu = 1\n        return relu\n"
+              "    return relu(x) + sum(relu for relu in x)\n")
+    assert _loads(ast.parse(relu + "def f(x):\n" + nested), "autodiff",
+                  {}) == {("autodiff", "relu")}
 
 
 def test_member_guard_ignores_a_method_that_only_calls_itself():
