@@ -15,17 +15,18 @@ scipy.sparse), so no dense adjacency matrix is ever materialized.
 `propagate` runs the unweighted propagation of a constant input once; a
 gcn_layer given no plan takes its input as propagated.
 
-The elementary primitives are matmul, add, subtract, multiply, sigmoid,
-concat_cols and dropout. The models' hot paths are fused primitives
-(gcn_layer, softmax_head, edge_scorer, ego_readout, head_nll,
-two_head_loss, hsic_rbf): each records one node whose backward repeats, in
-the same order, the float operations of the chain it replaces, so results
-are bitwise the composed chain's. edge_scorer is the CD-GNN mask's whole
-MLP, two_head_loss three terms of its objective with both heads and
-head_nll the GCN baseline's whole loss, so that a training step records
-few nodes: on batches this small each node costs more in bookkeeping than
-in arithmetic. softmax_head, head_nll and the four heads of two_head_loss
-share one forward and one adjoint. hsic_rbf takes its own row sample and
+The elementary primitives are matmul, add, subtract, multiply, sigmoid
+and dropout. The models' hot paths are fused primitives (gcn_layer,
+edge_scorer, ego_readout, head_nll, two_head_loss, hsic_rbf): each records
+one node whose backward repeats, in the same order, the float operations
+of the chain it replaces, so results are bitwise the composed chain's.
+edge_scorer is the CD-GNN mask's whole MLP, two_head_loss three terms of
+its objective with both heads on both readouts and head_nll the GCN
+baseline's whole loss, so that a training step records few nodes: on
+batches this small each node costs more in bookkeeping than in arithmetic.
+softmax_head is a head's forward on plain arrays, which inference calls;
+head_nll and the four heads of two_head_loss take their forward from it
+and share one adjoint. hsic_rbf takes its own row sample and
 works out each median-heuristic bandwidth in the pass that builds its gram
 (_rbf). Small means skip ndarray.mean's dispatch (_mean); a softmax takes
 each row's max a column at a time; a row gather's adjoint with no repeated
@@ -57,9 +58,9 @@ import scipy
 __all__ = [
     "Tensor",
     "PropagationPlan",
-    "matmul", "add", "subtract", "multiply", "sigmoid", "concat_cols",
-    "dropout", "propagate", "gcn_layer", "softmax_head", "edge_scorer",
-    "ego_readout", "head_nll", "two_head_loss", "hsic_rbf",
+    "matmul", "add", "subtract", "multiply", "sigmoid", "dropout",
+    "propagate", "gcn_layer", "softmax_head", "edge_scorer", "ego_readout",
+    "head_nll", "two_head_loss", "hsic_rbf",
     "AdamState", "adam_step", "leaves", "gradients",
 ]
 
@@ -237,22 +238,6 @@ def _mean(x: np.ndarray, axis: int | None, keepdims: bool) -> np.ndarray:
     return np.add.reduce(x, axis=axis, keepdims=keepdims) / count
 
 
-def concat_cols(a, b) -> Tensor:
-    a, b = _coerce(a), _coerce(b)
-    if a.data.shape[0] != b.data.shape[0]:
-        raise ValueError(
-            f"concat_cols needs matching row counts, got {a.data.shape} and {b.data.shape}"
-        )
-    data = np.hstack([a.data, b.data])
-    split = a.data.shape[1]
-
-    def backward(g: np.ndarray) -> None:
-        a._accumulate(g[:, :split].copy())
-        b._accumulate(g[:, split:].copy())
-
-    return _make(data, (a, b), backward)
-
-
 def dropout(a, rate: float, rng: np.random.Generator) -> Tensor:
     """Inverted dropout; rate 0 is the identity (same tensor object)."""
     if not 0.0 <= rate < 1.0:
@@ -280,21 +265,6 @@ def _row_scatter(da_shape, idx: np.ndarray, g: np.ndarray) -> np.ndarray:
         return out
     indptr = np.concatenate([[0], np.cumsum(counts)])
     return _csr_rowsum(indptr, np.argsort(idx, kind="stable"), np.ones(idx.shape[0]), g)
-
-
-def _segment_means(x: np.ndarray, seg: np.ndarray,
-                   num_segments: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row means of x per segment id, and the per-segment row counts."""
-    if seg.shape[0] != x.shape[0]:
-        raise ValueError("segments must assign an id to every row")
-    counts = np.bincount(seg, minlength=num_segments).astype(np.float64)
-    if (counts == 0).any():
-        raise ValueError("every segment must contain at least one row")
-    k = x.shape[1]
-    flat = seg[:, None] * k + np.arange(k)[None, :]
-    sums = np.bincount(flat.ravel(), weights=x.ravel(),
-                       minlength=num_segments * k).reshape(num_segments, k)
-    return sums / counts[:, None], counts
 
 
 def _permutation(perm, rows: int) -> tuple[np.ndarray, np.ndarray]:
@@ -466,31 +436,23 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _head(x: np.ndarray, weight: Tensor, bias: Tensor) -> np.ndarray:
-    """The class distribution rows softmax(x @ weight + bias) of a head."""
-    return _softmax_rows(x @ weight.data + bias.data)
+def softmax_head(x: np.ndarray, weight: np.ndarray,
+                 bias: np.ndarray) -> np.ndarray:
+    """The class distribution rows softmax(x @ weight + bias) of a head, on
+    plain arrays; the softmax subtracts each row's max first. head_nll and
+    two_head_loss take their forward from here."""
+    return _softmax_rows(x @ weight + bias)
 
 
 def _head_adjoint(g: np.ndarray, probs: np.ndarray, x: np.ndarray,
                   weight: Tensor, bias: Tensor) -> np.ndarray:
-    """Adjoint of a head's rows `probs` = _head(x, weight, bias) for their
-    adjoint g, accumulated into weight, then bias; returns x's adjoint."""
+    """Adjoint of a head's rows `probs` = softmax_head(x, weight, bias) for
+    their adjoint g, accumulated into weight, then bias; returns x's
+    adjoint."""
     gl = probs * (g - (g * probs).sum(axis=1, keepdims=True))
     weight._accumulate(x.T @ gl)
     bias._accumulate(_unbroadcast(gl, bias.data.shape))
     return gl @ weight.data.T
-
-
-def softmax_head(x, weight, bias) -> Tensor:
-    """Class distribution rows softmax(x @ weight + bias) as one node; the
-    softmax subtracts each row's max first."""
-    x, weight, bias = _coerce(x), _coerce(weight), _coerce(bias)
-    data = _head(x.data, weight, bias)
-
-    def backward(g: np.ndarray) -> None:
-        x._accumulate(_head_adjoint(g, data, x.data, weight, bias))
-
-    return _make(data, (x, weight, bias), backward)
 
 
 def edge_scorer(endpoints, x, w1, b1, w2, b2) -> Tensor:
@@ -525,22 +487,28 @@ def edge_scorer(endpoints, x, w1, b1, w2, b2) -> Tensor:
     return _make(data, (w1, b1, w2, b2), backward)
 
 
-def ego_readout(h, ego_rows, segments, projection) -> Tensor:
-    """Per-graph embedding as one node, one graph per ego row:
-    [h[ego_rows] ; segment means of h] @ projection."""
+def ego_readout(h, sizes, projection) -> Tensor:
+    """Per-graph embedding as one node: graph i is the next sizes[i] >= 1
+    rows of h, its ego row first, and reads [ego row ; mean of its rows]
+    @ projection. The means sum each graph's rows with one bincount."""
     h, projection = _coerce(h), _coerce(projection)
-    idx = np.asarray(ego_rows, dtype=np.int64).reshape(-1)
-    seg = np.asarray(segments, dtype=np.int64).reshape(-1)
-    means, counts = _segment_means(h.data, seg, idx.shape[0])
-    joined = np.hstack([h.data[idx], means])
+    sizes = np.asarray(sizes, dtype=np.int64).reshape(-1)
+    (rows, k), m = h.data.shape, sizes.shape[0]
+    if (sizes < 1).any() or sizes.sum() != rows:
+        raise ValueError(f"ego sizes must be >= 1 and sum to the {rows} rows "
+                         f"of h, got {m} sizes summing to {sizes.sum()}")
+    idx, seg = np.cumsum(sizes) - sizes, np.repeat(np.arange(m), sizes)
+    flat = seg[:, None] * k + np.arange(k)[None, :]
+    sums = np.bincount(flat.ravel(), weights=h.data.ravel(),
+                       minlength=m * k).reshape(m, k)
+    joined = np.hstack([h.data[idx], sums / sizes[:, None]])
     data = joined @ projection.data
-    k = h.data.shape[1]
 
     def backward(g: np.ndarray) -> None:
         projection._accumulate(joined.T @ g)
         if h.requires_grad:
             gj = g @ projection.data.T
-            h._accumulate(gj[:, k:][seg] / counts[seg][:, None])
+            h._accumulate(gj[:, k:][seg] / sizes[seg][:, None])
             h._accumulate(_row_scatter(h.data.shape, idx, gj[:, :k]))
 
     return _make(data, (h, projection), backward)
@@ -579,7 +547,7 @@ def head_nll(h, rows, weight, bias, labels) -> Tensor:
     if idx.size and (idx.min() < 0 or idx.max() >= len(h.data)):
         raise ValueError(f"row index outside [0, {len(h.data)})")
     x = h.data[idx]
-    probs = _head(x, weight, bias)
+    probs = softmax_head(x, weight.data, bias.data)
     y = _labels(labels, *probs.shape)
     picks = np.arange(y.shape[0])
     clamped = _picked(probs, picks, y)
@@ -606,61 +574,60 @@ def _difficulty_weights(ce_shortcut: np.ndarray,
                      where=denom > 1e-12)
 
 
-def two_head_loss(joint, graph_causal, graph_shortcut, head_causal,
-                  head_shortcut, labels, q: float, perm,
-                  coefficients) -> tuple[Tensor | None, dict[str, float]]:
+def two_head_loss(graph_causal, graph_shortcut, head_causal, head_shortcut, labels,
+                  q: float, perm, coefficients) -> tuple[Tensor | None, dict[str, float]]:
     """The shortcut, causal and counterfactual terms of the CD-GNN
     objective, weighed and summed as one node, plus their raw values.
 
     With p_s and p_c the softmax heads (weight, bias) `head_shortcut` and
-    `head_causal` read from `joint`:
+    `head_causal` on the factual pass [graph_causal ; graph_shortcut]:
     - loss_s, the mean GCE (1 - p_s[y]^q) / q, with q in (0, 1];
     - loss_c, the mean of W * CE(p_c), where W is the _difficulty_weights
       of the detached per-row cross-entropies ce_s and ce_c of both heads;
     - loss_cf, the mean of GCE(shortcut head, y[perm]) + W * CE(causal
-      head, y), both heads reading [graph_causal ; graph_shortcut[perm]];
-      it needs a batch of at least 2 and a permutation `perm` of it.
+      head, y) on the counterfactual pass [graph_causal ;
+      graph_shortcut[perm]]; it needs a batch of at least 2 and a
+      permutation `perm` of it.
     Logs are clamped below at 1e-12. The node is the sum, left to right,
     of each term times its entry of the three `coefficients` (x * 1.0 is
     x, so a term weighed 1 has the bits of the term itself), a term
     weighed 0 entering not at all; with all three 0 there is no node
     (None). The dict holds the three raw terms and the mean ce_s and ce_c.
 
-    Both passes, on joint and on the swapped rows, read both heads alike.
-    The value and every adjoint are the bits of the chain of softmax_head,
-    GCE and nll_rows, mean, concat_cols, permute_rows, multiply and add
-    nodes this replaces: adjoints reach the heads, then graph_causal and
-    graph_shortcut from the counterfactual term, and then joint, in the
-    order that chain's reverse walk adds them.
+    The factual pass is the counterfactual one under the identity. The
+    value and every adjoint are the bits of the chain of softmax_head, GCE
+    and nll_rows, mean, concat_cols, permute_rows, multiply and add nodes
+    this replaces: adjoints reach the heads, then graph_causal and
+    graph_shortcut, counterfactual pass first, in that chain's order.
     """
     if not 0.0 < q <= 1.0:
         raise ValueError(f"q must be in (0, 1], got {q}")
-    joint, h_c, h_s = _coerce(joint), _coerce(graph_causal), _coerce(graph_shortcut)
+    h_c, h_s = _coerce(graph_causal), _coerce(graph_shortcut)
     heads = [tuple(map(_coerce, head)) for head in (head_causal, head_shortcut)]
     (w_c, b_c), (w_s, b_s) = heads
-    n = h_c.data.shape[0]
-    y = _labels(labels, joint.data.shape[0], w_s.data.shape[1])
+    n, split = h_c.data.shape
+    y = _labels(labels, n, w_s.data.shape[1])
     if n < 2:
         raise ValueError("counterfactual loss needs a batch of at least 2")
     perm, inverse = _permutation(perm, n)
     qa, inv_q = _as_matrix(q), _as_matrix(1.0 / q)
     rows = np.arange(n)
-    y_perm = y[perm]
 
-    def read(x, y_s):
-        """Both heads on the rows x, picking the causal head at y and the
-        shortcut head at y_s: what the adjoint keeps, then the rows of both
-        CEs and of the shortcut GCE (1 - p^q) / q; causal head first."""
-        probs = [_head(x, *head) for head in heads]
+    def read(order):
+        """Both heads on the pass [h_c ; h_s[order]], picking the causal
+        head at y and the shortcut head at y[order]: what the adjoint keeps,
+        then the rows of both CEs and of the shortcut GCE (1 - p^q) / q;
+        causal head first."""
+        x, y_s = np.hstack([h_c.data, h_s.data[order]]), y[order]
+        probs = [softmax_head(x, w.data, b.data) for w, b in heads]
         picked = [_picked(p, rows, labels) for p, labels in zip(probs, (y, y_s))]
         powered = np.exp(qa * np.log(picked[1]))  # p^q
-        return ((probs, picked, powered),
+        return ((x, y_s, probs, picked, powered),
                 [0.0 - np.log(p) for p in picked] + [(1.0 - powered) * inv_q])
 
-    factual, (ce_c, ce_s, gce_s) = read(joint.data, y)
+    factual, (ce_c, ce_s, gce_s) = read(rows)
     weights = _difficulty_weights(ce_s, ce_c)
-    swapped = np.hstack([h_c.data, h_s.data[perm]])
-    counter, (ce_cx, _, gce_sx) = read(swapped, y_perm)
+    counter, (ce_cx, _, gce_sx) = read(perm)
 
     terms = [np.array([[_mean(t, None, False)]])
              for t in (gce_s, ce_c * weights, gce_sx + ce_cx * weights)]
@@ -676,32 +643,30 @@ def two_head_loss(joint, graph_causal, graph_shortcut, head_causal,
     if data is None:
         return None, values
 
-    def read_adjoint(x, kept, y_s, g_c, g_s):
-        """x's adjoints from both heads of read(x, y_s), causal head first,
-        for g_c of the W * CE rows and g_s of the GCE rows (None skips)."""
-        probs, (picked_c, picked_s), powered = kept
+    def read_adjoint(kept, back, g_c, g_s):
+        """Both heads' adjoints of a read for g_c of its W * CE rows and g_s
+        of its GCE rows (None skips), causal head first, summed and split
+        into h_c and h_s; `back` undoes the order the pass took h_s in."""
+        x, y_s, probs, (picked_c, picked_s), powered = kept
         gps = (None if g_c is None else -(g_c * weights) / picked_c,
                None if g_s is None else -(g_s * inv_q) * powered * qa / picked_s)
-        return [_head_adjoint(_picked_adjoint(p, rows, labels, gp), p, x, *head)
-                for gp, p, labels, head in zip(gps, probs, (y, y_s), heads)
-                if gp is not None]
+        adjoints = [_head_adjoint(_picked_adjoint(p, rows, labels, gp), p, x, *head)
+                    for gp, p, labels, head in zip(gps, probs, (y, y_s), heads)
+                    if gp is not None]
+        if adjoints:
+            gx = sum(adjoints[1:], adjoints[0])
+            h_c._accumulate(gx[:, :split].copy())
+            h_s._accumulate(gx[:, split:][back])
 
     def backward(g: np.ndarray) -> None:
         # the adjoint of each weighed term's per-row values, via its mean
         gs, gc, gcf = (None if scale is None
                        else np.full((n, 1), (g * scale)[0, 0] / n)
                        for scale in scales)
-        if gcf is not None:
-            g_swapped, g_shortcut = read_adjoint(swapped, counter, y_perm,
-                                                 gcf, gcf)
-            g_swapped += g_shortcut
-            split = h_c.data.shape[1]
-            h_c._accumulate(g_swapped[:, :split].copy())
-            h_s._accumulate(g_swapped[:, split:][inverse])
-        for g_joint in read_adjoint(joint.data, factual, y, gc, gs):
-            joint._accumulate(g_joint)
+        read_adjoint(counter, inverse, gcf, gcf)
+        read_adjoint(factual, rows, gc, gs)
 
-    return _make(data, (joint, h_c, h_s, w_c, b_c, w_s, b_s), backward), values
+    return _make(data, (h_c, h_s, w_c, b_c, w_s, b_s), backward), values
 
 
 def _centered(k: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

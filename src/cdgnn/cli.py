@@ -195,7 +195,12 @@ def _cmd_ablate(args) -> int:
 
 
 def _distinct_floats(text: str, flag: str) -> list[float]:
-    values = [float(v) for v in text.split(",")]
+    values = []
+    for item in text.split(","):
+        try:
+            values.append(float(item))
+        except ValueError:
+            raise ValueError(f"{flag} holds {item!r}, not a number") from None
     if len(set(values)) != len(values):
         raise ValueError(f"{flag} repeats a value: {text}")
     return values

@@ -84,10 +84,10 @@ class TwoBranchPass:
 
     The edge and feature masks weight the causal branch and their
     complements the shortcut branch. `layers_causal` and `layers_shortcut`
-    hold each branch's node embeddings after every encoder layer, the
-    `graph_*` rows its per-ego readout, and `joint` both readouts side by
-    side. Each head is a (weight, bias) pair reading the joint embedding,
-    as passed in: leaves or plain arrays.
+    hold each branch's node embeddings after every encoder layer, and the
+    `graph_*` rows its per-ego readout. Each head is a (weight, bias) pair
+    reading both readouts side by side (`joint`), as passed in: leaves or
+    plain arrays.
     """
 
     edge_mask: ad.Tensor
@@ -96,9 +96,13 @@ class TwoBranchPass:
     layers_shortcut: list[ad.Tensor]
     graph_causal: ad.Tensor
     graph_shortcut: ad.Tensor
-    joint: ad.Tensor
     head_causal: tuple
     head_shortcut: tuple
+
+    @property
+    def joint(self) -> np.ndarray:
+        """Both readouts side by side, the rows the heads read."""
+        return np.hstack([self.graph_causal.data, self.graph_shortcut.data])
 
 
 # The edge scorer's MLP parameters, in ad.edge_scorer's order.
@@ -112,7 +116,7 @@ def two_branch_forward(batch: EgoBatch, leaves: dict,
     init_cdgnn_params entry, as ad.leaves to train or as plain arrays to
     infer (which records nothing). Backward sums each gradient in reverse
     creation order, so the op order is fixed: scorer, masks, complements,
-    then both encoders and both readouts, causal first, and joint."""
+    then both encoders and both readouts, causal first."""
     edge = ad.sigmoid(ad.edge_scorer(batch.endpoints, batch.features,
                                      *(leaves[k] for k in _SCORER_KEYS)))
     feat = ad.sigmoid(leaves["mask.feat"])
@@ -123,13 +127,13 @@ def two_branch_forward(batch: EgoBatch, leaves: dict,
                     [leaves[f"gnn_{branch}.w{l}"] for l in range(depth)],
                     dropout_rate, rng)
         for branch, (edge_view, feat_view) in zip(_BRANCHES, views))
-    h_c, h_s = (ad.ego_readout(layers[-1], batch.ego_rows, batch.segments,
+    h_c, h_s = (ad.ego_readout(layers[-1], batch.sizes,
                                leaves[f"readout_{branch}.proj"])
                 for branch, layers in zip(_BRANCHES, (layers_c, layers_s)))
     return TwoBranchPass(
         edge_mask=edge, feature_mask=feat,
         layers_causal=layers_c, layers_shortcut=layers_s,
-        graph_causal=h_c, graph_shortcut=h_s, joint=ad.concat_cols(h_c, h_s),
+        graph_causal=h_c, graph_shortcut=h_s,
         head_causal=(leaves["head_c.w"], leaves["head_c.b"]),
         head_shortcut=(leaves["head_s.w"], leaves["head_s.b"]))
 
@@ -155,7 +159,7 @@ def total_loss(fwd: TwoBranchPass, labels, q: float,
     cross-entropies ce_s and ce_c.
     """
     total, values = ad.two_head_loss(
-        fwd.joint, fwd.graph_causal, fwd.graph_shortcut, fwd.head_causal,
+        fwd.graph_causal, fwd.graph_shortcut, fwd.head_causal,
         fwd.head_shortcut, labels, q, perm, coefficients[:3])
     independence = ad.hsic_rbf(fwd.layers_causal[-1], fwd.layers_shortcut[-1],
                                rows)

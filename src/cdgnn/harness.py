@@ -62,6 +62,11 @@ __all__ = [
 _EVAL_CHUNK = 256
 
 
+# RunConfig's whole-number fields and the least value each accepts.
+_WHOLE_FLOORS = {"hidden": 1, "layers": 1, "epochs": 1, "patience": 0, "batch_size": 2,
+                 "ego_hops": 1, "scorer_hidden": 1, "hsic_max_rows": 2}
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Hyperparameters for one training run."""
@@ -85,6 +90,13 @@ class RunConfig:
     no_causal_term: bool = False
     no_counterfactual_term: bool = False
     no_independence_term: bool = False
+
+    def __post_init__(self) -> None:
+        # 8.0 or np.int64(8) is stored as 8; a refused value stays as given
+        for name, floor in _WHOLE_FLOORS.items():
+            value = getattr(self, name)
+            if _whole(value) and value >= floor:
+                object.__setattr__(self, name, int(value))
 
     @property
     def resolved_hops(self) -> int:
@@ -111,26 +123,21 @@ class RunConfig:
                 f"scorer_learning_rate must be positive, got {self.scorer_learning_rate}")
         if self.weight_decay < 0:
             raise ValueError(f"weight_decay must be nonnegative, got {self.weight_decay}")
-        if self.hidden < 1 or self.layers < 1 or self.scorer_hidden < 1:
-            raise ValueError("hidden, layers, and scorer_hidden must be >= 1")
+        for name, floor in _WHOLE_FLOORS.items():
+            value = getattr(self, name)
+            # __post_init__ made every whole number at or above floor an int
+            if (type(value) is not int or value < floor) and not (
+                    name == "ego_hops" and value is None):
+                raise ValueError(f"{name} must be a whole number >= {floor}, "
+                                 f"got {value!r}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
         if not 0.0 < self.q <= 1.0:
             raise ValueError(f"q must be in (0, 1], got {self.q}")
         if self.lambda_counterfactual < 0 or self.lambda_independence < 0:
             raise ValueError("loss weights must be nonnegative")
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if not 0 <= self.patience <= self.epochs:
-            raise ValueError(
-                f"patience must be in [0, epochs], got {self.patience}")
-        if self.batch_size < 2:
-            raise ValueError(f"batch_size must be >= 2, got {self.batch_size}")
-        hops = self.ego_hops
-        if hops is not None and not (_whole(hops) and hops >= 1):
-            raise ValueError(f"ego_hops must be a whole number >= 1, got {hops!r}")
-        if self.hsic_max_rows < 2:
-            raise ValueError(f"hsic_max_rows must be >= 2, got {self.hsic_max_rows}")
+        if self.patience > self.epochs:
+            raise ValueError(f"patience must be in [0, epochs], got {self.patience}")
         if not any(self.coefficients):
             raise ValueError("all loss terms ablated or weighed 0; "
                              "nothing to optimize")
@@ -191,8 +198,7 @@ def _predict_cdgnn(batches: list[EgoBatch],
     preds = []
     for batch in batches:
         fwd = two_branch_forward(batch, params)
-        probs = ad.softmax_head(fwd.joint, *fwd.head_causal)
-        preds.append(np.argmax(probs.data, axis=1))
+        preds.append(np.argmax(ad.softmax_head(fwd.joint, *fwd.head_causal), axis=1))
     return np.concatenate(preds)
 
 
@@ -353,8 +359,7 @@ def _gcn_hidden(full: tuple[ad.PropagationPlan, np.ndarray], params: dict,
 def _gcn_labels(rows, params: dict) -> np.ndarray:
     """The GCN baseline's predicted classes of the nodes whose last-layer
     values are `rows`."""
-    probs = ad.softmax_head(rows, params["head.w"], params["head.b"])
-    return np.argmax(probs.data, axis=1)
+    return np.argmax(ad.softmax_head(rows, params["head.w"], params["head.b"]), axis=1)
 
 
 def train_gcn_baseline(g: Graph, config: RunConfig, seed: int,
@@ -546,14 +551,14 @@ def assumption_audit(g: Graph, params: dict[str, np.ndarray], hops: int,
 
     independence = ad.hsic_rbf(h_c, h_s).item()
 
-    base = ad.softmax_head(fwd.joint, *fwd.head_causal).data
+    base = ad.softmax_head(fwd.joint, *fwd.head_causal)
     rows = np.arange(batch.num_graphs)
     labels = batch.ego_labels
     sensitivity = 0.0
     for _ in range(AUDIT_PERMUTATIONS):
         perm = rng.permutation(batch.num_graphs)
         swapped = ad.softmax_head(np.hstack([h_c.data, h_s.data[perm]]),
-                                  *fwd.head_causal).data
+                                  *fwd.head_causal)
         delta = np.abs(base[rows, labels] - swapped[rows, labels])
         sensitivity = max(sensitivity, float(delta.max()))
 

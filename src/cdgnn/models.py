@@ -7,8 +7,8 @@ table, propagated as one graph through one CSR PropagationPlan. Layer l
 computes H_l = relu(P_masked @ H_{l-1} @ W_l) with dropout between layers
 (rate > 0) and no nonlinearity after the final layer; P_masked is the
 renormalized propagation with per-edge weights. The readout (ego row joined
-with the subgraph mean, projected back to the embedding width) and the
-softmax head are the autodiff primitives ad.ego_readout and ad.softmax_head.
+with the subgraph mean, projected back to the embedding width) is the node
+ad.ego_readout, which reads each ego's rows by the batch's sizes.
 """
 
 from __future__ import annotations
@@ -40,9 +40,8 @@ class EgoBatch:
     plan: ad.PropagationPlan
     features: np.ndarray
     endpoints: np.ndarray
-    segments: np.ndarray
+    sizes: np.ndarray  # rows of each ego, its ego row first
     member_ids: np.ndarray  # original graph id of each union row
-    ego_rows: np.ndarray
     ego_labels: np.ndarray
     num_graphs: int
 
@@ -88,9 +87,8 @@ def batch_from_cache(g: Graph, cache: EgoTable, nodes) -> EgoBatch:
         plan=ad.PropagationPlan.from_edges(edges, member_ids.shape[0]),
         features=g.features[member_ids],
         endpoints=edges,
-        segments=np.repeat(np.arange(nodes.shape[0]), sizes),
+        sizes=sizes,
         member_ids=member_ids,
-        ego_rows=offsets,
         ego_labels=g.labels[nodes],
         num_graphs=int(nodes.shape[0]),
     )

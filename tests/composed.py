@@ -4,10 +4,12 @@ Every fused primitive of cdgnn.autodiff records one node for a chain of
 smaller primitives. The chains are written out here, node by node, so that
 tests can require each fused op to reproduce its chain bit for bit, values
 and gradients alike. The primitives that only these chains and the tests
-use (exp, log, sum_all, relu, mean, take_rows, permute_rows,
+use (exp, log, sum_all, relu, mean, take_rows, permute_rows, concat_cols,
 segment_mean_rows, masked_propagate, rbf_gram, center_gram, row_softmax,
 pick_class) live here too, as ops with their own adjoints, beside
-gce_grad_identity_check, the GCE gradient identity.
+gce_grad_identity_check, the GCE gradient identity. softmax_head is
+ad.softmax_head's forward as a node with the adjoint every fused head
+shares, and softmax_head_chain the chain that node replaced.
 
 gather_scatter_propagate is the oracle of the CSR propagation: the edge-list
 gather and bincount scatter that PropagationPlan replaced. add_at_take_rows
@@ -123,11 +125,37 @@ def permute_rows(a, perm):
     return ad._make(data, (a,), backward)
 
 
+def concat_cols(a, b):
+    a, b = ad._coerce(a), ad._coerce(b)
+    if a.data.shape[0] != b.data.shape[0]:
+        raise ValueError(
+            f"concat_cols needs matching row counts, got {a.data.shape} and {b.data.shape}"
+        )
+    data = np.hstack([a.data, b.data])
+    split = a.data.shape[1]
+
+    def backward(g):
+        a._accumulate(g[:, :split].copy())
+        b._accumulate(g[:, split:].copy())
+
+    return ad._make(data, (a, b), backward)
+
+
 def segment_mean_rows(a, segments, num_segments):
-    """Row means per segment id; every segment must be non-empty."""
+    """Row means per segment id, each segment's rows summed by one
+    bincount; every segment must be non-empty."""
     a = ad._coerce(a)
     seg = np.asarray(segments, dtype=np.int64).reshape(-1)
-    data, counts = ad._segment_means(a.data, seg, num_segments)
+    if seg.shape[0] != a.data.shape[0]:
+        raise ValueError("segments must assign an id to every row")
+    counts = np.bincount(seg, minlength=num_segments).astype(np.float64)
+    if (counts == 0).any():
+        raise ValueError("every segment must contain at least one row")
+    k = a.data.shape[1]
+    flat = seg[:, None] * k + np.arange(k)[None, :]
+    sums = np.bincount(flat.ravel(), weights=a.data.ravel(),
+                       minlength=num_segments * k).reshape(num_segments, k)
+    data = sums / counts[:, None]
 
     def backward(g):
         a._accumulate(g[seg] / counts[seg][:, None])
@@ -289,6 +317,19 @@ def gcn_layer(f, weights, layer_weight, plan, rectify):
 
 
 def softmax_head(x, weight, bias):
+    """ad.softmax_head as the node it was: the forward that head_nll and
+    two_head_loss take from it and the adjoint they share."""
+    x, weight, bias = ad._coerce(x), ad._coerce(weight), ad._coerce(bias)
+    data = ad.softmax_head(x.data, weight.data, bias.data)
+
+    def backward(g):
+        x._accumulate(ad._head_adjoint(g, data, x.data, weight, bias))
+
+    return ad._make(data, (x, weight, bias), backward)
+
+
+def softmax_head_chain(x, weight, bias):
+    """The softmax_head node as the chain it replaced."""
     return row_softmax(ad.add(ad.matmul(x, weight), bias))
 
 
@@ -299,10 +340,14 @@ def mean_of_halves(a):
     return ad.multiply(ad.add(top, bottom), 0.5)
 
 
-def ego_readout(h, ego_rows, segments, projection):
-    ego = take_rows(h, ego_rows)
-    means = segment_mean_rows(h, segments, len(ego_rows))
-    return ad.matmul(ad.concat_cols(ego, means), projection)
+def ego_readout(h, sizes, projection):
+    """ad.ego_readout as the chain it replaced: graph i is the next
+    sizes[i] rows of h, its ego row first."""
+    sizes = np.asarray(sizes, dtype=np.int64)
+    ego = take_rows(h, np.cumsum(sizes) - sizes)
+    means = segment_mean_rows(h, np.repeat(np.arange(sizes.shape[0]), sizes),
+                              sizes.shape[0])
+    return ad.matmul(concat_cols(ego, means), projection)
 
 
 def gce_rows(probs, labels, q):
@@ -320,8 +365,8 @@ def nll_rows(probs, labels, weights=None):
 
 def head_nll(h, rows, weight, bias, labels):
     """ad.head_nll as the GCN baseline's loss chain before it: take_rows,
-    the fused softmax_head, nll_rows and mean."""
-    return mean(nll_rows(ad.softmax_head(take_rows(h, rows), weight, bias),
+    the softmax_head node, nll_rows and mean."""
+    return mean(nll_rows(softmax_head(take_rows(h, rows), weight, bias),
                          labels))
 
 
@@ -338,17 +383,19 @@ def edge_scorer(endpoints, x, w1, b1, w2, b2):
     return mean_of_halves(ad.add(ad.matmul(hidden, w2), b2))
 
 
-def two_head_loss(joint, graph_causal, graph_shortcut, head_causal,
-                  head_shortcut, labels, q, perm, coefficients, weights=None):
+def two_head_loss(graph_causal, graph_shortcut, head_causal, head_shortcut,
+                  labels, q, perm, coefficients, weights=None):
     """ad.two_head_loss as the chain total_loss built before it: both
-    softmax heads on `joint`, the GCE and weighted CE means, the
+    softmax_head nodes on the joint embedding, the concat_cols node of
+    [graph_causal ; graph_shortcut], the GCE and weighted CE means, the
     counterfactual mean of GCE(shortcut head, labels[perm]) + W * CE(causal
     head, labels) on [graph_causal ; graph_shortcut[perm]], and each term
     weighed by a multiply node (none at weight 1, no term at weight 0) and
     summed left to right by add nodes. `weights`, when given, stand in for
     the difficulty weights W of the detached cross-entropies."""
-    probs_s = ad.softmax_head(joint, *head_shortcut)
-    probs_c = ad.softmax_head(joint, *head_causal)
+    joint = concat_cols(graph_causal, graph_shortcut)
+    probs_s = softmax_head(joint, *head_shortcut)
+    probs_c = softmax_head(joint, *head_causal)
     loss_s = mean(gce_rows(probs_s, labels, q))
     ce_s = nll_rows(probs_s.data, labels).data.reshape(-1)
     ce_c = nll_rows(probs_c.data, labels).data.reshape(-1)
@@ -356,9 +403,9 @@ def two_head_loss(joint, graph_causal, graph_shortcut, head_causal,
         weights = ad._difficulty_weights(ce_s, ce_c)
     loss_c = mean(nll_rows(probs_c, labels, weights))
     y = np.asarray(labels, dtype=np.int64).reshape(-1)
-    h_ct = ad.concat_cols(graph_causal, permute_rows(graph_shortcut, perm))
-    probs_sx = ad.softmax_head(h_ct, *head_shortcut)
-    probs_cx = ad.softmax_head(h_ct, *head_causal)
+    h_ct = concat_cols(graph_causal, permute_rows(graph_shortcut, perm))
+    probs_sx = softmax_head(h_ct, *head_shortcut)
+    probs_cx = softmax_head(h_ct, *head_causal)
     loss_cf = mean(ad.add(gce_rows(probs_sx, y[perm], q),
                           nll_rows(probs_cx, y, weights)))
     terms = (loss_s, loss_c, loss_cf)
@@ -516,14 +563,12 @@ def batch_from_dict(g, cache, nodes):
                    if cache[i][1].size]
     edges = (np.vstack(edge_chunks) if edge_chunks
              else np.zeros((0, 2), dtype=np.int64))
-    segments = np.repeat(np.arange(nodes.shape[0]), sizes)
     return EgoBatch(
         plan=ad.PropagationPlan.from_edges(edges, total),
         features=g.features[member_ids],
         endpoints=edges,
-        segments=segments,
+        sizes=sizes,
         member_ids=member_ids,
-        ego_rows=offsets,
         ego_labels=g.labels[nodes],
         num_graphs=int(nodes.shape[0]),
     )
@@ -588,7 +633,7 @@ def composed_objective_case(rng):
 
     def build(t):
         fwd = two_branch_forward(batch, t)
-        heads, _ = two_head_loss(fwd.joint, fwd.graph_causal,
+        heads, _ = two_head_loss(fwd.graph_causal,
                                  fwd.graph_shortcut, fwd.head_causal,
                                  fwd.head_shortcut, y, config.q, perm,
                                  config.coefficients[:3], weights)

@@ -122,7 +122,7 @@ def _case_sum(rng):
 def _case_concat_cols(rng):
     values = {"a": rng.normal(size=(3, 2)), "b": rng.normal(size=(3, 3))}
     f = _functional(rng, (3, 5))
-    return lambda lv: f(ad.concat_cols(lv["a"], lv["b"])), values
+    return lambda lv: f(composed.concat_cols(lv["a"], lv["b"])), values
 
 
 def _case_dropout(rng):
@@ -212,7 +212,7 @@ def _case_softmax_head(rng):
         "b": rng.normal(size=(1, 3)),
     }
     f = _functional(rng, (3, 3))
-    return lambda lv: f(ad.softmax_head(lv["x"], lv["w"], lv["b"])), values
+    return lambda lv: f(composed.softmax_head(lv["x"], lv["w"], lv["b"])), values
 
 
 def _case_mean_of_halves(rng):
@@ -235,13 +235,11 @@ def _case_edge_scorer(rng):
 
 
 def _case_ego_readout(rng):
-    seg = np.array([0, 0, 0, 1, 1, 2])
-    ego = np.array([0, 3, 5])
     values = {"h": rng.normal(size=(6, 2)), "p": rng.normal(size=(4, 2))}
     f = _functional(rng, (3, 2))
 
     def build(lv):
-        return f(ad.ego_readout(lv["h"], ego, seg, lv["p"]))
+        return f(ad.ego_readout(lv["h"], [3, 2, 1], lv["p"]))
 
     return build, values
 
@@ -271,29 +269,35 @@ def _case_head_nll(rng):
 
 
 def _case_two_head_loss(rng):
-    """The shortcut term alone, through the joint embedding and both heads,
-    or the counterfactual term alone, through the two graph embeddings:
-    the difficulty weights are a stop-gradient function of the joint
-    embedding and the heads, so either way they stay fixed."""
+    """All three weighed terms through both graph embeddings and both
+    heads. The difficulty weights are a stop-gradient statistic of all of
+    them, so they are frozen at the unperturbed point, as in
+    composed_objective_case: that is the function whose gradient the
+    optimizer follows."""
     q = float(rng.choice([0.3, 0.7, 1.0]))
     y = rng.integers(0, 3, size=4)
     perm = rng.permutation(4)
-    values = {"joint": rng.normal(size=(4, 4)), "h_c": rng.normal(size=(4, 2)),
-              "h_s": rng.normal(size=(4, 2)), "w_c": rng.normal(size=(4, 3)),
-              "b_c": rng.normal(size=(1, 3)), "w_s": rng.normal(size=(4, 3)),
-              "b_s": rng.normal(size=(1, 3))}
-    shortcut = bool(rng.integers(0, 2))
-    tracked = ("joint", "w_c", "b_c", "w_s", "b_s") if shortcut else ("h_c", "h_s")
-    coefficients = (0.7, 0.0, 0.0) if shortcut else (0.0, 0.0, 1.5)
-    fixed = {k: v for k, v in values.items() if k not in tracked}
+    values = {"h_c": rng.normal(size=(4, 2)), "h_s": rng.normal(size=(4, 2)),
+              "w_c": rng.normal(size=(4, 3)), "b_c": rng.normal(size=(1, 3)),
+              "w_s": rng.normal(size=(4, 3)), "b_s": rng.normal(size=(1, 3))}
+    coefficients = tuple(rng.uniform(0.5, 2.0, size=3))
+    joint = np.hstack([values["h_c"], values["h_s"]])
+    ce_s, ce_c = (composed.nll_rows(ad.softmax_head(joint, values[w], values[b]),
+                                    y).data
+                  for w, b in (("w_s", "b_s"), ("w_c", "b_c")))
+    weights = ad._difficulty_weights(ce_s, ce_c)
 
     def build(lv):
-        t = {**fixed, **lv}
-        return ad.two_head_loss(t["joint"], t["h_c"], t["h_s"],
-                                (t["w_c"], t["b_c"]), (t["w_s"], t["b_s"]),
-                                y, q, perm, coefficients)[0]
+        real = ad._difficulty_weights
+        ad._difficulty_weights = lambda ce_s, ce_c: weights
+        try:
+            return ad.two_head_loss(lv["h_c"], lv["h_s"], (lv["w_c"], lv["b_c"]),
+                                    (lv["w_s"], lv["b_s"]), y, q, perm,
+                                    coefficients)[0]
+        finally:
+            ad._difficulty_weights = real
 
-    return build, {k: values[k] for k in tracked}
+    return build, values
 
 
 def _case_rbf_gram(rng):

@@ -582,6 +582,16 @@ class TestInputErrors:
                         f"{flag} repeats a value: 5,0.1,5")
         assert list(tmp_path.iterdir()) == [tiny_graph_file]
 
+    @pytest.mark.parametrize("flag", ["--lambda1-values", "--lambda2-values"])
+    def test_unparsable_sweep_value_names_its_flag(self, flag, tiny_graph_file,
+                                                  tmp_path, capsys):
+        """The error used to be float()'s, naming neither flag nor list."""
+        _one_line_error(capsys, ["sweep", "--graph", tiny_graph_file,
+                                 "--out-dir", tmp_path, *_FAST,
+                                 flag, "5,x"],
+                        f"{flag} holds 'x', not a number")
+        assert list(tmp_path.iterdir()) == [tiny_graph_file]
+
     def test_invalid_sweep_cell_trains_nothing(self, tiny_graph_file,
                                                tmp_path, capsys):
         out_dir = tmp_path / "runs"

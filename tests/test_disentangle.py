@@ -89,7 +89,7 @@ class TestGceGradIdentity:
         params = {"w": rng.normal(size=(3, 4)), "b": rng.normal(size=(1, 4))}
 
         def forward(t):
-            return ad.softmax_head(x, t["w"], t["b"])
+            return composed.softmax_head(x, t["w"], t["b"])
 
         for q in (0.3, 0.7, 1.0):
             assert gce_grad_identity_check(params, forward, 2, q) < 1e-8
@@ -145,13 +145,12 @@ def _toy_pass(rng, n=3, dim=2, classes=2):
     return TwoBranchPass(edge_mask=None, feature_mask=None,
                          layers_causal=[h_c], layers_shortcut=[h_s],
                          graph_causal=h_c, graph_shortcut=h_s,
-                         joint=ad.concat_cols(h_c, h_s),
                          head_causal=head_c, head_shortcut=head_s)
 
 
 def _head_values(fwd, y, q, perm):
     """ad.two_head_loss's raw terms and mean cross-entropies on `fwd`."""
-    return ad.two_head_loss(fwd.joint, fwd.graph_causal, fwd.graph_shortcut,
+    return ad.two_head_loss(fwd.graph_causal, fwd.graph_shortcut,
                             fwd.head_causal, fwd.head_shortcut, y, q, perm,
                             (1.0, 1.0, 1.0))[1]
 
@@ -181,7 +180,7 @@ class TestCounterfactualLoss:
             return e / e.sum(axis=1, keepdims=True)
 
         rows = np.arange(3)
-        joint = fwd.joint.data
+        joint = fwd.joint
         ce_s = -np.log(softmax(joint @ head_s[0].data + head_s[1].data)[rows, y])
         ce_c = -np.log(softmax(joint @ head_c[0].data + head_c[1].data)[rows, y])
         w = ce_s / (ce_s + ce_c)
@@ -324,7 +323,7 @@ class TestTotalLoss:
         """The four raw terms, from the composed chain of the head terms."""
         fwd = _toy_pass(np.random.default_rng(30))
         _, values = composed.two_head_loss(
-            fwd.joint, fwd.graph_causal, fwd.graph_shortcut, fwd.head_causal,
+            fwd.graph_causal, fwd.graph_shortcut, fwd.head_causal,
             fwd.head_shortcut, self.y, 0.7, self.perm, (1.0, 1.0, 1.0))
         return (values["loss_s"], values["loss_c"], values["loss_cf"],
                 ad.hsic_rbf(fwd.layers_causal[-1],
@@ -344,7 +343,7 @@ class TestTotalLoss:
         fwd = _toy_pass(np.random.default_rng(30))
         for key, head in (("ce_s", fwd.head_shortcut),
                           ("ce_c", fwd.head_causal)):
-            probs = ad.softmax_head(fwd.joint, *head).data
+            probs = ad.softmax_head(fwd.joint, *(t.data for t in head))
             assert breakdown[key] == float(composed.nll_rows(probs, self.y).data.mean())
 
     def test_flag_and_zero_lambda_agree(self):
@@ -389,9 +388,8 @@ class TestTotalLoss:
 
         def chain(fwd):
             heads, _ = composed.two_head_loss(
-                fwd.joint, fwd.graph_causal, fwd.graph_shortcut,
-                fwd.head_causal, fwd.head_shortcut, self.y, 0.7, self.perm,
-                coefficients[:3])
+                fwd.graph_causal, fwd.graph_shortcut, fwd.head_causal,
+                fwd.head_shortcut, self.y, 0.7, self.perm, coefficients[:3])
             independence = ad.hsic_rbf(fwd.layers_causal[-1],
                                        fwd.layers_shortcut[-1], rows)
             return composed.weighted_sum((heads, independence),
@@ -518,8 +516,8 @@ class TestSplitAndEmbed:
                                                        hidden)] * 2
         assert fwd.graph_causal.data.shape == (g.num_nodes, hidden)
         assert fwd.graph_shortcut.data.shape == (g.num_nodes, hidden)
-        np.testing.assert_allclose(
-            fwd.joint.data,
+        np.testing.assert_array_equal(
+            fwd.joint,
             np.hstack([fwd.graph_causal.data, fwd.graph_shortcut.data]))
 
     @pytest.mark.parametrize("training", [False, True])
@@ -539,15 +537,14 @@ class TestSplitAndEmbed:
         shortcut = gcn_forward(batch.plan, batch.features,
                                ad.subtract(1.0, edge), ad.subtract(1.0, feat),
                                [t["gnn_s.w0"], t["gnn_s.w1"]])
-        h_c, h_s = (ad.ego_readout(layers[-1], batch.ego_rows, batch.segments,
-                                   t[proj]).data
+        h_c, h_s = (ad.ego_readout(layers[-1], batch.sizes, t[proj]).data
                     for layers, proj in ((causal, "readout_c.proj"),
                                          (shortcut, "readout_s.proj")))
         for got, want in zip(fwd.layers_causal + fwd.layers_shortcut,
                              causal + shortcut, strict=True):
             np.testing.assert_array_equal(got.data, want.data)
         np.testing.assert_array_equal(fwd.graph_causal.data, h_c)
-        np.testing.assert_array_equal(fwd.joint.data, np.hstack([h_c, h_s]))
+        np.testing.assert_array_equal(fwd.joint, np.hstack([h_c, h_s]))
 
     def test_layer_weights_apply_in_index_order(self):
         """From 11 layers on, "gnn_c.w10" sorts before "gnn_c.w2"; layer l
@@ -570,17 +567,16 @@ class TestSplitAndEmbed:
         """Backward sums each gradient in reverse creation order, so the
         bitwise oracles rely on this order: edge mask, feature mask, every
         causal layer, every shortcut layer, causal readout, shortcut
-        readout, joint."""
+        readout."""
         g = _toy_graph(seed=23)
         batch = _ego_batch(g, np.arange(g.num_nodes), hops=2)
         params = init_cdgnn_params(np.random.default_rng(23), 4, 5, 3, 3, 2)
         fwd = two_branch_forward(batch, ad.leaves(params), 0.2,
                                  np.random.default_rng(24))
         order = [fwd.edge_mask, fwd.feature_mask, *fwd.layers_causal,
-                 *fwd.layers_shortcut, fwd.graph_causal, fwd.graph_shortcut,
-                 fwd.joint]
+                 *fwd.layers_shortcut, fwd.graph_causal, fwd.graph_shortcut]
         indices = [t._index for t in order]
-        assert len(order) == 11 and min(indices) >= 0
+        assert len(order) == 10 and min(indices) >= 0
         assert indices == sorted(set(indices)), indices
 
     def test_raw_arrays_give_the_forward_of_leaves_bit_for_bit(self):
@@ -592,19 +588,21 @@ class TestSplitAndEmbed:
             size=params["mask.w2"].shape)
         raw = two_branch_forward(batch, params)
         tracked = two_branch_forward(batch, ad.leaves(params))
-        assert not raw.joint.requires_grad and tracked.joint.requires_grad
+        assert not raw.graph_causal.requires_grad
+        assert tracked.graph_causal.requires_grad
         for got, want in zip(
                 [raw.edge_mask, raw.feature_mask, *raw.layers_causal,
-                 *raw.layers_shortcut, raw.graph_causal, raw.graph_shortcut,
-                 raw.joint],
+                 *raw.layers_shortcut, raw.graph_causal, raw.graph_shortcut],
                 [tracked.edge_mask, tracked.feature_mask,
                  *tracked.layers_causal, *tracked.layers_shortcut,
-                 tracked.graph_causal, tracked.graph_shortcut, tracked.joint],
+                 tracked.graph_causal, tracked.graph_shortcut],
                 strict=True):
             np.testing.assert_array_equal(got.data, want.data)
+        np.testing.assert_array_equal(raw.joint, tracked.joint)
         np.testing.assert_array_equal(
-            ad.softmax_head(raw.joint, *raw.head_causal).data,
-            ad.softmax_head(tracked.joint, *tracked.head_causal).data)
+            ad.softmax_head(raw.joint, *raw.head_causal),
+            ad.softmax_head(tracked.joint,
+                            *(t.data for t in tracked.head_causal)))
 
 
 def _rank_auc(pos, neg):

@@ -2,6 +2,7 @@
 
 import gc
 import json
+import re
 import time
 import warnings
 from dataclasses import asdict, fields, replace
@@ -43,6 +44,11 @@ def _tiny_graph(n=40, seed=0):
     features = rng.normal(size=(n, 5)) * 0.1
     features[:, 0] += np.where(labels == 0, 1.0, -1.0)
     return Graph(n, edges, features, labels, 2)
+
+
+# RunConfig's whole-number fields.
+_WHOLE_FIELDS = ["hidden", "layers", "epochs", "patience", "batch_size",
+                 "ego_hops", "scorer_hidden", "hsic_max_rows"]
 
 
 def _tiny_config(**overrides):
@@ -126,6 +132,37 @@ class TestRunConfig:
         with pytest.raises(ValueError, match=rf"^ego_hops must be a whole "
                                              rf"number >= 1, got {hops!r}$"):
             RunConfig(ego_hops=hops).validate()
+
+    @pytest.mark.parametrize("name", _WHOLE_FIELDS)
+    @pytest.mark.parametrize("kind", [float, np.int64])
+    def test_whole_numbers_are_stored_as_ints(self, name, kind):
+        """8.0 and np.int64(8) used to be stored as given."""
+        cfg = _tiny_config(ego_hops=2)
+        whole = getattr(cfg, name)
+        got = getattr(replace(cfg, **{name: kind(whole)}), name)
+        assert type(got) is int and got == whole
+
+    @pytest.mark.parametrize("model", ["cdgnn", "gcn"])
+    def test_whole_floats_and_numpy_ints_run_and_hash_as_ints(self, model):
+        """hidden=8.0 used to end in a TypeError mid-run, np.int64 in
+        record_hash's JSON encoder, and a whole float patience or ego_hops
+        in another record hash."""
+        g = _tiny_graph()
+        given = dict(hidden=8.0, layers=np.int64(2), epochs=2.0,
+                     patience=np.int64(2), batch_size=16.0, ego_hops=2.0,
+                     scorer_hidden=np.int64(4), hsic_max_rows=64.0)
+        want = run_experiment(g, _tiny_config(ego_hops=2), seed=0, model=model)
+        got = run_experiment(g, _tiny_config(**given), seed=0, model=model)
+        assert got.record_hash() == want.record_hash()
+
+    @pytest.mark.parametrize("name", _WHOLE_FIELDS)
+    @pytest.mark.parametrize("value", [True, 2.5, np.float64(3.5)])
+    def test_bool_or_fraction_refused_by_name(self, name, value):
+        """True trained as 1 (or died deep in ego extraction, for layers)
+        and 2.5 ended in a TypeError mid-run."""
+        with pytest.raises(ValueError, match=rf"^{name} must be a whole number "
+                                             rf">= \d, got {re.escape(repr(value))}$"):
+            replace(RunConfig(), **{name: value}).validate()
 
     def test_patience_bounded_by_epochs(self):
         with pytest.raises(ValueError, match="patience"):

@@ -27,7 +27,7 @@ def _ego_batch(g, nodes, hops):
 
 
 def _readout(batch, h, projection):
-    return ad.ego_readout(h, batch.ego_rows, batch.segments, projection)
+    return ad.ego_readout(h, batch.sizes, projection)
 
 
 def _renormalized_propagate(g, signal, edge_weights=None):
@@ -69,9 +69,8 @@ class TestEgoBatch:
         assert batch.num_graphs == 2
         assert batch.features.shape[0] == 4  # {0,1} and {4,3}
         assert batch.endpoints.shape[0] == 2
-        assert batch.ego_rows.tolist() == [0, 2]
+        assert batch.sizes.tolist() == [2, 2]
         np.testing.assert_array_equal(batch.ego_labels, g.labels[[0, 4]])
-        np.testing.assert_array_equal(batch.segments, [0, 0, 1, 1])
         np.testing.assert_array_equal(batch.member_ids, [0, 1, 4, 3])
 
     def test_cache_matches_direct_assembly(self):
@@ -88,7 +87,7 @@ class TestEgoBatch:
         b = batch_from_cache(g, build_ego_cache(g, 2, np.arange(6)), nodes[::-1])
         np.testing.assert_array_equal(a.endpoints, b.endpoints)
         np.testing.assert_array_equal(a.features, b.features)
-        np.testing.assert_array_equal(a.segments, b.segments)
+        np.testing.assert_array_equal(a.sizes, b.sizes)
 
     def test_gathers_give_the_dict_assembly(self):
         """Every array of the batch and of its plan is the one the per-ego
@@ -126,12 +125,13 @@ class TestEgoBatch:
             batch_from_cache(g, cache, [0, node, 2])
 
     def test_ego_rows_point_at_ego_features(self):
+        """Each ego's rows start with its ego row."""
         g = _path_graph(5, seed=4)
         batch = _ego_batch(g, np.array([2, 3]), hops=1)
-        np.testing.assert_allclose(batch.features[batch.ego_rows[0]],
-                                   g.features[2])
-        np.testing.assert_allclose(batch.features[batch.ego_rows[1]],
-                                   g.features[3])
+        ego_rows = np.cumsum(batch.sizes) - batch.sizes
+        np.testing.assert_array_equal(batch.member_ids[ego_rows], [2, 3])
+        np.testing.assert_allclose(batch.features[ego_rows[0]], g.features[2])
+        np.testing.assert_allclose(batch.features[ego_rows[1]], g.features[3])
 
 
 class TestGcnForward:
@@ -222,34 +222,41 @@ class TestGcnForward:
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
     def test_permutation_equivariance(self):
-        """Relabeling batch rows permutes the embedding rows."""
-        g = _path_graph(5, seed=9)
-        batch = _ego_batch(g, np.array([0, 3]), hops=1)
+        """Reordering a batch's egos, and the rows after each ego row,
+        permutes the embedding rows and the readout rows alike."""
+        g = _path_graph(6, seed=9)
+        batch = _ego_batch(g, np.array([0, 3, 2]), hops=2)
         n = batch.features.shape[0]
         rng = np.random.default_rng(4)
         weights_np = init_gcn_weights(rng, 3, 3, 2, "gnn")
+        proj = rng.normal(size=(6, 3))
         edge_w = rng.uniform(0.2, 0.8, size=(batch.endpoints.shape[0], 1))
 
-        perm = rng.permutation(n)
-        inv = np.argsort(perm)
+        order = np.array([2, 0, 1])
+        starts = np.cumsum(batch.sizes) - batch.sizes
+        rows = np.concatenate([[starts[i]] + (starts[i] + 1 + rng.permutation(
+            batch.sizes[i] - 1)).tolist() for i in order])
+        perm = np.argsort(rows)  # old row -> new row
+        assert not np.array_equal(rows, np.arange(n))
         permuted = type(batch)(
             plan=ad.PropagationPlan.from_edges(perm[batch.endpoints], n),
-            features=batch.features[inv],
+            features=batch.features[rows],
             endpoints=perm[batch.endpoints],
-            segments=batch.segments[inv],
-            member_ids=batch.member_ids[inv],
-            ego_rows=perm[batch.ego_rows],
-            ego_labels=batch.ego_labels,
+            sizes=batch.sizes[order],
+            member_ids=batch.member_ids[rows],
+            ego_labels=batch.ego_labels[order],
             num_graphs=batch.num_graphs,
         )
 
         def run(b):
             ws = [weights_np[f"gnn.w{l}"] for l in range(2)]
-            return gcn_forward(b.plan, b.features, edge_w, None, ws)[-1].data
+            h = gcn_forward(b.plan, b.features, edge_w, None, ws)[-1]
+            return h.data, _readout(b, h, proj).data
 
-        base = run(batch)
-        moved = run(permuted)
+        base, base_graphs = run(batch)
+        moved, moved_graphs = run(permuted)
         np.testing.assert_allclose(moved[perm], base, atol=1e-12)
+        np.testing.assert_allclose(moved_graphs, base_graphs[order], atol=1e-12)
 
     def test_training_dropout_needs_rng(self):
         g = _path_graph(3, seed=10)
@@ -297,20 +304,20 @@ class TestClassify:
     def test_zero_parameters_give_uniform(self):
         out = ad.softmax_head(np.ones((2, 3)), np.zeros((3, 4)),
                               np.zeros((1, 4)))
-        np.testing.assert_allclose(out.data, 0.25)
+        np.testing.assert_allclose(out, 0.25)
 
     def test_saturated_logit_wins(self):
         w = np.zeros((1, 3))
         b = np.array([[0.0, 40.0, 0.0]])
         out = ad.softmax_head(np.ones((1, 1)), w, b)
-        assert out.data[0, 1] >= 1.0 - 1e-6
+        assert out[0, 1] >= 1.0 - 1e-6
 
     def test_matches_direct_softmax(self):
         rng = np.random.default_rng(12)
         emb = rng.normal(size=(5, 4))
         w = rng.normal(size=(4, 3))
         b = rng.normal(size=(1, 3))
-        out = ad.softmax_head(emb, w, b).data
+        out = ad.softmax_head(emb, w, b)
         logits = emb @ w + b
         ex = np.exp(logits - logits.max(axis=1, keepdims=True))
         np.testing.assert_allclose(out, ex / ex.sum(axis=1, keepdims=True),
@@ -321,8 +328,7 @@ class TestClassify:
         emb = rng.normal(size=(6, 3)) * 10
         w = rng.normal(size=(3, 5))
         b = rng.normal(size=(1, 5))
-        out = ad.softmax_head(emb, w, b)
-        vals = out.data
+        vals = ad.softmax_head(emb, w, b)
         assert (vals > 0).all()
         np.testing.assert_allclose(vals.sum(axis=1), 1.0, atol=1e-9)
 
