@@ -25,14 +25,27 @@ its objective with both heads on both readouts and head_nll the GCN
 baseline's whole loss, so that a training step records few nodes: on
 batches this small each node costs more in bookkeeping than in arithmetic.
 softmax_head is a head's forward on plain arrays, which inference calls;
-head_nll and the four heads of two_head_loss take their forward from it
-and share one adjoint. hsic_rbf takes its own row sample and
-works out each median-heuristic bandwidth in the pass that builds its gram
-(_rbf). Small means skip ndarray.mean's dispatch (_mean); a softmax takes
-each row's max a column at a time; a row gather's adjoint with no repeated
-index writes the rows into zeros; sigmoid reads one exp for both signs.
-Each gives the bits of the computation it replaced (NaN signs aside in the
-softmax, see _softmax_rows).
+head_nll takes its forward from it. two_head_loss reads both heads on both
+passes as four blocks of one stacked array: each block's logits come from
+its own matmul, and the bias add, softmax, picks, log and softmax adjoint
+(_softmax_adjoint, which head_nll shares) run once over all four. A softmax
+and its adjoint are row-local, so every block keeps its bits; one matmul
+over the stacked rows would not (1955 of 3000 random shapes of 1-2 classes
+changed bits). ego_readout sums each ego's rows as one CSR row sum and
+edge_scorer gathers both endpoint orders in one index. hsic_rbf takes its
+own row sample and works out each median-heuristic bandwidth in the pass
+that builds its gram (_rbf). Small means skip ndarray.mean's dispatch
+(_mean); a softmax takes each row's max a column at a time; a row gather's
+adjoint with no repeated index writes the rows into zeros; sigmoid reads
+one exp for both signs. Each gives the bits of the computation it replaced
+(NaN signs aside in the softmax, see _softmax_rows).
+
+Measured and left out, one BLAS thread, at the bench's batch of 16 egos:
+building a batch's CSR plan from cached per-ego blocks (48 us a batch in a
+prototype, against 26 us for PropagationPlan.from_edges); working out only
+the upper triangle of the HSIC bandwidth's distances (2 of 135 us a gram);
+and running both views' encoders as one stacked propagation (bitwise, but
+795 us against 554 us in a sketch).
 
 An AdamState holds one run's parameters in one flat buffer, as named views
 (the table the model reads), with both moments and the per-entry learning
@@ -53,7 +66,6 @@ from itertools import count
 from operator import attrgetter
 
 import numpy as np
-import scipy
 
 __all__ = [
     "Tensor",
@@ -69,12 +81,16 @@ def _load_sparsetools():
     """scipy's compiled CSR kernels, `scipy.sparse._sparsetools`, loaded
     from their extension file under that name. Importing `scipy.sparse` for
     them would also import numpy.f2py and scipy's array API layer, most of
-    the cost of `import cdgnn`; the module is the same either way, and one
+    the cost of `import cdgnn`, and scipy's folder is found without running
+    scipy's own __init__; the module is the same either way, and one
     already imported is reused."""
     name = "scipy.sparse._sparsetools"
     if name in sys.modules:
         return sys.modules[name]
-    folder = os.path.join(scipy.__path__[0], "sparse")
+    spec = importlib.util.find_spec("scipy")
+    if spec is None:
+        raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
+    folder = os.path.join(spec.submodule_search_locations[0], "sparse")
     for suffix in importlib.machinery.EXTENSION_SUFFIXES:
         path = os.path.join(folder, "_sparsetools" + suffix)
         if os.path.isfile(path):
@@ -273,7 +289,7 @@ def _permutation(perm, rows: int) -> tuple[np.ndarray, np.ndarray]:
     p = np.asarray(perm, dtype=np.int64).reshape(-1)
     if p.shape[0] != rows:
         raise ValueError(f"perm must cover the {rows} rows, got {p.shape[0]}")
-    if not np.array_equal(np.sort(p), np.arange(rows)):
+    if not (np.sort(p) == np.arange(rows)).all():
         raise ValueError("perm must be a permutation of the row indices")
     inverse = np.empty_like(p)
     inverse[p] = np.arange(rows)
@@ -439,9 +455,14 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
 def softmax_head(x: np.ndarray, weight: np.ndarray,
                  bias: np.ndarray) -> np.ndarray:
     """The class distribution rows softmax(x @ weight + bias) of a head, on
-    plain arrays; the softmax subtracts each row's max first. head_nll and
-    two_head_loss take their forward from here."""
+    plain arrays; the softmax subtracts each row's max first. head_nll
+    takes its forward from here, two_head_loss the same rows per block."""
     return _softmax_rows(x @ weight + bias)
+
+
+def _softmax_adjoint(g: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """Adjoint of the logits of softmax rows `probs` for their adjoint g."""
+    return probs * (g - (g * probs).sum(axis=1, keepdims=True))
 
 
 def _head_adjoint(g: np.ndarray, probs: np.ndarray, x: np.ndarray,
@@ -449,7 +470,7 @@ def _head_adjoint(g: np.ndarray, probs: np.ndarray, x: np.ndarray,
     """Adjoint of a head's rows `probs` = softmax_head(x, weight, bias) for
     their adjoint g, accumulated into weight, then bias; returns x's
     adjoint."""
-    gl = probs * (g - (g * probs).sum(axis=1, keepdims=True))
+    gl = _softmax_adjoint(g, probs)
     weight._accumulate(x.T @ gl)
     bias._accumulate(_unbroadcast(gl, bias.data.shape))
     return gl @ weight.data.T
@@ -465,8 +486,7 @@ def edge_scorer(endpoints, x, w1, b1, w2, b2) -> Tensor:
     if e.shape[0] == 0:
         return Tensor(np.zeros((0, 1)))
     w1, b1, w2, b2 = _coerce(w1), _coerce(b1), _coerce(w2), _coerce(b2)
-    pairs = np.vstack([np.hstack([x[e[:, 0]], x[e[:, 1]]]),
-                       np.hstack([x[e[:, 1]], x[e[:, 0]]])])
+    pairs = x[np.concatenate([e, e[:, ::-1]])].reshape(-1, 2 * x.shape[1])
     pre = pairs @ w1.data + b1.data
     hidden = np.maximum(pre, 0.0)
     scores = hidden @ w2.data + b2.data
@@ -490,17 +510,18 @@ def edge_scorer(endpoints, x, w1, b1, w2, b2) -> Tensor:
 def ego_readout(h, sizes, projection) -> Tensor:
     """Per-graph embedding as one node: graph i is the next sizes[i] >= 1
     rows of h, its ego row first, and reads [ego row ; mean of its rows]
-    @ projection. The means sum each graph's rows with one bincount."""
+    @ projection. The means sum each graph's rows in order, from 0, as one
+    CSR row sum."""
     h, projection = _coerce(h), _coerce(projection)
     sizes = np.asarray(sizes, dtype=np.int64).reshape(-1)
-    (rows, k), m = h.data.shape, sizes.shape[0]
+    rows, k = h.data.shape
     if (sizes < 1).any() or sizes.sum() != rows:
         raise ValueError(f"ego sizes must be >= 1 and sum to the {rows} rows "
-                         f"of h, got {m} sizes summing to {sizes.sum()}")
-    idx, seg = np.cumsum(sizes) - sizes, np.repeat(np.arange(m), sizes)
-    flat = seg[:, None] * k + np.arange(k)[None, :]
-    sums = np.bincount(flat.ravel(), weights=h.data.ravel(),
-                       minlength=m * k).reshape(m, k)
+                         f"of h, got {sizes.shape[0]} sizes summing to {sizes.sum()}")
+    ends = np.cumsum(sizes)
+    idx = ends - sizes
+    sums = _csr_rowsum(np.concatenate([[0], ends]), np.arange(rows),
+                       np.ones(rows), h.data)
     joined = np.hstack([h.data[idx], sums / sizes[:, None]])
     data = joined @ projection.data
 
@@ -508,7 +529,7 @@ def ego_readout(h, sizes, projection) -> Tensor:
         projection._accumulate(joined.T @ g)
         if h.requires_grad:
             gj = g @ projection.data.T
-            h._accumulate(gj[:, k:][seg] / sizes[seg][:, None])
+            h._accumulate(np.repeat(gj[:, k:] / sizes[:, None], sizes, axis=0))
             h._accumulate(_row_scatter(h.data.shape, idx, gj[:, :k]))
 
     return _make(data, (h, projection), backward)
@@ -519,22 +540,9 @@ def _labels(labels, rows: int, classes: int) -> np.ndarray:
     y = np.asarray(labels, dtype=np.int64).reshape(-1)
     if y.shape[0] != rows:
         raise ValueError("labels must match the number of rows")
-    if y.size and ((y < 0).any() or (y >= classes).any()):
+    if y.size and (y.min() < 0 or y.max() >= classes):
         raise ValueError("label outside the class range")
     return y
-
-
-def _picked(probs: np.ndarray, rows: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The entries probs[rows, y] as a column clamped below at 1e-12."""
-    return np.maximum(probs[rows, y][:, None], LOG_CLAMP)
-
-
-def _picked_adjoint(probs: np.ndarray, rows: np.ndarray, y: np.ndarray,
-                    gp: np.ndarray) -> np.ndarray:
-    """Adjoint of probs for the adjoint column gp of its picked entries."""
-    dp = np.zeros_like(probs)
-    dp[rows, y] = gp[:, 0]
-    return dp
 
 
 def head_nll(h, rows, weight, bias, labels) -> Tensor:
@@ -550,14 +558,14 @@ def head_nll(h, rows, weight, bias, labels) -> Tensor:
     probs = softmax_head(x, weight.data, bias.data)
     y = _labels(labels, *probs.shape)
     picks = np.arange(y.shape[0])
-    clamped = _picked(probs, picks, y)
+    clamped = np.maximum(probs[picks, y][:, None], LOG_CLAMP)
     nll = 0.0 - np.log(clamped)
     data = np.array([[_mean(nll, None, False)]])
 
     def backward(g: np.ndarray) -> None:
-        gp = -np.full_like(nll, g[0, 0] / nll.size) / clamped
-        gx = _head_adjoint(_picked_adjoint(probs, picks, y, gp), probs, x,
-                           weight, bias)
+        dp = np.zeros_like(probs)
+        dp[picks, y] = -(g[0, 0] / nll.size) / clamped[:, 0]
+        gx = _head_adjoint(dp, probs, x, weight, bias)
         if h.requires_grad:
             h._accumulate(_row_scatter(h.data.shape, idx, gx))
 
@@ -588,17 +596,23 @@ def two_head_loss(graph_causal, graph_shortcut, head_causal, head_shortcut, labe
       head, y) on the counterfactual pass [graph_causal ;
       graph_shortcut[perm]]; it needs a batch of at least 2 and a
       permutation `perm` of it.
+    The readouts must have one row count, and both heads one class count
+    C, a (1, C) bias and a weight with a row per joint column.
     Logs are clamped below at 1e-12. The node is the sum, left to right,
     of each term times its entry of the three `coefficients` (x * 1.0 is
     x, so a term weighed 1 has the bits of the term itself), a term
     weighed 0 entering not at all; with all three 0 there is no node
     (None). The dict holds the three raw terms and the mean ce_s and ce_c.
 
-    The factual pass is the counterfactual one under the identity. The
-    value and every adjoint are the bits of the chain of softmax_head, GCE
-    and nll_rows, mean, concat_cols, permute_rows, multiply and add nodes
-    this replaces: adjoints reach the heads, then graph_causal and
-    graph_shortcut, counterfactual pass first, in that chain's order.
+    The factual pass is the counterfactual one under the identity. The four
+    (pass, head) reads share one stacked array: each block's logits come
+    from its own matmul, and the softmax, the picks, their one log and the
+    softmax adjoint then run once over all four, which is row-local and so
+    gives each block's bits. The value and every adjoint are the bits of
+    the chain of softmax_head, GCE and nll_rows, mean, concat_cols,
+    permute_rows, multiply and add nodes this replaces: adjoints reach the
+    heads, causal first, then graph_causal and graph_shortcut,
+    counterfactual pass first, in that chain's order.
     """
     if not 0.0 < q <= 1.0:
         raise ValueError(f"q must be in (0, 1], got {q}")
@@ -606,31 +620,46 @@ def two_head_loss(graph_causal, graph_shortcut, head_causal, head_shortcut, labe
     heads = [tuple(map(_coerce, head)) for head in (head_causal, head_shortcut)]
     (w_c, b_c), (w_s, b_s) = heads
     n, split = h_c.data.shape
-    y = _labels(labels, n, w_s.data.shape[1])
+    width, classes = split + h_s.data.shape[1], w_s.data.shape[1]
+    if (h_s.data.shape[0] != n
+            or not w_c.data.shape == w_s.data.shape == (width, classes)
+            or not b_c.data.shape == b_s.data.shape == (1, classes)):
+        raise ValueError(
+            f"two_head_loss needs readouts of one row count and two heads "
+            f"of weight ({width}, C) and bias (1, C) alike; got readouts "
+            f"{h_c.data.shape} and {h_s.data.shape}, heads {w_c.data.shape} "
+            f"+ {b_c.data.shape} and {w_s.data.shape} + {b_s.data.shape}")
+    y = _labels(labels, n, classes)
     if n < 2:
         raise ValueError("counterfactual loss needs a batch of at least 2")
     perm, inverse = _permutation(perm, n)
     qa, inv_q = _as_matrix(q), _as_matrix(1.0 / q)
-    rows = np.arange(n)
 
-    def read(order):
-        """Both heads on the pass [h_c ; h_s[order]], picking the causal
-        head at y and the shortcut head at y[order]: what the adjoint keeps,
-        then the rows of both CEs and of the shortcut GCE (1 - p^q) / q;
-        causal head first."""
-        x, y_s = np.hstack([h_c.data, h_s.data[order]]), y[order]
-        probs = [softmax_head(x, w.data, b.data) for w, b in heads]
-        picked = [_picked(p, rows, labels) for p, labels in zip(probs, (y, y_s))]
-        powered = np.exp(qa * np.log(picked[1]))  # p^q
-        return ((x, y_s, probs, picked, powered),
-                [0.0 - np.log(p) for p in picked] + [(1.0 - powered) * inv_q])
-
-    factual, (ce_c, ce_s, gce_s) = read(rows)
+    # pass 0 is factual, pass 1 counterfactual; head 0 causal, 1 shortcut
+    x = np.empty((2, n, width))
+    x[:, :, :split] = h_c.data
+    x[0, :, split:] = h_s.data
+    x[1, :, split:] = h_s.data[perm]
+    logits = np.empty((2, 2, n, classes))
+    for p in (0, 1):
+        for head, (w, b) in enumerate(heads):
+            np.matmul(x[p], w.data, out=logits[p, head])
+    logits += np.concatenate([b_c.data, b_s.data])[:, None]
+    probs = _softmax_rows(logits.reshape(-1, classes))
+    # the flat entry of each block's picked class: y, but y[perm] for the
+    # counterfactual shortcut head
+    picks = np.concatenate([y, y, y, y[perm]])
+    picks += np.arange(0, picks.size * classes, classes)
+    picked = np.maximum(probs.reshape(-1)[picks], LOG_CLAMP).reshape(2, 2, n, 1)
+    logs = np.log(picked)
+    ce = 0.0 - logs
+    powered = np.exp(qa * logs[:, 1])  # p^q of the shortcut head
+    gce = (1.0 - powered) * inv_q
+    ce_c, ce_s, ce_cx = ce[0, 0], ce[0, 1], ce[1, 0]
     weights = _difficulty_weights(ce_s, ce_c)
-    counter, (ce_cx, _, gce_sx) = read(perm)
 
     terms = [np.array([[_mean(t, None, False)]])
-             for t in (gce_s, ce_c * weights, gce_sx + ce_cx * weights)]
+             for t in (gce[0], ce_c * weights, gce[1] + ce_cx * weights)]
     values = dict(zip(("loss_s", "loss_c", "loss_cf"),
                       (float(t[0, 0]) for t in terms)))
     values["ce_s"] = float(_mean(ce_s.reshape(-1), None, False))
@@ -642,29 +671,36 @@ def two_head_loss(graph_causal, graph_shortcut, head_causal, head_shortcut, labe
             data = term * scale if data is None else data + term * scale
     if data is None:
         return None, values
-
-    def read_adjoint(kept, back, g_c, g_s):
-        """Both heads' adjoints of a read for g_c of its W * CE rows and g_s
-        of its GCE rows (None skips), causal head first, summed and split
-        into h_c and h_s; `back` undoes the order the pass took h_s in."""
-        x, y_s, probs, (picked_c, picked_s), powered = kept
-        gps = (None if g_c is None else -(g_c * weights) / picked_c,
-               None if g_s is None else -(g_s * inv_q) * powered * qa / picked_s)
-        adjoints = [_head_adjoint(_picked_adjoint(p, rows, labels, gp), p, x, *head)
-                    for gp, p, labels, head in zip(gps, probs, (y, y_s), heads)
-                    if gp is not None]
-        if adjoints:
-            gx = sum(adjoints[1:], adjoints[0])
-            h_c._accumulate(gx[:, :split].copy())
-            h_s._accumulate(gx[:, split:][back])
+    # which (pass, head) blocks a weighed term reads
+    live = ((scales[1] is not None, scales[0] is not None),
+            (scales[2] is not None,) * 2)
 
     def backward(g: np.ndarray) -> None:
-        # the adjoint of each weighed term's per-row values, via its mean
-        gs, gc, gcf = (None if scale is None
-                       else np.full((n, 1), (g * scale)[0, 0] / n)
+        # the adjoint of each weighed term's per-row values, via its mean,
+        # per (pass, head) block; 0 where no weighed term reads the block
+        gs, gc, gcf = (0.0 if scale is None else (g * scale)[0, 0] / n
                        for scale in scales)
-        read_adjoint(counter, inverse, gcf, gcf)
-        read_adjoint(factual, rows, gc, gs)
+        g_rows = np.array([[gc, gs], [gcf, gcf]])[:, :, None, None]
+        gp = np.empty_like(picked)
+        gp[:, 0] = -(g_rows[:, 0] * weights)
+        gp[:, 1] = -(g_rows[:, 1] * inv_q) * powered * qa
+        gp /= picked
+        dp = np.zeros(probs.size)
+        dp[picks] = gp.reshape(-1)
+        gl = _softmax_adjoint(dp.reshape(probs.shape), probs).reshape(logits.shape)
+        gb = gl.sum(axis=2, keepdims=True)
+        for p, back in ((1, inverse), (0, None)):
+            gx = None
+            for head, (w, b) in enumerate(heads):
+                if live[p][head]:
+                    w._accumulate(x[p].T @ gl[p, head])
+                    b._accumulate(gb[p, head])
+                    part = gl[p, head] @ w.data.T
+                    gx = part if gx is None else gx + part
+            if gx is not None:
+                h_c._accumulate(gx[:, :split].copy())
+                h_s._accumulate(gx[:, split:].copy() if back is None
+                                else gx[:, split:][back])
 
     return _make(data, (h_c, h_s, w_c, b_c, w_s, b_s), backward), values
 

@@ -317,8 +317,9 @@ def gcn_layer(f, weights, layer_weight, plan, rectify):
 
 
 def softmax_head(x, weight, bias):
-    """ad.softmax_head as the node it was: the forward that head_nll and
-    two_head_loss take from it and the adjoint they share."""
+    """ad.softmax_head as the node it was: the forward head_nll takes from
+    it and two_head_loss computes per block, and the adjoint head_nll
+    shares."""
     x, weight, bias = ad._coerce(x), ad._coerce(weight), ad._coerce(bias)
     data = ad.softmax_head(x.data, weight.data, bias.data)
 

@@ -143,6 +143,33 @@ class TestBitwiseAgainstComposedChain:
                     lambda lv: composed.ego_readout(lv["h"], sizes, lv["p"]),
                     values, tracked)
 
+    def test_ego_readout_sums_are_the_bincounts(self, monkeypatch):
+        """Each ego's rows sum from 0 in order, as the chain's bincount
+        does: an ego of -0.0 rows sums to +0.0 (np.add.reduceat would keep
+        -0.0), and a size-1 ego beside larger ones sums to its one row."""
+        sizes = np.array([1, 4, 1, 1, 3])
+        rng = np.random.default_rng(12)
+        h = rng.normal(size=(sizes.sum(), 3))
+        h[1:5] = -0.0
+        sums = []
+        real = ad._csr_rowsum
+        monkeypatch.setattr(ad, "_csr_rowsum",
+                            lambda *args: sums.append(real(*args)) or sums[-1])
+        values = {"h": h, "p": rng.normal(size=(6, 3))}
+        for tracked in ({"h", "p"}, {"p"}):
+            _assert_bitwise(
+                lambda lv: ad.ego_readout(lv["h"], sizes, lv["p"]),
+                lambda lv: composed.ego_readout(lv["h"], sizes, lv["p"]),
+                values, tracked)
+        seg = np.repeat(np.arange(sizes.shape[0]), sizes)
+        want = np.bincount((seg[:, None] * 3 + np.arange(3)).ravel(),
+                           weights=h.ravel(), minlength=15).reshape(5, 3)
+        assert len(sums) == 2
+        for got in sums:
+            np.testing.assert_array_equal(_bits(got), _bits(want))
+        assert not np.signbit(want[1]).any()
+        assert np.signbit(np.add.reduceat(h, np.cumsum(sizes) - sizes)[1]).all()
+
     @pytest.mark.parametrize("batch", [2, 9])
     def test_head_nll(self, batch):
         """The GCN baseline's loss on unique rows (the adjoint writes them
@@ -297,6 +324,27 @@ class TestTwoHeadLoss:
                     _assert_bitwise(lambda lv: fused(lv)[0], lambda lv: chain(lv)[0],
                                     values, set(values))
 
+    @pytest.mark.parametrize("classes", [2, 8])
+    def test_bench_and_ba_community_shapes_are_the_chains(self, classes):
+        """The 2 and 8 classes of tree_cycles and ba_community at readout
+        width 32, where each block's logits have one or a few columns."""
+        rng = np.random.default_rng(93 + classes)
+        for batch in (16, 5):
+            for q in (0.7, 1.0):
+                values, y = _head_case(rng, batch, classes, width=32)
+                perm = rng.permutation(batch)
+                for coefficients in HEAD_COEFFICIENTS:
+                    for shared in (False, True):
+                        fused = _head_op(ad.two_head_loss, y, q, perm,
+                                         coefficients, shared)
+                        chain = _head_op(composed.two_head_loss, y, q, perm,
+                                         coefficients, shared)
+                        assert (fused(ad.leaves(values))[1]
+                                == chain(ad.leaves(values))[1])
+                        _assert_bitwise(lambda lv: fused(lv)[0],
+                                        lambda lv: chain(lv)[0],
+                                        values, set(values))
+
     def test_frozen_heads_and_embeddings(self):
         """Adjoints reach only the inputs that carry a gradient."""
         rng = np.random.default_rng(95)
@@ -446,6 +494,29 @@ class TestFusedOpGuards:
         with pytest.raises(ValueError, match=r"^ego sizes must be >= 1 and "
                                              r"sum to the 3 rows of h, got "):
             ad.ego_readout(np.ones((3, 2)), sizes, np.ones((4, 2)))
+
+    @pytest.mark.parametrize("shortcut, causal, head_s, bias_s", [
+        ((5, 2), (4, 3), (4, 3), (1, 3)), ((3, 2), (4, 3), (4, 3), (1, 3)),
+        ((4, 2), (4, 2), (4, 3), (1, 3)), ((4, 2), (4, 3), (4, 2), (1, 2)),
+        ((4, 2), (5, 3), (5, 3), (1, 3)), ((4, 3), (4, 3), (4, 3), (1, 3)),
+        ((4, 2), (4, 3), (5, 3), (1, 3)), ((4, 2), (4, 3), (4, 3), (1, 2)),
+        ((4, 2), (4, 3), (4, 3), (4, 3))],
+        ids=["more_shortcut_rows", "fewer_shortcut_rows", "fewer_causal_classes",
+             "fewer_shortcut_classes", "heads_wider_than_joint",
+             "joint_wider_than_heads", "head_rows_differ", "bias_classes_differ",
+             "bias_per_row"])
+    def test_two_head_loss_inputs_must_fit_together(self, shortcut, causal,
+                                                    head_s, bias_s):
+        """Readouts of two row counts, heads of two class counts, head
+        weights whose rows are not the joint width, or a bias that is not
+        one row of the head's classes are one ValueError, not a silent read
+        of the first rows or of one head's classes."""
+        with pytest.raises(ValueError, match=r"^two_head_loss needs readouts of "
+                                             r"one row count and two heads"):
+            ad.two_head_loss(np.ones((4, 2)), np.ones(shortcut),
+                             (np.ones(causal), np.zeros((1, causal[1]))),
+                             (np.ones(head_s), np.zeros(bias_s)),
+                             [0, 1, 0, 1], 0.7, np.arange(4), (1.0, 1.0, 1.0))
 
     @pytest.mark.parametrize("rows, labels, match", [
         ([0, 3], [0, 1], "row index outside"), ([-1, 0], [0, 1], "row index outside"),

@@ -17,11 +17,12 @@ field with a default) is listed by name, so adding or removing a knob means
 editing that list.
 
 The package's imports are held to its declared dependencies: importing
-`cdgnn` and its CLI loads none of `networkx`, `scipy.stats`, `scipy.sparse`
-or `numpy.f2py`, only scipy's compiled CSR kernel, which is the module
-`scipy.sparse` itself uses, whichever is imported first; and the
-third-party packages that `src/cdgnn` imports are exactly those of
-`[project].dependencies`. The gain theory, `gains`, imports no other
+`cdgnn` and its CLI loads none of `networkx`, `scipy` (not even its
+`__init__`), `scipy.stats`, `scipy.sparse` or `numpy.f2py`, only scipy's
+compiled CSR kernel, which is the module `scipy.sparse` itself uses,
+whichever is imported first; and the third-party packages that
+`src/cdgnn` imports, or finds by name to load that kernel, are exactly
+those of `[project].dependencies`. The gain theory, `gains`, imports no other
 `cdgnn` module.
 """
 
@@ -400,8 +401,7 @@ def _python(code: str, *path: Path) -> subprocess.CompletedProcess:
 
 
 KERNEL = "scipy.sparse._sparsetools"
-HEAVY = ("networkx", "numpy.f2py", "scipy.stats", "scipy.sparse",
-         "scipy._lib._util")
+HEAVY = ("networkx", "numpy.f2py", "scipy")
 
 
 def test_import_loads_none_of_scipy_sparse_stats_f2py_or_networkx():
@@ -470,7 +470,8 @@ def test_missing_csr_kernel_is_one_line_import_error(tmp_path):
 
 
 def _third_party_imports() -> set[str]:
-    """Top-level names of the non-stdlib modules `src/cdgnn` imports."""
+    """Top-level names of the non-stdlib modules `src/cdgnn` imports, or
+    finds by a literal name with `find_spec` to load a part of by file."""
     out = set()
     for path in PACKAGE.glob("*.py"):
         for node in ast.walk(_parse(path)):
@@ -478,6 +479,11 @@ def _third_party_imports() -> set[str]:
                 out |= {alias.name.split(".")[0] for alias in node.names}
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 out.add(node.module.split(".")[0])
+            elif (isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "find_spec" and node.args
+                  and isinstance(node.args[0], ast.Constant)):
+                out.add(node.args[0].value.split(".")[0])
     return out - set(sys.stdlib_module_names) - {"cdgnn"}
 
 
